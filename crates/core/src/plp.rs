@@ -1251,14 +1251,30 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let ds = tiny_dataset(24);
+        let val = tiny_dataset(4);
         let mut hp = fast_hp();
-        hp.threads = 1;
-        let mut rng = StdRng::seed_from_u64(5);
-        let seq = train_plp(&mut rng, &ds, None, &hp).unwrap();
-        hp.threads = 4;
-        let mut rng = StdRng::seed_from_u64(5);
-        let par = train_plp(&mut rng, &ds, None, &hp).unwrap();
-        assert_eq!(seq.params, par.params, "threading must not change results");
+        hp.eval_every = 2;
+        // Trained pairs and the threaded validation fan-out are reduced in
+        // a fixed order too, so they must agree across thread counts.
+        let run = |threads| {
+            let mut hp = hp.clone();
+            hp.threads = threads;
+            let opts = TrainOptions {
+                observer: Observer::new("threads"),
+                ..TrainOptions::default()
+            };
+            let out = train_plp_resumable(5, &ds, Some(&val), &hp, &opts).unwrap();
+            let pairs = opts.observer.counter("plp_train_pairs_total").get();
+            let hr10: Vec<Option<f64>> = out.telemetry.iter().map(|t| t.validation_hr10).collect();
+            (out.params, pairs, hr10)
+        };
+        let (seq_params, seq_pairs, seq_hr10) = run(1);
+        let (par_params, par_pairs, par_hr10) = run(4);
+        assert_eq!(seq_params, par_params, "threading must not change results");
+        assert!(seq_pairs > 0, "the run trained on pairs");
+        assert_eq!(seq_pairs, par_pairs);
+        assert!(seq_hr10.iter().any(Option::is_some));
+        assert_eq!(seq_hr10, par_hr10);
     }
 
     #[test]

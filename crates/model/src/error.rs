@@ -4,8 +4,8 @@ use std::fmt;
 
 use plp_linalg::LinalgError;
 
-/// Typed decode failures for binary snapshots — the legacy PLPM/PLPE codecs
-/// and the mmap-able PLPS v2 layout. Each variant names a distinct physical
+/// Typed decode failures for binary snapshots — the PLPM codec and the
+/// mmap-able PLPS v2 layout. Each variant names a distinct physical
 /// failure so the serving-side generation watcher can report *why* a
 /// candidate snapshot was rejected (instead of a catch-all shape mismatch).
 #[derive(Debug, Clone, PartialEq)]

@@ -24,10 +24,10 @@
 //!   cosine top-k recommendation,
 //! * [`metrics`] — leave-one-out Hit-Rate@k evaluation and baselines,
 //! * [`markov`] — the (DP-)Markov-chain baselines of the related work (§6),
-//! * [`snapshot`] — versioned binary checkpoints and the embedding-only
-//!   deployment bundle of §3.3,
-//! * [`plps`] — the page-aligned, mmap-able PLPS v2 snapshot layout for
-//!   zero-copy serving and hot-swap generation publishing.
+//! * [`snapshot`] — versioned binary full-parameter snapshots (PLPM),
+//! * [`plps`] — the page-aligned, mmap-able PLPS v2 snapshot layout: the
+//!   embedding-only deployment bundle of §3.3, for zero-copy serving and
+//!   hot-swap generation publishing.
 
 pub mod clip;
 pub mod error;

@@ -1,6 +1,6 @@
 //! PLPS v2: the page-aligned, mmap-able model snapshot layout.
 //!
-//! The legacy PLPM/PLPE codecs ([`crate::snapshot`]) stream every f64
+//! The PLPM codec ([`crate::snapshot`]) streams every f64
 //! through a cursor into owned buffers — fine for training checkpoints, but
 //! a serving fleet wants many processes sharing one read-only model
 //! generation and swapping to the next without a restart. PLPS lays tensors

@@ -1,10 +1,7 @@
-//! Compact binary model snapshots.
-//!
-//! §3.3 (footnote 1): "to reduce communication costs, only the embedding
-//! matrix is deployed." This module provides both flavours: full-parameter
-//! snapshots (server-side checkpointing) and embedding-only deployment
-//! bundles (what ships to mobile devices), in a versioned little-endian
-//! binary format.
+//! Compact binary full-parameter snapshots (`PLPM`): θ = {W, W′, B′} in a
+//! versioned little-endian format, the payload of checkpoints and
+//! federated frames. The embedding-only deployment artifact of §3.3
+//! (footnote 1) is the mmap-able `PLPS` bundle in [`crate::plps`].
 
 use std::fs;
 use std::path::Path;
@@ -17,7 +14,6 @@ use crate::error::{ModelError, SnapshotError};
 use crate::params::ModelParams;
 
 const MAGIC_FULL: &[u8; 4] = b"PLPM";
-const MAGIC_EMBED: &[u8; 4] = b"PLPE";
 const VERSION: u8 = 1;
 
 fn put_matrix(buf: &mut BytesMut, m: &Matrix) {
@@ -136,49 +132,6 @@ pub fn decode_params(mut data: Bytes) -> Result<ModelParams, ModelError> {
     })
 }
 
-/// Encodes the deployment bundle: the unit-normalised embedding only.
-pub fn encode_deployable(params: &ModelParams) -> Bytes {
-    let embedding = params.deployable_embedding();
-    let mut buf = BytesMut::with_capacity(13 + embedding.len() * 8);
-    buf.put_slice(MAGIC_EMBED);
-    buf.put_u8(VERSION);
-    put_matrix(&mut buf, &embedding);
-    buf.freeze()
-}
-
-/// Decodes a deployment bundle into the embedding matrix.
-///
-/// # Errors
-/// Returns [`ModelError::Snapshot`] on a malformed bundle and
-/// [`ModelError::NonFinite`] if the payload carries NaN/∞ values — a NaN
-/// embedding row would silently vanish from every recommendation (top-k
-/// skips NaN scores), so a corrupt bundle must fail at load, not at serve.
-pub fn decode_deployable(mut data: Bytes) -> Result<Matrix, ModelError> {
-    if data.remaining() < 5 {
-        return Err(SnapshotError::TruncatedHeader {
-            what: "bundle header",
-        }
-        .into());
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC_EMBED {
-        return Err(SnapshotError::BadMagic.into());
-    }
-    let version = data.get_u8();
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion {
-            got: u32::from(version),
-        }
-        .into());
-    }
-    let embedding = get_matrix(&mut data)?;
-    if !embedding.all_finite() {
-        return Err(ModelError::NonFinite { at: "embedding" });
-    }
-    Ok(embedding)
-}
-
 /// Writes a full snapshot to disk.
 ///
 /// # Errors
@@ -224,19 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn deployable_bundle_round_trip_is_normalised() {
-        let p = params();
-        let bytes = encode_deployable(&p);
-        let emb = decode_deployable(bytes).unwrap();
-        assert_eq!(emb.rows(), 7);
-        assert_eq!(emb.cols(), 4);
-        for r in 0..emb.rows() {
-            let n = plp_linalg::ops::l2_norm(emb.row(r));
-            assert!(n == 0.0 || (n - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn corruption_is_detected() {
         let p = params();
         let bytes = encode_params(&p);
@@ -248,28 +188,6 @@ mod tests {
         let mut raw = bytes.to_vec();
         raw[4] = 77;
         assert!(decode_params(Bytes::from(raw)).is_err());
-        // Full snapshot is not a deployment bundle and vice versa.
-        assert!(decode_deployable(encode_params(&p)).is_err());
-        assert!(decode_params(encode_deployable(&p)).is_err());
-    }
-
-    #[test]
-    fn non_finite_bundle_payload_is_rejected_at_load() {
-        let p = params();
-        let bytes = encode_deployable(&p);
-        let mut raw = bytes.to_vec();
-        // Overwrite the first payload f64 (after 4B magic + 1B version +
-        // 8B dims) with NaN: a silent-row corruption the old decoder let
-        // straight through to serving.
-        raw[13..21].copy_from_slice(&f64::NAN.to_le_bytes());
-        let err = decode_deployable(Bytes::from(raw)).unwrap_err();
-        assert!(
-            matches!(err, ModelError::NonFinite { at: "embedding" }),
-            "got: {err:?}"
-        );
-        let mut raw = bytes.to_vec();
-        raw[13..21].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
-        assert!(decode_deployable(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -341,7 +259,7 @@ mod tests {
 mod corruption_props {
     //! Property tests: no damaged buffer may ever panic the decoders —
     //! corruption must surface as `ModelError`, because checkpoints and
-    //! deployment bundles cross process and machine boundaries.
+    //! federated frames cross process and machine boundaries.
 
     use super::*;
     use proptest::collection::vec;
@@ -370,17 +288,6 @@ mod corruption_props {
         }
 
         #[test]
-        fn truncated_bundles_error_not_panic(
-            vocab in 2usize..9,
-            dim in 1usize..5,
-            cut_frac in 0usize..1000,
-        ) {
-            let bytes = encode_deployable(&sample_params(vocab, dim));
-            let cut = cut_frac * bytes.len() / 1000;
-            prop_assert!(decode_deployable(bytes.slice(..cut)).is_err());
-        }
-
-        #[test]
         fn bit_flips_never_panic(
             vocab in 2usize..9,
             dim in 1usize..5,
@@ -405,10 +312,7 @@ mod corruption_props {
         fn random_garbage_is_rejected(data in vec(0u32..256u32, 0usize..96)) {
             let bytes: Vec<u8> = data.iter().map(|&x| x as u8).collect();
             if !bytes.starts_with(MAGIC_FULL) {
-                prop_assert!(decode_params(Bytes::from(bytes.clone())).is_err());
-            }
-            if !bytes.starts_with(MAGIC_EMBED) {
-                prop_assert!(decode_deployable(Bytes::from(bytes)).is_err());
+                prop_assert!(decode_params(Bytes::from(bytes)).is_err());
             }
         }
 

@@ -861,6 +861,9 @@ fn elapsed_us(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plp_core::experiment::{ExperimentConfig, PreparedData};
+    use plp_core::plp::{train_plp_resumable, TrainOptions};
+    use plp_core::Hyperparameters;
     use plp_linalg::Matrix;
     use rand::{RngExt, SeedableRng};
 
@@ -1048,6 +1051,23 @@ mod tests {
         let queries = mixed_queries(41, 30, 22);
         let expected: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
         let obs = Observer::with_memory_sink("serve-test");
+
+        // A private training run reports into the same observer first, as
+        // in a process that trains and then serves: both stacks must land
+        // in one registry without disturbing each other.
+        let prep = PreparedData::generate(&ExperimentConfig::small(23)).unwrap();
+        let hp = Hyperparameters {
+            embedding_dim: 6,
+            negative_samples: 4,
+            max_steps: 3,
+            ..Hyperparameters::default()
+        };
+        let opts = TrainOptions {
+            observer: obs.clone(),
+            ..TrainOptions::default()
+        };
+        let trained = train_plp_resumable(23, &prep.train, None, &hp, &opts).unwrap();
+
         let engine = BatchEngine::with_observer(
             rec,
             ServeConfig {
@@ -1070,6 +1090,18 @@ mod tests {
             );
         }
         assert!(text.contains("plp_serve_queries_total 30"), "{text}");
+        assert!(
+            text.contains("plp_train_phase_ms_bucket{phase=\"local_sgd\""),
+            "missing training phases in:\n{text}"
+        );
+        for gauge in ["plp_epsilon_spent", "plp_epsilon_budget"] {
+            assert!(text.contains(gauge), "missing {gauge} in:\n{text}");
+        }
+        assert_eq!(
+            obs.gauge("plp_epsilon_spent").get().to_bits(),
+            trained.summary.epsilon_spent.to_bits(),
+            "serving must leave the training gauges alone"
+        );
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! [`plp_model::Recommender`] calls: profiles accumulate in the same
 //! order, the blocked kernel computes each inner product in `matvec`
 //! order, and exclusion/top-k share the sequential path's code. The
-//! `serve_load` generator in `plp-bench` asserts this on every run.
+//! engine tests assert this for every batch shape, and every `serve_*`
+//! workload of `plp_benchmark/` re-checks it on the answers it serves.
 
 pub mod cache;
 pub mod engine;

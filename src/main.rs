@@ -38,26 +38,36 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "stats" => cmd_stats(rest),
-        "train" => cmd_train(rest),
-        "evaluate" => cmd_evaluate(rest),
-        "recommend" => cmd_recommend(rest),
-        "budget" => cmd_budget(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
-    };
-    match result {
+    match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(1)
         }
     }
+}
+
+/// Dispatches one subcommand; `--help` / `-h` anywhere after a known
+/// subcommand prints the usage instead of running it.
+fn run(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let handler: fn(&[String]) -> Result<(), String> = match cmd {
+        "generate" => cmd_generate,
+        "stats" => cmd_stats,
+        "train" => cmd_train,
+        "evaluate" => cmd_evaluate,
+        "recommend" => cmd_recommend,
+        "budget" => cmd_budget,
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        other => return Err(format!("unknown subcommand `{other}`\n{USAGE}")),
+    };
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    handler(rest)
 }
 
 const USAGE: &str = "dp-nextloc — differentially-private next-location prediction (EDBT 2020)
@@ -67,14 +77,18 @@ USAGE:
   dp-nextloc stats     --data data.bin
   dp-nextloc train     --data data.bin --out model.plpm [--method plp|dpsgd|nonprivate]
                        [--eps F] [--delta F] [--sigma F] [--q F] [--lambda N] [--clip F]
-                       [--dim N] [--neg N] [--max-steps N] [--epochs N] [--seed N]
-                       [--ledger ledger.json]
+                       [--dim N] [--neg N] [--win N] [--batch N] [--lr F] [--max-steps N]
+                       [--epochs N] [--seed N] [--holdout N] [--ledger ledger.json]
   dp-nextloc evaluate  --data data.bin --model model.plpm [--k 5,10,20] [--seed N]
+                       [--holdout N]
   dp-nextloc recommend --model model.plpm --recent 12,87,40 [--k 10]
-  dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]";
+  dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]
+  dp-nextloc <subcommand> --help";
 
-/// Minimal `--flag value` parser; every flag takes exactly one value.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Minimal `--flag value` parser; every flag takes exactly one value and
+/// must be one of the subcommand's space-separated `allowed` names, so a
+/// mistyped privacy flag is an error instead of a silent default.
+fn parse_flags(args: &[String], allowed: &str) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -82,10 +96,17 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         if !flag.starts_with("--") {
             return Err(format!("expected a --flag, found `{flag}`"));
         }
+        let name = flag.trim_start_matches("--");
+        if !allowed.split(' ').any(|a| a == name) {
+            return Err(format!(
+                "unknown flag `{flag}` (expected one of: --{})",
+                allowed.replace(' ', ", --")
+            ));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("flag `{flag}` is missing its value"))?;
-        out.insert(flag.trim_start_matches("--").to_string(), value.clone());
+        out.insert(name.to_string(), value.clone());
         i += 2;
     }
     Ok(out)
@@ -121,7 +142,7 @@ fn profile(name: &str) -> Result<GeneratorConfig, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "out profile seed csv")?;
     let out = PathBuf::from(req(&flags, "out")?);
     let seed: u64 = opt_parse(&flags, "seed", 42)?;
     let config = profile(flags.get("profile").map(String::as_str).unwrap_or("medium"))?;
@@ -142,7 +163,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "data")?;
     let ds = data_io::load_binary(Path::new(req(&flags, "data")?)).map_err(|e| e.to_string())?;
     let s = dataset_stats(&ds);
     println!(
@@ -182,7 +203,12 @@ fn hyperparameters(flags: &HashMap<String, String>) -> Result<Hyperparameters, S
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    // Its own flags, then `prepare`'s, then `hyperparameters`'.
+    let flags = parse_flags(
+        args,
+        "data out method epochs ledger seed holdout \
+         dim neg win batch lr q sigma clip lambda max-steps eps delta",
+    )?;
     let out = PathBuf::from(req(&flags, "out")?);
     let method = flags.get("method").map(String::as_str).unwrap_or("plp");
     let seed: u64 = opt_parse(&flags, "seed", 42)?;
@@ -249,7 +275,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "data model k seed holdout")?;
     let params =
         snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
     let prep = prepare(&flags)?;
@@ -268,7 +294,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "model recent k")?;
     let params =
         snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
     let recent: Vec<usize> = req(&flags, "recent")?
@@ -284,7 +310,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_budget(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, "q sigma eps steps delta")?;
     let q: f64 = req(&flags, "q")?
         .parse()
         .map_err(|_| "bad --q".to_string())?;
@@ -325,13 +351,27 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags(&args, "out seed").unwrap();
         assert_eq!(f["out"], "x.bin");
         assert_eq!(f["seed"], "7");
         let bad: Vec<String> = ["--out"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&bad).is_err());
+        assert!(parse_flags(&bad, "out").is_err());
         let bad: Vec<String> = ["out", "x"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&bad).is_err());
+        assert!(parse_flags(&bad, "out").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_fail_closed_and_help_succeeds_on_every_subcommand() {
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        for sub in "generate stats train evaluate recommend budget".split(' ') {
+            run(sub, &s(&["--help"])).unwrap();
+            // A typo of a privacy flag must never fall back to the default.
+            let err = run(sub, &s(&["--sigm", "9"])).unwrap_err();
+            assert!(err.contains("`--sigm`"), "{sub}: {err}");
+        }
+        let err = run("budget", &s(&["--q", "0.06", "--lamda", "9"])).unwrap_err();
+        assert!(err.contains("`--lamda`"), "{err}");
+        assert!(run("frobnicate", &s(&["--help"])).is_err());
     }
 
     #[test]
