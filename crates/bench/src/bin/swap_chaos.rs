@@ -223,7 +223,7 @@ fn drill_torn_writer() -> bool {
 
     // Killed before the bundle finished: a stray half-written tmp file,
     // pointer untouched.
-    std::fs::write(dir.join("gen-00000000000000000002.tmp"), [0u8; 999]).expect("write tmp");
+    std::fs::write(dir.join("gen-00000000000000000002.plps.tmp"), [0u8; 999]).expect("write tmp");
     let mut ok = check(
         "stray tmp",
         watcher.poll_once() == SwapOutcome::Unchanged && serving_ok(&server),

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use plp_data::frame::SnapshotError;
 use plp_data::DataError;
 use plp_model::ModelError;
 use plp_privacy::PrivacyError;
@@ -22,12 +23,10 @@ pub enum CoreError {
         /// Description of the legal domain.
         expected: &'static str,
     },
-    /// A checkpoint failed its integrity checks (truncation, bad magic or
-    /// version, CRC mismatch, inconsistent tensors).
-    CheckpointCorrupt {
-        /// Which check failed.
-        what: &'static str,
-    },
+    /// A checkpoint failed its integrity checks; the container's typed
+    /// reason says which (truncation, bad or legacy magic, CRC mismatch,
+    /// content that contradicts itself).
+    CheckpointCorrupt(SnapshotError),
     /// A checkpoint was written under a different configuration and must
     /// not seed a resumed run.
     CheckpointMismatch {
@@ -50,9 +49,7 @@ impl fmt::Display for CoreError {
             CoreError::BadConfig { name, expected } => {
                 write!(f, "bad trainer config: {name} must be {expected}")
             }
-            CoreError::CheckpointCorrupt { what } => {
-                write!(f, "corrupt checkpoint: {what}")
-            }
+            CoreError::CheckpointCorrupt(e) => write!(f, "corrupt checkpoint: {e}"),
             CoreError::CheckpointMismatch { what } => {
                 write!(f, "checkpoint/config mismatch: {what}")
             }

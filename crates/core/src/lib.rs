@@ -29,11 +29,12 @@
 //! figure bench. [`attacks`] evaluates the membership-inference threat the
 //! paper's DP guarantee is meant to blunt.
 //!
-//! Training is crash-safe: [`checkpoint`] persists versioned, CRC-guarded
-//! [`checkpoint::TrainingCheckpoint`]s atomically, [`plp::resume_plp`]
-//! restores them bit-identically (ε recomputed from the restored ledger),
-//! and [`faults`] provides the deterministic fault injector used by the
-//! robustness drills.
+//! Training is crash-safe: [`checkpoint`] turns a
+//! [`checkpoint::TrainingCheckpoint`] into an image of the one artifact
+//! container (`plp_data::frame`: checksummed, written atomically),
+//! [`plp::resume_plp`] restores it bit-identically (ε recomputed from the
+//! restored ledger), and [`faults`] provides the deterministic fault
+//! injector used by the robustness drills.
 //!
 //! Training is also observable: pass a `plp_obs::Observer` in
 //! [`plp::TrainOptions`] to get per-phase latency histograms

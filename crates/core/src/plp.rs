@@ -43,6 +43,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use plp_data::dataset::TokenizedDataset;
+use plp_data::frame::write_atomic;
 use plp_data::grouping::{group_data, group_data_split, realized_split_factor, Bucket};
 use plp_data::sampling::sample_users;
 use plp_data::DataError;
@@ -63,9 +64,7 @@ use plp_privacy::mechanism::GaussianMechanism;
 use plp_privacy::PrivacyLedger;
 use serde_json::json;
 
-use crate::checkpoint::{
-    config_fingerprint, encode_checkpoint, write_atomic, ServerState, TrainingCheckpoint,
-};
+use crate::checkpoint::{config_fingerprint, encode_checkpoint, ServerState, TrainingCheckpoint};
 use crate::config::{Hyperparameters, ServerOptimizer};
 use crate::error::CoreError;
 use crate::faults::FaultInjector;
@@ -608,9 +607,11 @@ impl TrainerState {
     /// bytes through the fault injector (which may simulate a torn or
     /// bit-flipped write).
     fn persist(&self, policy: &CheckpointPolicy, faults: &FaultInjector) -> Result<(), CoreError> {
-        let bytes = encode_checkpoint(&self.checkpoint()).to_vec();
-        let (bytes, _corrupted) = faults.corrupt_checkpoint_bytes(self.step, bytes);
-        write_atomic(&policy.path, &bytes)
+        let image = encode_checkpoint(&self.checkpoint());
+        let (image, _corrupted) = faults.corrupt_checkpoint_bytes(self.step, image);
+        write_atomic(&policy.path, &image).map_err(|e| CoreError::Io {
+            message: e.to_string(),
+        })
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::frame::SnapshotError;
+
 /// Errors produced while loading, validating or transforming check-in data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataError {
@@ -34,6 +36,8 @@ pub enum DataError {
         /// Description of the failure.
         what: String,
     },
+    /// A dataset file the artifact container refused.
+    Snapshot(SnapshotError),
     /// An I/O failure, carrying the rendered `std::io::Error`.
     Io {
         /// The rendered I/O error message.
@@ -51,6 +55,7 @@ impl fmt::Display for DataError {
                 write!(f, "bad configuration: {name} must be {expected}")
             }
             DataError::Parse { line, what } => write!(f, "parse error at line {line}: {what}"),
+            DataError::Snapshot(e) => write!(f, "dataset file rejected: {e}"),
             DataError::Io { message } => write!(f, "io error: {message}"),
         }
     }
@@ -63,6 +68,12 @@ impl From<std::io::Error> for DataError {
         DataError::Io {
             message: e.to_string(),
         }
+    }
+}
+
+impl From<SnapshotError> for DataError {
+    fn from(e: SnapshotError) -> Self {
+        DataError::Snapshot(e)
     }
 }
 

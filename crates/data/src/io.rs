@@ -1,44 +1,24 @@
-//! Persistence: JSON, CSV and a compact binary codec for check-in datasets.
+//! Persistence: CSV and the binary container for check-in datasets.
 //!
 //! Real deployments would load Foursquare-style CSV exports; experiments
 //! snapshot generated datasets in the binary format so every figure harness
-//! sees byte-identical input.
+//! sees byte-identical input. The binary file is a [`crate::frame`] image
+//! of two word sections, so it is checksummed and written atomically like
+//! every other artifact: the population `W` it fixes is part of the
+//! privacy claim.
 
 use std::fs;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::checkin::{CheckIn, GeoPoint, LocationId, Poi};
 use crate::dataset::CheckInDataset;
 use crate::error::DataError;
+use crate::frame::{self, SnapshotError, Words};
 
-/// Magic bytes + version prefix of the binary snapshot format.
-const MAGIC: &[u8; 4] = b"PLPD";
-const VERSION: u8 = 1;
-
-/// Serialises the dataset to pretty JSON at `path`.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn save_json(dataset: &CheckInDataset, path: &Path) -> Result<(), DataError> {
-    let json = serde_json::to_string_pretty(dataset).map_err(|e| DataError::Invalid {
-        what: format!("json encode: {e}"),
-    })?;
-    fs::write(path, json)?;
-    Ok(())
-}
-
-/// Loads a dataset from JSON at `path`.
-///
-/// # Errors
-/// Propagates I/O and decode failures.
-pub fn load_json(path: &Path) -> Result<CheckInDataset, DataError> {
-    let text = fs::read_to_string(path)?;
-    serde_json::from_str(&text).map_err(|e| DataError::Invalid {
-        what: format!("json decode: {e}"),
-    })
-}
+/// Section kind: one `id · lat bits · lon bits` row per POI.
+const KIND_POIS: u16 = 32;
+/// Section kind: one `user | location << 32 · timestamp` row per check-in.
+const KIND_CHECKINS: u16 = 33;
 
 /// Writes check-ins as CSV lines `user,location,timestamp` (with header).
 pub fn checkins_to_csv(dataset: &CheckInDataset) -> String {
@@ -95,115 +75,79 @@ pub fn checkins_from_csv(text: &str) -> Result<Vec<CheckIn>, DataError> {
     Ok(out)
 }
 
-/// Encodes the dataset into the compact binary snapshot format.
-pub fn encode_binary(dataset: &CheckInDataset) -> Bytes {
-    let mut buf =
-        BytesMut::with_capacity(16 + dataset.pois.len() * 20 + dataset.num_checkins() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(dataset.pois.len() as u32);
-    buf.put_u64_le(dataset.num_checkins() as u64);
-    for p in &dataset.pois {
-        buf.put_u32_le(p.id.0);
-        buf.put_f64_le(p.point.lat);
-        buf.put_f64_le(p.point.lon);
-    }
-    for u in &dataset.users {
-        for c in &u.checkins {
-            buf.put_u32_le(c.user.0);
-            buf.put_u32_le(c.location.0);
-            buf.put_i64_le(c.timestamp);
-        }
-    }
-    buf.freeze()
+/// Encodes the dataset as a container image.
+pub fn encode_binary(dataset: &CheckInDataset) -> Vec<u8> {
+    let poi = |p: &Poi| {
+        [
+            u64::from(p.id.0),
+            p.point.lat.to_bits(),
+            p.point.lon.to_bits(),
+        ]
+    };
+    let pois: Vec<u64> = dataset.pois.iter().flat_map(poi).collect();
+    let checkins: Vec<u64> = dataset
+        .users
+        .iter()
+        .flat_map(|u| &u.checkins)
+        .flat_map(|c| {
+            let who_where = u64::from(c.user.0) | u64::from(c.location.0) << 32;
+            [who_where, c.timestamp as u64]
+        })
+        .collect();
+    frame::encode(
+        &[
+            (KIND_POIS, 3, Words::U64(&pois)),
+            (KIND_CHECKINS, 2, Words::U64(&checkins)),
+        ],
+        0,
+        0,
+    )
 }
 
-/// Decodes a binary snapshot produced by [`encode_binary`].
+/// Decodes and fully verifies an image produced by [`encode_binary`].
 ///
 /// # Errors
-/// Returns [`DataError::Invalid`] on a bad magic/version or truncation.
-pub fn decode_binary(mut data: Bytes) -> Result<CheckInDataset, DataError> {
-    if data.remaining() < 17 {
-        return Err(DataError::Invalid {
-            what: "binary snapshot truncated header".into(),
-        });
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DataError::Invalid {
-            what: "bad magic bytes".into(),
-        });
-    }
-    let version = data.get_u8();
-    if version != VERSION {
-        return Err(DataError::Invalid {
-            what: format!("unsupported version {version}"),
-        });
-    }
-    let num_pois = data.get_u32_le() as usize;
-    let num_checkins = usize::try_from(data.get_u64_le()).map_err(|_| DataError::Invalid {
-        what: "binary snapshot count overflow".into(),
-    })?;
-    // Checked arithmetic: a corrupt header must not wrap the size math
-    // into a panic further down.
-    let body = num_pois
-        .checked_mul(20)
-        .and_then(|p| num_checkins.checked_mul(16).and_then(|c| p.checked_add(c)))
-        .ok_or_else(|| DataError::Invalid {
-            what: "binary snapshot count overflow".into(),
-        })?;
-    // A garbled count claiming a body beyond the shared frame ceiling
-    // fails here explicitly instead of attempting a huge allocation.
-    if crate::frame::checked_frame_len(body as u64).is_none() {
-        return Err(DataError::Invalid {
-            what: format!(
-                "binary snapshot claims {body} bytes, over the {} max frame size",
-                crate::frame::MAX_FRAME_BYTES
-            ),
-        });
-    }
-    if data.remaining() < body {
-        return Err(DataError::Invalid {
-            what: "binary snapshot truncated body".into(),
-        });
-    }
-    let mut pois = Vec::with_capacity(num_pois);
-    for _ in 0..num_pois {
-        let id = LocationId(data.get_u32_le());
-        let lat = data.get_f64_le();
-        let lon = data.get_f64_le();
-        pois.push(Poi {
-            id,
-            point: GeoPoint { lat, lon },
-        });
-    }
-    let mut checkins = Vec::with_capacity(num_checkins);
-    for _ in 0..num_checkins {
-        let user = data.get_u32_le();
-        let location = data.get_u32_le();
-        let ts = data.get_i64_le();
-        checkins.push(CheckIn::new(user, location, ts));
-    }
+/// [`DataError::Snapshot`] with the container's typed reason.
+pub fn decode_binary(image: &[u8]) -> Result<CheckInDataset, DataError> {
+    let header = frame::parse(image)?;
+    header.verify(image)?;
+    let poi = |w: &[u64]| {
+        let id = u32::try_from(w[0]).map_err(|_| frame::inconsistent("POI id over 32 bits"))?;
+        Ok(Poi {
+            id: LocationId(id),
+            point: GeoPoint {
+                lat: f64::from_bits(w[1]),
+                lon: f64::from_bits(w[2]),
+            },
+        })
+    };
+    let pois = header
+        .words(image, KIND_POIS, 3)?
+        .chunks_exact(3)
+        .map(poi)
+        .collect::<Result<_, SnapshotError>>()?;
+    let checkins = header
+        .words(image, KIND_CHECKINS, 2)?
+        .chunks_exact(2)
+        .map(|w| CheckIn::new(w[0] as u32, (w[0] >> 32) as u32, w[1] as i64))
+        .collect();
     Ok(CheckInDataset::from_checkins(pois, checkins))
 }
 
-/// Writes a binary snapshot to `path`.
+/// Atomically writes the dataset image to `path`.
 ///
 /// # Errors
 /// Propagates I/O failures.
 pub fn save_binary(dataset: &CheckInDataset, path: &Path) -> Result<(), DataError> {
-    fs::write(path, encode_binary(dataset))?;
-    Ok(())
+    Ok(frame::write_atomic(path, &encode_binary(dataset))?)
 }
 
-/// Loads a binary snapshot from `path`.
+/// Loads and verifies a dataset image from `path`.
 ///
 /// # Errors
 /// Propagates I/O and decode failures.
 pub fn load_binary(path: &Path) -> Result<CheckInDataset, DataError> {
-    let data = fs::read(path)?;
-    decode_binary(Bytes::from(data))
+    decode_binary(&fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -248,58 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip_is_lossless() {
-        let ds = sample();
-        let bytes = encode_binary(&ds);
-        let back = decode_binary(bytes).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let ds = sample();
-        let bytes = encode_binary(&ds);
-        // Truncated.
-        assert!(decode_binary(bytes.slice(..10)).is_err());
-        assert!(decode_binary(bytes.slice(..bytes.len() - 4)).is_err());
-        // Bad magic.
-        let mut raw = bytes.to_vec();
-        raw[0] = b'X';
-        assert!(decode_binary(Bytes::from(raw)).is_err());
-        // Bad version.
-        let mut raw = bytes.to_vec();
-        raw[4] = 99;
-        assert!(decode_binary(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn oversized_length_claim_fails_with_max_frame_error() {
-        let ds = sample();
-        let bytes = encode_binary(&ds);
-        let mut raw = bytes.to_vec();
-        // Claim ~u64::MAX check-ins: the count survives usize conversion on
-        // 64-bit hosts, so only the frame ceiling stands between the claim
-        // and a monster allocation.
-        raw[9..17].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
-        let err = decode_binary(Bytes::from(raw)).unwrap_err();
-        assert!(
-            err.to_string().contains("max frame size"),
-            "expected a max-frame-size diagnostic, got: {err}"
-        );
-    }
-
-    #[test]
-    fn json_and_binary_files_round_trip() {
+    fn binary_round_trips_in_memory_and_on_disk() {
+        let empty = CheckInDataset::from_checkins(vec![], vec![]);
+        assert_eq!(decode_binary(&encode_binary(&empty)).unwrap(), empty);
         let ds = sample();
         let dir = std::env::temp_dir().join("plp_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let j = dir.join("ds.json");
-        let b = dir.join("ds.bin");
-        save_json(&ds, &j).unwrap();
-        save_binary(&ds, &b).unwrap();
-        assert_eq!(load_json(&j).unwrap(), ds);
-        assert_eq!(load_binary(&b).unwrap(), ds);
-        let missing = dir.join("nope.bin");
-        assert!(load_binary(&missing).is_err());
+        save_binary(&ds, &dir.join("ds.bin")).unwrap();
+        assert_eq!(load_binary(&dir.join("ds.bin")).unwrap(), ds);
+        assert!(matches!(
+            load_binary(&dir.join("nope.bin")),
+            Err(DataError::Io { .. })
+        ));
     }
 }

@@ -21,7 +21,7 @@
 //! - workers that exhaust their retry budget dropped into the trainer's
 //!   DP-safe skipped-bucket semantics — fixed `q·W/λ` denominator,
 //!   unchanged σ and RDP charge ([`coordinator`]),
-//! - coordinator crash recovery via the ordinary `PLPC` checkpoint
+//! - coordinator crash recovery via the ordinary training checkpoint
 //!   (resume with a `FedExecutor` and the run continues bit-exact).
 //!
 //! Worker-level fault injection (stalls, mid-round exits, corrupted and

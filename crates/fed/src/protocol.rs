@@ -14,8 +14,10 @@
 //! * [`MSG_SHUTDOWN`] (empty): clean worker exit.
 //!
 //! Every numeric field is little-endian and every length is validated
-//! before allocation. Model parameters reuse the snapshot codec of
-//! [`plp_model::snapshot`], which enforces the shared frame ceiling.
+//! before allocation. Model parameters travel as an in-memory PLPS image
+//! ([`plp_model::plps`]), the same tensor sections a saved model has; the
+//! receiver parses its header but skips the per-section CRC pass, because
+//! the pipe frame's CRC already covers every byte of the payload.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -23,11 +25,11 @@ use serde::{Deserialize, Serialize};
 use plp_core::config::Hyperparameters;
 use plp_core::faults::FaultPlan;
 use plp_core::plp::BucketUpdate;
-use plp_data::frame::checked_frame_len;
+use plp_data::frame::{checked_frame_len, encode};
 use plp_data::grouping::Bucket;
 use plp_model::grad::SparseGrad;
 use plp_model::params::ModelParams;
-use plp_model::snapshot::{decode_params, encode_params};
+use plp_model::plps::{param_sections, PlpsSnapshot, KIND_EMBEDDING};
 
 use crate::error::FedError;
 
@@ -165,7 +167,7 @@ fn get_usize_vec(data: &mut Bytes, what: &'static str) -> Result<Vec<usize>, Fed
 impl RoundRequest {
     /// Encodes the work order.
     pub fn encode(&self) -> Vec<u8> {
-        let snapshot = encode_params(&self.params);
+        let snapshot = encode(&param_sections(&self.params, KIND_EMBEDDING), 0, 0);
         let mut buf = BytesMut::with_capacity(36 + snapshot.len());
         buf.put_u64_le(self.step);
         buf.put_u64_le(self.step_seed);
@@ -195,10 +197,11 @@ impl RoundRequest {
         let attempt = data.get_u64_le();
         let snap_len = get_count(&mut data, 1, "round snapshot")?;
         need(&data, snap_len, "round snapshot body")?;
-        let snapshot = data.slice(..snap_len);
+        let snapshot = data[..snap_len].to_vec();
         data = data.slice(snap_len..);
-        let params =
-            decode_params(snapshot).map_err(|e| FedError::Core(plp_core::CoreError::Model(e)))?;
+        let params = PlpsSnapshot::from_bytes(snapshot)
+            .and_then(|image| image.params())
+            .map_err(|e| FedError::Core(plp_core::CoreError::Model(e)))?;
         let n = get_count(&mut data, 24, "round assignments")?;
         let mut assignments = Vec::with_capacity(n);
         for _ in 0..n {

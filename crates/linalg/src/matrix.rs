@@ -336,7 +336,7 @@ impl PartialEq for Matrix {
 impl Serialize for Matrix {
     /// Serializes as `{rows, cols, data}` regardless of backing, matching
     /// the representation the derived impl produced for the owned-only
-    /// struct (so existing PLPC checkpoints and JSON stay compatible).
+    /// struct (so existing JSON stays compatible).
     fn to_value(&self) -> Value {
         let mut m = serde::Map::new();
         m.insert("rows".to_string(), self.rows.to_value());

@@ -24,10 +24,11 @@
 //!   cosine top-k recommendation,
 //! * [`metrics`] — leave-one-out Hit-Rate@k evaluation and baselines,
 //! * [`markov`] — the (DP-)Markov-chain baselines of the related work (§6),
-//! * [`snapshot`] — versioned binary full-parameter snapshots (PLPM),
-//! * [`plps`] — the page-aligned, mmap-able PLPS v2 snapshot layout: the
-//!   embedding-only deployment bundle of §3.3, for zero-copy serving and
-//!   hot-swap generation publishing.
+//! * [`plps`] — model artifacts over the one PLPS container
+//!   (`plp_data::frame`): the mmap-able embedding-only deployment bundle of
+//!   §3.3 for zero-copy serving and hot-swap publishing, the
+//!   full-parameter model the CLI saves, and the tensor sections of
+//!   checkpoints and federated θ-blobs.
 
 pub mod clip;
 pub mod error;
@@ -41,7 +42,6 @@ pub mod optimizer;
 pub mod params;
 pub mod plps;
 pub mod recommender;
-pub mod snapshot;
 pub mod train;
 
 pub use error::{ModelError, SnapshotError};

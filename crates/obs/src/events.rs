@@ -2,8 +2,8 @@
 //!
 //! Each event is one JSON object on its own line, written with a single
 //! `write_all` call (line + trailing newline together) to an append-mode
-//! file — the same "whole record or nothing" discipline as the PLPC
-//! checkpoint writer, scaled down to log lines. A process killed between
+//! file — the same "whole record or nothing" discipline as the atomic
+//! artifact writer, scaled down to log lines. A process killed between
 //! events therefore leaves a log whose every line parses; at worst the
 //! final line is torn, which a line-by-line reader skips.
 //!

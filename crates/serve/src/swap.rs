@@ -25,7 +25,6 @@
 //! generation owns a fresh cache.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -51,12 +50,11 @@ pub fn generation_file_name(generation: u64) -> String {
     format!("gen-{generation:020}.plps")
 }
 
-/// Publishes a deployment bundle: writes `gen-<id>.plps` (atomic tmp +
-/// rename inside [`plps::write_deployable`]) and *then* atomically renames
-/// the `CURRENT` pointer at it. Readers therefore always observe either
-/// the old complete generation or the new complete one — never a torn
-/// file, because a pointed-to bundle is complete before the pointer moves
-/// and is never rewritten in place.
+/// Publishes a deployment bundle: writes `gen-<id>.plps` and *then* the
+/// `CURRENT` pointer at it, each through [`plps::write_atomic`]. Readers
+/// therefore always observe either the old complete generation or the new
+/// complete one — never a torn file, because a pointed-to bundle is
+/// complete before the pointer moves and is never rewritten in place.
 ///
 /// Pass the already-normalised serving embedding
 /// ([`plp_model::Recommender::embedding`]); its bytes are written verbatim
@@ -69,25 +67,14 @@ pub fn publish_generation(
     embedding: &Matrix,
     generation: u64,
 ) -> Result<PathBuf, ServeError> {
-    let io_err = |what: &Path, e: std::io::Error| {
-        ServeError::Model(ModelError::Io {
-            message: format!("{}: {e}", what.display()),
-        })
-    };
     let name = generation_file_name(generation);
     let bundle = dir.join(&name);
     plps::write_deployable(&bundle, embedding, generation)?;
-    let tmp = dir.join(format!("{CURRENT_POINTER}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(name.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
-    let pointer = dir.join(CURRENT_POINTER);
-    fs::rename(&tmp, &pointer).map_err(|e| io_err(&pointer, e))?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    plps::write_atomic(&dir.join(CURRENT_POINTER), name.as_bytes()).map_err(|e| {
+        ServeError::Model(ModelError::Io {
+            message: e.to_string(),
+        })
+    })?;
     Ok(bundle)
 }
 

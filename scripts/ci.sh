@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, build, the full test suite, the
-# chaos drills and a correctness smoke of the benchmark harness. This is
-# the only CI definition — .github/workflows/ci.yml just calls it. No
+# Offline CI gate: formatting, lints, the one-container grep gate, build,
+# the full test suite, the chaos drills and a correctness smoke of the
+# benchmark harness. This is the only CI definition — .github/workflows/ci.yml just calls it. No
 # network access is needed (all dependencies are vendored in compat/).
 # Nothing here judges a timing: every step is gated on its exit code.
 set -euo pipefail
@@ -12,6 +12,18 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== artifact-container gate (one atomic writer, one writer magic) =="
+# Every artifact goes through plp_data::frame: a second `fn write_atomic`
+# or a format magic outside that file means a codec has been forked again.
+writers=$(git grep -n 'fn write_atomic' -- crates src | wc -l)
+magics=$(git grep -nE 'b"PLP[A-Z]"' -- crates src || true)
+stray=$(grep -v '^crates/data/src/frame.rs:' <<<"$magics" || true)
+if [ "$writers" -ne 1 ] || [ -n "$stray" ] || [ "$(grep -c 'b"PLPS"' <<<"$magics")" -ne 1 ]; then
+  echo "expected one fn write_atomic (found $writers) and magics only in crates/data/src/frame.rs:"
+  echo "$magics"
+  exit 1
+fi
 
 echo "== cargo build --release =="
 cargo build --release

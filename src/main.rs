@@ -24,11 +24,12 @@ use plp_core::dpsgd::train_dpsgd;
 use plp_core::experiment::{evaluate, ExperimentConfig, PreparedData};
 use plp_core::nonprivate::{train_nonprivate, NonPrivateConfig};
 use plp_core::plp::train_plp;
+use plp_data::frame::write_atomic;
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
 use plp_data::io as data_io;
 use plp_data::stats::dataset_stats;
-use plp_model::snapshot;
-use plp_model::Recommender;
+use plp_model::plps::{self, PlpsSnapshot};
+use plp_model::{ModelParams, Recommender};
 use plp_privacy::planner::{epsilon_for_steps, max_steps};
 use plp_privacy::PrivacyBudget;
 
@@ -75,13 +76,13 @@ const USAGE: &str = "dp-nextloc — differentially-private next-location predict
 USAGE:
   dp-nextloc generate  --out data.bin [--profile small|medium|paper] [--seed N] [--csv out.csv]
   dp-nextloc stats     --data data.bin
-  dp-nextloc train     --data data.bin --out model.plpm [--method plp|dpsgd|nonprivate]
+  dp-nextloc train     --data data.bin --out model.plps [--method plp|dpsgd|nonprivate]
                        [--eps F] [--delta F] [--sigma F] [--q F] [--lambda N] [--clip F]
                        [--dim N] [--neg N] [--win N] [--batch N] [--lr F] [--max-steps N]
                        [--epochs N] [--seed N] [--holdout N] [--ledger ledger.json]
-  dp-nextloc evaluate  --data data.bin --model model.plpm [--k 5,10,20] [--seed N]
+  dp-nextloc evaluate  --data data.bin --model model.plps [--k 5,10,20] [--seed N]
                        [--holdout N]
-  dp-nextloc recommend --model model.plpm --recent 12,87,40 [--k 10]
+  dp-nextloc recommend --model model.plps --recent 12,87,40 [--k 10]
   dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]
   dp-nextloc <subcommand> --help";
 
@@ -259,11 +260,11 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown method `{other}` (plp|dpsgd|nonprivate)")),
     };
 
-    snapshot::save_params(&params, &out).map_err(|e| e.to_string())?;
+    plps::write_params(&out, &params, 0).map_err(|e| e.to_string())?;
     println!("model saved to {}", out.display());
     if let (Some(ledger), Some(path)) = (&ledger, flags.get("ledger")) {
         let json = serde_json::to_string_pretty(ledger).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        write_atomic(Path::new(path), json.as_bytes()).map_err(|e| e.to_string())?;
         println!("privacy ledger written to {path}");
     }
     // Quick quality readout on the held-out users.
@@ -274,10 +275,21 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads a `train --out` model, refusing it unless every checksum holds
+/// and every parameter is finite.
+fn load_model(flags: &HashMap<String, String>) -> Result<ModelParams, String> {
+    let path = Path::new(req(flags, "model")?);
+    let read = || {
+        let snapshot = PlpsSnapshot::open(path)?;
+        snapshot.validate()?;
+        snapshot.params()
+    };
+    read().map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, "data model k seed holdout")?;
-    let params =
-        snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
+    let params = load_model(&flags)?;
     let prep = prepare(&flags)?;
     let ks: Vec<usize> = flags
         .get("k")
@@ -295,8 +307,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, "model recent k")?;
-    let params =
-        snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
+    let params = load_model(&flags)?;
     let recent: Vec<usize> = req(&flags, "recent")?
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad token `{s}`")))
@@ -408,7 +419,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dp_nextloc_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.bin");
-        let model = dir.join("model.plpm");
+        let model = dir.join("model.plps");
         let ledger = dir.join("ledger.json");
 
         // generate a tiny custom dataset by writing it directly (the small
@@ -475,6 +486,28 @@ mod tests {
         cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5", "--eps", "2.0"])).unwrap();
         cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5", "--steps", "100"])).unwrap();
         assert!(cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5"])).is_err());
+
+        // Every output went through the atomic writer, and one flipped bit
+        // in the model or the dataset is refused with its typed reason.
+        for file in [&data, &model, &ledger] {
+            let tmp = format!("{}.tmp", file.display());
+            assert!(!Path::new(&tmp).exists(), "{tmp} lingers");
+        }
+        let flip_last_byte = |path: &Path| {
+            let mut raw = std::fs::read(path).unwrap();
+            *raw.last_mut().unwrap() ^= 0x04;
+            std::fs::write(path, raw).unwrap();
+        };
+        flip_last_byte(&model);
+        let recommend = ["--model", model.to_str().unwrap(), "--recent", "1"];
+        let err = cmd_recommend(&s(&recommend)).unwrap_err();
+        assert!(
+            err.contains("bad_crc") && err.contains("model.plps"),
+            "{err}"
+        );
+        flip_last_byte(&data);
+        let err = cmd_stats(&s(&["--data", data.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("bad_crc"), "{err}");
     }
 
     #[test]
@@ -496,7 +529,7 @@ mod tests {
             "--data",
             data.to_str().unwrap(),
             "--out",
-            dir.join("m.plpm").to_str().unwrap(),
+            dir.join("m.plps").to_str().unwrap(),
             "--method",
             "magic",
             "--holdout",

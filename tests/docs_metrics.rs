@@ -1,6 +1,6 @@
 //! The docs may cite performance only as `workload:metric` names that
 //! `BENCHMARK.json` declares, and may not mention the retired bench
-//! reports. Reads files only.
+//! reports or the retired model / checkpoint formats. Reads files only.
 
 use std::fs;
 use std::path::Path;
@@ -8,11 +8,14 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 4] = [
+const RETIRED: [&str; 7] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
     "bench_guard",
+    ".plpm",
+    "plp-model::snapshot",
+    "PLPC, version",
 ];
 
 /// The `name` strings of the objects in `manifest[key]`.

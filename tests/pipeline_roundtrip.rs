@@ -23,7 +23,7 @@ fn binary_snapshot_survives_the_full_pipeline() {
     let cfg = tiny();
     let raw = SyntheticGenerator::generate_with_seed(cfg.generator.clone(), cfg.seed).unwrap();
     let bytes = io::encode_binary(&raw);
-    let restored = io::decode_binary(bytes).unwrap();
+    let restored = io::decode_binary(&bytes).unwrap();
     assert_eq!(raw, restored);
 
     // Preparing from the restored dataset gives identical tokenised splits.
