@@ -20,8 +20,9 @@ use plp_core::plp::{
     PlpOutcome, TrainOptions,
 };
 use plp_core::CoreError;
+use plp_fed::phase::{FED_SEND, FED_WORKER_ROUND};
 use plp_fed::{FedConfig, FedExecutor, RetryPolicy};
-use plp_obs::trace::{parse_dump_jsonl, stitch_chrome_trace, TraceConfig, TraceDump};
+use plp_obs::trace::{load_dumps, stitch_chrome_trace, TraceConfig};
 use plp_obs::Observer;
 use plp_privacy::PrivacyBudget;
 
@@ -269,7 +270,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| "target/BENCH_fed_trace.json".to_string())
     };
     // Raw dumps land in a stable dir (not a temp dir) so operators and CI
-    // can re-stitch them with scripts/trace_stitch.py after the run.
+    // can re-stitch them with `dp-nextloc trace-stitch` after the run.
     let trace_dir = std::path::PathBuf::from("target/fed_trace_dumps");
     std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::create_dir_all(&trace_dir).expect("trace dir");
@@ -304,18 +305,7 @@ fn main() -> ExitCode {
         )
         .expect("coordinator dump");
 
-    let mut dumps: Vec<TraceDump> = Vec::new();
-    let coordinator_dump =
-        std::fs::read_to_string(trace_dir.join("trace_coordinator.jsonl")).expect("read dump");
-    dumps.push(parse_dump_jsonl(&coordinator_dump).expect("parse coordinator dump"));
-    for entry in std::fs::read_dir(&trace_dir).expect("list trace dir") {
-        let path = entry.expect("dir entry").path();
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        if name.starts_with("trace_worker_") {
-            let text = std::fs::read_to_string(&path).expect("read worker dump");
-            dumps.push(parse_dump_jsonl(&text).expect("parse worker dump"));
-        }
-    }
+    let dumps = load_dumps(&[&trace_dir]).expect("load the dumps");
     let processes: std::collections::BTreeSet<(String, u64)> =
         dumps.iter().map(|d| (d.process.clone(), d.pid)).collect();
     all_ok &= check(
@@ -329,13 +319,13 @@ fn main() -> ExitCode {
     let send_spans: std::collections::BTreeSet<u64> = dumps[0]
         .records
         .iter()
-        .filter(|r| r.name == "fed_send")
+        .filter(|r| r.name == FED_SEND.name)
         .map(|r| r.span_id)
         .collect();
     let cross_parented = dumps[1..].iter().any(|d| {
         d.records
             .iter()
-            .any(|r| r.name == "fed_worker_round" && send_spans.contains(&r.parent_id))
+            .any(|r| r.name == FED_WORKER_ROUND.name && send_spans.contains(&r.parent_id))
     });
     all_ok &= check(
         "trace-cross-pipe-parenting",

@@ -2,8 +2,8 @@
 //!
 //! Each builder returns the list of [`SweepPoint`]s whose evaluation
 //! regenerates the figure's series. The builders only *describe* the sweep;
-//! `runner::run_point` executes it, and the `fig*` binaries / criterion
-//! benches drive the execution at the chosen scale.
+//! `runner::run_point` executes it, and the `fig*` binaries drive the
+//! execution at the chosen scale.
 
 use plp_core::config::Hyperparameters;
 use plp_privacy::PrivacyBudget;

@@ -6,8 +6,8 @@
 //! figure's series as aligned text plus machine-readable JSON.
 //!
 //! Two scales are supported everywhere:
-//! * `Scale::Bench` — small data, used by `cargo bench` so each figure's
-//!   criterion target terminates in seconds,
+//! * `Scale::Bench` — small data, so the drills, `smoke`, the unit tests
+//!   and `fig* --scale bench` terminate in seconds,
 //! * `Scale::Figure` — the medium profile used by the `fig*` binaries to
 //!   produce the numbers recorded in EXPERIMENTS.md.
 

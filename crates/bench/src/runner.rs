@@ -1,5 +1,4 @@
-//! Experiment runner shared by the criterion benches and the `fig*`
-//! binaries.
+//! Experiment runner shared by the `fig*` binaries and the drills.
 
 use std::path::PathBuf;
 
@@ -18,7 +17,7 @@ use plp_core::CoreError;
 /// Experiment scale: trade fidelity for wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny data + few steps: used inside `cargo bench` targets.
+    /// Tiny data + few steps: the drills, `smoke` and the unit tests.
     Bench,
     /// The medium synthetic profile: used by the `fig*` binaries.
     Figure,

@@ -57,8 +57,8 @@ use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens_with_scratch, TrainScratch};
 use plp_model::Recommender;
-use plp_obs::trace::{derive_span_id, derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
-use plp_obs::{Counter, Gauge, HistogramHandle, Observer};
+use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
+use plp_obs::{Counter, Gauge, Observer, PhaseSet};
 use plp_privacy::accountant::MomentsAccountant;
 use plp_privacy::mechanism::GaussianMechanism;
 use plp_privacy::PrivacyLedger;
@@ -106,13 +106,47 @@ pub struct TrainOptions {
     /// drills. No final checkpoint is written (a killed process would not
     /// have written one either); only periodic saves survive.
     pub halt_after: Option<u64>,
-    /// Observability context: phase-latency histograms
-    /// (`plp_train_phase_ms{phase=…}`), privacy-budget gauges
+    /// Observability context: the phases of [`phase::TABLE`] (histograms,
+    /// and spans once a tracer is attached), privacy-budget gauges
     /// (`plp_epsilon_spent` / `plp_epsilon_budget` / `plp_delta`),
     /// step/fault counters and the JSONL event stream. Inert by default,
     /// and never able to change what the trainer computes — only what it
     /// reports.
     pub observer: Observer,
+}
+
+/// The training phase table — the one place these names are spelled.
+/// Each is one interval of Algorithm 1's per-step pipeline; the guard's
+/// index is the step, except inside a bucket, where it is the bucket's
+/// position in the step's bucket list.
+pub mod phase {
+    plp_obs::phase_table! {
+        /// `plp_train_phase_ms{phase=…}` and the `train` trace category.
+        TABLE = "plp_train_phase_ms", "train";
+        /// One whole step; the root span of the step's trace.
+        STEP = trace_only "step";
+        /// Line 5: Poisson user sampling.
+        SAMPLE = timed "sample";
+        /// Line 6: data grouping.
+        GROUP = timed "group";
+        /// Lines 7–8 for the whole step: the executor's fan-out over every
+        /// bucket, in process or across worker processes.
+        LOCAL_SGD = trace_only "local_sgd";
+        /// Lines 15–21 for one bucket: local SGD from θ_t, inside a worker.
+        BUCKET_SGD = timed "bucket_sgd";
+        /// Line 22 for one bucket: per-layer clipping of its delta.
+        CLIP = timed "clip";
+        /// Line 9: Gaussian sum, perturbation and the fixed-denominator scale.
+        NOISE = timed "noise";
+        /// Line 10: the server optimiser step.
+        SERVER_UPDATE = timed "server_update";
+        /// Line 11: the moments accountant's step.
+        ACCOUNTANT = timed "accountant";
+        /// A validation pass (every `eval_every` steps).
+        EVAL = timed "eval";
+        /// A checkpoint write (periodic, and the final one outside any step).
+        CHECKPOINT = timed "checkpoint";
+    }
 }
 
 /// The fixed denominator `q·W/λ` of the averaging estimator (Algorithm 1,
@@ -162,25 +196,6 @@ pub struct BucketUpdate {
     pub clipped: bool,
 }
 
-/// Per-bucket phase histograms, resolved once per step and shared by all
-/// bucket workers (recording is thread-safe and cannot influence the
-/// bucket's RNG or result).
-struct BucketPhases {
-    local_sgd: HistogramHandle,
-    clip: HistogramHandle,
-    pairs: Counter,
-}
-
-impl BucketPhases {
-    fn resolve(obs: &Observer) -> Self {
-        BucketPhases {
-            local_sgd: obs.histogram_with("plp_train_phase_ms", "phase", "local_sgd"),
-            clip: obs.histogram_with("plp_train_phase_ms", "phase", "clip"),
-            pairs: obs.counter("plp_train_pairs_total"),
-        }
-    }
-}
-
 /// Per-worker reusable buffers for the bucket hot path: the copy-on-write
 /// row journal that replaces the per-bucket `θ.clone()` and the local-SGD
 /// training scratch. One instance lives per worker thread for a whole
@@ -193,12 +208,16 @@ struct BucketScratch {
 }
 
 /// Per-step context shared by every bucket worker: the step identity and
-/// seed, the fault injector and the per-bucket phase histograms.
+/// seed, the fault injector, what the workers record into (thread-safe,
+/// and unable to influence a bucket's RNG or result) and the span the
+/// buckets' spans parent under (when the step is traced).
 struct BucketCtx<'a> {
     step: u64,
     step_seed: u64,
     faults: &'a FaultInjector,
-    phases: BucketPhases,
+    phases: &'a PhaseSet,
+    pairs: &'a Counter,
+    trace: Option<TraceContext>,
 }
 
 /// `ModelUpdateFromBucket` (Algorithm 1, lines 15–22): local SGD from θ_t,
@@ -214,17 +233,18 @@ fn model_update_from_bucket(
     theta: &ModelParams,
     bucket: &Bucket,
     hp: &Hyperparameters,
-    seed: u64,
     index: usize,
-    phases: &BucketPhases,
+    ctx: &BucketCtx<'_>,
     scratch: &mut BucketScratch,
 ) -> Result<BucketUpdate, CoreError> {
-    let mut rng = StdRng::seed_from_u64(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng =
+        StdRng::seed_from_u64(ctx.step_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let phases = ctx.phases;
     let BucketScratch { journal, train } = scratch;
     // A previous bucket on this worker may have panicked mid-update and
     // left stale Φ rows in the overlay; the next bucket must start clean.
     journal.reset();
-    let span = phases.local_sgd.start_span();
+    let sgd = phases.start(phase::BUCKET_SGD, ctx.trace, index as u64);
     let stats = {
         let mut phi = CowParams::new(theta, journal);
         train_on_tokens_with_scratch(
@@ -237,12 +257,12 @@ fn model_update_from_bucket(
             None,
         )?
     };
-    span.finish();
-    phases.pairs.add(stats.pairs as u64);
+    drop(sgd);
+    ctx.pairs.add(stats.pairs as u64);
     let mut grad = journal.take_delta(theta);
-    let span = phases.clip.start_span();
+    let clip = phases.start(phase::CLIP, ctx.trace, index as u64);
     let report = clip_per_layer(&mut grad, hp.clip_norm)?;
-    span.finish();
+    drop(clip);
     Ok(BucketUpdate {
         index,
         grad,
@@ -268,15 +288,7 @@ fn guarded_bucket_update(
         if ctx.faults.panic_bucket(ctx.step, index) {
             panic!("injected bucket-worker fault");
         }
-        let mut update = model_update_from_bucket(
-            theta,
-            bucket,
-            hp,
-            ctx.step_seed,
-            index,
-            &ctx.phases,
-            scratch,
-        );
+        let mut update = model_update_from_bucket(theta, bucket, hp, index, ctx, scratch);
         if let Ok(u) = &mut update {
             if ctx.faults.poison_delta(ctx.step, index) {
                 u.grad.add_bias(0, f64::NAN);
@@ -309,7 +321,11 @@ fn compute_bucket_updates(
         step,
         step_seed,
         faults,
-        phases: BucketPhases::resolve(obs),
+        phases: &PhaseSet::resolve(obs, &phase::TABLE),
+        pairs: &obs.counter("plp_train_pairs_total"),
+        // Published by the training loop around this call: the step's
+        // `local_sgd` span, under which every bucket's spans parent.
+        trace: obs.trace_scope(),
     };
     let threads = hp.effective_threads().min(buckets.len().max(1));
     let results: Vec<Option<BucketUpdate>> = if threads <= 1 {
@@ -365,22 +381,29 @@ fn compute_bucket_updates(
 /// panic barrier as the in-process path, so a bucket computed through a
 /// runner in another process is bit-identical to one computed inline: the
 /// result is a pure function of `(θ, bucket, step_seed, index)`.
-#[derive(Default)]
 pub struct BucketRunner {
     scratch: BucketScratch,
+    phases: PhaseSet,
+    pairs: Counter,
 }
 
 impl BucketRunner {
-    /// A runner with fresh scratch buffers (they grow on first use and are
-    /// reused across buckets).
-    pub fn new() -> Self {
-        Self::default()
+    /// A runner recording into `obs`, with fresh scratch buffers (they
+    /// grow on first use and are reused across buckets).
+    pub fn new(obs: &Observer) -> Self {
+        BucketRunner {
+            scratch: BucketScratch::default(),
+            phases: PhaseSet::resolve(obs, &phase::TABLE),
+            pairs: obs.counter("plp_train_pairs_total"),
+        }
     }
 
     /// Computes the update for the bucket at global position `index` in
     /// step `step`'s bucket list. `Ok(None)` means the bucket was dropped
     /// (injected panic or non-finite delta) — the caller must fold it into
-    /// the DP-safe skipped count, exactly like the in-process path.
+    /// the DP-safe skipped count, exactly like the in-process path. The
+    /// bucket's spans, if the runner's observer is traced, parent under
+    /// `trace`.
     ///
     /// # Errors
     /// Systematic errors (bad config, shape mismatch) propagate.
@@ -394,13 +417,15 @@ impl BucketRunner {
         step_seed: u64,
         index: usize,
         faults: &FaultInjector,
-        obs: &Observer,
+        trace: Option<TraceContext>,
     ) -> Result<Option<BucketUpdate>, CoreError> {
         let ctx = BucketCtx {
             step,
             step_seed,
             faults,
-            phases: BucketPhases::resolve(obs),
+            phases: &self.phases,
+            pairs: &self.pairs,
+            trace,
         };
         guarded_bucket_update(theta, bucket, hp, index, &ctx, &mut self.scratch)
     }
@@ -578,6 +603,14 @@ impl TrainerState {
         if ckpt.params.vocab_size() != train.vocab_size || ckpt.params.dim() != hp.embedding_dim {
             return Err(CoreError::CheckpointMismatch {
                 what: "parameter shape",
+            });
+        }
+        // `max_steps` is inside the fingerprint just matched, so no honest
+        // checkpoint is past it — and the accountant below replays one
+        // composition per claimed step, so an absurd claim must stop here.
+        if ckpt.step > hp.max_steps as u64 {
+            return Err(CoreError::CheckpointMismatch {
+                what: "checkpoint step exceeds max_steps",
             });
         }
         let server = Server::restore(hp.server_optimizer, ckpt.server)?;
@@ -778,13 +811,7 @@ fn run_loop(
     // loop pays only a branch per phase. None of this touches the RNG
     // stream — instrumentation must never change the trained model.
     let obs = &opts.observer;
-    let ph_sample = obs.histogram_with("plp_train_phase_ms", "phase", "sample");
-    let ph_group = obs.histogram_with("plp_train_phase_ms", "phase", "group");
-    let ph_noise = obs.histogram_with("plp_train_phase_ms", "phase", "noise");
-    let ph_server = obs.histogram_with("plp_train_phase_ms", "phase", "server_update");
-    let ph_accountant = obs.histogram_with("plp_train_phase_ms", "phase", "accountant");
-    let ph_eval = obs.histogram_with("plp_train_phase_ms", "phase", "eval");
-    let ph_checkpoint = obs.histogram_with("plp_train_phase_ms", "phase", "checkpoint");
+    let phases = PhaseSet::resolve(obs, &phase::TABLE);
     let g_eps_spent = obs.gauge("plp_epsilon_spent");
     let g_eps_budget = obs.gauge("plp_epsilon_budget");
     let g_delta = obs.gauge("plp_delta");
@@ -793,11 +820,6 @@ fn run_loop(
     let g_order = obs.gauge("plp_privacy_rdp_order");
     let c_steps = obs.counter("plp_train_steps_total");
     let c_skipped = obs.counter("plp_train_skipped_buckets_total");
-    // Tracing (optional, deterministic): every id below is a pure
-    // function of `(run_seed, step)` via the same mix64 discipline as
-    // the noise streams — never the clock, never `rand` — so attaching a
-    // tracer cannot perturb a single trained bit.
-    let tracer = obs.tracer();
     let mut prev_eps = state.accountant.epsilon()?;
     g_eps_budget.set(hp.budget.epsilon);
     g_delta.set(hp.budget.delta);
@@ -827,39 +849,25 @@ fn run_loop(
         let step_start = std::time::Instant::now();
         let mut rng = step_rng(state.run_seed, step);
 
-        // `(&tracer, trace_id, step span id)` for this step, or None.
-        let step_trace = tracer.as_ref().map(|t| {
-            let trace_id = derive_trace_id(state.run_seed, DOMAIN_TRAIN_STEP, step);
-            (t, trace_id, derive_span_id(trace_id, "step", step))
-        });
-        let t_step =
-            step_trace.map(|(t, tid, sid)| t.span("step", "train", tid, sid, 0).arg("step", step));
+        // Every span id of the step is a pure function of `(run_seed,
+        // step)` via the same mix64 discipline as the noise streams —
+        // never the clock, never `rand` — so attaching a tracer cannot
+        // perturb a single trained bit. `in_step` is `None` untraced.
+        let root = TraceContext {
+            trace_id: derive_trace_id(state.run_seed, DOMAIN_TRAIN_STEP, step),
+            parent_span: 0,
+        };
+        let t_step = phases
+            .start(phase::STEP, Some(root), step)
+            .arg("step", step);
+        let in_step = t_step.context();
 
         // Line 5: Poisson user sampling.
-        let sample_span = ph_sample.start_span();
-        let t_sample = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "sample",
-                "train",
-                tid,
-                derive_span_id(tid, "sample", step),
-                sid,
-            )
-        });
+        let t_sample = phases.start(phase::SAMPLE, in_step, step);
         let sampled = sample_users(&mut rng, num_users, hp.sampling_prob)?;
         drop(t_sample);
-        sample_span.finish();
         // Line 6: data grouping.
-        let group_span = ph_group.start_span();
-        let t_group = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "group",
-                "train",
-                tid,
-                derive_span_id(tid, "group", step),
-                sid,
-            )
-        });
+        let t_group = phases.start(phase::GROUP, in_step, step);
         let buckets = if omega == 1 {
             group_data(
                 &mut rng,
@@ -886,25 +894,19 @@ fn run_loop(
             }
         };
         drop(t_group);
-        group_span.finish();
         debug_assert!(realized_split_factor(&buckets) <= omega);
 
         // Lines 7-8, 15-22: per-bucket clipped deltas, each behind a panic
         // barrier; poisoned buckets are dropped (DP-safe, see module docs).
-        // The local_sgd span is published as the trace *scope* so a
-        // multi-process executor can parent its round under it — the
-        // step_seed is drawn after sampling, so the executor could not
-        // re-derive this step's trace id on its own.
+        // The local_sgd span is published as the trace *scope* so the
+        // executor — in process or a coordinator — can parent its spans
+        // under it: the step_seed is drawn after sampling, so an executor
+        // could not re-derive this step's trace id on its own.
         let step_seed: u64 = rng.random();
-        let t_local = step_trace.map(|(t, tid, sid)| {
-            let local_id = derive_span_id(tid, "local_sgd", step);
-            obs.set_trace_scope(Some(TraceContext {
-                trace_id: tid,
-                parent_span: local_id,
-            }));
-            t.span("local_sgd", "train", tid, local_id, sid)
-                .arg("buckets", buckets.len() as u64)
-        });
+        let t_local = phases
+            .start(phase::LOCAL_SGD, in_step, step)
+            .arg("buckets", buckets.len() as u64);
+        obs.set_trace_scope(t_local.context());
         let (updates, skipped) = executor.execute_step(
             &state.params,
             &buckets,
@@ -914,9 +916,7 @@ fn run_loop(
             &opts.faults,
             obs,
         )?;
-        if t_local.is_some() {
-            obs.set_trace_scope(None);
-        }
+        obs.set_trace_scope(None);
         drop(t_local);
 
         if !buckets.is_empty() && updates.is_empty() && skipped > 0 {
@@ -960,7 +960,7 @@ fn run_loop(
             }
             stop_reason = StopReason::Diverged;
             // A Diverged stop is a fault event: keep the flight recorder.
-            if let Some(t) = &tracer {
+            if let Some(t) = obs.tracer() {
                 t.dump_on_fault("diverged");
             }
             break;
@@ -972,16 +972,7 @@ fn run_loop(
         // bit-identical for every thread count. The fixed-denominator
         // average by the expected bucket count q·W/λ — never the realised
         // (sample-dependent) |H_t| — rides the same row pass.
-        let noise_span = ph_noise.start_span();
-        let t_noise = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "noise",
-                "train",
-                tid,
-                derive_span_id(tid, "noise", step),
-                sid,
-            )
-        });
+        let t_noise = phases.start(phase::NOISE, in_step, step);
         let mut aggregate = ModelParams::zeros(state.params.vocab_size(), state.params.dim());
         for u in &updates {
             u.grad.accumulate_into(&mut aggregate)?;
@@ -995,42 +986,21 @@ fn run_loop(
             hp.effective_threads(),
         );
         drop(t_noise);
-        noise_span.finish();
 
         // Line 10: model update, fanned over the same worker count.
-        let server_span = ph_server.start_span();
-        let t_server = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "server_update",
-                "train",
-                tid,
-                derive_span_id(tid, "server_update", step),
-                sid,
-            )
-        });
+        let t_server = phases.start(phase::SERVER_UPDATE, in_step, step);
         state
             .server
             .step_threaded(&mut state.params, &aggregate, hp.effective_threads())?;
         drop(t_server);
-        server_span.finish();
 
         // Line 11: ledger tracking. The effective noise multiplier stays σ
         // for any ω: noise std σCω over sensitivity ωC.
-        let accountant_span = ph_accountant.start_span();
-        let t_acct = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "accountant",
-                "train",
-                tid,
-                derive_span_id(tid, "accountant", step),
-                sid,
-            )
-        });
+        let t_acct = phases.start(phase::ACCOUNTANT, in_step, step);
         state
             .accountant
             .step(hp.sampling_prob, hp.noise_multiplier)?;
         drop(t_acct);
-        accountant_span.finish();
         emit_privacy_burn(
             obs,
             &g_burn,
@@ -1043,17 +1013,12 @@ fn run_loop(
 
         let validation_hr10 = match validation {
             Some(v) if hp.eval_every > 0 && step.is_multiple_of(hp.eval_every as u64) => {
-                let eval_span = ph_eval.start_span();
-                let t_eval = step_trace.map(|(t, tid, sid)| {
-                    t.span("eval", "train", tid, derive_span_id(tid, "eval", step), sid)
-                });
+                let _t_eval = phases.start(phase::EVAL, in_step, step);
                 let rec = Recommender::new(&state.params);
                 // Leave-one-out trials fan out over `hp.threads` workers;
                 // the ordered integer-count reduction makes the metric
                 // identical for any thread count.
                 let hr = evaluate_hit_rate_threaded(&rec, v, &[10], hp.effective_threads())?;
-                drop(t_eval);
-                eval_span.finish();
                 Some(hr[0].rate())
             }
             _ => None,
@@ -1095,19 +1060,9 @@ fn run_loop(
 
         if let Some(policy) = &opts.checkpoint {
             if policy.every > 0 && step.is_multiple_of(policy.every) {
-                let ckpt_span = ph_checkpoint.start_span();
-                let t_ckpt = step_trace.map(|(t, tid, sid)| {
-                    t.span(
-                        "checkpoint",
-                        "train",
-                        tid,
-                        derive_span_id(tid, "checkpoint", step),
-                        sid,
-                    )
-                });
+                let t_ckpt = phases.start(phase::CHECKPOINT, in_step, step);
                 state.persist(policy, &opts.faults)?;
                 drop(t_ckpt);
-                ckpt_span.finish();
                 obs.emit("checkpoint_saved", json!({ "step": step }));
             }
         }
@@ -1123,9 +1078,10 @@ fn run_loop(
     // killed process, which would only have its periodic saves on disk.
     if stop_reason != StopReason::Interrupted {
         if let Some(policy) = &opts.checkpoint {
-            let ckpt_span = ph_checkpoint.start_span();
+            // Outside any step, so outside any trace: series only.
+            let t_ckpt = phases.start(phase::CHECKPOINT, None, state.step);
             state.persist(policy, &opts.faults)?;
-            ckpt_span.finish();
+            drop(t_ckpt);
             obs.emit("checkpoint_saved", json!({ "step": state.step }));
         }
     }
@@ -1663,12 +1619,19 @@ mod tests {
     #[test]
     fn epsilon_gauge_matches_summary_exactly_and_renders() {
         let ds = tiny_dataset(24);
-        let hp = fast_hp();
+        let val = tiny_dataset(4);
+        // Validation and checkpoints on, so every phase of the table runs.
+        let mut hp = fast_hp();
+        hp.eval_every = 2;
         let opts = TrainOptions {
             observer: Observer::new("gauges"),
+            checkpoint: Some(CheckpointPolicy {
+                path: scratch_dir("gauges").join("run.plpc"),
+                every: 2,
+            }),
             ..TrainOptions::default()
         };
-        let out = train_plp_resumable(13, &ds, None, &hp, &opts).unwrap();
+        let out = train_plp_resumable(13, &ds, Some(&val), &hp, &opts).unwrap();
 
         let obs = &opts.observer;
         assert_eq!(
@@ -1689,19 +1652,16 @@ mod tests {
             out.summary.steps
         );
 
+        // Every phase that declares a series has recorded into it; a
+        // trace-only phase has none.
         let text = obs.render_prometheus();
-        for phase in [
-            "sample",
-            "group",
-            "local_sgd",
-            "clip",
-            "noise",
-            "accountant",
-        ] {
-            assert!(
-                text.contains(&format!("plp_train_phase_ms_bucket{{phase=\"{phase}\"")),
-                "missing phase {phase} in:\n{text}"
-            );
+        for p in phase::TABLE.phases {
+            let count = format!("{}_count{{phase=\"{}\"}} ", phase::TABLE.family, p.name);
+            let recorded = text
+                .lines()
+                .filter_map(|line| line.strip_prefix(&count))
+                .any(|n| n != "0");
+            assert_eq!(recorded, p.series, "{} in:\n{text}", p.name);
         }
     }
 
@@ -1889,53 +1849,80 @@ mod tests {
 
     #[test]
     fn tracing_is_invisible_to_the_trained_bits_and_deterministic() {
-        use plp_obs::trace::TraceConfig;
+        use plp_obs::trace::{derive_span_id, TraceConfig};
 
         let ds = tiny_dataset(24);
-        let hp = fast_hp();
-        let plain = train_plp_resumable(33, &ds, None, &hp, &TrainOptions::default()).unwrap();
+        let val = tiny_dataset(4);
+        // Validation and checkpoints on, so every phase of the table runs.
+        let mut hp = fast_hp();
+        hp.eval_every = 2;
+        let plain =
+            train_plp_resumable(33, &ds, Some(&val), &hp, &TrainOptions::default()).unwrap();
 
-        let opts = TrainOptions {
-            observer: Observer::new("traced"),
-            ..TrainOptions::default()
-        };
-        let tracer = opts
-            .observer
-            .attach_tracer(TraceConfig::named("trainer"))
-            .unwrap();
-        let traced = train_plp_resumable(33, &ds, None, &hp, &opts).unwrap();
+        for threads in [1, 3] {
+            hp.threads = threads;
+            let opts = TrainOptions {
+                observer: Observer::new("traced"),
+                checkpoint: Some(CheckpointPolicy {
+                    path: scratch_dir("traced").join(format!("run{threads}.plpc")),
+                    every: 2,
+                }),
+                ..TrainOptions::default()
+            };
+            let tracer = opts
+                .observer
+                .attach_tracer(TraceConfig::named("trainer"))
+                .unwrap();
+            let traced = train_plp_resumable(33, &ds, Some(&val), &hp, &opts).unwrap();
 
-        assert_eq!(
-            plain.params, traced.params,
-            "an attached tracer must be invisible to the math"
-        );
-        assert_eq!(
-            plain.summary.epsilon_spent.to_bits(),
-            traced.summary.epsilon_spent.to_bits()
-        );
-        assert_eq!(plain.ledger, traced.ledger);
+            assert_eq!(
+                plain.params, traced.params,
+                "an attached tracer must be invisible to the math"
+            );
+            assert_eq!(
+                plain.summary.epsilon_spent.to_bits(),
+                traced.summary.epsilon_spent.to_bits()
+            );
+            assert_eq!(plain.ledger, traced.ledger);
 
-        // Span ids are pure functions of (run_seed, step): recompute the
-        // first step's ids independently and find them in the recorder.
-        let spans = tracer.snapshot();
-        let tid = derive_trace_id(33, DOMAIN_TRAIN_STEP, 1);
-        let step_span = derive_span_id(tid, "step", 1);
-        assert!(spans
-            .iter()
-            .any(|s| s.name == "step" && s.trace_id == tid && s.span_id == step_span));
-        for phase in ["sample", "group", "local_sgd", "noise", "server_update"] {
-            assert!(
-                spans.iter().any(|s| s.name == phase
-                    && s.trace_id == tid
-                    && s.span_id == derive_span_id(tid, phase, 1)
-                    && s.parent_id == step_span),
-                "missing phase span {phase} for step 1"
+            // Span ids are pure functions of (run_seed, step, name, index):
+            // recompute step 2's — the step that also evaluates and
+            // checkpoints — for every row of the table.
+            let spans = tracer.snapshot();
+            let tid = derive_trace_id(33, DOMAIN_TRAIN_STEP, 2);
+            let id_of = |p: plp_obs::Phase, index| derive_span_id(tid, p.name, index);
+            for &p in phase::TABLE.phases {
+                let in_bucket = p == phase::BUCKET_SGD || p == phase::CLIP;
+                let (index, parent) = if p == phase::STEP {
+                    (2, 0)
+                } else if in_bucket {
+                    (0, id_of(phase::LOCAL_SGD, 2))
+                } else {
+                    (2, id_of(phase::STEP, 2))
+                };
+                assert!(
+                    spans.iter().any(|s| s.name == p.name
+                        && s.cat == phase::TABLE.cat
+                        && s.trace_id == tid
+                        && s.span_id == id_of(p, index)
+                        && s.parent_id == parent),
+                    "missing span {} of step 2 (threads={threads})",
+                    p.name
+                );
+            }
+            let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.span_id).collect();
+            for s in &spans {
+                assert!(
+                    s.parent_id == 0 || ids.contains(&s.parent_id),
+                    "span {} has a dangling parent",
+                    s.name
+                );
+            }
+            assert_eq!(
+                spans.iter().filter(|s| s.name == phase::STEP.name).count() as u64,
+                traced.summary.steps,
+                "one step span per executed step"
             );
         }
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "step").count() as u64,
-            traced.summary.steps,
-            "one step span per executed step"
-        );
     }
 }

@@ -31,10 +31,9 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use plp_core::config::Hyperparameters;
@@ -43,12 +42,13 @@ use plp_core::plp::{BucketExecutor, BucketUpdate};
 use plp_core::CoreError;
 use plp_data::grouping::Bucket;
 use plp_model::params::ModelParams;
-use plp_obs::trace::{derive_span_id, derive_trace_id, TraceContext, Tracer, DOMAIN_FED_ROUND};
-use plp_obs::Observer;
+use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_FED_ROUND};
+use plp_obs::{Observer, PhaseSet};
 use serde_json::json;
 
 use crate::error::FedError;
 use crate::frame::{read_frame_event, write_frame, write_frame_traced, FrameEvent};
+use crate::phase;
 use crate::protocol::{
     RoundReply, RoundRequest, Setup, MSG_REPLY, MSG_ROUND, MSG_SETUP, MSG_SHUTDOWN,
     PROTOCOL_VERSION,
@@ -118,6 +118,18 @@ struct Pending {
     retries: u32,
     /// When this attempt is declared a straggler.
     deadline: Instant,
+}
+
+/// What every dispatch of one round shares: the step's identity and θ_t,
+/// where to report, and the `fed_round` span the sends parent under.
+struct Round<'a> {
+    step: u64,
+    step_seed: u64,
+    theta: &'a ModelParams,
+    obs: &'a Observer,
+    phases: &'a PhaseSet,
+    /// `None` when the round is not traced.
+    ctx: Option<TraceContext>,
 }
 
 /// Round statistics, reported through the observer.
@@ -304,82 +316,43 @@ impl FedExecutor {
         Ok(())
     }
 
-    /// The (tracer, round trace identity) for one step, or `None` when
-    /// tracing is off. The trace id comes from the training loop's scope
-    /// when one is published (parenting fed spans under the step span);
-    /// standalone executors fall back to deriving it from
-    /// `(step_seed, step)` — deterministic either way, so coordinator and
-    /// stitcher agree on every id without a side channel.
-    /// Third element: the round span's own parent (the training loop's
-    /// step span, or 0 standalone).
-    fn round_trace(
-        &self,
-        obs: &Observer,
-        step: u64,
-        step_seed: u64,
-    ) -> Option<(Arc<Tracer>, TraceContext, u64)> {
-        let tracer = obs.tracer()?;
-        let (trace_id, parent) = match obs.trace_scope() {
-            Some(scope) => (scope.trace_id, scope.parent_span),
-            None => (derive_trace_id(step_seed, DOMAIN_FED_ROUND, step), 0),
-        };
-        Some((
-            tracer,
-            TraceContext {
-                trace_id,
-                parent_span: derive_span_id(trace_id, "fed_round", step),
-            },
-            parent,
-        ))
-    }
-
     /// Sends one round request to a slot, consuming a fresh attempt
     /// number. Pipe errors surface so the caller can route them through
-    /// the retry machinery. When tracing is on, the frame carries a
-    /// [`TraceContext`] whose parent is this send's `fed_send` span, so
-    /// worker-side spans stitch under the exact dispatch that caused
-    /// them — retries included.
+    /// the retry machinery. When the round is traced, the frame carries
+    /// the context of this send's `fed_send` span, so worker-side spans
+    /// stitch under the exact dispatch that caused them — retries
+    /// included.
     fn send_round(
         &mut self,
         slot: usize,
-        step: u64,
-        step_seed: u64,
-        theta: &ModelParams,
+        round: &Round<'_>,
         assignments: &[(u64, Bucket)],
-        obs: &Observer,
     ) -> Result<u64, FedError> {
         self.next_attempt += 1;
         let attempt = self.next_attempt;
         let req = RoundRequest {
-            step,
-            step_seed,
+            step: round.step,
+            step_seed: round.step_seed,
             attempt,
-            params: theta.clone(),
+            params: round.theta.clone(),
             assignments: assignments.to_vec(),
         };
-        let trace = self.round_trace(obs, step, step_seed);
-        let wire_ctx = trace.as_ref().map(|(_, round, _)| TraceContext {
-            trace_id: round.trace_id,
-            parent_span: derive_span_id(round.trace_id, "fed_send", attempt),
-        });
-        let send_span = trace.as_ref().zip(wire_ctx).map(|((t, round, _), ctx)| {
-            t.span(
-                "fed_send",
-                "fed",
-                round.trace_id,
-                ctx.parent_span,
-                round.parent_span,
-            )
+        let t_send = round
+            .phases
+            .start(phase::FED_SEND, round.ctx, attempt)
             .arg("slot", slot as u64)
-            .arg("attempt", attempt)
-        });
+            .arg("attempt", attempt);
         let handle = self.workers[slot]
             .as_mut()
             .ok_or_else(|| FedError::Protocol {
                 what: format!("send_round to empty slot {slot}"),
             })?;
-        write_frame_traced(&mut handle.stdin, MSG_ROUND, wire_ctx, &req.encode())?;
-        drop(send_span);
+        write_frame_traced(
+            &mut handle.stdin,
+            MSG_ROUND,
+            t_send.context(),
+            &req.encode(),
+        )?;
         Ok(attempt)
     }
 
@@ -389,18 +362,15 @@ impl FedExecutor {
     /// the DP-safe skipped set.
     ///
     /// Returns the buckets dropped (empty when the retry was dispatched).
-    #[allow(clippy::too_many_arguments)]
     fn retry_or_drop(
         &mut self,
         slot: usize,
         pending: &mut BTreeMap<usize, Pending>,
-        step: u64,
-        step_seed: u64,
-        theta: &ModelParams,
+        round: &Round<'_>,
         needs_respawn: bool,
         stats: &mut RoundStats,
-        obs: &Observer,
     ) -> Result<Vec<(u64, Bucket)>, FedError> {
+        let (step, obs) = (round.step, round.obs);
         let Some(mut p) = pending.remove(&slot) else {
             return Ok(Vec::new());
         };
@@ -446,7 +416,7 @@ impl FedExecutor {
                     json!({ "step": step, "slot": slot, "retries": p.retries }),
                 );
             }
-            match self.send_round(slot, step, step_seed, theta, &p.assignments, obs) {
+            match self.send_round(slot, round, &p.assignments) {
                 Ok(attempt) => {
                     p.attempt = attempt;
                     p.deadline = Instant::now()
@@ -481,27 +451,34 @@ impl BucketExecutor for FedExecutor {
         if buckets.is_empty() {
             return Ok((Vec::new(), 0));
         }
-        let round_span = obs.histogram("plp_fed_round_ms").start_span();
-
         // Resolve tracing once per round; workers spawned this round
         // inherit the dump directory so their flight recorders land next
         // to the coordinator's.
-        let trace = self.round_trace(obs, step, step_seed);
-        self.trace_dir = trace.as_ref().and_then(|(t, _, _)| {
-            t.dump_path()
-                .and_then(|p| p.parent().map(std::path::Path::to_path_buf))
+        let tracer = obs.tracer();
+        self.trace_dir = tracer
+            .as_ref()
+            .and_then(|t| t.dump_path()?.parent().map(Path::to_path_buf));
+        // The round parents under the training loop's scope when one is
+        // published (the step's `local_sgd` span); a standalone executor
+        // derives its trace id from `(step_seed, step)` — deterministic
+        // either way, so coordinator and stitcher agree on every id.
+        let parent = obs.trace_scope().unwrap_or(TraceContext {
+            trace_id: derive_trace_id(step_seed, DOMAIN_FED_ROUND, step),
+            parent_span: 0,
         });
-        let fed_span = trace.as_ref().map(|(t, round, parent)| {
-            t.span(
-                "fed_round",
-                "fed",
-                round.trace_id,
-                round.parent_span,
-                *parent,
-            )
+        let phases = PhaseSet::resolve(obs, &phase::TABLE);
+        let t_round = phases
+            .start(phase::FED_ROUND, Some(parent), step)
             .arg("step", step)
-            .arg("buckets", buckets.len() as u64)
-        });
+            .arg("buckets", buckets.len() as u64);
+        let round = Round {
+            step,
+            step_seed,
+            theta,
+            obs,
+            phases: &phases,
+            ctx: t_round.context(),
+        };
 
         self.ensure_workers(hp, faults)?;
 
@@ -522,7 +499,7 @@ impl BucketExecutor for FedExecutor {
             if assignments.is_empty() {
                 continue;
             }
-            match self.send_round(slot, step, step_seed, theta, &assignments, obs) {
+            match self.send_round(slot, &round, &assignments) {
                 Ok(attempt) => {
                     pending.insert(
                         slot,
@@ -547,16 +524,8 @@ impl BucketExecutor for FedExecutor {
                             deadline: Instant::now(),
                         },
                     );
-                    let dropped = self.retry_or_drop(
-                        slot,
-                        &mut pending,
-                        step,
-                        step_seed,
-                        theta,
-                        true,
-                        &mut stats,
-                        obs,
-                    )?;
+                    let dropped =
+                        self.retry_or_drop(slot, &mut pending, &round, true, &mut stats)?;
                     skipped += dropped.len();
                 }
                 Err(e) => return Err(e.into()),
@@ -577,27 +546,13 @@ impl BucketExecutor for FedExecutor {
                 any_expired = true;
                 stats.stragglers += 1;
                 obs.emit("fed_straggler", json!({ "step": step, "slot": slot }));
-                if let Some((t, round, _)) = &trace {
-                    t.instant(
-                        "fed_straggler",
-                        "fed",
-                        round.trace_id,
-                        round.parent_span,
-                        [("step", step), ("slot", slot as u64)],
-                    );
+                let at = [("step", step), ("slot", slot as u64)];
+                phases.instant("fed_straggler", round.ctx, at);
+                if let Some(t) = &tracer {
                     t.dump_on_fault("fed_straggler");
                 }
                 self.kill_worker(slot);
-                let dropped = self.retry_or_drop(
-                    slot,
-                    &mut pending,
-                    step,
-                    step_seed,
-                    theta,
-                    true,
-                    &mut stats,
-                    obs,
-                )?;
+                let dropped = self.retry_or_drop(slot, &mut pending, &round, true, &mut stats)?;
                 skipped += dropped.len();
             }
             if any_expired || pending.is_empty() {
@@ -643,16 +598,8 @@ impl BucketExecutor for FedExecutor {
                                 "fed_corrupt_frame",
                                 json!({ "step": step, "slot": slot, "kind": "undecodable" }),
                             );
-                            let dropped = self.retry_or_drop(
-                                slot,
-                                &mut pending,
-                                step,
-                                step_seed,
-                                theta,
-                                false,
-                                &mut stats,
-                                obs,
-                            )?;
+                            let dropped =
+                                self.retry_or_drop(slot, &mut pending, &round, false, &mut stats)?;
                             skipped += dropped.len();
                             continue;
                         }
@@ -701,16 +648,8 @@ impl BucketExecutor for FedExecutor {
                     );
                     // The pipe is still aligned: re-request on the same
                     // process, fresh attempt number.
-                    let dropped = self.retry_or_drop(
-                        slot,
-                        &mut pending,
-                        step,
-                        step_seed,
-                        theta,
-                        false,
-                        &mut stats,
-                        obs,
-                    )?;
+                    let dropped =
+                        self.retry_or_drop(slot, &mut pending, &round, false, &mut stats)?;
                     skipped += dropped.len();
                 }
                 WorkerEvent::Closed { slot, incarnation } => {
@@ -722,16 +661,8 @@ impl BucketExecutor for FedExecutor {
                     }
                     self.kill_worker(slot);
                     if pending.contains_key(&slot) {
-                        let dropped = self.retry_or_drop(
-                            slot,
-                            &mut pending,
-                            step,
-                            step_seed,
-                            theta,
-                            true,
-                            &mut stats,
-                            obs,
-                        )?;
+                        let dropped =
+                            self.retry_or_drop(slot, &mut pending, &round, true, &mut stats)?;
                         skipped += dropped.len();
                     }
                 }
@@ -741,8 +672,7 @@ impl BucketExecutor for FedExecutor {
         // Fixed reduction order: ascending global bucket index, exactly
         // like the in-process executor.
         updates.sort_by_key(|u| u.index);
-        drop(fed_span);
-        round_span.finish();
+        drop(t_round);
 
         obs.counter("plp_fed_rounds_total").inc();
         obs.counter("plp_fed_corrupt_frames_total")

@@ -32,6 +32,7 @@
 pub mod coordinator;
 pub mod error;
 pub mod frame;
+pub mod phase;
 pub mod protocol;
 pub mod retry;
 pub mod worker;

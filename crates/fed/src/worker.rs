@@ -20,10 +20,11 @@ use std::path::PathBuf;
 
 use plp_core::faults::FaultInjector;
 use plp_core::plp::BucketRunner;
-use plp_obs::trace::{derive_span_id, TraceConfig, TraceContext};
-use plp_obs::Observer;
+use plp_obs::trace::{TraceConfig, TraceContext};
+use plp_obs::{Observer, PhaseSet};
 
 use crate::frame::{encode_frame, read_frame_event, FrameEvent};
+use crate::phase;
 use crate::protocol::{
     RoundReply, RoundRequest, Setup, WireUpdate, MSG_REPLY, MSG_ROUND, MSG_SETUP, MSG_SHUTDOWN,
     PROTOCOL_VERSION,
@@ -127,6 +128,7 @@ pub fn worker_main_with_observer(
 }
 
 fn worker_loop(input: &mut impl Read, output: &mut impl Write, obs: &Observer) -> i32 {
+    let phases = PhaseSet::resolve(obs, &phase::TABLE);
     let mut state: Option<WorkerState> = None;
     loop {
         match read_frame_event(input) {
@@ -159,7 +161,7 @@ fn worker_loop(input: &mut impl Read, output: &mut impl Write, obs: &Observer) -
                         state = Some(WorkerState {
                             setup,
                             faults,
-                            runner: BucketRunner::new(),
+                            runner: BucketRunner::new(obs),
                         });
                     }
                     Err(e) => {
@@ -172,7 +174,7 @@ fn worker_loop(input: &mut impl Read, output: &mut impl Write, obs: &Observer) -
                         eprintln!("plp-fed worker: round before setup");
                         return exit_code::PROTOCOL;
                     };
-                    match handle_round(st, ctx, &payload, output, obs) {
+                    match handle_round(st, ctx, &payload, output, obs, &phases) {
                         Ok(()) => {}
                         Err(code) => return code,
                     }
@@ -192,13 +194,13 @@ fn handle_round(
     payload: &[u8],
     output: &mut impl Write,
     obs: &Observer,
+    phases: &PhaseSet,
 ) -> Result<(), i32> {
     let req = RoundRequest::decode(payload).map_err(|e| {
         eprintln!("plp-fed worker: {e}");
         exit_code::DECODE
     })?;
     let incarnation = st.setup.incarnation;
-    let tracer = obs.tracer();
 
     // Injected mid-round death: disappear without a reply, like a real
     // OOM-kill. Keyed on (step, incarnation), so the respawned worker
@@ -206,55 +208,28 @@ fn handle_round(
     // is dumped first — a chaos-drill kill is exactly the moment the
     // trace is worth keeping.
     if st.faults.exit_worker(req.step, incarnation) {
-        if let Some(t) = &tracer {
-            if let Some(c) = ctx {
-                t.instant(
-                    "fed_injected_exit",
-                    "fed",
-                    c.trace_id,
-                    c.parent_span,
-                    [("step", req.step), ("incarnation", incarnation)],
-                );
-            }
+        let at = [("step", req.step), ("incarnation", incarnation)];
+        phases.instant("fed_injected_exit", ctx, at);
+        if let Some(t) = obs.tracer() {
             t.dump_on_fault("injected_exit");
         }
         std::process::exit(exit_code::INJECTED_EXIT);
     }
 
     // The worker-side round span parents under the coordinator's send
-    // span via the frame-header context; its id is a pure function of
-    // (trace_id, attempt), so the coordinator-side stitcher can predict
-    // it without a return channel.
-    let round_span = match (&tracer, ctx) {
-        (Some(t), Some(c)) => Some(
-            t.span(
-                "fed_worker_round",
-                "fed",
-                c.trace_id,
-                derive_span_id(c.trace_id, "fed_worker_round", req.attempt),
-                c.parent_span,
-            )
-            .arg("step", req.step)
-            .arg("incarnation", incarnation),
-        ),
-        _ => None,
-    };
+    // span via the frame-header context (no context, no spans); its id is
+    // a pure function of (trace_id, attempt), so the coordinator-side
+    // stitcher can predict it without a return channel.
+    let t_round = phases
+        .start(phase::FED_WORKER_ROUND, ctx, req.attempt)
+        .arg("step", req.step)
+        .arg("incarnation", incarnation);
 
     let mut results = Vec::with_capacity(req.assignments.len());
     for (index, bucket) in &req.assignments {
-        let _bucket_span = match (&tracer, ctx, &round_span) {
-            (Some(t), Some(c), Some(rs)) => Some(
-                t.span(
-                    "fed_bucket",
-                    "fed",
-                    c.trace_id,
-                    derive_span_id(c.trace_id, "fed_bucket", *index),
-                    rs.span_id(),
-                )
-                .arg("bucket", *index),
-            ),
-            _ => None,
-        };
+        let t_bucket = phases
+            .start(phase::FED_BUCKET, t_round.context(), *index)
+            .arg("bucket", *index);
         let update = st
             .runner
             .run_bucket(
@@ -265,7 +240,7 @@ fn handle_round(
                 req.step_seed,
                 *index as usize,
                 &st.faults,
-                obs,
+                t_bucket.context(),
             )
             .map_err(|e| {
                 eprintln!("plp-fed worker: bucket {index} failed: {e}");
@@ -278,18 +253,10 @@ fn handle_round(
     // time. The coordinator's deadline machinery decides whether to wait
     // it out or kill and reassign.
     if let Some(ms) = st.faults.stall_worker(req.step, incarnation) {
-        if let (Some(t), Some(c)) = (&tracer, ctx) {
-            t.instant(
-                "fed_stall",
-                "fed",
-                c.trace_id,
-                c.parent_span,
-                [("step", req.step), ("stall_ms", ms)],
-            );
-        }
+        phases.instant("fed_stall", ctx, [("step", req.step), ("stall_ms", ms)]);
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
-    drop(round_span);
+    drop(t_round);
 
     let reply = RoundReply {
         step: req.step,
@@ -434,7 +401,7 @@ mod tests {
         let reply = RoundReply::decode(&payload).unwrap();
         let wire = reply.results[0].1.clone().unwrap();
 
-        let mut runner = BucketRunner::new();
+        let mut runner = BucketRunner::new(&Observer::disabled());
         let local = runner
             .run_bucket(
                 &round.params,
@@ -444,7 +411,7 @@ mod tests {
                 round.step_seed,
                 2,
                 &FaultInjector::default(),
-                &Observer::disabled(),
+                None,
             )
             .unwrap()
             .unwrap();
@@ -546,23 +513,40 @@ mod tests {
         let code = worker_main_with_observer(&mut cursor, &mut output, &obs);
         assert_eq!(code, exit_code::CLEAN);
 
+        // Every id is a pure function of what crossed the pipe — (trace
+        // id, attempt 3, bucket 2) — and every parent is on record: the
+        // round under the wire context, the bucket under the round, the
+        // trainer's per-bucket phases under the bucket.
+        use plp_core::plp::phase::{BUCKET_SGD, CLIP};
+        use plp_obs::trace::derive_span_id;
         let spans = tracer.snapshot();
-        let round = spans
-            .iter()
-            .find(|s| s.name == "fed_worker_round")
-            .expect("round span recorded");
-        assert_eq!(round.trace_id, ctx.trace_id);
-        assert_eq!(round.parent_id, ctx.parent_span);
-        assert_eq!(
-            round.span_id,
-            derive_span_id(ctx.trace_id, "fed_worker_round", 3),
-            "span id is a pure function of (trace_id, attempt)"
-        );
-        let bucket = spans
-            .iter()
-            .find(|s| s.name == "fed_bucket")
-            .expect("bucket span recorded");
-        assert_eq!(bucket.parent_id, round.span_id);
+        let id_of = |p: plp_obs::Phase, index| derive_span_id(ctx.trace_id, p.name, index);
+        let round_id = id_of(phase::FED_WORKER_ROUND, 3);
+        let bucket_id = id_of(phase::FED_BUCKET, 2);
+        let expected = [
+            (phase::FED_WORKER_ROUND, round_id, ctx.parent_span),
+            (phase::FED_BUCKET, bucket_id, round_id),
+            (BUCKET_SGD, id_of(BUCKET_SGD, 2), bucket_id),
+            (CLIP, id_of(CLIP, 2), bucket_id),
+        ];
+        assert_eq!(spans.len(), expected.len(), "{spans:?}");
+        for (p, span_id, parent_id) in expected {
+            let recorded = spans.iter().any(|s| {
+                (s.name, s.trace_id, s.span_id, s.parent_id)
+                    == (p.name, ctx.trace_id, span_id, parent_id)
+            });
+            assert!(recorded, "missing span {} in {spans:?}", p.name);
+        }
+        // The rest of the fed table is the coordinator's.
+        let worker_side = [phase::FED_WORKER_ROUND, phase::FED_BUCKET];
+        for p in phase::TABLE.phases {
+            assert_eq!(
+                spans.iter().any(|s| s.name == p.name),
+                worker_side.contains(p),
+                "{}",
+                p.name
+            );
+        }
 
         // An untraced round frame must still be answered — and record no
         // spans at all.

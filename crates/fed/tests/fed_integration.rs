@@ -17,8 +17,9 @@ use plp_core::{
 };
 use plp_data::checkin::UserId;
 use plp_data::dataset::{TokenizedDataset, UserSequences};
+use plp_fed::phase::{FED_BUCKET, FED_ROUND, FED_SEND, FED_WORKER_ROUND};
 use plp_fed::{FedConfig, FedExecutor, RetryPolicy};
-use plp_obs::trace::{parse_dump_jsonl, stitch_chrome_trace, TraceConfig, TraceDump};
+use plp_obs::trace::{load_dumps, stitch_chrome_trace, TraceConfig};
 use plp_obs::Observer;
 use plp_privacy::PrivacyBudget;
 
@@ -241,21 +242,7 @@ fn traced_fed_round_stitches_into_one_perfetto_trace_without_moving_bits() {
     tracer
         .dump_to(tracer.dump_path().unwrap(), "test_complete")
         .unwrap();
-    let mut dumps: Vec<TraceDump> = vec![parse_dump_jsonl(
-        &std::fs::read_to_string(dir.join("trace_coordinator.jsonl")).unwrap(),
-    )
-    .unwrap()];
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
-        if name.starts_with("trace_worker_") {
-            dumps.push(parse_dump_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap());
-        }
-    }
+    let dumps = load_dumps(&[&dir]).unwrap();
     assert!(
         dumps.len() >= 3,
         "need coordinator + 2 worker dumps, found {}",
@@ -272,11 +259,20 @@ fn traced_fed_round_stitches_into_one_perfetto_trace_without_moving_bits() {
     // a fed_send per worker dispatch; every worker parented its round span
     // under the matching fed_send span id — across the process boundary.
     let coord = &dumps[0];
-    assert!(coord.records.iter().any(|r| r.name == "fed_round"));
+    assert_eq!(coord.process, "coordinator");
+    assert!(coord.records.iter().any(|r| r.name == FED_ROUND.name));
+    let round_series = format!(
+        "{}_count{{phase=\"{}\"}} {}",
+        plp_fed::phase::TABLE.family,
+        FED_ROUND.name,
+        traced.summary.steps
+    );
+    let metrics = opts.observer.render_prometheus();
+    assert!(metrics.contains(&round_series), "{metrics}");
     let send_spans: std::collections::BTreeSet<u64> = coord
         .records
         .iter()
-        .filter(|r| r.name == "fed_send")
+        .filter(|r| r.name == FED_SEND.name)
         .map(|r| r.span_id)
         .collect();
     assert!(
@@ -287,7 +283,7 @@ fn traced_fed_round_stitches_into_one_perfetto_trace_without_moving_bits() {
         let rounds: Vec<_> = worker
             .records
             .iter()
-            .filter(|r| r.name == "fed_worker_round")
+            .filter(|r| r.name == FED_WORKER_ROUND.name)
             .collect();
         assert!(
             !rounds.is_empty(),
@@ -300,7 +296,7 @@ fn traced_fed_round_stitches_into_one_perfetto_trace_without_moving_bits() {
             worker.pid
         );
         assert!(
-            worker.records.iter().any(|r| r.name == "fed_bucket"),
+            worker.records.iter().any(|r| r.name == FED_BUCKET.name),
             "worker {} recorded no bucket spans",
             worker.pid
         );

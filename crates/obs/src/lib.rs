@@ -12,21 +12,23 @@
 //!   histograms behind cheap `Arc` handles, with a
 //!   **Prometheus-text-format** exporter
 //!   ([`MetricsRegistry::render_prometheus`]),
-//! * [`span::Span`] — hand-rolled **phase-span timing** (no `tracing`
-//!   crate; the build is offline) recording per-phase latency histograms,
+//! * [`phase::PhaseGuard`] — the one **phase timer** (no `tracing`
+//!   crate; the build is offline): each phase of a stack's
+//!   [`phase::PhaseTable`] is timed once, and the interval feeds its
+//!   latency histogram and, when traced, the flight recorder,
 //! * [`events::EventSink`] — a **structured JSONL event log** written
 //!   one `write_all` per line, so a killed run leaves a readable log.
 //!
 //! [`Observer`] bundles them behind one cheap-to-clone handle that is
 //! **inert by default** (like the trainer's `FaultInjector`): a
-//! `Observer::disabled()` makes every counter, span and event a no-op,
+//! `Observer::disabled()` makes every counter, phase and event a no-op,
 //! so instrumentation can stay compiled into the hot paths
 //! unconditionally.
 
 pub mod events;
 pub mod hist;
+pub mod phase;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 use std::path::Path;
@@ -37,9 +39,9 @@ use serde_json::Value;
 
 use events::EventSink;
 pub use hist::Histogram;
+pub use phase::{Phase, PhaseSet, PhaseTable};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
-pub use span::Span;
-pub use trace::{TraceConfig, TraceContext, TraceSpan, Tracer};
+pub use trace::{TraceConfig, TraceContext, Tracer};
 
 /// The shared state behind an enabled [`Observer`].
 #[derive(Debug)]
@@ -119,9 +121,11 @@ impl Observer {
     /// shared tracer handle, or `None` when the observer is disabled —
     /// tracing rides on an enabled observer, never the other way round.
     ///
-    /// Attaching twice replaces the tracer; instrumented code resolves
-    /// [`Observer::tracer`] per unit of work, so a replacement takes
-    /// effect at the next step/round/query.
+    /// Instrumented code picks the tracer up when it resolves its
+    /// [`PhaseSet`] — a training run at its start, a serving engine at
+    /// construction, a federated executor each round — so a tracer
+    /// attached (or replaced) later takes effect at the next resolution,
+    /// never in the middle of one.
     pub fn attach_tracer(&self, cfg: TraceConfig) -> Option<Arc<Tracer>> {
         let core = self.inner.as_ref()?;
         let tracer = Arc::new(Tracer::new(cfg));
@@ -129,8 +133,8 @@ impl Observer {
         Some(tracer)
     }
 
-    /// The attached tracer, if tracing is enabled. Hot paths resolve
-    /// this once per step / round / serve call, not per span.
+    /// The attached tracer, if tracing is enabled (a mutex read: hot
+    /// paths go through a resolved [`PhaseSet`] instead).
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.inner
             .as_ref()
@@ -199,20 +203,6 @@ impl Observer {
             .map_or_else(HistogramHandle::default, |c| c.registry.histogram(name))
     }
 
-    /// The histogram `name{key="value"}` — the per-phase latency series.
-    pub fn histogram_with(&self, name: &str, key: &str, value: &str) -> HistogramHandle {
-        self.inner
-            .as_ref()
-            .map_or_else(HistogramHandle::default, |c| {
-                c.registry.histogram_with(name, Some((key, value)))
-            })
-    }
-
-    /// Starts a [`Span`] recording into `name{phase="..."}` when it ends.
-    pub fn span(&self, name: &str, phase: &str) -> Span {
-        self.histogram_with(name, "phase", phase).start_span()
-    }
-
     /// Appends one event to the JSONL sink as
     /// `{"kind": …, "payload": …, "run_id": …, "seq": n}`. A no-op when
     /// disabled or sinkless; write failures increment
@@ -278,7 +268,6 @@ mod tests {
         obs.counter("c").inc();
         obs.gauge("g").set(1.0);
         obs.histogram("h").record(1.0);
-        obs.span("p", "x").finish();
         obs.emit("step", serde_json::json!({"step": 1}));
         assert_eq!(obs.captured_events().len(), 0);
         assert_eq!(obs.render_prometheus(), "");
@@ -318,7 +307,11 @@ mod tests {
         let obs = Observer::new("render");
         obs.counter("plp_steps_total").inc();
         obs.gauge("plp_epsilon_spent").set(0.75);
-        obs.span("plp_train_phase_ms", "sample").finish();
+        let sample = Some(("phase", "sample"));
+        let registry = obs.registry().unwrap();
+        registry
+            .histogram_with("plp_train_phase_ms", sample)
+            .record(0.5);
         let text = obs.render_prometheus();
         assert!(text.contains("plp_steps_total 1"), "{text}");
         assert!(text.contains("plp_epsilon_spent 0.75"), "{text}");

@@ -14,10 +14,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::hist::Histogram;
-use crate::span::Span;
 
 /// Metric identity: name plus an optional `(key, value)` label pair.
 type MetricKey = (String, Option<(String, String)>);
@@ -90,17 +88,6 @@ impl HistogramHandle {
         if let Some(cell) = &self.0 {
             cell.lock().expect("histogram poisoned").record_n(v, n);
         }
-    }
-
-    /// Records the milliseconds elapsed since `start`.
-    pub fn record_ms_since(&self, start: Instant) {
-        self.record(start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    /// Starts a [`Span`] that records its elapsed milliseconds here when
-    /// dropped (or [`Span::finish`]ed).
-    pub fn start_span(&self) -> Span {
-        Span::new(self.clone())
     }
 
     /// A point-in-time copy of the histogram (empty for a disconnected

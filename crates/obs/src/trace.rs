@@ -312,7 +312,7 @@ pub struct Tracer {
     process: String,
     pid: u32,
     epoch: Instant,
-    recorder: FlightRecorder,
+    pub(crate) recorder: FlightRecorder,
     dump_path: Option<PathBuf>,
     fault_dumps: AtomicU64,
 }
@@ -331,77 +331,9 @@ impl Tracer {
         }
     }
 
-    /// The process label dumps are stamped with.
-    #[must_use]
-    pub fn process(&self) -> &str {
-        &self.process
-    }
-
-    /// Microseconds since this tracer's epoch.
-    #[must_use]
-    pub fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// The underlying flight recorder.
-    #[must_use]
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Starts a span; it records itself into the flight recorder when
-    /// dropped (or [`TraceSpan::finish`]ed).
-    #[must_use]
-    pub fn span(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) -> TraceSpan<'_> {
-        TraceSpan {
-            tracer: self,
-            rec: SpanRecord {
-                trace_id,
-                span_id,
-                parent_id,
-                name,
-                cat,
-                kind: RecordKind::Span,
-                ts_us: self.now_us(),
-                dur_us: 0,
-                args: NO_ARGS,
-            },
-        }
-    }
-
-    /// Records a completed span with explicit start/end timestamps (for
-    /// spans whose lifetime does not nest lexically, e.g. a query that
-    /// completes inside a batch worker).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span_at(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-        ts_us: u64,
-        end_us: u64,
-        args: SpanArgs,
-    ) {
-        self.recorder.record(SpanRecord {
-            trace_id,
-            span_id,
-            parent_id,
-            name,
-            cat,
-            kind: RecordKind::Span,
-            ts_us,
-            dur_us: end_us.saturating_sub(ts_us),
-            args,
-        });
+    /// `t` on this tracer's clock: microseconds since its epoch.
+    pub(crate) fn us_at(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Records a point event.
@@ -420,7 +352,7 @@ impl Tracer {
             name,
             cat,
             kind: RecordKind::Instant,
-            ts_us: self.now_us(),
+            ts_us: self.us_at(Instant::now()),
             dur_us: 0,
             args,
         });
@@ -482,44 +414,6 @@ impl Tracer {
             self.fault_dumps.fetch_add(1, Ordering::Relaxed);
             let _ = self.dump_to(path, reason);
         }
-    }
-}
-
-/// RAII span guard: measures from creation to drop and records into the
-/// tracer's flight recorder.
-#[derive(Debug)]
-pub struct TraceSpan<'t> {
-    tracer: &'t Tracer,
-    rec: SpanRecord,
-}
-
-impl TraceSpan<'_> {
-    /// Attaches an integer argument (two slots; extras are ignored).
-    #[must_use]
-    pub fn arg(mut self, name: &'static str, value: u64) -> Self {
-        for slot in &mut self.rec.args {
-            if slot.0.is_empty() {
-                *slot = (name, value);
-                break;
-            }
-        }
-        self
-    }
-
-    /// This span's id, for parenting children under it.
-    #[must_use]
-    pub fn span_id(&self) -> u64 {
-        self.rec.span_id
-    }
-
-    /// Ends the span now (same as dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        self.rec.dur_us = self.tracer.now_us().saturating_sub(self.rec.ts_us);
-        self.tracer.recorder.record(self.rec);
     }
 }
 
@@ -682,6 +576,44 @@ fn parse_record(value: &Value) -> Option<DumpRecord> {
         dur_us: get_u64(obj, "dur_us")?,
         args,
     })
+}
+
+/// Loads the dumps a stitch takes, anchor first. A single directory
+/// expands to its `trace_coordinator.jsonl` followed by every
+/// `trace_worker_*.jsonl` in file-name order (the order a directory
+/// listing comes back in is the filesystem's business); any other input
+/// is a list of dump files, the first being the anchor.
+///
+/// # Errors
+/// A message naming the path when a file cannot be read, a dump has no
+/// usable meta line, or a directory holds no dump at all.
+pub fn load_dumps<P: AsRef<Path>>(inputs: &[P]) -> Result<Vec<TraceDump>, String> {
+    let files: Vec<PathBuf> = match inputs {
+        [dir] if dir.as_ref().is_dir() => {
+            let dir = dir.as_ref();
+            let listing = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+            let mut names: Vec<String> = listing
+                .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+                .filter(|n| {
+                    n == "trace_coordinator.jsonl"
+                        || (n.starts_with("trace_worker_") && n.ends_with(".jsonl"))
+                })
+                .collect();
+            if names.is_empty() {
+                return Err(format!("{}: no trace_*.jsonl dumps found", dir.display()));
+            }
+            // `trace_coordinator` sorts before every `trace_worker_*`.
+            names.sort();
+            names.into_iter().map(|n| dir.join(n)).collect()
+        }
+        files => files.iter().map(|f| f.as_ref().to_path_buf()).collect(),
+    };
+    let load = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        parse_dump_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    files.iter().map(load).collect()
 }
 
 /// Stitches per-process flight-recorder dumps into one Chrome-trace-event
@@ -906,39 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_records_on_drop_with_args() {
-        let tracer = Tracer::new(TraceConfig::named("test"));
-        let tid = derive_trace_id(1, DOMAIN_TRAIN_STEP, 0);
-        {
-            let span = tracer
-                .span("step", "train", tid, derive_span_id(tid, "step", 0), 0)
-                .arg("step", 7);
-            let child = tracer
-                .span(
-                    "sample",
-                    "train",
-                    tid,
-                    derive_span_id(tid, "sample", 0),
-                    span.span_id(),
-                )
-                .arg("n", 3)
-                .arg("m", 4)
-                .arg("ignored", 5);
-            child.finish();
-            span.finish();
-        }
-        let recs = tracer.snapshot();
-        assert_eq!(recs.len(), 2);
-        // Child finished first, so it is recorded first.
-        assert_eq!(recs[0].name, "sample");
-        assert_eq!(recs[0].args[0], ("n", 3));
-        assert_eq!(recs[0].args[1], ("m", 4), "third arg dropped");
-        assert_eq!(recs[1].name, "step");
-        assert_eq!(recs[0].parent_id, recs[1].span_id);
-        assert_eq!(recs[0].trace_id, recs[1].trace_id);
-    }
-
-    #[test]
     fn dump_and_parse_round_trip_including_torn_final_line() {
         let dir = std::env::temp_dir().join(format!("plp_trace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -946,16 +845,14 @@ mod tests {
 
         let tracer = Tracer::new(TraceConfig::named("coordinator").dump_to(path.clone()));
         let tid = derive_trace_id(9, DOMAIN_FED_ROUND, 1);
-        tracer
-            .span(
-                "fed_round",
-                "fed",
-                tid,
-                derive_span_id(tid, "fed_round", 1),
-                0,
-            )
-            .arg("step", 1)
-            .finish();
+        tracer.recorder.record(SpanRecord {
+            trace_id: tid,
+            span_id: derive_span_id(tid, "fed_round", 1),
+            name: "fed_round",
+            cat: "fed",
+            args: [("step", 1), ("", 0)],
+            ..rec("", 10)
+        });
         tracer.instant("fed_straggler", "fed", tid, 0, [("slot", 2), ("", 0)]);
         tracer.dump_on_fault("test_fault");
         assert_eq!(tracer.fault_dumps(), 1);
@@ -1083,5 +980,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn load_dumps_puts_the_coordinator_first_and_sorts_the_workers() {
+        let dir = std::env::temp_dir().join(format!("plp_trace_load_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(load_dumps(&[&dir]).unwrap_err().contains("no trace_"));
+        for (file, process) in [
+            ("trace_worker_9.jsonl", "w9"),
+            ("trace_coordinator.jsonl", "coordinator"),
+            ("trace_worker_10.jsonl", "w10"),
+            ("unrelated.jsonl", "other"),
+        ] {
+            Tracer::new(TraceConfig::named(process))
+                .dump_to(&dir.join(file), "test")
+                .unwrap();
+        }
+        let order = |dumps: Vec<TraceDump>| -> Vec<String> {
+            dumps.into_iter().map(|d| d.process).collect()
+        };
+        // File-name order, whatever order the directory lists them in.
+        let from_dir = load_dumps(&[&dir]).unwrap();
+        assert_eq!(order(from_dir), ["coordinator", "w10", "w9"]);
+        // Explicit files keep the order given; the first is the anchor.
+        let files = [
+            dir.join("unrelated.jsonl"),
+            dir.join("trace_worker_9.jsonl"),
+        ];
+        assert_eq!(order(load_dumps(&files).unwrap()), ["other", "w9"]);
+
+        std::fs::write(dir.join("trace_worker_11.jsonl"), "not a dump\n").unwrap();
+        let err = load_dumps(&[&dir]).unwrap_err();
+        assert!(err.contains("trace_worker_11.jsonl"), "{err}");
+        let err = load_dumps(&[dir.join("absent.jsonl")]).unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

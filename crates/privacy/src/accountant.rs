@@ -89,9 +89,12 @@ impl PrivacyLedger {
     ///
     /// # Errors
     /// Each entry must satisfy the [`PrivacyLedger::track`] domain and
-    /// cover at least one step.
+    /// cover at least one step, and the step counts — words an attacker
+    /// controls in a re-sealed checkpoint — must not overflow their sum
+    /// ([`PrivacyLedger::total_steps`]).
     pub fn from_entries(entries: Vec<LedgerEntry>) -> Result<Self, PrivacyError> {
         let mut ledger = PrivacyLedger::new();
+        let mut total = 0u64;
         for e in &entries {
             if e.steps == 0 {
                 return Err(PrivacyError::InvalidParameter {
@@ -100,6 +103,13 @@ impl PrivacyLedger {
                     expected: ">= 1 in every ledger entry",
                 });
             }
+            total = total
+                .checked_add(e.steps)
+                .ok_or(PrivacyError::InvalidParameter {
+                    name: "steps",
+                    value: e.steps as f64,
+                    expected: "a ledger total that fits in u64",
+                })?;
             // Reuse track()'s parameter validation on the first step; the
             // remaining steps of the entry are identical.
             ledger.track(e.q, e.noise_multiplier)?;
@@ -500,6 +510,16 @@ mod tests {
             steps: 0
         }])
         .is_err());
+        // Step counts whose sum overflows, coalesced into one entry or not.
+        let half = |q| LedgerEntry {
+            q,
+            noise_multiplier: 1.0,
+            steps: 1 << 63,
+        };
+        assert!(PrivacyLedger::from_entries(vec![half(0.1), half(0.1)]).is_err());
+        assert!(PrivacyLedger::from_entries(vec![half(0.1), half(0.2)]).is_err());
+        let alone = PrivacyLedger::from_entries(vec![half(0.1)]).unwrap();
+        assert_eq!(alone.total_steps(), 1 << 63);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! size can change what a query returns — only how fast it returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use plp_core::telemetry::ServeTelemetry;
@@ -20,8 +20,8 @@ use plp_linalg::matrix::matmul_block_into;
 use plp_linalg::topk::{top_k_with_scores_into, TopKScratch};
 use plp_model::recommender::mask_excluded;
 use plp_model::{ModelError, Recommender};
-use plp_obs::trace::{derive_span_id, derive_trace_id, fnv1a64, Tracer, DOMAIN_SERVE_QUERY};
-use plp_obs::{HistogramHandle, Observer};
+use plp_obs::trace::{derive_span_id, derive_trace_id, fnv1a64, TraceContext, DOMAIN_SERVE_QUERY};
+use plp_obs::{HistogramHandle, Observer, PhaseSet};
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -195,28 +195,35 @@ struct EngineState {
     wall_ms: f64,
 }
 
-/// The engine's per-phase latency histograms, resolved once at
-/// construction so the serve path never does registry lookups. Phases:
-/// `queue_wait` (miss enqueued → its batch starts scoring), `cache_lookup`
-/// (the hit-check critical section), `batch_matmul` (profile stacking +
-/// blocked kernel) and `topk` (mask + selection).
-struct ServePhases {
-    latency: HistogramHandle,
-    queue_wait: HistogramHandle,
-    cache_lookup: HistogramHandle,
-    batch_matmul: HistogramHandle,
-    topk: HistogramHandle,
-}
-
-impl ServePhases {
-    fn resolve(obs: &Observer) -> Self {
-        ServePhases {
-            latency: obs.histogram("plp_serve_query_latency_ms"),
-            queue_wait: obs.histogram_with("plp_serve_phase_ms", "phase", "queue_wait"),
-            cache_lookup: obs.histogram_with("plp_serve_phase_ms", "phase", "cache_lookup"),
-            batch_matmul: obs.histogram_with("plp_serve_phase_ms", "phase", "batch_matmul"),
-            topk: obs.histogram_with("plp_serve_phase_ms", "phase", "topk"),
-        }
+/// The serving phase table — the one place these names are spelled.
+/// Batch-level phases carry the sequence number of the batch's first
+/// query as their index (and parent under that query's root span);
+/// per-query phases carry their own.
+pub mod phase {
+    plp_obs::phase_table! {
+        /// `plp_serve_phase_ms{phase=…}` and the `serve` trace category.
+        TABLE = "plp_serve_phase_ms", "serve";
+        /// One query, serve call start → call end; the root of its trace.
+        SERVE_QUERY = trace_only "serve_query";
+        /// The hit-check critical section of one serve call (index: the
+        /// call's first query).
+        CACHE_LOOKUP = timed "cache_lookup";
+        /// A batch of misses admitted by its call → it starts scoring.
+        QUEUE_WAIT = timed "queue_wait";
+        /// Stacking the batch's profile rows. Trace-only: a series would add
+        /// a record and two clock reads per batch to the untraced path.
+        BATCH_ASSEMBLY = trace_only "batch_assembly";
+        /// Dense path: the blocked kernel over all `vocab` rows.
+        BATCH_MATMUL = timed "batch_matmul";
+        /// Dense path: exclusion mask + top-k selection for the batch.
+        TOP_K = timed "top_k";
+        /// IVF path: probe + re-rank of every query of the batch.
+        IVF_SEARCH = timed "ivf_search";
+        /// IVF path, one query: the coarse probe (child of `ivf_search`).
+        IVF_PROBE = trace_only "ivf_probe";
+        /// IVF path, one query: the exact re-rank of the probed cells, after
+        /// the int8 coarse pass when quantized (child of `ivf_search`).
+        RE_RANK = trace_only "re_rank";
     }
 }
 
@@ -243,11 +250,11 @@ pub struct BatchEngine {
     quant_candidates: AtomicU64,
     quant_shortlisted: AtomicU64,
     obs: Observer,
-    phases: ServePhases,
-    /// The observer's tracer, resolved once at construction. `None`
-    /// keeps the serve path free of any tracing branches beyond one
-    /// `Option` check per call.
-    tracer: Option<Arc<Tracer>>,
+    /// `plp_serve_query_latency_ms`, the engine's own telemetry store.
+    latency: HistogramHandle,
+    /// [`phase::TABLE`], resolved once at construction so the serve path
+    /// does no registry lookups — a tracer must be attached by then.
+    phases: PhaseSet,
     /// Root of every per-query trace id: `fnv1a64(run_id)`, mixed with
     /// the query sequence number. Deterministic given the observer.
     trace_root: u64,
@@ -330,8 +337,8 @@ impl BatchEngine {
         } else {
             Observer::new("serve")
         };
-        let phases = ServePhases::resolve(&obs);
-        let tracer = obs.tracer();
+        let latency = obs.histogram("plp_serve_query_latency_ms");
+        let phases = PhaseSet::resolve(&obs, &phase::TABLE);
         let trace_root = fnv1a64(obs.run_id().unwrap_or("serve"));
         Ok(BatchEngine {
             rec,
@@ -341,8 +348,8 @@ impl BatchEngine {
             quant_candidates: AtomicU64::new(0),
             quant_shortlisted: AtomicU64::new(0),
             obs,
+            latency,
             phases,
-            tracer,
             trace_root,
             trace_seq: AtomicU64::new(0),
             state: Mutex::new(EngineState {
@@ -414,14 +421,19 @@ impl BatchEngine {
         // Claim this call's contiguous query-sequence range. Each query
         // gets trace id `derive_trace_id(fnv1a64(run_id), QUERY, seq)` —
         // deterministic given the arrival order, never the clock.
-        let trace_base = self.tracer.as_ref().map(|_| {
+        let trace_base = self.phases.traced().then(|| {
             self.trace_seq
                 .fetch_add(queries.len() as u64, Ordering::Relaxed)
         });
 
         // Phase 1: cache lookups (single short critical section).
-        let lookup_span = self.phases.cache_lookup.start_span();
         let lookup_start = Instant::now();
+        let t_lookup = self.phases.since(
+            phase::CACHE_LOOKUP,
+            trace_base.map(|base| self.query_ctx(base)),
+            trace_base.unwrap_or(0),
+            lookup_start,
+        );
         let mut results: Vec<Option<Vec<usize>>> = vec![None; queries.len()];
         let keys: Vec<QueryKey> = queries
             .iter()
@@ -438,24 +450,11 @@ impl BatchEngine {
             }
         }
         let lookup_ms = ms_since(lookup_start);
-        lookup_span.finish();
-        if let (Some(t), Some(base)) = (&self.tracer, trace_base) {
-            let (tid, root) = self.query_trace(base, 0);
-            let end = t.now_us();
-            t.record_span_at(
-                "cache_lookup",
-                "serve",
-                tid,
-                derive_span_id(tid, "cache_lookup", base),
-                root,
-                end.saturating_sub(elapsed_us(lookup_start)),
-                end,
-                [
-                    ("queries", queries.len() as u64),
-                    ("misses", misses.len() as u64),
-                ],
-            );
-        }
+        drop(
+            t_lookup
+                .arg("queries", queries.len() as u64)
+                .arg("misses", misses.len() as u64),
+        );
 
         // Phase 2: score the misses in batches, striped across workers.
         let batch_results = self.score_misses(queries, &misses, call_start, trace_base)?;
@@ -467,9 +466,7 @@ impl BatchEngine {
         let hits = (queries.len() - misses.len()) as u64;
         let mut state = self.state.lock().expect("serve state poisoned");
         for br in &batch_results {
-            self.phases
-                .latency
-                .record_n(br.elapsed_ms, br.ranked.len() as u64);
+            self.latency.record_n(br.elapsed_ms, br.ranked.len() as u64);
         }
         for br in batch_results {
             for (qi, ranked) in br.ranked {
@@ -478,7 +475,7 @@ impl BatchEngine {
             }
         }
         if hits > 0 {
-            self.phases.latency.record_n(lookup_ms, hits);
+            self.latency.record_n(lookup_ms, hits);
         }
         state.queries += queries.len() as u64;
         state.batches += num_batches;
@@ -496,23 +493,18 @@ impl BatchEngine {
         // Per-query root spans, closed at call end. `misses` is sorted
         // ascending (it was built by a forward scan), so a binary search
         // tells hit from miss.
-        if let (Some(t), Some(base)) = (&self.tracer, trace_base) {
-            let end = t.now_us();
-            let start = end.saturating_sub(elapsed_us(call_start));
+        if let Some(base) = trace_base {
             for (i, q) in queries.iter().enumerate() {
-                let (tid, root) = self.query_trace(base, i);
-                t.record_span_at(
-                    "serve_query",
-                    "serve",
-                    tid,
-                    root,
-                    0,
-                    start,
-                    end,
-                    [
-                        ("k", q.k as u64),
-                        ("cache_hit", u64::from(misses.binary_search(&i).is_err())),
-                    ],
+                let seq = base + i as u64;
+                let root = TraceContext {
+                    parent_span: 0,
+                    ..self.query_ctx(seq)
+                };
+                drop(
+                    self.phases
+                        .since(phase::SERVE_QUERY, Some(root), seq, call_start)
+                        .arg("k", q.k as u64)
+                        .arg("cache_hit", u64::from(misses.binary_search(&i).is_err())),
                 );
             }
         }
@@ -539,7 +531,7 @@ impl BatchEngine {
     /// there is nothing to panic on.
     pub fn telemetry(&self) -> ServeTelemetry {
         let state = self.state.lock().expect("serve state poisoned");
-        let latencies = self.phases.latency.snapshot();
+        let latencies = self.latency.snapshot();
         let pct = |q: f64| latencies.quantile(q).unwrap_or(0.0);
         let qps = if state.wall_ms > 0.0 {
             state.queries as f64 / (state.wall_ms / 1000.0)
@@ -559,14 +551,16 @@ impl BatchEngine {
         }
     }
 
-    /// `(trace id, root span id)` of the query at position `qi` in a
-    /// serve call whose sequence range starts at `base`. Pure function of
-    /// `(run_id, base + qi)`, so any consumer of the dump can recompute
-    /// the ids.
-    fn query_trace(&self, base: u64, qi: usize) -> (u64, u64) {
-        let idx = base + qi as u64;
-        let tid = derive_trace_id(self.trace_root, DOMAIN_SERVE_QUERY, idx);
-        (tid, derive_span_id(tid, "serve_query", idx))
+    /// The context the phases of query number `seq` open their guards
+    /// under: the query's trace id with its root span as parent. A pure
+    /// function of `(run_id, seq)`, so any consumer of the dump can
+    /// recompute the ids.
+    fn query_ctx(&self, seq: u64) -> TraceContext {
+        let trace_id = derive_trace_id(self.trace_root, DOMAIN_SERVE_QUERY, seq);
+        TraceContext {
+            trace_id,
+            parent_span: derive_span_id(trace_id, phase::SERVE_QUERY.name, seq),
+        }
     }
 
     fn validate_queries(&self, queries: &[Query]) -> Result<(), ServeError> {
@@ -594,7 +588,7 @@ impl BatchEngine {
     /// Scores `misses` (positions into `queries`) in batches of at most
     /// `max_batch`, batch `b` on worker `b % workers`. `enqueued_at` is
     /// when the serve call admitted these misses; the gap until a batch
-    /// actually starts scoring is recorded as its `queue_wait` phase.
+    /// actually starts scoring is its `queue_wait` phase.
     fn score_misses(
         &self,
         queries: &[Query],
@@ -616,7 +610,6 @@ impl BatchEngine {
                             let mut scratch = self.take_scratch();
                             let mut produced = Vec::new();
                             for batch in batches.iter().skip(w).step_by(workers) {
-                                self.phases.queue_wait.record_ms_since(enqueued_at);
                                 match self.score_batch(
                                     queries,
                                     batch,
@@ -656,7 +649,6 @@ impl BatchEngine {
     /// sequential path's order, keeping it bit-identical to
     /// `Recommender::recommend_excluding`; the ANN path is exact over the
     /// probed cells and equals the exhaustive path when `nprobe = cells`.
-    #[allow(clippy::too_many_lines)]
     fn score_batch(
         &self,
         queries: &[Query],
@@ -668,40 +660,22 @@ impl BatchEngine {
         let start = Instant::now();
         let dim = self.rec.dim();
         let rows = batch.len();
+        let phases = &self.phases;
 
-        // Batch-level spans parent under the *first* member query's root
-        // span; per-query stage spans (probe/re-rank) are indexed by the
-        // query's own sequence number, so every id in the dump is
-        // recomputable.
-        let trace = self.tracer.as_ref().zip(trace_base).map(|(t, base)| {
-            let (tid, root) = self.query_trace(base, batch[0]);
-            (t, tid, root, base)
-        });
-        if let Some((t, tid, root, base)) = &trace {
-            let end = t.now_us();
-            t.record_span_at(
-                "enqueue",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "enqueue", base + batch[0] as u64),
-                *root,
-                end.saturating_sub(elapsed_us(enqueued_at)),
-                end,
-                [("rows", rows as u64), ("", 0)],
-            );
-        }
+        // Every span id in the dump is recomputable: see [`phase`] for
+        // which sequence number each phase carries.
+        let base = trace_base.unwrap_or(0);
+        let first = base + batch[0] as u64;
+        let ctx = trace_base.map(|_| self.query_ctx(first));
+        drop(
+            phases
+                .since(phase::QUEUE_WAIT, ctx, first, enqueued_at)
+                .arg("rows", rows as u64),
+        );
 
-        let matmul_span = self.phases.batch_matmul.start_span();
-        let t_assembly = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "batch_assembly",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "batch_assembly", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-        });
+        let t_assembly = phases
+            .start(phase::BATCH_ASSEMBLY, ctx, first)
+            .arg("rows", rows as u64);
         ensure(&mut scratch.profiles, rows * dim);
         for (slot, &qi) in batch.iter().enumerate() {
             self.rec.profile_into(
@@ -710,42 +684,31 @@ impl BatchEngine {
             )?;
         }
         drop(t_assembly);
+
+        let mut ranked = Vec::with_capacity(rows);
         if let Some(index) = &self.index {
-            matmul_span.finish();
             let ann = self.cfg.ann.expect("index implies ann config");
-            let nprobe = ann.nprobe;
-            let topk_span = self.phases.topk.start_span();
-            let mut ranked = Vec::with_capacity(rows);
+            let t_search = phases
+                .start(phase::IVF_SEARCH, ctx, first)
+                .arg("rows", rows as u64);
+            let in_search = t_search.context();
             let (mut batch_candidates, mut batch_shortlisted) = (0u64, 0u64);
             for (slot, &qi) in batch.iter().enumerate() {
                 let q = &queries[qi];
+                let seq = base + qi as u64;
                 let profile = &scratch.profiles[slot * dim..(slot + 1) * dim];
                 // The probe / re-rank split exists so the two IVF stages
                 // are separately attributable; together they are exactly
                 // `search_into` (or its quantized twin).
-                let t_probe = trace.as_ref().map(|(t, tid, root, base)| {
-                    t.span(
-                        "ivf_probe",
-                        "serve",
-                        *tid,
-                        derive_span_id(*tid, "ivf_probe", base + qi as u64),
-                        *root,
-                    )
-                    .arg("nprobe", nprobe as u64)
-                });
-                index.probe_cells(profile, nprobe, &mut scratch.ivf)?;
+                let t_probe = phases
+                    .start(phase::IVF_PROBE, in_search, seq)
+                    .arg("nprobe", ann.nprobe as u64);
+                index.probe_cells(profile, ann.nprobe, &mut scratch.ivf)?;
                 drop(t_probe);
-                let t_rerank = trace.as_ref().map(|(t, tid, root, base)| {
-                    t.span(
-                        "re_rank",
-                        "serve",
-                        *tid,
-                        derive_span_id(*tid, "re_rank", base + qi as u64),
-                        *root,
-                    )
+                let t_rerank = phases
+                    .start(phase::RE_RANK, in_search, seq)
                     .arg("k", q.k as u64)
-                    .arg("quant", u64::from(self.quant.is_some()))
-                });
+                    .arg("quant", u64::from(self.quant.is_some()));
                 if let Some(quant) = &self.quant {
                     let stats = index.rerank_probed_quantized(
                         quant,
@@ -778,55 +741,32 @@ impl BatchEngine {
                 self.quant_shortlisted
                     .fetch_add(batch_shortlisted, Ordering::Relaxed);
             }
-            topk_span.finish();
-            return Ok(BatchResult {
-                ranked,
-                elapsed_ms: ms_since(start),
-            });
+        } else {
+            let vocab = self.rec.vocab_size();
+            ensure(&mut scratch.scores, rows * vocab);
+            let t_matmul = phases
+                .start(phase::BATCH_MATMUL, ctx, first)
+                .arg("rows", rows as u64)
+                .arg("vocab", vocab as u64);
+            matmul_block_into(
+                &scratch.profiles[..rows * dim],
+                rows,
+                dim,
+                self.rec.embedding(),
+                &mut scratch.scores[..rows * vocab],
+            )?;
+            drop(t_matmul);
+            let _t_topk = phases
+                .start(phase::TOP_K, ctx, first)
+                .arg("rows", rows as u64);
+            for (slot, &qi) in batch.iter().enumerate() {
+                let q = &queries[qi];
+                let row = &mut scratch.scores[slot * vocab..(slot + 1) * vocab];
+                mask_excluded(row, &q.exclude);
+                top_k_with_scores_into(row, q.k, &mut scratch.topk, &mut scratch.ranked);
+                ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
+            }
         }
-        let vocab = self.rec.vocab_size();
-        ensure(&mut scratch.scores, rows * vocab);
-        let t_matmul = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "batch_matmul",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "batch_matmul", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-            .arg("vocab", vocab as u64)
-        });
-        matmul_block_into(
-            &scratch.profiles[..rows * dim],
-            rows,
-            dim,
-            self.rec.embedding(),
-            &mut scratch.scores[..rows * vocab],
-        )?;
-        drop(t_matmul);
-        matmul_span.finish();
-        let topk_span = self.phases.topk.start_span();
-        let t_topk = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "top_k",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "top_k", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-        });
-        let mut ranked = Vec::with_capacity(rows);
-        for (slot, &qi) in batch.iter().enumerate() {
-            let q = &queries[qi];
-            let row = &mut scratch.scores[slot * vocab..(slot + 1) * vocab];
-            mask_excluded(row, &q.exclude);
-            top_k_with_scores_into(row, q.k, &mut scratch.topk, &mut scratch.ranked);
-            ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
-        }
-        drop(t_topk);
-        topk_span.finish();
         Ok(BatchResult {
             ranked,
             elapsed_ms: ms_since(start),
@@ -851,11 +791,6 @@ impl BatchEngine {
 
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0
-}
-
-/// Microseconds elapsed since `start`, saturating at u64.
-fn elapsed_us(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -1045,6 +980,35 @@ mod tests {
         );
     }
 
+    /// Whether `p` runs on the dense (`ann == false`) or the IVF path.
+    fn runs_on(p: plp_obs::Phase, ann: bool) -> bool {
+        let dense_only = [phase::BATCH_MATMUL, phase::TOP_K];
+        let ivf_only = [phase::IVF_SEARCH, phase::IVF_PROBE, phase::RE_RANK];
+        !(if ann {
+            dense_only.contains(&p)
+        } else {
+            ivf_only.contains(&p)
+        })
+    }
+
+    /// Every phase of the table that runs on this path and declares a
+    /// series has recorded into it; no other phase has.
+    fn assert_series_follow_the_table(prometheus: &str, ann: bool) {
+        for &p in phase::TABLE.phases {
+            let count = format!("{}_count{{phase=\"{}\"}} ", phase::TABLE.family, p.name);
+            let recorded = prometheus
+                .lines()
+                .filter_map(|line| line.strip_prefix(&count))
+                .any(|n| n != "0");
+            assert_eq!(
+                recorded,
+                p.series && runs_on(p, ann),
+                "{} (ann={ann}) in:\n{prometheus}",
+                p.name
+            );
+        }
+    }
+
     #[test]
     fn instrumentation_keeps_results_bit_identical() {
         let rec = random_recommender(41, 6, 21);
@@ -1083,15 +1047,12 @@ mod tests {
         assert_eq!(got, expected, "observer must not change what is served");
 
         let text = obs.render_prometheus();
-        for phase in ["queue_wait", "cache_lookup", "batch_matmul", "topk"] {
-            assert!(
-                text.contains(&format!("plp_serve_phase_ms_bucket{{phase=\"{phase}\"")),
-                "missing serve phase {phase} in:\n{text}"
-            );
-        }
+        assert_series_follow_the_table(&text, false);
         assert!(text.contains("plp_serve_queries_total 30"), "{text}");
+        let train = plp_core::plp::phase::TABLE.family;
+        let bucket_sgd = plp_core::plp::phase::BUCKET_SGD.name;
         assert!(
-            text.contains("plp_train_phase_ms_bucket{phase=\"local_sgd\""),
+            text.contains(&format!("{train}_bucket{{phase=\"{bucket_sgd}\"")),
             "missing training phases in:\n{text}"
         );
         for gauge in ["plp_epsilon_spent", "plp_epsilon_budget"] {
@@ -1406,25 +1367,24 @@ mod tests {
 
         let rec = random_recommender(61, 6, 60);
         let queries = mixed_queries(61, 20, 61);
+        let ivf = AnnConfig {
+            cells: 8,
+            nprobe: 3,
+            ..AnnConfig::default()
+        };
+        let quantized = AnnConfig {
+            quantized: true,
+            overfetch: 2,
+            ..ivf
+        };
 
-        for ann in [
-            None,
-            Some(AnnConfig {
-                cells: 8,
-                nprobe: 3,
-                ..AnnConfig::default()
-            }),
-            Some(AnnConfig {
-                cells: 8,
-                nprobe: 3,
-                quantized: true,
-                overfetch: 2,
-                ..AnnConfig::default()
-            }),
-        ] {
+        for (ann, workers) in [None, Some(ivf), Some(quantized)]
+            .into_iter()
+            .flat_map(|ann| [(ann, 1), (ann, 3)])
+        {
             let cfg = ServeConfig {
                 max_batch: 4,
-                workers: 3,
+                workers,
                 cache_capacity: 8,
                 ann,
             };
@@ -1433,50 +1393,55 @@ mod tests {
 
             let obs = Observer::new("serve-traced");
             let tracer = obs.attach_tracer(TraceConfig::named("serve")).unwrap();
-            let engine = BatchEngine::with_observer(rec.clone(), cfg, obs).unwrap();
+            let engine = BatchEngine::with_observer(rec.clone(), cfg, obs.clone()).unwrap();
             let got = engine.serve(&queries).unwrap();
             assert_eq!(got, expected, "a tracer must not change what is served");
             // Second pass: all cache hits, still identical.
             assert_eq!(engine.serve(&queries).unwrap(), expected);
+            assert_series_follow_the_table(&obs.render_prometheus(), ann.is_some());
 
+            // Every phase of this path shows up as a span whose id is the
+            // recomputed pure function of the query sequence: the first
+            // call's first query is number 0, first of its batch, and a
+            // miss.
             let spans = tracer.snapshot();
-            let names: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.name).collect();
-            let mut expected_stages =
-                vec!["serve_query", "cache_lookup", "enqueue", "batch_assembly"];
-            if cfg.ann.is_some() {
-                expected_stages.extend(["ivf_probe", "re_rank"]);
-            } else {
-                expected_stages.extend(["batch_matmul", "top_k"]);
-            }
-            for stage in expected_stages {
-                assert!(
-                    names.contains(stage),
-                    "missing stage span {stage:?} (ann={:?}); got {names:?}",
-                    cfg.ann
-                );
+            let tid = engine.query_ctx(0).trace_id;
+            for &p in phase::TABLE.phases {
+                let recorded = spans.iter().any(|s| {
+                    s.name == p.name
+                        && s.cat == phase::TABLE.cat
+                        && s.trace_id == tid
+                        && s.span_id == derive_span_id(tid, p.name, 0)
+                });
+                assert_eq!(recorded, runs_on(p, ann.is_some()), "{} ({cfg:?})", p.name);
             }
             assert_eq!(
-                spans.iter().filter(|s| s.name == "serve_query").count(),
+                spans
+                    .iter()
+                    .filter(|s| s.name == phase::SERVE_QUERY.name)
+                    .count(),
                 2 * queries.len(),
                 "one root span per query per call"
             );
-            // Root span ids are pure functions of the query sequence.
-            let (tid0, root0) = engine.query_trace(0, 0);
-            assert!(spans
-                .iter()
-                .any(|s| s.name == "serve_query" && s.trace_id == tid0 && s.span_id == root0));
-            // Stage spans parent under a query root, never float free.
-            let roots: std::collections::BTreeSet<u64> = spans
-                .iter()
-                .filter(|s| s.name == "serve_query")
-                .map(|s| s.span_id)
-                .collect();
-            for s in spans.iter().filter(|s| s.name != "serve_query") {
-                assert!(
-                    roots.contains(&s.parent_id),
-                    "span {} has a dangling parent",
-                    s.name
-                );
+            // Nothing floats free: a root has no parent, the per-query IVF
+            // stages parent under their batch's search span, every other
+            // phase under a query root.
+            let ids_named = |name: &str| -> std::collections::BTreeSet<u64> {
+                let named = spans.iter().filter(|s| s.name == name);
+                named.map(|s| s.span_id).collect()
+            };
+            let roots = ids_named(phase::SERVE_QUERY.name);
+            let searches = ids_named(phase::IVF_SEARCH.name);
+            for s in &spans {
+                let per_query_stage = [phase::IVF_PROBE.name, phase::RE_RANK.name];
+                let parented = if s.name == phase::SERVE_QUERY.name {
+                    s.parent_id == 0
+                } else if per_query_stage.contains(&s.name) {
+                    searches.contains(&s.parent_id)
+                } else {
+                    roots.contains(&s.parent_id)
+                };
+                assert!(parented, "span {} has a dangling parent", s.name);
             }
         }
     }

@@ -32,10 +32,10 @@
 //! * serving telemetry — QPS, p50/p95/p99 latency and cache hit rate —
 //!   reported as [`plp_core::telemetry::ServeTelemetry`], with per-query
 //!   latencies held in a bounded `plp_obs` log-linear histogram
-//!   (O(buckets) memory, not O(queries)) and per-phase spans
-//!   (`queue_wait` / `cache_lookup` / `batch_matmul` / `topk`) exported
-//!   in Prometheus text format via the engine's
-//!   [`plp_obs::Observer`].
+//!   (O(buckets) memory, not O(queries)) and the phases of
+//!   [`engine::phase::TABLE`] timed once each — histograms exported in
+//!   Prometheus text format via the engine's [`plp_obs::Observer`],
+//!   spans once a tracer is attached to it.
 //!
 //! The batched path is **bit-identical** to the sequential
 //! [`plp_model::Recommender`] calls: profiles accumulate in the same

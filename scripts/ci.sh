@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container grep gate, build,
-# the full test suite, the chaos drills and a correctness smoke of the
-# benchmark harness. This is the only CI definition — .github/workflows/ci.yml just calls it. No
-# network access is needed (all dependencies are vendored in compat/).
-# Nothing here judges a timing: every step is gated on its exit code.
+# the full test suite, the chaos drills, a re-stitch of the fed_chaos
+# trace dumps through the CLI and a correctness smoke of the benchmark
+# harness. This is the only CI definition — .github/workflows/ci.yml just
+# calls it. It needs cargo, git and coreutils — no Python, no network (all
+# dependencies are vendored in compat/). Nothing here judges a timing:
+# every step is gated on its exit code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,21 +46,12 @@ echo "== fed_chaos drill (multi-process federated smoke + traced round) =="
 cargo run --release -p plp-bench --bin fed_chaos -- --smoke \
   --trace-out target/BENCH_fed_trace.json
 
-echo "== trace stitcher (python mirror over the fed_chaos dumps) =="
-python3 scripts/trace_stitch.py --out target/BENCH_fed_trace_py.json \
-  target/fed_trace_dumps
-# The operator-side stitcher must agree with the in-process one.
-python3 - target/BENCH_fed_trace.json target/BENCH_fed_trace_py.json <<'PY'
-import json, sys
-def sig(path):
-    t = json.load(open(path))
-    return sorted(
-        (e.get("ph"), e.get("name"), e.get("pid"), e.get("ts"), e.get("dur"))
-        for e in t["traceEvents"]
-    )
-assert sig(sys.argv[1]) == sig(sys.argv[2]), "python stitcher diverged from rust"
-print("stitchers agree")
-PY
+echo "== trace-stitch (the CLI over the fed_chaos dumps) =="
+# One loader, one stitcher: the same dumps in the same order must give
+# the file fed_chaos wrote, byte for byte.
+cargo run --release --bin dp-nextloc -- trace-stitch \
+  --out target/BENCH_fed_trace_cli.json target/fed_trace_dumps
+cmp target/BENCH_fed_trace.json target/BENCH_fed_trace_cli.json
 
 echo "== plp_benchmark unit tests =="
 cargo test --offline -q --manifest-path plp_benchmark/Cargo.toml

@@ -8,7 +8,9 @@
 //!   (plus the auditable privacy ledger for the private methods),
 //! * `evaluate`  — leave-one-out HR@k of a saved model on held-out users,
 //! * `recommend` — top-k next locations for a token sequence,
-//! * `budget`    — moments-accountant planning (steps afforded / ε of a plan).
+//! * `budget`    — moments-accountant planning (steps afforded / ε of a plan),
+//! * `trace-stitch` — merge per-process flight-recorder dumps into one
+//!   Chrome/Perfetto trace.
 //!
 //! Run `dp-nextloc <subcommand> --help` for flags.
 
@@ -30,6 +32,7 @@ use plp_data::io as data_io;
 use plp_data::stats::dataset_stats;
 use plp_model::plps::{self, PlpsSnapshot};
 use plp_model::{ModelParams, Recommender};
+use plp_obs::trace::{load_dumps, stitch_chrome_trace};
 use plp_privacy::planner::{epsilon_for_steps, max_steps};
 use plp_privacy::PrivacyBudget;
 
@@ -39,6 +42,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    if cmd == "trace-stitch" {
+        return ExitCode::from(trace_stitch(rest));
+    }
     match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -84,6 +90,7 @@ USAGE:
                        [--holdout N]
   dp-nextloc recommend --model model.plps --recent 12,87,40 [--k 10]
   dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]
+  dp-nextloc trace-stitch --out stitched.json (TRACE_DIR | DUMP.jsonl...)
   dp-nextloc <subcommand> --help";
 
 /// Minimal `--flag value` parser; every flag takes exactly one value and
@@ -346,6 +353,49 @@ fn cmd_budget(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `trace-stitch --out FILE (DIR | DUMP…)`: stitches flight-recorder dumps
+/// (`plp_obs::trace`) into one Chrome-trace JSON, the first dump anchoring
+/// the clock. A directory means its `trace_coordinator.jsonl`, then its
+/// `trace_worker_*.jsonl` in name order. Returns the exit code: 0
+/// stitched, 1 an unusable dump or an unwritable output, 2 misuse.
+fn trace_stitch(args: &[String]) -> u8 {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return 0;
+    }
+    let [flag, out, inputs @ ..] = args else {
+        eprintln!("{USAGE}");
+        return 2;
+    };
+    if flag != "--out" || inputs.is_empty() {
+        eprintln!("{USAGE}");
+        return 2;
+    }
+    let stitched = load_dumps(inputs).and_then(|dumps| {
+        for d in &dumps {
+            let torn = match d.skipped_lines {
+                0 => String::new(),
+                n => format!(" ({n} torn lines skipped)"),
+            };
+            let (process, pid, reason, records) = (&d.process, d.pid, &d.reason, d.records.len());
+            println!("  {process} pid={pid} reason={reason:?}: {records} records{torn}");
+        }
+        write_atomic(Path::new(out), stitch_chrome_trace(&dumps).as_bytes())
+            .map_err(|e| format!("{out}: {e}"))?;
+        Ok(dumps.len())
+    });
+    match stitched {
+        Ok(processes) => {
+            println!("trace-stitch: wrote {out} — {processes} processes");
+            0
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +558,44 @@ mod tests {
         flip_last_byte(&data);
         let err = cmd_stats(&s(&["--data", data.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("bad_crc"), "{err}");
+    }
+
+    #[test]
+    fn trace_stitch_exit_codes_and_output() {
+        use plp_obs::{TraceConfig, Tracer};
+
+        let dir = std::env::temp_dir().join(format!("dp_nextloc_stitch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        let out = dir.join("stitched.json");
+        let (out_arg, dir_arg) = (out.to_str().unwrap(), dir.to_str().unwrap());
+
+        // Misuse: exit 2, nothing written.
+        assert_eq!(trace_stitch(&s(&[])), 2);
+        assert_eq!(trace_stitch(&s(&["--out", out_arg])), 2);
+        assert_eq!(trace_stitch(&s(&["--in", out_arg, dir_arg])), 2);
+        assert_eq!(trace_stitch(&s(&["--help"])), 0);
+        // No usable dump: exit 1.
+        assert_eq!(trace_stitch(&s(&["--out", out_arg, dir_arg])), 1);
+        let junk = dir.join("junk.jsonl");
+        std::fs::write(&junk, "not a dump\n").unwrap();
+        let junk_args = ["--out", out_arg, junk.to_str().unwrap()];
+        assert_eq!(trace_stitch(&s(&junk_args)), 1);
+        assert!(!out.exists());
+
+        // A directory of dumps: exit 0 and the library stitcher's bytes.
+        let coordinator = dir.join("trace_coordinator.jsonl");
+        let worker = dir.join("trace_worker_7.jsonl");
+        for (path, process) in [(&coordinator, "coordinator"), (&worker, "worker-7")] {
+            let tracer = Tracer::new(TraceConfig::named(process));
+            tracer.instant("mark", "test", 1, 0, [("n", 1), ("", 0)]);
+            tracer.dump_to(path, "test").unwrap();
+        }
+        assert_eq!(trace_stitch(&s(&["--out", out_arg, dir_arg])), 0);
+        let dumps = load_dumps(&[&coordinator, &worker]).unwrap();
+        let stitched = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(stitched, stitch_chrome_trace(&dumps));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,9 +14,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dp_nextloc::core::checkpoint::{
-    decode_checkpoint, encode_checkpoint, load_checkpoint, ServerState, TrainingCheckpoint,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, ServerState,
+    TrainingCheckpoint,
 };
-use dp_nextloc::core::CoreError;
+use dp_nextloc::core::plp::{resume_plp, TrainOptions};
+use dp_nextloc::core::{CoreError, Hyperparameters, ServerOptimizer};
+use dp_nextloc::data::dataset::TokenizedDataset;
 use dp_nextloc::data::frame::{self, Words};
 use dp_nextloc::data::{io, CheckIn, CheckInDataset, DataError, GeoPoint, LocationId, Poi};
 use dp_nextloc::linalg::Matrix;
@@ -369,6 +372,13 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
             s.retain(|(kind, ..)| *kind != KIND_LEDGER);
         });
         assert_inconsistent(name, "section row width", |s| set_cols(s, KIND_LEDGER, 1));
+        // Two step counts of 2⁶³: their sum wraps to 0, which a claimed
+        // step of 0 would *match* if the sum were not checked.
+        assert_inconsistent(name, "invalid ledger entry", |s| {
+            words_of(s, KIND_LEDGER)[2] = 1 << 63;
+            words_of(s, KIND_LEDGER)[5] = 1 << 63;
+            words_of(s, KIND_META)[2] = 0;
+        });
     }
     let adam = "checkpoint-adam";
     assert_inconsistent(adam, "non-finite tensor", |s| {
@@ -385,6 +395,41 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
     assert_inconsistent(adam, "unknown server state", |s| {
         words_of(s, KIND_META)[3] = 0;
     });
+
+    // A consistent claim of 2⁶⁰ steps decodes — nothing in the image
+    // contradicts it — but resuming would replay the accountant one
+    // composition per step: the trainer must refuse it against the run's
+    // `max_steps`, at once and typed, under an otherwise matching config.
+    let hp = Hyperparameters {
+        embedding_dim: DIM,
+        server_optimizer: ServerOptimizer::Sgd { learning_rate: 0.5 },
+        ..Hyperparameters::default()
+    };
+    let fingerprint = config_fingerprint(&hp, VOCAB).unwrap();
+    let claim = |steps: u64| {
+        let image = resealed("checkpoint-sgd", |s| {
+            words_of(s, KIND_META)[0] = fingerprint;
+            words_of(s, KIND_META)[2] = steps;
+            words_of(s, KIND_LEDGER)[2] = steps - 1;
+        });
+        decode_checkpoint(image).unwrap()
+    };
+    let train = TokenizedDataset {
+        users: Vec::new(),
+        vocab_size: VOCAB,
+    };
+    let resume = |ckpt| resume_plp(ckpt, &train, None, &hp, &TrainOptions::default());
+    let started = std::time::Instant::now();
+    let refused = resume(claim(1 << 60));
+    assert!(
+        matches!(refused, Err(CoreError::CheckpointMismatch { what }) if what.contains("max_steps")),
+        "{:?}",
+        refused.map(|out| out.summary)
+    );
+    assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    // The same image claiming the run's last step is an honest checkpoint.
+    let resumed = resume(claim(hp.max_steps as u64)).unwrap();
+    assert_eq!(resumed.summary.steps, hp.max_steps as u64);
 }
 
 #[test]

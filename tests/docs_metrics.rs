@@ -1,6 +1,7 @@
 //! The docs may cite performance only as `workload:metric` names that
 //! `BENCHMARK.json` declares, and may not mention the retired bench
-//! reports or the retired model / checkpoint formats. Reads files only.
+//! reports and tools or the retired model / checkpoint formats. Reads
+//! files only.
 
 use std::fs;
 use std::path::Path;
@@ -8,11 +9,13 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 7] = [
+const RETIRED: [&str; 9] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
     "bench_guard",
+    "trace_stitch.py",
+    "cargo bench",
     ".plpm",
     "plp-model::snapshot",
     "PLPC, version",
