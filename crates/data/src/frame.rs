@@ -64,20 +64,63 @@ pub fn checked_frame_len(claimed: u64) -> Option<usize> {
 ///
 /// The one CRC of the workspace: artifact headers and section bodies and
 /// the federated IPC frames share this exact polynomial.
+///
+/// Slice-by-8: eight bytes per step through eight 256-entry tables, where
+/// `CRC_TABLES[k][b]` is the register after byte `b` and `k` zero bytes.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb == 1 {
-                crc ^= 0xEDB8_8320;
-            }
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][(lo >> 8 & 0xFF) as usize]
+            ^ CRC_TABLES[5][(lo >> 16 & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][usize::from(w[4])]
+            ^ CRC_TABLES[2][usize::from(w[5])]
+            ^ CRC_TABLES[1][usize::from(w[6])]
+            ^ CRC_TABLES[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
+
+/// One step of the reflected CRC-32 register over the low bit.
+const fn crc32_shift(crc: u32) -> u32 {
+    if crc & 1 == 1 {
+        (crc >> 1) ^ 0xEDB8_8320
+    } else {
+        crc >> 1
+    }
+}
+
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = crc32_shift(crc);
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 const MAGIC: &[u8; 4] = b"PLPS";
 const VERSION: u16 = 1;
@@ -470,6 +513,18 @@ mod tests {
         assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
+    /// The definition: one register shift per bit, no tables.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = crc32_shift(crc);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn frame_len_ceiling_is_enforced() {
         assert_eq!(checked_frame_len(0), Some(0));
@@ -619,6 +674,21 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_tables_match_the_bitwise_definition(
+            data in vec(0u32..256u32, 8usize..4104),
+        ) {
+            // Every start alignment 0..8 of every length 0..4096: the word
+            // loop, its tail, and each split between them.
+            let bytes: Vec<u8> = data.iter().map(|&x| x as u8).collect();
+            for start in 0..8 {
+                let tail = &bytes[start..];
+                prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
+            }
+            let short = &bytes[..bytes.len() % 17];
+            prop_assert_eq!(crc32(short), crc32_bitwise(short));
+        }
 
         #[test]
         fn random_garbage_is_rejected(data in vec(0u32..256u32, 0usize..6000)) {

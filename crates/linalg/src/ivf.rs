@@ -25,21 +25,79 @@
 //! Like the PR 4/5 kernels, everything here is bit-identical across thread
 //! counts:
 //!
-//! * **build** — each row's cell assignment is a pure function of the row
-//!   and the centroids (computed with the fixed-reduction-order dot
-//!   kernel), so the assignment pass can be split across any number of
-//!   threads; centroid updates then accumulate sequentially in ascending
-//!   row order. Initial centroids come from [`sample::mix64`] counters on
-//!   the build seed. Same `(embedding, params)` → same index, bit for bit,
-//!   at any `threads`.
+//! * **build** — each row's cell is the one a full scan of the centroids
+//!   with the fixed-reduction-order dot kernel picks, a pure function of
+//!   the row and the centroids (see "The assignment pass" below for how
+//!   that is had without the full scan), so the assignment pass can be
+//!   split across any number of threads; centroid updates then accumulate
+//!   sequentially in ascending row order. Initial centroids come from
+//!   [`sample::mix64`] counters on the build seed. Same
+//!   `(embedding, params)` → same index, bit for bit, at any `threads` and
+//!   on any machine.
 //! * **search** — candidate scores are exact dot products, and the final
 //!   selection's "(score desc, index asc)" order is strict over distinct
 //!   rows, so the result depends only on the candidate *set*. With
 //!   `nprobe == cells` the candidate set is every row and the search is
 //!   bit-identical to the exhaustive scan.
+//!
+//! # The assignment pass: filter, then verify
+//!
+//! Assigning a row means finding the cell `w` with the maximal
+//! `S_j = ops::dot_unchecked(row, centroid_j)`, lowest id among equals.
+//! Scanning every cell with that kernel would be nearly all of a build's
+//! time, so the pass has the shape [`IvfQuant`] has at query time — a cheap
+//! bounded pass, then an exact re-rank:
+//!
+//! 1. **filter** — a tile of rows is scored against f32 panels of the
+//!    centroids by `matrix::dot_tile_f32`, in whatever reduction order is
+//!    fastest. Each row is first scaled by the power of two `s` that puts
+//!    its largest `|coordinate|` in `[1, 2)`; call the f32 score of cell
+//!    `j` `A_j`.
+//! 2. **verify** — every cell with `A_j ≥ max A − 2·slack` is re-scored
+//!    with `ops::dot_unchecked` in ascending cell order under strict `>`.
+//!
+//! If `|A_j − s·S_j| ≤ slack` for every cell, then `w` survives the filter
+//! (`A_w ≥ s·S_w − slack ≥ s·S_j − slack ≥ A_j − 2·slack` for every `j`,
+//! the arg-max of `A` included), and among the survivors the verify step
+//! is the full scan's own comparison, so it returns `w` — ties to the
+//! lower id and all. The filter only chooses *which* cells are verified:
+//! its bits, and therefore its reduction order, the thread count and the
+//! machine's vector width, cannot reach the index.
+//!
+//! **The bound.** `slack = κ(dim)·‖s·row‖₂·max_j‖centroid_j‖₂` with
+//! `κ(dim) = (2·dim + 8)·2⁻²⁴`. Write `u = 2⁻²⁴`, `n = dim`, `x̂ = s·row`,
+//! `X = ‖x̂‖₂ ≥ 1`, `C = max_j‖c_j‖₂`, and assume the *window*
+//! `n ≤ 2¹⁶`, every centroid finite with `2⁻⁶⁰ ≤ max|c_ij| < 2⁶¹` (so
+//! `X·C ≥ 2⁻⁶⁰`), and `2⁻⁹⁰⁰ ≤ max|row_i| < 2⁹⁰¹`. Nothing overflows in
+//! the window: f32 products are below `2⁶³` and their partial sums below
+//! `2⁷⁹`; the f64 kernel's partial sums stay below `2⁹⁸⁰`.
+//!
+//! * *input rounding* — `x̃_i = x̂_i(1+δ) + η` with `|δ| ≤ u` and `|η| ≤ 2⁻¹⁴⁹`
+//!   (the f64 scaling and the f32 conversion can each land in a subnormal
+//!   range), likewise `c̃_i`; by Cauchy–Schwarz
+//!   `|Σx̃c̃ − Σx̂c| ≤ (2u + u²)·X·C + n·2⁻⁸⁷`.
+//! * *accumulation* — `n` products and at most `n` additions, each rounded
+//!   once, in any order or grouping:
+//!   `|A − Σx̃c̃| ≤ γₙ·Σ|x̃c̃| + n·2⁻¹⁴⁹` with `γₙ = nu/(1 − nu) ≤ 1.004·nu`
+//!   and `Σ|x̃c̃| ≤ (1+u)²·X·C + n·2⁻⁸⁷` (products can underflow, by at
+//!   most `2⁻¹⁴⁹` each; sums in the subnormal range are exact).
+//! * *the decider* — `dot_unchecked` rounds each term at most `n` times
+//!   in f64: `s·|S − row·c| ≤ 1.001·n·2⁻⁵³·X·C + n·2⁻¹⁷⁴`.
+//!
+//! The absolute (underflow) terms sum to under `n·2⁻⁸⁶ ≤ (nu/4)·X·C`, so
+//! `|A − s·S| ≤ (1.26·n + 2.01)·u·X·C`, which `κ(dim)·X·C` exceeds by a
+//! factor over 1.5 — room that also covers the handful of f64 roundings in
+//! evaluating the slack and the threshold themselves.
+//!
+//! **Outside the window** the bound is not claimed and the exact scan
+//! decides: per row for zero, subnormal or astronomically large rows, for
+//! the whole pass when the centroids are all zero (every `dim == 0`
+//! build), non-finite or out of range. Scaling each row is what makes the
+//! row window nearly everything; k-means centroids are unit vectors, so
+//! theirs needs no scaling.
 
 use crate::error::LinalgError;
-use crate::matrix::Matrix;
+use crate::matrix::{dot_tile_f32, Matrix, TILE_COLS, TILE_ROWS};
 use crate::ops;
 use crate::sample::mix64;
 use crate::topk::{top_k_indexed_into, top_k_with_scores_into, TopKScratch};
@@ -120,12 +178,31 @@ impl IvfIndex {
     /// See the module docs for the determinism contract.
     ///
     /// # Errors
-    /// `InvalidArgument` when `cells` is not in `[1, rows]`, `iters` or
-    /// `threads` is zero; `NonFinite` when the embedding contains a
+    /// `InvalidArgument` when `rows` exceeds `u32::MAX` (posting lists hold
+    /// `u32` row ids), `cells` is not in `[1, rows]`, `iters` or `threads`
+    /// is zero; `NonFinite` when the embedding contains a
     /// non-finite value (a corrupt matrix must fail at build, not skew
     /// centroids silently).
     pub fn build(embedding: &Matrix, params: &IvfBuildParams) -> Result<Self, LinalgError> {
+        Self::build_with(embedding, params, assign_rows)
+    }
+
+    /// [`IvfIndex::build`] over a given assignment pass (the signature of
+    /// [`assign_rows`]), so the tests can drive the same build with the
+    /// exact scan and demand an equal index.
+    fn build_with(
+        embedding: &Matrix,
+        params: &IvfBuildParams,
+        assign: impl Fn(&Matrix, &Matrix, &[usize], &mut [u32], usize) -> u64,
+    ) -> Result<Self, LinalgError> {
         let rows = embedding.rows();
+        // Posting lists store row ids as `u32`; refuse what they cannot
+        // hold before anything `rows`-sized is allocated.
+        if u32::try_from(rows).is_err() {
+            return Err(LinalgError::InvalidArgument {
+                what: "ivf rows must fit in u32",
+            });
+        }
         if params.cells == 0 || params.cells > rows {
             return Err(LinalgError::InvalidArgument {
                 what: "ivf cells must be in [1, rows]",
@@ -179,14 +256,14 @@ impl IvfIndex {
 
         // Lloyd iterations: threaded assignment (each row independent),
         // sequential centroid update in ascending row order.
-        let mut assign = vec![0u32; train.len()];
+        let mut cell_of = vec![0u32; train.len()];
         let mut sums = Matrix::zeros(cells, dim);
         for _ in 0..params.iters {
-            assign_rows(embedding, &centroids, &train, &mut assign, params.threads);
+            assign(embedding, &centroids, &train, &mut cell_of, params.threads);
             sums.fill(0.0);
             let mut counts = vec![0u64; cells];
             for (slot, &row_id) in train.iter().enumerate() {
-                let c = assign[slot] as usize;
+                let c = cell_of[slot] as usize;
                 ops::axpy_unchecked(1.0, embedding.row(row_id), sums.row_mut(c));
                 counts[c] += 1;
             }
@@ -204,7 +281,7 @@ impl IvfIndex {
         // rows are appended in index order.
         let all: Vec<usize> = (0..rows).collect();
         let mut final_assign = vec![0u32; rows];
-        assign_rows(
+        assign(
             embedding,
             &centroids,
             &all,
@@ -716,42 +793,189 @@ fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     s
 }
 
-/// Writes each row's nearest-centroid cell (maximal dot product, ties to
-/// the lower cell id) into `out`, split across `threads` contiguous
-/// chunks. Every row's answer is a pure function of `(row, centroids)`
-/// computed with the fixed-reduction-order dot kernel, so the partition
-/// cannot change any assignment — `threads` affects latency only.
+/// Writes each row's nearest-centroid cell (maximal [`ops::dot_unchecked`]
+/// score, ties to the lower cell id) into `out`, split across `threads`
+/// contiguous chunks, and returns how many `(row, cell)` pairs the exact
+/// kernel scored — the work the filter exists to avoid, read by the tests.
+///
+/// Every row's answer is the one a full scan of the cells with the
+/// fixed-order f64 kernel picks (module docs, "The assignment pass"), so
+/// it is a pure function of `(row, centroids)`: the partition cannot
+/// change any assignment and `threads` affects latency only.
+///
+/// Rows must be finite ([`IvfIndex::build`] checks the embedding).
 fn assign_rows(
     embedding: &Matrix,
     centroids: &Matrix,
     ids: &[usize],
     out: &mut [u32],
     threads: usize,
-) {
+) -> u64 {
     debug_assert_eq!(ids.len(), out.len());
+    let panels = CentroidPanels::new(centroids);
+    let panels = panels.as_ref();
     let threads = threads.min(ids.len()).max(1);
     if threads == 1 {
-        for (slot, &row_id) in ids.iter().enumerate() {
-            out[slot] = nearest_cell(embedding.row(row_id), centroids);
-        }
-        return;
+        return assign_chunk(embedding, centroids, panels, ids, out);
     }
     let chunk = ids.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for (ids_chunk, out_chunk) in ids.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, &row_id) in ids_chunk.iter().enumerate() {
-                    out_chunk[slot] = nearest_cell(embedding.row(row_id), centroids);
-                }
-            });
-        }
-    });
+        let workers: Vec<_> = ids
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk))
+            .map(|(ids_chunk, out_chunk)| {
+                scope
+                    .spawn(move || assign_chunk(embedding, centroids, panels, ids_chunk, out_chunk))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("assignment worker panicked"))
+            .sum()
+    })
 }
 
-fn nearest_cell(row: &[f64], centroids: &Matrix) -> u32 {
+// The window the filter's bound is proved in (module docs). Magnitudes are
+// biased f64 exponents of a largest `|coordinate|`; exponent 0 — zero and
+// subnormal — is outside both ranges.
+/// Largest dimension: `dim · 2⁻²⁴ ≤ 2⁻⁸`.
+const FILTER_MAX_DIM: usize = 1 << 16;
+/// Centroids: `2⁻⁶⁰ ≤ max|c_ij| < 2⁶¹`.
+const FILTER_CENTROID_EXPONENTS: std::ops::RangeInclusive<u64> = 1023 - 60..=1023 + 60;
+/// A row: `2⁻⁹⁰⁰ ≤ max|row_i| < 2⁹⁰¹`.
+const FILTER_ROW_EXPONENTS: std::ops::RangeInclusive<u64> = 1023 - 900..=1023 + 900;
+
+/// Biased f64 exponent of the largest `|value|` in a finite slice.
+fn max_exponent(v: &[f64]) -> u64 {
+    ops::linf_norm(v).to_bits() >> 52
+}
+
+/// f32 mirror of the centroids in the layout [`dot_tile_f32`] reads, built
+/// once per assignment pass and shared by its threads.
+struct CentroidPanels {
+    /// One `dim × TILE_COLS` panel per `TILE_COLS` cells, coordinates
+    /// interleaved `[d][j]`. Lanes past the last cell repeat the last
+    /// cell: a padded lane's score is a real cell's score, so it can
+    /// never raise a row's running maximum, and it is never a candidate.
+    data: Vec<f32>,
+    /// `κ(dim) · max‖centroid‖₂`: a row's slack per unit of its norm.
+    slack_per_norm: f64,
+}
+
+impl CentroidPanels {
+    /// `None` when the centroids are outside the window the bound is
+    /// proved for; the pass then scans exactly.
+    fn new(centroids: &Matrix) -> Option<Self> {
+        let (cells, dim) = (centroids.rows(), centroids.cols());
+        if dim > FILTER_MAX_DIM
+            || !centroids.all_finite()
+            || !FILTER_CENTROID_EXPONENTS.contains(&max_exponent(centroids.as_slice()))
+        {
+            return None;
+        }
+        let padded = cells.next_multiple_of(TILE_COLS);
+        let mut data = vec![0.0_f32; padded * dim];
+        let mut max_norm_sq = 0.0_f64;
+        for lane in 0..padded {
+            let centroid = centroids.row(lane.min(cells - 1));
+            max_norm_sq = max_norm_sq.max(ops::l2_norm_sq(centroid));
+            let at = (lane / TILE_COLS) * dim * TILE_COLS + lane % TILE_COLS;
+            for (d, &x) in centroid.iter().enumerate() {
+                data[at + d * TILE_COLS] = x as f32;
+            }
+        }
+        // κ(dim) = (2·dim + 8)·2⁻²⁴ of the module docs; f32::EPSILON is 2⁻²³.
+        let kappa = (dim + 4) as f64 * f64::from(f32::EPSILON);
+        Some(CentroidPanels {
+            data,
+            slack_per_norm: kappa * max_norm_sq.sqrt(),
+        })
+    }
+}
+
+/// Scales `row` by the power of two that puts its largest `|coordinate|`
+/// in `[1, 2)`, writes it as f32 into lane `r` of the interleaved `tile`
+/// and returns the ℓ2 norm of the scaled row — or `None`, writing nothing,
+/// when the row is outside [`FILTER_ROW_EXPONENTS`].
+fn load_scaled(row: &[f64], tile: &mut [f32], r: usize) -> Option<f64> {
+    let exponent = max_exponent(row);
+    if !FILTER_ROW_EXPONENTS.contains(&exponent) {
+        return None;
+    }
+    let scale = f64::from_bits((2046 - exponent) << 52);
+    let mut norm_sq = 0.0_f64;
+    for (slot, &x) in tile[r..].iter_mut().step_by(TILE_ROWS).zip(row) {
+        let scaled = x * scale;
+        norm_sq += scaled * scaled;
+        *slot = scaled as f32;
+    }
+    Some(norm_sq.sqrt())
+}
+
+/// One thread's share of [`assign_rows`]: filter a tile of rows against
+/// every centroid panel, then verify each row's surviving cells exactly.
+fn assign_chunk(
+    embedding: &Matrix,
+    centroids: &Matrix,
+    panels: Option<&CentroidPanels>,
+    ids: &[usize],
+    out: &mut [u32],
+) -> u64 {
+    let (cells, dim) = (centroids.rows(), centroids.cols());
+    let Some(panels) = panels else {
+        for (slot, &row_id) in out.iter_mut().zip(ids) {
+            *slot = nearest_cell(embedding.row(row_id), centroids, 0..cells);
+        }
+        return (ids.len() * cells) as u64;
+    };
+    let mut verified = 0u64;
+    let padded = cells.next_multiple_of(TILE_COLS);
+    let mut tile = vec![0.0_f32; dim * TILE_ROWS];
+    let mut approx = vec![0.0_f32; TILE_ROWS * padded];
+    let mut norms = [None; TILE_ROWS];
+    for (tile_ids, tile_out) in ids.chunks(TILE_ROWS).zip(out.chunks_mut(TILE_ROWS)) {
+        for (r, &row_id) in tile_ids.iter().enumerate() {
+            norms[r] = load_scaled(embedding.row(row_id), &mut tile, r);
+        }
+        let mut tops = [[f32::NEG_INFINITY; TILE_COLS]; TILE_ROWS];
+        for (b, panel) in panels.data.chunks_exact(dim * TILE_COLS).enumerate() {
+            let scores = dot_tile_f32(&tile, panel);
+            for (r, lane) in scores.iter().enumerate() {
+                approx[r * padded + b * TILE_COLS..][..TILE_COLS].copy_from_slice(lane);
+                for (t, &a) in tops[r].iter_mut().zip(lane) {
+                    *t = t.max(a);
+                }
+            }
+        }
+        for (r, (&row_id, slot)) in tile_ids.iter().zip(tile_out).enumerate() {
+            let row = embedding.row(row_id);
+            let Some(norm) = norms[r] else {
+                verified += cells as u64;
+                *slot = nearest_cell(row, centroids, 0..cells);
+                continue;
+            };
+            let approx = &approx[r * padded..][..cells];
+            let top = tops[r].iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let floor = f64::from(top) - 2.0 * (panels.slack_per_norm * norm);
+            let survivors = approx
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| f64::from(a) >= floor)
+                .map(|(c, _)| c)
+                .inspect(|_| verified += 1);
+            *slot = nearest_cell(row, centroids, survivors);
+        }
+    }
+    verified
+}
+
+/// The decider of the assignment pass: the cell among `candidates`
+/// (ascending) with the maximal fixed-order f64 score, strict `>` so ties
+/// keep the lower cell id. Over `0..cells` this is the exact scan.
+fn nearest_cell(row: &[f64], centroids: &Matrix, candidates: impl Iterator<Item = usize>) -> u32 {
     let mut best = 0u32;
     let mut best_score = f64::NEG_INFINITY;
-    for c in 0..centroids.rows() {
+    for c in candidates {
         let score = ops::dot_unchecked(row, centroids.row(c));
         if score > best_score {
             best_score = score;
@@ -759,6 +983,18 @@ fn nearest_cell(row: &[f64], centroids: &Matrix) -> u32 {
         }
     }
     best
+}
+
+/// The test oracle: [`assign_rows`] as the exact scan of every cell.
+#[cfg(test)]
+fn assign_rows_exact(
+    embedding: &Matrix,
+    centroids: &Matrix,
+    ids: &[usize],
+    out: &mut [u32],
+    _threads: usize,
+) -> u64 {
+    assign_chunk(embedding, centroids, None, ids, out)
 }
 
 #[cfg(test)]
@@ -837,6 +1073,202 @@ mod tests {
             ),
             Err(LinalgError::NonFinite { .. })
         ));
+    }
+
+    #[test]
+    fn build_refuses_more_rows_than_u32_row_ids_before_allocating() {
+        // Zero columns: the matrix itself holds nothing, so the only way
+        // this test can run out of memory is a `rows`-sized allocation in
+        // `build` ahead of the check.
+        let huge = Matrix::zeros(u32::MAX as usize + 2, 0);
+        assert!(matches!(
+            IvfIndex::build(&huge, &IvfBuildParams::default()),
+            Err(LinalgError::InvalidArgument {
+                what: "ivf rows must fit in u32"
+            })
+        ));
+    }
+
+    /// Runs the filter-and-verify pass and the exact scan over every row
+    /// at several thread counts, demands equal assignments, and returns
+    /// the exactly-scored cells per row.
+    fn assert_assignment_is_the_exact_scan(embedding: &Matrix, centroids: &Matrix) -> f64 {
+        let ids: Vec<usize> = (0..embedding.rows()).collect();
+        let mut want = vec![0u32; ids.len()];
+        assign_rows_exact(embedding, centroids, &ids, &mut want, 1);
+        let mut verified = 0;
+        for threads in [1, 2, 3, 7] {
+            let mut got = vec![u32::MAX; ids.len()];
+            verified = assign_rows(embedding, centroids, &ids, &mut got, threads);
+            assert_eq!(got, want, "threads={threads}");
+        }
+        verified as f64 / ids.len() as f64
+    }
+
+    #[test]
+    fn exact_ties_between_duplicate_centroids_keep_the_lower_cell() {
+        // Cells 1, 4 and 9 are the same vector, and so are many rows: the
+        // filter scores them identically, so only the verify order can
+        // break the tie. Eleven cells and 37 rows also leave a ragged last
+        // panel and a ragged last tile.
+        let mut centroids = random_embedding(11, 5, 21);
+        let dup = centroids.row(1).to_vec();
+        centroids.row_mut(4).copy_from_slice(&dup);
+        centroids.row_mut(9).copy_from_slice(&dup);
+        let mut emb = random_embedding(37, 5, 22);
+        for r in (0..37).step_by(3) {
+            emb.row_mut(r).copy_from_slice(&dup);
+        }
+        assert_assignment_is_the_exact_scan(&emb, &centroids);
+        let mut out = vec![0u32; 37];
+        assign_rows(&emb, &centroids, &(0..37).collect::<Vec<_>>(), &mut out, 1);
+        assert!(out.iter().step_by(3).all(|&c| c == 1), "{out:?}");
+    }
+
+    #[test]
+    fn centroids_one_ulp_apart_are_decided_by_the_exact_kernel() {
+        // f32 cannot tell these cells apart; whichever the f64 kernel
+        // prefers (or ties to the lower id) must come out.
+        let base = random_embedding(1, 16, 23);
+        let mut centroids = Matrix::zeros(9, 16);
+        for c in 0..9 {
+            centroids.row_mut(c).copy_from_slice(base.row(0));
+            let x = centroids.get(c, c);
+            // Nudge one coordinate by −4..=4 ulps, in no particular order.
+            let ulps = (c as i64 * 5) % 9 - 4;
+            centroids.set(c, c, f64::from_bits((x.to_bits() as i64 + ulps) as u64));
+        }
+        let emb = random_embedding(50, 16, 24);
+        let per_row = assert_assignment_is_the_exact_scan(&emb, &centroids);
+        assert_eq!(per_row, 9.0, "every near-tie goes to the exact kernel");
+    }
+
+    #[test]
+    fn near_ties_around_f32_resolution_are_decided_by_the_exact_kernel() {
+        // Four directions, six cells each, the six differing by relative
+        // 1e-9 … 1e-7 per coordinate: clear in f64, at or under what f32
+        // resolves, so the filter's own ranking within a group is noise
+        // and a slack that is too tight picks a wrong cell.
+        let bases = random_embedding(4, 24, 29);
+        let mut rng = StdRng::seed_from_u64(30);
+        let centroids = Matrix::from_fn(24, 24, |c, d| {
+            let wobble = 10f64.powi(-9 + (c % 6 / 2) as i32) * (rng.random::<f64>() - 0.5);
+            bases.get(c / 6, d) * (1.0 + wobble)
+        });
+        let emb = random_embedding(400, 24, 31);
+        let per_row = assert_assignment_is_the_exact_scan(&emb, &centroids);
+        assert!(per_row >= 2.0, "{per_row}: the near-ties must reach verify");
+    }
+
+    #[test]
+    fn rows_of_any_magnitude_are_assigned_like_the_exact_scan() {
+        let centroids = random_embedding(19, 12, 25);
+        let mut emb = random_embedding(242, 12, 26);
+        for r in 0..emb.rows() {
+            // 2^k for k = −600, −595, …, 600: through the window, past
+            // both of its ends, and across f32's whole exponent range.
+            ops::scale(2f64.powi(r as i32 * 5 - 600), emb.row_mut(r));
+        }
+        // Zero rows of both signs, a subnormal row, the largest finite row.
+        emb.row_mut(0).fill(0.0);
+        emb.row_mut(1).fill(-0.0);
+        emb.row_mut(2).fill(f64::MIN_POSITIVE / 8.0);
+        emb.row_mut(3).fill(f64::MAX);
+        assert_assignment_is_the_exact_scan(&emb, &centroids);
+
+        // The same rows through a whole build: centroids now overflow or
+        // vanish, so passes fall outside the centroid window too.
+        for cells in [1, 19] {
+            let params = IvfBuildParams {
+                cells,
+                iters: 3,
+                threads: 2,
+                ..Default::default()
+            };
+            assert_eq!(
+                IvfIndex::build(&emb, &params).unwrap(),
+                IvfIndex::build_with(&emb, &params, assign_rows_exact).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_magnitude_rows_whose_small_elements_underflow_f32_stay_exact() {
+        // Each coordinate is O(1) times one of these scales: after the
+        // per-row scaling the small ones are f32-subnormal or flush to
+        // zero, so the filter sees a different vector than the decider.
+        let scales = [1.0, 1e-20, 1e-42, 1e-46, 1e-60, 1e-300];
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut mixed = |rows: usize, dim: usize| {
+            Matrix::from_fn(rows, dim, |_, _| {
+                (rng.random::<f64>() * 2.0 - 1.0) * scales[rng.random_range(0..scales.len())]
+            })
+        };
+        let emb = mixed(200, 7);
+        assert_assignment_is_the_exact_scan(&emb, &mixed(13, 7));
+        // Centroids that only the flushed coordinates tell apart.
+        let mut centroids = Matrix::zeros(3, 7);
+        centroids.set(0, 0, 1.0);
+        centroids.set(1, 0, 1.0);
+        centroids.set(1, 6, 1.0);
+        centroids.set(2, 0, 1.0);
+        centroids.set(2, 6, -1.0);
+        let mut tails = Matrix::zeros(4, 7);
+        for (r, tail) in [1e-60, -1e-60, 1e-10, 0.0].into_iter().enumerate() {
+            tails.set(r, 0, 1.0);
+            tails.set(r, 6, tail);
+        }
+        assert_assignment_is_the_exact_scan(&tails, &centroids);
+    }
+
+    #[test]
+    fn zero_dimensional_rows_all_land_in_cell_zero() {
+        let emb = Matrix::zeros(9, 0);
+        let params = IvfBuildParams {
+            cells: 3,
+            threads: 2,
+            ..Default::default()
+        };
+        let idx = IvfIndex::build(&emb, &params).unwrap();
+        assert_eq!(
+            idx,
+            IvfIndex::build_with(&emb, &params, assign_rows_exact).unwrap()
+        );
+        assert_eq!(idx.list(0).len(), 9);
+    }
+
+    #[test]
+    fn the_filter_leaves_about_one_cell_per_row_to_verify() {
+        // The guard that the filter stays a filter: on a clustered
+        // embedding nearly every row has one clear winner, so a mean over
+        // 1.05 exactly-scored cells per row means the slack was loosened
+        // or rows are falling back to the full scan (which counts `cells`
+        // per row).
+        let mut rng = StdRng::seed_from_u64(28);
+        let centres = Matrix::from_fn(100, 32, |_, _| rng.random::<f64>() * 2.0 - 1.0);
+        let mut emb = Matrix::from_fn(20_000, 32, |r, c| {
+            centres.get(r % 100, c) + 0.25 * (rng.random::<f64>() * 2.0 - 1.0)
+        });
+        emb.normalize_rows();
+        let idx = IvfIndex::build(
+            &emb,
+            &IvfBuildParams {
+                cells: 128,
+                iters: 2,
+                sample: 4_000,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let ids: Vec<usize> = (0..emb.rows()).collect();
+        let mut cell_of = vec![0u32; ids.len()];
+        let verified = assign_rows(&emb, &idx.centroids, &ids, &mut cell_of, 2);
+        for (row_id, &c) in cell_of.iter().enumerate() {
+            assert!(idx.list(c as usize).binary_search(&(row_id as u32)).is_ok());
+        }
+        let per_row = verified as f64 / ids.len() as f64;
+        assert!((1.0..=1.05).contains(&per_row), "{per_row} cells per row");
     }
 
     #[test]
@@ -1301,6 +1733,32 @@ mod determinism_props {
             // And rebuilding with the same seed reproduces the index.
             let again = IvfIndex::build(&emb, &base).unwrap();
             prop_assert_eq!(&again, &sequential);
+        }
+
+        #[test]
+        fn build_equals_the_exact_scan_build(
+            values in vec(-1.0f64..1.0, 8..64),
+            rows in 1usize..300,
+            dim in 1usize..40,
+            cells in 1usize..300,
+            sampled in 0usize..2,
+            seed in 0u64..1000,
+            threads in 0usize..4,
+        ) {
+            // `values` cycles, so shapes whose row length divides its
+            // length are full of duplicate rows — exact ties included.
+            let cells = cells.min(rows);
+            let emb = embedding_from(&values, rows, dim);
+            let params = IvfBuildParams {
+                cells,
+                iters: 3,
+                sample: sampled * rows.div_ceil(3),
+                seed,
+                threads: [1, 2, 3, 7][threads],
+            };
+            let filtered = IvfIndex::build(&emb, &params).unwrap();
+            let exact = IvfIndex::build_with(&emb, &params, assign_rows_exact).unwrap();
+            prop_assert_eq!(&filtered, &exact);
         }
 
         #[test]

@@ -430,6 +430,42 @@ pub fn matmul_block_into(
     Ok(())
 }
 
+/// Left-hand vectors per call of [`dot_tile_f32`].
+pub(crate) const TILE_ROWS: usize = 4;
+/// Right-hand vectors per call of [`dot_tile_f32`].
+pub(crate) const TILE_COLS: usize = 8;
+
+/// The free-order f32 counterpart of [`matmul_block_into`]: all
+/// `TILE_ROWS × TILE_COLS` dot products of one register tile.
+///
+/// Both operands are interleaved by coordinate — `rows[d * TILE_ROWS + r]`
+/// and `panel[d * TILE_COLS + j]` are coordinate `d` of left vector `r` and
+/// right vector `j` — so the accumulators run *across* right-hand vectors:
+/// eight 4-wide f32 registers, one broadcast load per left vector shared by
+/// all eight columns, no horizontal reduction. Nothing is promised about
+/// the reduction order or the bits of the result; the only caller
+/// (`ivf`'s assignment filter) uses the scores to choose what the
+/// fixed-order f64 kernel re-scores, never as scores.
+#[inline]
+pub(crate) fn dot_tile_f32(rows: &[f32], panel: &[f32]) -> [[f32; TILE_COLS]; TILE_ROWS] {
+    let mut acc = [[0.0_f32; TILE_COLS]; TILE_ROWS];
+    for (x, p) in rows
+        .chunks_exact(TILE_ROWS)
+        .zip(panel.chunks_exact(TILE_COLS))
+    {
+        // Fixed-size views: the two inner loops unroll completely and the
+        // eight columns of each row become two vector multiply-adds.
+        let x: &[f32; TILE_ROWS] = x.try_into().expect("chunks_exact(TILE_ROWS)");
+        let p: &[f32; TILE_COLS] = p.try_into().expect("chunks_exact(TILE_COLS)");
+        for r in 0..TILE_ROWS {
+            for j in 0..TILE_COLS {
+                acc[r][j] += x[r] * p[j];
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,6 +549,28 @@ mod tests {
                         "row {r} col {j} must be bit-identical to matvec"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_tile_f32_scores_every_pair_of_the_interleaved_tile() {
+        let dim = 37;
+        let left = Matrix::from_fn(TILE_ROWS, dim, |r, d| ((r * 7 + d * 3) % 11) as f64 - 5.0);
+        let right = Matrix::from_fn(TILE_COLS, dim, |j, d| ((j * 5 + d) % 13) as f64 * 0.5 - 3.0);
+        let interleave = |m: &Matrix| -> Vec<f32> {
+            (0..dim * m.rows())
+                .map(|i| m.get(i % m.rows(), i / m.rows()) as f32)
+                .collect()
+        };
+        let scores = dot_tile_f32(&interleave(&left), &interleave(&right));
+        for (r, lane) in scores.iter().enumerate() {
+            for (j, &got) in lane.iter().enumerate() {
+                // Small half-integers: every product and sum is exact in f32.
+                assert_eq!(
+                    f64::from(got),
+                    ops::dot_unchecked(left.row(r), right.row(j))
+                );
             }
         }
     }

@@ -53,21 +53,20 @@ impl Recommender {
         }
     }
 
-    /// Builds a recommender from a raw embedding matrix (rows are
-    /// normalised).
+    /// Builds a recommender from a raw embedding matrix, normalising its
+    /// rows in place (a mapped matrix is promoted to an owned copy first).
     ///
     /// # Errors
     /// Rejects non-finite embeddings with [`ModelError::NonFinite`]. A NaN
     /// row would otherwise vanish silently from every result (top-k skips
     /// NaN scores), so a corrupt matrix must fail here, at load, not
     /// quietly at serve.
-    pub fn from_embedding(embedding: Matrix) -> Result<Self, ModelError> {
+    pub fn from_embedding(mut embedding: Matrix) -> Result<Self, ModelError> {
         if !embedding.all_finite() {
             return Err(ModelError::NonFinite { at: "embedding" });
         }
-        Ok(Recommender {
-            embedding: embedding.normalized_rows(),
-        })
+        embedding.normalize_rows();
+        Ok(Recommender { embedding })
     }
 
     /// Wraps an embedding whose rows are **already** unit-normalised —
@@ -448,6 +447,30 @@ mod tests {
         let mut inf = Matrix::zeros(3, 2);
         inf.set(2, 1, f64::INFINITY);
         assert!(Recommender::from_embedding(inf).is_err());
+    }
+
+    #[test]
+    fn from_embedding_normalises_owned_and_mapped_inputs_identically() {
+        // Unnormalised rows, a zero row included, read back through a
+        // mapped bundle: the copy-on-write promotion must give the same
+        // bits as normalising an owned matrix, and an owned result.
+        let raw = Matrix::from_fn(7, 3, |r, c| (r as f64 - 3.0) * (c as f64 + 0.5));
+        let want = raw.normalized_rows();
+        let path =
+            std::env::temp_dir().join(format!("plp_rec_from_mapped_{}.plps", std::process::id()));
+        crate::plps::write_deployable(&path, &raw, 1).unwrap();
+        let mapped = crate::plps::PlpsSnapshot::open_mapped(&path)
+            .unwrap()
+            .embedding()
+            .unwrap();
+        assert!(mapped.is_mapped());
+        for input in [raw, mapped] {
+            let rec = Recommender::from_embedding(input).unwrap();
+            assert!(!rec.embedding().is_mapped());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(rec.embedding()), bits(&want));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

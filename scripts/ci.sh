@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container grep gate, build,
-# the full test suite, the chaos drills, a re-stitch of the fed_chaos
+# the full test suite (and the vectorised kernels' identity tests again in
+# release mode), the chaos drills, a re-stitch of the fed_chaos
 # trace dumps through the CLI and a correctness smoke of the benchmark
 # harness. This is the only CI definition — .github/workflows/ci.yml just
 # calls it. It needs cargo, git and coreutils — no Python, no network (all
@@ -35,6 +36,13 @@ cargo test -q
 
 echo "== cargo test --workspace =="
 cargo test --workspace -q
+
+echo "== release-mode kernels against their references =="
+# The suites above run unoptimised; the IVF assignment filter and the
+# table-driven CRC ship auto-vectorised and unrolled, so their identity
+# tests also run against the code the optimiser actually produces.
+cargo test --release -q -p plp-linalg ivf
+cargo test --release -q -p plp-data crc32
 
 echo "== chaos drill (crash-safety smoke) =="
 cargo run --release -p plp-bench --bin chaos
