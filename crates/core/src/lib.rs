@@ -63,5 +63,5 @@ pub use error::CoreError;
 pub use plp::{
     resume_plp, resume_plp_with_executor, train_plp, train_plp_resumable, train_plp_with_executor,
     BucketExecutor, BucketRunner, BucketUpdate, CheckpointPolicy, LocalExecutor, PlpOutcome,
-    TrainOptions,
+    StepScratch, TrainOptions, UpdateSink,
 };

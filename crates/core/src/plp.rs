@@ -15,7 +15,8 @@
 //!   the step and returns θ_{t−1}; peeking returns the same parameters
 //!   without paying for a discarded step).
 //! * Bucket updates may run on several worker threads; every bucket derives
-//!   its own RNG from the step seed, so the result is bit-identical to the
+//!   its own RNG from the step seed and the deltas are summed in bucket
+//!   order as they finish, so the result is bit-identical to the
 //!   sequential execution.
 //!
 //! # Crash safety and degraded modes
@@ -38,6 +39,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -49,8 +51,7 @@ use plp_data::sampling::sample_users;
 use plp_data::DataError;
 use plp_linalg::sample::mix64;
 use plp_model::clip::clip_per_layer;
-use plp_model::grad::SparseGrad;
-use plp_model::journal::{CowParams, RowJournal};
+use plp_model::journal::{CowParams, RowDelta, RowJournal};
 use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::negative::NegativeSampler;
 use plp_model::optimizer::{ServerAdam, ServerSgd};
@@ -182,14 +183,14 @@ fn step_rng(run_seed: u64, step: u64) -> StdRng {
 /// Public so alternative [`BucketExecutor`]s (the federated coordinator)
 /// can reconstruct updates computed in another process; the fields are
 /// exactly what crosses the wire.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BucketUpdate {
     /// The bucket's position in the step's bucket list. Updates are
     /// aggregated in ascending index order, which is what makes the
     /// floating-point sum independent of who computed each bucket.
     pub index: usize,
     /// The clipped local-SGD delta Φ − θ.
-    pub grad: SparseGrad,
+    pub grad: RowDelta,
     /// Mean local training loss over the bucket's pairs (telemetry only).
     pub mean_loss: f64,
     /// Whether per-layer clipping actually rescaled the delta.
@@ -198,13 +199,24 @@ pub struct BucketUpdate {
 
 /// Per-worker reusable buffers for the bucket hot path: the copy-on-write
 /// row journal that replaces the per-bucket `θ.clone()` and the local-SGD
-/// training scratch. One instance lives per worker thread for a whole
-/// step, so steady-state bucket processing performs no heap allocation
-/// beyond first-touch growth.
+/// training scratch. The journal's arenas leave with each delta and come
+/// back once the delta has been summed, so a warm worker allocates only
+/// what the per-batch gradient map does.
 #[derive(Default)]
 struct BucketScratch {
     journal: RowJournal,
     train: TrainScratch,
+}
+
+/// What the in-process executor keeps between the steps of one run: one
+/// [`BucketScratch`] per worker and the buffers of the deltas already
+/// summed. The training loop owns one per run and lends it to every
+/// [`BucketExecutor::execute_step_into`] call; buffers carry capacity,
+/// never values, so what a step computes does not depend on it.
+#[derive(Default)]
+pub struct StepScratch {
+    workers: Vec<BucketScratch>,
+    spent: Vec<RowDelta>,
 }
 
 /// Per-step context shared by every bucket worker: the step identity and
@@ -224,11 +236,11 @@ struct BucketCtx<'a> {
 /// delta extraction and per-layer clipping.
 ///
 /// Φ is never materialised as a dense clone of θ: local SGD runs on a
-/// [`CowParams`] overlay whose [`RowJournal`] snapshots only the rows the
-/// bucket touches, and the sparse delta Φ − θ is drained straight from the
-/// journal — bit-identical to the dense clone-and-subtract it replaced
-/// (see the journal's determinism tests), at O(touched rows) instead of
-/// O(L·dim) per bucket.
+/// [`CowParams`] overlay whose [`RowJournal`] copies only the rows the
+/// bucket touches, and the sparse delta Φ − θ is the journal's own arena
+/// with θ subtracted in place — bit-identical to the dense
+/// clone-and-subtract it replaced (see the journal's determinism tests),
+/// at O(touched rows) instead of O(L·dim) per bucket.
 fn model_update_from_bucket(
     theta: &ModelParams,
     bucket: &Bucket,
@@ -244,6 +256,12 @@ fn model_update_from_bucket(
     // A previous bucket on this worker may have panicked mid-update and
     // left stale Φ rows in the overlay; the next bucket must start clean.
     journal.reset();
+    // Every token is the target of at most 2·window pairs, and a pair
+    // touches its target's embedding row and at most neg + 1 context rows.
+    let vocab = theta.vocab_size();
+    let tokens = bucket.tokens.len();
+    let touches = tokens * 2 * hp.context_window * (hp.negative_samples + 1);
+    journal.reserve(vocab.min(tokens), vocab.min(touches), theta.dim());
     let sgd = phases.start(phase::BUCKET_SGD, ctx.trace, index as u64);
     let stats = {
         let mut phi = CowParams::new(theta, journal);
@@ -304,11 +322,159 @@ fn guarded_bucket_update(
     }
 }
 
-/// Computes all bucket updates, optionally on worker threads, dropping
-/// poisoned buckets (second return value counts the drops). Results are
-/// sorted by bucket index so the floating-point accumulation order (and
-/// hence the output) is identical for any thread count.
-fn compute_bucket_updates(
+/// What [`BucketExecutor::execute_step_into`] feeds: one surviving update
+/// at a time, in ascending bucket index. The sink may keep the update by
+/// taking it (`std::mem::take`); whatever it leaves behind is the
+/// executor's to reuse as the buffers of a later bucket.
+pub type UpdateSink<'a> = dyn FnMut(&mut BucketUpdate) -> Result<(), CoreError> + 'a;
+
+/// A finished bucket as a worker posts it: dropped (`Ok(None)`), an update
+/// or the systematic error that aborts the step.
+type BucketResult = Result<Option<BucketUpdate>, CoreError>;
+
+/// The hand-off between the bucket workers and the reducing thread of one
+/// step. Workers claim bucket indices in order and post results; the
+/// reducer consumes them strictly in index order. A claim is refused while
+/// `window` buckets are claimed but not yet reduced, which bounds how many
+/// deltas a step holds at once no matter how slow the reducer is.
+struct RunAhead {
+    /// How many buckets may be claimed and not yet reduced.
+    window: usize,
+    state: Mutex<RunAheadState>,
+    /// Workers wait here for the window to open (or the step to stop).
+    room: Condvar,
+    /// The reducer waits here for the next bucket in order.
+    arrived: Condvar,
+}
+
+struct RunAheadState {
+    /// The next unclaimed bucket.
+    claimed: usize,
+    /// How many buckets the reducer is done with — the index it needs next.
+    reduced: usize,
+    /// Posted results; bucket `i` sits in slot `i % window`. Claims never
+    /// run `window` ahead of `reduced`, so live buckets never share a slot.
+    ready: Vec<Option<BucketResult>>,
+    /// Buffers of deltas already summed, for the next claimed buckets.
+    spent: Vec<RowDelta>,
+    /// Set when the reducer leaves, normally or not: claim nothing more.
+    stop: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The most buckets the steps reduced on this thread ever had claimed
+    /// but not reduced.
+    static RUN_AHEAD_HIGH_WATER: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Nothing that can panic runs under the run-ahead lock: bucket work sits
+/// behind its own barrier and the sink runs with the lock released.
+const NEVER_POISONED: &str = "no thread panics holding the run-ahead lock";
+
+impl RunAhead {
+    fn new(window: usize, spent: Vec<RowDelta>) -> Self {
+        RunAhead {
+            window,
+            state: Mutex::new(RunAheadState {
+                claimed: 0,
+                reduced: 0,
+                ready: (0..window).map(|_| None).collect(),
+                spent,
+                stop: false,
+            }),
+            room: Condvar::new(),
+            arrived: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RunAheadState> {
+        self.state.lock().expect(NEVER_POISONED)
+    }
+
+    /// Worker side: the next bucket of `total` to compute and, if one is
+    /// back, the buffers of a spent delta. `None` once every bucket is
+    /// claimed or the step stopped.
+    fn claim(&self, total: usize) -> Option<(usize, Option<RowDelta>)> {
+        let over = |st: &RunAheadState| st.stop || st.claimed == total;
+        let mut st = self
+            .room
+            .wait_while(self.lock(), |st| {
+                !over(st) && st.claimed >= st.reduced + self.window
+            })
+            .expect(NEVER_POISONED);
+        if over(&st) {
+            return None;
+        }
+        st.claimed += 1;
+        Some((st.claimed - 1, st.spent.pop()))
+    }
+
+    /// Worker side: bucket `index` is finished.
+    fn post(&self, index: usize, result: BucketResult) {
+        self.lock().ready[index % self.window] = Some(result);
+        self.arrived.notify_one();
+    }
+
+    /// Reducer side: blocks until bucket `index` has been posted.
+    fn take(&self, index: usize) -> BucketResult {
+        let slot = index % self.window;
+        let mut st = self
+            .arrived
+            .wait_while(self.lock(), |st| st.ready[slot].is_none())
+            .expect(NEVER_POISONED);
+        st.ready[slot].take().expect("waited for it")
+    }
+
+    /// Reducer side: the bucket just taken is summed (or was dropped);
+    /// opens the window by one and hands back its buffers, if any.
+    fn reduced(&self, spent: Option<RowDelta>) {
+        let mut st = self.lock();
+        #[cfg(test)]
+        RUN_AHEAD_HIGH_WATER.with(|h| h.set(h.get().max(st.claimed - st.reduced)));
+        st.reduced += 1;
+        st.spent.extend(spent);
+        self.room.notify_all();
+    }
+
+    /// The spent buffers, once every worker is gone.
+    fn into_spent(self) -> Vec<RowDelta> {
+        let st = (self.state.into_inner()).unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.spent
+    }
+}
+
+/// Releases every waiting worker when the reducer leaves — by finishing,
+/// by returning an error or by unwinding out of the sink — so the scope's
+/// join can never wait on a worker that waits on the reducer.
+struct StopOnDrop<'a>(&'a RunAhead);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        // A flag set is valid whatever a poisoning panic left behind.
+        let mut st = (self.0.state.lock()).unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.stop = true;
+        self.0.room.notify_all();
+    }
+}
+
+/// Lines 7–9 as an ordered streaming reduction: computes every bucket's
+/// update, on `hp.threads` workers if more than one, and feeds the
+/// survivors to `sink` in ascending bucket index as they finish. Returns
+/// the number of dropped (poisoned) buckets.
+///
+/// With several workers the calling thread is the reducer. Workers take
+/// the next unclaimed bucket whenever they are free, so which worker
+/// computes which bucket varies from run to run; what `sink` sees does not,
+/// because each update is a pure function of `(θ, bucket, step_seed,
+/// index)` and updates are consumed strictly in index order. At most
+/// `threads + 1` buckets are claimed and not yet reduced: one in every
+/// worker's hands plus one finished and waiting, enough that no worker
+/// idles behind a reducer that keeps up, and a bound on the deltas alive
+/// behind one that does not. It is a function of the thread count alone —
+/// nothing a wider window buys shows up once the reducer keeps up.
+#[allow(clippy::too_many_arguments)]
+fn stream_bucket_updates(
     theta: &ModelParams,
     buckets: &[Bucket],
     hp: &Hyperparameters,
@@ -316,7 +482,9 @@ fn compute_bucket_updates(
     step: u64,
     faults: &FaultInjector,
     obs: &Observer,
-) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
+    scratch: &mut StepScratch,
+    sink: &mut UpdateSink<'_>,
+) -> Result<usize, CoreError> {
     let ctx = BucketCtx {
         step,
         step_seed,
@@ -328,52 +496,56 @@ fn compute_bucket_updates(
         trace: obs.trace_scope(),
     };
     let threads = hp.effective_threads().min(buckets.len().max(1));
-    let results: Vec<Option<BucketUpdate>> = if threads <= 1 {
-        let mut scratch = BucketScratch::default();
-        buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| guarded_bucket_update(theta, b, hp, i, &ctx, &mut scratch))
-            .collect::<Result<_, _>>()?
-    } else {
-        let collected = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let theta_ref = &*theta;
-                let hp_ref = &*hp;
-                let ctx_ref = &ctx;
-                handles.push(scope.spawn(move |_| {
-                    // One scratch per worker: buckets on the same worker
-                    // reuse its journal and training buffers.
-                    let mut scratch = BucketScratch::default();
-                    let mut local = Vec::new();
-                    for (i, b) in buckets.iter().enumerate() {
-                        if i % threads == w {
-                            local.push(guarded_bucket_update(
-                                theta_ref,
-                                b,
-                                hp_ref,
-                                i,
-                                ctx_ref,
-                                &mut scratch,
-                            ));
-                        }
-                    }
-                    local
-                }));
+    if scratch.workers.len() < threads {
+        scratch.workers.resize_with(threads, BucketScratch::default);
+    }
+    let mut skipped = 0usize;
+    if threads <= 1 {
+        let worker = &mut scratch.workers[0];
+        for (i, b) in buckets.iter().enumerate() {
+            match guarded_bucket_update(theta, b, hp, i, &ctx, worker)? {
+                Some(mut update) => {
+                    sink(&mut update)?;
+                    worker.journal.recycle(update.grad);
+                }
+                None => skipped += 1,
             }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("bucket worker escaped its panic barrier"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
-        collected.into_iter().collect::<Result<Vec<_>, _>>()?
-    };
-    let skipped = results.iter().filter(|r| r.is_none()).count();
-    let mut updates: Vec<BucketUpdate> = results.into_iter().flatten().collect();
-    updates.sort_by_key(|u| u.index);
-    Ok((updates, skipped))
+        }
+        return Ok(skipped);
+    }
+
+    let run_ahead = RunAhead::new(threads + 1, std::mem::take(&mut scratch.spent));
+    let result = std::thread::scope(|scope| {
+        for worker in scratch.workers.iter_mut().take(threads) {
+            let (run_ahead, ctx) = (&run_ahead, &ctx);
+            scope.spawn(move || {
+                while let Some((i, spent)) = run_ahead.claim(buckets.len()) {
+                    if let Some(spent) = spent {
+                        worker.journal.recycle(spent);
+                    }
+                    let result = guarded_bucket_update(theta, &buckets[i], hp, i, ctx, worker);
+                    run_ahead.post(i, result);
+                }
+            });
+        }
+        let _release_workers = StopOnDrop(&run_ahead);
+        for i in 0..buckets.len() {
+            let spent = match run_ahead.take(i)? {
+                Some(mut update) => {
+                    sink(&mut update)?;
+                    Some(update.grad)
+                }
+                None => {
+                    skipped += 1;
+                    None
+                }
+            };
+            run_ahead.reduced(spent);
+        }
+        Ok(skipped)
+    });
+    scratch.spent = run_ahead.into_spent();
+    result
 }
 
 /// Computes single bucket updates outside the training loop — the worker
@@ -436,16 +608,16 @@ impl BucketRunner {
 /// [`run_loop`]-based trainers own everything *around* the buckets —
 /// sampling, grouping, noise, the server update, accounting and
 /// checkpointing — and delegate only lines 7–8 of Algorithm 1 through this
-/// trait. An executor must return, for the given `(θ, buckets, step_seed,
-/// step)`, updates sorted by ascending bucket index plus the number of
-/// dropped buckets; because each bucket's result is a pure function of
+/// trait. An executor must produce, for the given `(θ, buckets, step_seed,
+/// step)`, the surviving updates in ascending bucket index plus the number
+/// of dropped buckets; because each bucket's result is a pure function of
 /// `(θ, bucket, step_seed, index)`, any executor that computes the same
 /// buckets — in process, on threads, or across worker processes — yields a
 /// bit-identical training trajectory. Dropping extra buckets (e.g. a
 /// worker that died past its retry budget) is DP-safe but changes the
 /// trained bits, exactly like an in-process poisoned bucket.
 pub trait BucketExecutor {
-    /// Computes the surviving bucket updates for one step.
+    /// Computes the surviving bucket updates for one step, all at once.
     ///
     /// # Errors
     /// Systematic failures (config, shape, I/O in distributed
@@ -461,6 +633,38 @@ pub trait BucketExecutor {
         faults: &FaultInjector,
         obs: &Observer,
     ) -> Result<(Vec<BucketUpdate>, usize), CoreError>;
+
+    /// The form the training loop calls: hands each surviving update to
+    /// `sink` in ascending bucket index and returns the number of dropped
+    /// buckets. The default collects [`BucketExecutor::execute_step`] and
+    /// feeds it through; an executor that can produce updates one at a
+    /// time overrides it so a step never holds all of them. `scratch` is
+    /// the loop's, the same one at every step of a run, for an executor
+    /// that computes in this process to keep its buffers in.
+    ///
+    /// # Errors
+    /// As [`BucketExecutor::execute_step`], plus the first error `sink`
+    /// returns; updates past it are not delivered.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_step_into(
+        &mut self,
+        theta: &ModelParams,
+        buckets: &[Bucket],
+        hp: &Hyperparameters,
+        step_seed: u64,
+        step: u64,
+        faults: &FaultInjector,
+        obs: &Observer,
+        _scratch: &mut StepScratch,
+        sink: &mut UpdateSink<'_>,
+    ) -> Result<usize, CoreError> {
+        let (updates, skipped) =
+            self.execute_step(theta, buckets, hp, step_seed, step, faults, obs)?;
+        for mut update in updates {
+            sink(&mut update)?;
+        }
+        Ok(skipped)
+    }
 }
 
 /// The in-process executor: buckets run on `hp.threads` worker threads in
@@ -480,7 +684,39 @@ impl BucketExecutor for LocalExecutor {
         faults: &FaultInjector,
         obs: &Observer,
     ) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
-        compute_bucket_updates(theta, buckets, hp, step_seed, step, faults, obs)
+        let mut updates = Vec::with_capacity(buckets.len());
+        let skipped = stream_bucket_updates(
+            theta,
+            buckets,
+            hp,
+            step_seed,
+            step,
+            faults,
+            obs,
+            &mut StepScratch::default(),
+            &mut |update| {
+                updates.push(std::mem::take(update));
+                Ok(())
+            },
+        )?;
+        Ok((updates, skipped))
+    }
+
+    fn execute_step_into(
+        &mut self,
+        theta: &ModelParams,
+        buckets: &[Bucket],
+        hp: &Hyperparameters,
+        step_seed: u64,
+        step: u64,
+        faults: &FaultInjector,
+        obs: &Observer,
+        scratch: &mut StepScratch,
+        sink: &mut UpdateSink<'_>,
+    ) -> Result<usize, CoreError> {
+        stream_bucket_updates(
+            theta, buckets, hp, step_seed, step, faults, obs, scratch, sink,
+        )
     }
 }
 
@@ -805,6 +1041,10 @@ fn run_loop(
     let mut telemetry = Vec::new();
     let run_start = std::time::Instant::now();
     let mut stop_reason = StopReason::MaxSteps;
+    // The Gaussian sum's accumulator (θ-shaped) and the executor's
+    // buffers: one of each for the whole run.
+    let mut aggregate = ModelParams::zeros(state.params.vocab_size(), state.params.dim());
+    let mut scratch = StepScratch::default();
 
     // Observability: resolve every handle once, outside the step loop.
     // Disabled observers hand back disconnected no-op handles, so the hot
@@ -896,8 +1136,10 @@ fn run_loop(
         drop(t_group);
         debug_assert!(realized_split_factor(&buckets) <= omega);
 
-        // Lines 7-8, 15-22: per-bucket clipped deltas, each behind a panic
-        // barrier; poisoned buckets are dropped (DP-safe, see module docs).
+        // Lines 7-9, 15-22: per-bucket clipped deltas, each behind a panic
+        // barrier; poisoned buckets are dropped (DP-safe, see module docs)
+        // and the survivors are summed in bucket order as they arrive, so
+        // a delta lives only until it has been added.
         // The local_sgd span is published as the trace *scope* so the
         // executor — in process or a coordinator — can parent its spans
         // under it: the step_seed is drawn after sampling, so an executor
@@ -907,7 +1149,11 @@ fn run_loop(
             .start(phase::LOCAL_SGD, in_step, step)
             .arg("buckets", buckets.len() as u64);
         obs.set_trace_scope(t_local.context());
-        let (updates, skipped) = executor.execute_step(
+        aggregate.embedding.fill(0.0);
+        aggregate.context.fill(0.0);
+        aggregate.bias.fill(0.0);
+        let (mut survivors, mut clipped, mut loss_sum) = (0usize, 0usize, 0.0f64);
+        let skipped = executor.execute_step_into(
             &state.params,
             &buckets,
             hp,
@@ -915,11 +1161,19 @@ fn run_loop(
             step,
             &opts.faults,
             obs,
+            &mut scratch,
+            &mut |update| {
+                update.grad.accumulate_into(&mut aggregate)?;
+                survivors += 1;
+                clipped += usize::from(update.clipped);
+                loss_sum += update.mean_loss;
+                Ok(())
+            },
         )?;
         obs.set_trace_scope(None);
         drop(t_local);
 
-        if !buckets.is_empty() && updates.is_empty() && skipped > 0 {
+        if !buckets.is_empty() && survivors == 0 && skipped > 0 {
             // Every formed bucket was poisoned: no signal survives, so the
             // update would be pure noise. Account the step conservatively
             // (it is paid for even though its update is discarded — never
@@ -966,17 +1220,13 @@ fn run_loop(
             break;
         }
 
-        // Line 9: Gaussian sum query over the *whole* parameter vector.
+        // Line 9: perturb the sum over the *whole* parameter vector.
         // Counter-based per-row noise streams (see `crate::noise`): seeded
         // from `(run_seed, step)` and fanned over `hp.threads` workers,
         // bit-identical for every thread count. The fixed-denominator
         // average by the expected bucket count q·W/λ — never the realised
         // (sample-dependent) |H_t| — rides the same row pass.
         let t_noise = phases.start(phase::NOISE, in_step, step);
-        let mut aggregate = ModelParams::zeros(state.params.vocab_size(), state.params.dim());
-        for u in &updates {
-            u.grad.accumulate_into(&mut aggregate)?;
-        }
         let noise_seed = step_noise_seed(state.run_seed, step);
         perturb_and_scale_threaded(
             &mut aggregate,
@@ -1024,21 +1274,20 @@ fn run_loop(
             _ => None,
         };
 
-        let clipped = updates.iter().filter(|u| u.clipped).count();
         telemetry.push(StepTelemetry {
             step,
             sampled_users: sampled.len(),
             buckets: buckets.len(),
             skipped_buckets: skipped,
-            mean_local_loss: if updates.is_empty() {
+            mean_local_loss: if survivors == 0 {
                 0.0
             } else {
-                updates.iter().map(|u| u.mean_loss).sum::<f64>() / updates.len() as f64
+                loss_sum / survivors as f64
             },
-            clip_fraction: if updates.is_empty() {
+            clip_fraction: if survivors == 0 {
                 0.0
             } else {
-                clipped as f64 / updates.len() as f64
+                clipped as f64 / survivors as f64
             },
             epsilon_spent: state.accountant.epsilon()?,
             wall_ms: step_start.elapsed().as_secs_f64() * 1e3,
@@ -1845,6 +2094,291 @@ mod tests {
                 .to_bits(),
             last["epsilon_step"].as_f64().unwrap().to_bits()
         );
+    }
+
+    /// θ and `n` buckets of uneven length over its vocabulary.
+    fn step_inputs(n: usize) -> (ModelParams, Vec<Bucket>) {
+        let theta = ModelParams::init(&mut StdRng::seed_from_u64(3), 16, 8).unwrap();
+        let buckets = (0..n)
+            .map(|b| Bucket {
+                user_indices: vec![b],
+                tokens: (0..6 + 5 * (b % 4)).map(|t| (t * 7 + b * 3) % 16).collect(),
+            })
+            .collect();
+        (theta, buckets)
+    }
+
+    /// The default adapter: an executor that only has `execute_step`.
+    struct CollectOnly;
+
+    impl BucketExecutor for CollectOnly {
+        fn execute_step(
+            &mut self,
+            theta: &ModelParams,
+            buckets: &[Bucket],
+            hp: &Hyperparameters,
+            step_seed: u64,
+            step: u64,
+            faults: &FaultInjector,
+            obs: &Observer,
+        ) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
+            LocalExecutor.execute_step(theta, buckets, hp, step_seed, step, faults, obs)
+        }
+    }
+
+    const STREAM_SEED: u64 = 0xB0C4;
+    const STREAM_STEP: u64 = 3;
+
+    fn hp_with_threads(threads: usize) -> Hyperparameters {
+        Hyperparameters {
+            threads,
+            ..fast_hp()
+        }
+    }
+
+    /// How many pairs each bucket trains on: what it adds to the
+    /// observer's pair counter when its SGD is done.
+    fn pairs_per_bucket(buckets: &[Bucket]) -> Vec<u64> {
+        let window = fast_hp().context_window;
+        buckets
+            .iter()
+            .map(|b| plp_data::window::pairs_from_sequence(&b.tokens, window).len() as u64)
+            .collect()
+    }
+
+    /// Blocks until the observer's pair counter reaches `pairs`; returns
+    /// what it read.
+    fn await_pairs(obs: &Observer, pairs: u64) -> u64 {
+        let counter = obs.counter("plp_train_pairs_total");
+        while counter.get() < pairs {
+            std::thread::yield_now();
+        }
+        counter.get()
+    }
+
+    /// One step through `execute_step_into`, every update copied out of
+    /// the sink, which also checks that indices strictly ascend.
+    fn stream_step(
+        executor: &mut dyn BucketExecutor,
+        theta: &ModelParams,
+        buckets: &[Bucket],
+        threads: usize,
+        faults: &FaultInjector,
+    ) -> (Vec<BucketUpdate>, usize) {
+        let hp = hp_with_threads(threads);
+        let mut seen: Vec<BucketUpdate> = Vec::new();
+        let skipped = executor
+            .execute_step_into(
+                theta,
+                buckets,
+                &hp,
+                STREAM_SEED,
+                STREAM_STEP,
+                faults,
+                &Observer::disabled(),
+                &mut StepScratch::default(),
+                &mut |update| {
+                    assert!(seen.last().is_none_or(|last| last.index < update.index));
+                    seen.push(update.clone());
+                    Ok(())
+                },
+            )
+            .unwrap();
+        (seen, skipped)
+    }
+
+    /// `==` on updates plus the bits `==` cannot see (`-0.0`, NaN).
+    fn assert_bit_equal(got: &[BucketUpdate], want: &[BucketUpdate], what: &str) {
+        assert_eq!(got, want, "{what}");
+        let bits = |u: &BucketUpdate| -> Vec<(usize, Vec<u64>)> {
+            [&u.grad.embedding, &u.grad.context, &u.grad.bias]
+                .into_iter()
+                .flat_map(|t| t.rows())
+                .map(|(r, v)| (r, v.iter().map(|x| x.to_bits()).collect()))
+                .chain([(u.index, vec![u.mean_loss.to_bits()])])
+                .collect()
+        };
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(bits(g), bits(w), "{what}, bucket {}", w.index);
+        }
+    }
+
+    #[test]
+    fn streaming_native_adapter_and_sequential_agree_bit_for_bit() {
+        let plans = [
+            FaultPlan::quiet(1),
+            FaultPlan {
+                panic_rate: 0.3,
+                ..FaultPlan::quiet(5)
+            },
+            FaultPlan {
+                nan_delta_rate: 0.3,
+                ..FaultPlan::quiet(6)
+            },
+            FaultPlan {
+                nan_delta_rate: 0.25,
+                panic_rate: 0.25,
+                ..FaultPlan::quiet(7)
+            },
+        ];
+        let mut dropped = 0;
+        for n in [0, 1, 2, 3, 8, 17] {
+            let (theta, buckets) = step_inputs(n);
+            for plan in plans {
+                let faults = FaultInjector::with_plan(plan);
+                let (want, want_skipped) =
+                    stream_step(&mut LocalExecutor, &theta, &buckets, 1, &faults);
+                assert_eq!(want.len() + want_skipped, n);
+                dropped += want_skipped;
+                for threads in [1, 2, 3, 7] {
+                    let what = format!("{n} buckets, {threads} threads, plan {}", plan.seed);
+                    let (native, skipped) =
+                        stream_step(&mut LocalExecutor, &theta, &buckets, threads, &faults);
+                    assert_eq!(skipped, want_skipped, "{what}");
+                    assert_bit_equal(&native, &want, &what);
+                    let (adapted, skipped) =
+                        stream_step(&mut CollectOnly, &theta, &buckets, threads, &faults);
+                    assert_eq!(skipped, want_skipped, "{what}");
+                    assert_bit_equal(&adapted, &want, &what);
+                }
+            }
+        }
+        assert!(dropped > 0, "these plans must drop some buckets");
+    }
+
+    #[test]
+    fn streaming_a_fully_poisoned_step_never_reaches_the_sink() {
+        let (theta, buckets) = step_inputs(8);
+        for (nan_delta_rate, panic_rate) in [(1.0, 0.0), (0.0, 1.0)] {
+            let faults = FaultInjector::with_plan(FaultPlan {
+                nan_delta_rate,
+                panic_rate,
+                ..FaultPlan::quiet(2)
+            });
+            for threads in [1, 2, 3, 7] {
+                let (seen, skipped) =
+                    stream_step(&mut LocalExecutor, &theta, &buckets, threads, &faults);
+                assert!(seen.is_empty(), "nothing may be added to the aggregate");
+                assert_eq!(skipped, 8);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_a_failing_sink_stops_the_step_without_hanging() {
+        let (theta, buckets) = step_inputs(17);
+        for threads in [1, 2, 3, 7] {
+            let hp = hp_with_threads(threads);
+            let mut delivered = Vec::new();
+            let err = LocalExecutor.execute_step_into(
+                &theta,
+                &buckets,
+                &hp,
+                STREAM_SEED,
+                STREAM_STEP,
+                &FaultInjector::default(),
+                &Observer::disabled(),
+                &mut StepScratch::default(),
+                &mut |update| {
+                    delivered.push(update.index);
+                    if update.index == 4 {
+                        return Err(CoreError::BadConfig {
+                            name: "sink",
+                            expected: "to be left alone",
+                        });
+                    }
+                    Ok(())
+                },
+            );
+            assert!(
+                matches!(err, Err(CoreError::BadConfig { name: "sink", .. })),
+                "{err:?}"
+            );
+            assert_eq!(delivered, [0, 1, 2, 3, 4], "nothing past the error");
+        }
+    }
+
+    #[test]
+    fn streaming_a_slow_sink_bounds_the_run_ahead_at_threads_plus_one() {
+        let n = 17;
+        let (theta, buckets) = step_inputs(n);
+        let pairs = pairs_per_bucket(&buckets);
+        for threads in [2, 3, 7] {
+            let hp = hp_with_threads(threads);
+            let window = threads + 1;
+            let obs = Observer::new("run_ahead");
+            RUN_AHEAD_HIGH_WATER.with(|h| h.set(0));
+            let skipped = LocalExecutor
+                .execute_step_into(
+                    &theta,
+                    &buckets,
+                    &hp,
+                    STREAM_SEED,
+                    STREAM_STEP,
+                    &FaultInjector::default(),
+                    &obs,
+                    &mut StepScratch::default(),
+                    // The slowest sink there is: it does not return before
+                    // every bucket the window lets the workers claim has
+                    // finished its SGD — and sees that none past it has.
+                    &mut |update| {
+                        let upto = n.min(update.index + window);
+                        let allowed: u64 = pairs[..upto].iter().sum();
+                        assert_eq!(await_pairs(&obs, allowed), allowed, "ran past {upto}");
+                        Ok(())
+                    },
+                )
+                .unwrap();
+            assert_eq!(skipped, 0);
+            assert_eq!(
+                RUN_AHEAD_HIGH_WATER.with(std::cell::Cell::get),
+                window,
+                "{threads} threads: the window is used in full and never exceeded"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_a_failing_bucket_releases_workers_waiting_for_room() {
+        // Bucket 2 fails systematically (a token outside the vocabulary)
+        // while the sink still sits on bucket 0, so every other worker has
+        // run into the closed window by the time the error is reached.
+        let (theta, mut buckets) = step_inputs(17);
+        buckets[2].tokens[3] = theta.vocab_size();
+        let pairs = pairs_per_bucket(&buckets);
+        for threads in [1, 2, 3, 7] {
+            let hp = hp_with_threads(threads);
+            let obs = Observer::new("failing_bucket");
+            let mut delivered = Vec::new();
+            let err = LocalExecutor.execute_step_into(
+                &theta,
+                &buckets,
+                &hp,
+                STREAM_SEED,
+                STREAM_STEP,
+                &FaultInjector::default(),
+                &obs,
+                &mut StepScratch::default(),
+                &mut |update| {
+                    if threads > 1 && update.index == 0 {
+                        // Buckets 0 and 1 are done; 2 trains no pair.
+                        await_pairs(&obs, pairs[..2].iter().sum());
+                    }
+                    delivered.push(update.index);
+                    Ok(())
+                },
+            );
+            assert!(
+                matches!(
+                    err,
+                    Err(CoreError::Model(
+                        plp_model::ModelError::TokenOutOfRange { .. }
+                    ))
+                ),
+                "{err:?}"
+            );
+            assert_eq!(delivered, [0, 1], "buckets before the failure are summed");
+        }
     }
 
     #[test]

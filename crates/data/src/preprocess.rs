@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use crate::checkin::{BoundingBox, LocationId};
-use crate::dataset::CheckInDataset;
+use crate::checkin::{BoundingBox, CheckIn, LocationId, UserId};
+use crate::dataset::{CheckInDataset, UserHistory};
 
 /// Filter thresholds; the defaults are the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,66 +58,147 @@ pub fn filter_bounding_box(dataset: &CheckInDataset, bbox: &BoundingBox) -> Chec
 /// Applies the user/location sparsity filters until a fixpoint.
 ///
 /// Returns the filtered dataset (possibly empty). POI metadata is retained
-/// only for surviving locations.
+/// only for surviving locations. `dataset` is expected in the form
+/// [`CheckInDataset::from_checkins`] builds — one history per user, in
+/// user order — and the result is in that form again.
 pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> CheckInDataset {
-    let mut current = dataset.clone();
-    loop {
-        // Count distinct visitors per location.
-        let mut visitors: HashMap<LocationId, Vec<u32>> = HashMap::new();
-        for u in &current.users {
-            for c in &u.checkins {
-                let v = visitors.entry(c.location).or_default();
-                if !v.contains(&c.user.0) {
-                    v.push(c.user.0);
+    // Dense location indices, resolved once per check-in, so the fixpoint
+    // runs over flat arrays instead of rebuilding maps every round.
+    let mut ids: Vec<LocationId> = dataset
+        .users
+        .iter()
+        .flat_map(|u| u.checkins.iter().map(|c| c.location))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let locs: Vec<Vec<usize>> = dataset
+        .users
+        .iter()
+        .map(|u| {
+            let dense = |c: &CheckIn| ids.binary_search(&c.location).expect("collected above");
+            u.checkins.iter().map(dense).collect()
+        })
+        .collect();
+
+    let mut location_alive = vec![true; ids.len()];
+    // How many check-ins each user has left; `None` once the user is out.
+    let mut left: Vec<Option<usize>> = dataset.users.iter().map(|u| Some(u.len())).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        // Distinct visitors per location. Users come one after the other,
+        // so a location only has to remember the last one it counted.
+        let mut visitors: Vec<(Option<UserId>, usize)> = vec![(None, 0); ids.len()];
+        let present = (dataset.users.iter().zip(&locs).zip(&left)).filter(|x| x.1.is_some());
+        for ((u, locs), _) in present {
+            for &l in locs.iter().filter(|&&l| location_alive[l]) {
+                if visitors[l].0 != Some(u.user) {
+                    visitors[l] = (Some(u.user), visitors[l].1 + 1);
                 }
             }
         }
-        let keep_location: HashMap<LocationId, bool> = visitors
-            .iter()
-            .map(|(&l, v)| (l, v.len() >= config.min_users_per_location))
-            .collect();
-
-        let mut changed = false;
-        let mut checkins = Vec::new();
-        for u in &current.users {
-            let kept: Vec<_> = u
-                .checkins
-                .iter()
-                .filter(|c| keep_location.get(&c.location).copied().unwrap_or(false))
-                .copied()
-                .collect();
-            if kept.len() < u.checkins.len() {
-                changed = true;
-            }
-            if kept.len() >= config.min_checkins_per_user {
-                checkins.extend(kept);
-            } else if !kept.is_empty() || !u.checkins.is_empty() {
-                changed = true;
-            }
+        for (alive, (_, n)) in location_alive.iter_mut().zip(&visitors) {
+            *alive &= *n >= config.min_users_per_location;
         }
-
-        let surviving: HashMap<LocationId, bool> = checkins
-            .iter()
-            .map(|c: &crate::checkin::CheckIn| (c.location, true))
-            .collect();
-        let pois = current
-            .pois
-            .iter()
-            .filter(|p| surviving.get(&p.id).copied().unwrap_or(false))
-            .copied()
-            .collect();
-        let next = CheckInDataset::from_checkins(pois, checkins);
-        if !changed {
-            return next;
+        // Losing locations can push a user below the threshold, and losing
+        // that user can leave a location short of visitors: go round again
+        // whenever a check-in or a user went.
+        for (left, locs) in left.iter_mut().zip(&locs) {
+            let Some(before) = *left else { continue };
+            let kept = locs.iter().filter(|&&l| location_alive[l]).count();
+            *left = (kept >= config.min_checkins_per_user).then_some(kept);
+            changed |= kept < before || (left.is_none() && before > 0);
         }
-        current = next;
     }
+
+    let mut visited = vec![false; ids.len()];
+    let mut users = Vec::new();
+    for ((u, locs), left) in dataset.users.iter().zip(&locs).zip(&left) {
+        let Some(n) = left.filter(|&n| n > 0) else {
+            continue;
+        };
+        let mut checkins = Vec::with_capacity(n);
+        for (c, &l) in u.checkins.iter().zip(locs) {
+            if location_alive[l] {
+                visited[l] = true;
+                checkins.push(*c);
+            }
+        }
+        users.push(UserHistory {
+            user: u.user,
+            checkins,
+        });
+    }
+    let pois = dataset
+        .pois
+        .iter()
+        .filter(|p| ids.binary_search(&p.id).is_ok_and(|l| visited[l]))
+        .copied()
+        .collect();
+    CheckInDataset { pois, users }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkin::{CheckIn, GeoPoint, Poi};
+    use crate::checkin::{GeoPoint, Poi};
+
+    /// The map-per-round implementation [`filter_sparse`] replaced, kept as
+    /// the definition it is tested against.
+    fn filter_sparse_reference(dataset: &CheckInDataset, config: FilterConfig) -> CheckInDataset {
+        let mut current = dataset.clone();
+        loop {
+            // Count distinct visitors per location.
+            let mut visitors: HashMap<LocationId, Vec<u32>> = HashMap::new();
+            for u in &current.users {
+                for c in &u.checkins {
+                    let v = visitors.entry(c.location).or_default();
+                    if !v.contains(&c.user.0) {
+                        v.push(c.user.0);
+                    }
+                }
+            }
+            let keep_location: HashMap<LocationId, bool> = visitors
+                .iter()
+                .map(|(&l, v)| (l, v.len() >= config.min_users_per_location))
+                .collect();
+
+            let mut changed = false;
+            let mut checkins = Vec::new();
+            for u in &current.users {
+                let kept: Vec<_> = u
+                    .checkins
+                    .iter()
+                    .filter(|c| keep_location.get(&c.location).copied().unwrap_or(false))
+                    .copied()
+                    .collect();
+                if kept.len() < u.checkins.len() {
+                    changed = true;
+                }
+                if kept.len() >= config.min_checkins_per_user {
+                    checkins.extend(kept);
+                } else if !kept.is_empty() || !u.checkins.is_empty() {
+                    changed = true;
+                }
+            }
+
+            let surviving: HashMap<LocationId, bool> = checkins
+                .iter()
+                .map(|c: &crate::checkin::CheckIn| (c.location, true))
+                .collect();
+            let pois = current
+                .pois
+                .iter()
+                .filter(|p| surviving.get(&p.id).copied().unwrap_or(false))
+                .copied()
+                .collect();
+            let next = CheckInDataset::from_checkins(pois, checkins);
+            if !changed {
+                return next;
+            }
+            current = next;
+        }
+    }
 
     fn poi(id: u32, lat: f64, lon: f64) -> Poi {
         Poi {
@@ -221,6 +302,77 @@ mod tests {
         );
         assert_eq!(f2.pois.len(), 1);
         assert_eq!(f2.pois[0].id, LocationId(10));
+    }
+
+    mod reference_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_checkin_sets_filter_like_the_reference(
+                seed in 0u64..1_000_000,
+                num_users in 1u32..40,
+                num_locations in 1u32..30,
+                num_checkins in 0usize..300,
+                min_checkins_per_user in 0usize..7,
+                min_users_per_location in 0usize..5,
+            ) {
+                // A multiplicative generator is all the randomness this
+                // needs; low location ids are the popular ones.
+                let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut next = |n: u32| {
+                    state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                    ((state >> 33) % u64::from(n)) as u32
+                };
+                let checkins = (0..num_checkins)
+                    .map(|_| {
+                        let location = next(num_locations).min(next(num_locations));
+                        CheckIn::new(next(num_users), location, i64::from(next(50)))
+                    })
+                    .collect();
+                // POIs known for some visited locations, some never visited.
+                let pois = (0..num_locations + 3).filter(|l| l % 3 != 1).map(|l| poi(l, 0.0, 0.0));
+                let ds = CheckInDataset::from_checkins(pois.collect(), checkins);
+                let config = FilterConfig { min_checkins_per_user, min_users_per_location };
+                prop_assert_eq!(filter_sparse(&ds, config), filter_sparse_reference(&ds, config));
+            }
+
+            #[test]
+            fn removal_cascades_like_the_reference(
+                links in 1u32..25,
+                visits in 1usize..4,
+                extra in 0u32..3,
+            ) {
+                // User i visits locations i and i + 1 `visits` times each,
+                // so location 0 has one visitor: dropping it drops user 0,
+                // which leaves location 1 with one visitor, and so on down
+                // the chain, one link per round. `extra` users who stay at
+                // the last location decide whether the far end survives.
+                let mut checkins = Vec::new();
+                for u in 0..links {
+                    for t in 0..visits as i64 {
+                        checkins.push(CheckIn::new(u, u, 2 * t));
+                        checkins.push(CheckIn::new(u, u + 1, 2 * t + 1));
+                    }
+                }
+                for u in links..links + extra {
+                    for t in 0..2 * visits as i64 {
+                        checkins.push(CheckIn::new(u, links, t));
+                    }
+                }
+                let ds = CheckInDataset::from_checkins(vec![poi(0, 0.0, 0.0), poi(links, 0.0, 0.0)], checkins);
+                let config = FilterConfig {
+                    min_checkins_per_user: 2 * visits,
+                    min_users_per_location: 2,
+                };
+                let filtered = filter_sparse(&ds, config);
+                prop_assert_eq!(&filtered, &filter_sparse_reference(&ds, config));
+                prop_assert_eq!(filtered.num_users(), if extra >= 2 { extra as usize } else { 0 });
+            }
+        }
     }
 
     #[test]

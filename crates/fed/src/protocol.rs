@@ -27,7 +27,7 @@ use plp_core::faults::FaultPlan;
 use plp_core::plp::BucketUpdate;
 use plp_data::frame::{checked_frame_len, encode};
 use plp_data::grouping::Bucket;
-use plp_model::grad::SparseGrad;
+use plp_model::journal::{DeltaRows, RowDelta};
 use plp_model::params::ModelParams;
 use plp_model::plps::{param_sections, PlpsSnapshot, KIND_EMBEDDING};
 
@@ -236,7 +236,7 @@ pub type WireResult = (u64, Option<WireUpdate>);
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireUpdate {
     /// The clipped sparse delta, exact bits.
-    pub grad: SparseGrad,
+    pub grad: RowDelta,
     /// Mean local loss (telemetry only).
     pub mean_loss: f64,
     /// Whether clipping rescaled the delta.
@@ -265,73 +265,76 @@ impl WireUpdate {
     }
 }
 
-fn put_grad(buf: &mut BytesMut, grad: &SparseGrad) {
-    // BTreeMap iteration gives a deterministic row order; f64 bits are
-    // copied verbatim so the aggregated sum is bit-identical to local
-    // execution.
-    buf.put_u32_le(grad.embedding.len() as u32);
-    for (&row, v) in &grad.embedding {
-        buf.put_u64_le(row as u64);
-        buf.put_u32_le(v.len() as u32);
-        for &x in v {
-            buf.put_f64_le(x);
-        }
-    }
-    buf.put_u32_le(grad.context.len() as u32);
-    for (&row, v) in &grad.context {
-        buf.put_u64_le(row as u64);
-        buf.put_u32_le(v.len() as u32);
-        for &x in v {
-            buf.put_f64_le(x);
+fn put_grad(buf: &mut BytesMut, grad: &RowDelta) {
+    // A delta's rows come out in ascending row order whatever order they
+    // were touched in; f64 bits are copied verbatim so the aggregated sum
+    // is bit-identical to local execution.
+    for tensor in [&grad.embedding, &grad.context] {
+        buf.put_u32_le(tensor.len() as u32);
+        for (row, v) in tensor.rows() {
+            buf.put_u64_le(row as u64);
+            buf.put_u32_le(v.len() as u32);
+            for &x in v {
+                buf.put_f64_le(x);
+            }
         }
     }
     buf.put_u32_le(grad.bias.len() as u32);
-    for (&row, &b) in &grad.bias {
+    for (row, b) in grad.bias.rows() {
         buf.put_u64_le(row as u64);
-        buf.put_f64_le(b);
+        buf.put_f64_le(b[0]);
     }
 }
 
-fn get_rows(
-    data: &mut Bytes,
+/// Appends one decoded row; a row that is out of order, repeated, of
+/// another width than its tensor's or past the index range is a decode
+/// error, never a panic further in.
+fn push_row(
+    rows: &mut DeltaRows,
+    row: u64,
+    values: &[f64],
     what: &'static str,
-) -> Result<std::collections::BTreeMap<usize, Vec<f64>>, FedError> {
+) -> Result<(), FedError> {
+    usize::try_from(row)
+        .ok()
+        .and_then(|row| rows.push_row(row, values).ok())
+        .ok_or_else(|| FedError::Decode {
+            what: format!("{what} row {row} out of order, repeated or misshapen"),
+        })
+}
+
+fn get_rows(data: &mut Bytes, what: &'static str) -> Result<DeltaRows, FedError> {
     let n = get_count(data, 12, what)?;
-    let mut rows = std::collections::BTreeMap::new();
+    let mut rows = DeltaRows::default();
+    let mut v = Vec::new();
     for _ in 0..n {
         need(data, 8, what)?;
-        let row = data.get_u64_le() as usize;
+        let row = data.get_u64_le();
         let dim = get_count(data, 8, what)?;
         need(data, dim * 8, what)?;
-        let mut v = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            v.push(data.get_f64_le());
-        }
-        if rows.insert(row, v).is_some() {
-            return Err(FedError::Decode {
-                what: format!("duplicate {what} row"),
-            });
-        }
+        v.clear();
+        v.extend((0..dim).map(|_| data.get_f64_le()));
+        push_row(&mut rows, row, &v, what)?;
     }
     Ok(rows)
 }
 
-fn get_grad(data: &mut Bytes) -> Result<SparseGrad, FedError> {
-    let mut grad = SparseGrad::new();
-    grad.embedding = get_rows(data, "grad embedding")?;
-    grad.context = get_rows(data, "grad context")?;
+fn get_grad(data: &mut Bytes) -> Result<RowDelta, FedError> {
+    let embedding = get_rows(data, "grad embedding")?;
+    let context = get_rows(data, "grad context")?;
     let n = get_count(data, 16, "grad bias")?;
+    let mut bias = DeltaRows::default();
     for _ in 0..n {
         need(data, 16, "grad bias")?;
-        let row = data.get_u64_le() as usize;
+        let row = data.get_u64_le();
         let b = data.get_f64_le();
-        if grad.bias.insert(row, b).is_some() {
-            return Err(FedError::Decode {
-                what: "duplicate grad bias row".into(),
-            });
-        }
+        push_row(&mut bias, row, &[b], "grad bias")?;
     }
-    Ok(grad)
+    Ok(RowDelta {
+        embedding,
+        context,
+        bias,
+    })
 }
 
 /// A worker's answer to one [`RoundRequest`].
@@ -373,8 +376,9 @@ impl RoundReply {
     /// Decodes a reply.
     ///
     /// # Errors
-    /// [`FedError::Decode`] on truncation, oversize claims, duplicate
-    /// rows, or an unknown result tag.
+    /// [`FedError::Decode`] on truncation, oversize claims, rows that are
+    /// not strictly ascending (a repeat included) or not of one width, or
+    /// an unknown result tag.
     pub fn decode(payload: &[u8]) -> Result<Self, FedError> {
         let mut data = Bytes::from(payload.to_vec());
         need(&data, 16, "reply header")?;
@@ -437,12 +441,19 @@ mod tests {
         p
     }
 
-    fn sample_grad() -> SparseGrad {
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(0, 1.0, &[0.25, -0.5, 1.0 / 3.0]);
-        g.add_context_row(3, 1.0, &[1e-300, 2.0, -0.0]);
-        g.add_bias(1, -0.125);
+    fn sample_grad() -> RowDelta {
+        let mut g = RowDelta::default();
+        g.embedding.push_row(0, &[0.25, -0.5, 1.0 / 3.0]).unwrap();
+        g.context.push_row(3, &[1e-300, 2.0, -0.0]).unwrap();
+        g.bias.push_row(1, &[-0.125]).unwrap();
         g
+    }
+
+    /// FNV-1a 64, independent of the CRC the pipe frames use.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
@@ -518,11 +529,91 @@ mod tests {
         let (_, Some(u)) = &back.results[0] else {
             panic!("first result must carry an update");
         };
+        let bits = |g: &RowDelta| -> Vec<u64> {
+            let (_, v) = g.context.rows().next().expect("one context row");
+            v.iter().map(|x| x.to_bits()).collect()
+        };
         assert_eq!(
-            u.grad.context[&3][0].to_bits(),
-            sample_grad().context[&3][0].to_bits(),
-            "delta bits must survive the wire"
+            bits(&u.grad),
+            bits(&sample_grad()),
+            "delta bits (the -0.0 included) must survive the wire"
         );
+    }
+
+    #[test]
+    fn reply_bytes_match_the_digest_taken_before_the_delta_moved() {
+        // Length and digest were computed at commit c3c8134, where a delta
+        // was a `SparseGrad` (one `BTreeMap` of row `Vec`s per tensor) and
+        // this reply was built with its `add_*` calls: rows in all three
+        // tensors, a dropped bucket, and a bias entry poisoned the way
+        // fault injection does it. The arena must encode to the same bytes
+        // — here straight out of a journal, rows touched in descending
+        // order and one touched without being changed.
+        let theta = ModelParams::zeros(12, 3);
+        let mut journal = plp_model::journal::RowJournal::new();
+        let mut touch =
+            |emb: &[(usize, [f64; 3])], ctx: &[(usize, [f64; 3])], bias: &[(usize, f64)]| {
+                use plp_model::ParamsViewMut;
+                let mut phi = plp_model::journal::CowParams::new(&theta, &mut journal);
+                for (r, v) in emb {
+                    phi.embedding_row_mut(*r).copy_from_slice(v);
+                }
+                for (r, v) in ctx {
+                    phi.context_row_mut(*r).copy_from_slice(v);
+                }
+                for (r, b) in bias {
+                    *phi.bias_at_mut(*r) = *b;
+                }
+                journal.take_delta(&theta)
+            };
+        let a = touch(
+            &[
+                (9, [1e-300, 2.0, 0.5]),
+                (4, [0.0; 3]),
+                (2, [0.25, -0.5, 1.0 / 3.0]),
+            ],
+            &[
+                (11, [-7.75e2, 0.015625, 3.0]),
+                (5, [0.1, 0.2, 0.30000000000000004]),
+                (0, [1.0, 0.0, -1.0]),
+            ],
+            &[(5, (0.1f64 + 0.2).ln()), (0, -0.125)],
+        );
+        let mut b = touch(
+            &[(1, [4.0, 5.0, 6.0])],
+            &[(3, [-1.5e-3, 1.0e-7, 0.5])],
+            &[(3, 0.5)],
+        );
+        b.add_bias(0, f64::NAN);
+        let reply = RoundReply {
+            step: 7,
+            attempt: 42,
+            results: vec![
+                (
+                    0,
+                    Some(WireUpdate {
+                        grad: a,
+                        mean_loss: 0.75,
+                        clipped: true,
+                    }),
+                ),
+                (1, None),
+                (
+                    2,
+                    Some(WireUpdate {
+                        grad: b,
+                        mean_loss: 1.5,
+                        clipped: false,
+                    }),
+                ),
+            ],
+        };
+        let bytes = reply.encode();
+        assert_eq!(bytes.len(), 405);
+        assert_eq!(fnv1a(&bytes), 0x118a_63c7_aa1d_2a27);
+        // And the compact arena a decoder builds encodes to them again.
+        let back = RoundReply::decode(&bytes).unwrap();
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
@@ -548,6 +639,45 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u8(9);
         assert!(RoundReply::decode(&buf.freeze().to_vec()).is_err());
+
+        // Rows that arrive out of order, twice, or in two widths — in any
+        // tensor — are refused as a decode error, never a panic later on.
+        let reply_with = |rows: &[(u64, &[f64])], bias: &[(u64, f64)]| {
+            let mut buf = BytesMut::new();
+            buf.put_u64_le(1);
+            buf.put_u64_le(1);
+            buf.put_u32_le(1);
+            buf.put_u64_le(0);
+            buf.put_u8(1);
+            for tensor in [rows, &[]] {
+                buf.put_u32_le(tensor.len() as u32);
+                for (row, v) in tensor {
+                    buf.put_u64_le(*row);
+                    buf.put_u32_le(v.len() as u32);
+                    v.iter().for_each(|&x| buf.put_f64_le(x));
+                }
+            }
+            buf.put_u32_le(bias.len() as u32);
+            for (row, b) in bias {
+                buf.put_u64_le(*row);
+                buf.put_f64_le(*b);
+            }
+            buf.put_f64_le(0.5);
+            buf.put_u8(0);
+            RoundReply::decode(&buf.freeze().to_vec())
+        };
+        assert!(reply_with(&[(2, &[1.0]), (5, &[2.0])], &[(0, 1.0), (3, 2.0)]).is_ok());
+        for (rows, bias) in [
+            (&[(5u64, &[1.0][..]), (2, &[2.0])][..], &[][..]),
+            (&[(2, &[1.0]), (2, &[2.0])], &[]),
+            (&[(2, &[1.0]), (5, &[2.0, 3.0])], &[]),
+            (&[(u64::MAX, &[1.0])], &[]),
+            (&[], &[(3u64, 1.0), (0, 2.0)]),
+            (&[], &[(3, 1.0), (3, 2.0)]),
+        ] {
+            let err = reply_with(rows, bias).unwrap_err();
+            assert!(matches!(err, FedError::Decode { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate is deliberately tiny and is the **only** crate in the
 //! workspace that contains `unsafe` code (everything else forbids it at the
-//! workspace level). It exposes two types:
+//! workspace level). It exposes two types for mapping:
 //!
 //! - [`Mmap`]: a read-only, private mapping of a whole file, created through
 //!   a two-symbol `extern "C"` shim (`mmap`/`munmap`) so no external crate
@@ -23,12 +23,73 @@
 //! after mapping could still fault — the snapshot publishing protocol never
 //! truncates live generation files (writers publish via `rename(2)`), which
 //! is documented as part of the PLPS contract in DESIGN.md §17.
+//!
+//! It also holds [`CountingAllocator`], because a `GlobalAlloc` can only be
+//! written with `unsafe impl`: a pass-through to the system allocator that
+//! counts calls, for test binaries that assert how often a path allocates.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt;
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The system allocator with a call counter in front. A test binary
+/// installs one as its `#[global_allocator]` and reads
+/// [`CountingAllocator::allocations`] around the code it measures; the
+/// count is process-wide, so such a binary runs its measurements from one
+/// test function.
+#[derive(Debug, Default)]
+pub struct CountingAllocator {
+    allocations: AtomicU64,
+}
+
+impl CountingAllocator {
+    /// A counter at zero.
+    pub const fn new() -> Self {
+        CountingAllocator {
+            allocations: AtomicU64::new(0),
+        }
+    }
+
+    /// Calls so far that obtained or resized a block (`alloc`,
+    /// `alloc_zeroed`, `realloc`); frees are not counted.
+    pub fn allocations(&self) -> u64 {
+        // Relaxed: a statistic, it publishes no other data.
+        self.allocations.load(Ordering::Relaxed)
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract the caller already upholds; the counter is an
+// atomic and touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this `layout`; both are passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
 
 #[cfg(unix)]
 mod sys {

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
-use crate::grad::SparseGrad;
+use crate::journal::RowDelta;
 use crate::params::NUM_TENSORS;
 
 /// What a clipping pass observed — useful for tuning C (Figure 12).
@@ -38,7 +38,7 @@ impl ClipReport {
 /// * [`ModelError::BadConfig`] — `clip_norm` must be finite and positive.
 /// * [`ModelError::NonFinite`] — a poisoned (NaN/∞) gradient is rejected so
 ///   it can never enter the Gaussian sum query.
-pub fn clip_per_layer(grad: &mut SparseGrad, clip_norm: f64) -> Result<ClipReport, ModelError> {
+pub fn clip_per_layer(grad: &mut RowDelta, clip_norm: f64) -> Result<ClipReport, ModelError> {
     if !(clip_norm.is_finite() && clip_norm > 0.0) {
         return Err(ModelError::BadConfig {
             name: "clip_norm",
@@ -66,11 +66,11 @@ pub fn clip_per_layer(grad: &mut SparseGrad, clip_norm: f64) -> Result<ClipRepor
 mod tests {
     use super::*;
 
-    fn grad_with_norms(e: f64, c: f64, b: f64) -> SparseGrad {
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(0, 1.0, &[e]);
-        g.add_context_row(0, 1.0, &[c]);
-        g.add_bias(0, b);
+    fn grad_with_norms(e: f64, c: f64, b: f64) -> RowDelta {
+        let mut g = RowDelta::default();
+        g.embedding.push_row(0, &[e]).unwrap();
+        g.context.push_row(0, &[c]).unwrap();
+        g.bias.push_row(0, &[b]).unwrap();
         g
     }
 
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn empty_gradient_is_a_noop() {
-        let mut g = SparseGrad::new();
+        let mut g = RowDelta::default();
         let report = clip_per_layer(&mut g, 1.0).unwrap();
         assert!(!report.any_clipped());
         assert_eq!(report.norms_before, (0.0, 0.0, 0.0));

@@ -1,23 +1,23 @@
-//! Sparse gradient / model-delta accumulators.
+//! The sparse per-batch gradient accumulator.
 //!
 //! Negative sampling guarantees that each training example touches only
 //! `neg + 1` rows of `W′`/`B′` and one row of `W` (§3.2: "during
 //! back-propagation, only neg + 1 vectors in W or W′ are updated instead of
-//! entire matrices"). Bucket deltas `g_h = Φ − θ_t` are therefore sparse in
-//! rows; storing them that way makes per-layer norm computation and the
-//! Gaussian sum accumulation cheap.
+//! entire matrices"), so a batch gradient is sparse in rows. (A bucket's
+//! delta `g_h = Φ − θ_t` is sparse the same way but is not stored here:
+//! it is the row journal's arena, [`crate::journal::RowDelta`].)
 
 use std::collections::BTreeMap;
 
 use plp_linalg::ops;
 
 use crate::error::ModelError;
-use crate::params::{ModelParams, ParamsViewMut};
+use crate::params::ParamsViewMut;
 
 /// Pops a recycled buffer from `pool` (or allocates one) and zero-fills it
-/// to `len`. The shared row recycler of [`SparseGrad`] and the row journal:
-/// once the pool is warm, taking a row performs no heap allocation.
-pub(crate) fn pooled_zeroed(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
+/// to `len`: once the pool is warm, taking a row performs no heap
+/// allocation.
+fn pooled_zeroed(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
     match pool.pop() {
         Some(mut v) => {
             v.clear();
@@ -45,18 +45,17 @@ struct DeferredTouch {
     slot: u32,
 }
 
-/// A row-sparse gradient (or model delta) with the same logical shape as
-/// [`ModelParams`].
+/// A row-sparse batch gradient with the same logical shape as
+/// [`crate::params::ModelParams`].
 ///
-/// Rows live in `BTreeMap`s so iteration (and therefore floating-point
-/// accumulation order in norms and dense sums) is deterministic — a
-/// `HashMap`'s per-instance hash seed would make bit-identical reruns
-/// impossible.
+/// Rows live in `BTreeMap`s so iteration is deterministic — a `HashMap`'s
+/// per-instance hash seed would make bit-identical reruns impossible.
 ///
 /// A private pool recycles row buffers across [`SparseGrad::recycle`]
-/// cycles, so a gradient reused across batches stops allocating once it has
-/// seen its working set. The pool is invisible to `Clone`/`PartialEq`: it
-/// only affects capacity, never values.
+/// cycles, so a gradient reused across batches stops allocating rows once
+/// it has seen its working set (its map nodes are still allocated per
+/// batch). The pool is invisible to `Clone`/`PartialEq`: it only affects
+/// capacity, never values.
 ///
 /// # Pooled batch accumulation
 ///
@@ -131,8 +130,9 @@ impl SparseGrad {
     }
 
     /// Empties the gradient, moving its row buffers into the internal pool
-    /// for reuse by later `add_*_row` calls. Equivalent to clearing, but
-    /// allocation-free on the next fill of the same working set.
+    /// for reuse by later `add_*_row` calls. Equivalent to clearing, except
+    /// that the next fill of the same working set allocates map nodes only,
+    /// not rows.
     pub fn recycle(&mut self) {
         while let Some((_, v)) = self.embedding.pop_first() {
             self.pool.push(v);
@@ -144,7 +144,7 @@ impl SparseGrad {
     }
 
     /// Number of pooled row buffers currently available for reuse (a
-    /// diagnostic hook for allocation-freedom tests).
+    /// diagnostic hook for buffer-reuse tests).
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
@@ -260,70 +260,6 @@ impl SparseGrad {
         u_slots.clear();
     }
 
-    /// Merges another sparse gradient: `self += other`.
-    pub fn merge(&mut self, other: &SparseGrad) {
-        for (&r, v) in &other.embedding {
-            self.add_embedding_row(r, 1.0, v);
-        }
-        for (&r, v) in &other.context {
-            self.add_context_row(r, 1.0, v);
-        }
-        for (&r, &b) in &other.bias {
-            self.add_bias(r, b);
-        }
-    }
-
-    /// Scales every stored value by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in self.embedding.values_mut() {
-            ops::scale(alpha, v);
-        }
-        for v in self.context.values_mut() {
-            ops::scale(alpha, v);
-        }
-        for b in self.bias.values_mut() {
-            *b *= alpha;
-        }
-    }
-
-    /// Per-tensor ℓ2 norms `(‖gW‖, ‖gW′‖, ‖gB′‖)`.
-    pub fn tensor_norms(&self) -> (f64, f64, f64) {
-        let e = self
-            .embedding
-            .values()
-            .map(|v| ops::l2_norm_sq(v))
-            .sum::<f64>()
-            .sqrt();
-        let c = self
-            .context
-            .values()
-            .map(|v| ops::l2_norm_sq(v))
-            .sum::<f64>()
-            .sqrt();
-        let b = self.bias.values().map(|x| x * x).sum::<f64>().sqrt();
-        (e, c, b)
-    }
-
-    /// ℓ2 norm of the whole flattened gradient.
-    pub fn global_norm(&self) -> f64 {
-        let (e, c, b) = self.tensor_norms();
-        (e * e + c * c + b * b).sqrt()
-    }
-
-    /// Scales the three tensors independently by the given factors
-    /// (per-layer clipping applies different factors per tensor).
-    pub fn scale_per_tensor(&mut self, fe: f64, fc: f64, fb: f64) {
-        for v in self.embedding.values_mut() {
-            ops::scale(fe, v);
-        }
-        for v in self.context.values_mut() {
-            ops::scale(fc, v);
-        }
-        for b in self.bias.values_mut() {
-            *b *= fb;
-        }
-    }
-
     /// `true` iff all stored values are finite.
     pub fn all_finite(&self) -> bool {
         self.embedding.values().all(|v| ops::all_finite(v))
@@ -375,91 +311,27 @@ impl SparseGrad {
         }
         Ok(())
     }
-
-    /// Accumulates into a dense parameter-shaped buffer: `dense += self`.
-    ///
-    /// # Errors
-    /// Same shape requirements as [`SparseGrad::apply_to`].
-    pub fn accumulate_into(&self, dense: &mut ModelParams) -> Result<(), ModelError> {
-        self.apply_to(dense, 1.0)
-    }
-
-    /// Builds the sparse delta `after − before` restricted to `touched`
-    /// embedding/context rows and bias entries.
-    ///
-    /// The caller supplies the touched row sets it tracked during local
-    /// training; rows outside the sets are equal by construction.
-    pub fn from_delta(
-        before: &ModelParams,
-        after: &ModelParams,
-        touched_embedding: impl IntoIterator<Item = usize>,
-        touched_context: impl IntoIterator<Item = usize>,
-        touched_bias: impl IntoIterator<Item = usize>,
-    ) -> SparseGrad {
-        let mut g = SparseGrad::new();
-        for r in touched_embedding {
-            let mut d = vec![0.0; after.dim()];
-            ops::sub_into(after.embedding.row(r), before.embedding.row(r), &mut d)
-                .expect("before/after rows share the model dim");
-            if d.iter().any(|&x| x != 0.0) {
-                g.embedding.insert(r, d);
-            }
-        }
-        for r in touched_context {
-            let mut d = vec![0.0; after.dim()];
-            ops::sub_into(after.context.row(r), before.context.row(r), &mut d)
-                .expect("before/after rows share the model dim");
-            if d.iter().any(|&x| x != 0.0) {
-                g.context.insert(r, d);
-            }
-        }
-        for r in touched_bias {
-            let d = after.bias[r] - before.bias[r];
-            if d != 0.0 {
-                g.bias.insert(r, d);
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ModelParams;
 
     #[test]
-    fn accumulation_and_norms() {
+    fn rows_accumulate_in_place() {
         let mut g = SparseGrad::new();
+        assert!(g.is_empty());
         g.add_embedding_row(0, 1.0, &[3.0, 0.0]);
         g.add_embedding_row(0, 1.0, &[0.0, 4.0]);
         g.add_context_row(2, 2.0, &[1.0, 1.0]);
         g.add_bias(1, -2.0);
-        let (e, c, b) = g.tensor_norms();
-        assert!((e - 5.0).abs() < 1e-12);
-        assert!((c - (8.0f64).sqrt()).abs() < 1e-12);
-        assert!((b - 2.0).abs() < 1e-12);
-        assert!((g.global_norm() - (25.0 + 8.0 + 4.0f64).sqrt()).abs() < 1e-12);
+        assert_eq!(g.embedding[&0], vec![3.0, 4.0]);
+        assert_eq!(g.context[&2], vec![2.0, 2.0]);
+        assert_eq!(g.bias[&1], -2.0);
         assert_eq!(g.touched_rows(), 3);
         assert!(!g.is_empty());
         assert!(g.all_finite());
-    }
-
-    #[test]
-    fn merge_and_scale() {
-        let mut a = SparseGrad::new();
-        a.add_embedding_row(0, 1.0, &[1.0]);
-        let mut b = SparseGrad::new();
-        b.add_embedding_row(0, 1.0, &[2.0]);
-        b.add_bias(3, 1.0);
-        a.merge(&b);
-        assert_eq!(a.embedding[&0], vec![3.0]);
-        assert_eq!(a.bias[&3], 1.0);
-        a.scale(0.5);
-        assert_eq!(a.embedding[&0], vec![1.5]);
-        assert_eq!(a.bias[&3], 0.5);
-        a.scale_per_tensor(2.0, 1.0, 4.0);
-        assert_eq!(a.embedding[&0], vec![3.0]);
-        assert_eq!(a.bias[&3], 2.0);
     }
 
     #[test]
@@ -493,23 +365,6 @@ mod tests {
         let mut g = SparseGrad::new();
         g.add_bias(9, 1.0);
         assert!(g.apply_to(&mut p, 1.0).is_err());
-    }
-
-    #[test]
-    fn from_delta_captures_only_changes() {
-        let before = ModelParams::zeros(3, 2);
-        let mut after = before.clone();
-        after.embedding.set(1, 0, 0.5);
-        after.bias[2] = -1.0;
-        let g = SparseGrad::from_delta(&before, &after, [0, 1], [0], [2]);
-        assert_eq!(g.embedding.len(), 1, "unchanged touched rows are dropped");
-        assert_eq!(g.embedding[&1], vec![0.5, 0.0]);
-        assert!(g.context.is_empty());
-        assert_eq!(g.bias[&2], -1.0);
-        // Applying the delta to `before` reproduces `after`.
-        let mut rebuilt = before.clone();
-        g.apply_to(&mut rebuilt, 1.0).unwrap();
-        assert_eq!(rebuilt, after);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   negative samplers,
 //! * [`loss`] — sampled-softmax and sigmoid-SGNS forward/backward with
 //!   hand-derived gradients (verified against finite differences),
-//! * [`grad`] — sparse per-batch/per-bucket gradient accumulators,
+//! * [`grad`] — the sparse per-batch gradient accumulator,
 //! * [`journal`] — the copy-on-write row journal behind the clone-free
-//!   bucket-delta path,
+//!   bucket-delta path, and the flat row-sparse delta its arenas become,
 //! * [`clip`] — per-layer ℓ2 clipping (McMahan & Andrew: each tensor to
 //!   `C/√|θ|`),
 //! * [`train`] — mini-batch local SGD over a token array (Algorithm 1,

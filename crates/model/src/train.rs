@@ -94,8 +94,11 @@ pub struct TrainStats {
 /// the per-batch gradient (with its row pool), the forward/backward
 /// scratch, and the negative-sample candidates. Every buffer is cleared at
 /// its point of use and retains capacity, so a worker that reuses one
-/// `TrainScratch` across buckets performs no heap allocation in steady
-/// state — once each buffer has grown to its bucket-working-set size.
+/// `TrainScratch` across buckets stops allocating *buffers* once each has
+/// grown to its bucket-working-set size. What it keeps allocating is the
+/// per-batch gradient's map nodes — [`SparseGrad::recycle`] pools row
+/// buffers, not `BTreeMap` nodes — about 180 allocations a batch at the
+/// paper's settings (counted in `tests/alloc_count.rs`).
 ///
 /// Scratch contents never influence results: training with a warm scratch
 /// is bit-identical to training with a fresh one.
@@ -114,7 +117,7 @@ impl TrainScratch {
     }
 
     /// Number of pooled gradient-row buffers available for reuse (a
-    /// diagnostic hook for allocation-freedom tests).
+    /// diagnostic hook for buffer-reuse tests).
     pub fn grad_pool_len(&self) -> usize {
         self.grad.pool_len()
     }

@@ -1,0 +1,112 @@
+//! How often the bucket hot path allocates — counted, not argued.
+//!
+//! The whole binary runs behind a counting allocator, so it holds exactly
+//! one test function: the count is process-wide and a second test running
+//! beside it would be counted too. Run it optimised
+//! (`cargo test --release -p plp-model --test alloc_count -- --nocapture`):
+//! it prints the figures DESIGN.md quotes.
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+use plp_mmap::CountingAllocator;
+use plp_model::clip::clip_per_layer;
+use plp_model::journal::{CowParams, RowJournal};
+use plp_model::train::{train_on_tokens_with_scratch, LocalSgdConfig, TrainScratch};
+use plp_model::{Loss, ModelParams, NegativeSampler, ParamsViewMut};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator::new();
+
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATOR.allocations();
+    let out = f();
+    (out, ALLOCATOR.allocations() - before)
+}
+
+/// What the same warm bucket cost at commit c3c8134, where a delta was one
+/// heap `Vec` per touched row in two `BTreeMap`s and the journal's row pool
+/// was drained into every delta: 23 962 allocations in local SGD + 4 926
+/// in `take_delta`, measured with this file's bucket and allocator. (The
+/// delta path alone read 251 allocations for 100 rows, 24 998 for 10 000.)
+const WARM_BUCKET_BEFORE: u64 = 28_888;
+
+#[test]
+fn a_warm_worker_allocates_per_batch_and_never_per_row() {
+    let (vocab, dim) = (20_000, 50);
+    let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();
+    let mut aggregate = ModelParams::zeros(vocab, dim);
+    let mut journal = RowJournal::new();
+
+    // The delta path on its own: first touches → take_delta → clip →
+    // accumulate → buffers returned.
+    let mut delta_path = |rows: usize| {
+        let mut phi = CowParams::new(&theta, &mut journal);
+        for i in 0..rows {
+            let r = (i * 7919) % vocab;
+            phi.embedding_row_mut(r)[0] += 1.0;
+            phi.context_row_mut(r)[1] -= 1.0;
+            *phi.bias_at_mut(r) += 0.5;
+        }
+        let mut delta = journal.take_delta(&theta);
+        assert_eq!(delta.touched_rows(), 3 * rows);
+        clip_per_layer(&mut delta, 0.5).unwrap();
+        delta.accumulate_into(&mut aggregate).unwrap();
+        journal.recycle(delta);
+    };
+    delta_path(10_000);
+    let ((), few) = counted(|| delta_path(100));
+    let ((), many) = counted(|| delta_path(10_000));
+    println!("delta path, warm: {few} allocations for 100 rows, {many} for 10 000");
+    assert_eq!(few, many, "allocations must not depend on rows touched");
+    assert_eq!(many, 0, "a warm delta path has nothing left to allocate");
+
+    // A whole bucket at the paper's settings: 401 tokens are 1 598 pairs,
+    // 50 batches of 32, each pair with 16 negatives out of 20 000 rows —
+    // nearly every touch is a first touch.
+    let cfg = LocalSgdConfig {
+        learning_rate: 0.06,
+        batch_size: 32,
+        window: 2,
+        negatives: 16,
+        loss: Loss::SampledSoftmax,
+    };
+    let mut rng = StdRng::seed_from_u64(2);
+    let tokens: Vec<usize> = (0..401).map(|_| rng.random_range(0..vocab)).collect();
+    let mut scratch = TrainScratch::new();
+    let mut bucket = |seed: u64| {
+        let touches = tokens.len() * 2 * cfg.window * (cfg.negatives + 1);
+        journal.reset();
+        journal.reserve(tokens.len(), vocab.min(touches), dim);
+        let stats = train_on_tokens_with_scratch(
+            &mut StdRng::seed_from_u64(seed),
+            &mut CowParams::new(&theta, &mut journal),
+            &tokens,
+            &cfg,
+            &NegativeSampler::Uniform,
+            &mut scratch,
+            None,
+        )
+        .unwrap();
+        let mut delta = journal.take_delta(&theta);
+        let rows = delta.touched_rows();
+        clip_per_layer(&mut delta, 0.5).unwrap();
+        delta.accumulate_into(&mut aggregate).unwrap();
+        journal.recycle(delta);
+        (stats.batches, rows)
+    };
+    bucket(3);
+    bucket(4);
+    let ((batches, rows), allocations) = counted(|| bucket(5));
+    println!(
+        "whole bucket, warm: {allocations} allocations over {batches} batches and {rows} delta \
+         rows = {:.0} per batch (the per-batch gradient's map nodes); {WARM_BUCKET_BEFORE} before",
+        allocations as f64 / batches as f64
+    );
+    assert_eq!(batches, 50);
+    assert!(rows > 20_000, "the bucket must be wide: {rows} rows");
+    assert!(
+        allocations < WARM_BUCKET_BEFORE / 2,
+        "{allocations} allocations, {WARM_BUCKET_BEFORE} before"
+    );
+}

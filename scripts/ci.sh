@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container grep gate, build,
-# the full test suite (and the vectorised kernels' identity tests again in
-# release mode), the chaos drills, a re-stitch of the fed_chaos
+# the full test suite (and the vectorised kernels' and the streaming
+# reduction's identity tests again in release mode, with the allocation
+# count of a warm bucket), the chaos drills, a re-stitch of the fed_chaos
 # trace dumps through the CLI and a correctness smoke of the benchmark
 # harness. This is the only CI definition — .github/workflows/ci.yml just
 # calls it. It needs cargo, git and coreutils — no Python, no network (all
@@ -43,6 +44,14 @@ echo "== release-mode kernels against their references =="
 # tests also run against the code the optimiser actually produces.
 cargo test --release -q -p plp-linalg ivf
 cargo test --release -q -p plp-data crc32
+
+echo "== release-mode streaming reduction and allocation count =="
+# Same reason: the ordered reduction's identity, fault and run-ahead-bound
+# tests race real worker threads, and how often a warm bucket allocates is
+# a property of the optimised code (the test prints the per-batch figure
+# DESIGN.md §11.2 quotes).
+cargo test --release -q -p plp-core streaming
+cargo test --release -q -p plp-model --test alloc_count -- --nocapture
 
 echo "== chaos drill (crash-safety smoke) =="
 cargo run --release -p plp-bench --bin chaos

@@ -12,6 +12,7 @@ use dp_nextloc::data::grouping::{
 use dp_nextloc::linalg::ops;
 use dp_nextloc::model::clip::clip_per_layer;
 use dp_nextloc::model::grad::SparseGrad;
+use dp_nextloc::model::journal::RowDelta;
 use dp_nextloc::model::loss::{forward_backward, Loss, Scratch};
 use dp_nextloc::model::params::ModelParams;
 use dp_nextloc::privacy::planner::epsilon_for_steps;
@@ -93,13 +94,14 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sampler = dp_nextloc::linalg::sample::NormalSampler::new();
-        let mut g = SparseGrad::new();
+        let mut g = RowDelta::default();
         for r in 0..rows {
             let mut v = vec![0.0; 8];
             sampler.fill(&mut rng, scale, &mut v);
-            g.add_embedding_row(r, 1.0, &v);
-            g.add_context_row(r, 0.5, &v);
-            g.add_bias(r, scale);
+            g.embedding.push_row(r, &v).unwrap();
+            v.iter_mut().for_each(|x| *x *= 0.5);
+            g.context.push_row(r, &v).unwrap();
+            g.bias.push_row(r, &[scale]).unwrap();
         }
         let before = g.tensor_norms();
         clip_per_layer(&mut g, clip).unwrap();
