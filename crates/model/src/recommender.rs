@@ -9,6 +9,8 @@
 //! location … We rank all locations by their scores and select the top-K
 //! locations as the potential recommendations."
 
+use std::sync::Arc;
+
 use plp_linalg::ivf::{IvfBuildParams, IvfIndex, IvfQuant, IvfScratch, QuantRerankStats};
 use plp_linalg::matrix::matmul_block_into;
 use plp_linalg::topk::TopKScratch;
@@ -39,18 +41,21 @@ impl RecommendScratch {
 
 /// A deployed recommender: the unit-normalised embedding matrix (the only
 /// tensor shipped to devices — §3.3 footnote 1).
+///
+/// The matrix is frozen once a constructor returns, so it is held behind
+/// an `Arc`: a clone is one reference count, and a reference model, the
+/// serving engine built from its clone and a hot-swap generation all read
+/// the same bytes. Equality still compares contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recommender {
-    embedding: Matrix,
+    embedding: Arc<Matrix>,
 }
 
 impl Recommender {
     /// Builds a recommender from trained parameters (normalises rows; dot
     /// product thereafter equals cosine similarity).
     pub fn new(params: &ModelParams) -> Self {
-        Recommender {
-            embedding: params.deployable_embedding(),
-        }
+        Recommender::from_prenormalized(params.deployable_embedding())
     }
 
     /// Builds a recommender from a raw embedding matrix, normalising its
@@ -66,7 +71,7 @@ impl Recommender {
             return Err(ModelError::NonFinite { at: "embedding" });
         }
         embedding.normalize_rows();
-        Ok(Recommender { embedding })
+        Ok(Recommender::from_prenormalized(embedding))
     }
 
     /// Wraps an embedding whose rows are **already** unit-normalised —
@@ -81,7 +86,9 @@ impl Recommender {
     /// would drop rows from top-k, which is why untrusted bytes must go
     /// through [`Recommender::from_embedding`] or PLPS validation instead.
     pub fn from_prenormalized(embedding: Matrix) -> Self {
-        Recommender { embedding }
+        Recommender {
+            embedding: Arc::new(embedding),
+        }
     }
 
     /// Vocabulary size.
@@ -470,6 +477,42 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(rec.embedding()), bits(&want));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn clone_shares_the_embedding_and_equality_compares_contents() {
+        let raw = Matrix::from_fn(7, 3, |r, c| (r as f64 - 3.0) * (c as f64 + 0.5));
+        let path = std::env::temp_dir().join(format!("plp_rec_shared_{}.plps", std::process::id()));
+        crate::plps::write_deployable(&path, &raw.normalized_rows(), 1).unwrap();
+        let mapped = crate::plps::PlpsSnapshot::open_mapped(&path)
+            .unwrap()
+            .embedding()
+            .unwrap();
+        assert!(mapped.is_mapped());
+        let owned = Recommender::from_embedding(raw.clone()).unwrap();
+        let mapped = Recommender::from_prenormalized(mapped);
+        let at = |r: &Recommender| r.embedding().as_slice().as_ptr();
+        for rec in [&owned, &mapped] {
+            let copy = rec.clone();
+            assert_eq!(at(&copy), at(rec), "a clone allocates no matrix");
+            assert_eq!(copy.embedding().is_mapped(), rec.embedding().is_mapped());
+            assert_eq!(&copy, rec);
+        }
+        assert!(mapped.embedding().is_mapped() && !owned.embedding().is_mapped());
+
+        // Equality is by contents, not by allocation.
+        let rebuilt = Recommender::from_embedding(raw).unwrap();
+        assert_ne!(at(&rebuilt), at(&owned));
+        assert_eq!(rebuilt, owned);
+        assert_eq!(mapped, owned, "a mapped and an owned copy of one matrix");
+        assert_ne!(clustered(), owned);
+
+        // A clone outlives the recommender it was cloned from.
+        let copy = owned.clone();
+        let want = owned.recommend(&[0, 3], 4).unwrap();
+        drop(owned);
+        assert_eq!(copy.recommend(&[0, 3], 4).unwrap(), want);
         std::fs::remove_file(&path).ok();
     }
 

@@ -5,10 +5,13 @@
 //! [`Query`]s. Cache misses are grouped into batches of at most
 //! `max_batch` queries; each batch stacks its profiles into one matrix
 //! and scores every profile against the whole vocabulary with a single
-//! blocked matrix–matrix kernel. Batches are striped across scoped
-//! worker threads by `batch_index % workers` and results are reassembled
-//! by original query position, so neither the worker count nor the batch
-//! size can change what a query returns — only how fast it returns.
+//! blocked matrix–matrix kernel. Batches are striped by
+//! `batch_index % workers`: stripe 0 is scored on the calling thread and
+//! only the further stripes of a multi-batch call get a scoped thread, so
+//! a call whose misses fit one batch spawns nothing. Results are
+//! reassembled by original query position, so neither the worker count
+//! nor the batch size can change what a query returns — only how fast it
+//! returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -21,7 +24,7 @@ use plp_linalg::topk::{top_k_with_scores_into, TopKScratch};
 use plp_model::recommender::mask_excluded;
 use plp_model::{ModelError, Recommender};
 use plp_obs::trace::{derive_span_id, derive_trace_id, fnv1a64, TraceContext, DOMAIN_SERVE_QUERY};
-use plp_obs::{HistogramHandle, Observer, PhaseSet};
+use plp_obs::{Counter, HistogramHandle, Observer, PhaseSet};
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -86,7 +89,8 @@ impl Default for AnnConfig {
 pub struct ServeConfig {
     /// Largest number of cache-missing queries scored by one kernel call.
     pub max_batch: usize,
-    /// Worker threads scoring batches concurrently.
+    /// Stripes a call's batches are scored on concurrently: the calling
+    /// thread plus up to `workers − 1` scoped threads.
     pub workers: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
@@ -189,10 +193,24 @@ fn ensure(buf: &mut Vec<f64>, len: usize) {
 /// log-linear histogram on the engine's [`Observer`], so telemetry memory
 /// is O(histogram buckets), not O(queries served).
 struct EngineState {
+    /// Never consulted when [`ServeConfig::cache_capacity`] is 0: no key is
+    /// built, nothing is looked up or stored, every query counts as a miss.
     cache: LruCache<QueryKey, Vec<usize>>,
     queries: u64,
+    cache_hits: u64,
     batches: u64,
     wall_ms: f64,
+}
+
+/// The engine's counters, resolved once at construction like the phases.
+struct Counters {
+    queries: Counter,
+    batches: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    /// Threads spawned by [`BatchEngine::score_misses`]: `stripes − 1` per
+    /// call, so 0 for as long as every call fits one batch.
+    worker_spawns: Counter,
 }
 
 /// The serving phase table — the one place these names are spelled.
@@ -255,6 +273,7 @@ pub struct BatchEngine {
     /// [`phase::TABLE`], resolved once at construction so the serve path
     /// does no registry lookups — a tracer must be attached by then.
     phases: PhaseSet,
+    counters: Counters,
     /// Root of every per-query trace id: `fnv1a64(run_id)`, mixed with
     /// the query sequence number. Deterministic given the observer.
     trace_root: u64,
@@ -339,6 +358,13 @@ impl BatchEngine {
         };
         let latency = obs.histogram("plp_serve_query_latency_ms");
         let phases = PhaseSet::resolve(&obs, &phase::TABLE);
+        let counters = Counters {
+            queries: obs.counter("plp_serve_queries_total"),
+            batches: obs.counter("plp_serve_batches_total"),
+            cache_hits: obs.counter("plp_serve_cache_hits_total"),
+            cache_misses: obs.counter("plp_serve_cache_misses_total"),
+            worker_spawns: obs.counter("plp_serve_worker_spawns_total"),
+        };
         let trace_root = fnv1a64(obs.run_id().unwrap_or("serve"));
         Ok(BatchEngine {
             rec,
@@ -350,11 +376,13 @@ impl BatchEngine {
             obs,
             latency,
             phases,
+            counters,
             trace_root,
             trace_seq: AtomicU64::new(0),
             state: Mutex::new(EngineState {
                 cache: LruCache::new(cfg.cache_capacity),
                 queries: 0,
+                cache_hits: 0,
                 batches: 0,
                 wall_ms: 0.0,
             }),
@@ -435,12 +463,17 @@ impl BatchEngine {
             lookup_start,
         );
         let mut results: Vec<Option<Vec<usize>>> = vec![None; queries.len()];
-        let keys: Vec<QueryKey> = queries
-            .iter()
-            .map(|q| q.key_for_generation(self.generation))
-            .collect();
+        let caching = self.cfg.cache_capacity > 0;
+        let mut keys: Vec<QueryKey> = Vec::new();
         let mut misses: Vec<usize> = Vec::new();
-        {
+        if !caching {
+            misses.extend(0..queries.len());
+        } else {
+            keys.extend(
+                queries
+                    .iter()
+                    .map(|q| q.key_for_generation(self.generation)),
+            );
             let mut state = self.state.lock().expect("serve state poisoned");
             for (i, key) in keys.iter().enumerate() {
                 match state.cache.get(key) {
@@ -470,7 +503,9 @@ impl BatchEngine {
         }
         for br in batch_results {
             for (qi, ranked) in br.ranked {
-                state.cache.put(keys[qi].clone(), ranked.clone());
+                if caching {
+                    state.cache.put(keys[qi].clone(), ranked.clone());
+                }
                 results[qi] = Some(ranked);
             }
         }
@@ -478,17 +513,14 @@ impl BatchEngine {
             self.latency.record_n(lookup_ms, hits);
         }
         state.queries += queries.len() as u64;
+        state.cache_hits += hits;
         state.batches += num_batches;
         state.wall_ms += ms_since(call_start);
         drop(state);
-        self.obs
-            .counter("plp_serve_queries_total")
-            .add(queries.len() as u64);
-        self.obs.counter("plp_serve_batches_total").add(num_batches);
-        self.obs.counter("plp_serve_cache_hits_total").add(hits);
-        self.obs
-            .counter("plp_serve_cache_misses_total")
-            .add(misses.len() as u64);
+        self.counters.queries.add(queries.len() as u64);
+        self.counters.batches.add(num_batches);
+        self.counters.cache_hits.add(hits);
+        self.counters.cache_misses.add(misses.len() as u64);
 
         // Per-query root spans, closed at call end. `misses` is sorted
         // ascending (it was built by a forward scan), so a binary search
@@ -541,8 +573,8 @@ impl BatchEngine {
         ServeTelemetry {
             queries: state.queries,
             batches: state.batches,
-            cache_hits: state.cache.hits(),
-            cache_misses: state.cache.misses(),
+            cache_hits: state.cache_hits,
+            cache_misses: state.queries - state.cache_hits,
             qps,
             p50_ms: pct(0.50),
             p95_ms: pct(0.95),
@@ -586,9 +618,13 @@ impl BatchEngine {
     }
 
     /// Scores `misses` (positions into `queries`) in batches of at most
-    /// `max_batch`, batch `b` on worker `b % workers`. `enqueued_at` is
-    /// when the serve call admitted these misses; the gap until a batch
-    /// actually starts scoring is its `queue_wait` phase.
+    /// `max_batch`, batch `b` on stripe `b % stripes` where `stripes =
+    /// min(workers, batches)`; the result lists the stripes' batches stripe
+    /// by stripe. Stripe 0 runs on the calling thread and each further one
+    /// on a scoped thread, so a one-batch call — the common one — forks
+    /// nothing. `enqueued_at` is when the serve call admitted these misses;
+    /// the gap until a batch actually starts scoring is its `queue_wait`
+    /// phase.
     fn score_misses(
         &self,
         queries: &[Query],
@@ -600,44 +636,41 @@ impl BatchEngine {
             return Ok(Vec::new());
         }
         let batches: Vec<&[usize]> = misses.chunks(self.cfg.max_batch).collect();
-        let workers = self.cfg.workers.min(batches.len());
-        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let batches = &batches;
-                        scope.spawn(move |_| {
-                            let mut scratch = self.take_scratch();
-                            let mut produced = Vec::new();
-                            for batch in batches.iter().skip(w).step_by(workers) {
-                                match self.score_batch(
-                                    queries,
-                                    batch,
-                                    &mut scratch,
-                                    enqueued_at,
-                                    trace_base,
-                                ) {
-                                    Ok(br) => produced.push(br),
-                                    Err(e) => {
-                                        self.return_scratch(scratch);
-                                        return Err(e);
-                                    }
-                                }
-                            }
-                            self.return_scratch(scratch);
-                            Ok(produced)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("serve worker panicked"))
-                    .collect()
-            })
-            .expect("serve scope panicked");
+        let stripes = self.cfg.workers.min(batches.len());
+        let score_stripe = |stripe: usize| -> Result<Vec<BatchResult>, ServeError> {
+            let mut scratch = self.take_scratch();
+            let produced = batches
+                .iter()
+                .skip(stripe)
+                .step_by(stripes)
+                .map(|batch| {
+                    self.score_batch(queries, batch, &mut scratch, enqueued_at, trace_base)
+                })
+                .collect();
+            self.return_scratch(scratch);
+            produced
+        };
+        if stripes == 1 {
+            return score_stripe(0);
+        }
+        self.counters.worker_spawns.add(stripes as u64 - 1);
+        let score_stripe = &score_stripe;
+        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..stripes)
+                .map(|stripe| scope.spawn(move || score_stripe(stripe)))
+                .collect();
+            let own = score_stripe(0);
+            std::iter::once(own)
+                .chain(
+                    spawned
+                        .into_iter()
+                        .map(|h| h.join().expect("serve worker panicked")),
+                )
+                .collect()
+        });
         let mut out = Vec::with_capacity(batches.len());
-        for worker_result in outcome {
-            out.extend(worker_result?);
+        for stripe_result in outcome {
+            out.extend(stripe_result?);
         }
         Ok(out)
     }
@@ -839,26 +872,254 @@ mod tests {
         }
     }
 
+    /// The sequential `Recommender` answers on the scoring path `engine`
+    /// runs: the dense scan, or its index (and int8 pack) at its `nprobe`.
+    fn sequential_on(engine: &BatchEngine, queries: &[Query]) -> Vec<Vec<usize>> {
+        let rec = engine.recommender();
+        let mut scratch = plp_model::recommender::RecommendScratch::new();
+        let mut answer = |q: &Query| match (engine.config().ann, engine.ann_index()) {
+            (Some(ann), Some(index)) => match engine.ann_quant() {
+                Some(quant) => rec
+                    .recommend_indexed_quantized_into(
+                        index,
+                        quant,
+                        &q.recent,
+                        q.k,
+                        &q.exclude,
+                        ann.nprobe,
+                        ann.overfetch,
+                        &mut scratch,
+                    )
+                    .map(|(ranked, _)| ranked),
+                None => rec.recommend_indexed_into(
+                    index,
+                    &q.recent,
+                    q.k,
+                    &q.exclude,
+                    ann.nprobe,
+                    &mut scratch,
+                ),
+            },
+            _ => rec.recommend_excluding_into(&q.recent, q.k, &q.exclude, &mut scratch),
+        };
+        queries.iter().map(|q| answer(q).unwrap()).collect()
+    }
+
+    fn worker_spawns(engine: &BatchEngine) -> u64 {
+        engine
+            .observer()
+            .counter("plp_serve_worker_spawns_total")
+            .get()
+    }
+
+    /// Every batch/worker shape the identity tests sweep: workers {1, 2, 3}
+    /// × `max_batch` {1, 32}, plus ragged shapes.
+    const SHAPES: [(usize, usize); 11] = [
+        (1, 1),
+        (1, 2),
+        (1, 3),
+        (32, 1),
+        (32, 2),
+        (32, 3),
+        (4, 1),
+        (4, 3),
+        (64, 2),
+        (7, 5),
+        (64, 5),
+    ];
+
+    /// Serves `queries` through a cache-less `cfg` engine twice — whole, so
+    /// batches are striped across the caller and scoped threads, and in
+    /// `max_batch`-sized calls, each scored inline — and checks both
+    /// against the sequential reference and the spawn counter against the
+    /// stripe count. Returns the reference answers.
+    fn assert_striped_and_inline_match_sequential(
+        rec: &Recommender,
+        cfg: ServeConfig,
+        queries: &[Query],
+    ) -> Vec<Vec<usize>> {
+        assert_eq!(cfg.cache_capacity, 0, "every query must be scored");
+        let engine = BatchEngine::new(rec.clone(), cfg).unwrap();
+        let expected = sequential_on(&engine, queries);
+        assert_eq!(
+            engine.serve(queries).unwrap(),
+            expected,
+            "striped ({cfg:?})"
+        );
+        let batches = queries.len().div_ceil(cfg.max_batch);
+        let spawned = cfg.workers.min(batches) as u64 - 1;
+        assert_eq!(worker_spawns(&engine), spawned, "{cfg:?}");
+        let inline: Vec<Vec<usize>> = queries
+            .chunks(cfg.max_batch)
+            .flat_map(|call| engine.serve(call).unwrap())
+            .collect();
+        assert_eq!(inline, expected, "inline ({cfg:?})");
+        assert_eq!(
+            worker_spawns(&engine),
+            spawned,
+            "one-batch calls fork nothing"
+        );
+        expected
+    }
+
     #[test]
     fn batched_matches_sequential_for_every_shape() {
         let rec = random_recommender(53, 7, 11);
         let queries = mixed_queries(53, 40, 12);
+        let reference: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
+        for (max_batch, workers) in SHAPES {
+            let cfg = ServeConfig {
+                max_batch,
+                workers,
+                cache_capacity: 0,
+                ann: None,
+            };
+            let expected = assert_striped_and_inline_match_sequential(&rec, cfg, &queries);
+            assert_eq!(expected, reference);
+        }
+    }
+
+    #[test]
+    fn an_engine_shares_its_recommenders_embedding_and_outlives_it() {
+        let rec = random_recommender(31, 5, 13);
+        let queries = mixed_queries(31, 10, 14);
         let expected: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
-        for (max_batch, workers) in [(1, 1), (4, 1), (4, 3), (64, 2), (7, 5)] {
-            let engine = BatchEngine::new(
-                rec.clone(),
-                ServeConfig {
-                    max_batch,
-                    workers,
-                    cache_capacity: 0,
-                    ann: None,
-                },
-            )
-            .unwrap();
-            let got = engine.serve(&queries).unwrap();
+        let engine = BatchEngine::new(rec.clone(), ServeConfig::default()).unwrap();
+        assert_eq!(
+            engine.recommender().embedding().as_slice().as_ptr(),
+            rec.embedding().as_slice().as_ptr(),
+            "the engine reads the caller's matrix, not a copy"
+        );
+        drop(rec);
+        assert_eq!(engine.serve(&queries).unwrap(), expected);
+    }
+
+    #[test]
+    fn cache_off_consults_no_cache_and_counts_every_query_a_miss() {
+        let rec = random_recommender(31, 5, 15);
+        let queries = mixed_queries(31, 10, 16);
+        let cfg = ServeConfig {
+            max_batch: 4,
+            workers: 2,
+            cache_capacity: 0,
+            ann: None,
+        };
+        let engine = BatchEngine::new(rec.clone(), cfg).unwrap();
+        let cached = BatchEngine::new(
+            rec,
+            ServeConfig {
+                cache_capacity: 64,
+                ..cfg
+            },
+        )
+        .unwrap();
+        let expected = sequential_on(&engine, &queries);
+        for _ in 0..2 {
+            assert_eq!(engine.serve(&queries).unwrap(), expected);
+            assert_eq!(cached.serve(&queries).unwrap(), expected);
+        }
+        // The repeated pass is scored again without a single lookup, and
+        // counted as misses where the harness reads them: the telemetry
+        // and the registry.
+        assert_eq!(engine.state.lock().unwrap().cache.misses(), 0);
+        let t = engine.telemetry();
+        assert_eq!(
+            (t.queries, t.batches, t.cache_hits, t.cache_misses),
+            (20, 6, 0, 20)
+        );
+        let t = cached.telemetry();
+        assert_eq!(
+            (t.queries, t.batches, t.cache_hits, t.cache_misses),
+            (20, 3, 10, 10)
+        );
+        for (name, want) in [
+            ("plp_serve_queries_total", 20),
+            ("plp_serve_batches_total", 6),
+            ("plp_serve_cache_hits_total", 0),
+            ("plp_serve_cache_misses_total", 20),
+        ] {
+            assert_eq!(engine.observer().counter(name).get(), want, "{name}");
+        }
+    }
+
+    /// An engine of each scoring kind (dense, IVF, int8) under `cfg`'s
+    /// shape and cache.
+    fn engine_of_each_kind(rec: &Recommender, cfg: ServeConfig) -> [BatchEngine; 3] {
+        [None, ann_cfg(8, 3).ann, quant_cfg(8, 3).ann]
+            .map(|ann| BatchEngine::new(rec.clone(), ServeConfig { ann, ..cfg }).unwrap())
+    }
+
+    #[test]
+    fn worker_spawns_count_the_stripes_beyond_the_callers() {
+        let rec = random_recommender(61, 6, 17);
+        let queries = mixed_queries(61, 40, 18);
+        let shape = ServeConfig {
+            max_batch: 4,
+            workers: 3,
+            cache_capacity: 8,
+            ann: None,
+        };
+        // One-batch calls, hits and misses mixed: nothing is ever forked.
+        for engine in engine_of_each_kind(&rec, shape) {
+            for call in 0..1000 {
+                let from = call % 37;
+                engine.serve(&queries[from..from + 1 + call % 4]).unwrap();
+            }
+            let t = engine.telemetry();
+            assert!(t.cache_hits > 0 && t.cache_misses > 0, "{t:?}");
+            assert_eq!(worker_spawns(&engine), 0, "{:?}", engine.config());
+        }
+        // Multi-batch calls: one thread per stripe beyond the caller's.
+        let uncached = ServeConfig {
+            cache_capacity: 0,
+            ..shape
+        };
+        for engine in engine_of_each_kind(&rec, uncached) {
+            let mut expected = 0;
+            for n in [1, 4, 5, 8, 9, 12, 40] {
+                engine.serve(&queries[..n]).unwrap();
+                expected += 3.min(n.div_ceil(4)) as u64 - 1;
+                assert_eq!(worker_spawns(&engine), expected, "after a {n}-query call");
+            }
+        }
+    }
+
+    #[test]
+    fn a_scoring_error_on_any_stripe_returns_its_scratch() {
+        // `serve` validates first, so a scoring error is a bug by
+        // construction; drive `score_misses` directly with a token only
+        // `profile_into` will catch.
+        let rec = random_recommender(12, 3, 19);
+        let cfg = ServeConfig {
+            max_batch: 1,
+            workers: 2,
+            cache_capacity: 0,
+            ann: None,
+        };
+        let engine = BatchEngine::new(rec, cfg).unwrap();
+        engine
+            .scratch_pool
+            .lock()
+            .unwrap()
+            .extend([Scratch::default(), Scratch::default()]);
+        let want = ServeError::Model(ModelError::TokenOutOfRange {
+            token: 99,
+            vocab: 12,
+        });
+        // Batch b runs on stripe b % 2: position 0 and 2 on the caller's,
+        // 1 on the spawned one; a single miss is scored inline.
+        for (bad_at, misses) in [(0, 0..4), (2, 0..4), (1, 0..4), (3, 3..4)] {
+            let mut queries = mixed_queries(12, 4, 20);
+            queries[bad_at] = Query::new(vec![99], 3);
+            let misses: Vec<usize> = misses.collect();
+            let got = engine
+                .score_misses(&queries, &misses, Instant::now(), None)
+                .err();
+            assert_eq!(got.as_ref(), Some(&want), "bad query at {bad_at}");
             assert_eq!(
-                got, expected,
-                "batched must be bit-identical (max_batch={max_batch}, workers={workers})"
+                engine.scratch_pool.lock().unwrap().len(),
+                2,
+                "both scratches back in the pool (bad query at {bad_at})"
             );
         }
     }
@@ -1188,25 +1449,20 @@ mod tests {
     fn ann_results_are_worker_and_batch_invariant() {
         let rec = random_recommender(61, 6, 52);
         let queries = mixed_queries(61, 40, 53);
-        let reference = BatchEngine::new(rec.clone(), ann_cfg(8, 2))
-            .unwrap()
-            .serve(&queries)
-            .unwrap();
-        for (max_batch, workers) in [(1, 1), (7, 3), (64, 5)] {
-            let engine = BatchEngine::new(
-                rec.clone(),
-                ServeConfig {
+        // IVF and int8, striped and inline, against the sequential
+        // indexed `Recommender` calls: fixed by (embedding, ann config),
+        // never by the shape.
+        let mut reference = None;
+        for ann in [ann_cfg(8, 2), quant_cfg(8, 2)] {
+            for (max_batch, workers) in SHAPES {
+                let cfg = ServeConfig {
                     max_batch,
                     workers,
-                    ..ann_cfg(8, 2)
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                engine.serve(&queries).unwrap(),
-                reference,
-                "ANN results fixed by (embedding, ann config), not by max_batch={max_batch}/workers={workers}"
-            );
+                    ..ann
+                };
+                let expected = assert_striped_and_inline_match_sequential(&rec, cfg, &queries);
+                assert_eq!(reference.get_or_insert_with(|| expected.clone()), &expected);
+            }
         }
     }
 
@@ -1378,18 +1634,21 @@ mod tests {
             ..ivf
         };
 
-        for (ann, workers) in [None, Some(ivf), Some(quantized)]
+        // A `max_batch` of 32 or more holds the whole 20-query call in one
+        // batch, so those shapes trace the inline path.
+        for (ann, (max_batch, workers)) in [None, Some(ivf), Some(quantized)]
             .into_iter()
-            .flat_map(|ann| [(ann, 1), (ann, 3)])
+            .flat_map(|ann| SHAPES.map(|shape| (ann, shape)))
         {
             let cfg = ServeConfig {
-                max_batch: 4,
+                max_batch,
                 workers,
                 cache_capacity: 8,
                 ann,
             };
             let untraced = BatchEngine::new(rec.clone(), cfg).unwrap();
             let expected = untraced.serve(&queries).unwrap();
+            assert_eq!(expected, sequential_on(&untraced, &queries));
 
             let obs = Observer::new("serve-traced");
             let tracer = obs.attach_tracer(TraceConfig::named("serve")).unwrap();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container grep gate, build,
-# the full test suite (and the vectorised kernels' and the streaming
-# reduction's identity tests again in release mode, with the allocation
-# count of a warm bucket), the chaos drills, a re-stitch of the fed_chaos
+# Offline CI gate: formatting, lints, the one-container and no-crossbeam-
+# in-serve grep gates, build, the full test suite (and the vectorised
+# kernels', the streaming reduction's and the serving engine's identity
+# tests again in release mode, with the allocation count of a warm
+# bucket), the chaos drills, a re-stitch of the fed_chaos
 # trace dumps through the CLI and a correctness smoke of the benchmark
 # harness. This is the only CI definition — .github/workflows/ci.yml just
 # calls it. It needs cargo, git and coreutils — no Python, no network (all
@@ -29,6 +30,15 @@ if [ "$writers" -ne 1 ] || [ -n "$stray" ] || [ "$(grep -c 'b"PLPS"' <<<"$magics
   exit 1
 fi
 
+echo "== serve threading gate (plp-serve scores on std threads only) =="
+# A one-batch call runs on the caller's thread and a multi-batch call on
+# `std::thread::scope`; a crossbeam scope coming back means the per-call
+# fork came back with it.
+if git grep -n crossbeam -- crates/serve/src; then
+  echo "crates/serve/src must not name crossbeam"
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -51,6 +61,9 @@ echo "== release-mode streaming reduction and allocation count =="
 # a property of the optimised code (the test prints the per-batch figure
 # DESIGN.md §11.2 quotes).
 cargo test --release -q -p plp-core streaming
+# The engine's inline ≡ striped ≡ sequential sweeps, its spawn counts and
+# its error-path scratch return race the caller against scoped threads.
+cargo test --release -q -p plp-serve engine
 cargo test --release -q -p plp-model --test alloc_count -- --nocapture
 
 echo "== chaos drill (crash-safety smoke) =="
