@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use plp_bench::runner::{run_point_with, RunControl, Scale, SweepPoint};
+use plp_bench::runner::{run_point, RunControl, Scale, SweepPoint};
 use plp_core::checkpoint::load_checkpoint;
 use plp_core::experiment::PreparedData;
 use plp_core::faults::{FaultInjector, FaultPlan};
@@ -169,7 +169,7 @@ fn main() -> ExitCode {
         dpsgd: false,
     };
     let control = RunControl::checkpointed(torn_path.clone(), 0);
-    let recovered = run_point_with(&prep, &point, seed, &control);
+    let recovered = run_point(&prep, &point, seed, &control);
     all_ok &= check(
         "auto-restart",
         recovered.as_ref().map(|r| r.steps).unwrap_or(0) == hp.max_steps as u64,

@@ -6,12 +6,15 @@
 //! figure's series as aligned text plus machine-readable JSON.
 //!
 //! Two scales are supported everywhere:
-//! * `Scale::Bench` — small data, so the drills, `smoke`, the unit tests
-//!   and `fig* --scale bench` terminate in seconds,
-//! * `Scale::Figure` — the medium profile used by the `fig*` binaries to
-//!   produce the numbers recorded in EXPERIMENTS.md.
+//! * `Scale::Bench` — small data, so the drills, the unit tests and
+//!   `figures run --all --scale bench` terminate in seconds,
+//! * `Scale::Figure` — the medium profile behind the numbers recorded in
+//!   EXPERIMENTS.md.
+//!
+//! [`figures::EXPERIMENTS`] is the table of experiments; the `figures`
+//! binary is a loop over it.
 
-pub mod cli;
+mod custom;
 pub mod figures;
 pub mod runner;
 

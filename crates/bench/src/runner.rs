@@ -1,4 +1,4 @@
-//! Experiment runner shared by the `fig*` binaries and the drills.
+//! Experiment runner shared by the `figures` binary and the drills.
 
 use std::path::PathBuf;
 
@@ -9,7 +9,6 @@ use plp_core::checkpoint::load_checkpoint;
 use plp_core::config::Hyperparameters;
 use plp_core::dpsgd::baseline_hyperparameters;
 use plp_core::experiment::{evaluate, EvalRecord, ExperimentConfig, PreparedData};
-use plp_core::faults::FaultInjector;
 use plp_core::nonprivate::{train_nonprivate, NonPrivateConfig};
 use plp_core::plp::{resume_plp, train_plp_resumable, CheckpointPolicy, TrainOptions};
 use plp_core::CoreError;
@@ -19,11 +18,19 @@ use plp_core::CoreError;
 pub enum Scale {
     /// Tiny data + few steps: the drills, `smoke` and the unit tests.
     Bench,
-    /// The medium synthetic profile: used by the `fig*` binaries.
+    /// The medium synthetic profile behind the numbers in EXPERIMENTS.md.
     Figure,
 }
 
 impl Scale {
+    /// The value `--scale` takes and headers print.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Bench => "bench",
+            Scale::Figure => "figure",
+        }
+    }
+
     /// The data-preparation config for this scale.
     pub fn experiment_config(self, seed: u64) -> ExperimentConfig {
         match self {
@@ -78,9 +85,23 @@ pub struct SweepPoint {
     pub dpsgd: bool,
 }
 
-/// Crash-safety knobs for [`run_point_with`] and
-/// [`try_drive_sweep_with`]: periodic checkpointing, automatic resume and
-/// (for drills) fault injection. The default is the classic
+/// One printed table of a sweep: the points behind one header and one
+/// `JSON` line. A figure with several sub-plots (Figure 7) is several
+/// panels.
+#[derive(Debug, Clone)]
+pub struct Panel {
+    /// Label in the header, the `JSON` payload and checkpoint file names.
+    pub figure: &'static str,
+    /// What the table shows, for the header.
+    pub description: &'static str,
+    /// Added to the master seed, so panels of one figure draw apart.
+    pub seed_offset: u64,
+    /// The sweep, in print order.
+    pub points: Vec<SweepPoint>,
+}
+
+/// Crash-safety knobs for [`run_point`] and [`drive_sweep`]: periodic
+/// checkpointing and automatic resume. The default is the classic
 /// fire-and-forget run.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
@@ -89,10 +110,6 @@ pub struct RunControl {
     pub checkpoint_path: Option<PathBuf>,
     /// Save a checkpoint every this many steps (0: only at run end).
     pub checkpoint_every: u64,
-    /// Fault injector for robustness drills (inert by default).
-    pub faults: FaultInjector,
-    /// Observability context threaded into training (inert by default).
-    pub observer: plp_obs::Observer,
 }
 
 impl RunControl {
@@ -101,33 +118,21 @@ impl RunControl {
         RunControl {
             checkpoint_path: Some(path),
             checkpoint_every: every,
-            ..Self::default()
         }
     }
 }
 
 /// Trains one sweep point and evaluates HR@{5,10,20} on the test users.
-///
-/// # Errors
-/// Propagates pipeline errors.
-pub fn run_point(
-    prep: &PreparedData,
-    point: &SweepPoint,
-    seed: u64,
-) -> Result<EvalRecord, CoreError> {
-    run_point_with(prep, point, seed, &RunControl::default())
-}
-
-/// [`run_point`] with checkpointing and auto-resume. When the control's
-/// checkpoint file holds a valid checkpoint of this exact configuration,
-/// training resumes from it (bit-identical to an uninterrupted run); a
-/// corrupt or torn file is discarded and the run restarts from scratch.
+/// When the control's checkpoint file holds a valid checkpoint of this
+/// exact configuration, training resumes from it (bit-identical to an
+/// uninterrupted run); a corrupt or torn file is discarded and the run
+/// restarts from scratch.
 ///
 /// # Errors
 /// Propagates pipeline errors, including [`CoreError::CheckpointMismatch`]
 /// when an existing checkpoint belongs to a *different* configuration —
 /// silently restarting would mask an experiment-setup bug.
-pub fn run_point_with(
+pub fn run_point(
     prep: &PreparedData,
     point: &SweepPoint,
     seed: u64,
@@ -142,7 +147,6 @@ pub fn run_point_with(
     // non-resumable `train_plp` would derive, so results stay comparable.
     let run_seed: u64 = StdRng::seed_from_u64(seed).random();
     let opts = TrainOptions {
-        faults: control.faults,
         checkpoint: control
             .checkpoint_path
             .clone()
@@ -150,8 +154,7 @@ pub fn run_point_with(
                 path,
                 every: control.checkpoint_every,
             }),
-        halt_after: None,
-        observer: control.observer.clone(),
+        ..TrainOptions::default()
     };
     let resumable = opts
         .checkpoint
@@ -224,8 +227,8 @@ pub fn print_header(figure: &str, description: &str, prep: &PreparedData) {
     );
 }
 
-/// Prints one record row and returns it for JSON collection.
-pub fn print_record(r: &EvalRecord) -> EvalRecord {
+/// Prints one record row.
+pub fn print_record(r: &EvalRecord) {
     println!(
         "{:<16} {:>8.3} {:>8.4} {:>8.4} {:>8.4} {:>8.3} {:>9} {:>10.0}",
         r.method,
@@ -237,7 +240,6 @@ pub fn print_record(r: &EvalRecord) -> EvalRecord {
         r.steps,
         r.wall_ms
     );
-    r.clone()
 }
 
 /// Dumps the collected records as one JSON line (for EXPERIMENTS.md and
@@ -280,7 +282,7 @@ mod tests {
             hp,
             dpsgd: false,
         };
-        let r = run_point(&prep, &point, 11).unwrap();
+        let r = run_point(&prep, &point, 11, &RunControl::default()).unwrap();
         assert_eq!(r.hit_rates.len(), 3);
         assert_eq!(r.steps, 2);
         assert!(r.epsilon_spent > 0.0);
@@ -290,47 +292,20 @@ mod tests {
     }
 }
 
-/// Runs every sweep point (repeating `seeds` times with consecutive seeds
-/// and pooling hits/trials), printing rows as they complete. Returns the
-/// pooled records.
+/// Runs every point of `panel` (repeating `seeds` times with consecutive
+/// seeds and pooling hits/trials), printing rows as they complete, and
+/// returns the pooled records. When the control names a checkpoint
+/// *directory*, every (point, rep) run checkpoints to its own file in it,
+/// so a rerun resumes each finished point instead of retraining.
 ///
 /// # Errors
-/// Propagates the first pipeline error. Already-printed rows are lost;
-/// with checkpointing enabled (see [`try_drive_sweep_with`]) a rerun
-/// resumes each finished point from its checkpoint instead of retraining.
-pub fn try_drive_sweep(
-    figure: &str,
-    description: &str,
-    prep: &PreparedData,
-    points: &[SweepPoint],
-    base_seed: u64,
-    seeds: usize,
-) -> Result<Vec<EvalRecord>, CoreError> {
-    try_drive_sweep_with(
-        figure,
-        description,
-        prep,
-        points,
-        base_seed,
-        seeds,
-        &RunControl::default(),
-    )
-}
-
-/// [`try_drive_sweep`] under a [`RunControl`]. When the control names a
-/// checkpoint *directory*, every (point, rep) run checkpoints to its own
-/// file in it and auto-resumes on rerun.
-///
-/// # Errors
-/// As [`try_drive_sweep`], plus [`CoreError::Io`] when the checkpoint
+/// Propagates the first pipeline error (already-printed rows are lost
+/// unless checkpointed), plus [`CoreError::Io`] when the checkpoint
 /// directory cannot be created.
-#[allow(clippy::too_many_arguments)]
-pub fn try_drive_sweep_with(
-    figure: &str,
-    description: &str,
+pub fn drive_sweep(
+    panel: &Panel,
     prep: &PreparedData,
-    points: &[SweepPoint],
-    base_seed: u64,
+    seed: u64,
     seeds: usize,
     control: &RunControl,
 ) -> Result<Vec<EvalRecord>, CoreError> {
@@ -339,9 +314,11 @@ pub fn try_drive_sweep_with(
             message: e.to_string(),
         })?;
     }
-    print_header(figure, description, prep);
-    let mut records = Vec::with_capacity(points.len());
-    for (i, point) in points.iter().enumerate() {
+    let figure = panel.figure;
+    let base_seed = seed.wrapping_add(panel.seed_offset);
+    print_header(figure, panel.description, prep);
+    let mut records = Vec::with_capacity(panel.points.len());
+    for (i, point) in panel.points.iter().enumerate() {
         let mut pooled: Option<EvalRecord> = None;
         for rep in 0..seeds.max(1) {
             let seed = base_seed
@@ -352,9 +329,9 @@ pub fn try_drive_sweep_with(
                     .checkpoint_path
                     .as_ref()
                     .map(|dir| dir.join(format!("{figure}-p{i}-r{rep}.plpc"))),
-                ..control.clone()
+                checkpoint_every: control.checkpoint_every,
             };
-            let r = run_point_with(prep, point, seed, &point_control)?;
+            let r = run_point(prep, point, seed, &point_control)?;
             pooled = Some(match pooled.take() {
                 None => r,
                 Some(mut acc) => {
@@ -378,52 +355,40 @@ pub fn try_drive_sweep_with(
     Ok(records)
 }
 
-/// Panicking convenience wrapper around [`try_drive_sweep`] for the
-/// `fig*` experiment binaries, where aborting with the error message is
-/// the right behaviour.
-///
-/// # Panics
-/// Panics on pipeline errors — library code should call
-/// [`try_drive_sweep`] instead.
-pub fn drive_sweep(
-    figure: &str,
-    description: &str,
-    prep: &PreparedData,
-    points: &[SweepPoint],
-    base_seed: u64,
-    seeds: usize,
-) -> Vec<EvalRecord> {
-    match try_drive_sweep(figure, description, prep, points, base_seed, seeds) {
-        Ok(records) => records,
-        Err(e) => panic!("sweep {figure} failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod drive_tests {
     use super::*;
 
+    fn one_point_panel(figure: &'static str, max_steps: usize) -> Panel {
+        let mut hp = Scale::Bench.hyperparameters();
+        hp.max_steps = max_steps;
+        Panel {
+            figure,
+            description: "test",
+            seed_offset: 0,
+            points: vec![SweepPoint {
+                method: "PLP λ=2".into(),
+                x: 0.0,
+                hp,
+                dpsgd: false,
+            }],
+        }
+    }
+
     #[test]
     fn sweep_checkpoints_and_reruns_resume() {
         let prep = PreparedData::generate(&Scale::Bench.experiment_config(6)).unwrap();
-        let mut hp = Scale::Bench.hyperparameters();
-        hp.max_steps = 2;
-        let points = vec![SweepPoint {
-            method: "PLP λ=2".into(),
-            x: 0.0,
-            hp,
-            dpsgd: false,
-        }];
+        let panel = one_point_panel("t2", 2);
         let dir = std::env::temp_dir().join(format!("plp_sweep_ckpt_{}", std::process::id()));
         let control = RunControl::checkpointed(dir.clone(), 1);
-        let first = try_drive_sweep_with("t2", "ckpt", &prep, &points, 1, 1, &control).unwrap();
+        let first = drive_sweep(&panel, &prep, 1, 1, &control).unwrap();
         assert!(
             dir.join("t2-p0-r0.plpc").exists(),
             "sweep must leave a checkpoint"
         );
         // A rerun resumes the finished run from its checkpoint and lands
         // on the same record without retraining.
-        let second = try_drive_sweep_with("t2", "ckpt", &prep, &points, 1, 1, &control).unwrap();
+        let second = drive_sweep(&panel, &prep, 1, 1, &control).unwrap();
         assert_eq!(first[0].steps, second[0].steps);
         assert_eq!(first[0].hit_rates[0].hits, second[0].hit_rates[0].hits);
         assert_eq!(
@@ -436,17 +401,11 @@ mod drive_tests {
     #[test]
     fn drive_sweep_pools_seeds() {
         let prep = PreparedData::generate(&Scale::Bench.experiment_config(5)).unwrap();
-        let mut hp = Scale::Bench.hyperparameters();
-        hp.max_steps = 1;
-        let points = vec![SweepPoint {
-            method: "PLP λ=2".into(),
-            x: 0.0,
-            hp,
-            dpsgd: false,
-        }];
-        let recs = drive_sweep("t", "pooling", &prep, &points, 1, 2);
+        let panel = one_point_panel("t", 1);
+        let control = RunControl::default();
+        let recs = drive_sweep(&panel, &prep, 1, 2, &control).unwrap();
         assert_eq!(recs.len(), 1);
-        let single = run_point(&prep, &points[0], 1001).unwrap();
+        let single = run_point(&prep, &panel.points[0], 1001, &control).unwrap();
         assert_eq!(recs[0].hit_rates[0].trials, 2 * single.hit_rates[0].trials);
     }
 }

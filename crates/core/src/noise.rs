@@ -84,7 +84,7 @@ fn push_row_jobs<'a>(
 
 /// Perturbs `aggregate` with the mechanism's `N(0, (σC)²I)` noise and then
 /// scales it by `scale_by` (the fixed-denominator average), fanning the
-/// per-row work over up to `threads` crossbeam-scoped workers.
+/// per-row work over up to `threads` scoped workers.
 ///
 /// Bit-identical for every `threads` value: each row's noise comes from its
 /// own counter-seeded stream (see the module docs) and both the noise add
@@ -130,12 +130,12 @@ pub fn perturb_and_scale_threaded(
     for (i, job) in jobs.into_iter().enumerate() {
         buckets[i % workers].push(job);
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let run = &run;
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = Vec::new();
                     for job in bucket {
                         run(job, &mut scratch);
@@ -146,8 +146,7 @@ pub fn perturb_and_scale_threaded(
         for h in handles {
             h.join().expect("noise worker panicked");
         }
-    })
-    .expect("noise thread scope");
+    });
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! validated eagerly at construction. A file truncated by another process
 //! after mapping could still fault — the snapshot publishing protocol never
 //! truncates live generation files (writers publish via `rename(2)`), which
-//! is documented as part of the PLPS contract in DESIGN.md §17.
+//! is documented as part of the PLPS contract in DESIGN.md §16.
 //!
 //! It also holds [`CountingAllocator`], because a `GlobalAlloc` can only be
 //! written with `unsafe impl`: a pass-through to the system allocator that

@@ -124,17 +124,16 @@ pub fn evaluate_hit_rate_threaded<R: RankLocations + Sync + ?Sized>(
         let hits = hit_counts(recommender, &trials, ks, max_k, 0, 1)?;
         return Ok(assemble(ks, hits, trials.len()));
     }
-    let partials: Vec<Result<Vec<usize>, ModelError>> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Result<Vec<usize>, ModelError>> = std::thread::scope(|scope| {
         let trials = &trials;
         let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move |_| hit_counts(recommender, trials, ks, max_k, w, workers)))
+            .map(|w| scope.spawn(move || hit_counts(recommender, trials, ks, max_k, w, workers)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("eval worker panicked"))
             .collect()
-    })
-    .expect("eval thread scope");
+    });
     // Deterministic ordered reduction: worker 0 first, then 1, … (exact for
     // integer counts, and the order every future float reduction must keep).
     let mut hits = vec![0usize; ks.len()];

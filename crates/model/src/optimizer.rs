@@ -79,7 +79,7 @@ fn push_chunks4<'a>(
 }
 
 /// Runs `f` over every job, fanning the jobs round-robin across `threads`
-/// crossbeam-scoped workers (sequentially when `threads ≤ 1` or there is at
+/// scoped workers (sequentially when `threads ≤ 1` or there is at
 /// most one job). The jobs are element-wise and disjoint, so execution
 /// order cannot affect the result.
 fn run_chunk_jobs<J: Send, F: Fn(J) + Sync>(threads: usize, jobs: Vec<J>, f: F) {
@@ -94,12 +94,12 @@ fn run_chunk_jobs<J: Send, F: Fn(J) + Sync>(threads: usize, jobs: Vec<J>, f: F) 
     for (i, j) in jobs.into_iter().enumerate() {
         buckets[i % workers].push(j);
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for j in bucket {
                         f(j);
                     }
@@ -109,8 +109,7 @@ fn run_chunk_jobs<J: Send, F: Fn(J) + Sync>(threads: usize, jobs: Vec<J>, f: F) 
         for h in handles {
             h.join().expect("server update worker panicked");
         }
-    })
-    .expect("server update thread scope");
+    });
 }
 
 /// Plain averaging server update: `θ ← θ + lr · ĝ` (lr = 1 reproduces

@@ -4,7 +4,7 @@
 //!
 //! * [`budget`] — the (ε, δ) privacy budget type and validation,
 //! * [`mechanism`] — the Gaussian mechanism (Dwork et al., Theorem 2.1 of the
-//!   paper) plus a Laplace mechanism for completeness,
+//!   paper),
 //! * [`rdp`] — Rényi-DP / log-moment bounds of the *subsampled* Gaussian
 //!   mechanism at integer orders — i.e. the moments accountant of Abadi
 //!   et al. (2016), the accounting method the paper uses ([2, 37, 54]),
@@ -13,16 +13,12 @@
 //! * [`composition`] — naive and advanced (ε, δ) composition theorems, used
 //!   to demonstrate how much tighter the moments accountant is,
 //! * [`planner`] — inverse queries: calibrate σ for a target budget, or the
-//!   number of steps a budget affords (used to set up Figures 7, 8 and 11),
-//! * [`geoind`] — geo-indistinguishability (planar Laplace), the
-//!   client-side protection §3.3 recommends when querying an untrusted
-//!   provider.
+//!   number of steps a budget affords (used to set up Figures 7, 8 and 11).
 
 pub mod accountant;
 pub mod budget;
 pub mod composition;
 pub mod error;
-pub mod geoind;
 pub mod mechanism;
 pub mod planner;
 pub mod rdp;
@@ -30,6 +26,5 @@ pub mod rdp;
 pub use accountant::{LedgerEntry, MomentsAccountant, PrivacyLedger};
 pub use budget::PrivacyBudget;
 pub use error::PrivacyError;
-pub use geoind::PlanarLaplace;
-pub use mechanism::{GaussianMechanism, LaplaceMechanism};
+pub use mechanism::GaussianMechanism;
 pub use rdp::RdpCurve;

@@ -1,17 +1,12 @@
-//! Output-perturbation mechanisms.
+//! The output-perturbation mechanism.
 //!
 //! [`GaussianMechanism`] is the noise source of Algorithm 1 (line 9): the
 //! clipped bucket gradients are summed and perturbed with
 //! `N(0, σ²C²I)` — or `N(0, σ²ω²C²I)` when a user's data may be split across
-//! ω > 1 buckets (§4.2, Case 2). [`LaplaceMechanism`] is included for
-//! completeness of the DP toolkit (pure ε-DP scalar releases, e.g.
-//! publishing dataset statistics alongside the model).
+//! ω > 1 buckets (§4.2, Case 2).
 
-use rand::{Rng, RngExt};
+use plp_linalg::sample;
 
-use plp_linalg::sample::{self, NormalSampler};
-
-use crate::budget::PrivacyBudget;
 use crate::error::PrivacyError;
 
 /// The Gaussian mechanism of (ε, δ)-differential privacy.
@@ -20,11 +15,10 @@ use crate::error::PrivacyError;
 /// Following DP-SGD convention, the *noise multiplier* σ and the ℓ2
 /// *sensitivity* C are kept separate so the accountant can reason about σ
 /// alone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianMechanism {
     noise_multiplier: f64,
     sensitivity: f64,
-    sampler: NormalSampler,
 }
 
 impl GaussianMechanism {
@@ -51,69 +45,12 @@ impl GaussianMechanism {
         Ok(GaussianMechanism {
             noise_multiplier: sigma,
             sensitivity,
-            sampler: NormalSampler::new(),
         })
-    }
-
-    /// Calibrates the classical Gaussian mechanism for a single release under
-    /// `budget` (paper Theorem 2.1): `σ² ε² ≥ 2 ln(1.25/δ)`, valid for
-    /// ε ∈ (0, 1].
-    ///
-    /// # Errors
-    /// Returns [`PrivacyError::InvalidParameter`] when ε ∉ (0, 1] (the
-    /// classical bound does not apply) or sensitivity is invalid.
-    pub fn calibrate(budget: PrivacyBudget, sensitivity: f64) -> Result<Self, PrivacyError> {
-        if budget.epsilon > 1.0 {
-            return Err(PrivacyError::InvalidParameter {
-                name: "epsilon",
-                value: budget.epsilon,
-                expected: "in (0, 1] for the classical Gaussian mechanism",
-            });
-        }
-        let sigma = (2.0 * (1.25 / budget.delta).ln()).sqrt() / budget.epsilon;
-        GaussianMechanism::new(sigma, sensitivity)
-    }
-
-    /// The noise multiplier σ.
-    pub fn noise_multiplier(&self) -> f64 {
-        self.noise_multiplier
-    }
-
-    /// The ℓ2 sensitivity the mechanism is calibrated to.
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
     }
 
     /// The per-coordinate noise standard deviation `σ · C`.
     pub fn noise_std(&self) -> f64 {
         self.noise_multiplier * self.sensitivity
-    }
-
-    /// Adds `N(0, (σC)²)` noise to every coordinate of `v` in place —
-    /// the vector Gaussian mechanism. Every coordinate is perturbed,
-    /// including zeros: DP requires noise on the whole output vector.
-    ///
-    /// The internal Box–Muller sampler is one stream across consecutive
-    /// `perturb`/`perturb_scalar` calls (see the stream contract in
-    /// `plp_linalg::sample`); call [`GaussianMechanism::reset_stream`] at
-    /// phase/step boundaries so a cached spare cannot couple logically
-    /// independent releases. [`GaussianMechanism::perturb_rows`] needs no
-    /// reset — every row there has its own counter-seeded stream.
-    pub fn perturb<R: Rng + ?Sized>(&mut self, rng: &mut R, v: &mut [f64]) {
-        let std = self.noise_std();
-        self.sampler.perturb(rng, std, v);
-    }
-
-    /// Returns a noisy copy of the scalar `x`.
-    pub fn perturb_scalar<R: Rng + ?Sized>(&mut self, rng: &mut R, x: f64) -> f64 {
-        x + self.sampler.sample_scaled(rng, self.noise_std())
-    }
-
-    /// Ends the internal sampler's current stream, dropping any cached
-    /// Box–Muller spare — call at every stream boundary when using the
-    /// RNG-backed [`GaussianMechanism::perturb`] path.
-    pub fn reset_stream(&mut self) {
-        self.sampler.reset();
     }
 
     /// Adds `N(0, (σC)²)` noise to `data` — consecutive rows of length
@@ -148,60 +85,9 @@ impl GaussianMechanism {
     }
 }
 
-/// The Laplace mechanism for pure ε-DP releases with ℓ1 sensitivity.
-#[derive(Debug, Clone)]
-pub struct LaplaceMechanism {
-    scale: f64,
-}
-
-impl LaplaceMechanism {
-    /// Calibrates the mechanism: scale `b = sensitivity / ε`.
-    ///
-    /// # Errors
-    /// Both parameters must be finite and positive.
-    pub fn new(epsilon: f64, l1_sensitivity: f64) -> Result<Self, PrivacyError> {
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(PrivacyError::InvalidParameter {
-                name: "epsilon",
-                value: epsilon,
-                expected: "finite and > 0",
-            });
-        }
-        if !(l1_sensitivity.is_finite() && l1_sensitivity > 0.0) {
-            return Err(PrivacyError::InvalidParameter {
-                name: "l1_sensitivity",
-                value: l1_sensitivity,
-                expected: "finite and > 0",
-            });
-        }
-        Ok(LaplaceMechanism {
-            scale: l1_sensitivity / epsilon,
-        })
-    }
-
-    /// The Laplace scale parameter `b`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Draws one Laplace(0, b) variate by inverse-CDF sampling.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // u uniform in (-0.5, 0.5]; inverse CDF of the Laplace distribution.
-        let u: f64 = rng.random::<f64>() - 0.5;
-        -self.scale * u.signum() * (1.0_f64 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln()
-    }
-
-    /// Returns a noisy copy of the scalar `x`.
-    pub fn perturb_scalar<R: Rng + ?Sized>(&self, rng: &mut R, x: f64) -> f64 {
-        x + self.sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn gaussian_rejects_bad_params() {
@@ -211,28 +97,18 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_matches_theorem_2_1() {
-        let b = PrivacyBudget::new(0.5, 1e-5).unwrap();
-        let m = GaussianMechanism::calibrate(b, 2.0).unwrap();
-        let expected = (2.0 * (1.25f64 / 1e-5).ln()).sqrt() / 0.5;
-        assert!((m.noise_multiplier() - expected).abs() < 1e-12);
-        assert!((m.noise_std() - expected * 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibrate_rejects_large_epsilon() {
-        let b = PrivacyBudget::new(2.0, 1e-5).unwrap();
-        assert!(GaussianMechanism::calibrate(b, 1.0).is_err());
-    }
-
-    #[test]
     fn gaussian_noise_has_requested_std() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut m = GaussianMechanism::new(2.0, 0.5).unwrap();
-        let mut v = vec![0.0; 100_000];
-        m.perturb(&mut rng, &mut v);
-        let var = v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64;
+        // Centred on the input with variance (σC)², through the row path
+        // training takes; rows shorter than the slab exercise many streams.
+        let m = GaussianMechanism::new(2.0, 0.5).unwrap();
+        let mut v = vec![3.0; 100_000];
+        let mut scratch = vec![0.0; 50];
+        m.perturb_rows(5, 0, 50, 0, &mut v, &mut scratch);
+        let n = v.len() as f64;
+        let mean = v.iter().sum::<f64>() / n;
+        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
         let expected = m.noise_std() * m.noise_std();
+        assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
         assert!(
             (var - expected).abs() < 0.05 * expected,
             "var {var} vs {expected}"
@@ -241,35 +117,11 @@ mod tests {
 
     #[test]
     fn gaussian_perturbs_every_coordinate() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut m = GaussianMechanism::new(1.0, 1.0).unwrap();
+        let m = GaussianMechanism::new(1.0, 1.0).unwrap();
         let mut v = vec![0.0; 64];
-        m.perturb(&mut rng, &mut v);
+        let mut scratch = vec![0.0; 16];
+        m.perturb_rows(6, 2, 16, 0, &mut v, &mut scratch);
         assert!(v.iter().all(|&x| x != 0.0), "zeros must also receive noise");
-        let y = m.perturb_scalar(&mut rng, 10.0);
-        assert!(y != 10.0);
-    }
-
-    #[test]
-    fn reset_stream_drops_cached_spare() {
-        // One scalar release caches a Box–Muller spare. Without a reset the
-        // next release consumes it; after a reset the mechanism draws fresh
-        // uniforms exactly like a new mechanism over the same RNG state.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut m = GaussianMechanism::new(1.0, 1.0).unwrap();
-        let _ = m.perturb_scalar(&mut rng, 0.0);
-
-        let mut leaky = m.clone();
-        let leaked = leaky.perturb_scalar(&mut rng.clone(), 0.0);
-
-        let mut fresh_rng = rng.clone();
-        m.reset_stream();
-        let after_reset = m.perturb_scalar(&mut rng, 0.0);
-        let mut fresh = GaussianMechanism::new(1.0, 1.0).unwrap();
-        let fresh_next = fresh.perturb_scalar(&mut fresh_rng, 0.0);
-
-        assert_eq!(after_reset.to_bits(), fresh_next.to_bits());
-        assert_ne!(leaked.to_bits(), after_reset.to_bits());
     }
 
     #[test]
@@ -305,25 +157,5 @@ mod tests {
             (var - expected).abs() < 0.05 * expected,
             "var {var} vs {expected}"
         );
-    }
-
-    #[test]
-    fn laplace_moments_match_scale() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let m = LaplaceMechanism::new(1.0, 2.0).unwrap();
-        assert_eq!(m.scale(), 2.0);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| m.sample(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        // Laplace variance is 2b².
-        assert!(mean.abs() < 0.03, "mean {mean}");
-        assert!((var - 8.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn laplace_rejects_bad_params() {
-        assert!(LaplaceMechanism::new(0.0, 1.0).is_err());
-        assert!(LaplaceMechanism::new(1.0, -2.0).is_err());
     }
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container and no-crossbeam-
-# in-serve grep gates, build, the full test suite (and the vectorised
+# Offline CI gate: formatting, lints, the one-container, no-crossbeam and
+# four-binaries grep gates, build, the full test suite (and the vectorised
 # kernels', the streaming reduction's and the serving engine's identity
 # tests again in release mode, with the allocation count of a warm
-# bucket), the chaos drills, a re-stitch of the fed_chaos
-# trace dumps through the CLI and a correctness smoke of the benchmark
-# harness. This is the only CI definition — .github/workflows/ci.yml just
+# bucket), every experiment of the `figures` table at bench scale, the
+# chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
+# and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
 # calls it. It needs cargo, git and coreutils — no Python, no network (all
 # dependencies are vendored in compat/). Nothing here judges a timing:
 # every step is gated on its exit code.
@@ -30,12 +30,21 @@ if [ "$writers" -ne 1 ] || [ -n "$stray" ] || [ "$(grep -c 'b"PLPS"' <<<"$magics
   exit 1
 fi
 
-echo "== serve threading gate (plp-serve scores on std threads only) =="
-# A one-batch call runs on the caller's thread and a multi-batch call on
-# `std::thread::scope`; a crossbeam scope coming back means the per-call
-# fork came back with it.
-if git grep -n crossbeam -- crates/serve/src; then
-  echo "crates/serve/src must not name crossbeam"
+echo "== threading gate (scoped workers are std threads) =="
+# Every fan-out (serving stripes, the noise pass, the server update, the
+# threaded evaluator) is a `std::thread::scope`; only the Cargo.toml edges
+# the harness's lock file pins may still name crossbeam.
+if git grep -n crossbeam -- crates src ':!*Cargo.toml'; then
+  echo "no source file under crates/ or src/ may name crossbeam"
+  exit 1
+fi
+
+echo "== experiment-binary gate (one figures binary, three drills) =="
+# An experiment is a row of plp_bench::figures::EXPERIMENTS, not a file: a
+# fifth binary means the per-figure forks are coming back.
+bins=$(ls crates/bench/src/bin | sort | tr '\n' ' ')
+if [ "$bins" != "chaos.rs fed_chaos.rs figures.rs swap_chaos.rs " ]; then
+  echo "crates/bench/src/bin must hold exactly chaos.rs fed_chaos.rs figures.rs swap_chaos.rs, found: $bins"
   exit 1
 fi
 
@@ -65,6 +74,11 @@ cargo test --release -q -p plp-core streaming
 # its error-path scratch return race the caller against scoped threads.
 cargo test --release -q -p plp-serve engine
 cargo test --release -q -p plp-model --test alloc_count -- --nocapture
+
+echo "== figures (every experiment of the table, bench scale) =="
+# Seconds each; gated on the exit code, which is non-zero when any
+# experiment reports a pipeline error.
+cargo run --release -p plp-bench --bin figures -- run --all --scale bench >/dev/null
 
 echo "== chaos drill (crash-safety smoke) =="
 cargo run --release -p plp-bench --bin chaos

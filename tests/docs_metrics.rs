@@ -1,7 +1,8 @@
 //! The docs may cite performance only as `workload:metric` names that
-//! `BENCHMARK.json` declares, and may not mention the retired bench
-//! reports and tools or the retired model / checkpoint formats. Reads
-//! files only.
+//! `BENCHMARK.json` declares, may not mention the retired bench reports
+//! and tools, the retired model / checkpoint formats or the per-figure
+//! binaries and their knobs, and DESIGN.md numbers its sections without a
+//! hole. Reads files only.
 
 use std::fs;
 use std::path::Path;
@@ -9,7 +10,7 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 9] = [
+const RETIRED: [&str; 14] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
@@ -19,6 +20,12 @@ const RETIRED: [&str; 9] = [
     ".plpm",
     "plp-model::snapshot",
     "PLPC, version",
+    "run_figures.sh",
+    // `--bin fig05…` / `--bin fig13…`; `--bin figures` is the one binary.
+    "--bin fig0",
+    "--bin fig1",
+    "TTEST_EPS",
+    "geoind",
 ];
 
 /// The `name` strings of the objects in `manifest[key]`.
@@ -66,6 +73,15 @@ fn docs_cite_only_declared_metrics_and_no_retired_report() {
                 }
             }
         }
+    }
+    let sections: Vec<usize> = read("DESIGN.md")
+        .lines()
+        .filter_map(|line| line.strip_prefix("## ")?.split_once(". ")?.0.parse().ok())
+        .collect();
+    if sections.is_empty() || !sections.iter().copied().eq(1..=sections.len()) {
+        problems.push(format!(
+            "DESIGN.md `## N.` headings are not 1, 2, 3, …: {sections:?}"
+        ));
     }
     assert!(cited > 0, "the scan found no `workload:metric` citation");
     assert!(problems.is_empty(), "{}", problems.join("\n"));
