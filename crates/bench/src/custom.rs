@@ -18,10 +18,9 @@ use plp_data::dataset::TokenizedDataset;
 use plp_linalg::stats::paired_t_test;
 use plp_model::markov::{DpMarkovRecommender, MarkovRecommender, RankLocations};
 use plp_model::metrics::{
-    evaluate_hit_rate, popularity_hit_rate, random_baseline, token_counts, HitRate,
+    evaluate_hit_rate_threaded, popularity_hit_rate, random_baseline, token_counts, HitRate,
 };
 use plp_model::params::ModelParams;
-use plp_model::Recommender;
 use plp_privacy::planner::max_steps;
 
 use crate::figures::{budget, fig09_settings, Options};
@@ -36,11 +35,15 @@ fn rates(hr: &[HitRate]) -> [f64; 3] {
     [hr[0].rate(), hr[1].rate(), hr[2].rate()]
 }
 
-fn hit_rates<R: RankLocations + ?Sized>(
+/// HR@{5,10,20} of a ranker — a baseline, or trained parameters as they
+/// are — over a split, on the run's worker count.
+fn hit_rates<R: RankLocations + Sync + ?Sized>(
     ranker: &R,
     split: &TokenizedDataset,
+    hp: &Hyperparameters,
 ) -> Result<[f64; 3], CoreError> {
-    Ok(rates(&evaluate_hit_rate(ranker, split, &KS)?))
+    let hr = evaluate_hit_rate_threaded(ranker, split, &KS, hp.effective_threads())?;
+    Ok(rates(&hr))
 }
 
 /// `N users, L locations, M check-ins`, for a `dataset:` line.
@@ -101,7 +104,7 @@ pub(crate) fn fig05(opts: &Options) -> Result<(), CoreError> {
                 ..NonPrivateConfig::default()
             };
             let out = nonprivate(&prep, false, &hp, cfg, seed)?;
-            let [h5, h10, h20] = hit_rates(&Recommender::new(&out.params), &prep.validation)?;
+            let [h5, h10, h20] = hit_rates(&out.params, &prep.validation, &hp)?;
             println!("{panel:<10} {value:>8} {h5:>8.4} {h10:>8.4} {h20:>8.4}");
             json_rows.push(serde_json::json!({
                 "panel": panel, "value": value, "hr5": h5, "hr10": h10, "hr20": h20,
@@ -151,7 +154,7 @@ pub(crate) fn fig06(opts: &Options) -> Result<(), CoreError> {
         }
     }
 
-    let [t5, t10, t20] = hit_rates(&Recommender::new(&out.params), &prep.test)?;
+    let [t5, t10, t20] = hit_rates(&out.params, &prep.test, &hp)?;
     println!(
         "final test: HR@5 {t5:.4}  HR@10 {t10:.4}  HR@20 {t20:.4} (paper's non-private ceiling: 29.5% HR@10 on real Foursquare Tokyo)"
     );
@@ -237,15 +240,16 @@ pub(crate) fn baseline_markov(opts: &Options) -> Result<(), CoreError> {
 
     let pop = popularity_hit_rate(&token_counts(&prep.train), &prep.test, &KS);
     print_row("popularity", rates(&pop));
+    let mut hp = opts.scale.hyperparameters();
     let markov = MarkovRecommender::fit(&prep.train)?;
-    print_row("markov (non-private)", hit_rates(&markov, &prep.test)?);
+    print_row("markov (non-private)", hit_rates(&markov, &prep.test, &hp)?);
 
     // DP-Markov at eps in {1, 2, 4}, per-user cap 20.
     for eps in [1.0, 2.0, 4.0] {
         let mut rng = StdRng::seed_from_u64(opts.seed + 13);
         let dp = DpMarkovRecommender::fit(&mut rng, &prep.train, eps, 20)?;
         let name = format!("dp-markov (eps={eps}, cap=20)");
-        print_row(&name, hit_rates(&dp, &prep.test)?);
+        print_row(&name, hit_rates(&dp, &prep.test, &hp)?);
     }
 
     // Skip-gram: non-private + PLP at eps=2.
@@ -253,23 +257,19 @@ pub(crate) fn baseline_markov(opts: &Options) -> Result<(), CoreError> {
         Scale::Bench => 4,
         Scale::Figure => 20,
     };
-    let mut hp = opts.scale.hyperparameters();
     let cfg = NonPrivateConfig {
         epochs,
         ..NonPrivateConfig::default()
     };
     let np = nonprivate(&prep, false, &hp, cfg, opts.seed + 29)?;
     let name = format!("skip-gram (non-private, {epochs} ep)");
-    print_row(&name, hit_rates(&Recommender::new(&np.params), &prep.test)?);
+    print_row(&name, hit_rates(&np.params, &prep.test, &hp)?);
 
     hp.budget = budget(2.0);
     let mut rng = StdRng::seed_from_u64(opts.seed + 31);
     let plp = train_plp(&mut rng, &prep.train, None, &hp)?;
     let name = format!("PLP skip-gram (eps=2, λ={})", hp.grouping_factor);
-    print_row(
-        &name,
-        hit_rates(&Recommender::new(&plp.params), &prep.test)?,
-    );
+    print_row(&name, hit_rates(&plp.params, &prep.test, &hp)?);
 
     print_json_rows("baseline_markov", rows);
     Ok(())

@@ -10,11 +10,10 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
-use plp_model::metrics::{evaluate_hit_rate, HitRate};
+use plp_model::metrics::{evaluate_hit_rate_threaded, HitRate};
 use plp_model::negative::NegativeSampler;
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens, validation_loss};
-use plp_model::Recommender;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Hyperparameters;
@@ -131,8 +130,12 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
         };
         let validation_hr = if evaluate {
             let v = validation.expect("checked above");
-            let rec = Recommender::new(&params);
-            Some(evaluate_hit_rate(&rec, v, &cfg.ks)?)
+            Some(evaluate_hit_rate_threaded(
+                &params,
+                v,
+                &cfg.ks,
+                hp.effective_threads(),
+            )?)
         } else {
             None
         };

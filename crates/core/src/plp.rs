@@ -57,7 +57,6 @@ use plp_model::negative::NegativeSampler;
 use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens_with_scratch, TrainScratch};
-use plp_model::Recommender;
 use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
 use plp_obs::{Counter, Gauge, Observer, PhaseSet};
 use plp_privacy::accountant::MomentsAccountant;
@@ -1264,11 +1263,12 @@ fn run_loop(
         let validation_hr10 = match validation {
             Some(v) if hp.eval_every > 0 && step.is_multiple_of(hp.eval_every as u64) => {
                 let _t_eval = phases.start(phase::EVAL, in_step, step);
-                let rec = Recommender::new(&state.params);
-                // Leave-one-out trials fan out over `hp.threads` workers;
-                // the ordered integer-count reduction makes the metric
+                // θ is validated where it lies (no deployed copy): the
+                // leave-one-out trials fan out over `hp.threads` workers
+                // and the ordered integer-count reduction makes the metric
                 // identical for any thread count.
-                let hr = evaluate_hit_rate_threaded(&rec, v, &[10], hp.effective_threads())?;
+                let hr =
+                    evaluate_hit_rate_threaded(&state.params, v, &[10], hp.effective_threads())?;
                 Some(hr[0].rate())
             }
             _ => None,

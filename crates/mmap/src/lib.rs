@@ -26,7 +26,8 @@
 //!
 //! It also holds [`CountingAllocator`], because a `GlobalAlloc` can only be
 //! written with `unsafe impl`: a pass-through to the system allocator that
-//! counts calls, for test binaries that assert how often a path allocates.
+//! counts calls and remembers the largest request, for test binaries that
+//! assert how often, and how much at once, a path allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt;
@@ -36,14 +37,16 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The system allocator with a call counter in front. A test binary
-/// installs one as its `#[global_allocator]` and reads
-/// [`CountingAllocator::allocations`] around the code it measures; the
-/// count is process-wide, so such a binary runs its measurements from one
+/// The system allocator with a call counter and a high-water mark of the
+/// request size in front. A test binary installs one as its
+/// `#[global_allocator]` and reads [`CountingAllocator::allocations`] and
+/// [`CountingAllocator::largest_request`] around the code it measures;
+/// both are process-wide, so such a binary runs its measurements from one
 /// test function.
 #[derive(Debug, Default)]
 pub struct CountingAllocator {
     allocations: AtomicU64,
+    largest: AtomicU64,
 }
 
 impl CountingAllocator {
@@ -51,35 +54,55 @@ impl CountingAllocator {
     pub const fn new() -> Self {
         CountingAllocator {
             allocations: AtomicU64::new(0),
+            largest: AtomicU64::new(0),
         }
+    }
+
+    /// Counts one call that asked for `bytes`.
+    fn record(&self, bytes: usize) {
+        // Relaxed: statistics, they publish no other data.
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.largest.fetch_max(bytes as u64, Ordering::Relaxed);
     }
 
     /// Calls so far that obtained or resized a block (`alloc`,
     /// `alloc_zeroed`, `realloc`); frees are not counted.
     pub fn allocations(&self) -> u64 {
-        // Relaxed: a statistic, it publishes no other data.
         self.allocations.load(Ordering::Relaxed)
+    }
+
+    /// The most bytes any one of those calls asked for (for `realloc`, the
+    /// new size) since the start or the last
+    /// [`CountingAllocator::reset_largest`].
+    pub fn largest_request(&self) -> u64 {
+        self.largest.load(Ordering::Relaxed)
+    }
+
+    /// Forgets the largest request, so the next reading covers only what
+    /// follows.
+    pub fn reset_largest(&self) {
+        self.largest.store(0, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
-// `GlobalAlloc` contract the caller already upholds; the counter is an
-// atomic and touches no allocator state.
+// `GlobalAlloc` contract the caller already upholds; the counters are
+// atomics and touch no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.record(layout.size());
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.record(layout.size());
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.record(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // this `layout`; both are passed through as is.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -353,6 +376,30 @@ mod tests {
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("plp_mmap_test_{}_{name}", std::process::id()))
+    }
+
+    #[test]
+    fn counting_allocator_counts_calls_and_keeps_the_largest_request() {
+        let counting = CountingAllocator::new();
+        let small = Layout::from_size_align(64, 8).unwrap();
+        let grown = Layout::from_size_align(4096, 8).unwrap();
+        // SAFETY: every block is freed once, with the layout it last had.
+        unsafe {
+            let p = counting.alloc(small);
+            let p = counting.realloc(p, small, grown.size());
+            counting.dealloc(p, grown);
+            let z = counting.alloc_zeroed(small);
+            counting.dealloc(z, small);
+        }
+        assert_eq!(counting.allocations(), 3, "frees are not counted");
+        assert_eq!(
+            counting.largest_request(),
+            4096,
+            "a realloc asks its new size"
+        );
+        counting.reset_largest();
+        assert_eq!(counting.largest_request(), 0);
+        assert_eq!(counting.allocations(), 3, "the call count is not reset");
     }
 
     #[test]

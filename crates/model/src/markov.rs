@@ -22,9 +22,11 @@
 use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
-use plp_linalg::topk;
+use plp_linalg::{ops, topk};
 
 use crate::error::ModelError;
+use crate::metrics::rank_count_hits;
+use crate::params::ModelParams;
 
 /// Anything that can rank all locations given recent check-ins.
 pub trait RankLocations {
@@ -34,11 +36,84 @@ pub trait RankLocations {
     /// # Errors
     /// Implementations reject empty inputs or out-of-range tokens.
     fn top_k(&self, recent: &[usize], k: usize) -> Result<Vec<usize>, ModelError>;
+
+    /// Hits per cutoff in `ks` over the strided subset
+    /// `{i : i ≡ offset (mod stride)}` of leave-one-out `trials`
+    /// (`(input, target)` pairs): a trial hits `k` iff its target is among
+    /// `top_k(input, k)`. This is the work one evaluation worker does
+    /// (`metrics::evaluate_hit_rate_threaded`); the strided partition
+    /// matches the training loop's worker assignment.
+    ///
+    /// The default ranks every trial. A ranker that can decide membership
+    /// without materialising the ranking overrides it, and must return the
+    /// same counts and the same first error.
+    ///
+    /// # Errors
+    /// The first failing trial's error, in trial order.
+    fn hit_counts(
+        &self,
+        trials: &[(&[usize], usize)],
+        ks: &[usize],
+        offset: usize,
+        stride: usize,
+    ) -> Result<Vec<usize>, ModelError> {
+        let max_k = ks.iter().copied().max().unwrap_or(0);
+        let mut hits = vec![0usize; ks.len()];
+        for (input, target) in trials.iter().skip(offset).step_by(stride.max(1)) {
+            let top = self.top_k(input, max_k)?;
+            for (h, &k) in hits.iter_mut().zip(ks) {
+                if top.iter().take(k).any(|t| t == target) {
+                    *h += 1;
+                }
+            }
+        }
+        Ok(hits)
+    }
 }
 
 impl RankLocations for crate::recommender::Recommender {
     fn top_k(&self, recent: &[usize], k: usize) -> Result<Vec<usize>, ModelError> {
         self.recommend(recent, k)
+    }
+
+    /// Rank counting over the frozen rows, which are unit length already:
+    /// loading one is a copy.
+    fn hit_counts(
+        &self,
+        trials: &[(&[usize], usize)],
+        ks: &[usize],
+        offset: usize,
+        stride: usize,
+    ) -> Result<Vec<usize>, ModelError> {
+        let load = |row: &[f64], unit: &mut [f64]| unit.copy_from_slice(row);
+        rank_count_hits(self.embedding(), load, trials, ks, offset, stride)
+    }
+}
+
+/// Trained parameters rank as the [`Recommender`](crate::Recommender)
+/// deployed from them would — `Recommender::new(self)` — so a trainer can
+/// validate θ where it lies instead of deploying a normalised copy of it
+/// first.
+impl RankLocations for ModelParams {
+    fn top_k(&self, recent: &[usize], k: usize) -> Result<Vec<usize>, ModelError> {
+        crate::Recommender::new(self).recommend(recent, k)
+    }
+
+    /// Rank counting over θ's own embedding rows: loading one is a copy
+    /// scaled to unit length, the bits `Matrix::normalize_rows` would have
+    /// left in a deployed copy.
+    fn hit_counts(
+        &self,
+        trials: &[(&[usize], usize)],
+        ks: &[usize],
+        offset: usize,
+        stride: usize,
+    ) -> Result<Vec<usize>, ModelError> {
+        let load = |row: &[f64], unit: &mut [f64]| {
+            unit.copy_from_slice(row);
+            ops::normalize(unit);
+        };
+        rank_count_hits(&self.embedding, load, trials, ks, offset, stride)
     }
 }
 

@@ -1,4 +1,5 @@
-//! How often the bucket hot path allocates — counted, not argued.
+//! How often the bucket hot path and an evaluation allocate, and how much
+//! at once — counted, not argued.
 //!
 //! The whole binary runs behind a counting allocator, so it holds exactly
 //! one test function: the count is process-wide and a second test running
@@ -9,11 +10,14 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use plp_data::checkin::UserId;
+use plp_data::dataset::{TokenizedDataset, UserSequences};
 use plp_mmap::CountingAllocator;
 use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowJournal};
+use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::train::{train_on_tokens_with_scratch, LocalSgdConfig, TrainScratch};
-use plp_model::{Loss, ModelParams, NegativeSampler, ParamsViewMut};
+use plp_model::{Loss, ModelParams, NegativeSampler, ParamsViewMut, Recommender};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
@@ -32,6 +36,62 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const WARM_BUCKET_BEFORE: u64 = 28_888;
 
 #[test]
+fn hot_paths_allocate_by_shape_and_never_by_volume() {
+    a_warm_worker_allocates_per_batch_and_never_per_row();
+    an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta();
+}
+
+/// Validation of raw θ at vocab 20 000 × dim 50: the number of allocations
+/// is a function of the worker count alone, and none of them is anywhere
+/// near the size of the embedding.
+fn an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta() {
+    let (vocab, dim) = (20_000, 50);
+    let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();
+    let theta_bytes = (vocab * dim * 8) as u64;
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut held_out = |trials: usize| TokenizedDataset {
+        users: (0..trials)
+            .map(|u| UserSequences {
+                user: UserId(u as u32),
+                sessions: vec![(0..5).map(|_| rng.random_range(0..vocab)).collect()],
+            })
+            .collect(),
+        vocab_size: vocab,
+    };
+    let (few, many) = (held_out(64), held_out(2_048));
+
+    // The counter sees a θ-sized request when there is one: deploying a
+    // normalised copy, which evaluation used to start with.
+    ALLOCATOR.reset_largest();
+    drop(Recommender::new(&theta));
+    assert!(ALLOCATOR.largest_request() >= theta_bytes);
+
+    for threads in [1, 2] {
+        let eval = |split: &TokenizedDataset| {
+            evaluate_hit_rate_threaded(&theta, split, &[10], threads).unwrap()[0].trials
+        };
+        eval(&many);
+        ALLOCATOR.reset_largest();
+        let (trials_few, allocations_few) = counted(|| eval(&few));
+        let (trials_many, allocations_many) = counted(|| eval(&many));
+        let largest = ALLOCATOR.largest_request();
+        println!(
+            "evaluation, warm, {threads} worker(s): {allocations_few} allocations for \
+             {trials_few} trials, {allocations_many} for {trials_many}; largest request \
+             {largest} bytes (θ's embedding is {theta_bytes})"
+        );
+        assert_eq!((trials_few, trials_many), (64, 2_048));
+        assert_eq!(
+            allocations_few, allocations_many,
+            "allocations must not depend on the number of trials"
+        );
+        assert!(
+            largest < theta_bytes,
+            "{largest} bytes in one request; θ's embedding is {theta_bytes}"
+        );
+    }
+}
+
 fn a_warm_worker_allocates_per_batch_and_never_per_row() {
     let (vocab, dim) = (20_000, 50);
     let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container, no-crossbeam and
-# four-binaries grep gates, build, the full test suite (and the vectorised
-# kernels', the streaming reduction's and the serving engine's identity
-# tests again in release mode, with the allocation count of a warm
-# bucket), every experiment of the `figures` table at bench scale, the
+# Offline CI gate: formatting, lints, the one-container, no-crossbeam,
+# four-binaries and no-deployed-copy grep gates, build, the full test suite
+# (and the vectorised kernels', the rank-counting evaluator's, the streaming
+# reduction's and the serving engine's identity tests again in release
+# mode, with the allocation counts of a warm bucket and of an evaluation),
+# every experiment of the `figures` table at bench scale, the
 # chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
 # and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
 # calls it. It needs cargo, git and coreutils — no Python, no network (all
@@ -48,6 +49,14 @@ if [ "$bins" != "chaos.rs fed_chaos.rs figures.rs swap_chaos.rs " ]; then
   exit 1
 fi
 
+echo "== validation gate (the trainers evaluate θ where it lies) =="
+# `Recommender::new` is a normalised copy of the whole embedding; a trainer
+# that validates through one pays a θ-sized allocation per evaluation.
+if git grep -n 'Recommender::new' -- crates/core/src/plp.rs crates/core/src/nonprivate.rs; then
+  echo "crates/core/src/plp.rs and nonprivate.rs must evaluate ModelParams directly, not a Recommender::new copy"
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -59,16 +68,18 @@ cargo test --workspace -q
 
 echo "== release-mode kernels against their references =="
 # The suites above run unoptimised; the IVF assignment filter and the
-# table-driven CRC ship auto-vectorised and unrolled, so their identity
-# tests also run against the code the optimiser actually produces.
+# table-driven CRC ship auto-vectorised and unrolled, and so do the
+# evaluator's comparison counts, so their identity tests also run against
+# the code the optimiser actually produces.
 cargo test --release -q -p plp-linalg ivf
 cargo test --release -q -p plp-data crc32
+cargo test --release -q -p plp-model metrics
 
 echo "== release-mode streaming reduction and allocation count =="
 # Same reason: the ordered reduction's identity, fault and run-ahead-bound
-# tests race real worker threads, and how often a warm bucket allocates is
-# a property of the optimised code (the test prints the per-batch figure
-# DESIGN.md §11.2 quotes).
+# tests race real worker threads, and how often a warm bucket or an
+# evaluation allocates is a property of the optimised code (the test prints
+# the figures DESIGN.md §11.2 and §11.3 quote).
 cargo test --release -q -p plp-core streaming
 # The engine's inline ≡ striped ≡ sequential sweeps, its spawn counts and
 # its error-path scratch return race the caller against scoped threads.
