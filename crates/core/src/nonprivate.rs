@@ -13,7 +13,7 @@ use plp_data::dataset::TokenizedDataset;
 use plp_model::metrics::{evaluate_hit_rate_threaded, HitRate};
 use plp_model::negative::NegativeSampler;
 use plp_model::params::ModelParams;
-use plp_model::train::{train_on_tokens, validation_loss};
+use plp_model::train::{train_on_tokens, validation_loss, TrainScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::config::Hyperparameters;
@@ -106,6 +106,7 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
     let base_local = hp.local_sgd();
     let mut order: Vec<usize> = (0..train.num_users()).collect();
     let mut telemetry = Vec::with_capacity(cfg.epochs);
+    let mut scratch = TrainScratch::new();
 
     for epoch in 1..=cfg.epochs {
         let mut local = base_local;
@@ -119,7 +120,7 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
         let mut pair_count = 0usize;
         for &u in &order {
             let tokens = train.users[u].flattened();
-            let stats = train_on_tokens(rng, &mut params, &tokens, &local, &sampler)?;
+            let stats = train_on_tokens(rng, &mut params, &tokens, &local, &sampler, &mut scratch)?;
             loss_sum += stats.mean_loss * stats.pairs as f64;
             pair_count += stats.pairs;
         }

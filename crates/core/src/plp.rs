@@ -56,7 +56,7 @@ use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::negative::NegativeSampler;
 use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
-use plp_model::train::{train_on_tokens_with_scratch, TrainScratch};
+use plp_model::train::{train_on_tokens, TrainScratch};
 use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
 use plp_obs::{Counter, Gauge, Observer, PhaseSet};
 use plp_privacy::accountant::MomentsAccountant;
@@ -199,8 +199,7 @@ pub struct BucketUpdate {
 /// Per-worker reusable buffers for the bucket hot path: the copy-on-write
 /// row journal that replaces the per-bucket `θ.clone()` and the local-SGD
 /// training scratch. The journal's arenas leave with each delta and come
-/// back once the delta has been summed, so a warm worker allocates only
-/// what the per-batch gradient map does.
+/// back once the delta has been summed, so a warm worker allocates nothing.
 #[derive(Default)]
 struct BucketScratch {
     journal: RowJournal,
@@ -264,14 +263,13 @@ fn model_update_from_bucket(
     let sgd = phases.start(phase::BUCKET_SGD, ctx.trace, index as u64);
     let stats = {
         let mut phi = CowParams::new(theta, journal);
-        train_on_tokens_with_scratch(
+        train_on_tokens(
             &mut rng,
             &mut phi,
             &bucket.tokens,
             &hp.local_sgd(),
             &NegativeSampler::Uniform,
             train,
-            None,
         )?
     };
     drop(sgd);

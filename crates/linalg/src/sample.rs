@@ -3,8 +3,8 @@
 //! The workspace is restricted to the `rand` crate (no `rand_distr`), so the
 //! distributions the paper needs are implemented here:
 //!
-//! * [`NormalSampler`] — standard Gaussian via the Box–Muller transform,
-//!   used by the Gaussian mechanism of differential privacy,
+//! * [`NormalSampler`] — standard Gaussian via the Box–Muller transform
+//!   over a caller's RNG, used by the synthetic check-in generator,
 //! * [`GaussianStream`] — a deterministic *counter-based* Gaussian stream:
 //!   seeded per (step, domain, row), so noise for any row of a parameter
 //!   matrix can be generated independently on any worker thread and still
@@ -103,21 +103,6 @@ impl NormalSampler {
     /// Draws one N(0, sigma²) variate.
     pub fn sample_scaled<R: Rng + ?Sized>(&mut self, rng: &mut R, sigma: f64) -> f64 {
         sigma * self.sample(rng)
-    }
-
-    /// Fills `out` with independent N(0, sigma²) variates.
-    pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, sigma: f64, out: &mut [f64]) {
-        for o in out {
-            *o = sigma * self.sample(rng);
-        }
-    }
-
-    /// Adds independent N(0, sigma²) noise to every element of `v`
-    /// (the vector Gaussian mechanism applied in place).
-    pub fn perturb<R: Rng + ?Sized>(&mut self, rng: &mut R, sigma: f64, v: &mut [f64]) {
-        for x in v {
-            *x += sigma * self.sample(rng);
-        }
     }
 }
 
@@ -371,17 +356,6 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((var - sigma * sigma).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn perturb_adds_noise_in_place() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut s = NormalSampler::new();
-        let mut v = vec![1.0; 10_000];
-        s.perturb(&mut rng, 0.1, &mut v);
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        assert!((mean - 1.0).abs() < 0.01);
-        assert!(v.iter().any(|&x| (x - 1.0).abs() > 1e-6));
     }
 
     #[test]

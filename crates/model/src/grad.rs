@@ -1,407 +1,245 @@
-//! The sparse per-batch gradient accumulator.
+//! The per-batch gradient, kept as a log of touches.
 //!
 //! Negative sampling guarantees that each training example touches only
 //! `neg + 1` rows of `W′`/`B′` and one row of `W` (§3.2: "during
 //! back-propagation, only neg + 1 vectors in W or W′ are updated instead of
-//! entire matrices"), so a batch gradient is sparse in rows. (A bucket's
-//! delta `g_h = Φ − θ_t` is sparse the same way but is not stored here:
-//! it is the row journal's arena, [`crate::journal::RowDelta`].)
-
-use std::collections::BTreeMap;
+//! entire matrices"), so a batch gradient is sparse in rows. It is never
+//! stored as rows: the loss records what each example touches, and
+//! [`BatchGrad::apply_to`] replays the records into the parameters one
+//! distinct row at a time. (A bucket's delta `g_h = Φ − θ_t` is sparse the
+//! same way and *is* stored: the row journal's arena,
+//! [`crate::journal::RowDelta`].)
 
 use plp_linalg::ops;
 
 use crate::error::ModelError;
+use crate::loss::check_token;
 use crate::params::ParamsViewMut;
 
-/// Pops a recycled buffer from `pool` (or allocates one) and zero-fills it
-/// to `len`: once the pool is warm, taking a row performs no heap
-/// allocation.
-fn pooled_zeroed(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
-    match pool.pop() {
-        Some(mut v) => {
-            v.clear();
-            v.resize(len, 0.0);
-            v
-        }
-        None => vec![0.0; len],
-    }
-}
-
-/// One deferred context-row touch of the journal-pooled batch walk: the
-/// candidate row, its position in the original accumulation sequence, the
-/// pre-scaled coefficient, and which pooled `u`-row slot it multiplies.
+/// One recorded touch: `tensor[row] += coef · slots[slot]`.
 #[derive(Debug, Clone, Copy)]
-struct DeferredTouch {
-    /// `(row << 32) | seq`. Sorting on this single key is equivalent to a
-    /// stable sort by row — `seq` increments per push, so ties within a row
-    /// keep their original accumulation order, which is what makes the
-    /// pooled flush bit-identical to immediate accumulation.
+struct Touch {
+    /// `(row << 32) | seq`, `seq` being the touch's position in its list.
+    /// Sorting on this single key is a stable sort by row, so a row's
+    /// touches stay in the order they were issued.
     key: u64,
-    /// Coefficient applied to both the context row (`coef · u`) and the
-    /// bias entry (`+ coef`); already includes the batch scale.
+    /// Already includes the batch scale. For a context touch it is also
+    /// what the bias entry receives.
     coef: f64,
-    /// Index of the pooled target-embedding row in `u_slots`.
+    /// Which example's vector the touch multiplies.
     slot: u32,
 }
 
-/// A row-sparse batch gradient with the same logical shape as
-/// [`crate::params::ModelParams`].
+impl Touch {
+    fn row(&self) -> usize {
+        (self.key >> 32) as usize
+    }
+}
+
+fn push_touch(list: &mut Vec<Touch>, row: usize, coef: f64, slot: u32) {
+    assert!(
+        row <= u32::MAX as usize && list.len() < u32::MAX as usize,
+        "row and seq must fit the packed sort key"
+    );
+    list.push(Touch {
+        key: ((row as u64) << 32) | list.len() as u64,
+        coef,
+        slot,
+    });
+}
+
+/// The gradient of one batch as [`crate::loss::forward_backward`] records
+/// it, and the buffers the pass works in.
 ///
-/// Rows live in `BTreeMap`s so iteration is deterministic — a `HashMap`'s
-/// per-instance hash seed would make bit-identical reruns impossible.
+/// Per example the log holds a copy of the target's embedding row `u`, the
+/// example's `∂J/∂u`, one touch of the target's row of `W` and one touch
+/// per candidate of `W′` (which `B′` shares). Every example of a batch is
+/// evaluated at the same Φ, so nothing has to be summed until the batch is
+/// applied.
 ///
-/// A private pool recycles row buffers across [`SparseGrad::recycle`]
-/// cycles, so a gradient reused across batches stops allocating rows once
-/// it has seen its working set (its map nodes are still allocated per
-/// batch). The pool is invisible to `Clone`/`PartialEq`: it only affects
-/// capacity, never values.
+/// The one order that is contractual is **per-row issue order**: each row
+/// receives `0 + c₁·v₁ + c₂·v₂ + …` in the order its touches were recorded,
+/// then `row += α · sum`. Which row is summed first is not observable.
 ///
-/// # Pooled batch accumulation
-///
-/// The SGNS inner loop touches `neg + 1` context rows per pair in pair
-/// order, which chases the gradient map (and the embedding table behind
-/// it) all over memory. [`SparseGrad::begin_pooled_batch`] switches the
-/// gradient into a deferred mode: the loss records each touch as a
-/// `(row, seq, coef, u-slot)` tuple plus one copy of the pair's target row,
-/// and [`SparseGrad::flush_pooled_batch`] sorts the records by
-/// `(row, seq)` and walks each row's touches contiguously — one map entry
-/// per distinct row instead of one per touch. Because every pair in a batch
-/// evaluates at the same Φ and the per-row accumulation sequence is
-/// preserved exactly, the flushed gradient is bit-identical to immediate
-/// accumulation (asserted in the tests).
+/// Every buffer is cleared at its point of use and keeps its capacity; the
+/// contents left by an earlier batch never influence a later one.
 #[derive(Debug, Default)]
-pub struct SparseGrad {
-    /// Touched rows of the embedding matrix `W`.
-    pub embedding: BTreeMap<usize, Vec<f64>>,
-    /// Touched rows of the context matrix `W′`.
-    pub context: BTreeMap<usize, Vec<f64>>,
-    /// Touched entries of the bias vector `B′`.
-    pub bias: BTreeMap<usize, f64>,
-    /// Recycled row buffers, fed by `recycle` and drained by `add_*_row`.
-    pool: Vec<Vec<f64>>,
-    /// Deferred context/bias touches of the current pooled batch.
-    pending: Vec<DeferredTouch>,
-    /// Pooled copies of target-embedding rows, `u_dim` values per slot.
-    u_slots: Vec<f64>,
-    /// Row width of `u_slots` (the model dimension).
-    u_dim: usize,
-    /// Whether the gradient is currently in pooled (deferring) mode.
-    pooled: bool,
+pub struct BatchGrad {
+    /// Width of one slot (the model dimension); set by the first example.
+    dim: usize,
+    /// Touches of `W`, multiplying `grad_u`.
+    embedding: Vec<Touch>,
+    /// Touches of `W′` and `B′`, multiplying `u`.
+    context: Vec<Touch>,
+    /// One copy of the target's embedding row per example.
+    u: Vec<f64>,
+    /// One `∂J/∂u` per example, accumulated in place by the loss.
+    grad_u: Vec<f64>,
+    /// The one row `apply_to` sums a distinct row's touches into.
+    sum: Vec<f64>,
+    /// Candidate logits of the example in flight.
+    pub(crate) logits: Vec<f64>,
+    /// Candidate probabilities of the example in flight.
+    pub(crate) probs: Vec<f64>,
 }
 
-impl Clone for SparseGrad {
-    fn clone(&self) -> Self {
-        SparseGrad {
-            embedding: self.embedding.clone(),
-            context: self.context.clone(),
-            bias: self.bias.clone(),
-            pool: Vec::new(),
-            pending: Vec::new(),
-            u_slots: Vec::new(),
-            u_dim: 0,
-            pooled: false,
-        }
-    }
-}
-
-impl PartialEq for SparseGrad {
-    fn eq(&self, other: &Self) -> bool {
-        self.embedding == other.embedding
-            && self.context == other.context
-            && self.bias == other.bias
-    }
-}
-
-impl SparseGrad {
-    /// An empty gradient.
+impl BatchGrad {
+    /// An empty log; buffers grow on first use.
     pub fn new() -> Self {
-        SparseGrad::default()
+        BatchGrad::default()
     }
 
-    /// `true` iff nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.embedding.is_empty() && self.context.is_empty() && self.bias.is_empty()
+    /// Forgets every recorded touch.
+    pub fn clear(&mut self) {
+        self.embedding.clear();
+        self.context.clear();
+        self.u.clear();
+        self.grad_u.clear();
     }
 
-    /// Number of touched rows across all tensors.
-    pub fn touched_rows(&self) -> usize {
-        self.embedding.len() + self.context.len() + self.bias.len()
-    }
-
-    /// Empties the gradient, moving its row buffers into the internal pool
-    /// for reuse by later `add_*_row` calls. Equivalent to clearing, except
-    /// that the next fill of the same working set allocates map nodes only,
-    /// not rows.
-    pub fn recycle(&mut self) {
-        while let Some((_, v)) = self.embedding.pop_first() {
-            self.pool.push(v);
+    /// Opens an example: copies its target row `u`, zeroes its `∂J/∂u` and
+    /// records `W[target] += coef · ∂J/∂u`. Returns the example's slot.
+    pub(crate) fn begin_example(&mut self, target: usize, coef: f64, u: &[f64]) -> u32 {
+        if self.embedding.is_empty() {
+            self.dim = u.len();
         }
-        while let Some((_, v)) = self.context.pop_first() {
-            self.pool.push(v);
-        }
-        self.bias.clear();
-    }
-
-    /// Number of pooled row buffers currently available for reuse (a
-    /// diagnostic hook for buffer-reuse tests).
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Adds `alpha * v` into embedding row `row`.
-    pub fn add_embedding_row(&mut self, row: usize, alpha: f64, v: &[f64]) {
-        let Self {
-            embedding, pool, ..
-        } = self;
-        let e = embedding
-            .entry(row)
-            .or_insert_with(|| pooled_zeroed(pool, v.len()));
-        ops::axpy_unchecked(alpha, v, e);
-    }
-
-    /// Adds `alpha * v` into context row `row`.
-    pub fn add_context_row(&mut self, row: usize, alpha: f64, v: &[f64]) {
-        let Self { context, pool, .. } = self;
-        let e = context
-            .entry(row)
-            .or_insert_with(|| pooled_zeroed(pool, v.len()));
-        ops::axpy_unchecked(alpha, v, e);
-    }
-
-    /// Adds `alpha` into bias entry `row`.
-    pub fn add_bias(&mut self, row: usize, alpha: f64) {
-        *self.bias.entry(row).or_insert(0.0) += alpha;
-    }
-
-    /// Enters pooled mode for one batch: subsequent touches pushed through
-    /// [`SparseGrad::push_u_slot`] / [`SparseGrad::defer_context_touch`]
-    /// are buffered instead of applied, until
-    /// [`SparseGrad::flush_pooled_batch`] drains them. `dim` is the model
-    /// dimension (the width of each pooled `u` row).
-    pub fn begin_pooled_batch(&mut self, dim: usize) {
-        self.pending.clear();
-        self.u_slots.clear();
-        self.u_dim = dim;
-        self.pooled = true;
-    }
-
-    /// `true` while the gradient defers context/bias touches (between
-    /// [`SparseGrad::begin_pooled_batch`] and
-    /// [`SparseGrad::flush_pooled_batch`]).
-    pub fn pooled_mode(&self) -> bool {
-        self.pooled
-    }
-
-    /// Copies one target-embedding row into the batch pool and returns its
-    /// slot index for later [`SparseGrad::defer_context_touch`] calls.
-    /// Only meaningful in pooled mode.
-    pub fn push_u_slot(&mut self, u: &[f64]) -> u32 {
-        debug_assert!(self.pooled, "push_u_slot outside a pooled batch");
-        debug_assert_eq!(u.len(), self.u_dim, "u row width vs pooled dim");
-        let slot = (self.u_slots.len() / self.u_dim.max(1)) as u32;
-        self.u_slots.extend_from_slice(u);
+        assert_eq!(u.len(), self.dim, "one batch, one row width");
+        let slot = self.embedding.len() as u32;
+        push_touch(&mut self.embedding, target, coef, slot);
+        self.u.extend_from_slice(u);
+        self.grad_u.resize(self.grad_u.len() + self.dim, 0.0);
         slot
     }
 
-    /// Defers `context[row] += alpha · u_slots[slot]` and
-    /// `bias[row] += alpha` until the flush. Only meaningful in pooled
-    /// mode.
-    pub fn defer_context_touch(&mut self, row: usize, alpha: f64, slot: u32) {
-        debug_assert!(self.pooled, "defer_context_touch outside a pooled batch");
-        debug_assert!(row < (1usize << 32), "row must fit the packed sort key");
-        debug_assert!(self.pending.len() < u32::MAX as usize, "seq overflow");
-        self.pending.push(DeferredTouch {
-            key: ((row as u64) << 32) | self.pending.len() as u64,
-            coef: alpha,
-            slot,
-        });
+    /// Records `W′[row] += coef · u` and `B′[row] += coef` for the example
+    /// in `slot`.
+    pub(crate) fn touch_context(&mut self, row: usize, coef: f64, slot: u32) {
+        push_touch(&mut self.context, row, coef, slot);
     }
 
-    /// Applies every deferred touch of the current pooled batch and leaves
-    /// pooled mode. Records are sorted by their packed `(row, seq)` key —
-    /// `seq` is unique, so the unstable sort is a stable sort by row — and
-    /// each row's touches are applied contiguously in their original
-    /// accumulation order. One map entry per distinct row (for both the
-    /// context row and the bias entry) replaces one per touch, and the
-    /// grouped walk keeps the gradient row hot in cache while the pooled
-    /// `u` copies stream past it. Bit-identical to immediate accumulation
-    /// because per-row floating-point order is exactly preserved.
-    pub fn flush_pooled_batch(&mut self) {
-        let Self {
-            context,
-            bias,
-            pool,
-            pending,
-            u_slots,
-            u_dim,
-            pooled,
-            ..
-        } = self;
-        *pooled = false;
-        pending.sort_unstable_by_key(|t| t.key);
-        let dim = *u_dim;
-        let mut i = 0;
-        while i < pending.len() {
-            let row = (pending[i].key >> 32) as usize;
-            let e = context
-                .entry(row)
-                .or_insert_with(|| pooled_zeroed(pool, dim));
-            let b = bias.entry(row).or_insert(0.0);
-            while i < pending.len() && (pending[i].key >> 32) as usize == row {
-                let t = pending[i];
-                let u = &u_slots[t.slot as usize * dim..(t.slot as usize + 1) * dim];
-                ops::axpy_unchecked(t.coef, u, e);
-                *b += t.coef;
-                i += 1;
-            }
-        }
-        pending.clear();
-        u_slots.clear();
+    /// `∂J/∂u` of the example opened last.
+    pub(crate) fn grad_u_mut(&mut self) -> &mut [f64] {
+        let start = self.grad_u.len() - self.dim;
+        &mut self.grad_u[start..]
     }
 
-    /// `true` iff all stored values are finite.
-    pub fn all_finite(&self) -> bool {
-        self.embedding.values().all(|v| ops::all_finite(v))
-            && self.context.values().all(|v| ops::all_finite(v))
-            && self.bias.values().all(|b| b.is_finite())
-    }
-
-    /// Applies `params += alpha * self` to any parameter view — a dense
-    /// [`ModelParams`] or a copy-on-write overlay.
+    /// Applies `params += alpha · gradient` to any parameter view — a dense
+    /// [`crate::params::ModelParams`] or a copy-on-write overlay: all
+    /// embedding rows, then all context rows, then all biases, each tensor
+    /// in ascending row order. The log keeps its records, so applying it
+    /// again adds the same gradient again.
     ///
     /// # Errors
-    /// Returns [`ModelError::TokenOutOfRange`] if a stored row exceeds the
-    /// parameter shape, or [`ModelError::ShapeMismatch`] on a row-width
-    /// mismatch.
+    /// [`ModelError::ShapeMismatch`] if the rows were recorded at another
+    /// width, [`ModelError::TokenOutOfRange`] if one lies beyond the
+    /// parameters, and [`ModelError::NonFinite`] when a row's sum is not
+    /// finite — reported when that row is reached, so earlier rows have
+    /// been applied and `params` should be discarded.
     pub fn apply_to<P: ParamsViewMut + ?Sized>(
-        &self,
+        &mut self,
         params: &mut P,
         alpha: f64,
     ) -> Result<(), ModelError> {
+        if self.embedding.is_empty() {
+            return Ok(());
+        }
+        if self.dim != params.dim() {
+            return Err(ModelError::ShapeMismatch {
+                what: "batch gradient row width",
+            });
+        }
         let vocab = params.vocab_size();
-        let dim = params.dim();
-        for (&r, v) in &self.embedding {
-            if r >= vocab {
-                return Err(ModelError::TokenOutOfRange { token: r, vocab });
-            }
-            if v.len() != dim {
-                return Err(ModelError::ShapeMismatch {
-                    what: "embedding row width",
-                });
-            }
-            ops::axpy(alpha, v, params.embedding_row_mut(r))?;
+        self.embedding.sort_unstable_by_key(|t| t.key);
+        self.context.sort_unstable_by_key(|t| t.key);
+        self.sum.resize(self.dim, 0.0);
+        let sum = &mut self.sum[..];
+        // One run per distinct row.
+        let same_row = |a: &Touch, b: &Touch| a.row() == b.row();
+        for run in self.embedding.chunk_by(same_row) {
+            let row = run[0].row();
+            check_token(row, vocab)?;
+            sum_run(run, &self.grad_u, sum)?;
+            ops::axpy_unchecked(alpha, sum, params.embedding_row_mut(row));
         }
-        for (&r, v) in &self.context {
-            if r >= vocab {
-                return Err(ModelError::TokenOutOfRange { token: r, vocab });
-            }
-            if v.len() != dim {
-                return Err(ModelError::ShapeMismatch {
-                    what: "context row width",
-                });
-            }
-            ops::axpy(alpha, v, params.context_row_mut(r))?;
+        for run in self.context.chunk_by(same_row) {
+            let row = run[0].row();
+            check_token(row, vocab)?;
+            sum_run(run, &self.u, sum)?;
+            ops::axpy_unchecked(alpha, sum, params.context_row_mut(row));
         }
-        for (&r, &b) in &self.bias {
-            if r >= vocab {
-                return Err(ModelError::TokenOutOfRange { token: r, vocab });
+        for run in self.context.chunk_by(same_row) {
+            let b = run.iter().fold(0.0, |b, t| b + t.coef);
+            if !b.is_finite() {
+                return Err(NON_FINITE);
             }
-            *params.bias_at_mut(r) += alpha * b;
+            *params.bias_at_mut(run[0].row()) += alpha * b;
         }
         Ok(())
     }
 }
 
+const NON_FINITE: ModelError = ModelError::NonFinite {
+    at: "batch gradient",
+};
+
+/// `sum = 0 + c₁·v₁ + c₂·v₂ + …` over one row's touches, in issue order.
+fn sum_run(run: &[Touch], slots: &[f64], sum: &mut [f64]) -> Result<(), ModelError> {
+    let dim = sum.len();
+    sum.fill(0.0);
+    for t in run {
+        ops::axpy_unchecked(t.coef, &slots[t.slot as usize * dim..][..dim], sum);
+    }
+    if !ops::all_finite(sum) {
+        return Err(NON_FINITE);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::ModelParams;
 
-    #[test]
-    fn rows_accumulate_in_place() {
-        let mut g = SparseGrad::new();
-        assert!(g.is_empty());
-        g.add_embedding_row(0, 1.0, &[3.0, 0.0]);
-        g.add_embedding_row(0, 1.0, &[0.0, 4.0]);
-        g.add_context_row(2, 2.0, &[1.0, 1.0]);
-        g.add_bias(1, -2.0);
-        assert_eq!(g.embedding[&0], vec![3.0, 4.0]);
-        assert_eq!(g.context[&2], vec![2.0, 2.0]);
-        assert_eq!(g.bias[&1], -2.0);
-        assert_eq!(g.touched_rows(), 3);
-        assert!(!g.is_empty());
-        assert!(g.all_finite());
-    }
-
-    #[test]
-    fn apply_to_params() {
-        let mut p = ModelParams::zeros(4, 2);
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(1, 1.0, &[1.0, 2.0]);
-        g.add_context_row(3, 1.0, &[-1.0, 0.5]);
-        g.add_bias(0, 7.0);
-        g.apply_to(&mut p, 2.0).unwrap();
-        assert_eq!(p.embedding.row(1), &[2.0, 4.0]);
-        assert_eq!(p.context.row(3), &[-2.0, 1.0]);
-        assert_eq!(p.bias[0], 14.0);
-    }
-
-    #[test]
-    fn apply_rejects_bad_shapes() {
-        let mut p = ModelParams::zeros(2, 2);
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(5, 1.0, &[1.0, 1.0]);
-        assert!(matches!(
-            g.apply_to(&mut p, 1.0),
-            Err(ModelError::TokenOutOfRange { .. })
-        ));
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(0, 1.0, &[1.0, 1.0, 1.0]);
-        assert!(matches!(
-            g.apply_to(&mut p, 1.0),
-            Err(ModelError::ShapeMismatch { .. })
-        ));
-        let mut g = SparseGrad::new();
-        g.add_bias(9, 1.0);
-        assert!(g.apply_to(&mut p, 1.0).is_err());
-    }
-
-    #[test]
-    fn finiteness_detection() {
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(0, 1.0, &[1.0]);
-        assert!(g.all_finite());
-        g.add_bias(0, f64::INFINITY);
-        assert!(!g.all_finite());
-    }
-
-    #[test]
-    fn recycle_pools_rows_for_reuse() {
-        let mut g = SparseGrad::new();
-        g.add_embedding_row(0, 1.0, &[1.0, 2.0]);
-        g.add_context_row(1, 1.0, &[3.0, 4.0]);
-        g.add_bias(2, 5.0);
-        g.recycle();
-        assert!(g.is_empty());
-        assert_eq!(g.pool_len(), 2);
-        g.add_embedding_row(7, 1.0, &[9.0, 8.0]);
-        assert_eq!(g.pool_len(), 1, "row buffer came from the pool");
-        assert_eq!(g.embedding[&7], vec![9.0, 8.0], "pooled rows are zeroed");
+    /// The reference the replay is checked against: every touch applied to
+    /// dense zeros in the order it was issued.
+    pub(crate) fn dense_reference(log: &BatchGrad, vocab: usize) -> ModelParams {
+        let dim = log.dim;
+        let mut g = ModelParams::zeros(vocab, dim);
+        let issued = |list: &[Touch]| {
+            let mut list = list.to_vec();
+            list.sort_unstable_by_key(|t| t.key as u32);
+            list
+        };
+        for t in issued(&log.embedding) {
+            let v = &log.grad_u[t.slot as usize * dim..][..dim];
+            ops::axpy_unchecked(t.coef, v, g.embedding.row_mut(t.row()));
+        }
+        for t in issued(&log.context) {
+            let v = &log.u[t.slot as usize * dim..][..dim];
+            ops::axpy_unchecked(t.coef, v, g.context.row_mut(t.row()));
+            g.bias[t.row()] += t.coef;
+        }
+        g
     }
 
     #[test]
     fn pooled_flush_is_bit_identical_to_immediate_accumulation() {
-        // Interleaved touches across rows, duplicate rows within and across
-        // "pairs", and awkward magnitudes: the flushed pooled gradient must
-        // match immediate accumulation bit for bit because each row's
-        // floating-point accumulation order is preserved exactly.
+        // Interleaved touches across rows, rows repeated within and across
+        // examples, two examples sharing a target, awkward magnitudes: the
+        // replayed log must match issue-order accumulation bit for bit.
         let dim = 5;
-        let u_rows: Vec<Vec<f64>> = (0..4)
-            .map(|s| (0..dim).map(|d| 0.1 * (s * dim + d) as f64 - 0.7).collect())
+        let row = |s: usize, shift: f64| -> Vec<f64> {
+            (0..dim)
+                .map(|d| 0.1 * (s * dim + d) as f64 - shift)
+                .collect()
+        };
+        // (target, coef, u, ∂J/∂u) per example; targets 4 and 9 repeat.
+        let examples: Vec<_> = [(4usize, 0.25), (9, 1.0e-7), (4, 3.0), (9, -7.75e2)]
+            .iter()
+            .enumerate()
+            .map(|(s, &(target, coef))| (target, coef, row(s, 0.7), row(s, 1.3e-3)))
             .collect();
-        // (u-slot, row, coef) in issue order, rows deliberately out of order
-        // and repeated.
+        // (example, row, coef) in issue order, rows out of order and repeated.
         let touches = [
             (0usize, 7usize, 0.25),
             (0, 2, -1.5e-3),
@@ -412,45 +250,82 @@ mod tests {
             (3, 1, 1.0e-7),
             (3, 7, 0.5),
         ];
-
-        let mut immediate = SparseGrad::new();
-        for &(s, row, coef) in &touches {
-            immediate.add_context_row(row, coef, &u_rows[s]);
-            immediate.add_bias(row, coef);
-        }
-
-        let mut pooled = SparseGrad::new();
-        pooled.begin_pooled_batch(dim);
-        let slots: Vec<u32> = u_rows.iter().map(|u| pooled.push_u_slot(u)).collect();
-        for &(s, row, coef) in &touches {
-            pooled.defer_context_touch(row, coef, slots[s]);
-        }
-        pooled.flush_pooled_batch();
-        assert!(!pooled.pooled_mode(), "flush leaves pooled mode");
-
-        assert_eq!(immediate.context.len(), pooled.context.len());
-        for (row, want) in &immediate.context {
-            let got = &pooled.context[row];
-            for (g, w) in got.iter().zip(want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "context row {row}");
+        let mut log = BatchGrad::new();
+        for (s, (target, coef, u, grad_u)) in examples.iter().enumerate() {
+            let slot = log.begin_example(*target, *coef, u);
+            log.grad_u_mut().copy_from_slice(grad_u);
+            for &(_, row, coef) in touches.iter().filter(|t| t.0 == s) {
+                log.touch_context(row, coef, slot);
             }
         }
-        assert_eq!(immediate.bias.len(), pooled.bias.len());
-        for (row, want) in &immediate.bias {
-            assert_eq!(pooled.bias[row].to_bits(), want.to_bits(), "bias {row}");
-        }
+        let want = dense_reference(&log, 10);
+        let mut got = ModelParams::zeros(10, dim);
+        log.apply_to(&mut got, 1.0).unwrap();
+
+        let bits = |p: &ModelParams| -> Vec<u64> {
+            let all = p.embedding.as_slice().iter().chain(p.context.as_slice());
+            all.chain(&p.bias).map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        // Applying again adds the same gradient again; a cleared log adds
+        // nothing.
+        log.apply_to(&mut got, -1.0).unwrap();
+        assert_eq!(got, ModelParams::zeros(10, dim));
+        log.clear();
+        log.apply_to(&mut got, 1.0).unwrap();
+        assert_eq!(got, ModelParams::zeros(10, dim));
     }
 
     #[test]
-    fn pool_is_invisible_to_clone_and_eq() {
-        let mut warm = SparseGrad::new();
-        warm.add_embedding_row(0, 1.0, &[1.0]);
-        warm.recycle();
-        warm.add_embedding_row(0, 1.0, &[1.0]);
-        let mut cold = SparseGrad::new();
-        cold.add_embedding_row(0, 1.0, &[1.0]);
-        assert_eq!(warm, cold, "pool state must not affect equality");
-        assert_eq!(warm.clone(), warm);
-        assert_eq!(warm.clone().pool_len(), 0, "clones start with a cold pool");
+    fn apply_scales_by_alpha() {
+        let mut p = ModelParams::zeros(4, 2);
+        let mut g = BatchGrad::new();
+        let slot = g.begin_example(1, 1.0, &[-1.0, 0.5]);
+        g.grad_u_mut().copy_from_slice(&[1.0, 2.0]);
+        g.touch_context(3, 7.0, slot);
+        g.apply_to(&mut p, 2.0).unwrap();
+        assert_eq!(p.embedding.row(1), &[2.0, 4.0]);
+        assert_eq!(p.context.row(3), &[-14.0, 7.0]);
+        assert_eq!(p.bias[3], 14.0);
+    }
+
+    #[test]
+    fn apply_rejects_bad_shapes() {
+        let mut p = ModelParams::zeros(2, 2);
+        let mut g = BatchGrad::new();
+        g.begin_example(5, 1.0, &[1.0, 1.0]);
+        assert!(matches!(
+            g.apply_to(&mut p, 1.0),
+            Err(ModelError::TokenOutOfRange { token: 5, vocab: 2 })
+        ));
+        let mut g = BatchGrad::new();
+        g.begin_example(0, 1.0, &[1.0, 1.0, 1.0]);
+        assert!(matches!(
+            g.apply_to(&mut p, 1.0),
+            Err(ModelError::ShapeMismatch { .. })
+        ));
+        let mut g = BatchGrad::new();
+        let slot = g.begin_example(0, 1.0, &[1.0, 1.0]);
+        g.touch_context(9, 1.0, slot);
+        assert!(matches!(
+            g.apply_to(&mut p, 1.0),
+            Err(ModelError::TokenOutOfRange { token: 9, vocab: 2 })
+        ));
+    }
+
+    #[test]
+    fn finiteness_detection() {
+        let mut p = ModelParams::zeros(2, 1);
+        let mut g = BatchGrad::new();
+        let slot = g.begin_example(0, 1.0, &[1.0]);
+        g.touch_context(1, 0.5, slot);
+        g.apply_to(&mut p, 1.0).unwrap();
+        g.touch_context(1, f64::INFINITY, slot);
+        assert!(matches!(
+            g.apply_to(&mut p, 1.0),
+            Err(ModelError::NonFinite {
+                at: "batch gradient"
+            })
+        ));
     }
 }

@@ -492,7 +492,7 @@ mod tests {
     use super::*;
     use crate::loss::Loss;
     use crate::negative::NegativeSampler;
-    use crate::train::{train_on_tokens, LocalSgdConfig};
+    use crate::train::{train_on_tokens, LocalSgdConfig, TrainScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -527,7 +527,7 @@ mod tests {
     }
 
     /// The dense reference the journal replaced: `after − before` over the
-    /// (ascending) rows the caller tracked, unchanged rows dropped.
+    /// (ascending) rows the caller names, unchanged rows dropped.
     fn clone_and_diff(
         before: &ModelParams,
         after: &ModelParams,
@@ -625,15 +625,10 @@ mod tests {
         // Reference: the historical clone-and-diff path.
         let mut phi = base.clone();
         let mut rng = StdRng::seed_from_u64(77);
-        let stats =
-            train_on_tokens(&mut rng, &mut phi, &tokens, &cfg, &NegativeSampler::Uniform).unwrap();
-        let want = clone_and_diff(
-            &base,
-            &phi,
-            stats.touched.embedding.iter().copied(),
-            stats.touched.context.iter().copied(),
-            stats.touched.bias.iter().copied(),
-        );
+        let sampler = NegativeSampler::Uniform;
+        let mut scratch = TrainScratch::new();
+        train_on_tokens(&mut rng, &mut phi, &tokens, &cfg, &sampler, &mut scratch).unwrap();
+        let want = clone_and_diff(&base, &phi, 0..12, 0..12, 0..12);
 
         // Clone-free: same training through the overlay, same RNG seed —
         // twice over one journal, the second bucket on recycled buffers.
@@ -641,7 +636,7 @@ mod tests {
         for _ in 0..2 {
             let mut cow = CowParams::new(&base, &mut journal);
             let mut rng = StdRng::seed_from_u64(77);
-            train_on_tokens(&mut rng, &mut cow, &tokens, &cfg, &NegativeSampler::Uniform).unwrap();
+            train_on_tokens(&mut rng, &mut cow, &tokens, &cfg, &sampler, &mut scratch).unwrap();
             let got = journal.take_delta(&base);
             assert!(!got.is_empty());
             assert_same_bits(&got, &want);

@@ -12,7 +12,7 @@
 //!   negative samplers,
 //! * [`loss`] — sampled-softmax and sigmoid-SGNS forward/backward with
 //!   hand-derived gradients (verified against finite differences),
-//! * [`grad`] — the sparse per-batch gradient accumulator,
+//! * [`grad`] — the per-batch gradient, a log of touches replayed row by row,
 //! * [`journal`] — the copy-on-write row journal behind the clone-free
 //!   bucket-delta path, and the flat row-sparse delta its arenas become,
 //! * [`clip`] — per-layer ℓ2 clipping (McMahan & Andrew: each tensor to

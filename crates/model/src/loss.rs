@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use plp_linalg::ops;
 
 use crate::error::ModelError;
-use crate::grad::SparseGrad;
+use crate::grad::BatchGrad;
 use crate::params::ParamsView;
 
 /// Which training objective to use.
@@ -40,31 +40,17 @@ pub enum Loss {
     Sgns,
 }
 
-/// Reusable scratch buffers for a forward/backward pass, sized for
-/// `neg + 1` candidates.
-#[derive(Debug, Default, Clone)]
-pub struct Scratch {
-    logits: Vec<f64>,
-    probs: Vec<f64>,
-    grad_u: Vec<f64>,
-}
-
-impl Scratch {
-    /// Creates empty scratch space (buffers grow on first use).
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-}
-
-fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
+pub(crate) fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
     if t >= vocab {
         return Err(ModelError::TokenOutOfRange { token: t, vocab });
     }
     Ok(())
 }
 
-/// Computes the loss of one example and accumulates `scale · ∇J` into
-/// `grad`. Returns the example loss.
+/// Computes the loss of one example and records `scale · ∇J` in `grad`:
+/// one copy of `u`, one touch per candidate (issued positive first, then
+/// the negatives in order) and one touch of the target's embedding row.
+/// Returns the example loss.
 ///
 /// `negatives` must not contain `context` (the samplers guarantee this);
 /// duplicates among negatives are tolerated mathematically but reduce the
@@ -76,7 +62,6 @@ fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
 ///
 /// # Errors
 /// Tokens must be within the vocabulary.
-#[allow(clippy::too_many_arguments)]
 pub fn forward_backward<P: ParamsView + ?Sized>(
     params: &P,
     loss: Loss,
@@ -84,8 +69,7 @@ pub fn forward_backward<P: ParamsView + ?Sized>(
     context: usize,
     negatives: &[usize],
     scale: f64,
-    grad: &mut SparseGrad,
-    scratch: &mut Scratch,
+    grad: &mut BatchGrad,
 ) -> Result<f64, ModelError> {
     let vocab = params.vocab_size();
     check_token(target, vocab)?;
@@ -95,46 +79,31 @@ pub fn forward_backward<P: ParamsView + ?Sized>(
     }
 
     let u = params.embedding_row(target);
-    // In pooled mode (the batched training walk), context/bias touches are
-    // deferred: one copy of `u` into the batch pool, one record per
-    // candidate, and the flush replays each row's records contiguously in
-    // the exact per-row order they are issued here — so both modes produce
-    // bit-identical gradients.
-    let pooled = grad.pooled_mode();
-    let slot = if pooled { grad.push_u_slot(u) } else { 0 };
+    let slot = grad.begin_example(target, scale, u);
     let k = negatives.len() + 1;
-
-    scratch.grad_u.clear();
-    scratch.grad_u.resize(params.dim(), 0.0);
 
     let loss_value = match loss {
         Loss::SampledSoftmax => {
-            scratch.logits.clear();
-            scratch.logits.reserve(k);
-            scratch
-                .logits
+            grad.logits.clear();
+            grad.logits.reserve(k);
+            grad.logits
                 .push(ops::dot_unchecked(u, params.context_row(context)) + params.bias_at(context));
             for &n in negatives {
-                scratch
-                    .logits
+                grad.logits
                     .push(ops::dot_unchecked(u, params.context_row(n)) + params.bias_at(n));
             }
-            scratch.probs.resize(k, 0.0);
-            ops::softmax_into(&scratch.logits, &mut scratch.probs)?;
+            grad.probs.resize(k, 0.0);
+            ops::softmax_into(&grad.logits, &mut grad.probs)?;
             // -log p0, guarded against p0 underflow.
-            let l = -(scratch.probs[0].max(f64::MIN_POSITIVE)).ln();
-            for (j, &p) in scratch.probs.iter().enumerate() {
+            let l = -(grad.probs[0].max(f64::MIN_POSITIVE)).ln();
+            for j in 0..k {
+                let p = grad.probs[j];
                 let coef = if j == 0 { p - 1.0 } else { p };
                 let c = if j == 0 { context } else { negatives[j - 1] };
                 // ∂J/∂W′[c] += coef · u ; ∂J/∂B′[c] += coef.
-                if pooled {
-                    grad.defer_context_touch(c, scale * coef, slot);
-                } else {
-                    grad.add_context_row(c, scale * coef, u);
-                    grad.add_bias(c, scale * coef);
-                }
+                grad.touch_context(c, scale * coef, slot);
                 // grad_u += coef · W′[c].
-                ops::axpy(coef, params.context_row(c), &mut scratch.grad_u)?;
+                ops::axpy(coef, params.context_row(c), grad.grad_u_mut())?;
             }
             l
         }
@@ -143,45 +112,33 @@ pub fn forward_backward<P: ParamsView + ?Sized>(
             // (reused for logit and `grad_u` update — the row is not
             // mutated in between) and one shared exponential for σ/log σ
             // (bit-identical to the unfused pair; pinned in plp-linalg).
-            // Accumulation order into `l`, the deferred-touch journal, and
-            // `grad_u` matches the historical two-pass walk exactly.
             let w0 = params.context_row(context);
             let s0 = ops::dot_unchecked(u, w0) + params.bias_at(context);
             let (sig0, ln_sig0) = ops::sigmoid_and_ln_sigmoid(s0);
             let mut l = -ln_sig0;
             let coef0 = sig0 - 1.0;
-            if pooled {
-                grad.defer_context_touch(context, scale * coef0, slot);
-            } else {
-                grad.add_context_row(context, scale * coef0, u);
-                grad.add_bias(context, scale * coef0);
-            }
-            ops::axpy(coef0, w0, &mut scratch.grad_u)?;
+            grad.touch_context(context, scale * coef0, slot);
+            ops::axpy(coef0, w0, grad.grad_u_mut())?;
             for &n in negatives {
                 let wn = params.context_row(n);
                 let s = ops::dot_unchecked(u, wn) + params.bias_at(n);
                 let (coef, ln_sig_neg) = ops::sigmoid_and_ln_sigmoid_neg(s);
                 l -= ln_sig_neg;
-                if pooled {
-                    grad.defer_context_touch(n, scale * coef, slot);
-                } else {
-                    grad.add_context_row(n, scale * coef, u);
-                    grad.add_bias(n, scale * coef);
-                }
-                ops::axpy(coef, wn, &mut scratch.grad_u)?;
+                grad.touch_context(n, scale * coef, slot);
+                ops::axpy(coef, wn, grad.grad_u_mut())?;
             }
             l
         }
     };
 
-    grad.add_embedding_row(target, scale, &scratch.grad_u);
     if !loss_value.is_finite() {
         return Err(ModelError::NonFinite { at: "example loss" });
     }
     Ok(loss_value)
 }
 
-/// Loss of one example without touching any gradient (validation).
+/// Loss of one example (validation). `scratch` is cleared first and holds
+/// a record nobody applies.
 ///
 /// # Errors
 /// Tokens must be within the vocabulary.
@@ -191,12 +148,10 @@ pub fn example_loss<P: ParamsView + ?Sized>(
     target: usize,
     context: usize,
     negatives: &[usize],
-    scratch: &mut Scratch,
+    scratch: &mut BatchGrad,
 ) -> Result<f64, ModelError> {
-    let mut sink = SparseGrad::new();
-    forward_backward(
-        params, loss, target, context, negatives, 0.0, &mut sink, scratch,
-    )
+    scratch.clear();
+    forward_backward(params, loss, target, context, negatives, 0.0, scratch)
 }
 
 /// Numerically-stable `log σ(x) = −log(1 + e^{−x})`.
@@ -233,29 +188,30 @@ mod tests {
         (p, vec![3, 7, 9])
     }
 
+    /// The gradient of one example, read by applying its record to zeros.
+    fn gradient(
+        params: &ModelParams,
+        loss: Loss,
+        (target, context): (usize, usize),
+        negs: &[usize],
+    ) -> ModelParams {
+        let mut log = BatchGrad::new();
+        forward_backward(params, loss, target, context, negs, 1.0, &mut log).unwrap();
+        let mut grad = ModelParams::zeros(params.vocab_size(), params.dim());
+        log.apply_to(&mut grad, 1.0).unwrap();
+        grad
+    }
+
     /// Central finite-difference check of every touched coordinate.
     fn finite_difference_check(loss: Loss) {
         let (params, negs) = setup();
         let target = 1usize;
         let context = 5usize;
-        let mut scratch = Scratch::new();
-        let mut grad = SparseGrad::new();
-        forward_backward(
-            &params,
-            loss,
-            target,
-            context,
-            &negs,
-            1.0,
-            &mut grad,
-            &mut scratch,
-        )
-        .unwrap();
+        let grad = gradient(&params, loss, (target, context), &negs);
 
         let eps = 1e-6;
         let f = |p: &ModelParams| {
-            let mut s = Scratch::new();
-            example_loss(p, loss, target, context, &negs, &mut s).unwrap()
+            example_loss(p, loss, target, context, &negs, &mut BatchGrad::new()).unwrap()
         };
         // Embedding row of the target.
         for d in 0..params.dim() {
@@ -264,7 +220,7 @@ mod tests {
             let mut minus = params.clone();
             minus.embedding.row_mut(target)[d] -= eps;
             let num = (f(&plus) - f(&minus)) / (2.0 * eps);
-            let ana = grad.embedding[&target][d];
+            let ana = grad.embedding.row(target)[d];
             assert!(
                 (num - ana).abs() < 1e-5,
                 "dW[{target}][{d}]: {num} vs {ana}"
@@ -278,7 +234,7 @@ mod tests {
                 let mut minus = params.clone();
                 minus.context.row_mut(c)[d] -= eps;
                 let num = (f(&plus) - f(&minus)) / (2.0 * eps);
-                let ana = grad.context[&c][d];
+                let ana = grad.context.row(c)[d];
                 assert!((num - ana).abs() < 1e-5, "dW'[{c}][{d}]: {num} vs {ana}");
             }
             let mut plus = params.clone();
@@ -286,7 +242,7 @@ mod tests {
             let mut minus = params.clone();
             minus.bias[c] -= eps;
             let num = (f(&plus) - f(&minus)) / (2.0 * eps);
-            let ana = grad.bias[&c];
+            let ana = grad.bias[c];
             assert!((num - ana).abs() < 1e-5, "dB'[{c}]: {num} vs {ana}");
         }
     }
@@ -304,15 +260,15 @@ mod tests {
     #[test]
     fn loss_is_positive_and_decreases_after_a_step() {
         let (mut params, negs) = setup();
-        let mut scratch = Scratch::new();
+        let mut log = BatchGrad::new();
         for loss in [Loss::SampledSoftmax, Loss::Sgns] {
-            let before = example_loss(&params, loss, 1, 5, &negs, &mut scratch).unwrap();
+            let before = example_loss(&params, loss, 1, 5, &negs, &mut log).unwrap();
             assert!(before > 0.0);
             // One SGD step on this single example.
-            let mut grad = SparseGrad::new();
-            forward_backward(&params, loss, 1, 5, &negs, 1.0, &mut grad, &mut scratch).unwrap();
-            grad.apply_to(&mut params, -0.5).unwrap();
-            let after = example_loss(&params, loss, 1, 5, &negs, &mut scratch).unwrap();
+            log.clear();
+            forward_backward(&params, loss, 1, 5, &negs, 1.0, &mut log).unwrap();
+            log.apply_to(&mut params, -0.5).unwrap();
+            let after = example_loss(&params, loss, 1, 5, &negs, &mut log).unwrap();
             assert!(after < before, "{loss:?}: {after} !< {before}");
         }
     }
@@ -320,72 +276,37 @@ mod tests {
     #[test]
     fn only_candidate_rows_are_touched() {
         let (params, negs) = setup();
-        let mut scratch = Scratch::new();
-        let mut grad = SparseGrad::new();
-        forward_backward(
-            &params,
-            Loss::SampledSoftmax,
-            1,
-            5,
-            &negs,
-            1.0,
-            &mut grad,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(grad.embedding.len(), 1);
-        assert!(grad.embedding.contains_key(&1));
-        assert_eq!(grad.context.len(), negs.len() + 1);
-        assert_eq!(grad.bias.len(), negs.len() + 1);
-        for &n in &negs {
-            assert!(grad.context.contains_key(&n));
+        let grad = gradient(&params, Loss::SampledSoftmax, (1, 5), &negs);
+        let zero = vec![0.0; params.dim()];
+        for r in 0..params.vocab_size() {
+            let candidate = r == 5 || negs.contains(&r);
+            assert_eq!(grad.embedding.row(r) != zero, r == 1, "W[{r}]");
+            assert_eq!(grad.context.row(r) != zero, candidate, "W'[{r}]");
+            assert_eq!(grad.bias[r] != 0.0, candidate, "B'[{r}]");
         }
-        assert!(grad.context.contains_key(&5));
     }
 
     #[test]
     fn softmax_bias_gradients_sum_to_zero() {
         // Σⱼ (pⱼ − tⱼ) = 0: the bias gradients over candidates cancel.
         let (params, negs) = setup();
-        let mut scratch = Scratch::new();
-        let mut grad = SparseGrad::new();
-        forward_backward(
-            &params,
-            Loss::SampledSoftmax,
-            2,
-            6,
-            &negs,
-            1.0,
-            &mut grad,
-            &mut scratch,
-        )
-        .unwrap();
-        let total: f64 = grad.bias.values().sum();
+        let grad = gradient(&params, Loss::SampledSoftmax, (2, 6), &negs);
+        let total: f64 = grad.bias.iter().sum();
         assert!(total.abs() < 1e-12, "bias grads sum to {total}");
     }
 
     #[test]
     fn rejects_out_of_range_tokens() {
         let (params, _) = setup();
-        let mut scratch = Scratch::new();
-        let mut grad = SparseGrad::new();
-        let r = forward_backward(
-            &params,
-            Loss::SampledSoftmax,
-            99,
-            5,
-            &[1],
-            1.0,
-            &mut grad,
-            &mut scratch,
-        );
+        let mut log = BatchGrad::new();
+        let r = forward_backward(&params, Loss::SampledSoftmax, 99, 5, &[1], 1.0, &mut log);
         assert!(matches!(
             r,
             Err(ModelError::TokenOutOfRange { token: 99, .. })
         ));
-        let r = example_loss(&params, Loss::Sgns, 1, 99, &[1], &mut scratch);
+        let r = example_loss(&params, Loss::Sgns, 1, 99, &[1], &mut log);
         assert!(r.is_err());
-        let r = example_loss(&params, Loss::Sgns, 1, 5, &[99], &mut scratch);
+        let r = example_loss(&params, Loss::Sgns, 1, 5, &[99], &mut log);
         assert!(r.is_err());
     }
 

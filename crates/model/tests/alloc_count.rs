@@ -16,7 +16,7 @@ use plp_mmap::CountingAllocator;
 use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowJournal};
 use plp_model::metrics::evaluate_hit_rate_threaded;
-use plp_model::train::{train_on_tokens_with_scratch, LocalSgdConfig, TrainScratch};
+use plp_model::train::{train_on_tokens, LocalSgdConfig, TrainScratch};
 use plp_model::{Loss, ModelParams, NegativeSampler, ParamsViewMut, Recommender};
 
 #[global_allocator]
@@ -28,16 +28,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATOR.allocations() - before)
 }
 
-/// What the same warm bucket cost at commit c3c8134, where a delta was one
-/// heap `Vec` per touched row in two `BTreeMap`s and the journal's row pool
-/// was drained into every delta: 23 962 allocations in local SGD + 4 926
-/// in `take_delta`, measured with this file's bucket and allocator. (The
-/// delta path alone read 251 allocations for 100 rows, 24 998 for 10 000.)
-const WARM_BUCKET_BEFORE: u64 = 28_888;
-
 #[test]
 fn hot_paths_allocate_by_shape_and_never_by_volume() {
-    a_warm_worker_allocates_per_batch_and_never_per_row();
+    a_warm_worker_allocates_nothing();
     an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta();
 }
 
@@ -92,7 +85,7 @@ fn an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta() {
     }
 }
 
-fn a_warm_worker_allocates_per_batch_and_never_per_row() {
+fn a_warm_worker_allocates_nothing() {
     let (vocab, dim) = (20_000, 50);
     let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();
     let mut aggregate = ModelParams::zeros(vocab, dim);
@@ -123,7 +116,8 @@ fn a_warm_worker_allocates_per_batch_and_never_per_row() {
 
     // A whole bucket at the paper's settings: 401 tokens are 1 598 pairs,
     // 50 batches of 32, each pair with 16 negatives out of 20 000 rows —
-    // nearly every touch is a first touch.
+    // nearly every touch is a first touch. Half the tokens are half the
+    // batches.
     let cfg = LocalSgdConfig {
         learning_rate: 0.06,
         batch_size: 32,
@@ -134,18 +128,17 @@ fn a_warm_worker_allocates_per_batch_and_never_per_row() {
     let mut rng = StdRng::seed_from_u64(2);
     let tokens: Vec<usize> = (0..401).map(|_| rng.random_range(0..vocab)).collect();
     let mut scratch = TrainScratch::new();
-    let mut bucket = |seed: u64| {
+    let mut bucket = |seed: u64, tokens: &[usize]| {
         let touches = tokens.len() * 2 * cfg.window * (cfg.negatives + 1);
         journal.reset();
         journal.reserve(tokens.len(), vocab.min(touches), dim);
-        let stats = train_on_tokens_with_scratch(
+        let stats = train_on_tokens(
             &mut StdRng::seed_from_u64(seed),
             &mut CowParams::new(&theta, &mut journal),
-            &tokens,
+            tokens,
             &cfg,
             &NegativeSampler::Uniform,
             &mut scratch,
-            None,
         )
         .unwrap();
         let mut delta = journal.take_delta(&theta);
@@ -155,18 +148,16 @@ fn a_warm_worker_allocates_per_batch_and_never_per_row() {
         journal.recycle(delta);
         (stats.batches, rows)
     };
-    bucket(3);
-    bucket(4);
-    let ((batches, rows), allocations) = counted(|| bucket(5));
+    bucket(3, &tokens);
+    bucket(4, &tokens);
+    let ((batches_half, _), half) = counted(|| bucket(5, &tokens[..201]));
+    let ((batches, rows), whole) = counted(|| bucket(5, &tokens));
     println!(
-        "whole bucket, warm: {allocations} allocations over {batches} batches and {rows} delta \
-         rows = {:.0} per batch (the per-batch gradient's map nodes); {WARM_BUCKET_BEFORE} before",
-        allocations as f64 / batches as f64
+        "whole bucket, warm: {half} allocations over {batches_half} batches, {whole} over \
+         {batches} batches and {rows} delta rows"
     );
-    assert_eq!(batches, 50);
+    assert_eq!((batches_half, batches), (25, 50));
     assert!(rows > 20_000, "the bucket must be wide: {rows} rows");
-    assert!(
-        allocations < WARM_BUCKET_BEFORE / 2,
-        "{allocations} allocations, {WARM_BUCKET_BEFORE} before"
-    );
+    assert_eq!(half, whole, "allocations must not depend on batches run");
+    assert_eq!(whole, 0, "a warm bucket has nothing left to allocate");
 }

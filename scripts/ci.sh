@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam,
-# four-binaries and no-deployed-copy grep gates, build, the full test suite
-# (and the vectorised kernels', the rank-counting evaluator's, the streaming
-# reduction's and the serving engine's identity tests again in release
-# mode, with the allocation counts of a warm bucket and of an evaluation),
+# four-binaries, no-deployed-copy and no-map-in-the-SGNS-loop grep gates,
+# build, the full test suite (and the vectorised kernels', the batch-gradient
+# replay's, the rank-counting evaluator's, the streaming reduction's and the
+# serving engine's identity tests again in release mode, with the allocation
+# counts of a warm bucket and of an evaluation),
 # every experiment of the `figures` table at bench scale, the
 # chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
 # and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
@@ -57,6 +58,14 @@ if git grep -n 'Recommender::new' -- crates/core/src/plp.rs crates/core/src/nonp
   exit 1
 fi
 
+echo "== sparse-row gate (the SGNS loop holds no map) =="
+# The per-batch gradient is a touch log replayed into the parameters; a
+# map here means a second sparse-row type beside journal::DeltaRows is back.
+if git grep -nE 'BTreeMap|BTreeSet' -- crates/model/src/grad.rs crates/model/src/loss.rs crates/model/src/train.rs; then
+  echo "crates/model/src/{grad,loss,train}.rs must not use BTreeMap or BTreeSet"
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -69,11 +78,14 @@ cargo test --workspace -q
 echo "== release-mode kernels against their references =="
 # The suites above run unoptimised; the IVF assignment filter and the
 # table-driven CRC ship auto-vectorised and unrolled, and so do the
-# evaluator's comparison counts, so their identity tests also run against
-# the code the optimiser actually produces.
+# evaluator's comparison counts and the `axpy` the batch gradient is
+# replayed with, so their identity tests also run against the code the
+# optimiser actually produces.
 cargo test --release -q -p plp-linalg ivf
 cargo test --release -q -p plp-data crc32
 cargo test --release -q -p plp-model metrics
+cargo test --release -q -p plp-model grad
+cargo test --release -q -p plp-model train
 
 echo "== release-mode streaming reduction and allocation count =="
 # Same reason: the ordered reduction's identity, fault and run-ahead-bound

@@ -11,9 +11,9 @@ use dp_nextloc::data::grouping::{
 };
 use dp_nextloc::linalg::ops;
 use dp_nextloc::model::clip::clip_per_layer;
-use dp_nextloc::model::grad::SparseGrad;
+use dp_nextloc::model::grad::BatchGrad;
 use dp_nextloc::model::journal::RowDelta;
-use dp_nextloc::model::loss::{forward_backward, Loss, Scratch};
+use dp_nextloc::model::loss::{forward_backward, Loss};
 use dp_nextloc::model::params::ModelParams;
 use dp_nextloc::privacy::planner::epsilon_for_steps;
 use dp_nextloc::privacy::rdp::RdpCurve;
@@ -96,8 +96,7 @@ proptest! {
         let mut sampler = dp_nextloc::linalg::sample::NormalSampler::new();
         let mut g = RowDelta::default();
         for r in 0..rows {
-            let mut v = vec![0.0; 8];
-            sampler.fill(&mut rng, scale, &mut v);
+            let mut v: Vec<f64> = (0..8).map(|_| sampler.sample_scaled(&mut rng, scale)).collect();
             g.embedding.push_row(r, &v).unwrap();
             v.iter_mut().for_each(|x| *x *= 0.5);
             g.context.push_row(r, &v).unwrap();
@@ -164,18 +163,19 @@ proptest! {
         let params = ModelParams::init(&mut rng, 30, 6).unwrap();
         let negatives: Vec<usize> =
             (0..5).map(|i| (context + i + 1) % 30).filter(|&n| n != context).collect();
-        let mut grad = SparseGrad::new();
-        let mut scratch = Scratch::new();
-        let l = forward_backward(
-            &params, loss, target, context, &negatives, 1.0, &mut grad, &mut scratch,
-        ).unwrap();
+        let mut log = BatchGrad::new();
+        let l = forward_backward(&params, loss, target, context, &negatives, 1.0, &mut log).unwrap();
         prop_assert!(l.is_finite() && l >= 0.0);
+        // Read the gradient by applying the record to zeros.
+        let mut grad = ModelParams::zeros(30, 6);
+        log.apply_to(&mut grad, 1.0).unwrap();
         prop_assert!(grad.all_finite());
-        prop_assert!(grad.embedding.keys().all(|&r| r == target));
-        let candidates: Vec<usize> =
-            std::iter::once(context).chain(negatives.iter().copied()).collect();
-        prop_assert!(grad.context.keys().all(|r| candidates.contains(r)));
-        prop_assert!(grad.bias.keys().all(|r| candidates.contains(r)));
+        let zero = [0.0; 6];
+        for r in 0..30 {
+            let candidate = r == context || negatives.contains(&r);
+            prop_assert!(r == target || grad.embedding.row(r) == zero);
+            prop_assert!(candidate || (grad.context.row(r) == zero && grad.bias[r] == 0.0));
+        }
     }
 
     /// Softmax output is always a probability distribution.
