@@ -18,6 +18,7 @@
 //! the moments accounting are exactly those of the sequential sampler.
 
 use plp_linalg::ops;
+use plp_linalg::par::fan_out;
 use plp_linalg::sample::mix64;
 use plp_model::params::ModelParams;
 use plp_privacy::mechanism::GaussianMechanism;
@@ -47,50 +48,15 @@ pub fn step_noise_seed(run_seed: u64, step: u64) -> u64 {
     mix64(run_seed ^ NOISE_SEED_SALT ^ mix64(step))
 }
 
-/// One worker's share of a tensor slab: a contiguous row range.
-struct NoiseJob<'a> {
-    data: &'a mut [f64],
-    row_len: usize,
-    domain: u64,
-    first_row: u64,
-}
-
-/// Splits `slab` (rows of `row_len`, the last possibly short) into at most
-/// `parts` contiguous row ranges, recording each range's absolute first
-/// row so its per-row streams are independent of the split.
-fn push_row_jobs<'a>(
-    mut slab: &'a mut [f64],
-    row_len: usize,
-    domain: u64,
-    parts: usize,
-    out: &mut Vec<NoiseJob<'a>>,
-) {
-    let rows = slab.len().div_ceil(row_len.max(1));
-    let rows_per_part = rows.div_ceil(parts.max(1)).max(1);
-    let mut first_row = 0u64;
-    while !slab.is_empty() {
-        let take = (rows_per_part * row_len).min(slab.len());
-        let (head, tail) = slab.split_at_mut(take);
-        out.push(NoiseJob {
-            data: head,
-            row_len,
-            domain,
-            first_row,
-        });
-        first_row += rows_per_part as u64;
-        slab = tail;
-    }
-}
-
 /// Perturbs `aggregate` with the mechanism's `N(0, (σC)²I)` noise and then
-/// scales it by `scale_by` (the fixed-denominator average), fanning the
-/// per-row work over up to `threads` scoped workers.
+/// scales it by `scale_by` (the fixed-denominator average), one block of
+/// vocabulary rows per part of `threads` ([`fan_out`]).
 ///
 /// Bit-identical for every `threads` value: each row's noise comes from its
 /// own counter-seeded stream (see the module docs) and both the noise add
 /// and the scale are element-wise, so neither the partition nor the
-/// execution order can change a single bit. `threads ≤ 1` runs inline
-/// without spawning.
+/// execution order can change a single bit. Blocks hold whole bias
+/// pseudo-rows, so every block starts a stream of each domain.
 pub fn perturb_and_scale_threaded(
     aggregate: &mut ModelParams,
     mechanism: &GaussianMechanism,
@@ -98,53 +64,23 @@ pub fn perturb_and_scale_threaded(
     scale_by: f64,
     threads: usize,
 ) {
-    let threads = threads.max(1);
-    let mut jobs = Vec::new();
-    let domains = [DOMAIN_EMBEDDING, DOMAIN_CONTEXT, DOMAIN_BIAS];
-    for ((slab, row_len), domain) in aggregate.row_slabs_mut(BIAS_CHUNK).into_iter().zip(domains) {
-        push_row_jobs(slab, row_len, domain, threads, &mut jobs);
-    }
-    let run = |job: NoiseJob<'_>, scratch: &mut Vec<f64>| {
-        if scratch.len() < job.row_len {
-            scratch.resize(job.row_len, 0.0);
-        }
-        mechanism.perturb_rows(
-            noise_seed,
-            job.domain,
-            job.row_len,
-            job.first_row,
-            job.data,
-            scratch,
-        );
-        ops::scale(scale_by, job.data);
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut scratch = Vec::new();
-        for job in jobs {
-            run(job, &mut scratch);
-        }
-        return;
-    }
-    let workers = threads.min(jobs.len());
-    let mut buckets: Vec<Vec<NoiseJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        buckets[i % workers].push(job);
-    }
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    let mut scratch = Vec::new();
-                    for job in bucket {
-                        run(job, &mut scratch);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("noise worker panicked");
+    let dim = aggregate.dim();
+    let rows = aggregate
+        .vocab_size()
+        .div_ceil(threads.max(1))
+        .next_multiple_of(BIAS_CHUNK);
+    let blocks: Vec<_> = aggregate.row_blocks_mut(rows).enumerate().collect();
+    fan_out(blocks, |(b, tensors)| {
+        let first = (b * rows) as u64;
+        let streams = [
+            (DOMAIN_EMBEDDING, dim, first),
+            (DOMAIN_CONTEXT, dim, first),
+            (DOMAIN_BIAS, BIAS_CHUNK, first / BIAS_CHUNK as u64),
+        ];
+        let mut scratch = vec![0.0; dim.max(BIAS_CHUNK)];
+        for (data, (domain, row_len, first_row)) in tensors.into_iter().zip(streams) {
+            mechanism.perturb_rows(noise_seed, domain, row_len, first_row, data, &mut scratch);
+            ops::scale(scale_by, data);
         }
     });
 }

@@ -770,9 +770,9 @@ impl Server {
         }
     }
 
-    /// Applies the server update over `threads` workers; both optimisers'
-    /// threaded steps are bit-identical to their sequential ones for every
-    /// thread count (the update is element-wise).
+    /// Applies the server update over `threads` workers; both optimisers
+    /// give the same bits for every thread count (the update is
+    /// element-wise).
     fn step_threaded(
         &mut self,
         params: &mut ModelParams,
@@ -1170,76 +1170,37 @@ fn run_loop(
         obs.set_trace_scope(None);
         drop(t_local);
 
-        if !buckets.is_empty() && survivors == 0 && skipped > 0 {
-            // Every formed bucket was poisoned: no signal survives, so the
-            // update would be pure noise. Account the step conservatively
-            // (it is paid for even though its update is discarded — never
-            // under-reports ε), record it, and stop.
-            state
-                .accountant
-                .step(hp.sampling_prob, hp.noise_multiplier)?;
-            emit_privacy_burn(
-                obs,
-                &g_burn,
-                &g_order,
-                step,
-                &mut prev_eps,
-                &state.accountant,
-            )?;
-            state.step = step;
-            telemetry.push(StepTelemetry {
-                step,
-                sampled_users: sampled.len(),
-                buckets: buckets.len(),
-                skipped_buckets: skipped,
-                mean_local_loss: 0.0,
-                clip_fraction: 0.0,
-                epsilon_spent: state.accountant.epsilon()?,
-                wall_ms: step_start.elapsed().as_secs_f64() * 1e3,
-                validation_hr10: None,
-            });
-            c_steps.inc();
-            c_skipped.add(skipped as u64);
-            g_step.set(step as f64);
-            g_eps_spent.set(state.accountant.epsilon()?);
-            obs.emit(
-                "skipped_buckets",
-                json!({ "step": step, "skipped": skipped, "buckets": buckets.len() }),
+        // Every formed bucket was poisoned: no signal survives, so the
+        // update would be pure noise. The step skips noise, server update,
+        // eval and checkpoint, but is accounted and recorded like any other
+        // (it is paid for even though its update is discarded — never
+        // under-reports ε); then the run stops.
+        let diverged = !buckets.is_empty() && survivors == 0 && skipped > 0;
+        if !diverged {
+            // Line 9: perturb the sum over the *whole* parameter vector.
+            // Counter-based per-row noise streams (see `crate::noise`): seeded
+            // from `(run_seed, step)` and fanned over `hp.threads` workers,
+            // bit-identical for every thread count. The fixed-denominator
+            // average by the expected bucket count q·W/λ — never the realised
+            // (sample-dependent) |H_t| — rides the same row pass.
+            let t_noise = phases.start(phase::NOISE, in_step, step);
+            let noise_seed = step_noise_seed(state.run_seed, step);
+            perturb_and_scale_threaded(
+                &mut aggregate,
+                &mechanism,
+                noise_seed,
+                1.0 / denom,
+                hp.effective_threads(),
             );
-            if let Some(t) = telemetry.last() {
-                obs.emit("step", serde_json::to_value_of(t));
-            }
-            stop_reason = StopReason::Diverged;
-            // A Diverged stop is a fault event: keep the flight recorder.
-            if let Some(t) = obs.tracer() {
-                t.dump_on_fault("diverged");
-            }
-            break;
+            drop(t_noise);
+
+            // Line 10: model update, fanned over the same worker count.
+            let t_server = phases.start(phase::SERVER_UPDATE, in_step, step);
+            state
+                .server
+                .step_threaded(&mut state.params, &aggregate, hp.effective_threads())?;
+            drop(t_server);
         }
-
-        // Line 9: perturb the sum over the *whole* parameter vector.
-        // Counter-based per-row noise streams (see `crate::noise`): seeded
-        // from `(run_seed, step)` and fanned over `hp.threads` workers,
-        // bit-identical for every thread count. The fixed-denominator
-        // average by the expected bucket count q·W/λ — never the realised
-        // (sample-dependent) |H_t| — rides the same row pass.
-        let t_noise = phases.start(phase::NOISE, in_step, step);
-        let noise_seed = step_noise_seed(state.run_seed, step);
-        perturb_and_scale_threaded(
-            &mut aggregate,
-            &mechanism,
-            noise_seed,
-            1.0 / denom,
-            hp.effective_threads(),
-        );
-        drop(t_noise);
-
-        // Line 10: model update, fanned over the same worker count.
-        let t_server = phases.start(phase::SERVER_UPDATE, in_step, step);
-        state
-            .server
-            .step_threaded(&mut state.params, &aggregate, hp.effective_threads())?;
-        drop(t_server);
 
         // Line 11: ledger tracking. The effective noise multiplier stays σ
         // for any ω: noise std σCω over sensitivity ωC.
@@ -1259,7 +1220,9 @@ fn run_loop(
         state.step = step;
 
         let validation_hr10 = match validation {
-            Some(v) if hp.eval_every > 0 && step.is_multiple_of(hp.eval_every as u64) => {
+            Some(v)
+                if !diverged && hp.eval_every > 0 && step.is_multiple_of(hp.eval_every as u64) =>
+            {
                 let _t_eval = phases.start(phase::EVAL, in_step, step);
                 // θ is validated where it lies (no deployed copy): the
                 // leave-one-out trials fan out over `hp.threads` workers
@@ -1303,6 +1266,14 @@ fn run_loop(
         }
         if let Some(t) = telemetry.last() {
             obs.emit("step", serde_json::to_value_of(t));
+        }
+        if diverged {
+            stop_reason = StopReason::Diverged;
+            // A Diverged stop is a fault event: keep the flight recorder.
+            if let Some(t) = obs.tracer() {
+                t.dump_on_fault("diverged");
+            }
+            break;
         }
 
         if let Some(policy) = &opts.checkpoint {
@@ -1763,6 +1734,7 @@ mod tests {
         });
         let opts = TrainOptions {
             faults,
+            observer: Observer::with_memory_sink("diverged"),
             ..TrainOptions::default()
         };
         let out = train_plp_resumable(11, &ds, None, &hp, &opts).unwrap();
@@ -1775,6 +1747,55 @@ mod tests {
         );
         let t = &out.telemetry[0];
         assert!(t.skipped_buckets > 0 && t.skipped_buckets == t.buckets);
+
+        // The step ends like any other: one accountant step, its telemetry
+        // row, counters, gauges and events — and nothing after it.
+        let mut one_step = MomentsAccountant::new(hp.budget.delta).unwrap();
+        one_step
+            .step(hp.sampling_prob, hp.noise_multiplier)
+            .unwrap();
+        let eps = one_step.epsilon().unwrap();
+        assert_eq!(out.telemetry.len(), 1);
+        assert_eq!(
+            (t.step, t.sampled_users, t.buckets, t.skipped_buckets),
+            (1, 9, 5, 5)
+        );
+        assert_eq!((t.mean_local_loss, t.clip_fraction), (0.0, 0.0));
+        assert_eq!(t.validation_hr10, None);
+        assert_eq!(t.epsilon_spent.to_bits(), eps.to_bits());
+        assert_eq!(out.summary.epsilon_spent.to_bits(), eps.to_bits());
+        let obs = &opts.observer;
+        assert_eq!(
+            obs.gauge("plp_epsilon_spent").get().to_bits(),
+            eps.to_bits()
+        );
+        assert_eq!(obs.gauge("plp_train_step").get(), 1.0);
+        assert_eq!(obs.counter("plp_train_steps_total").get(), 1);
+        assert_eq!(
+            obs.counter("plp_train_skipped_buckets_total").get(),
+            t.skipped_buckets as u64
+        );
+        let kinds: Vec<String> = obs
+            .captured_events()
+            .iter()
+            .map(|line| {
+                let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                match &v.as_object().unwrap()["kind"] {
+                    serde_json::Value::Str(kind) => kind.clone(),
+                    other => panic!("kind must be a string, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "run_start",
+                "privacy_burn",
+                "skipped_buckets",
+                "step",
+                "run_end"
+            ]
+        );
     }
 
     #[test]

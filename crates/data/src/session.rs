@@ -39,31 +39,6 @@ pub fn sessionize(history: &UserHistory, max_duration_secs: i64) -> Vec<Vec<Chec
     sessions
 }
 
-/// Splits on *gaps*: a new session starts whenever the time since the
-/// previous check-in exceeds `max_gap_secs`. This is the alternative
-/// convention common in the POI-recommendation literature; provided for
-/// ablations.
-pub fn sessionize_by_gap(history: &UserHistory, max_gap_secs: i64) -> Vec<Vec<CheckIn>> {
-    let mut sessions = Vec::new();
-    let mut current: Vec<CheckIn> = Vec::new();
-    for &c in &history.checkins {
-        match current.last() {
-            Some(prev) if max_gap_secs > 0 && c.timestamp - prev.timestamp <= max_gap_secs => {
-                current.push(c);
-            }
-            Some(_) => {
-                sessions.push(std::mem::take(&mut current));
-                current.push(c);
-            }
-            None => current.push(c),
-        }
-    }
-    if !current.is_empty() {
-        sessions.push(current);
-    }
-    sessions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +78,6 @@ mod tests {
     fn empty_history_yields_no_sessions() {
         let h = history(&[]);
         assert!(sessionize(&h, SIX_HOURS_SECS).is_empty());
-        assert!(sessionize_by_gap(&h, 3600).is_empty());
     }
 
     #[test]
@@ -112,19 +86,6 @@ mod tests {
         let s = sessionize(&h, 0);
         assert_eq!(s.len(), 3);
         assert!(s.iter().all(|x| x.len() == 1));
-    }
-
-    #[test]
-    fn duration_vs_gap_semantics_differ() {
-        const H: i64 = 3600;
-        // Check-ins every 2 hours for 12 hours: gaps never exceed 2h, but
-        // the total span does exceed 6h.
-        let times: Vec<i64> = (0..7).map(|i| i * 2 * H).collect();
-        let h = history(&times);
-        let by_duration = sessionize(&h, SIX_HOURS_SECS);
-        let by_gap = sessionize_by_gap(&h, 2 * H);
-        assert!(by_duration.len() > 1, "duration cap must split");
-        assert_eq!(by_gap.len(), 1, "gap rule must not split");
     }
 
     #[test]

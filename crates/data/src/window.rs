@@ -1,13 +1,10 @@
-//! Skip-gram window extraction and batch generation.
+//! Skip-gram window extraction.
 //!
 //! §3.2: "Given a target location check-in c, a symmetric window of `win`
 //! context locations to the left and `win` to the right is created to output
 //! multiple pairs of target and context locations as training samples."
-//! §4.1: inside a bucket the grouped data is "organized as a single array",
-//! read by `generateBatches()`, and "a number β of target-context location
-//! pairs are placed in each batch".
-
-use rand::{seq::SliceRandom, Rng};
+//! §4.1's `generateBatches()` — shuffle a bucket's pairs and cut them into
+//! batches of β — is `plp_model::train::train_on_tokens`.
 
 /// One training example: a (target, context) token pair.
 pub type Pair = (usize, usize);
@@ -42,47 +39,9 @@ pub fn pairs_from_sequence_into(tokens: &[usize], win: usize, out: &mut Vec<Pair
     }
 }
 
-/// Emits pairs from several sequences (e.g. a user's sessions) without
-/// creating windows that straddle sequence boundaries.
-pub fn pairs_from_sequences(sequences: &[Vec<usize>], win: usize) -> Vec<Pair> {
-    sequences
-        .iter()
-        .flat_map(|s| pairs_from_sequence(s, win))
-        .collect()
-}
-
-/// The paper's `generateBatches`: windows the concatenated bucket array,
-/// shuffles the pairs, and chunks them into batches of `batch_size`.
-///
-/// The final batch may be smaller. `batch_size == 0` is treated as one
-/// batch holding everything (degenerate but total).
-pub fn generate_batches<R: Rng + ?Sized>(
-    rng: &mut R,
-    tokens: &[usize],
-    win: usize,
-    batch_size: usize,
-) -> Vec<Vec<Pair>> {
-    let mut pairs = pairs_from_sequence(tokens, win);
-    pairs.shuffle(rng);
-    chunk_pairs(pairs, batch_size)
-}
-
-/// Chunks an already-ordered pair list into batches of `batch_size`.
-pub fn chunk_pairs(pairs: Vec<Pair>, batch_size: usize) -> Vec<Vec<Pair>> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    if batch_size == 0 {
-        return vec![pairs];
-    }
-    pairs.chunks(batch_size).map(|c| c.to_vec()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn window_radius_one() {
@@ -110,49 +69,5 @@ mod tests {
         assert!(pairs_from_sequence(&[], 2).is_empty());
         assert!(pairs_from_sequence(&[7], 2).is_empty());
         assert!(pairs_from_sequence(&[1, 2, 3], 0).is_empty());
-    }
-
-    #[test]
-    fn sessions_do_not_leak_across_boundaries() {
-        let sessions = vec![vec![1, 2], vec![3, 4]];
-        let pairs = pairs_from_sequences(&sessions, 2);
-        assert_eq!(pairs, vec![(1, 2), (2, 1), (3, 4), (4, 3)]);
-        assert!(!pairs.contains(&(2, 3)), "no cross-session pair");
-    }
-
-    #[test]
-    fn batches_partition_all_pairs() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let tokens: Vec<usize> = (0..50).collect();
-        let batches = generate_batches(&mut rng, &tokens, 2, 32);
-        let total: usize = batches.iter().map(|b| b.len()).sum();
-        assert_eq!(total, pairs_from_sequence(&tokens, 2).len());
-        for b in &batches[..batches.len() - 1] {
-            assert_eq!(b.len(), 32);
-        }
-        assert!(batches.last().unwrap().len() <= 32);
-        // Same multiset of pairs, just shuffled.
-        let mut flat: Vec<Pair> = batches.into_iter().flatten().collect();
-        let mut expected = pairs_from_sequence(&tokens, 2);
-        flat.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(flat, expected);
-    }
-
-    #[test]
-    fn batch_size_zero_is_single_batch() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let batches = generate_batches(&mut rng, &[1, 2, 3], 1, 0);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 4);
-        assert!(chunk_pairs(vec![], 8).is_empty());
-    }
-
-    #[test]
-    fn shuffle_is_seed_deterministic() {
-        let tokens: Vec<usize> = (0..30).collect();
-        let a = generate_batches(&mut StdRng::seed_from_u64(9), &tokens, 2, 16);
-        let b = generate_batches(&mut StdRng::seed_from_u64(9), &tokens, 2, 16);
-        assert_eq!(a, b);
     }
 }

@@ -24,13 +24,6 @@ pub enum LinalgError {
         /// Actual buffer length supplied.
         len: usize,
     },
-    /// An index was out of range for the container.
-    IndexOutOfRange {
-        /// The offending index.
-        index: usize,
-        /// The container length.
-        len: usize,
-    },
     /// A numeric operation produced or received a non-finite value.
     NonFinite {
         /// Description of where the non-finite value was observed.
@@ -54,9 +47,6 @@ impl fmt::Display for LinalgError {
                     f,
                     "buffer of length {len} cannot back a {rows}x{cols} matrix"
                 )
-            }
-            LinalgError::IndexOutOfRange { index, len } => {
-                write!(f, "index {index} out of range for length {len}")
             }
             LinalgError::NonFinite { op } => write!(f, "non-finite value in {op}"),
             LinalgError::InvalidArgument { what } => write!(f, "invalid argument: {what}"),
@@ -84,8 +74,6 @@ mod tests {
             len: 5,
         };
         assert_eq!(e.to_string(), "buffer of length 5 cannot back a 2x3 matrix");
-        let e = LinalgError::IndexOutOfRange { index: 9, len: 4 };
-        assert_eq!(e.to_string(), "index 9 out of range for length 4");
         let e = LinalgError::NonFinite { op: "normalize" };
         assert_eq!(e.to_string(), "non-finite value in normalize");
     }

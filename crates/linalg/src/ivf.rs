@@ -98,9 +98,9 @@
 
 use crate::error::LinalgError;
 use crate::matrix::{dot_tile_f32, Matrix, TILE_COLS, TILE_ROWS};
-use crate::ops;
 use crate::sample::mix64;
 use crate::topk::{top_k_indexed_into, top_k_with_scores_into, TopKScratch};
+use crate::{ops, par};
 
 /// Build-time knobs of an [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -814,25 +814,13 @@ fn assign_rows(
     debug_assert_eq!(ids.len(), out.len());
     let panels = CentroidPanels::new(centroids);
     let panels = panels.as_ref();
-    let threads = threads.min(ids.len()).max(1);
-    if threads == 1 {
-        return assign_chunk(embedding, centroids, panels, ids, out);
-    }
-    let chunk = ids.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = ids
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .map(|(ids_chunk, out_chunk)| {
-                scope
-                    .spawn(move || assign_chunk(embedding, centroids, panels, ids_chunk, out_chunk))
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("assignment worker panicked"))
-            .sum()
+    let chunk = ids.len().div_ceil(threads.max(1)).max(1);
+    let parts: Vec<_> = ids.chunks(chunk).zip(out.chunks_mut(chunk)).collect();
+    par::fan_out(parts, |(ids, out)| {
+        assign_chunk(embedding, centroids, panels, ids, out)
     })
+    .into_iter()
+    .sum()
 }
 
 // The window the filter's bound is proved in (module docs). Magnitudes are

@@ -11,6 +11,7 @@
 //! * [`topk`] — partial selection of the `k` best-scoring indices,
 //! * [`ivf`] — a deterministic IVF coarse-quantiser index for sublinear
 //!   top-k over the embedding rows (exact re-rank of probed cells),
+//! * [`par`] — the one scoped fan-out, with the caller as part 0,
 //! * [`sample`] — hand-written samplers (standard normal via Box–Muller,
 //!   bounded Zipf, Poisson subsampling) so that no distribution crate beyond
 //!   `rand` is required,
@@ -24,6 +25,7 @@ pub mod error;
 pub mod ivf;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod sample;
 pub mod stats;
 pub mod topk;

@@ -175,20 +175,6 @@ impl Matrix {
         &mut self.data_mut()[start..start + cols]
     }
 
-    /// Checked row access.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::IndexOutOfRange`] if `r >= rows`.
-    pub fn try_row(&self, r: usize) -> Result<&[f64], LinalgError> {
-        if r >= self.rows {
-            return Err(LinalgError::IndexOutOfRange {
-                index: r,
-                len: self.rows,
-            });
-        }
-        Ok(self.row(r))
-    }
-
     /// The underlying row-major buffer (owned or mapped — the read path is
     /// uniform).
     #[inline]
@@ -495,7 +481,6 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.get(1, 2), 6.0);
-        assert!(m.try_row(2).is_err());
     }
 
     #[test]

@@ -230,12 +230,6 @@ pub fn l2_norm(v: &[f64]) -> f64 {
     l2_norm_sq(v).sqrt()
 }
 
-/// ℓ1 norm (sum of absolute values).
-#[inline]
-pub fn l1_norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).sum()
-}
-
 /// ℓ∞ norm (maximum absolute value); `0.0` for the empty slice.
 #[inline]
 pub fn linf_norm(v: &[f64]) -> f64 {
@@ -428,7 +422,6 @@ mod tests {
         let v = [3.0, 4.0];
         assert_eq!(l2_norm(&v), 5.0);
         assert_eq!(l2_norm_sq(&v), 25.0);
-        assert_eq!(l1_norm(&[-1.0, 2.0]), 3.0);
         assert_eq!(linf_norm(&[-7.0, 2.0]), 7.0);
         assert_eq!(linf_norm(&[]), 0.0);
     }

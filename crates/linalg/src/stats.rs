@@ -62,11 +62,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `+inf` when empty.
     pub fn min(&self) -> f64 {
         self.min

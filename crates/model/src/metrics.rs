@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use plp_data::dataset::TokenizedDataset;
 use plp_linalg::matrix::matmul_block_into;
+use plp_linalg::par::fan_out;
 use plp_linalg::{ops, topk, Matrix};
 
 use crate::error::ModelError;
@@ -277,8 +278,8 @@ pub fn evaluate_hit_rate<R: RankLocations + Sync + ?Sized>(
 /// ([`RankLocations::hit_counts`]) and the partial per-`k` counts are
 /// reduced in worker order. Hit counts are integer sums, so the result is
 /// *identical* for every thread count — the companion regression test pins
-/// threads=1 against threads=4. `threads ≤ 1` (or a single trial) runs on
-/// the calling thread without spawning.
+/// threads=1 against threads=4. Worker 0 is the calling thread
+/// ([`fan_out`]), so one worker (or a single trial) spawns nothing.
 ///
 /// # Errors
 /// Propagates token-range errors from the recommender; the first failing
@@ -291,19 +292,8 @@ pub fn evaluate_hit_rate_threaded<R: RankLocations + Sync + ?Sized>(
 ) -> Result<Vec<HitRate>, ModelError> {
     let trials = leave_one_out_trials(test);
     let workers = threads.max(1).min(trials.len().max(1));
-    if workers <= 1 {
-        let hits = recommender.hit_counts(&trials, ks, 0, 1)?;
-        return Ok(assemble(ks, hits, trials.len()));
-    }
-    let partials: Vec<Result<Vec<usize>, ModelError>> = std::thread::scope(|scope| {
-        let trials = &trials;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move || recommender.hit_counts(trials, ks, w, workers)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("eval worker panicked"))
-            .collect()
+    let partials = fan_out((0..workers).collect(), |w| {
+        recommender.hit_counts(&trials, ks, w, workers)
     });
     // Deterministic ordered reduction: worker 0 first, then 1, … (exact for
     // integer counts, and the order every future float reduction must keep).

@@ -11,106 +11,10 @@
 use serde::{Deserialize, Serialize};
 
 use plp_linalg::ops;
+use plp_linalg::par::fan_out;
 
 use crate::error::ModelError;
 use crate::params::ModelParams;
-
-/// One chunk of an Adam update: `(params, m, v, update)` slices of equal
-/// length.
-type AdamJob<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a [f64]);
-
-/// The element-wise Adam recurrence over one slab chunk. Shared by the
-/// sequential and threaded steps so the two paths cannot drift: the update
-/// is per-element, so any chunking of the slabs produces bit-identical
-/// parameters.
-#[allow(clippy::too_many_arguments)]
-fn adam_apply(
-    p: &mut [f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    u: &[f64],
-    b1: f64,
-    b2: f64,
-    bc1: f64,
-    bc2: f64,
-    lr: f64,
-    eps: f64,
-) {
-    for i in 0..p.len() {
-        m[i] = b1 * m[i] + (1.0 - b1) * u[i];
-        v[i] = b2 * v[i] + (1.0 - b2) * u[i] * u[i];
-        let mhat = m[i] / bc1;
-        let vhat = v[i] / bc2;
-        p[i] += lr * mhat / (vhat.sqrt() + eps);
-    }
-}
-
-/// Splits `(y, x)` into up to `parts` equal-length chunk pairs.
-fn push_chunks2<'a>(
-    y: &'a mut [f64],
-    x: &'a [f64],
-    parts: usize,
-    out: &mut Vec<(&'a mut [f64], &'a [f64])>,
-) {
-    let chunk = y.len().div_ceil(parts.max(1)).max(1);
-    for (yc, xc) in y.chunks_mut(chunk).zip(x.chunks(chunk)) {
-        out.push((yc, xc));
-    }
-}
-
-/// Splits an Adam slab quadruple into up to `parts` aligned chunk jobs.
-fn push_chunks4<'a>(
-    p: &'a mut [f64],
-    m: &'a mut [f64],
-    v: &'a mut [f64],
-    u: &'a [f64],
-    parts: usize,
-    out: &mut Vec<AdamJob<'a>>,
-) {
-    let chunk = p.len().div_ceil(parts.max(1)).max(1);
-    let iter = p
-        .chunks_mut(chunk)
-        .zip(m.chunks_mut(chunk))
-        .zip(v.chunks_mut(chunk))
-        .zip(u.chunks(chunk));
-    for (((pc, mc), vc), uc) in iter {
-        out.push((pc, mc, vc, uc));
-    }
-}
-
-/// Runs `f` over every job, fanning the jobs round-robin across `threads`
-/// scoped workers (sequentially when `threads ≤ 1` or there is at
-/// most one job). The jobs are element-wise and disjoint, so execution
-/// order cannot affect the result.
-fn run_chunk_jobs<J: Send, F: Fn(J) + Sync>(threads: usize, jobs: Vec<J>, f: F) {
-    if threads <= 1 || jobs.len() <= 1 {
-        for j in jobs {
-            f(j);
-        }
-        return;
-    }
-    let workers = threads.min(jobs.len());
-    let mut buckets: Vec<Vec<J>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, j) in jobs.into_iter().enumerate() {
-        buckets[i % workers].push(j);
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    for j in bucket {
-                        f(j);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("server update worker panicked");
-        }
-    });
-}
 
 /// Plain averaging server update: `θ ← θ + lr · ĝ` (lr = 1 reproduces
 /// Algorithm 1 literally).
@@ -135,24 +39,9 @@ impl ServerSgd {
         Ok(ServerSgd { learning_rate })
     }
 
-    /// Applies `params += lr · update`.
-    ///
-    /// # Errors
-    /// Shapes must match and the result must stay finite.
-    pub fn step(&self, params: &mut ModelParams, update: &ModelParams) -> Result<(), ModelError> {
-        params.axpy(self.learning_rate, update)?;
-        if !params.all_finite() {
-            return Err(ModelError::NonFinite {
-                at: "parameters after server sgd",
-            });
-        }
-        Ok(())
-    }
-
-    /// [`ServerSgd::step`] with the element-wise axpy fanned over `threads`
-    /// workers. The update is per-element, so the result is bit-identical
-    /// to the sequential step for every thread count; `threads ≤ 1` falls
-    /// back to the sequential path without spawning.
+    /// Applies `params += lr · update`, one block of vocabulary rows per
+    /// part of `threads` ([`fan_out`]). The update is per-element, so the
+    /// result is bit-identical for every thread count.
     ///
     /// # Errors
     /// Shapes must match and the result must stay finite.
@@ -162,30 +51,22 @@ impl ServerSgd {
         update: &ModelParams,
         threads: usize,
     ) -> Result<(), ModelError> {
-        if threads <= 1 {
-            return self.step(params, update);
-        }
         if !params.same_shape(update) {
             return Err(ModelError::ShapeMismatch {
                 what: "ServerSgd step",
             });
         }
         let lr = self.learning_rate;
-        let mut jobs: Vec<(&mut [f64], &[f64])> = Vec::new();
-        push_chunks2(
-            params.embedding.as_mut_slice(),
-            update.embedding.as_slice(),
-            threads,
-            &mut jobs,
-        );
-        push_chunks2(
-            params.context.as_mut_slice(),
-            update.context.as_slice(),
-            threads,
-            &mut jobs,
-        );
-        push_chunks2(&mut params.bias, &update.bias, threads, &mut jobs);
-        run_chunk_jobs(threads, jobs, |(y, x)| ops::axpy_unchecked(lr, x, y));
+        let rows = params.vocab_size().div_ceil(threads.max(1));
+        let blocks: Vec<_> = params
+            .row_blocks_mut(rows)
+            .zip(update.row_blocks(rows))
+            .collect();
+        fan_out(blocks, |(ys, xs)| {
+            for (y, x) in ys.into_iter().zip(xs) {
+                ops::axpy_unchecked(lr, x, y);
+            }
+        });
         if !params.all_finite() {
             return Err(ModelError::NonFinite {
                 at: "parameters after server sgd",
@@ -304,76 +185,10 @@ impl ServerAdam {
         Ok(adam)
     }
 
-    /// Applies one Adam step with `update` as the (noisy) direction.
-    ///
-    /// # Errors
-    /// Shapes must match; the result must stay finite.
-    pub fn step(
-        &mut self,
-        params: &mut ModelParams,
-        update: &ModelParams,
-    ) -> Result<(), ModelError> {
-        if !params.same_shape(update) || !params.same_shape(&self.m) {
-            return Err(ModelError::ShapeMismatch {
-                what: "ServerAdam step",
-            });
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let lr = self.learning_rate;
-        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
-
-        adam_apply(
-            params.embedding.as_mut_slice(),
-            self.m.embedding.as_mut_slice(),
-            self.v.embedding.as_mut_slice(),
-            update.embedding.as_slice(),
-            b1,
-            b2,
-            bc1,
-            bc2,
-            lr,
-            eps,
-        );
-        adam_apply(
-            params.context.as_mut_slice(),
-            self.m.context.as_mut_slice(),
-            self.v.context.as_mut_slice(),
-            update.context.as_slice(),
-            b1,
-            b2,
-            bc1,
-            bc2,
-            lr,
-            eps,
-        );
-        adam_apply(
-            &mut params.bias,
-            &mut self.m.bias,
-            &mut self.v.bias,
-            &update.bias,
-            b1,
-            b2,
-            bc1,
-            bc2,
-            lr,
-            eps,
-        );
-
-        if !params.all_finite() {
-            return Err(ModelError::NonFinite {
-                at: "parameters after adam step",
-            });
-        }
-        Ok(())
-    }
-
-    /// [`ServerAdam::step`] with the element-wise recurrence fanned over
-    /// `threads` workers via the shared [`adam_apply`] kernel, so the
-    /// sequential and threaded paths run the exact same per-element float
-    /// operations and the result is bit-identical for every thread count.
-    /// `threads ≤ 1` falls back to the sequential step without spawning.
+    /// Applies one Adam step with `update` as the (noisy) direction, one
+    /// block of vocabulary rows per part of `threads` ([`fan_out`]). The
+    /// recurrence is per-element, so parameters and moments are
+    /// bit-identical for every thread count.
     ///
     /// # Errors
     /// Shapes must match; the result must stay finite.
@@ -383,9 +198,6 @@ impl ServerAdam {
         update: &ModelParams,
         threads: usize,
     ) -> Result<(), ModelError> {
-        if threads <= 1 {
-            return self.step(params, update);
-        }
         if !params.same_shape(update) || !params.same_shape(&self.m) {
             return Err(ModelError::ShapeMismatch {
                 what: "ServerAdam step",
@@ -394,38 +206,25 @@ impl ServerAdam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let lr = self.learning_rate;
-        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
-
-        let mut jobs: Vec<AdamJob> = Vec::new();
-        push_chunks4(
-            params.embedding.as_mut_slice(),
-            self.m.embedding.as_mut_slice(),
-            self.v.embedding.as_mut_slice(),
-            update.embedding.as_slice(),
-            threads,
-            &mut jobs,
-        );
-        push_chunks4(
-            params.context.as_mut_slice(),
-            self.m.context.as_mut_slice(),
-            self.v.context.as_mut_slice(),
-            update.context.as_slice(),
-            threads,
-            &mut jobs,
-        );
-        push_chunks4(
-            &mut params.bias,
-            &mut self.m.bias,
-            &mut self.v.bias,
-            &update.bias,
-            threads,
-            &mut jobs,
-        );
-        run_chunk_jobs(threads, jobs, |(p, m, v, u)| {
-            adam_apply(p, m, v, u, b1, b2, bc1, bc2, lr, eps)
+        let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.eps);
+        let rows = params.vocab_size().div_ceil(threads.max(1));
+        let blocks: Vec<_> = params
+            .row_blocks_mut(rows)
+            .zip(self.m.row_blocks_mut(rows))
+            .zip(self.v.row_blocks_mut(rows))
+            .zip(update.row_blocks(rows))
+            .collect();
+        fan_out(blocks, |(((ps, ms), vs), us)| {
+            for (((p, m), v), u) in ps.into_iter().zip(ms).zip(vs).zip(us) {
+                for i in 0..p.len() {
+                    m[i] = b1 * m[i] + (1.0 - b1) * u[i];
+                    v[i] = b2 * v[i] + (1.0 - b2) * u[i] * u[i];
+                    let mhat = m[i] / bc1;
+                    let vhat = v[i] / bc2;
+                    p[i] += lr * mhat / (vhat.sqrt() + eps);
+                }
+            }
         });
-
         if !params.all_finite() {
             return Err(ModelError::NonFinite {
                 at: "parameters after adam step",
@@ -438,6 +237,7 @@ impl ServerAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn delta(vocab: usize, dim: usize, value: f64) -> ModelParams {
         let mut d = ModelParams::zeros(vocab, dim);
@@ -450,7 +250,10 @@ mod tests {
     fn sgd_applies_scaled_delta() {
         let mut p = ModelParams::zeros(2, 2);
         let u = delta(2, 2, 1.0);
-        ServerSgd::new(0.5).unwrap().step(&mut p, &u).unwrap();
+        ServerSgd::new(0.5)
+            .unwrap()
+            .step_threaded(&mut p, &u, 1)
+            .unwrap();
         assert!(p.embedding.as_slice().iter().all(|&x| x == 0.5));
         assert!(p.bias.iter().all(|&x| x == 0.5));
     }
@@ -461,7 +264,10 @@ mod tests {
         assert!(ServerSgd::new(f64::NAN).is_err());
         let mut p = ModelParams::zeros(2, 2);
         let wrong = ModelParams::zeros(3, 2);
-        assert!(ServerSgd::new(1.0).unwrap().step(&mut p, &wrong).is_err());
+        assert!(ServerSgd::new(1.0)
+            .unwrap()
+            .step_threaded(&mut p, &wrong, 1)
+            .is_err());
     }
 
     #[test]
@@ -470,7 +276,7 @@ mod tests {
         let mut u = ModelParams::zeros(1, 1);
         u.bias[0] = f64::NAN;
         assert!(matches!(
-            ServerSgd::new(1.0).unwrap().step(&mut p, &u),
+            ServerSgd::new(1.0).unwrap().step_threaded(&mut p, &u, 1),
             Err(ModelError::NonFinite { .. })
         ));
     }
@@ -481,7 +287,7 @@ mod tests {
         let mut p = ModelParams::zeros(2, 2);
         let mut adam = ServerAdam::new(&p, 0.01).unwrap();
         let u = delta(2, 2, 0.5);
-        adam.step(&mut p, &u).unwrap();
+        adam.step_threaded(&mut p, &u, 1).unwrap();
         assert_eq!(adam.steps(), 1);
         let x = p.embedding.get(0, 0);
         assert!((x - 0.01).abs() < 1e-6, "first step {x}");
@@ -493,7 +299,7 @@ mod tests {
         let mut adam = ServerAdam::new(&p, 0.1).unwrap();
         let u = delta(1, 1, 1.0);
         for _ in 0..50 {
-            adam.step(&mut p, &u).unwrap();
+            adam.step_threaded(&mut p, &u, 1).unwrap();
         }
         // 50 steps of ~0.1 each in a constant direction.
         let x = p.embedding.get(0, 0);
@@ -506,7 +312,7 @@ mod tests {
         let mut p = delta(2, 2, 1.0);
         let mut adam = ServerAdam::new(&p, 0.1).unwrap();
         let zero = ModelParams::zeros(2, 2);
-        adam.step(&mut p, &zero).unwrap();
+        adam.step_threaded(&mut p, &zero, 1).unwrap();
         // m and v stay zero, so the step is exactly zero.
         assert!(p.embedding.as_slice().iter().all(|&x| x == 1.0));
     }
@@ -517,7 +323,7 @@ mod tests {
         let mut adam = ServerAdam::new(&p, 0.05).unwrap();
         let u = delta(2, 3, 0.25);
         for _ in 0..5 {
-            adam.step(&mut p, &u).unwrap();
+            adam.step_threaded(&mut p, &u, 1).unwrap();
         }
         let (t, m, v) = adam.state();
         let mut restored = ServerAdam::from_state(
@@ -531,8 +337,8 @@ mod tests {
         )
         .unwrap();
         let mut p2 = p.clone();
-        adam.step(&mut p, &u).unwrap();
-        restored.step(&mut p2, &u).unwrap();
+        adam.step_threaded(&mut p, &u, 1).unwrap();
+        restored.step_threaded(&mut p2, &u, 1).unwrap();
         assert_eq!(p, p2, "restored optimizer must continue bit-identically");
         assert_eq!(adam.steps(), restored.steps());
     }
@@ -552,40 +358,55 @@ mod tests {
         d
     }
 
-    #[test]
-    fn sgd_step_threaded_is_bit_identical_across_thread_counts() {
+    /// `steps` SGD and Adam steps over `threads` workers from a ragged
+    /// start: the parameters after each optimiser, and Adam's `(t, m, v)`.
+    fn run_both(
+        vocab: usize,
+        dim: usize,
+        threads: usize,
+        steps: usize,
+    ) -> (ModelParams, ModelParams, ServerAdam) {
+        let u = ragged_delta(vocab, dim);
         let sgd = ServerSgd::new(0.7).unwrap();
-        let u = ragged_delta(13, 5);
-        let mut want = ragged_delta(13, 5);
-        sgd.step(&mut want, &u).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let mut got = ragged_delta(13, 5);
-            sgd.step_threaded(&mut got, &u, threads).unwrap();
-            assert_eq!(got, want, "threads={threads}");
+        let mut by_sgd = ragged_delta(vocab, dim);
+        let mut by_adam = ModelParams::zeros(vocab, dim);
+        let mut adam = ServerAdam::new(&by_adam, 0.05).unwrap();
+        for _ in 0..steps {
+            sgd.step_threaded(&mut by_sgd, &u, threads).unwrap();
+            adam.step_threaded(&mut by_adam, &u, threads).unwrap();
         }
+        (by_sgd, by_adam, adam)
     }
 
     #[test]
-    fn adam_step_threaded_is_bit_identical_across_thread_counts() {
+    fn step_threaded_is_bit_identical_across_thread_counts() {
         // Multi-step: any drift in (t, m, v) state would compound.
-        let u = ragged_delta(13, 5);
-        let mut ref_params = ModelParams::zeros(13, 5);
-        let mut ref_adam = ServerAdam::new(&ref_params, 0.05).unwrap();
-        for _ in 0..6 {
-            ref_adam.step(&mut ref_params, &u).unwrap();
+        let (want_sgd, want_adam, want) = run_both(13, 5, 1, 6);
+        for threads in [2usize, 4, 8] {
+            let (sgd, params, adam) = run_both(13, 5, threads, 6);
+            assert_eq!(sgd, want_sgd, "sgd params, threads={threads}");
+            assert_eq!(params, want_adam, "adam params, threads={threads}");
+            assert_eq!(
+                adam.state(),
+                want.state(),
+                "adam (t, m, v), threads={threads}"
+            );
         }
-        for threads in [1usize, 2, 4, 8] {
-            let mut p = ModelParams::zeros(13, 5);
-            let mut adam = ServerAdam::new(&p, 0.05).unwrap();
-            for _ in 0..6 {
-                adam.step_threaded(&mut p, &u, threads).unwrap();
-            }
-            assert_eq!(p, ref_params, "params, threads={threads}");
-            assert_eq!(adam.steps(), ref_adam.steps());
-            let (_, m, v) = adam.state();
-            let (_, rm, rv) = ref_adam.state();
-            assert_eq!(m, rm, "m state, threads={threads}");
-            assert_eq!(v, rv, "v state, threads={threads}");
+    }
+
+    proptest! {
+        /// Any row-block split of any shape reproduces the one-part bits.
+        #[test]
+        fn server_step_is_partition_invariant(
+            vocab in 1usize..200,
+            dim in 1usize..12,
+            threads in 2usize..9,
+        ) {
+            let (want_sgd, want_adam, want) = run_both(vocab, dim, 1, 3);
+            let (sgd, params, adam) = run_both(vocab, dim, threads, 3);
+            prop_assert_eq!(sgd, want_sgd);
+            prop_assert_eq!(params, want_adam);
+            prop_assert_eq!(adam.state(), want.state());
         }
     }
 
@@ -627,7 +448,7 @@ mod tests {
         let mut p2 = ModelParams::zeros(2, 1);
         let u2 = ModelParams::zeros(2, 1);
         assert!(
-            adam.step(&mut p2, &u2).is_err(),
+            adam.step_threaded(&mut p2, &u2, 1).is_err(),
             "shape mismatch with state"
         );
     }

@@ -105,50 +105,48 @@ impl ModelParams {
         )
     }
 
-    /// `self += alpha * other`, element-wise over all three tensors.
-    ///
-    /// # Errors
-    /// Shapes must match.
-    pub fn axpy(&mut self, alpha: f64, other: &ModelParams) -> Result<(), ModelError> {
-        if !self.same_shape(other) {
-            return Err(ModelError::ShapeMismatch {
-                what: "ModelParams axpy",
-            });
-        }
-        self.embedding.axpy(alpha, &other.embedding)?;
-        self.context.axpy(alpha, &other.context)?;
-        ops::axpy(alpha, &other.bias, &mut self.bias)?;
-        Ok(())
-    }
-
     /// `true` iff every parameter is finite.
     pub fn all_finite(&self) -> bool {
         self.embedding.all_finite() && self.context.all_finite() && ops::all_finite(&self.bias)
     }
 
-    /// The three tensors as flat mutable slabs with their row lengths:
-    /// `[(W, dim), (W′, dim), (B′, bias_chunk)]`.
-    ///
-    /// This is the row-range view the threaded noise phase partitions over:
-    /// each slab is a sequence of rows (the bias vector is chunked into
-    /// pseudo-rows of `bias_chunk` elements, the last possibly shorter) that
-    /// can be split at any row boundary and handed to different workers.
+    /// θ cut at vocabulary rows into blocks of `rows` rows (the last
+    /// shorter): block `b` is `[W, W′, B′]` restricted to rows
+    /// `b·rows .. (b+1)·rows`. The unit the element-wise θ-sized passes —
+    /// noise and server update — fan out over: block `b` of one θ-shaped
+    /// value lines up with block `b` of any other.
     ///
     /// # Panics
-    /// `bias_chunk` must be ≥ 1.
-    pub fn row_slabs_mut(&mut self, bias_chunk: usize) -> [(&mut [f64], usize); 3] {
-        assert!(bias_chunk >= 1, "bias_chunk must be >= 1");
-        let dim = self.dim();
+    /// `dim` must be ≥ 1 (as [`ModelParams::init`] guarantees).
+    pub fn row_blocks_mut(&mut self, rows: usize) -> impl Iterator<Item = [&mut [f64]; 3]> {
+        let (rows, dim) = (rows.max(1), self.dim());
+        assert!(dim >= 1, "row blocks need dim >= 1");
         let ModelParams {
             embedding,
             context,
             bias,
         } = self;
-        [
-            (embedding.as_mut_slice(), dim),
-            (context.as_mut_slice(), dim),
-            (bias.as_mut_slice(), bias_chunk),
-        ]
+        embedding
+            .as_mut_slice()
+            .chunks_mut(rows * dim)
+            .zip(context.as_mut_slice().chunks_mut(rows * dim))
+            .zip(bias.chunks_mut(rows))
+            .map(|((w, c), b)| [w, c, b])
+    }
+
+    /// [`ModelParams::row_blocks_mut`], read-only.
+    ///
+    /// # Panics
+    /// `dim` must be ≥ 1.
+    pub fn row_blocks(&self, rows: usize) -> impl Iterator<Item = [&[f64]; 3]> {
+        let (rows, dim) = (rows.max(1), self.dim());
+        assert!(dim >= 1, "row blocks need dim >= 1");
+        self.embedding
+            .as_slice()
+            .chunks(rows * dim)
+            .zip(self.context.as_slice().chunks(rows * dim))
+            .zip(self.bias.chunks(rows))
+            .map(|((w, c), b)| [w, c, b])
     }
 
     /// A copy of the embedding matrix with rows normalised to unit length —
@@ -256,21 +254,41 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_axpy() {
+    fn norms() {
         let mut a = ModelParams::zeros(3, 2);
-        let mut b = ModelParams::zeros(3, 2);
-        b.embedding.set(0, 0, 3.0);
-        b.bias[1] = 4.0;
-        a.axpy(2.0, &b).unwrap();
-        assert_eq!(a.embedding.get(0, 0), 6.0);
-        assert_eq!(a.bias[1], 8.0);
+        a.embedding.set(0, 0, 6.0);
+        a.bias[1] = 8.0;
         assert!((a.global_norm() - 10.0).abs() < 1e-12);
         let (we, wc, wb) = a.tensor_norms();
         assert_eq!(we, 6.0);
         assert_eq!(wc, 0.0);
         assert_eq!(wb, 8.0);
-        let wrong = ModelParams::zeros(2, 2);
-        assert!(a.axpy(1.0, &wrong).is_err());
+    }
+
+    #[test]
+    fn row_blocks_cut_every_tensor_at_the_same_rows() {
+        let mut p = ModelParams::zeros(5, 3);
+        for (b, [w, c, bias]) in p.row_blocks_mut(2).enumerate() {
+            let rows = if b < 2 { 2 } else { 1 };
+            assert_eq!((w.len(), c.len(), bias.len()), (rows * 3, rows * 3, rows));
+            w.fill(b as f64);
+            c.fill(b as f64);
+            bias.fill(b as f64);
+        }
+        for r in 0..5 {
+            let b = (r / 2) as f64;
+            assert!(p
+                .embedding
+                .row(r)
+                .iter()
+                .chain(p.context.row(r))
+                .all(|&x| x == b));
+            assert_eq!(p.bias[r], b);
+        }
+        let read: Vec<[&[f64]; 3]> = p.row_blocks(2).collect();
+        assert_eq!(read.len(), 3);
+        assert_eq!(read[2], [&[2.0; 3][..], &[2.0; 3][..], &[2.0][..]]);
+        assert_eq!(p.row_blocks(0).count(), 5, "zero rows per block means one");
     }
 
     #[test]

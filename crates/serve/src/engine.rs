@@ -6,12 +6,12 @@
 //! `max_batch` queries; each batch stacks its profiles into one matrix
 //! and scores every profile against the whole vocabulary with a single
 //! blocked matrix–matrix kernel. Batches are striped by
-//! `batch_index % workers`: stripe 0 is scored on the calling thread and
-//! only the further stripes of a multi-batch call get a scoped thread, so
-//! a call whose misses fit one batch spawns nothing. Results are
-//! reassembled by original query position, so neither the worker count
-//! nor the batch size can change what a query returns — only how fast it
-//! returns.
+//! `batch_index % workers`, one part of `plp_linalg::par::fan_out` per
+//! stripe: stripe 0 is scored on the calling thread and only the further
+//! stripes of a multi-batch call get a scoped thread, so a call whose
+//! misses fit one batch spawns nothing. Results are reassembled by
+//! original query position, so neither the worker count nor the batch
+//! size can change what a query returns — only how fast it returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -20,6 +20,7 @@ use std::time::Instant;
 use plp_core::telemetry::ServeTelemetry;
 use plp_linalg::ivf::{IvfBuildParams, IvfIndex, IvfQuant, IvfScratch};
 use plp_linalg::matrix::matmul_block_into;
+use plp_linalg::par::fan_out;
 use plp_linalg::topk::{top_k_with_scores_into, TopKScratch};
 use plp_model::recommender::mask_excluded;
 use plp_model::{ModelError, Recommender};
@@ -620,11 +621,11 @@ impl BatchEngine {
     /// Scores `misses` (positions into `queries`) in batches of at most
     /// `max_batch`, batch `b` on stripe `b % stripes` where `stripes =
     /// min(workers, batches)`; the result lists the stripes' batches stripe
-    /// by stripe. Stripe 0 runs on the calling thread and each further one
-    /// on a scoped thread, so a one-batch call — the common one — forks
-    /// nothing. `enqueued_at` is when the serve call admitted these misses;
-    /// the gap until a batch actually starts scoring is its `queue_wait`
-    /// phase.
+    /// by stripe. The stripes are the parts of one [`fan_out`]: stripe 0
+    /// runs on the calling thread, so a one-batch call — the common one —
+    /// forks nothing. `enqueued_at` is when the serve call admitted these
+    /// misses; the gap until a batch actually starts scoring is its
+    /// `queue_wait` phase.
     fn score_misses(
         &self,
         queries: &[Query],
@@ -637,9 +638,10 @@ impl BatchEngine {
         }
         let batches: Vec<&[usize]> = misses.chunks(self.cfg.max_batch).collect();
         let stripes = self.cfg.workers.min(batches.len());
-        let score_stripe = |stripe: usize| -> Result<Vec<BatchResult>, ServeError> {
+        self.counters.worker_spawns.add(stripes as u64 - 1);
+        let outcome = fan_out((0..stripes).collect(), |stripe| {
             let mut scratch = self.take_scratch();
-            let produced = batches
+            let produced: Result<Vec<BatchResult>, ServeError> = batches
                 .iter()
                 .skip(stripe)
                 .step_by(stripes)
@@ -649,24 +651,6 @@ impl BatchEngine {
                 .collect();
             self.return_scratch(scratch);
             produced
-        };
-        if stripes == 1 {
-            return score_stripe(0);
-        }
-        self.counters.worker_spawns.add(stripes as u64 - 1);
-        let score_stripe = &score_stripe;
-        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..stripes)
-                .map(|stripe| scope.spawn(move || score_stripe(stripe)))
-                .collect();
-            let own = score_stripe(0);
-            std::iter::once(own)
-                .chain(
-                    spawned
-                        .into_iter()
-                        .map(|h| h.join().expect("serve worker panicked")),
-                )
-                .collect()
         });
         let mut out = Vec::with_capacity(batches.len());
         for stripe_result in outcome {

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container, no-crossbeam,
-# four-binaries, no-deployed-copy and no-map-in-the-SGNS-loop grep gates,
-# build, the full test suite (and the vectorised kernels', the batch-gradient
+# Offline CI gate: formatting, lints, the one-container, no-crossbeam /
+# one-fan-out, four-binaries, no-deployed-copy and no-map-in-the-SGNS-loop
+# grep gates, build, the full test suite (and the vectorised kernels', the
+# fan-out's, the server update's, the noise pass's, the batch-gradient
 # replay's, the rank-counting evaluator's, the streaming reduction's and the
 # serving engine's identity tests again in release mode, with the allocation
 # counts of a warm bucket and of an evaluation),
 # every experiment of the `figures` table at bench scale, the
 # chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
 # and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
-# calls it. It needs cargo, git and coreutils — no Python, no network (all
+# calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
 # dependencies are vendored in compat/). Nothing here judges a timing:
 # every step is gated on its exit code.
 set -euo pipefail
@@ -32,12 +33,23 @@ if [ "$writers" -ne 1 ] || [ -n "$stray" ] || [ "$(grep -c 'b"PLPS"' <<<"$magics
   exit 1
 fi
 
-echo "== threading gate (scoped workers are std threads) =="
+echo "== threading gate (one fan-out, std threads only) =="
 # Every fan-out (serving stripes, the noise pass, the server update, the
-# threaded evaluator) is a `std::thread::scope`; only the Cargo.toml edges
-# the harness's lock file pins may still name crossbeam.
+# threaded evaluator, k-means assignment) is `plp_linalg::par::fan_out`;
+# outside test modules only it and the training step's run-ahead reduction,
+# whose caller is the reducer rather than a worker, open a
+# `std::thread::scope`. Only the Cargo.toml edges the harness's lock file
+# pins may still name crossbeam.
 if git grep -n crossbeam -- crates src ':!*Cargo.toml'; then
   echo "no source file under crates/ or src/ may name crossbeam"
+  exit 1
+fi
+scopes=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | while read -r f; do
+  awk -v f="$f" '/^mod tests/ { exit } /std::thread::scope/ { print f ":" FNR }' "$f"
+done | grep -vE '^crates/(linalg/src/par|core/src/plp)\.rs:' || true)
+if [ -n "$scopes" ]; then
+  echo "std::thread::scope outside crates/linalg/src/par.rs and crates/core/src/plp.rs (use par::fan_out):"
+  echo "$scopes"
   exit 1
 fi
 
@@ -80,8 +92,12 @@ echo "== release-mode kernels against their references =="
 # table-driven CRC ship auto-vectorised and unrolled, and so do the
 # evaluator's comparison counts and the `axpy` the batch gradient is
 # replayed with, so their identity tests also run against the code the
-# optimiser actually produces.
+# optimiser actually produces — as do the fan-out's and the two θ-sized
+# passes it splits (the server update and the noise), against one part.
 cargo test --release -q -p plp-linalg ivf
+cargo test --release -q -p plp-linalg par
+cargo test --release -q -p plp-model optimizer
+cargo test --release -q -p plp-core noise
 cargo test --release -q -p plp-data crc32
 cargo test --release -q -p plp-model metrics
 cargo test --release -q -p plp-model grad

@@ -100,7 +100,8 @@ fn checkpoint(adam: bool) -> TrainingCheckpoint {
         let mut opt = ServerAdam::new(&params, 0.01).unwrap();
         let mut direction = ModelParams::zeros(VOCAB, DIM);
         direction.bias[1] = 0.125;
-        opt.step(&mut params.clone(), &direction).unwrap();
+        opt.step_threaded(&mut params.clone(), &direction, 1)
+            .unwrap();
         ServerState::of_adam(&opt)
     } else {
         ServerState::Sgd { learning_rate: 0.5 }
