@@ -2,15 +2,15 @@
 //!
 //! Instead of serde's visitor-based zero-copy architecture, this shim uses a
 //! simple JSON-like [`Value`] tree as the interchange data model:
-//! [`Serialize`] renders a type into a [`Value`], [`Deserialize`] rebuilds
-//! the type from one. The derive macros (re-exported from the sibling
-//! `serde_derive` proc-macro crate) generate those impls with serde's
-//! standard representations: structs as objects, newtype structs as their
-//! inner value, unit enum variants as strings and struct/newtype variants
-//! as single-key objects. `#[serde(skip)]` skips a field on serialization
-//! and restores it with `Default::default()`.
+//! [`Serialize`] renders a type into a [`Value`]. The derive macro
+//! (re-exported from the sibling `serde_derive` proc-macro crate) generates
+//! that impl with serde's standard representations: structs as objects,
+//! newtype structs as their inner value, unit enum variants as strings and
+//! struct/newtype variants as single-key objects. JSON is only printed from
+//! domain types, never parsed into them: [`Deserialize`] is implemented by
+//! [`Value`] alone, which is what `serde_json::from_str` yields.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -124,51 +124,17 @@ impl Value {
     }
 }
 
-/// Deserialization failure: a human-readable path-free message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeError {
-    message: String,
-}
-
-impl DeError {
-    /// Creates an error from any message.
-    pub fn new(message: impl Into<String>) -> Self {
-        DeError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for DeError {}
-
 /// Rendering a value into the [`Value`] data model.
 pub trait Serialize {
     /// Converts `self` to a value tree.
     fn to_value(&self) -> Value;
 }
 
-/// Rebuilding a value from the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Parses a value tree into `Self`.
-    ///
-    /// # Errors
-    /// Returns [`DeError`] when the tree does not match the type's shape.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-
-    /// Called by derived struct impls when a field is absent. `Option`
-    /// overrides this to yield `None` (matching serde's behaviour).
-    ///
-    /// # Errors
-    /// The default implementation always fails.
-    fn missing_field(field: &str) -> Result<Self, DeError> {
-        Err(DeError::new(format!("missing field `{field}`")))
-    }
+/// Taking a type out of the [`Value`] data model; only [`Value`] itself
+/// implements it, so taking it out cannot fail.
+pub trait Deserialize {
+    /// Converts a parsed value tree into `Self`.
+    fn from_value(v: Value) -> Self;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -184,8 +150,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn from_value(v: Value) -> Self {
+        v
     }
 }
 
@@ -195,39 +161,19 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::new("expected bool")),
-        }
-    }
-}
-
-macro_rules! impl_serde_uint {
+macro_rules! impl_serialize_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::UInt(*self as u64)
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = match *v {
-                    Value::UInt(u) => u,
-                    Value::Int(i) if i >= 0 => i as u64,
-                    _ => return Err(DeError::new(concat!("expected ", stringify!($t)))),
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| DeError::new(concat!("out of range for ", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_serde_uint!(u8, u16, u32, u64, usize);
+impl_serialize_uint!(u32, u64, usize);
 
-macro_rules! impl_serde_int {
+macro_rules! impl_serialize_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
@@ -235,21 +181,10 @@ macro_rules! impl_serde_int {
                 if i >= 0 { Value::UInt(i as u64) } else { Value::Int(i) }
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n: i64 = match *v {
-                    Value::Int(i) => i,
-                    Value::UInt(u) if u <= i64::MAX as u64 => u as i64,
-                    _ => return Err(DeError::new(concat!("expected ", stringify!($t)))),
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| DeError::new(concat!("out of range for ", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serialize_int!(i32, i64);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -262,36 +197,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::new("expected number"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(DeError::new("expected string")),
-        }
     }
 }
 
@@ -310,31 +218,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-
-    fn missing_field(_field: &str) -> Result<Self, DeError> {
-        Ok(None)
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::new("expected array")),
-        }
     }
 }
 
@@ -344,66 +230,29 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-macro_rules! impl_tuple {
-    ($len:literal => $($name:ident . $idx:tt),+) => {
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Array(items) if items.len() == $len => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    _ => Err(DeError::new(concat!("expected ", $len, "-element array"))),
-                }
-            }
-        }
-    };
-}
-
-impl_tuple!(2 => A.0, B.1);
-impl_tuple!(3 => A.0, B.1, C.2);
-impl_tuple!(4 => A.0, B.1, C.2, D.3);
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn primitive_round_trips() {
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
+    fn primitives_render_to_their_values() {
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!(42u64.to_value(), Value::UInt(42));
+        assert_eq!((-7i64).to_value(), Value::Int(-7));
+        assert_eq!(7i32.to_value(), Value::UInt(7));
+        assert_eq!(1.5f64.to_value(), Value::Float(1.5));
+        assert_eq!("hi".to_value(), Value::Str("hi".into()));
         assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
+            vec![1u32, 2].to_value(),
+            Value::Array(vec![Value::UInt(1), Value::UInt(2)])
         );
-        let v: Vec<u32> = vec![1, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&v.to_value()).unwrap(), v);
-        assert_eq!(Option::<f64>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Option::<f64>::missing_field("x").unwrap(), None);
-    }
-
-    #[test]
-    fn integers_cross_decode() {
-        // A small positive integer can decode as any numeric type.
-        let v = Value::UInt(5);
-        assert_eq!(u8::from_value(&v).unwrap(), 5);
-        assert_eq!(i32::from_value(&v).unwrap(), 5);
-        assert_eq!(f64::from_value(&v).unwrap(), 5.0);
-        assert!(u8::from_value(&Value::UInt(300)).is_err());
-        assert!(u64::from_value(&Value::Int(-1)).is_err());
+        assert_eq!(None::<f64>.to_value(), Value::Null);
+        assert_eq!(Value::from_value(Value::UInt(5)), Value::UInt(5));
     }
 
     #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(f64::NAN.to_value(), Value::Null);
         assert_eq!(f64::INFINITY.to_value(), Value::Null);
-        assert!(f64::from_value(&Value::Null).is_err());
     }
 }

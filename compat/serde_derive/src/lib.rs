@@ -1,13 +1,11 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
-//! the sibling `serde` shim's value-tree data model, parsing the item's
-//! token stream by hand (no `syn`/`quote` — those can't be fetched in this
-//! offline environment). Supported shapes cover everything the workspace
-//! derives on:
+//! Implements `#[derive(Serialize)]` against the sibling `serde` shim's
+//! value-tree data model, parsing the item's token stream by hand (no
+//! `syn`/`quote` — those can't be fetched in this offline environment).
+//! Supported shapes cover everything the workspace derives on:
 //!
-//! * structs with named fields (including `#[serde(skip)]` fields, which
-//!   serialize to nothing and deserialize via `Default::default()`),
+//! * structs with named fields,
 //! * newtype structs (serialized transparently as the inner value),
 //! * enums with unit variants (as strings), struct variants and newtype
 //!   variants (as single-key objects) — serde's externally-tagged default.
@@ -16,16 +14,11 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One parsed field: its name and whether `#[serde(skip)]` was present.
-struct Field {
-    name: String,
-    skip: bool,
-}
-
 enum Fields {
     Unit,
-    Named(Vec<Field>),
-    /// Tuple fields (only the count matters); `skip` is not supported here.
+    /// Named fields, by name.
+    Named(Vec<String>),
+    /// Tuple fields (only the count matters).
     Tuple(usize),
 }
 
@@ -44,40 +37,16 @@ fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }
 
-/// `true` iff this `#[...]` attribute body is `serde(skip)`.
-fn attr_is_serde_skip(group: &proc_macro::Group) -> bool {
-    let mut tokens = group.stream().into_iter();
-    match (tokens.next(), tokens.next()) {
-        (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args))) => {
-            name.to_string() == "serde"
-                && args
-                    .stream()
-                    .into_iter()
-                    .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip"))
+/// Consumes attributes (doc comments included) at the cursor.
+fn skip_attributes(tokens: &[TokenTree], pos: &mut usize) {
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+        (tokens.get(*pos), tokens.get(*pos + 1))
+    {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            break;
         }
-        _ => false,
+        *pos += 2;
     }
-}
-
-/// Consumes attributes at the cursor; returns whether any was
-/// `#[serde(skip)]`.
-fn skip_attributes(tokens: &[TokenTree], pos: &mut usize) -> bool {
-    let mut skip = false;
-    while *pos < tokens.len() {
-        if let TokenTree::Punct(p) = &tokens[*pos] {
-            if p.as_char() == '#' {
-                if let Some(TokenTree::Group(g)) = tokens.get(*pos + 1) {
-                    if g.delimiter() == Delimiter::Bracket {
-                        skip |= attr_is_serde_skip(g);
-                        *pos += 2;
-                        continue;
-                    }
-                }
-            }
-        }
-        break;
-    }
-    skip
 }
 
 /// Consumes `pub`, `pub(crate)`, `pub(in ...)` at the cursor.
@@ -95,12 +64,12 @@ fn skip_visibility(tokens: &[TokenTree], pos: &mut usize) {
 }
 
 /// Parses the fields of a braced group: `a: T, pub b: U<V, W>, ...`.
-fn parse_named_fields(group: &proc_macro::Group) -> Result<Vec<Field>, String> {
+fn parse_named_fields(group: &proc_macro::Group) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut fields = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        let skip = skip_attributes(&tokens, &mut pos);
+        skip_attributes(&tokens, &mut pos);
         skip_visibility(&tokens, &mut pos);
         let name = match tokens.get(pos) {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -126,7 +95,7 @@ fn parse_named_fields(group: &proc_macro::Group) -> Result<Vec<Field>, String> {
             }
             pos += 1;
         }
-        fields.push(Field { name, skip });
+        fields.push(name);
     }
     Ok(fields)
 }
@@ -256,11 +225,10 @@ fn gen_serialize(item: &Item) -> String {
                 }
                 Fields::Named(fs) => {
                     let mut s = String::from("{ let mut __m = ::serde::Map::new();\n");
-                    for f in fs.iter().filter(|f| !f.skip) {
+                    for n in fs {
                         s.push_str(&format!(
                             "__m.insert(::std::string::String::from({n:?}), \
-                             ::serde::Serialize::to_value(&self.{n}));\n",
-                            n = f.name
+                             ::serde::Serialize::to_value(&self.{n}));\n"
                         ));
                     }
                     s.push_str("::serde::Value::Object(__m) }");
@@ -291,13 +259,11 @@ fn gen_serialize(item: &Item) -> String {
                          \"serde shim: multi-field tuple variants unsupported\"),\n"
                     )),
                     Fields::Named(fs) => {
-                        let binds: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
                         let mut inner = String::new();
-                        for f in fs.iter().filter(|f| !f.skip) {
+                        for n in fs {
                             inner.push_str(&format!(
                                 "__inner.insert(::std::string::String::from({n:?}), \
-                                 ::serde::Serialize::to_value({n}));\n",
-                                n = f.name
+                                 ::serde::Serialize::to_value({n}));\n"
                             ));
                         }
                         arms.push_str(&format!(
@@ -307,7 +273,7 @@ fn gen_serialize(item: &Item) -> String {
                              __m.insert(::std::string::String::from({vname:?}), \
                              ::serde::Value::Object(__inner));\n\
                              ::serde::Value::Object(__m) }},\n",
-                            binds = binds.join(", ")
+                            binds = fs.join(", ")
                         ));
                     }
                 }
@@ -320,127 +286,11 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
-fn gen_named_field_reads(fields: &[Field], map_var: &str) -> String {
-    let mut s = String::new();
-    for f in fields {
-        if f.skip {
-            s.push_str(&format!(
-                "{}: ::std::default::Default::default(),\n",
-                f.name
-            ));
-        } else {
-            s.push_str(&format!(
-                "{n}: match {map_var}.get({n:?}) {{\n\
-                 ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?,\n\
-                 ::std::option::Option::None => ::serde::Deserialize::missing_field({n:?})?,\n\
-                 }},\n",
-                n = f.name
-            ));
-        }
-    }
-    s
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => format!("::std::result::Result::Ok({name})"),
-                Fields::Tuple(1) => format!(
-                    "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))"
-                ),
-                Fields::Tuple(n) => {
-                    let mut s = format!(
-                        "let __items = match __v {{\n\
-                         ::serde::Value::Array(__a) if __a.len() == {n} => __a,\n\
-                         _ => return ::std::result::Result::Err(::serde::DeError::new(\
-                         \"expected {n}-element array for {name}\")),\n}};\n"
-                    );
-                    let parts: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                        .collect();
-                    s.push_str(&format!(
-                        "::std::result::Result::Ok({name}({}))",
-                        parts.join(", ")
-                    ));
-                    s
-                }
-                Fields::Named(fs) => format!(
-                    "let __m = match __v {{\n\
-                     ::serde::Value::Object(__m) => __m,\n\
-                     _ => return ::std::result::Result::Err(::serde::DeError::new(\
-                     \"expected object for {name}\")),\n}};\n\
-                     ::std::result::Result::Ok({name} {{\n{reads}}})",
-                    reads = gen_named_field_reads(fs, "__m")
-                ),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(__v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n}}\n"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut keyed_arms = String::new();
-            for (vname, fields) in variants {
-                match fields {
-                    Fields::Unit => unit_arms.push_str(&format!(
-                        "{vname:?} => ::std::result::Result::Ok({name}::{vname}),\n"
-                    )),
-                    Fields::Tuple(1) => keyed_arms.push_str(&format!(
-                        "{vname:?} => ::std::result::Result::Ok({name}::{vname}(\
-                         ::serde::Deserialize::from_value(__inner)?)),\n"
-                    )),
-                    Fields::Tuple(_) => keyed_arms.push_str(&format!(
-                        "{vname:?} => ::std::result::Result::Err(::serde::DeError::new(\
-                         \"serde shim: multi-field tuple variants unsupported\")),\n"
-                    )),
-                    Fields::Named(fs) => keyed_arms.push_str(&format!(
-                        "{vname:?} => {{\n\
-                         let __m = match __inner {{\n\
-                         ::serde::Value::Object(__m) => __m,\n\
-                         _ => return ::std::result::Result::Err(::serde::DeError::new(\
-                         \"expected object for variant {vname}\")),\n}};\n\
-                         ::std::result::Result::Ok({name}::{vname} {{\n{reads}}})\n}},\n",
-                        reads = gen_named_field_reads(fs, "__m")
-                    )),
-                }
-            }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(__v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 match __v {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::new(\
-                 format!(\"unknown variant `{{__other}}` of {name}\"))),\n}},\n\
-                 ::serde::Value::Object(__m) if __m.len() == 1 => {{\n\
-                 let (__k, __inner) = __m.iter().next().unwrap();\n\
-                 match __k.as_str() {{\n{keyed_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::new(\
-                 format!(\"unknown variant `{{__other}}` of {name}\"))),\n}}\n}},\n\
-                 _ => ::std::result::Result::Err(::serde::DeError::new(\
-                 \"expected string or single-key object for {name}\")),\n}}\n}}\n}}\n"
-            )
-        }
-    }
-}
-
 /// Derives the shim's `Serialize` trait.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().unwrap(),
-        Err(e) => compile_error(&e),
-    }
-}
-
-/// Derives the shim's `Deserialize` trait.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen_deserialize(&item).parse().unwrap(),
         Err(e) => compile_error(&e),
     }
 }

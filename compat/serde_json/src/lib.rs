@@ -1,5 +1,5 @@
 //! Offline stand-in for `serde_json`: renders the serde shim's [`Value`]
-//! tree to JSON text and parses JSON text back into it.
+//! tree to JSON text and parses JSON text back into a [`Value`].
 //!
 //! Floats are printed with Rust's shortest round-trip formatting, so
 //! `to_string` → `from_str` round trips are lossless for every finite
@@ -31,12 +31,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error::new(e.to_string())
-    }
-}
 
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
@@ -312,10 +306,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses JSON text into any deserializable type.
+/// Parses JSON text into a [`Value`] tree (the one [`Deserialize`] type).
 ///
 /// # Errors
-/// Returns [`Error`] on malformed JSON or a shape mismatch.
+/// Returns [`Error`] on malformed JSON or trailing bytes.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser::new(text);
     let v = p.parse_value()?;
@@ -323,7 +317,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error::new(format!("trailing bytes at {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
+    Ok(T::from_value(v))
 }
 
 /// Converts any serializable value into a [`Value`] tree (used by
@@ -408,39 +402,38 @@ pub fn __serde_map_new() -> serde::Map {
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> Value {
+        from_str(text).unwrap()
+    }
+
     #[test]
-    fn scalar_round_trips() {
+    fn scalars_render_and_parse() {
         assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
         assert_eq!(to_string(&42u64).unwrap(), "42");
         assert_eq!(to_string(&-3i64).unwrap(), "-3");
         assert_eq!(to_string(&true).unwrap(), "true");
         assert_eq!(to_string("PLP λ=6").unwrap(), "\"PLP λ=6\"");
-        let f: f64 = from_str("1.5").unwrap();
-        assert_eq!(f, 1.5);
-        let s: String = from_str("\"PLP λ=6\"").unwrap();
-        assert_eq!(s, "PLP λ=6");
+        assert_eq!(parse("1.5"), Value::Float(1.5));
+        assert_eq!(parse("-3"), Value::Int(-3));
+        assert_eq!(parse("\"PLP λ=6\""), Value::Str("PLP λ=6".into()));
+        assert_eq!(parse("null"), Value::Null);
     }
 
     #[test]
     fn float_precision_survives() {
         for &x in &[0.1, 1.0 / 3.0, f64::MAX, f64::MIN_POSITIVE, -0.0] {
             let text = to_string(&x).unwrap();
-            let back: f64 = from_str(&text).unwrap();
-            assert_eq!(back, x, "{text}");
+            let back = parse(&text).as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
     }
 
     #[test]
     fn containers_round_trip() {
         let v: Vec<f64> = vec![1.0, 2.5, -3.25];
-        let text = to_string(&v).unwrap();
-        let back: Vec<f64> = from_str(&text).unwrap();
-        assert_eq!(back, v);
-        let opt: Option<f64> = None;
-        assert_eq!(to_string(&opt).unwrap(), "null");
-        let back: Option<f64> = from_str("null").unwrap();
-        assert_eq!(back, None);
+        assert_eq!(parse(&to_string(&v).unwrap()), v.to_value());
+        assert_eq!(to_string(&None::<f64>).unwrap(), "null");
     }
 
     #[test]
@@ -472,6 +465,5 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("tru").is_err());
         assert!(from_str::<Value>("1 2").is_err());
-        assert!(from_str::<f64>("\"nope\"").is_err());
     }
 }

@@ -295,7 +295,7 @@ pub fn ablation_omega(scale: Scale) -> Vec<SweepPoint> {
 /// §4.1 ablation: random vs equal-frequency grouping at the default
 /// configuration (the paper found no significant difference).
 pub fn ablation_grouping(scale: Scale) -> Vec<SweepPoint> {
-    use plp_core::config::GroupingStrategyConfig::{EqualFrequency, Random};
+    use plp_data::grouping::GroupingStrategy::{EqualFrequency, Random};
     let at = |label: &str, strategy| {
         point(scale, label.to_string(), 0.0, 2.0, |hp| {
             hp.grouping_strategy = strategy

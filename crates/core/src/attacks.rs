@@ -11,7 +11,6 @@
 //! assert.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use plp_data::dataset::TokenizedDataset;
 use plp_model::negative::NegativeSampler;
@@ -22,7 +21,7 @@ use crate::config::Hyperparameters;
 use crate::error::CoreError;
 
 /// Outcome of a loss-threshold membership-inference attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipReport {
     /// Area under the ROC curve of the attacker (0.5 = no leakage; 1.0 =
     /// perfect membership recovery).

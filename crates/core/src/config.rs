@@ -1,6 +1,6 @@
-//! Hyper-parameters (Table 1 of the paper) with the §5.1 defaults.
-
-use serde::{Deserialize, Serialize};
+//! Hyper-parameters (Table 1 of the paper) with the §5.1 defaults, and
+//! their one encoding: fixed-width words that the checkpoint fingerprint
+//! hashes and the federated setup frame carries.
 
 use plp_data::grouping::GroupingStrategy;
 use plp_model::loss::Loss;
@@ -9,8 +9,11 @@ use plp_privacy::PrivacyBudget;
 
 use crate::error::CoreError;
 
+/// Words in [`Hyperparameters::to_words`].
+const HP_WORDS: usize = 19;
+
 /// Which optimiser the server applies to the noisy aggregated delta.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerOptimizer {
     /// `θ ← θ + lr · ĝ` (lr = 1 reproduces Algorithm 1, line 10 literally).
     Sgd {
@@ -38,7 +41,7 @@ impl Default for ServerOptimizer {
 }
 
 /// All tunables of the system, named after Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hyperparameters {
     /// Embedding dimension `dim` (paper: 50).
     pub embedding_dim: usize,
@@ -62,7 +65,7 @@ pub struct Hyperparameters {
     /// Data split factor ω (§4.2; the paper sets ω = 1).
     pub split_factor: usize,
     /// How users are packed into buckets.
-    pub grouping_strategy: GroupingStrategyConfig,
+    pub grouping_strategy: GroupingStrategy,
     /// Privacy budget (ε, δ); δ defaults to the paper's 2·10⁻⁴.
     pub budget: PrivacyBudget,
     /// The training objective.
@@ -87,25 +90,6 @@ pub struct Hyperparameters {
     pub threads: usize,
 }
 
-/// Serde-friendly mirror of [`GroupingStrategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GroupingStrategyConfig {
-    /// Random packing (the paper's default).
-    #[default]
-    Random,
-    /// Balanced packing by record count.
-    EqualFrequency,
-}
-
-impl From<GroupingStrategyConfig> for GroupingStrategy {
-    fn from(c: GroupingStrategyConfig) -> Self {
-        match c {
-            GroupingStrategyConfig::Random => GroupingStrategy::Random,
-            GroupingStrategyConfig::EqualFrequency => GroupingStrategy::EqualFrequency,
-        }
-    }
-}
-
 impl Default for Hyperparameters {
     fn default() -> Self {
         Hyperparameters {
@@ -119,7 +103,7 @@ impl Default for Hyperparameters {
             clip_norm: 0.5,
             grouping_factor: 4,
             split_factor: 1,
-            grouping_strategy: GroupingStrategyConfig::Random,
+            grouping_strategy: GroupingStrategy::Random,
             budget: PrivacyBudget {
                 epsilon: 2.0,
                 delta: 2e-4,
@@ -252,6 +236,92 @@ impl Hyperparameters {
             loss: self.loss,
         }
     }
+
+    /// The configuration's one encoding: the fields in declaration order,
+    /// integers as themselves, floats as their bits, enums as tags — the
+    /// server optimiser as its tag, then its learning rate's bits.
+    pub fn to_words(&self) -> [u64; HP_WORDS] {
+        let grouping = match self.grouping_strategy {
+            GroupingStrategy::Random => 0,
+            GroupingStrategy::EqualFrequency => 1,
+        };
+        let loss = match self.loss {
+            Loss::SampledSoftmax => 0,
+            Loss::Sgns => 1,
+        };
+        let (server, server_lr) = match self.server_optimizer {
+            ServerOptimizer::Sgd { learning_rate } => (0, learning_rate),
+            ServerOptimizer::Adam { learning_rate } => (1, learning_rate),
+        };
+        [
+            self.embedding_dim as u64,
+            self.context_window as u64,
+            self.batch_size as u64,
+            self.negative_samples as u64,
+            self.learning_rate.to_bits(),
+            self.sampling_prob.to_bits(),
+            self.noise_multiplier.to_bits(),
+            self.clip_norm.to_bits(),
+            self.grouping_factor as u64,
+            self.split_factor as u64,
+            grouping,
+            self.budget.epsilon.to_bits(),
+            self.budget.delta.to_bits(),
+            loss,
+            server,
+            server_lr.to_bits(),
+            self.max_steps as u64,
+            self.eval_every as u64,
+            self.threads as u64,
+        ]
+    }
+
+    /// Decodes [`Hyperparameters::to_words`] exactly. Field domains are
+    /// [`Hyperparameters::validate`]'s business, not the decoder's.
+    ///
+    /// # Errors
+    /// [`CoreError::BadConfig`] naming an enum whose tag is unknown, or a
+    /// count that does not fit this platform's `usize`.
+    pub fn from_words(w: &[u64; HP_WORDS]) -> Result<Self, CoreError> {
+        let bad = |name, expected| CoreError::BadConfig { name, expected };
+        let unknown = |name| bad(name, "a known tag");
+        let count = |i: usize| usize::try_from(w[i]).map_err(|_| bad("count", "within usize"));
+        let float = |i: usize| f64::from_bits(w[i]);
+        Ok(Hyperparameters {
+            embedding_dim: count(0)?,
+            context_window: count(1)?,
+            batch_size: count(2)?,
+            negative_samples: count(3)?,
+            learning_rate: float(4),
+            sampling_prob: float(5),
+            noise_multiplier: float(6),
+            clip_norm: float(7),
+            grouping_factor: count(8)?,
+            split_factor: count(9)?,
+            grouping_strategy: match w[10] {
+                0 => GroupingStrategy::Random,
+                1 => GroupingStrategy::EqualFrequency,
+                _ => return Err(unknown("grouping_strategy")),
+            },
+            budget: PrivacyBudget {
+                epsilon: float(11),
+                delta: float(12),
+            },
+            loss: match w[13] {
+                0 => Loss::SampledSoftmax,
+                1 => Loss::Sgns,
+                _ => return Err(unknown("loss")),
+            },
+            server_optimizer: match (w[14], float(15)) {
+                (0, learning_rate) => ServerOptimizer::Sgd { learning_rate },
+                (1, learning_rate) => ServerOptimizer::Adam { learning_rate },
+                _ => return Err(unknown("server_optimizer")),
+            },
+            max_steps: count(16)?,
+            eval_every: count(17)?,
+            threads: count(18)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -363,18 +433,40 @@ mod tests {
     }
 
     #[test]
-    fn grouping_strategy_converts() {
-        let r: GroupingStrategy = GroupingStrategyConfig::Random.into();
-        assert_eq!(r, GroupingStrategy::Random);
-        let e: GroupingStrategy = GroupingStrategyConfig::EqualFrequency.into();
-        assert_eq!(e, GroupingStrategy::EqualFrequency);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let h = Hyperparameters::default();
-        let s = serde_json::to_string(&h).unwrap();
-        let back: Hyperparameters = serde_json::from_str(&s).unwrap();
-        assert_eq!(h, back);
+    fn words_round_trip_bit_exactly_and_refuse_unknown_tags() {
+        // Every enum off its default, and no two floats or counts alike, so
+        // a float or count read from another field's word cannot go unnoticed.
+        let other = Hyperparameters {
+            sampling_prob: 0.125,
+            eval_every: 5,
+            grouping_strategy: GroupingStrategy::EqualFrequency,
+            loss: Loss::Sgns,
+            server_optimizer: ServerOptimizer::Sgd {
+                learning_rate: 0.1 + 0.2,
+            },
+            noise_multiplier: -0.0,
+            threads: 0,
+            ..Hyperparameters::default()
+        };
+        for h in [Hyperparameters::default(), other] {
+            let back = Hyperparameters::from_words(&h.to_words()).unwrap();
+            assert_eq!(back, h);
+            assert_eq!(back.to_words(), h.to_words(), "bits, -0.0 included");
+        }
+        for (i, name) in [
+            (10, "grouping_strategy"),
+            (13, "loss"),
+            (14, "server_optimizer"),
+        ] {
+            let mut w = Hyperparameters::default().to_words();
+            w[i] = 2;
+            assert!(
+                matches!(
+                    Hyperparameters::from_words(&w),
+                    Err(CoreError::BadConfig { name: got, .. }) if got == name
+                ),
+                "word {i}"
+            );
+        }
     }
 }

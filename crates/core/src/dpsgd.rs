@@ -13,8 +13,9 @@
 use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
+use plp_data::grouping::GroupingStrategy;
 
-use crate::config::{GroupingStrategyConfig, Hyperparameters};
+use crate::config::Hyperparameters;
 use crate::error::CoreError;
 use crate::plp::{train_plp, PlpOutcome};
 
@@ -25,7 +26,7 @@ pub fn baseline_hyperparameters(hp: &Hyperparameters) -> Hyperparameters {
     let mut baseline = hp.clone();
     baseline.grouping_factor = 1;
     baseline.split_factor = 1;
-    baseline.grouping_strategy = GroupingStrategyConfig::Random;
+    baseline.grouping_strategy = GroupingStrategy::Random;
     baseline
 }
 

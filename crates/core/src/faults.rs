@@ -9,9 +9,10 @@
 //! replays the same worker stalls, exits and garbled frames no matter how
 //! buckets are partitioned across workers (see the purity property tests).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
+
+/// Words in [`FaultPlan::to_words`].
+const PLAN_WORDS: usize = 10;
 
 /// Which faults to inject, and how often.
 ///
@@ -20,7 +21,7 @@ use crate::error::CoreError;
 /// for storage faults, per worker incarnation or reply for the federated
 /// worker faults). Install a plan with [`FaultInjector::try_with_plan`],
 /// which validates every rate up front.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the injector's deterministic decision stream.
     pub seed: u64,
@@ -68,6 +69,34 @@ impl FaultPlan {
         }
     }
 
+    /// The plan's one encoding: the seed, the stall duration, then the bits
+    /// of every rate in the order [`FaultPlan::validate`] checks them.
+    pub fn to_words(&self) -> [u64; PLAN_WORDS] {
+        let mut w = [self.seed, self.worker_stall_ms, 0, 0, 0, 0, 0, 0, 0, 0];
+        for (word, (_, rate)) in w[2..].iter_mut().zip(self.rates()) {
+            *word = rate.to_bits();
+        }
+        w
+    }
+
+    /// Decodes [`FaultPlan::to_words`] exactly; whether the rates are
+    /// probabilities is [`FaultPlan::validate`]'s business.
+    pub fn from_words(w: &[u64; PLAN_WORDS]) -> Self {
+        let rate = |i: usize| f64::from_bits(w[i]);
+        FaultPlan {
+            seed: w[0],
+            worker_stall_ms: w[1],
+            nan_delta_rate: rate(2),
+            panic_rate: rate(3),
+            truncate_write_rate: rate(4),
+            bitflip_write_rate: rate(5),
+            worker_stall_rate: rate(6),
+            worker_exit_rate: rate(7),
+            corrupt_frame_rate: rate(8),
+            duplicate_reply_rate: rate(9),
+        }
+    }
+
     /// Every `(name, value)` rate field, for validation and diagnostics.
     fn rates(&self) -> [(&'static str, f64); 8] {
         [
@@ -105,7 +134,7 @@ impl FaultPlan {
 
 /// How a checkpoint write should be corrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
+enum WriteFault {
     /// Keep only the first `keep` bytes.
     Truncate {
         /// Bytes surviving the simulated crash.
@@ -174,14 +203,6 @@ impl FaultInjector {
         self.plan
     }
 
-    /// `true` iff this injector can never fire.
-    pub fn is_inert(&self) -> bool {
-        match self.plan {
-            None => true,
-            Some(p) => p.rates().iter().all(|&(_, r)| r <= 0.0),
-        }
-    }
-
     /// Deterministic Bernoulli draw for one decision point; also returns
     /// the raw hash so callers can derive fault parameters from it.
     fn draw(&self, kind: u64, step: u64, index: u64, rate: f64) -> Option<u64> {
@@ -196,20 +217,20 @@ impl FaultInjector {
     }
 
     /// Should bucket `index` of `step` get a `NaN`-poisoned delta?
-    pub fn poison_delta(&self, step: u64, index: usize) -> bool {
+    pub(crate) fn poison_delta(&self, step: u64, index: usize) -> bool {
         let rate = self.plan.map_or(0.0, |p| p.nan_delta_rate);
         self.draw(KIND_NAN, step, index as u64, rate).is_some()
     }
 
     /// Should the worker computing bucket `index` of `step` panic?
-    pub fn panic_bucket(&self, step: u64, index: usize) -> bool {
+    pub(crate) fn panic_bucket(&self, step: u64, index: usize) -> bool {
         let rate = self.plan.map_or(0.0, |p| p.panic_rate);
         self.draw(KIND_PANIC, step, index as u64, rate).is_some()
     }
 
     /// How (if at all) the checkpoint written after `step` should be
     /// corrupted. Truncation wins when both faults fire.
-    pub fn checkpoint_write_fault(&self, step: u64, len: usize) -> Option<WriteFault> {
+    fn checkpoint_write_fault(&self, step: u64, len: usize) -> Option<WriteFault> {
         if len == 0 {
             return None;
         }
@@ -268,7 +289,11 @@ impl FaultInjector {
     /// Applies [`FaultInjector::checkpoint_write_fault`] to a serialized
     /// checkpoint, returning the (possibly corrupted) bytes to write and
     /// whether a fault fired.
-    pub fn corrupt_checkpoint_bytes(&self, step: u64, mut bytes: Vec<u8>) -> (Vec<u8>, bool) {
+    pub(crate) fn corrupt_checkpoint_bytes(
+        &self,
+        step: u64,
+        mut bytes: Vec<u8>,
+    ) -> (Vec<u8>, bool) {
         match self.checkpoint_write_fault(step, bytes.len()) {
             None => (bytes, false),
             Some(WriteFault::Truncate { keep }) => {
@@ -289,15 +314,17 @@ mod tests {
 
     #[test]
     fn inert_by_default_and_when_rates_are_zero() {
-        let quiet = FaultInjector::default();
-        assert!(quiet.is_inert());
-        assert!(FaultInjector::with_plan(FaultPlan::quiet(5)).is_inert());
-        for step in 0..50 {
-            for b in 0..8 {
-                assert!(!quiet.poison_delta(step, b));
-                assert!(!quiet.panic_bucket(step, b));
+        for quiet in [
+            FaultInjector::default(),
+            FaultInjector::with_plan(FaultPlan::quiet(5)),
+        ] {
+            for step in 0..50 {
+                for b in 0..8 {
+                    assert!(!quiet.poison_delta(step, b));
+                    assert!(!quiet.panic_bucket(step, b));
+                }
+                assert!(quiet.checkpoint_write_fault(step, 1024).is_none());
             }
-            assert!(quiet.checkpoint_write_fault(step, 1024).is_none());
         }
     }
 
@@ -395,7 +422,6 @@ mod tests {
             ..FaultPlan::quiet(21)
         };
         let inj = FaultInjector::with_plan(plan);
-        assert!(!inj.is_inert());
         let stalls: Vec<bool> = (0..128).map(|i| inj.stall_worker(3, i).is_some()).collect();
         let exits: Vec<bool> = (0..128).map(|i| inj.exit_worker(3, i)).collect();
         let frames: Vec<bool> = (0..128)
@@ -444,6 +470,27 @@ mod tests {
             inj.checkpoint_write_fault(1, 0).is_none(),
             "empty write has no fault"
         );
+    }
+
+    #[test]
+    fn words_round_trip_bit_exactly() {
+        // Every field distinct, so two fields decoded into each other's
+        // place cannot go unnoticed.
+        let plan = FaultPlan {
+            seed: u64::MAX,
+            nan_delta_rate: 0.1,
+            panic_rate: 0.1 + 0.2,
+            truncate_write_rate: 0.25,
+            bitflip_write_rate: 0.5,
+            worker_stall_rate: 0.75,
+            worker_stall_ms: 750,
+            worker_exit_rate: 1.0,
+            corrupt_frame_rate: 1e-9,
+            duplicate_reply_rate: -0.0,
+        };
+        let back = FaultPlan::from_words(&plan.to_words());
+        assert_eq!(back, plan);
+        assert_eq!(back.to_words(), plan.to_words(), "bits, -0.0 included");
     }
 }
 

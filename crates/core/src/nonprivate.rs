@@ -14,13 +14,12 @@ use plp_model::metrics::{evaluate_hit_rate_threaded, HitRate};
 use plp_model::negative::NegativeSampler;
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens, validation_loss, TrainScratch};
-use serde::{Deserialize, Serialize};
 
 use crate::config::Hyperparameters;
 use crate::error::CoreError;
 
 /// Configuration of a non-private run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NonPrivateConfig {
     /// Data epochs to run (the paper plots up to 250).
     pub epochs: usize,
@@ -50,7 +49,7 @@ impl Default for NonPrivateConfig {
 }
 
 /// Telemetry of one non-private epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochTelemetry {
     /// 1-based epoch index.
     pub epoch: usize,

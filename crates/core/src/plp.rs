@@ -804,7 +804,7 @@ impl TrainerState {
         train: &TokenizedDataset,
         hp: &Hyperparameters,
     ) -> Result<Self, CoreError> {
-        let fingerprint = config_fingerprint(hp, train.vocab_size)?;
+        let fingerprint = config_fingerprint(hp, train.vocab_size);
         let mut init_rng = step_rng(run_seed, 0);
         let params = ModelParams::init(&mut init_rng, train.vocab_size, hp.embedding_dim)?;
         let server = Server::new(hp.server_optimizer, &params)?;
@@ -827,7 +827,7 @@ impl TrainerState {
         train: &TokenizedDataset,
         hp: &Hyperparameters,
     ) -> Result<Self, CoreError> {
-        let fingerprint = config_fingerprint(hp, train.vocab_size)?;
+        let fingerprint = config_fingerprint(hp, train.vocab_size);
         if fingerprint != ckpt.fingerprint {
             return Err(CoreError::CheckpointMismatch {
                 what: "hyperparameters or vocabulary differ from the checkpointed run",
@@ -1111,7 +1111,7 @@ fn run_loop(
                 &sampled,
                 train,
                 hp.grouping_factor,
-                hp.grouping_strategy.into(),
+                hp.grouping_strategy,
             )?
         } else {
             match group_data_split(&mut rng, &sampled, train, hp.grouping_factor, omega) {
@@ -1125,7 +1125,7 @@ fn run_loop(
                     &sampled,
                     train,
                     hp.grouping_factor,
-                    hp.grouping_strategy.into(),
+                    hp.grouping_strategy,
                 )?,
                 Err(e) => return Err(e.into()),
             }

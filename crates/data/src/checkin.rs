@@ -4,21 +4,19 @@
 //! and time. Identifiers are newtypes so that user and location indices can
 //! never be confused at compile time.
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque user identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 /// Opaque location (POI) identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocationId(pub u32);
 
 /// Seconds since the Unix epoch.
 pub type Timestamp = i64;
 
 /// A WGS-84 coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees.
     pub lat: f64,
@@ -40,7 +38,7 @@ impl GeoPoint {
 }
 
 /// An axis-aligned geographic bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Southern latitude bound.
     pub south: f64,
@@ -71,7 +69,7 @@ impl BoundingBox {
 }
 
 /// A point of interest: a location identifier with its coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poi {
     /// Location identifier.
     pub id: LocationId,
@@ -80,7 +78,7 @@ pub struct Poi {
 }
 
 /// One check-in record `⟨u, l, t⟩`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckIn {
     /// The user who checked in.
     pub user: UserId,
@@ -174,12 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn checkin_constructor_and_serde() {
+    fn checkin_constructor() {
         let c = CheckIn::new(1, 2, 1_333_238_400);
         assert_eq!(c.user, UserId(1));
         assert_eq!(c.location, LocationId(2));
-        let s = serde_json::to_string(&c).unwrap();
-        let back: CheckIn = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
     }
 }

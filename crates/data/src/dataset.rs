@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::checkin::{CheckIn, Poi, UserId};
 use crate::error::DataError;
 use crate::session::sessionize;
 use crate::vocab::Vocabulary;
 
 /// The historical record `U_u` of one user: check-ins sorted by timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserHistory {
     /// The owner of the history.
     pub user: UserId,
@@ -31,7 +29,7 @@ impl UserHistory {
 }
 
 /// A user-partitioned check-in dataset (the set `U` over locations `P`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckInDataset {
     /// Points of interest appearing in the data.
     pub pois: Vec<Poi>,
@@ -119,7 +117,7 @@ impl CheckInDataset {
 }
 
 /// One user's data after tokenisation: sessions of location tokens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserSequences {
     /// The owner.
     pub user: UserId,
@@ -142,7 +140,7 @@ impl UserSequences {
 }
 
 /// A fully tokenised dataset ready for skip-gram training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenizedDataset {
     /// Per-user token sessions, in the same order as the source dataset.
     pub users: Vec<UserSequences>,

@@ -87,6 +87,15 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// FNV-1a 64 over `data`: the workspace's content digest (configuration
+/// fingerprints, golden-byte pins), independent of the [`crc32`] the
+/// formats themselves carry.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// One step of the reflected CRC-32 register over the low bit.
 const fn crc32_shift(crc: u32) -> u32 {
     if crc & 1 == 1 {
@@ -511,6 +520,13 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    #[test]
+    fn fnv1a64_matches_known_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     /// The definition: one register shift per bit, no tables.

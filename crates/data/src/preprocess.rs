@@ -304,6 +304,31 @@ mod tests {
         assert_eq!(f2.pois[0].id, LocationId(10));
     }
 
+    #[test]
+    fn one_user_out_can_take_another_with_it() {
+        // At the paper's thresholds: location 7 has exactly two visitors,
+        // users 1 and 2, and user 2 has exactly ten check-ins, one of them
+        // at 7. Without user 1, location 7 goes, user 2 falls to nine and
+        // goes too — so the paper-faithful guarantee is over one user of
+        // the *filtered* training set, not of the raw data.
+        let visits =
+            |user: u32, location: u32, n: i64| (0..n).map(move |t| CheckIn::new(user, location, t));
+        let raw: Vec<CheckIn> = visits(1, 7, 10)
+            .chain(visits(2, 7, 1))
+            .chain(visits(2, 8, 9))
+            .chain(visits(3, 8, 10))
+            .chain(visits(4, 8, 10))
+            .collect();
+        let survivors = |checkins: Vec<CheckIn>| -> Vec<u32> {
+            let ds = CheckInDataset::from_checkins(vec![], checkins);
+            let f = filter_sparse(&ds, FilterConfig::default());
+            f.users.iter().map(|u| u.user.0).collect()
+        };
+        assert_eq!(survivors(raw.clone()), [1, 2, 3, 4]);
+        let without_user_1 = raw.into_iter().filter(|c| c.user != UserId(1)).collect();
+        assert_eq!(survivors(without_user_1), [3, 4], "one user out, two gone");
+    }
+
     mod reference_props {
         use super::*;
         use proptest::prelude::*;

@@ -5,12 +5,12 @@
 //! locations), and (b) to quantify the skew/sparsity properties (Zipf
 //! popularity, §4.1; ~0.1% density, §1) that motivate data grouping.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dataset::CheckInDataset;
 
 /// Aggregate statistics of a check-in dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetStats {
     /// Number of users `N`.
     pub num_users: usize,

@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::checkin::LocationId;
 use crate::dataset::CheckInDataset;
 
@@ -13,10 +11,9 @@ use crate::dataset::CheckInDataset;
 /// Token order is the sorted order of location ids, so a vocabulary built
 /// from the same set of locations is always identical — important for
 /// reproducibility and for sharing models between processes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     locations: Vec<LocationId>,
-    #[serde(skip)]
     index: HashMap<LocationId, usize>,
 }
 
@@ -42,17 +39,6 @@ impl Vocabulary {
         Vocabulary { locations, index }
     }
 
-    /// Rebuilds the lookup index after deserialisation (the map is not
-    /// serialised; the sorted location list is the source of truth).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .locations
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i))
-            .collect();
-    }
-
     /// Vocabulary size `L`.
     pub fn len(&self) -> usize {
         self.locations.len()
@@ -65,10 +51,6 @@ impl Vocabulary {
 
     /// The token index of `location`, if present.
     pub fn token(&self, location: LocationId) -> Option<usize> {
-        if self.index.len() != self.locations.len() {
-            // Deserialised without rebuild: fall back to binary search.
-            return self.locations.binary_search(&location).ok();
-        }
         self.index.get(&location).copied()
     }
 
@@ -114,18 +96,6 @@ mod tests {
             assert_eq!(v.token(l), Some(t));
         }
         assert_eq!(v.location(2), None);
-    }
-
-    #[test]
-    fn serde_round_trip_with_index_rebuild() {
-        let v = Vocabulary::from_locations(vec![LocationId(7), LocationId(3)]);
-        let s = serde_json::to_string(&v).unwrap();
-        let mut back: Vocabulary = serde_json::from_str(&s).unwrap();
-        // Works via binary-search fallback even before rebuilding.
-        assert_eq!(back.token(LocationId(7)), Some(1));
-        back.rebuild_index();
-        assert_eq!(back.token(LocationId(3)), Some(0));
-        assert_eq!(back.locations(), v.locations());
     }
 
     #[test]

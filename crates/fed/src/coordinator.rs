@@ -164,8 +164,9 @@ pub struct FedExecutor {
     /// a fresh attempt, which keys reply-frame fault decisions and
     /// invalidates superseded replies.
     next_attempt: u64,
-    /// The setup payload workers were spawned with, to detect drift.
-    active_setup_json: Option<String>,
+    /// The setup workers were spawned with (slot and incarnation zeroed),
+    /// to detect drift.
+    active_setup: Option<Setup>,
     /// Directory workers dump their flight recorders into, exported as
     /// [`TRACE_DIR_ENV`] at spawn. Resolved per step from the observer's
     /// tracer; deliberately *not* part of the setup drift check, so
@@ -197,13 +198,13 @@ impl FedExecutor {
             events_rx,
             next_incarnation: 0,
             next_attempt: 0,
-            active_setup_json: None,
+            active_setup: None,
             trace_dir: None,
             total_stats: RoundStats::default(),
         })
     }
 
-    fn spawn_worker(&mut self, slot: usize, setup_json: &str) -> Result<(), FedError> {
+    fn spawn_worker(&mut self, slot: usize, template: &Setup) -> Result<(), FedError> {
         self.next_incarnation += 1;
         let incarnation = self.next_incarnation;
         let mut command = Command::new(&self.cfg.worker_program);
@@ -261,15 +262,12 @@ impl FedExecutor {
         });
 
         // Per-worker setup: identical hp/plan, distinct slot/incarnation.
-        let setup = {
-            let mut s: Setup = serde_json::from_str(setup_json).map_err(|e| FedError::Decode {
-                what: format!("setup template: {e}"),
-            })?;
-            s.slot = slot;
-            s.incarnation = incarnation;
-            s
+        let setup = Setup {
+            slot,
+            incarnation,
+            ..template.clone()
         };
-        write_frame(&mut stdin, MSG_SETUP, &setup.encode()?)?;
+        write_frame(&mut stdin, MSG_SETUP, &setup.encode())?;
         self.workers[slot] = Some(WorkerHandle {
             child,
             stdin,
@@ -294,23 +292,20 @@ impl FedExecutor {
     ) -> Result<(), FedError> {
         let template = Setup {
             protocol_version: PROTOCOL_VERSION,
-            hp: hp.clone(),
-            plan: faults.plan(),
             slot: 0,
             incarnation: 0,
+            hp: hp.clone(),
+            plan: faults.plan(),
         };
-        let setup_json = serde_json::to_string(&template).map_err(|e| FedError::Decode {
-            what: format!("setup encode: {e}"),
-        })?;
-        if self.active_setup_json.as_deref() != Some(setup_json.as_str()) {
+        if self.active_setup.as_ref() != Some(&template) {
             for slot in 0..self.cfg.workers {
                 self.kill_worker(slot);
             }
-            self.active_setup_json = Some(setup_json.clone());
+            self.active_setup = Some(template.clone());
         }
         for slot in 0..self.cfg.workers {
             if self.workers[slot].is_none() {
-                self.spawn_worker(slot, &setup_json)?;
+                self.spawn_worker(slot, &template)?;
             }
         }
         Ok(())
@@ -404,13 +399,13 @@ impl FedExecutor {
             ));
             if needs_respawn || self.workers[slot].is_none() {
                 self.kill_worker(slot);
-                let setup_json =
-                    self.active_setup_json
-                        .clone()
-                        .ok_or_else(|| FedError::Protocol {
-                            what: "retry before setup".into(),
-                        })?;
-                self.spawn_worker(slot, &setup_json)?;
+                let template = self
+                    .active_setup
+                    .clone()
+                    .ok_or_else(|| FedError::Protocol {
+                        what: "retry before setup".into(),
+                    })?;
+                self.spawn_worker(slot, &template)?;
                 obs.emit(
                     "fed_worker_respawned",
                     json!({ "step": step, "slot": slot, "retries": p.retries }),

@@ -3,8 +3,9 @@
 //! Four message kinds cross the pipe, every one wrapped in the CRC frame
 //! of [`crate::frame`]:
 //!
-//! * [`MSG_SETUP`] (JSON): hyper-parameters, the fault plan, and the
-//!   worker's slot + incarnation — sent once per spawned process.
+//! * [`MSG_SETUP`] (words): the protocol version, the worker's slot and
+//!   incarnation, the hyper-parameters and the fault plan — sent once per
+//!   spawned process.
 //! * [`MSG_ROUND`] (binary): one step's work order — the step identity and
 //!   seed, the full parameter snapshot θ_t, and the assigned buckets with
 //!   their *global* indices.
@@ -13,14 +14,14 @@
 //!   remotely aggregates to the same sum as one computed in process.
 //! * [`MSG_SHUTDOWN`] (empty): clean worker exit.
 //!
-//! Every numeric field is little-endian and every length is validated
-//! before allocation. Model parameters travel as an in-memory PLPS image
-//! ([`plp_model::plps`]), the same tensor sections a saved model has; the
-//! receiver parses its header but skips the per-section CRC pass, because
-//! the pipe frame's CRC already covers every byte of the payload.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+//! Every numeric field is little-endian. Decoders read through one slice
+//! cursor that checks each field is there before reading it, refuses
+//! a length claim over the shared frame ceiling before allocating, and
+//! refuses bytes left over after the last field. Model parameters travel
+//! as an in-memory PLPS image ([`plp_model::plps`]), the same tensor
+//! sections a saved model has; the receiver parses its header but skips
+//! the per-section CRC pass, because the pipe frame's CRC already covers
+//! every byte of the payload.
 
 use plp_core::config::Hyperparameters;
 use plp_core::faults::FaultPlan;
@@ -36,14 +37,14 @@ use crate::error::FedError;
 /// The coordinator↔worker protocol version, checked at Setup.
 ///
 /// Version 2 added the optional trace-context frame header (the
-/// [`crate::frame::KIND_TRACED`] flag bit). A version-1 worker that
-/// receives a traced frame sees an unknown kind byte and exits through
-/// its protocol-error path; a version-2 worker handed a mismatched
-/// `protocol_version` in Setup rejects the session *before* any round
-/// traffic — old workers are refused cleanly either way.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// [`crate::frame::KIND_TRACED`] flag bit); version 3 made the Setup
+/// payload words instead of JSON. A worker handed a `protocol_version`
+/// other than its own rejects the session *before* any round traffic,
+/// and an older worker cannot parse a newer Setup at all — old workers
+/// are refused cleanly either way.
+pub const PROTOCOL_VERSION: u64 = 3;
 
-/// Frame kind: coordinator → worker session setup (JSON payload).
+/// Frame kind: coordinator → worker session setup (words payload).
 pub const MSG_SETUP: u8 = 1;
 /// Frame kind: coordinator → worker round work order (binary payload).
 pub const MSG_ROUND: u8 = 2;
@@ -52,20 +53,116 @@ pub const MSG_REPLY: u8 = 3;
 /// Frame kind: coordinator → worker clean shutdown request (empty).
 pub const MSG_SHUTDOWN: u8 = 4;
 
+/// Reads little-endian fields off a received payload. Every read checks
+/// that its bytes are there, so a short payload is a decode error naming
+/// the field, never a panic.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn new(payload: &'a [u8]) -> Self {
+        Cursor { rest: payload }
+    }
+
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], FedError> {
+        if self.rest.len() < n {
+            return Err(decode_error(format!("truncated {what}")));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], FedError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8, FedError> {
+        self.array(what).map(|[b]| b)
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, FedError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &'static str) -> Result<u64, FedError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self, what: &'static str) -> Result<f64, FedError> {
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    fn usize(&mut self, what: &'static str) -> Result<usize, FedError> {
+        usize::try_from(self.u64(what)?)
+            .map_err(|_| decode_error(format!("{what} overflows usize")))
+    }
+
+    /// `N` consecutive `u64` words.
+    fn words<const N: usize>(&mut self, what: &'static str) -> Result<[u64; N], FedError> {
+        let mut out = [0; N];
+        for w in &mut out {
+            *w = self.u64(what)?;
+        }
+        Ok(out)
+    }
+
+    /// Reads a `u32` element count and refuses claims whose decoded size
+    /// (at `elem_bytes` per element) would break the shared frame ceiling.
+    fn count(&mut self, elem_bytes: u64, what: &'static str) -> Result<usize, FedError> {
+        let n = self.u32(what)? as usize;
+        if checked_frame_len((n as u64).saturating_mul(elem_bytes)).is_none() {
+            return Err(decode_error(format!(
+                "{what} count {n} over max frame size"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A `u32` count of `usize` elements, one `u64` word each.
+    fn usize_vec(&mut self, what: &'static str) -> Result<Vec<usize>, FedError> {
+        let n = self.count(8, what)?;
+        (0..n).map(|_| self.usize(what)).collect()
+    }
+
+    /// Refuses bytes left over after the last field.
+    fn finish(self, what: &'static str) -> Result<(), FedError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(decode_error(format!("{n} trailing bytes after {what}"))),
+        }
+    }
+}
+
+fn decode_error(what: String) -> FedError {
+    FedError::Decode { what }
+}
+
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, x: u64) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_usize_vec(buf: &mut Vec<u8>, v: &[usize]) {
+    put_u32(buf, v.len() as u32);
+    for &x in v {
+        put_u64(buf, x as u64);
+    }
+}
+
 /// Session setup: everything a worker process needs before its first
-/// round. JSON because it is sent once and debuggability beats bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// round.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Setup {
     /// The sender's [`PROTOCOL_VERSION`]; the worker refuses the session
     /// on any mismatch (exit code [`crate::worker::exit_code::VERSION`]).
-    pub protocol_version: u32,
-    /// The run's hyper-parameters (identical on every worker).
-    pub hp: Hyperparameters,
-    /// Fault plan to replay, if the run injects faults. The *same* plan
-    /// drives coordinator- and worker-side decisions: injector decisions
-    /// are pure functions of `(seed, kind, step, index)`, so both sides
-    /// agree on which buckets are poisoned without communicating.
-    pub plan: Option<FaultPlan>,
+    pub protocol_version: u64,
     /// The worker's slot in the coordinator's table (diagnostics only).
     pub slot: usize,
     /// The worker's incarnation: a coordinator-wide monotone spawn
@@ -73,31 +170,52 @@ pub struct Setup {
     /// worker draws *fresh* stall/exit decisions — that is what makes
     /// recovery converge instead of re-hitting the same injected fault.
     pub incarnation: u64,
+    /// The run's hyper-parameters (identical on every worker).
+    pub hp: Hyperparameters,
+    /// Fault plan to replay, if the run injects faults. The *same* plan
+    /// drives coordinator- and worker-side decisions: injector decisions
+    /// are pure functions of `(seed, kind, step, index)`, so both sides
+    /// agree on which buckets are poisoned without communicating.
+    pub plan: Option<FaultPlan>,
 }
 
 impl Setup {
-    /// Encodes the setup payload as JSON bytes.
-    ///
-    /// # Errors
-    /// Propagates serializer failures as [`FedError::Decode`].
-    pub fn encode(&self) -> Result<Vec<u8>, FedError> {
-        serde_json::to_string(self)
-            .map(String::into_bytes)
-            .map_err(|e| FedError::Decode {
-                what: format!("setup encode: {e}"),
-            })
+    /// Encodes the setup payload as little-endian `u64` words:
+    /// `protocol_version · slot · incarnation`, then
+    /// [`Hyperparameters::to_words`], then a plan flag (0 or 1) followed,
+    /// when it is 1, by [`FaultPlan::to_words`].
+    pub fn encode(&self) -> Vec<u8> {
+        let mut words = vec![self.protocol_version, self.slot as u64, self.incarnation];
+        words.extend(self.hp.to_words());
+        words.push(u64::from(self.plan.is_some()));
+        words.extend(self.plan.iter().flat_map(FaultPlan::to_words));
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     /// Decodes a setup payload.
     ///
     /// # Errors
-    /// [`FedError::Decode`] on malformed JSON.
+    /// [`FedError::Decode`] on truncation, an unknown enum tag in the
+    /// hyper-parameters, a plan flag other than 0 or 1, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, FedError> {
-        let text = std::str::from_utf8(payload).map_err(|_| FedError::Decode {
-            what: "setup payload is not utf-8".into(),
-        })?;
-        serde_json::from_str(text).map_err(|e| FedError::Decode {
-            what: format!("setup decode: {e}"),
+        let mut cur = Cursor::new(payload);
+        let protocol_version = cur.u64("setup protocol version")?;
+        let slot = cur.usize("setup slot")?;
+        let incarnation = cur.u64("setup incarnation")?;
+        let hp = Hyperparameters::from_words(&cur.words("setup hyper-parameters")?)
+            .map_err(|e| decode_error(format!("setup hyper-parameters: {e}")))?;
+        let plan = match cur.u64("setup plan flag")? {
+            0 => None,
+            1 => Some(FaultPlan::from_words(&cur.words("setup fault plan")?)),
+            other => return Err(decode_error(format!("bad setup plan flag {other}"))),
+        };
+        cur.finish("setup")?;
+        Ok(Setup {
+            protocol_version,
+            slot,
+            incarnation,
+            hp,
+            plan,
         })
     }
 }
@@ -121,102 +239,53 @@ pub struct RoundRequest {
     pub assignments: Vec<(u64, Bucket)>,
 }
 
-fn need(data: &Bytes, n: usize, what: &'static str) -> Result<(), FedError> {
-    if data.remaining() < n {
-        return Err(FedError::Decode {
-            what: format!("truncated {what}"),
-        });
-    }
-    Ok(())
-}
-
-/// Reads a `u32` element count and refuses claims whose decoded size (at
-/// `elem_bytes` per element) would break the shared frame ceiling.
-fn get_count(data: &mut Bytes, elem_bytes: u64, what: &'static str) -> Result<usize, FedError> {
-    need(data, 4, what)?;
-    let n = data.get_u32_le() as usize;
-    if checked_frame_len((n as u64).saturating_mul(elem_bytes)).is_none() {
-        return Err(FedError::Decode {
-            what: format!("{what} count {n} over max frame size"),
-        });
-    }
-    Ok(n)
-}
-
-fn put_usize_vec(buf: &mut BytesMut, v: &[usize]) {
-    buf.put_u32_le(v.len() as u32);
-    for &x in v {
-        buf.put_u64_le(x as u64);
-    }
-}
-
-fn get_usize_vec(data: &mut Bytes, what: &'static str) -> Result<Vec<usize>, FedError> {
-    let n = get_count(data, 8, what)?;
-    need(data, n * 8, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(
-            usize::try_from(data.get_u64_le()).map_err(|_| FedError::Decode {
-                what: format!("{what} element overflows usize"),
-            })?,
-        );
-    }
-    Ok(out)
-}
-
 impl RoundRequest {
     /// Encodes the work order.
     pub fn encode(&self) -> Vec<u8> {
         let snapshot = encode(&param_sections(&self.params, KIND_EMBEDDING), 0, 0);
-        let mut buf = BytesMut::with_capacity(36 + snapshot.len());
-        buf.put_u64_le(self.step);
-        buf.put_u64_le(self.step_seed);
-        buf.put_u64_le(self.attempt);
-        buf.put_u32_le(snapshot.len() as u32);
-        buf.put_slice(&snapshot);
-        buf.put_u32_le(self.assignments.len() as u32);
+        let mut buf = Vec::with_capacity(36 + snapshot.len());
+        put_u64(&mut buf, self.step);
+        put_u64(&mut buf, self.step_seed);
+        put_u64(&mut buf, self.attempt);
+        put_u32(&mut buf, snapshot.len() as u32);
+        buf.extend_from_slice(&snapshot);
+        put_u32(&mut buf, self.assignments.len() as u32);
         for (index, bucket) in &self.assignments {
-            buf.put_u64_le(*index);
+            put_u64(&mut buf, *index);
             put_usize_vec(&mut buf, &bucket.user_indices);
             put_usize_vec(&mut buf, &bucket.tokens);
         }
-        buf.freeze().to_vec()
+        buf
     }
 
     /// Decodes a work order.
     ///
     /// # Errors
-    /// [`FedError::Decode`] on truncation or a length claim over the
-    /// shared frame ceiling; snapshot shape errors propagate as
-    /// [`FedError::Core`].
+    /// [`FedError::Decode`] on truncation, trailing bytes or a length
+    /// claim over the shared frame ceiling; snapshot shape errors
+    /// propagate as [`FedError::Core`].
     pub fn decode(payload: &[u8]) -> Result<Self, FedError> {
-        let mut data = Bytes::from(payload.to_vec());
-        need(&data, 24, "round header")?;
-        let step = data.get_u64_le();
-        let step_seed = data.get_u64_le();
-        let attempt = data.get_u64_le();
-        let snap_len = get_count(&mut data, 1, "round snapshot")?;
-        need(&data, snap_len, "round snapshot body")?;
-        let snapshot = data[..snap_len].to_vec();
-        data = data.slice(snap_len..);
+        let mut cur = Cursor::new(payload);
+        let step = cur.u64("round header")?;
+        let step_seed = cur.u64("round header")?;
+        let attempt = cur.u64("round header")?;
+        let snap_len = cur.count(1, "round snapshot")?;
+        let snapshot = cur.take(snap_len, "round snapshot body")?.to_vec();
         let params = PlpsSnapshot::from_bytes(snapshot)
             .and_then(|image| image.params())
             .map_err(|e| FedError::Core(plp_core::CoreError::Model(e)))?;
-        let n = get_count(&mut data, 24, "round assignments")?;
-        let mut assignments = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(&data, 8, "assignment index")?;
-            let index = data.get_u64_le();
-            let user_indices = get_usize_vec(&mut data, "assignment users")?;
-            let tokens = get_usize_vec(&mut data, "assignment tokens")?;
-            assignments.push((
-                index,
-                Bucket {
-                    user_indices,
-                    tokens,
-                },
-            ));
-        }
+        let n = cur.count(24, "round assignments")?;
+        let assignments = (0..n)
+            .map(|_| {
+                let index = cur.u64("assignment index")?;
+                let bucket = Bucket {
+                    user_indices: cur.usize_vec("assignment users")?,
+                    tokens: cur.usize_vec("assignment tokens")?,
+                };
+                Ok((index, bucket))
+            })
+            .collect::<Result<_, FedError>>()?;
+        cur.finish("round")?;
         Ok(RoundRequest {
             step,
             step_seed,
@@ -265,24 +334,24 @@ impl WireUpdate {
     }
 }
 
-fn put_grad(buf: &mut BytesMut, grad: &RowDelta) {
+fn put_grad(buf: &mut Vec<u8>, grad: &RowDelta) {
     // A delta's rows come out in ascending row order whatever order they
     // were touched in; f64 bits are copied verbatim so the aggregated sum
     // is bit-identical to local execution.
     for tensor in [&grad.embedding, &grad.context] {
-        buf.put_u32_le(tensor.len() as u32);
+        put_u32(buf, tensor.len() as u32);
         for (row, v) in tensor.rows() {
-            buf.put_u64_le(row as u64);
-            buf.put_u32_le(v.len() as u32);
+            put_u64(buf, row as u64);
+            put_u32(buf, v.len() as u32);
             for &x in v {
-                buf.put_f64_le(x);
+                put_u64(buf, x.to_bits());
             }
         }
     }
-    buf.put_u32_le(grad.bias.len() as u32);
+    put_u32(buf, grad.bias.len() as u32);
     for (row, b) in grad.bias.rows() {
-        buf.put_u64_le(row as u64);
-        buf.put_f64_le(b[0]);
+        put_u64(buf, row as u64);
+        put_u64(buf, b[0].to_bits());
     }
 }
 
@@ -298,36 +367,37 @@ fn push_row(
     usize::try_from(row)
         .ok()
         .and_then(|row| rows.push_row(row, values).ok())
-        .ok_or_else(|| FedError::Decode {
-            what: format!("{what} row {row} out of order, repeated or misshapen"),
+        .ok_or_else(|| {
+            decode_error(format!(
+                "{what} row {row} out of order, repeated or misshapen"
+            ))
         })
 }
 
-fn get_rows(data: &mut Bytes, what: &'static str) -> Result<DeltaRows, FedError> {
-    let n = get_count(data, 12, what)?;
+fn get_rows(cur: &mut Cursor<'_>, what: &'static str) -> Result<DeltaRows, FedError> {
+    let n = cur.count(12, what)?;
     let mut rows = DeltaRows::default();
     let mut v = Vec::new();
     for _ in 0..n {
-        need(data, 8, what)?;
-        let row = data.get_u64_le();
-        let dim = get_count(data, 8, what)?;
-        need(data, dim * 8, what)?;
+        let row = cur.u64(what)?;
+        let dim = cur.count(8, what)?;
         v.clear();
-        v.extend((0..dim).map(|_| data.get_f64_le()));
+        for _ in 0..dim {
+            v.push(cur.f64(what)?);
+        }
         push_row(&mut rows, row, &v, what)?;
     }
     Ok(rows)
 }
 
-fn get_grad(data: &mut Bytes) -> Result<RowDelta, FedError> {
-    let embedding = get_rows(data, "grad embedding")?;
-    let context = get_rows(data, "grad context")?;
-    let n = get_count(data, 16, "grad bias")?;
+fn get_grad(cur: &mut Cursor<'_>) -> Result<RowDelta, FedError> {
+    let embedding = get_rows(cur, "grad embedding")?;
+    let context = get_rows(cur, "grad context")?;
+    let n = cur.count(16, "grad bias")?;
     let mut bias = DeltaRows::default();
     for _ in 0..n {
-        need(data, 16, "grad bias")?;
-        let row = data.get_u64_le();
-        let b = data.get_f64_le();
+        let row = cur.u64("grad bias")?;
+        let b = cur.f64("grad bias")?;
         push_row(&mut bias, row, &[b], "grad bias")?;
     }
     Ok(RowDelta {
@@ -335,6 +405,24 @@ fn get_grad(data: &mut Bytes) -> Result<RowDelta, FedError> {
         context,
         bias,
     })
+}
+
+fn get_result(cur: &mut Cursor<'_>) -> Result<WireResult, FedError> {
+    let index = cur.u64("reply result")?;
+    let update = match cur.u8("reply result")? {
+        0 => None,
+        1 => Some(WireUpdate {
+            grad: get_grad(cur)?,
+            mean_loss: cur.f64("reply update tail")?,
+            clipped: match cur.u8("reply update tail")? {
+                0 => false,
+                1 => true,
+                other => return Err(decode_error(format!("bad clipped flag {other}"))),
+            },
+        }),
+        other => return Err(decode_error(format!("bad result tag {other}"))),
+    };
+    Ok((index, update))
 }
 
 /// A worker's answer to one [`RoundRequest`].
@@ -354,72 +442,40 @@ pub struct RoundReply {
 impl RoundReply {
     /// Encodes the reply.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(24);
-        buf.put_u64_le(self.step);
-        buf.put_u64_le(self.attempt);
-        buf.put_u32_le(self.results.len() as u32);
+        let mut buf = Vec::with_capacity(24);
+        put_u64(&mut buf, self.step);
+        put_u64(&mut buf, self.attempt);
+        put_u32(&mut buf, self.results.len() as u32);
         for (index, result) in &self.results {
-            buf.put_u64_le(*index);
+            put_u64(&mut buf, *index);
             match result {
-                None => buf.put_u8(0),
+                None => buf.push(0),
                 Some(u) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     put_grad(&mut buf, &u.grad);
-                    buf.put_f64_le(u.mean_loss);
-                    buf.put_u8(u8::from(u.clipped));
+                    put_u64(&mut buf, u.mean_loss.to_bits());
+                    buf.push(u8::from(u.clipped));
                 }
             }
         }
-        buf.freeze().to_vec()
+        buf
     }
 
     /// Decodes a reply.
     ///
     /// # Errors
-    /// [`FedError::Decode`] on truncation, oversize claims, rows that are
-    /// not strictly ascending (a repeat included) or not of one width, or
-    /// an unknown result tag.
+    /// [`FedError::Decode`] on truncation, trailing bytes, oversize
+    /// claims, rows that are not strictly ascending (a repeat included) or
+    /// not of one width, or an unknown result tag.
     pub fn decode(payload: &[u8]) -> Result<Self, FedError> {
-        let mut data = Bytes::from(payload.to_vec());
-        need(&data, 16, "reply header")?;
-        let step = data.get_u64_le();
-        let attempt = data.get_u64_le();
-        let n = get_count(&mut data, 9, "reply results")?;
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(&data, 9, "reply result")?;
-            let index = data.get_u64_le();
-            match data.get_u8() {
-                0 => results.push((index, None)),
-                1 => {
-                    let grad = get_grad(&mut data)?;
-                    need(&data, 9, "reply update tail")?;
-                    let mean_loss = data.get_f64_le();
-                    let clipped = match data.get_u8() {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(FedError::Decode {
-                                what: format!("bad clipped flag {other}"),
-                            })
-                        }
-                    };
-                    results.push((
-                        index,
-                        Some(WireUpdate {
-                            grad,
-                            mean_loss,
-                            clipped,
-                        }),
-                    ));
-                }
-                other => {
-                    return Err(FedError::Decode {
-                        what: format!("bad result tag {other}"),
-                    })
-                }
-            }
-        }
+        let mut cur = Cursor::new(payload);
+        let step = cur.u64("reply header")?;
+        let attempt = cur.u64("reply header")?;
+        let n = cur.count(9, "reply results")?;
+        let results = (0..n)
+            .map(|_| get_result(&mut cur))
+            .collect::<Result<_, _>>()?;
+        cur.finish("reply")?;
         Ok(RoundReply {
             step,
             attempt,
@@ -449,30 +505,33 @@ mod tests {
         g
     }
 
-    /// FNV-1a 64, independent of the CRC the pipe frames use.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fn sample_setup(plan: Option<FaultPlan>) -> Setup {
+        Setup {
+            protocol_version: PROTOCOL_VERSION,
+            slot: 2,
+            incarnation: 17,
+            hp: Hyperparameters::default(),
+            plan,
+        }
+    }
+
+    fn sample_plan() -> FaultPlan {
+        FaultPlan {
+            worker_stall_rate: 0.25,
+            worker_stall_ms: 500,
+            ..FaultPlan::quiet(9)
+        }
     }
 
     #[test]
-    fn setup_round_trips_via_json() {
-        let setup = Setup {
-            protocol_version: PROTOCOL_VERSION,
-            hp: Hyperparameters::default(),
-            plan: Some(FaultPlan {
-                worker_stall_rate: 0.25,
-                worker_stall_ms: 500,
-                ..FaultPlan::quiet(9)
-            }),
-            slot: 2,
-            incarnation: 17,
-        };
-        let bytes = setup.encode().unwrap();
-        assert_eq!(Setup::decode(&bytes).unwrap(), setup);
-        assert!(Setup::decode(b"not json").is_err());
-        assert!(Setup::decode(&[0xFF, 0xFE]).is_err());
+    fn setup_round_trips_as_words() {
+        for (plan, words) in [(None, 3 + 19 + 1), (Some(sample_plan()), 3 + 19 + 1 + 10)] {
+            let setup = sample_setup(plan);
+            let bytes = setup.encode();
+            assert_eq!(bytes.len(), 8 * words);
+            assert_eq!(bytes[..8], PROTOCOL_VERSION.to_le_bytes());
+            assert_eq!(Setup::decode(&bytes).unwrap(), setup);
+        }
     }
 
     #[test]
@@ -610,7 +669,7 @@ mod tests {
         };
         let bytes = reply.encode();
         assert_eq!(bytes.len(), 405);
-        assert_eq!(fnv1a(&bytes), 0x118a_63c7_aa1d_2a27);
+        assert_eq!(plp_data::frame::fnv1a64(&bytes), 0x118a_63c7_aa1d_2a27);
         // And the compact arena a decoder builds encodes to them again.
         let back = RoundReply::decode(&bytes).unwrap();
         assert_eq!(back.encode(), bytes);
@@ -618,53 +677,78 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
+        let is_decode = |r: Result<Setup, FedError>| matches!(r, Err(FedError::Decode { .. }));
+        // Setup: every truncation of a valid payload, an unknown tag in
+        // each hyper-parameter enum (payload words 13, 16 and 17), a plan
+        // flag (word 22) other than 0 or 1, and trailing bytes.
+        let setup = sample_setup(Some(sample_plan())).encode();
+        let with_word = |i: usize, value: u64| {
+            let mut bytes = setup.clone();
+            bytes[8 * i..8 * i + 8].copy_from_slice(&value.to_le_bytes());
+            bytes
+        };
+        let mut hostile: Vec<Vec<u8>> = (0..setup.len()).map(|n| setup[..n].to_vec()).collect();
+        hostile.extend([13, 16, 17, 22].map(|i| with_word(i, 2)));
+        hostile.push(with_word(22, 0));
+        hostile.push([&setup[..], &[0]].concat());
+        hostile.push([&sample_setup(None).encode()[..], &[0; 8]].concat());
+        hostile.push(br#"{"protocol_version":2}"#.to_vec());
+        for bytes in hostile {
+            assert!(is_decode(Setup::decode(&bytes)), "{bytes:?}");
+        }
+
         assert!(RoundRequest::decode(&[1, 2, 3]).is_err());
         assert!(RoundReply::decode(&[0; 10]).is_err());
+        let header = |results: u32| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 1);
+            put_u64(&mut buf, 1);
+            put_u32(&mut buf, results);
+            buf
+        };
         // A reply claiming a huge result count must fail the ceiling
         // check instead of attempting the allocation.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        buf.put_u64_le(1);
-        buf.put_u32_le(u32::MAX);
-        let err = RoundReply::decode(&buf.freeze().to_vec()).unwrap_err();
+        let err = RoundReply::decode(&header(u32::MAX)).unwrap_err();
         assert!(
             err.to_string().contains("max frame size"),
             "expected ceiling diagnostic, got {err}"
         );
         // Bad result tag.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        buf.put_u64_le(1);
-        buf.put_u32_le(1);
-        buf.put_u64_le(0);
-        buf.put_u8(9);
-        assert!(RoundReply::decode(&buf.freeze().to_vec()).is_err());
+        let mut buf = header(1);
+        put_u64(&mut buf, 0);
+        buf.push(9);
+        assert!(RoundReply::decode(&buf).is_err());
+        // Trailing bytes after a whole reply.
+        let mut buf = header(1);
+        put_u64(&mut buf, 0);
+        buf.extend([0, 0]);
+        assert!(matches!(
+            RoundReply::decode(&buf),
+            Err(FedError::Decode { .. })
+        ));
 
         // Rows that arrive out of order, twice, or in two widths — in any
         // tensor — are refused as a decode error, never a panic later on.
         let reply_with = |rows: &[(u64, &[f64])], bias: &[(u64, f64)]| {
-            let mut buf = BytesMut::new();
-            buf.put_u64_le(1);
-            buf.put_u64_le(1);
-            buf.put_u32_le(1);
-            buf.put_u64_le(0);
-            buf.put_u8(1);
+            let mut buf = header(1);
+            put_u64(&mut buf, 0);
+            buf.push(1);
             for tensor in [rows, &[]] {
-                buf.put_u32_le(tensor.len() as u32);
+                put_u32(&mut buf, tensor.len() as u32);
                 for (row, v) in tensor {
-                    buf.put_u64_le(*row);
-                    buf.put_u32_le(v.len() as u32);
-                    v.iter().for_each(|&x| buf.put_f64_le(x));
+                    put_u64(&mut buf, *row);
+                    put_u32(&mut buf, v.len() as u32);
+                    v.iter().for_each(|x| put_u64(&mut buf, x.to_bits()));
                 }
             }
-            buf.put_u32_le(bias.len() as u32);
+            put_u32(&mut buf, bias.len() as u32);
             for (row, b) in bias {
-                buf.put_u64_le(*row);
-                buf.put_f64_le(*b);
+                put_u64(&mut buf, *row);
+                put_u64(&mut buf, b.to_bits());
             }
-            buf.put_f64_le(0.5);
-            buf.put_u8(0);
-            RoundReply::decode(&buf.freeze().to_vec())
+            put_u64(&mut buf, 0.5f64.to_bits());
+            buf.push(0);
+            RoundReply::decode(&buf)
         };
         assert!(reply_with(&[(2, &[1.0]), (5, &[2.0])], &[(0, 1.0), (3, 2.0)]).is_ok());
         for (rows, bias) in [

@@ -318,6 +318,8 @@ mod tests {
     fn tiny_setup(plan: Option<FaultPlan>) -> Setup {
         Setup {
             protocol_version: PROTOCOL_VERSION,
+            slot: 0,
+            incarnation: 1,
             hp: Hyperparameters {
                 embedding_dim: 4,
                 negative_samples: 2,
@@ -325,8 +327,6 @@ mod tests {
                 ..Hyperparameters::default()
             },
             plan,
-            slot: 0,
-            incarnation: 1,
         }
     }
 
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn worker_computes_a_round_and_exits_cleanly() {
-        let setup = tiny_setup(None).encode().unwrap();
+        let setup = tiny_setup(None).encode();
         let round = tiny_round(1, 5).encode();
         let (code, output) = run_session(&[
             (MSG_SETUP, setup),
@@ -389,10 +389,8 @@ mod tests {
     fn worker_reply_matches_in_process_runner_bitwise() {
         let setup = tiny_setup(None);
         let round = tiny_round(1, 0);
-        let (code, output) = run_session(&[
-            (MSG_SETUP, setup.encode().unwrap()),
-            (MSG_ROUND, round.encode()),
-        ]);
+        let (code, output) =
+            run_session(&[(MSG_SETUP, setup.encode()), (MSG_ROUND, round.encode())]);
         assert_eq!(code, exit_code::CLEAN);
         let mut cur = std::io::Cursor::new(output);
         let FrameEvent::Frame { payload, .. } = read_frame_event(&mut cur) else {
@@ -429,7 +427,7 @@ mod tests {
             ..FaultPlan::quiet(5)
         };
         let (code, output) = run_session(&[
-            (MSG_SETUP, tiny_setup(Some(plan)).encode().unwrap()),
+            (MSG_SETUP, tiny_setup(Some(plan)).encode()),
             (MSG_ROUND, tiny_round(1, 0).encode()),
         ]);
         assert_eq!(code, exit_code::CLEAN);
@@ -444,7 +442,7 @@ mod tests {
             ..FaultPlan::quiet(5)
         };
         let (code, output) = run_session(&[
-            (MSG_SETUP, tiny_setup(Some(plan)).encode().unwrap()),
+            (MSG_SETUP, tiny_setup(Some(plan)).encode()),
             (MSG_ROUND, tiny_round(1, 0).encode()),
         ]);
         assert_eq!(code, exit_code::CLEAN);
@@ -466,21 +464,24 @@ mod tests {
         assert_eq!(code, exit_code::PROTOCOL, "unknown kind");
         let (code, _) = run_session(&[(MSG_SETUP, b"junk".to_vec())]);
         assert_eq!(code, exit_code::DECODE, "bad setup payload");
-        let setup = tiny_setup(None).encode().unwrap();
+        let setup = tiny_setup(None).encode();
         let (code, _) = run_session(&[(MSG_SETUP, setup), (MSG_ROUND, vec![1, 2])]);
         assert_eq!(code, exit_code::DECODE, "bad round payload");
     }
 
     #[test]
     fn protocol_version_mismatch_is_rejected_cleanly() {
-        let mut setup = tiny_setup(None);
-        setup.protocol_version = PROTOCOL_VERSION + 1;
-        let (code, output) = run_session(&[
-            (MSG_SETUP, setup.encode().unwrap()),
-            (MSG_ROUND, tiny_round(1, 0).encode()),
-        ]);
-        assert_eq!(code, exit_code::VERSION);
-        assert!(output.is_empty(), "no reply from a version-rejected worker");
+        // The JSON-setup version 2 and any later version alike.
+        for version in [2, PROTOCOL_VERSION + 1] {
+            let mut setup = tiny_setup(None);
+            setup.protocol_version = version;
+            let (code, output) = run_session(&[
+                (MSG_SETUP, setup.encode()),
+                (MSG_ROUND, tiny_round(1, 0).encode()),
+            ]);
+            assert_eq!(code, exit_code::VERSION, "version {version}");
+            assert!(output.is_empty(), "no reply from a version-rejected worker");
+        }
     }
 
     #[test]
@@ -493,10 +494,7 @@ mod tests {
             parent_span: 0x1234_5678_9abc_def0,
         };
         let mut input = Vec::new();
-        input.extend_from_slice(&encode_frame(
-            MSG_SETUP,
-            &tiny_setup(None).encode().unwrap(),
-        ));
+        input.extend_from_slice(&encode_frame(MSG_SETUP, &tiny_setup(None).encode()));
         input.extend_from_slice(&encode_frame_traced(
             MSG_ROUND,
             Some(ctx),
@@ -552,10 +550,7 @@ mod tests {
         // spans at all.
         let before = tracer.snapshot().len();
         let mut input2 = Vec::new();
-        input2.extend_from_slice(&encode_frame(
-            MSG_SETUP,
-            &tiny_setup(None).encode().unwrap(),
-        ));
+        input2.extend_from_slice(&encode_frame(MSG_SETUP, &tiny_setup(None).encode()));
         input2.extend_from_slice(&encode_frame(MSG_ROUND, &tiny_round(2, 0).encode()));
         let mut cursor2 = std::io::Cursor::new(input2);
         let mut output2 = Vec::new();

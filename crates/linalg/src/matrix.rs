@@ -13,7 +13,6 @@
 //! never written through.
 
 use plp_mmap::MappedSlice;
-use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::LinalgError;
 use crate::ops;
@@ -319,38 +318,6 @@ impl PartialEq for Matrix {
     }
 }
 
-impl Serialize for Matrix {
-    /// Serializes as `{rows, cols, data}` regardless of backing, matching
-    /// the representation the derived impl produced for the owned-only
-    /// struct (so existing JSON stays compatible).
-    fn to_value(&self) -> Value {
-        let mut m = serde::Map::new();
-        m.insert("rows".to_string(), self.rows.to_value());
-        m.insert("cols".to_string(), self.cols.to_value());
-        m.insert("data".to_string(), self.as_slice().to_value());
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for Matrix {
-    /// Deserialized matrices are always owned (a serialized tree has no
-    /// mapping to point back into).
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected Matrix object"))?;
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| DeError::new(format!("missing field `{name}`")))
-        };
-        let rows = usize::from_value(field("rows")?)?;
-        let cols = usize::from_value(field("cols")?)?;
-        let data = Vec::<f64>::from_value(field("data")?)?;
-        Matrix::from_vec(rows, cols, data)
-            .map_err(|_| DeError::new("matrix data length does not match rows * cols"))
-    }
-}
-
 /// Row-block tile over the left operand of [`matmul_block_into`].
 const MATMUL_BLOCK_ROWS: usize = 16;
 /// Row-block tile over the right operand of [`matmul_block_into`].
@@ -596,14 +563,6 @@ mod tests {
         assert!(scores[10..].iter().all(|x| x.is_nan()), "slack untouched");
     }
 
-    #[test]
-    fn serde_round_trip() {
-        let m = Matrix::from_fn(3, 2, |r, c| r as f64 - c as f64);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
-    }
-
     /// Writes `values` to a temp file and maps them back as a view.
     fn mapped_view(name: &str, values: &[f64]) -> (std::path::PathBuf, MappedSlice) {
         use std::io::Write;
@@ -660,18 +619,6 @@ mod tests {
         let mut n = Matrix::from_mapped(2, 2, view.clone()).unwrap();
         n.normalize_rows();
         assert!(!n.is_mapped());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mapped_matrix_serde_round_trips_to_owned() {
-        let values = [0.5, -1.5, 2.5, -3.5];
-        let (path, view) = mapped_view("serde", &values);
-        let mapped = Matrix::from_mapped(2, 2, view).unwrap();
-        let json = serde_json::to_string(&mapped).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert!(!back.is_mapped());
-        assert_eq!(back, mapped);
         std::fs::remove_file(&path).ok();
     }
 

@@ -5,94 +5,6 @@
 //! reproduces that check exactly, including the two-sided p-value computed
 //! from the Student-t survival function (regularised incomplete beta).
 
-use serde::{Deserialize, Serialize};
-
-/// Numerically-stable running mean/variance (Welford's algorithm).
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance; `0.0` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Smallest observation; `+inf` when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `-inf` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Linear-interpolated percentile (`p` in `[0, 100]`) of `sorted` data.
 ///
 /// Returns `None` for empty input or `p` outside `[0, 100]`. The input must
@@ -112,7 +24,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
 }
 
 /// Result of a paired two-sided Student *t*-test.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TTestResult {
     /// The t statistic of the mean paired difference.
     pub t_statistic: f64,
@@ -261,55 +173,6 @@ fn beta_continued_fraction(a: f64, b: f64, x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = RunningStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Two-pass sample variance.
-        let var = xs.iter().map(|x| (x - 5.0) * (x - 5.0)).sum::<f64>() / 7.0;
-        assert!((s.variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.variance() - all.variance()).abs() < 1e-10);
-        // Merging an empty accumulator is a no-op.
-        let snapshot = left;
-        left.merge(&RunningStats::new());
-        assert_eq!(left.count(), snapshot.count());
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
 
     #[test]
     fn percentile_interpolates() {

@@ -7,14 +7,12 @@
 //! tensors to C/√3 bounds the global ℓ2 norm of the concatenated update by
 //! C, which is the sensitivity the Gaussian mechanism is calibrated to.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::journal::RowDelta;
 use crate::params::NUM_TENSORS;
 
 /// What a clipping pass observed — useful for tuning C (Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClipReport {
     /// Per-tensor ℓ2 norms before clipping `(W, W′, B′)`.
     pub norms_before: (f64, f64, f64),

@@ -21,8 +21,6 @@
 //! Both sets of gradients are verified against central finite differences
 //! in the test module.
 
-use serde::{Deserialize, Serialize};
-
 use plp_linalg::ops;
 
 use crate::error::ModelError;
@@ -30,7 +28,7 @@ use crate::grad::BatchGrad;
 use crate::params::ParamsView;
 
 /// Which training objective to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Loss {
     /// Softmax cross-entropy over `{context} ∪ negatives` (the paper's
     /// sampled softmax with uniform proposal).

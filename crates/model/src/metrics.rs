@@ -16,7 +16,7 @@
 //! the target is in the top k iff fewer than k rows beat it, so they count
 //! and never rank.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use plp_data::dataset::TokenizedDataset;
 use plp_linalg::matrix::matmul_block_into;
@@ -27,7 +27,7 @@ use crate::error::ModelError;
 use crate::markov::RankLocations;
 
 /// Hit-rate at one cutoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HitRate {
     /// The cutoff k.
     pub k: usize,

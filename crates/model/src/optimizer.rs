@@ -8,8 +8,6 @@
 //! private, any post-processing (including Adam's moment tracking) is
 //! privacy-free.
 
-use serde::{Deserialize, Serialize};
-
 use plp_linalg::ops;
 use plp_linalg::par::fan_out;
 
@@ -18,7 +16,7 @@ use crate::params::ModelParams;
 
 /// Plain averaging server update: `θ ← θ + lr · ĝ` (lr = 1 reproduces
 /// Algorithm 1 literally).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSgd {
     /// Server learning rate applied to the aggregated delta.
     pub learning_rate: f64,
@@ -80,7 +78,7 @@ impl ServerSgd {
 ///
 /// The update direction ĝ plays the role of the (negated) gradient, so the
 /// step is `θ += lr · m̂ / (√v̂ + ε)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerAdam {
     /// Step size α.
     pub learning_rate: f64,

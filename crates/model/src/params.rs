@@ -1,7 +1,6 @@
 //! The model tensors θ = {W, W′, B′} of Figure 2.
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use plp_linalg::{ops, Matrix};
 
@@ -15,7 +14,7 @@ pub const NUM_TENSORS: usize = 3;
 /// Skip-gram parameters: embedding matrix `W` (`L × dim`), context matrix
 /// `W′` (`L × dim`, stored row-major by location like `W`), and the output
 /// bias vector `B′` (`L`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// The input embedding matrix `W`.
     pub embedding: Matrix,
@@ -309,14 +308,5 @@ mod tests {
         assert!(p.all_finite());
         p.context.set(1, 1, f64::NAN);
         assert!(!p.all_finite());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = ModelParams::init(&mut rng, 5, 3).unwrap();
-        let s = serde_json::to_string(&p).unwrap();
-        let back: ModelParams = serde_json::from_str(&s).unwrap();
-        assert!(p.same_shape(&back));
     }
 }

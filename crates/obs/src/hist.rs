@@ -27,8 +27,6 @@
 //! statistics: `NaN` and negative values record as `0`, `+∞` records as
 //! [`cap`] (the overflow bucket).
 
-use serde::{Deserialize, Serialize};
-
 /// Linear sub-buckets per power of two (sets the relative bucket width).
 pub const SUB_BUCKETS: usize = 8;
 /// Smallest tracked exponent: values below `2^MIN_EXP` share the
@@ -51,9 +49,9 @@ pub fn cap() -> f64 {
     2.0f64.powi(MAX_EXP)
 }
 
-/// A mergeable, serde-able histogram with a fixed log-linear bucket
+/// A mergeable histogram with a fixed log-linear bucket
 /// layout. See the module docs for the layout and accuracy guarantee.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Per-bucket sample counts (length [`NUM_BUCKETS`]).
     counts: Vec<u64>,
@@ -324,22 +322,6 @@ mod tests {
         assert_eq!(a.count(), 7, "recording zero samples is a no-op");
     }
 
-    #[test]
-    fn serde_round_trip_preserves_everything() {
-        let mut h = Histogram::new();
-        for v in [0.0, 0.0001, 0.7, 1.0, 13.25, 900.0, 1e9] {
-            h.record(v);
-        }
-        let text = serde_json::to_string(&h).unwrap();
-        let back: Histogram = serde_json::from_str(&text).unwrap();
-        assert_eq!(h, back);
-        // The empty histogram (min/max = None) must round-trip too.
-        let empty = Histogram::new();
-        let text = serde_json::to_string(&empty).unwrap();
-        let back: Histogram = serde_json::from_str(&text).unwrap();
-        assert_eq!(empty, back);
-    }
-
     proptest! {
         #[test]
         fn percentile_error_is_at_most_one_bucket_width(
@@ -428,15 +410,5 @@ mod tests {
             prop_assert_eq!(all.max(), left.max());
         }
 
-        #[test]
-        fn serde_round_trip_random(values in prop::collection::vec(0.0..1e7f64, 0..50)) {
-            let mut h = Histogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let text = serde_json::to_string(&h).unwrap();
-            let back: Histogram = serde_json::from_str(&text).unwrap();
-            prop_assert_eq!(h, back);
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! threads through its hot paths:
 //!
 //! * [`hist::Histogram`] — bounded-memory **log-linear histograms**
-//!   (fixed bucket layout, mergeable, serde-able, ≤ one-bucket-width
+//!   (fixed bucket layout, mergeable, ≤ one-bucket-width
 //!   quantile error) that replace unbounded per-sample `Vec`s,
 //! * [`registry::MetricsRegistry`] — named counters, gauges and
 //!   histograms behind cheap `Arc` handles, with a

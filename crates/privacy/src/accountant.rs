@@ -8,7 +8,7 @@
 //! [`MomentsAccountant`] folds them into an [`RdpCurve`] to answer ε(δ)
 //! queries at any point in training.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::budget::PrivacyBudget;
 use crate::error::PrivacyError;
@@ -22,7 +22,7 @@ use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
 /// multiplier for accounting is `σ/ω` (equivalently: sensitivity grows to
 /// ωC while the noise std stays σC — see paper §4.2 Case 2); callers encode
 /// that in `noise_multiplier` before tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LedgerEntry {
     /// Poisson sampling rate of the step(s).
     pub q: f64,
@@ -36,7 +36,7 @@ pub struct LedgerEntry {
 ///
 /// The ledger is the auditable artifact: serialising it alongside a released
 /// model lets anyone recompute the (ε, δ) guarantee.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PrivacyLedger {
     entries: Vec<LedgerEntry>,
 }
@@ -480,13 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn ledger_serde_round_trip() {
+    fn ledger_prints_its_rows() {
+        // The `--ledger` file: the rows anyone can recompute (ε, δ) from.
         let mut l = PrivacyLedger::new();
         l.track(0.06, 2.5).unwrap();
         l.track(0.06, 2.5).unwrap();
-        let s = serde_json::to_string(&l).unwrap();
-        let back: PrivacyLedger = serde_json::from_str(&s).unwrap();
-        assert_eq!(l, back);
+        assert_eq!(
+            serde_json::to_string(&l).unwrap(),
+            "{\"entries\":[{\"noise_multiplier\":2.5,\"q\":0.06,\"steps\":2}]}"
+        );
     }
 
     #[test]

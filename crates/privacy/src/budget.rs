@@ -1,7 +1,5 @@
 //! The (ε, δ) privacy budget.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PrivacyError;
 
 /// An (ε, δ) differential-privacy budget.
@@ -9,7 +7,7 @@ use crate::error::PrivacyError;
 /// The paper trains until the moments accountant reports a cumulative ε that
 /// reaches this budget (Algorithm 1, line 12), with δ fixed in advance to a
 /// value below `1/N` (§5.1 uses δ = 2·10⁻⁴ < 1/4602).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyBudget {
     /// The privacy budget ε (smaller is more private).
     pub epsilon: f64,
@@ -85,13 +83,5 @@ mod tests {
         assert!(b.delta_is_safe_for(4602));
         assert!(!b.delta_is_safe_for(10_000));
         assert!(!b.delta_is_safe_for(0));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let b = PrivacyBudget::new(3.0, 1e-6).unwrap();
-        let s = serde_json::to_string(&b).unwrap();
-        let back: PrivacyBudget = serde_json::from_str(&s).unwrap();
-        assert_eq!(b, back);
     }
 }

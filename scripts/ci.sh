@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container, no-crossbeam /
+# Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
 # one-fan-out, four-binaries, no-deployed-copy and no-map-in-the-SGNS-loop
 # grep gates, build, the full test suite (and the vectorised kernels', the
 # fan-out's, the server update's, the noise pass's, the batch-gradient
@@ -39,9 +39,10 @@ echo "== threading gate (one fan-out, std threads only) =="
 # outside test modules only it and the training step's run-ahead reduction,
 # whose caller is the reducer rather than a worker, open a
 # `std::thread::scope`. Only the Cargo.toml edges the harness's lock file
-# pins may still name crossbeam.
-if git grep -n crossbeam -- crates src ':!*Cargo.toml'; then
-  echo "no source file under crates/ or src/ may name crossbeam"
+# pins may still name crossbeam or bytes (the fed wire is `Vec<u8>` and
+# slices).
+if git grep -nE 'crossbeam|\bbytes::' -- crates src ':!*Cargo.toml'; then
+  echo "no source file under crates/ or src/ may name crossbeam or the bytes crate"
   exit 1
 fi
 scopes=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | while read -r f; do

@@ -20,7 +20,7 @@ use dp_nextloc::core::checkpoint::{
 use dp_nextloc::core::plp::{resume_plp, TrainOptions};
 use dp_nextloc::core::{CoreError, Hyperparameters, ServerOptimizer};
 use dp_nextloc::data::dataset::TokenizedDataset;
-use dp_nextloc::data::frame::{self, Words};
+use dp_nextloc::data::frame::{self, fnv1a64, Words};
 use dp_nextloc::data::{io, CheckIn, CheckInDataset, DataError, GeoPoint, LocationId, Poi};
 use dp_nextloc::linalg::Matrix;
 use dp_nextloc::model::optimizer::ServerAdam;
@@ -406,7 +406,7 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
         server_optimizer: ServerOptimizer::Sgd { learning_rate: 0.5 },
         ..Hyperparameters::default()
     };
-    let fingerprint = config_fingerprint(&hp, VOCAB).unwrap();
+    let fingerprint = config_fingerprint(&hp, VOCAB);
     let claim = |steps: u64| {
         let image = resealed("checkpoint-sgd", |s| {
             words_of(s, KIND_META)[0] = fingerprint;
@@ -448,13 +448,6 @@ fn resealed_dataset_damage_is_refused_by_the_semantic_checks() {
     assert_ne!(io::decode_binary(&moved).unwrap(), dataset());
 }
 
-/// FNV-1a 64, independent of the CRC the format itself uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn write_deployable_bytes_match_the_digest_taken_before_the_container_moved() {
     // Length and digest were computed by this same code at commit 8fcecdb,
@@ -468,5 +461,14 @@ fn write_deployable_bytes_match_the_digest_taken_before_the_container_moved() {
         plps::write_deployable(p, &embedding, 7).unwrap()
     });
     assert_eq!(bytes.len(), 11_296);
-    assert_eq!(fnv1a(&bytes), 0x4cb0_3675_d79e_dbc2);
+    assert_eq!(fnv1a64(&bytes), 0x4cb0_3675_d79e_dbc2);
+}
+
+#[test]
+fn the_content_digest_and_the_span_domain_hash_are_one_fnv1a() {
+    // `plp-obs` is a leaf crate and keeps its own copy; the two must stay
+    // the same function.
+    for s in ["", "a", "foobar", "fed_round", "PLP λ=6"] {
+        assert_eq!(fnv1a64(s.as_bytes()), plp_obs::trace::fnv1a64(s), "{s:?}");
+    }
 }
