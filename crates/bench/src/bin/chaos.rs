@@ -8,19 +8,40 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use plp_bench::runner::{run_point, RunControl, Scale, SweepPoint};
+use plp_bench::runner::Scale;
 use plp_core::checkpoint::load_checkpoint;
 use plp_core::experiment::PreparedData;
 use plp_core::faults::{FaultInjector, FaultPlan};
-use plp_core::plp::{resume_plp, train_plp_resumable, CheckpointPolicy, TrainOptions};
+use plp_core::plp::{train_plp_resumable, CheckpointPolicy, PlpOutcome, TrainOptions};
 use plp_core::telemetry::StopReason;
 use plp_core::CoreError;
+use plp_obs::Observer;
 use plp_privacy::PrivacyBudget;
 
+/// A checkpoint path no earlier process left a file at: a run given it
+/// starts from that file, so a stale one would be resumed.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("plp_chaos_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(name)
+    let path = dir.join(name);
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+fn checkpointed(path: &std::path::Path, every: u64) -> TrainOptions {
+    TrainOptions {
+        checkpoint: Some(CheckpointPolicy {
+            path: path.to_path_buf(),
+            every,
+        }),
+        ..TrainOptions::default()
+    }
+}
+
+fn bit_identical(a: &PlpOutcome, b: &PlpOutcome) -> bool {
+    a.params == b.params
+        && a.ledger == b.ledger
+        && a.summary.epsilon_spent.to_bits() == b.summary.epsilon_spent.to_bits()
 }
 
 /// Injected bucket panics are part of the drill; keep the default hook
@@ -55,19 +76,17 @@ fn main() -> ExitCode {
     let seed = 7u64;
     let mut all_ok = true;
 
-    // Drill 1: kill after step 3, resume from the step-2 checkpoint, and
-    // demand bit-identical parameters, ledger and ε.
+    // Drill 1: kill after step 3, run again with the same policy — which
+    // resumes from the step-2 checkpoint — and demand bit-identical
+    // parameters, ledger and ε.
     println!("== drill 1: kill -9 and resume ==");
     let reference = train_plp_resumable(seed, &prep.train, None, &hp, &TrainOptions::default())
         .expect("reference run");
     let path = scratch("kill.plpc");
+    let policy = checkpointed(&path, 2);
     let crash = TrainOptions {
-        checkpoint: Some(CheckpointPolicy {
-            path: path.clone(),
-            every: 2,
-        }),
         halt_after: Some(3),
-        ..TrainOptions::default()
+        ..policy.clone()
     };
     let interrupted =
         train_plp_resumable(seed, &prep.train, None, &hp, &crash).expect("interrupted run");
@@ -80,19 +99,16 @@ fn main() -> ExitCode {
             interrupted.summary.steps, interrupted.summary.stop_reason
         ),
     );
-    let ckpt = load_checkpoint(&path).expect("load checkpoint");
+    let (ckpt, _) = load_checkpoint(&path).expect("load checkpoint");
     all_ok &= check(
         "checkpoint",
         ckpt.step == 2,
         &format!("newest surviving save is step {}", ckpt.step),
     );
-    let resumed =
-        resume_plp(ckpt, &prep.train, None, &hp, &TrainOptions::default()).expect("resumed run");
+    let resumed = train_plp_resumable(seed, &prep.train, None, &hp, &policy).expect("resumed run");
     all_ok &= check(
         "bit-identity",
-        resumed.params == reference.params
-            && resumed.ledger.entries() == reference.ledger.entries()
-            && resumed.summary.epsilon_spent.to_bits() == reference.summary.epsilon_spent.to_bits(),
+        bit_identical(&resumed, &reference),
         &format!(
             "resumed ε={:.6} vs reference ε={:.6} over {} steps",
             resumed.summary.epsilon_spent, reference.summary.epsilon_spent, resumed.summary.steps
@@ -138,7 +154,9 @@ fn main() -> ExitCode {
     );
 
     // Drill 3: a torn checkpoint write must be caught by the integrity
-    // checks, and the auto-resuming runner must fall back to a fresh run.
+    // checks, and the next run with the same policy must discard the torn
+    // file and start over — on the reference bits, since every variate
+    // derives from `(run_seed, step)`.
     println!("== drill 3: torn checkpoint write ==");
     let torn_path = scratch("torn.plpc");
     let torn = TrainOptions {
@@ -146,11 +164,7 @@ fn main() -> ExitCode {
             truncate_write_rate: 1.0,
             ..FaultPlan::quiet(4)
         }),
-        checkpoint: Some(CheckpointPolicy {
-            path: torn_path.clone(),
-            every: 1,
-        }),
-        ..TrainOptions::default()
+        ..checkpointed(&torn_path, 1)
     };
     train_plp_resumable(seed, &prep.train, None, &hp, &torn).expect("torn run");
     let detected = matches!(
@@ -162,18 +176,21 @@ fn main() -> ExitCode {
         detected,
         "CRC/structure checks rejected the torn file",
     );
-    let point = SweepPoint {
-        method: "PLP λ=4".into(),
-        x: 0.0,
-        hp: hp.clone(),
-        dpsgd: false,
+    let restart = TrainOptions {
+        observer: Observer::with_memory_sink("chaos"),
+        ..checkpointed(&torn_path, 0)
     };
-    let control = RunControl::checkpointed(torn_path.clone(), 0);
-    let recovered = run_point(&prep, &point, seed, &control);
+    let recovered = train_plp_resumable(seed, &prep.train, None, &hp, &restart);
+    let discarded = restart.observer.captured_events().first().cloned();
     all_ok &= check(
         "auto-restart",
-        recovered.as_ref().map(|r| r.steps).unwrap_or(0) == hp.max_steps as u64,
-        &format!("runner restarted from scratch: {recovered:?}"),
+        recovered
+            .as_ref()
+            .is_ok_and(|r| r.telemetry.len() == hp.max_steps && bit_identical(r, &reference))
+            && discarded
+                .as_deref()
+                .is_some_and(|e| e.contains("checkpoint_discarded")),
+        &format!("trainer restarted from scratch on the reference bits after {discarded:?}"),
     );
 
     if all_ok {

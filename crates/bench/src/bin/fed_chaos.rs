@@ -12,12 +12,10 @@
 use std::process::ExitCode;
 
 use plp_bench::runner::Scale;
-use plp_core::checkpoint::load_checkpoint;
 use plp_core::experiment::PreparedData;
 use plp_core::faults::{FaultInjector, FaultPlan};
 use plp_core::plp::{
-    resume_plp_with_executor, train_plp_resumable, train_plp_with_executor, CheckpointPolicy,
-    PlpOutcome, TrainOptions,
+    train_plp_resumable, train_plp_with_executor, CheckpointPolicy, PlpOutcome, TrainOptions,
 };
 use plp_core::CoreError;
 use plp_fed::phase::{FED_SEND, FED_WORKER_ROUND};
@@ -129,36 +127,32 @@ fn main() -> ExitCode {
     );
 
     // Drill 3: coordinator crash. Halt the fed run mid-flight (fleet and
-    // all), restore the ordinary v2 checkpoint on a new coordinator with
-    // new workers, and demand the uninterrupted reference bits.
+    // all), call again with the same checkpoint policy on a new
+    // coordinator with new workers — the run starts from the ordinary
+    // checkpoint — and demand the uninterrupted reference bits.
     println!("== drill 3: coordinator crash and resume ==");
     let dir = std::env::temp_dir().join(format!("plp_fed_chaos_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let ckpt_path = dir.join("coord.plpc");
-    let halted_opts = TrainOptions {
+    let policy = TrainOptions {
         checkpoint: Some(CheckpointPolicy {
-            path: ckpt_path.clone(),
+            path: dir.join("coord.plpc"),
             every: 1,
         }),
-        halt_after: Some(hp.max_steps as u64 / 2),
         ..TrainOptions::default()
+    };
+    let halted_opts = TrainOptions {
+        halt_after: Some(hp.max_steps as u64 / 2),
+        ..policy.clone()
     };
     {
         let mut exec = fed_exec(2, RetryPolicy::default());
         train_plp_with_executor(seed, &prep.train, None, &hp, &halted_opts, &mut exec)
             .expect("halted fed run");
     }
-    let ckpt = load_checkpoint(&ckpt_path).expect("load coordinator checkpoint");
     let mut exec = fed_exec(2, RetryPolicy::default());
-    let resumed = resume_plp_with_executor(
-        ckpt,
-        &prep.train,
-        None,
-        &hp,
-        &TrainOptions::default(),
-        &mut exec,
-    )
-    .expect("resumed fed run");
+    let resumed = train_plp_with_executor(seed, &prep.train, None, &hp, &policy, &mut exec)
+        .expect("resumed fed run");
     all_ok &= check(
         "crash-resume-identity",
         bit_identical(&resumed, &reference),

@@ -24,9 +24,7 @@ use plp_model::params::ModelParams;
 use plp_privacy::planner::max_steps;
 
 use crate::figures::{budget, fig09_settings, Options};
-use crate::runner::{
-    print_header, print_record, run_nonprivate, run_point, RunControl, Scale, SweepPoint,
-};
+use crate::runner::{print_header, print_record, run_nonprivate, run_point, Scale, SweepPoint};
 
 const KS: [usize; 3] = [5, 10, 20];
 
@@ -438,7 +436,7 @@ pub(crate) fn smoke(opts: &Options) -> Result<(), CoreError> {
             hp: hp.clone(),
             dpsgd,
         };
-        print_record(&run_point(&prep, &point, 2, &RunControl::default())?);
+        print_record(&run_point(&prep, &point, 2)?);
     }
 
     let pop = popularity_hit_rate(&token_counts(&prep.train), &prep.test, &KS);

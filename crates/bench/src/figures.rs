@@ -14,7 +14,7 @@ use plp_privacy::PrivacyBudget;
 
 use self::Run::{Custom, Sweep};
 use crate::custom;
-use crate::runner::{drive_sweep, Panel, RunControl, Scale, SweepPoint};
+use crate::runner::{drive_sweep, Panel, Scale, SweepPoint};
 
 /// What one `figures run` was asked for, `--seeds` already defaulted from
 /// the row.
@@ -85,9 +85,8 @@ impl Experiment {
             return f(opts);
         }
         let prep = opts.prepare()?;
-        let control = RunControl::default();
         for panel in self.panels(opts.scale) {
-            drive_sweep(&panel, &prep, opts.seed, opts.seeds, &control)?;
+            drive_sweep(&panel, &prep, opts.seed, opts.seeds)?;
         }
         Ok(())
     }

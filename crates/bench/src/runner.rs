@@ -1,16 +1,13 @@
 //! Experiment runner shared by the `figures` binary and the drills.
 
-use std::path::PathBuf;
-
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-use plp_core::checkpoint::load_checkpoint;
 use plp_core::config::Hyperparameters;
 use plp_core::dpsgd::baseline_hyperparameters;
 use plp_core::experiment::{evaluate, EvalRecord, ExperimentConfig, PreparedData};
 use plp_core::nonprivate::{train_nonprivate, NonPrivateConfig};
-use plp_core::plp::{resume_plp, train_plp_resumable, CheckpointPolicy, TrainOptions};
+use plp_core::plp::train_plp;
 use plp_core::CoreError;
 
 /// Experiment scale: trade fidelity for wall-clock time.
@@ -90,7 +87,7 @@ pub struct SweepPoint {
 /// panels.
 #[derive(Debug, Clone)]
 pub struct Panel {
-    /// Label in the header, the `JSON` payload and checkpoint file names.
+    /// Label in the header and the `JSON` payload.
     pub figure: &'static str,
     /// What the table shows, for the header.
     pub description: &'static str,
@@ -100,77 +97,24 @@ pub struct Panel {
     pub points: Vec<SweepPoint>,
 }
 
-/// Crash-safety knobs for [`run_point`] and [`drive_sweep`]: periodic
-/// checkpointing and automatic resume. The default is the classic
-/// fire-and-forget run.
-#[derive(Debug, Clone, Default)]
-pub struct RunControl {
-    /// Checkpoint file (single points) or directory (sweeps, one file per
-    /// point/rep). `None` disables persistence and resume.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Save a checkpoint every this many steps (0: only at run end).
-    pub checkpoint_every: u64,
-}
-
-impl RunControl {
-    /// Periodic checkpointing to `path` every `every` steps.
-    pub fn checkpointed(path: PathBuf, every: u64) -> Self {
-        RunControl {
-            checkpoint_path: Some(path),
-            checkpoint_every: every,
-        }
-    }
-}
-
-/// Trains one sweep point and evaluates HR@{5,10,20} on the test users.
-/// When the control's checkpoint file holds a valid checkpoint of this
-/// exact configuration, training resumes from it (bit-identical to an
-/// uninterrupted run); a corrupt or torn file is discarded and the run
-/// restarts from scratch.
+/// Trains one sweep point from `seed` and evaluates HR@{5,10,20} on the
+/// test users. The run is not checkpointed: a crash-safe caller hands the
+/// trainer a `CheckpointPolicy`, and the trainer decides where it starts.
 ///
 /// # Errors
-/// Propagates pipeline errors, including [`CoreError::CheckpointMismatch`]
-/// when an existing checkpoint belongs to a *different* configuration —
-/// silently restarting would mask an experiment-setup bug.
+/// Propagates pipeline errors.
 pub fn run_point(
     prep: &PreparedData,
     point: &SweepPoint,
     seed: u64,
-    control: &RunControl,
 ) -> Result<EvalRecord, CoreError> {
     let hp = if point.dpsgd {
         baseline_hyperparameters(&point.hp)
     } else {
         point.hp.clone()
     };
-    // The first draw of the seeded stream is exactly the run seed the
-    // non-resumable `train_plp` would derive, so results stay comparable.
-    let run_seed: u64 = StdRng::seed_from_u64(seed).random();
-    let opts = TrainOptions {
-        checkpoint: control
-            .checkpoint_path
-            .clone()
-            .map(|path| CheckpointPolicy {
-                path,
-                every: control.checkpoint_every,
-            }),
-        ..TrainOptions::default()
-    };
-    let resumable = opts
-        .checkpoint
-        .as_ref()
-        .filter(|p| p.path.exists())
-        .map(|p| &p.path);
-    let outcome = match resumable.map(|path| load_checkpoint(path)) {
-        Some(Ok(ckpt)) => resume_plp(ckpt, &prep.train, None, &hp, &opts)?,
-        Some(Err(CoreError::CheckpointCorrupt { .. })) => {
-            // A torn write from a previous crash: integrity checks caught
-            // it, so start over rather than trust damaged state.
-            train_plp_resumable(run_seed, &prep.train, None, &hp, &opts)?
-        }
-        Some(Err(e)) => return Err(e),
-        None => train_plp_resumable(run_seed, &prep.train, None, &hp, &opts)?,
-    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let outcome = train_plp(&mut rng, &prep.train, None, &hp)?;
     let hit_rates = evaluate(&outcome.params, &prep.test, &[5, 10, 20])?;
     Ok(EvalRecord {
         method: point.method.clone(),
@@ -282,7 +226,7 @@ mod tests {
             hp,
             dpsgd: false,
         };
-        let r = run_point(&prep, &point, 11, &RunControl::default()).unwrap();
+        let r = run_point(&prep, &point, 11).unwrap();
         assert_eq!(r.hit_rates.len(), 3);
         assert_eq!(r.steps, 2);
         assert!(r.epsilon_spent > 0.0);
@@ -294,26 +238,16 @@ mod tests {
 
 /// Runs every point of `panel` (repeating `seeds` times with consecutive
 /// seeds and pooling hits/trials), printing rows as they complete, and
-/// returns the pooled records. When the control names a checkpoint
-/// *directory*, every (point, rep) run checkpoints to its own file in it,
-/// so a rerun resumes each finished point instead of retraining.
+/// returns the pooled records.
 ///
 /// # Errors
-/// Propagates the first pipeline error (already-printed rows are lost
-/// unless checkpointed), plus [`CoreError::Io`] when the checkpoint
-/// directory cannot be created.
+/// Propagates the first pipeline error.
 pub fn drive_sweep(
     panel: &Panel,
     prep: &PreparedData,
     seed: u64,
     seeds: usize,
-    control: &RunControl,
 ) -> Result<Vec<EvalRecord>, CoreError> {
-    if let Some(dir) = &control.checkpoint_path {
-        std::fs::create_dir_all(dir).map_err(|e| CoreError::Io {
-            message: e.to_string(),
-        })?;
-    }
     let figure = panel.figure;
     let base_seed = seed.wrapping_add(panel.seed_offset);
     print_header(figure, panel.description, prep);
@@ -324,14 +258,7 @@ pub fn drive_sweep(
             let seed = base_seed
                 .wrapping_add(1000 + i as u64)
                 .wrapping_add(rep as u64 * 7_919);
-            let point_control = RunControl {
-                checkpoint_path: control
-                    .checkpoint_path
-                    .as_ref()
-                    .map(|dir| dir.join(format!("{figure}-p{i}-r{rep}.plpc"))),
-                checkpoint_every: control.checkpoint_every,
-            };
-            let r = run_point(prep, point, seed, &point_control)?;
+            let r = run_point(prep, point, seed)?;
             pooled = Some(match pooled.take() {
                 None => r,
                 Some(mut acc) => {
@@ -376,36 +303,12 @@ mod drive_tests {
     }
 
     #[test]
-    fn sweep_checkpoints_and_reruns_resume() {
-        let prep = PreparedData::generate(&Scale::Bench.experiment_config(6)).unwrap();
-        let panel = one_point_panel("t2", 2);
-        let dir = std::env::temp_dir().join(format!("plp_sweep_ckpt_{}", std::process::id()));
-        let control = RunControl::checkpointed(dir.clone(), 1);
-        let first = drive_sweep(&panel, &prep, 1, 1, &control).unwrap();
-        assert!(
-            dir.join("t2-p0-r0.plpc").exists(),
-            "sweep must leave a checkpoint"
-        );
-        // A rerun resumes the finished run from its checkpoint and lands
-        // on the same record without retraining.
-        let second = drive_sweep(&panel, &prep, 1, 1, &control).unwrap();
-        assert_eq!(first[0].steps, second[0].steps);
-        assert_eq!(first[0].hit_rates[0].hits, second[0].hit_rates[0].hits);
-        assert_eq!(
-            first[0].epsilon_spent.to_bits(),
-            second[0].epsilon_spent.to_bits(),
-            "resumed ε comes from the same ledger"
-        );
-    }
-
-    #[test]
     fn drive_sweep_pools_seeds() {
         let prep = PreparedData::generate(&Scale::Bench.experiment_config(5)).unwrap();
         let panel = one_point_panel("t", 1);
-        let control = RunControl::default();
-        let recs = drive_sweep(&panel, &prep, 1, 2, &control).unwrap();
+        let recs = drive_sweep(&panel, &prep, 1, 2).unwrap();
         assert_eq!(recs.len(), 1);
-        let single = run_point(&prep, &panel.points[0], 1001, &control).unwrap();
+        let single = run_point(&prep, &panel.points[0], 1001).unwrap();
         assert_eq!(recs[0].hit_rates[0].trials, 2 * single.hit_rates[0].trials);
     }
 }

@@ -1,14 +1,15 @@
 //! Crash-safe training checkpoints.
 //!
-//! A [`TrainingCheckpoint`] captures everything a private training run
-//! needs to resume bit-identically after a crash: the model parameters,
-//! the server-optimizer state (including Adam's moment estimates), the
-//! auditable privacy ledger, the run seed and the number of completed
-//! steps. On disk it is a PLPS container image (`plp_data::frame`): θ and
-//! Adam's `m`, `v` as tensor sections, the scalars and the ledger rows as
-//! word sections. The container supplies the checksums over every byte,
-//! the typed rejection reasons and the atomic writer; this module adds
-//! what only a checkpoint knows:
+//! A [`TrainingCheckpoint`] is a private training run between two steps:
+//! the model parameters, the server optimiser (Adam's moment estimates
+//! included), the run seed and the number of completed steps. The trainer
+//! steps that very value, and a save encodes it where it lies together
+//! with the auditable privacy ledger beside it — everything a run needs to
+//! resume bit-identically after a crash. On disk it is a PLPS container
+//! image (`plp_data::frame`): θ and Adam's `m`, `v` as tensor sections, the
+//! scalars and the ledger rows as word sections. The container supplies the
+//! checksums over every byte, the typed rejection reasons and the atomic
+//! writer; this module adds what only a checkpoint knows:
 //!
 //! * **Config-fingerprinted**: the image carries a fingerprint of the
 //!   hyper-parameters (and vocabulary size) that produced it; a resumed
@@ -35,7 +36,7 @@ use plp_model::ModelError;
 use plp_privacy::accountant::LedgerEntry;
 use plp_privacy::PrivacyLedger;
 
-use crate::config::Hyperparameters;
+use crate::config::{Hyperparameters, ServerOptimizer};
 use crate::error::CoreError;
 
 /// Base section kind of Adam's first-moment triple (θ sits at
@@ -67,64 +68,52 @@ pub const RNG_SCHEME_VERSION: u64 = 2;
 /// silently resume under a different reduction order.
 pub const KERNEL_SCHEME_VERSION: u64 = 2;
 
-/// Server-optimizer state as stored in a checkpoint.
-// A checkpoint holds exactly one of these, so the Sgd/Adam size gap is
-// irrelevant; boxing the moment tensors would only complicate the codec.
-#[allow(clippy::large_enum_variant)]
+/// The server optimiser of a run (Algorithm 1, line 10): the value the
+/// training loop steps and the checkpoint codec reads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ServerState {
+pub enum Server {
     /// Plain averaging server (stateless beyond its rate).
-    Sgd {
-        /// Server learning rate.
-        learning_rate: f64,
-    },
+    Sgd(ServerSgd),
     /// DP-Adam with its full moment state.
-    Adam {
-        /// Step size α.
-        learning_rate: f64,
-        /// First-moment decay β₁.
-        beta1: f64,
-        /// Second-moment decay β₂.
-        beta2: f64,
-        /// Numerical-stability constant ε.
-        eps: f64,
-        /// Steps taken (drives bias correction).
-        t: u64,
-        /// First-moment estimate.
-        m: ModelParams,
-        /// Second-moment estimate.
-        v: ModelParams,
-    },
+    Adam(Box<ServerAdam>),
 }
 
-impl ServerState {
-    /// Captures the state of a live optimizer.
-    pub fn of_sgd(sgd: &ServerSgd) -> Self {
-        ServerState::Sgd {
-            learning_rate: sgd.learning_rate,
-        }
+impl Server {
+    /// The optimiser `opt` names, fresh, for parameters shaped like
+    /// `template`.
+    pub(crate) fn new(opt: ServerOptimizer, template: &ModelParams) -> Result<Self, ModelError> {
+        Ok(match opt {
+            ServerOptimizer::Sgd { learning_rate } => Server::Sgd(ServerSgd::new(learning_rate)?),
+            ServerOptimizer::Adam { learning_rate } => {
+                Server::Adam(Box::new(ServerAdam::new(template, learning_rate)?))
+            }
+        })
     }
 
-    /// Captures the state of a live Adam optimizer.
-    pub fn of_adam(adam: &ServerAdam) -> Self {
-        let (t, m, v) = adam.state();
-        ServerState::Adam {
-            learning_rate: adam.learning_rate,
-            beta1: adam.beta1,
-            beta2: adam.beta2,
-            eps: adam.eps,
-            t,
-            m: m.clone(),
-            v: v.clone(),
+    /// Applies the server update over `threads` workers; both optimisers
+    /// give the same bits for every thread count (the update is
+    /// element-wise).
+    pub(crate) fn step_threaded(
+        &mut self,
+        params: &mut ModelParams,
+        update: &ModelParams,
+        threads: usize,
+    ) -> Result<(), ModelError> {
+        match self {
+            Server::Sgd(s) => s.step_threaded(params, update, threads),
+            Server::Adam(a) => a.step_threaded(params, update, threads),
         }
     }
 }
 
-/// Everything needed to resume a private training run bit-identically.
+/// A private training run between two steps: everything Algorithm 1
+/// carries from one step to the next but the privacy ledger, which sits
+/// beside it — in the trainer's accountant while the run is live, in its
+/// own section on disk — and is the source of truth for ε.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCheckpoint {
-    /// Fingerprint of the configuration that produced this checkpoint
-    /// (see [`config_fingerprint`]).
+    /// Fingerprint of the configuration that produced this run (see
+    /// [`config_fingerprint`]).
     pub fingerprint: u64,
     /// The run's base seed; per-step randomness derives from
     /// `(run_seed, step)`, which is what makes resumption bit-identical.
@@ -133,10 +122,8 @@ pub struct TrainingCheckpoint {
     pub step: u64,
     /// Model parameters after `step` steps.
     pub params: ModelParams,
-    /// Server-optimizer state after `step` steps.
-    pub server: ServerState,
-    /// The auditable privacy ledger — the source of truth for ε.
-    pub ledger: PrivacyLedger,
+    /// The server optimiser after `step` steps.
+    pub server: Server,
 }
 
 /// Fingerprints a training configuration: FNV-1a 64 over the little-endian
@@ -165,33 +152,24 @@ pub fn config_fingerprint(hp: &Hyperparameters, vocab_size: usize) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// Serializes a checkpoint to its container image.
-pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Vec<u8> {
-    let mut meta = vec![ckpt.fingerprint, ckpt.run_seed, ckpt.step];
-    let mut sections = param_sections(&ckpt.params, KIND_EMBEDDING).to_vec();
-    match &ckpt.server {
-        ServerState::Sgd { learning_rate } => {
-            meta.extend([SERVER_SGD, learning_rate.to_bits()]);
-        }
-        ServerState::Adam {
-            learning_rate,
-            beta1,
-            beta2,
-            eps,
-            t,
-            m,
-            v,
-        } => {
-            let scalars = [learning_rate, beta1, beta2, eps].map(|x| x.to_bits());
+/// Serializes a run and its privacy ledger to a checkpoint image, reading
+/// both where they lie.
+pub fn encode_checkpoint(run: &TrainingCheckpoint, ledger: &PrivacyLedger) -> Vec<u8> {
+    let mut meta = vec![run.fingerprint, run.run_seed, run.step];
+    let mut sections = param_sections(&run.params, KIND_EMBEDDING).to_vec();
+    match &run.server {
+        Server::Sgd(sgd) => meta.extend([SERVER_SGD, sgd.learning_rate.to_bits()]),
+        Server::Adam(adam) => {
+            let (t, m, v) = adam.state();
+            let scalars = [adam.learning_rate, adam.beta1, adam.beta2, adam.eps];
             meta.push(SERVER_ADAM);
-            meta.extend(scalars);
-            meta.push(*t);
+            meta.extend(scalars.map(f64::to_bits));
+            meta.push(t);
             sections.extend(param_sections(m, KIND_ADAM_M));
             sections.extend(param_sections(v, KIND_ADAM_V));
         }
     }
-    let ledger: Vec<u64> = ckpt
-        .ledger
+    let ledger: Vec<u64> = ledger
         .entries()
         .iter()
         .flat_map(|e| [e.q.to_bits(), e.noise_multiplier.to_bits(), e.steps])
@@ -201,21 +179,22 @@ pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Vec<u8> {
     frame::encode(&sections, 0, 0)
 }
 
-/// Decodes and integrity-checks a checkpoint image.
+/// Decodes and integrity-checks a checkpoint image into the run and its
+/// privacy ledger.
 ///
 /// # Errors
 /// [`CoreError::CheckpointCorrupt`] with the container's typed reason on
 /// any truncation, bad or legacy magic, CRC mismatch, missing or
-/// mis-shaped section, non-finite tensor, invalid ledger entry, or a step
-/// count disagreeing with the ledger.
-pub fn decode_checkpoint(image: Vec<u8>) -> Result<TrainingCheckpoint, CoreError> {
+/// mis-shaped section, non-finite tensor, invalid server state or ledger
+/// entry, or a step count disagreeing with the ledger.
+pub fn decode_checkpoint(image: Vec<u8>) -> Result<(TrainingCheckpoint, PrivacyLedger), CoreError> {
     decode(image).map_err(|e| match e {
         ModelError::Snapshot(e) => CoreError::CheckpointCorrupt(e),
         other => CoreError::Model(other),
     })
 }
 
-fn decode(image: Vec<u8>) -> Result<TrainingCheckpoint, ModelError> {
+fn decode(image: Vec<u8>) -> Result<(TrainingCheckpoint, PrivacyLedger), ModelError> {
     // Checksums hold but the content cannot be resumed.
     let inconsistent = |what| ModelError::Snapshot(SnapshotError::Inconsistent { what });
     let snap = PlpsSnapshot::from_bytes(image)?;
@@ -230,24 +209,19 @@ fn decode(image: Vec<u8>) -> Result<TrainingCheckpoint, ModelError> {
     let params = tensors(KIND_EMBEDDING)?;
     let meta = snap.words(KIND_META, 1)?;
     let float = |i: usize| f64::from_bits(meta[i]);
+    let invalid = |_| inconsistent("invalid server state");
     let server = match meta.get(3) {
-        Some(&SERVER_SGD) if meta.len() == 5 => ServerState::Sgd {
-            learning_rate: float(4),
-        },
+        Some(&SERVER_SGD) if meta.len() == 5 => {
+            Server::Sgd(ServerSgd::new(float(4)).map_err(invalid)?)
+        }
         Some(&SERVER_ADAM) if meta.len() == 9 => {
             let (m, v) = (tensors(KIND_ADAM_M)?, tensors(KIND_ADAM_V)?);
             if !params.same_shape(&m) || !params.same_shape(&v) {
                 return Err(inconsistent("Adam moment shapes differ from θ"));
             }
-            ServerState::Adam {
-                learning_rate: float(4),
-                beta1: float(5),
-                beta2: float(6),
-                eps: float(7),
-                t: meta[8],
-                m,
-                v,
-            }
+            let (lr, beta1, beta2, eps) = (float(4), float(5), float(6), float(7));
+            let adam = ServerAdam::from_state(lr, beta1, beta2, eps, meta[8], m, v);
+            Server::Adam(Box::new(adam.map_err(invalid)?))
         }
         _ => return Err(inconsistent("unknown server state")),
     };
@@ -266,14 +240,14 @@ fn decode(image: Vec<u8>) -> Result<TrainingCheckpoint, ModelError> {
     if ledger.total_steps() != meta[2] {
         return Err(inconsistent("step count disagrees with ledger"));
     }
-    Ok(TrainingCheckpoint {
+    let run = TrainingCheckpoint {
         fingerprint: meta[0],
         run_seed: meta[1],
         step: meta[2],
         params,
         server,
-        ledger,
-    })
+    };
+    Ok((run, ledger))
 }
 
 /// Reads and integrity-checks a checkpoint from `path`.
@@ -281,7 +255,7 @@ fn decode(image: Vec<u8>) -> Result<TrainingCheckpoint, ModelError> {
 /// # Errors
 /// [`CoreError::Io`] on filesystem failures, [`CoreError::CheckpointCorrupt`]
 /// on a damaged file.
-pub fn load_checkpoint(path: &Path) -> Result<TrainingCheckpoint, CoreError> {
+pub fn load_checkpoint(path: &Path) -> Result<(TrainingCheckpoint, PrivacyLedger), CoreError> {
     let image = fs::read(path).map_err(|e| CoreError::Io {
         message: e.to_string(),
     })?;

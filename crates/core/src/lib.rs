@@ -29,12 +29,13 @@
 //! figure bench. [`attacks`] evaluates the membership-inference threat the
 //! paper's DP guarantee is meant to blunt.
 //!
-//! Training is crash-safe: [`checkpoint`] turns a
-//! [`checkpoint::TrainingCheckpoint`] into an image of the one artifact
-//! container (`plp_data::frame`: checksummed, written atomically),
-//! [`plp::resume_plp`] restores it bit-identically (ε recomputed from the
-//! restored ledger), and [`faults`] provides the deterministic fault
-//! injector used by the robustness drills.
+//! Training is crash-safe: the loop steps a
+//! [`checkpoint::TrainingCheckpoint`], which [`checkpoint`] turns into an
+//! image of the one artifact container (`plp_data::frame`: checksummed,
+//! written atomically); a run given a [`plp::CheckpointPolicy`] starts from
+//! that file when it holds the same run and resumes bit-identically (ε
+//! recomputed from the restored ledger); and [`faults`] provides the
+//! deterministic fault injector used by the robustness drills.
 //!
 //! Training is also observable: pass a `plp_obs::Observer` in
 //! [`plp::TrainOptions`] to get per-phase latency histograms
@@ -43,8 +44,8 @@
 //! [`telemetry::RunSummary::epsilon_spent`] at run end), stop-reason and
 //! skipped-bucket counters, and a JSONL event stream (`run_start`,
 //! `step`, `skipped_buckets`, `checkpoint_saved`, `checkpoint_resumed`,
-//! `run_end`). The default observer is inert, and an enabled one never
-//! changes what training computes.
+//! `checkpoint_discarded`, `run_end`). The default observer is inert, and
+//! an enabled one never changes what training computes.
 
 pub mod attacks;
 pub mod checkpoint;
@@ -61,7 +62,7 @@ pub mod telemetry;
 pub use config::{Hyperparameters, ServerOptimizer};
 pub use error::CoreError;
 pub use plp::{
-    resume_plp, resume_plp_with_executor, train_plp, train_plp_resumable, train_plp_with_executor,
-    BucketExecutor, BucketRunner, BucketUpdate, CheckpointPolicy, LocalExecutor, PlpOutcome,
-    StepScratch, TrainOptions, UpdateSink,
+    train_plp, train_plp_resumable, train_plp_with_executor, BucketExecutor, BucketRunner,
+    BucketUpdate, CheckpointPolicy, LocalExecutor, PlpOutcome, StepScratch, TrainOptions,
+    UpdateSink,
 };

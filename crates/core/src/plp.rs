@@ -21,12 +21,14 @@
 //!
 //! # Crash safety and degraded modes
 //!
-//! The loop is structured around a resumable [`TrainerState`]: all
-//! per-step randomness derives from `(run_seed, step)`, so a run resumed
-//! from a checkpoint is bit-identical to one that never crashed. With a
-//! [`CheckpointPolicy`] installed, the trainer atomically persists a
-//! [`TrainingCheckpoint`] every `every` steps; ε is always recomputed from
-//! the restored privacy ledger, never trusted from a cached value.
+//! The loop steps a [`TrainingCheckpoint`] beside the moments accountant:
+//! all per-step randomness derives from `(run_seed, step)`, so a run
+//! resumed from a checkpoint is bit-identical to one that never crashed.
+//! With a [`CheckpointPolicy`] installed, the trainer starts from the
+//! policy's file when it holds this run (see [`train_plp_with_executor`])
+//! and atomically persists the run there every `every` steps; ε is always
+//! recomputed from the restored privacy ledger, never trusted from a cached
+//! value.
 //!
 //! Buckets whose delta comes back non-finite, or whose worker panics, are
 //! dropped from the Gaussian sum *before* noising. Each clipped bucket
@@ -37,6 +39,7 @@
 //! training with [`StopReason::Diverged`] after accounting the aborted
 //! step conservatively (the step is paid for but its update discarded).
 
+use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -54,7 +57,6 @@ use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowDelta, RowJournal};
 use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::negative::NegativeSampler;
-use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens, TrainScratch};
 use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
@@ -64,7 +66,9 @@ use plp_privacy::mechanism::GaussianMechanism;
 use plp_privacy::PrivacyLedger;
 use serde_json::json;
 
-use crate::checkpoint::{config_fingerprint, encode_checkpoint, ServerState, TrainingCheckpoint};
+use crate::checkpoint::{
+    config_fingerprint, decode_checkpoint, encode_checkpoint, Server, TrainingCheckpoint,
+};
 use crate::config::{Hyperparameters, ServerOptimizer};
 use crate::error::CoreError;
 use crate::faults::FaultInjector;
@@ -99,7 +103,8 @@ pub struct CheckpointPolicy {
 pub struct TrainOptions {
     /// Fault injector (inert by default).
     pub faults: FaultInjector,
-    /// Checkpointing policy; `None` disables persistence.
+    /// Checkpointing policy; `None` disables persistence. A run with a
+    /// policy also starts from its file ([`train_plp_with_executor`]).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Stop with [`StopReason::Interrupted`] after this many *total*
     /// completed steps — a deterministic stand-in for `kill -9` in crash
@@ -602,7 +607,7 @@ impl BucketRunner {
 
 /// The seam between the training loop and whoever computes bucket updates.
 ///
-/// [`run_loop`]-based trainers own everything *around* the buckets —
+/// [`train_plp_with_executor`] owns everything *around* the buckets —
 /// sampling, grouping, noise, the server update, accounting and
 /// checkpointing — and delegate only lines 7–8 of Algorithm 1 through this
 /// trait. An executor must produce, for the given `(θ, buckets, step_seed,
@@ -717,168 +722,107 @@ impl BucketExecutor for LocalExecutor {
     }
 }
 
-enum Server {
-    Sgd(ServerSgd),
-    Adam(Box<ServerAdam>),
-}
-
-impl Server {
-    fn new(opt: ServerOptimizer, template: &ModelParams) -> Result<Self, CoreError> {
-        Ok(match opt {
-            ServerOptimizer::Sgd { learning_rate } => Server::Sgd(ServerSgd::new(learning_rate)?),
-            ServerOptimizer::Adam { learning_rate } => {
-                Server::Adam(Box::new(ServerAdam::new(template, learning_rate)?))
-            }
-        })
-    }
-
-    fn snapshot(&self) -> ServerState {
-        match self {
-            Server::Sgd(s) => ServerState::of_sgd(s),
-            Server::Adam(a) => ServerState::of_adam(a),
-        }
-    }
-
-    fn restore(opt: ServerOptimizer, state: ServerState) -> Result<Self, CoreError> {
-        match (opt, state) {
-            (ServerOptimizer::Sgd { .. }, ServerState::Sgd { learning_rate }) => {
-                Ok(Server::Sgd(ServerSgd::new(learning_rate)?))
-            }
-            (
-                ServerOptimizer::Adam { .. },
-                ServerState::Adam {
-                    learning_rate,
-                    beta1,
-                    beta2,
-                    eps,
-                    t,
-                    m,
-                    v,
-                },
-            ) => Ok(Server::Adam(Box::new(ServerAdam::from_state(
-                learning_rate,
-                beta1,
-                beta2,
-                eps,
-                t,
-                m,
-                v,
-            )?))),
-            _ => Err(CoreError::CheckpointMismatch {
-                what: "server optimizer kind",
-            }),
-        }
-    }
-
-    /// Applies the server update over `threads` workers; both optimisers
-    /// give the same bits for every thread count (the update is
-    /// element-wise).
-    fn step_threaded(
-        &mut self,
-        params: &mut ModelParams,
-        update: &ModelParams,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        match self {
-            Server::Sgd(s) => s.step_threaded(params, update, threads)?,
-            Server::Adam(a) => a.step_threaded(params, update, threads)?,
-        }
-        Ok(())
-    }
-}
-
-/// The complete mutable state of a private training run between steps.
-struct TrainerState {
-    fingerprint: u64,
+/// Where a run starts — the one place that decides it (the policy is
+/// spelled out on [`train_plp_with_executor`]): the run in the checkpoint
+/// policy's file when that file holds this very run, otherwise a fresh run
+/// at step 0. A resumed accountant is rebuilt from the restored ledger —
+/// the ledger, not any cached number, is the source of truth for ε.
+fn start(
     run_seed: u64,
-    step: u64,
-    params: ModelParams,
-    server: Server,
-    accountant: MomentsAccountant,
+    train: &TokenizedDataset,
+    hp: &Hyperparameters,
+    opts: &TrainOptions,
+) -> Result<(TrainingCheckpoint, MomentsAccountant), CoreError> {
+    let fingerprint = config_fingerprint(hp, train.vocab_size);
+    let image = match opts.checkpoint.as_ref().map(|p| std::fs::read(&p.path)) {
+        Some(Ok(image)) => Some(image),
+        Some(Err(e)) if e.kind() != ErrorKind::NotFound => {
+            return Err(CoreError::Io {
+                message: e.to_string(),
+            })
+        }
+        _ => None,
+    };
+    match image.map(decode_checkpoint) {
+        Some(Ok((run, ledger))) => {
+            let same_server = matches!(
+                (&run.server, hp.server_optimizer),
+                (Server::Sgd(_), ServerOptimizer::Sgd { .. })
+                    | (Server::Adam(_), ServerOptimizer::Adam { .. })
+            );
+            // `max_steps` is inside the fingerprint, so no honest checkpoint
+            // is past it — and the accountant replays one composition per
+            // claimed step, so an absurd claim must stop before it.
+            let refusal = [
+                (
+                    run.fingerprint != fingerprint,
+                    "hyperparameters or vocabulary differ from the checkpointed run",
+                ),
+                (
+                    run.params.vocab_size() != train.vocab_size
+                        || run.params.dim() != hp.embedding_dim,
+                    "parameter shape",
+                ),
+                (
+                    run.run_seed != run_seed,
+                    "run seed differs from the checkpointed run",
+                ),
+                (
+                    run.step > hp.max_steps as u64,
+                    "checkpoint step exceeds max_steps",
+                ),
+                (!same_server, "server optimizer kind"),
+            ];
+            if let Some(&(_, what)) = refusal.iter().find(|(refused, _)| *refused) {
+                return Err(CoreError::CheckpointMismatch { what });
+            }
+            let accountant = MomentsAccountant::from_ledger(hp.budget.delta, ledger)?;
+            opts.observer.emit(
+                "checkpoint_resumed",
+                json!({ "step": run.step, "run_seed": run.run_seed }),
+            );
+            return Ok((run, accountant));
+        }
+        // A torn or damaged save: start over. Every variate derives from
+        // `(run_seed, step)`, so the restarted run retraces the lost steps
+        // with the same draws (DESIGN §8.3) and the first save replaces it.
+        Some(Err(CoreError::CheckpointCorrupt(e))) => {
+            opts.observer
+                .emit("checkpoint_discarded", json!({ "reason": e.kind() }));
+        }
+        Some(Err(e)) => return Err(e),
+        None => {}
+    }
+    let params = ModelParams::init(
+        &mut step_rng(run_seed, 0),
+        train.vocab_size,
+        hp.embedding_dim,
+    )?;
+    let server = Server::new(hp.server_optimizer, &params)?;
+    let run = TrainingCheckpoint {
+        fingerprint,
+        run_seed,
+        step: 0,
+        params,
+        server,
+    };
+    Ok((run, MomentsAccountant::new(hp.budget.delta)?))
 }
 
-impl TrainerState {
-    /// Step-0 state of a fresh run.
-    fn fresh(
-        run_seed: u64,
-        train: &TokenizedDataset,
-        hp: &Hyperparameters,
-    ) -> Result<Self, CoreError> {
-        let fingerprint = config_fingerprint(hp, train.vocab_size);
-        let mut init_rng = step_rng(run_seed, 0);
-        let params = ModelParams::init(&mut init_rng, train.vocab_size, hp.embedding_dim)?;
-        let server = Server::new(hp.server_optimizer, &params)?;
-        let accountant = MomentsAccountant::new(hp.budget.delta)?;
-        Ok(TrainerState {
-            fingerprint,
-            run_seed,
-            step: 0,
-            params,
-            server,
-            accountant,
-        })
-    }
-
-    /// Rehydrates a run from a checkpoint, refusing configuration drift.
-    /// ε is recomputed from the restored ledger — the ledger, not any
-    /// cached number, is the source of truth for the privacy spend.
-    fn from_checkpoint(
-        ckpt: TrainingCheckpoint,
-        train: &TokenizedDataset,
-        hp: &Hyperparameters,
-    ) -> Result<Self, CoreError> {
-        let fingerprint = config_fingerprint(hp, train.vocab_size);
-        if fingerprint != ckpt.fingerprint {
-            return Err(CoreError::CheckpointMismatch {
-                what: "hyperparameters or vocabulary differ from the checkpointed run",
-            });
-        }
-        if ckpt.params.vocab_size() != train.vocab_size || ckpt.params.dim() != hp.embedding_dim {
-            return Err(CoreError::CheckpointMismatch {
-                what: "parameter shape",
-            });
-        }
-        // `max_steps` is inside the fingerprint just matched, so no honest
-        // checkpoint is past it — and the accountant below replays one
-        // composition per claimed step, so an absurd claim must stop here.
-        if ckpt.step > hp.max_steps as u64 {
-            return Err(CoreError::CheckpointMismatch {
-                what: "checkpoint step exceeds max_steps",
-            });
-        }
-        let server = Server::restore(hp.server_optimizer, ckpt.server)?;
-        let accountant = MomentsAccountant::from_ledger(hp.budget.delta, ckpt.ledger)?;
-        Ok(TrainerState {
-            fingerprint,
-            run_seed: ckpt.run_seed,
-            step: ckpt.step,
-            params: ckpt.params,
-            server,
-            accountant,
-        })
-    }
-
-    fn checkpoint(&self) -> TrainingCheckpoint {
-        TrainingCheckpoint {
-            fingerprint: self.fingerprint,
-            run_seed: self.run_seed,
-            step: self.step,
-            params: self.params.clone(),
-            server: self.server.snapshot(),
-            ledger: self.accountant.ledger().clone(),
-        }
-    }
-
-    /// Serializes and atomically persists the current state, routing the
-    /// bytes through the fault injector (which may simulate a torn or
-    /// bit-flipped write).
-    fn persist(&self, policy: &CheckpointPolicy, faults: &FaultInjector) -> Result<(), CoreError> {
-        let image = encode_checkpoint(&self.checkpoint());
-        let (image, _corrupted) = faults.corrupt_checkpoint_bytes(self.step, image);
-        write_atomic(&policy.path, &image).map_err(|e| CoreError::Io {
-            message: e.to_string(),
-        })
-    }
+/// Serializes `run` and its ledger where they lie and atomically persists
+/// the image, routing the bytes through the fault injector (which may
+/// simulate a torn or bit-flipped write).
+fn persist(
+    run: &TrainingCheckpoint,
+    ledger: &PrivacyLedger,
+    policy: &CheckpointPolicy,
+    faults: &FaultInjector,
+) -> Result<(), CoreError> {
+    let image = encode_checkpoint(run, ledger);
+    let (image, _corrupted) = faults.corrupt_checkpoint_bytes(run.step, image);
+    write_atomic(&policy.path, &image).map_err(|e| CoreError::Io {
+        message: e.to_string(),
+    })
 }
 
 /// Trains a skip-gram model on `train` under user-level (ε, δ)-DP.
@@ -905,7 +849,7 @@ pub fn train_plp<R: Rng + ?Sized>(
 /// no crash.
 ///
 /// # Errors
-/// As [`train_plp`], plus [`CoreError::Io`] on checkpoint-write failures.
+/// As [`train_plp_with_executor`].
 pub fn train_plp_resumable(
     run_seed: u64,
     train: &TokenizedDataset,
@@ -914,77 +858,6 @@ pub fn train_plp_resumable(
     opts: &TrainOptions,
 ) -> Result<PlpOutcome, CoreError> {
     train_plp_with_executor(run_seed, train, validation, hp, opts, &mut LocalExecutor)
-}
-
-/// [`train_plp_resumable`] with an explicit [`BucketExecutor`] — the entry
-/// point distributed trainers build on. With [`LocalExecutor`] this *is*
-/// `train_plp_resumable`.
-///
-/// # Errors
-/// As [`train_plp_resumable`], plus whatever the executor surfaces.
-pub fn train_plp_with_executor(
-    run_seed: u64,
-    train: &TokenizedDataset,
-    validation: Option<&TokenizedDataset>,
-    hp: &Hyperparameters,
-    opts: &TrainOptions,
-    executor: &mut dyn BucketExecutor,
-) -> Result<PlpOutcome, CoreError> {
-    hp.validate()?;
-    check_dataset(train)?;
-    let state = TrainerState::fresh(run_seed, train, hp)?;
-    run_loop(state, train, validation, hp, opts, executor)
-}
-
-/// Resumes a run from a decoded checkpoint. The result (parameters,
-/// ledger, ε) is bit-identical to the uninterrupted run with the same
-/// seed; telemetry covers only the steps executed after resumption.
-///
-/// # Errors
-/// [`CoreError::CheckpointMismatch`] when `hp`/`train` differ from the
-/// checkpointed configuration; otherwise as [`train_plp_resumable`].
-pub fn resume_plp(
-    ckpt: TrainingCheckpoint,
-    train: &TokenizedDataset,
-    validation: Option<&TokenizedDataset>,
-    hp: &Hyperparameters,
-    opts: &TrainOptions,
-) -> Result<PlpOutcome, CoreError> {
-    resume_plp_with_executor(ckpt, train, validation, hp, opts, &mut LocalExecutor)
-}
-
-/// [`resume_plp`] with an explicit [`BucketExecutor`]: a coordinator that
-/// crashed mid-run restores the v2 checkpoint and continues distributing
-/// buckets, bit-identical to the uninterrupted run.
-///
-/// # Errors
-/// As [`resume_plp`], plus whatever the executor surfaces.
-pub fn resume_plp_with_executor(
-    ckpt: TrainingCheckpoint,
-    train: &TokenizedDataset,
-    validation: Option<&TokenizedDataset>,
-    hp: &Hyperparameters,
-    opts: &TrainOptions,
-    executor: &mut dyn BucketExecutor,
-) -> Result<PlpOutcome, CoreError> {
-    hp.validate()?;
-    check_dataset(train)?;
-    let state = TrainerState::from_checkpoint(ckpt, train, hp)?;
-    opts.observer.emit(
-        "checkpoint_resumed",
-        json!({ "step": state.step, "run_seed": state.run_seed }),
-    );
-    run_loop(state, train, validation, hp, opts, executor)
-}
-
-fn check_dataset(train: &TokenizedDataset) -> Result<(), CoreError> {
-    if train.vocab_size < 2 {
-        return Err(CoreError::BadConfig {
-            name: "train.vocab_size",
-            expected: ">= 2",
-        });
-    }
-    Ok(())
 }
 
 /// Per-step privacy-budget burn telemetry: ε after the step, the step's
@@ -1018,14 +891,47 @@ fn emit_privacy_burn(
     Ok(())
 }
 
-fn run_loop(
-    mut state: TrainerState,
+/// [`train_plp_resumable`] with an explicit [`BucketExecutor`] — the entry
+/// point distributed trainers build on. With [`LocalExecutor`] this *is*
+/// `train_plp_resumable`.
+///
+/// With a [`CheckpointPolicy`], the run starts where its file says:
+/// * no file: a fresh run at step 0;
+/// * a checkpoint of this run — same fingerprint and run seed, at most
+///   `max_steps` steps — resumes bit-identically to the uninterrupted run
+///   and emits `checkpoint_resumed`; telemetry covers only the steps run
+///   after it, so a finished run's checkpoint trains none and returns the
+///   same outcome;
+/// * a damaged file is discarded: the run starts at step 0, emits
+///   `checkpoint_discarded` with the container's `kind()` tag, and
+///   overwrites the file at its first save — bit-identical too, as every
+///   variate derives from `(run_seed, step)`.
+///
+/// # Errors
+/// Configuration, data, model, privacy and executor errors propagate. A
+/// model is always returned on `Ok`, even if zero steps fit in the budget.
+/// [`CoreError::CheckpointMismatch`], with the file left untouched, when
+/// the policy's file holds another run: other hyper-parameters or
+/// vocabulary, another shape or run seed, or more than `max_steps` steps.
+/// [`CoreError::Io`] when the file cannot be read or a save fails.
+pub fn train_plp_with_executor(
+    run_seed: u64,
     train: &TokenizedDataset,
     validation: Option<&TokenizedDataset>,
     hp: &Hyperparameters,
     opts: &TrainOptions,
     executor: &mut dyn BucketExecutor,
 ) -> Result<PlpOutcome, CoreError> {
+    hp.validate()?;
+    if train.vocab_size < 2 {
+        return Err(CoreError::BadConfig {
+            name: "train.vocab_size",
+            expected: ">= 2",
+        });
+    }
+    // The run between steps and, beside it, the accountant holding its
+    // ledger: what a save encodes, read where they lie.
+    let (mut state, mut accountant) = start(run_seed, train, hp, opts)?;
     let num_users = train.num_users();
     let omega = hp.split_factor;
     // The Gaussian sum query's mechanism: noise std σ·(Cω) — sensitivity
@@ -1057,7 +963,7 @@ fn run_loop(
     let g_order = obs.gauge("plp_privacy_rdp_order");
     let c_steps = obs.counter("plp_train_steps_total");
     let c_skipped = obs.counter("plp_train_skipped_buckets_total");
-    let mut prev_eps = state.accountant.epsilon()?;
+    let mut prev_eps = accountant.epsilon()?;
     g_eps_budget.set(hp.budget.epsilon);
     g_delta.set(hp.budget.delta);
     g_step.set(state.step as f64);
@@ -1075,9 +981,8 @@ fn run_loop(
 
     while state.step < hp.max_steps as u64 {
         // Peek: would this step overshoot the budget?
-        let eps_next = state
-            .accountant
-            .epsilon_after_hypothetical_step(hp.sampling_prob, hp.noise_multiplier)?;
+        let eps_next =
+            accountant.epsilon_after_hypothetical_step(hp.sampling_prob, hp.noise_multiplier)?;
         if eps_next >= hp.budget.epsilon {
             stop_reason = StopReason::BudgetExhausted;
             break;
@@ -1205,18 +1110,9 @@ fn run_loop(
         // Line 11: ledger tracking. The effective noise multiplier stays σ
         // for any ω: noise std σCω over sensitivity ωC.
         let t_acct = phases.start(phase::ACCOUNTANT, in_step, step);
-        state
-            .accountant
-            .step(hp.sampling_prob, hp.noise_multiplier)?;
+        accountant.step(hp.sampling_prob, hp.noise_multiplier)?;
         drop(t_acct);
-        emit_privacy_burn(
-            obs,
-            &g_burn,
-            &g_order,
-            step,
-            &mut prev_eps,
-            &state.accountant,
-        )?;
+        emit_privacy_burn(obs, &g_burn, &g_order, step, &mut prev_eps, &accountant)?;
         state.step = step;
 
         let validation_hr10 = match validation {
@@ -1250,13 +1146,13 @@ fn run_loop(
             } else {
                 clipped as f64 / survivors as f64
             },
-            epsilon_spent: state.accountant.epsilon()?,
+            epsilon_spent: accountant.epsilon()?,
             wall_ms: step_start.elapsed().as_secs_f64() * 1e3,
             validation_hr10,
         });
         c_steps.inc();
         g_step.set(step as f64);
-        g_eps_spent.set(state.accountant.epsilon()?);
+        g_eps_spent.set(accountant.epsilon()?);
         if skipped > 0 {
             c_skipped.add(skipped as u64);
             obs.emit(
@@ -1279,7 +1175,7 @@ fn run_loop(
         if let Some(policy) = &opts.checkpoint {
             if policy.every > 0 && step.is_multiple_of(policy.every) {
                 let t_ckpt = phases.start(phase::CHECKPOINT, in_step, step);
-                state.persist(policy, &opts.faults)?;
+                persist(&state, accountant.ledger(), policy, &opts.faults)?;
                 drop(t_ckpt);
                 obs.emit("checkpoint_saved", json!({ "step": step }));
             }
@@ -1298,15 +1194,15 @@ fn run_loop(
         if let Some(policy) = &opts.checkpoint {
             // Outside any step, so outside any trace: series only.
             let t_ckpt = phases.start(phase::CHECKPOINT, None, state.step);
-            state.persist(policy, &opts.faults)?;
+            persist(&state, accountant.ledger(), policy, &opts.faults)?;
             drop(t_ckpt);
             obs.emit("checkpoint_saved", json!({ "step": state.step }));
         }
     }
 
     let summary = RunSummary {
-        steps: state.accountant.steps(),
-        epsilon_spent: state.accountant.epsilon()?,
+        steps: accountant.steps(),
+        epsilon_spent: accountant.epsilon()?,
         delta: hp.budget.delta,
         total_wall_ms: run_start.elapsed().as_secs_f64() * 1e3,
         stop_reason,
@@ -1322,7 +1218,7 @@ fn run_loop(
         params: state.params,
         telemetry,
         summary,
-        ledger: state.accountant.ledger().clone(),
+        ledger: accountant.ledger().clone(),
     })
 }
 
@@ -1367,10 +1263,51 @@ mod tests {
         }
     }
 
+    /// An empty scratch directory: whatever an earlier process with the
+    /// same pid left there is removed first, so no test resumes a stale run.
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("plp_{}_{}", name, std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Options that checkpoint to `path` every `every` steps — and so also
+    /// start from it.
+    fn checkpointed(path: &std::path::Path, every: u64) -> TrainOptions {
+        TrainOptions {
+            checkpoint: Some(CheckpointPolicy {
+                path: path.to_path_buf(),
+                every,
+            }),
+            ..TrainOptions::default()
+        }
+    }
+
+    /// Parameters, ledger and ε agree to the bit.
+    fn assert_same_run(got: &PlpOutcome, want: &PlpOutcome) {
+        assert_eq!(got.params, want.params, "parameters must be bit-identical");
+        assert_eq!(got.ledger, want.ledger);
+        assert_eq!(
+            got.summary.epsilon_spent.to_bits(),
+            want.summary.epsilon_spent.to_bits(),
+            "ε recomputed from the restored ledger must match exactly"
+        );
+        assert_eq!(got.summary.steps, want.summary.steps);
+    }
+
+    /// The `kind` of every event the observer captured, in order.
+    fn event_kinds(obs: &Observer) -> Vec<String> {
+        obs.captured_events()
+            .iter()
+            .map(|line| {
+                let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                match &v.as_object().unwrap()["kind"] {
+                    serde_json::Value::Str(kind) => kind.clone(),
+                    other => panic!("kind must be a string, got {other:?}"),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -1589,35 +1526,23 @@ mod tests {
         assert_eq!(full.summary.stop_reason, StopReason::MaxSteps);
 
         // Same run, checkpointed every 2 steps and "killed" after step 3:
-        // the newest surviving checkpoint is from step 2, so resumption
-        // must re-execute step 3 and still land on identical bits.
+        // the newest surviving checkpoint is from step 2, so the second
+        // call with the same policy must re-execute step 3 and still land
+        // on identical bits.
+        let opts = checkpointed(&path, 2);
         let crash_opts = TrainOptions {
-            checkpoint: Some(CheckpointPolicy {
-                path: path.clone(),
-                every: 2,
-            }),
             halt_after: Some(3),
-            ..TrainOptions::default()
+            ..opts.clone()
         };
         let interrupted = train_plp_resumable(seed, &ds, None, &hp, &crash_opts).unwrap();
         assert_eq!(interrupted.summary.stop_reason, StopReason::Interrupted);
         assert_eq!(interrupted.summary.steps, 3);
 
-        let ckpt = load_checkpoint(&path).unwrap();
+        let (ckpt, _) = load_checkpoint(&path).unwrap();
         assert_eq!(ckpt.step, 2, "kill at 3 leaves the step-2 checkpoint");
-        let resumed = resume_plp(ckpt, &ds, None, &hp, &TrainOptions::default()).unwrap();
+        let resumed = train_plp_resumable(seed, &ds, None, &hp, &opts).unwrap();
 
-        assert_eq!(
-            resumed.params, full.params,
-            "parameters must be bit-identical"
-        );
-        assert_eq!(resumed.ledger.entries(), full.ledger.entries());
-        assert_eq!(
-            resumed.summary.epsilon_spent.to_bits(),
-            full.summary.epsilon_spent.to_bits(),
-            "ε recomputed from the restored ledger must match exactly"
-        );
-        assert_eq!(resumed.summary.steps, full.summary.steps);
+        assert_same_run(&resumed, &full);
         assert_eq!(
             resumed.telemetry.len(),
             3,
@@ -1645,57 +1570,59 @@ mod tests {
         // Crash a single-threaded run mid-training...
         let mut hp1 = fast_hp();
         hp1.threads = 1;
+        let opts = checkpointed(&path, 2);
         let crash_opts = TrainOptions {
-            checkpoint: Some(CheckpointPolicy {
-                path: path.clone(),
-                every: 2,
-            }),
             halt_after: Some(3),
-            ..TrainOptions::default()
+            ..opts.clone()
         };
         let interrupted = train_plp_resumable(seed, &ds, None, &hp1, &crash_opts).unwrap();
         assert_eq!(interrupted.summary.stop_reason, StopReason::Interrupted);
 
         // ...and resume it at threads=4.
-        let ckpt = load_checkpoint(&path).unwrap();
-        assert_eq!(ckpt.step, 2);
-        let resumed = resume_plp(ckpt, &ds, None, &hp4, &TrainOptions::default()).unwrap();
-
-        assert_eq!(
-            resumed.params, full.params,
-            "resume at a different thread count must stay on the same bits"
-        );
-        assert_eq!(resumed.ledger.entries(), full.ledger.entries());
-        assert_eq!(
-            resumed.summary.epsilon_spent.to_bits(),
-            full.summary.epsilon_spent.to_bits()
-        );
+        assert_eq!(load_checkpoint(&path).unwrap().0.step, 2);
+        let resumed = train_plp_resumable(seed, &ds, None, &hp4, &opts).unwrap();
+        assert_same_run(&resumed, &full);
     }
 
     #[test]
     fn resume_refuses_mismatched_config() {
         let ds = tiny_dataset(20);
         let hp = fast_hp();
-        let dir = scratch_dir("mismatch");
-        let path = dir.join("run.plpc");
-        let opts = TrainOptions {
-            checkpoint: Some(CheckpointPolicy {
-                path: path.clone(),
-                every: 2,
-            }),
+        let path = scratch_dir("mismatch").join("run.plpc");
+        let opts = checkpointed(&path, 2);
+        let crash_opts = TrainOptions {
             halt_after: Some(2),
-            ..TrainOptions::default()
+            ..opts.clone()
         };
-        train_plp_resumable(3, &ds, None, &hp, &opts).unwrap();
-        let ckpt = load_checkpoint(&path).unwrap();
+        train_plp_resumable(3, &ds, None, &hp, &crash_opts).unwrap();
+        let saved = std::fs::read(&path).unwrap();
 
+        // Another configuration, and the same configuration under another
+        // run seed: both are another run, refused before a step is taken,
+        // and the file they were refused on is left as it was.
         let mut other = hp.clone();
         other.noise_multiplier += 0.5;
-        let err = resume_plp(ckpt, &ds, None, &other, &TrainOptions::default());
-        assert!(
-            matches!(err, Err(CoreError::CheckpointMismatch { .. })),
-            "resuming under different hyperparameters must be refused, got {err:?}"
-        );
+        for (seed, config, what) in [(3, &other, "hyperparameters"), (4, &hp, "run seed")] {
+            let err = train_plp_resumable(seed, &ds, None, config, &opts);
+            assert!(
+                matches!(err, Err(CoreError::CheckpointMismatch { what: w }) if w.contains(what)),
+                "a foreign {what} must be refused, got {err:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), saved, "{what}");
+        }
+    }
+
+    #[test]
+    fn finished_checkpoint_trains_no_further_steps() {
+        let ds = tiny_dataset(20);
+        let hp = fast_hp();
+        let opts = checkpointed(&scratch_dir("finished").join("run.plpc"), 2);
+        let first = train_plp_resumable(8, &ds, None, &hp, &opts).unwrap();
+        assert_eq!(first.summary.stop_reason, StopReason::MaxSteps);
+        let again = train_plp_resumable(8, &ds, None, &hp, &opts).unwrap();
+        assert_same_run(&again, &first);
+        assert_eq!(again.summary.stop_reason, StopReason::MaxSteps);
+        assert!(again.telemetry.is_empty(), "no step runs twice");
     }
 
     #[test]
@@ -1775,19 +1702,8 @@ mod tests {
             obs.counter("plp_train_skipped_buckets_total").get(),
             t.skipped_buckets as u64
         );
-        let kinds: Vec<String> = obs
-            .captured_events()
-            .iter()
-            .map(|line| {
-                let v: serde_json::Value = serde_json::from_str(line).unwrap();
-                match &v.as_object().unwrap()["kind"] {
-                    serde_json::Value::Str(kind) => kind.clone(),
-                    other => panic!("kind must be a string, got {other:?}"),
-                }
-            })
-            .collect();
         assert_eq!(
-            kinds,
+            event_kinds(obs),
             [
                 "run_start",
                 "privacy_burn",
@@ -1802,26 +1718,39 @@ mod tests {
     fn corrupted_checkpoint_write_is_detected_on_load() {
         let ds = tiny_dataset(20);
         let hp = fast_hp();
-        let dir = scratch_dir("corrupt_write");
-        let path = dir.join("run.plpc");
-        let faults = FaultInjector::with_plan(FaultPlan {
-            truncate_write_rate: 1.0,
-            ..FaultPlan::quiet(4)
-        });
-        let opts = TrainOptions {
-            faults,
-            checkpoint: Some(CheckpointPolicy {
-                path: path.clone(),
-                every: 1,
+        let path = scratch_dir("corrupt_write").join("run.plpc");
+        let opts = checkpointed(&path, 1);
+        let torn = TrainOptions {
+            faults: FaultInjector::with_plan(FaultPlan {
+                truncate_write_rate: 1.0,
+                ..FaultPlan::quiet(4)
             }),
-            ..TrainOptions::default()
+            ..opts.clone()
         };
-        train_plp_resumable(5, &ds, None, &hp, &opts).unwrap();
+        train_plp_resumable(5, &ds, None, &hp, &torn).unwrap();
         let err = load_checkpoint(&path);
         assert!(
             matches!(err, Err(CoreError::CheckpointCorrupt { .. })),
             "a torn write must fail integrity checks, got {err:?}"
         );
+
+        // The next call with the same policy discards the torn file, starts
+        // over on the uncheckpointed run's bits and replaces the file.
+        let restarted = TrainOptions {
+            observer: Observer::with_memory_sink("restart"),
+            ..opts
+        };
+        let out = train_plp_resumable(5, &ds, None, &hp, &restarted).unwrap();
+        let plain = train_plp_resumable(5, &ds, None, &hp, &TrainOptions::default()).unwrap();
+        assert_same_run(&out, &plain);
+        assert_eq!(out.telemetry.len(), hp.max_steps, "started at step 0");
+        assert_eq!(
+            event_kinds(&restarted.observer)[..2],
+            ["checkpoint_discarded", "run_start"]
+        );
+        let discarded = &restarted.observer.captured_events()[0];
+        assert!(discarded.contains("truncated_"), "{discarded}");
+        assert_eq!(load_checkpoint(&path).unwrap().0.step, out.summary.steps);
     }
 
     #[test]
@@ -1893,11 +1822,7 @@ mod tests {
         hp.eval_every = 2;
         let opts = TrainOptions {
             observer: Observer::new("gauges"),
-            checkpoint: Some(CheckpointPolicy {
-                path: scratch_dir("gauges").join("run.plpc"),
-                every: 2,
-            }),
-            ..TrainOptions::default()
+            ..checkpointed(&scratch_dir("gauges").join("run.plpc"), 2)
         };
         let out = train_plp_resumable(13, &ds, Some(&val), &hp, &opts).unwrap();
 
@@ -2021,26 +1946,21 @@ mod tests {
         let ds = tiny_dataset(24);
         let hp = fast_hp();
         let dir = scratch_dir("obs_resume");
-        let path = dir.join("run.plpc");
+        let opts = checkpointed(&dir.join("run.plpc"), 2);
         let log = dir.join("events.jsonl");
 
         let crash_opts = TrainOptions {
-            checkpoint: Some(CheckpointPolicy {
-                path: path.clone(),
-                every: 2,
-            }),
             halt_after: Some(3),
             observer: Observer::with_jsonl_file("crash", &log).unwrap(),
-            ..TrainOptions::default()
+            ..opts.clone()
         };
         train_plp_resumable(42, &ds, None, &hp, &crash_opts).unwrap();
 
-        let ckpt = load_checkpoint(&path).unwrap();
         let resume_opts = TrainOptions {
             observer: Observer::with_jsonl_file("resume", &log).unwrap(),
-            ..TrainOptions::default()
+            ..opts
         };
-        resume_plp(ckpt, &ds, None, &hp, &resume_opts).unwrap();
+        train_plp_resumable(42, &ds, None, &hp, &resume_opts).unwrap();
 
         let text = std::fs::read_to_string(&log).unwrap();
         let mut kinds = Vec::new();
@@ -2416,11 +2336,7 @@ mod tests {
             hp.threads = threads;
             let opts = TrainOptions {
                 observer: Observer::new("traced"),
-                checkpoint: Some(CheckpointPolicy {
-                    path: scratch_dir("traced").join(format!("run{threads}.plpc")),
-                    every: 2,
-                }),
-                ..TrainOptions::default()
+                ..checkpointed(&scratch_dir("traced").join("run.plpc"), 2)
             };
             let tracer = opts
                 .observer

@@ -8,7 +8,7 @@
 //! loop around the seam is the very same code the single-process trainer
 //! runs and bucket updates are pure functions of `(θ, bucket, step_seed,
 //! index)`, the distributed run is **bit-identical** — parameters, RDP
-//! ledger and ε — to `train_plp` on one process.
+//! ledger and ε — to `train_plp_resumable` on one process.
 //!
 //! Robustness is the point, not an afterthought:
 //!
@@ -22,7 +22,8 @@
 //!   DP-safe skipped-bucket semantics — fixed `q·W/λ` denominator,
 //!   unchanged σ and RDP charge ([`coordinator`]),
 //! - coordinator crash recovery via the ordinary training checkpoint
-//!   (resume with a `FedExecutor` and the run continues bit-exact).
+//!   (call again with the same `CheckpointPolicy` and a fresh
+//!   `FedExecutor`, and the run continues bit-exact).
 //!
 //! Worker-level fault injection (stalls, mid-round exits, corrupted and
 //! duplicated reply frames) lives in `plp_core::faults` and is hosted by

@@ -8,13 +8,9 @@
 
 use std::path::PathBuf;
 
-use plp_core::checkpoint::load_checkpoint;
 use plp_core::faults::{FaultInjector, FaultPlan};
 use plp_core::plp::CheckpointPolicy;
-use plp_core::{
-    resume_plp_with_executor, train_plp_resumable, train_plp_with_executor, Hyperparameters,
-    TrainOptions,
-};
+use plp_core::{train_plp_resumable, train_plp_with_executor, Hyperparameters, TrainOptions};
 use plp_data::checkin::UserId;
 use plp_data::dataset::{TokenizedDataset, UserSequences};
 use plp_fed::phase::{FED_BUCKET, FED_ROUND, FED_SEND, FED_WORKER_ROUND};
@@ -69,8 +65,11 @@ fn fast_hp() -> Hyperparameters {
     }
 }
 
+/// An empty scratch directory: whatever an earlier process with the same
+/// pid left there is removed first, so no test resumes a stale run.
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("plp_fed_{}_{}", name, std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -320,14 +319,16 @@ fn coordinator_crash_resumes_bit_identically_with_fresh_workers() {
     let reference = train_plp_resumable(44, &ds, None, &hp, &TrainOptions::default()).unwrap();
 
     let dir = scratch_dir("resume");
-    let ckpt_path = dir.join("fed.plpc");
-    let halted_opts = TrainOptions {
+    let policy = TrainOptions {
         checkpoint: Some(CheckpointPolicy {
-            path: ckpt_path.clone(),
+            path: dir.join("fed.plpc"),
             every: 1,
         }),
-        halt_after: Some(2),
         ..TrainOptions::default()
+    };
+    let halted_opts = TrainOptions {
+        halt_after: Some(2),
+        ..policy.clone()
     };
     // "Coordinator crash": the halted run's executor (and its worker
     // fleet) is dropped with the run mid-flight.
@@ -337,13 +338,11 @@ fn coordinator_crash_resumes_bit_identically_with_fresh_workers() {
         assert_eq!(halted.summary.steps, 2);
     }
 
-    // A brand-new coordinator restores the ordinary v2 checkpoint and
-    // finishes the run on a brand-new worker fleet.
-    let ckpt = load_checkpoint(&ckpt_path).unwrap();
+    // A brand-new coordinator, called with the same policy, starts from the
+    // ordinary checkpoint and finishes the run on a brand-new worker fleet.
     let mut exec = FedExecutor::new(fed_config(2, RetryPolicy::default())).unwrap();
-    let resumed =
-        resume_plp_with_executor(ckpt, &ds, None, &hp, &TrainOptions::default(), &mut exec)
-            .unwrap();
+    let resumed = train_plp_with_executor(44, &ds, None, &hp, &policy, &mut exec).unwrap();
+    assert_eq!(resumed.telemetry.len(), 2, "steps 3 and 4 only");
 
     assert_eq!(resumed.params, reference.params, "resume changed the bits");
     assert_eq!(resumed.ledger, reference.ledger);

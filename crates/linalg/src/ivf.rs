@@ -133,8 +133,9 @@ impl Default for IvfBuildParams {
     }
 }
 
-/// Reusable buffers for [`IvfIndex::search_into`], so serving workers run
-/// the probe + re-rank without allocating in steady state.
+/// Reusable buffers for [`IvfIndex::probe_cells`] and its re-ranks, so
+/// serving workers run the probe + re-rank without allocating in steady
+/// state.
 #[derive(Debug, Default)]
 pub struct IvfScratch {
     centroid_scores: Vec<f64>,
@@ -323,81 +324,11 @@ impl IvfIndex {
         &self.lists[c]
     }
 
-    /// Approximate top-`k`: probes the `nprobe` cells whose centroids best
-    /// match `profile`, re-scores every member row exactly, masks excluded
-    /// rows `NaN` (the shared exclusion sentinel) and selects through the
-    /// shared top-k heap. `out` receives `(row, score)` pairs, best first;
-    /// scores are bit-identical to what the exhaustive scan computes for
-    /// those rows. With `nprobe >= cells` the result equals the exhaustive
-    /// scan exactly.
-    ///
-    /// # Errors
-    /// `ShapeMismatch` when `embedding` does not match the build shape or
-    /// `profile` is not `dim` long; `InvalidArgument` when `nprobe` is 0.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_into(
-        &self,
-        embedding: &Matrix,
-        profile: &[f64],
-        k: usize,
-        nprobe: usize,
-        exclude: &[usize],
-        scratch: &mut IvfScratch,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<(), LinalgError> {
-        if embedding.rows() != self.rows || embedding.cols() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "ivf search embedding",
-                left: embedding.rows(),
-                right: self.rows,
-            });
-        }
-        if profile.len() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "ivf search profile",
-                left: profile.len(),
-                right: self.dim(),
-            });
-        }
-        self.probe_cells(profile, nprobe, scratch)?;
-        self.rerank_probed(embedding, profile, k, exclude, scratch, out);
-        Ok(())
-    }
-
-    /// [`IvfIndex::search_into`] through the int8 coarse pass: probe, then
-    /// [`IvfIndex::rerank_probed_quantized`]. Returns the shortlist stats.
-    /// For any `nprobe` the output is bit-identical to the unquantized
-    /// search over the same probed cells; at `nprobe >= cells` it equals
-    /// the exhaustive scan exactly.
-    ///
-    /// # Errors
-    /// Same conditions as [`IvfIndex::search_into`], plus `ShapeMismatch`
-    /// when `quant` was built over a different index or embedding shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_quantized_into(
-        &self,
-        quant: &IvfQuant,
-        embedding: &Matrix,
-        profile: &[f64],
-        k: usize,
-        nprobe: usize,
-        overfetch: usize,
-        exclude: &[usize],
-        scratch: &mut IvfScratch,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<QuantRerankStats, LinalgError> {
-        self.probe_cells(profile, nprobe, scratch)?;
-        self.rerank_probed_quantized(
-            quant, embedding, profile, k, overfetch, exclude, scratch, out,
-        )
-    }
-
-    /// Stage 1 of [`IvfIndex::search_into`]: ranks centroids against
+    /// Stage 1 of an approximate top-`k` search: ranks centroids against
     /// `profile` and selects the top-`nprobe` cells into the scratch
     /// probe list (ties by lower cell id, like every selection in this
-    /// workspace). Split out so callers can time the probe and re-rank
-    /// stages separately; the composition is byte-for-byte the old
-    /// monolithic search.
+    /// workspace). Stage 2 is [`IvfIndex::rerank_probed`] or
+    /// [`IvfIndex::rerank_probed_quantized`]; callers time the two apart.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `profile` is not `dim`-long,
@@ -434,11 +365,15 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Stage 2 of [`IvfIndex::search_into`]: gathers the members of the
-    /// cells selected by [`IvfIndex::probe_cells`] and exactly re-ranks
-    /// them with the fixed-reduction-order dot kernel. Excluded rows
-    /// keep the NaN sentinel so the selection's exclusion contract is
-    /// untouched. Requires a prior `probe_cells` on the same scratch.
+    /// Stage 2 of an approximate top-`k` search: gathers the members of
+    /// the cells selected by [`IvfIndex::probe_cells`] and exactly re-ranks
+    /// them with the fixed-reduction-order dot kernel, masking excluded
+    /// rows `NaN` (the shared exclusion sentinel) and selecting through the
+    /// shared top-k heap. `out` receives `(row, score)` pairs, best first,
+    /// with the scores the exhaustive scan computes for those rows; with
+    /// every cell probed the result equals the exhaustive scan exactly.
+    /// Requires a prior `probe_cells` on the same scratch and `embedding`
+    /// of the build shape (the caller checks it: this pass is unchecked).
     pub fn rerank_probed(
         &self,
         embedding: &Matrix,
@@ -1350,16 +1285,9 @@ mod tests {
             let exclude: Vec<usize> = (0..rng.random_range(0usize..5))
                 .map(|_| rng.random_range(0..80))
                 .collect();
-            idx.search_into(
-                &emb,
-                &profile,
-                k,
-                idx.cells(),
-                &exclude,
-                &mut scratch,
-                &mut out,
-            )
-            .unwrap();
+            idx.probe_cells(&profile, idx.cells(), &mut scratch)
+                .unwrap();
+            idx.rerank_probed(&emb, &profile, k, &exclude, &mut scratch, &mut out);
             let expected = exhaustive(&emb, &profile, k, &exclude);
             assert_eq!(out.len(), expected.len());
             for (got, want) in out.iter().zip(&expected) {
@@ -1383,14 +1311,13 @@ mod tests {
         let mut scratch = IvfScratch::new();
         let mut out = Vec::new();
         // A query along +x with one probe must return only x-cluster rows.
-        idx.search_into(&emb, &[1.0, 0.0], 5, 1, &[], &mut scratch, &mut out)
-            .unwrap();
+        idx.probe_cells(&[1.0, 0.0], 1, &mut scratch).unwrap();
+        idx.rerank_probed(&emb, &[1.0, 0.0], 5, &[], &mut scratch, &mut out);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|&(r, _)| r < 20), "{out:?}");
         // Exclusion inside the shortlist is honoured.
         let banned: Vec<usize> = out.iter().map(|&(r, _)| r).collect();
-        idx.search_into(&emb, &[1.0, 0.0], 5, 1, &banned, &mut scratch, &mut out)
-            .unwrap();
+        idx.rerank_probed(&emb, &[1.0, 0.0], 5, &banned, &mut scratch, &mut out);
         assert!(out.iter().all(|&(r, _)| !banned.contains(&r)));
     }
 
@@ -1412,8 +1339,8 @@ mod tests {
         .unwrap();
         let mut scratch = IvfScratch::new();
         let mut out = Vec::new();
-        idx.search_into(&emb, &dup, 2, idx.cells(), &[], &mut scratch, &mut out)
-            .unwrap();
+        idx.probe_cells(&dup, idx.cells(), &mut scratch).unwrap();
+        idx.rerank_probed(&emb, &dup, 2, &[], &mut scratch, &mut out);
         let expected = exhaustive(&emb, &dup, 2, &[]);
         assert_eq!(out, expected);
         assert_eq!(out[0].0, 0, "tie breaks to the lower row id");
@@ -1433,19 +1360,25 @@ mod tests {
         .unwrap();
         let mut scratch = IvfScratch::new();
         let mut out = Vec::new();
+        assert!(idx.probe_cells(&[0.0; 4], 1, &mut scratch).is_err());
+        assert!(idx.probe_cells(&[0.0; 3], 0, &mut scratch).is_err());
+        // nprobe beyond cells clamps instead of failing.
+        idx.probe_cells(&[0.0; 3], 99, &mut scratch).unwrap();
+        // The checked re-rank refuses an embedding of another shape.
+        let quant = IvfQuant::build(&emb, &idx).unwrap();
         let wrong_rows = random_embedding(13, 3, 8);
         assert!(idx
-            .search_into(&wrong_rows, &[0.0; 3], 2, 1, &[], &mut scratch, &mut out)
+            .rerank_probed_quantized(
+                &quant,
+                &wrong_rows,
+                &[0.0; 3],
+                2,
+                4,
+                &[],
+                &mut scratch,
+                &mut out
+            )
             .is_err());
-        assert!(idx
-            .search_into(&emb, &[0.0; 4], 2, 1, &[], &mut scratch, &mut out)
-            .is_err());
-        assert!(idx
-            .search_into(&emb, &[0.0; 3], 2, 0, &[], &mut scratch, &mut out)
-            .is_err());
-        // nprobe beyond cells clamps instead of failing.
-        idx.search_into(&emb, &[0.0; 3], 2, 99, &[], &mut scratch, &mut out)
-            .unwrap();
     }
 
     #[test]
@@ -1524,18 +1457,9 @@ mod tests {
         let quant = IvfQuant::build(&emb, &idx).unwrap();
         let mut scratch = IvfScratch::new();
         let mut out = Vec::new();
+        other.probe_cells(&[0.0; 4], 1, &mut scratch).unwrap();
         assert!(other
-            .search_quantized_into(
-                &quant,
-                &emb,
-                &[0.0; 4],
-                2,
-                1,
-                4,
-                &[],
-                &mut scratch,
-                &mut out
-            )
+            .rerank_probed_quantized(&quant, &emb, &[0.0; 4], 2, 4, &[], &mut scratch, &mut out)
             .is_err());
     }
 
@@ -1566,23 +1490,15 @@ mod tests {
             let exclude: Vec<usize> = (0..rng.random_range(0usize..5))
                 .map(|_| rng.random_range(0..80))
                 .collect();
-            idx.search_into(
-                &emb,
-                &profile,
-                k,
-                nprobe,
-                &exclude,
-                &mut scratch,
-                &mut exact,
-            )
-            .unwrap();
+            // One probe feeds both re-ranks: they see the same cells.
+            idx.probe_cells(&profile, nprobe, &mut scratch).unwrap();
+            idx.rerank_probed(&emb, &profile, k, &exclude, &mut scratch, &mut exact);
             let stats = idx
-                .search_quantized_into(
+                .rerank_probed_quantized(
                     &quant,
                     &emb,
                     &profile,
                     k,
-                    nprobe,
                     overfetch,
                     &exclude,
                     &mut scratch,
@@ -1623,18 +1539,10 @@ mod tests {
         for _ in 0..50 {
             let angle = rng.random::<f64>() * std::f64::consts::FRAC_PI_2;
             let profile = [angle.cos(), angle.sin()];
-            idx.search_quantized_into(
-                &quant,
-                &emb,
-                &profile,
-                10,
-                idx.cells(),
-                3,
-                &[],
-                &mut scratch,
-                &mut out,
-            )
-            .unwrap();
+            idx.probe_cells(&profile, idx.cells(), &mut scratch)
+                .unwrap();
+            idx.rerank_probed_quantized(&quant, &emb, &profile, 10, 3, &[], &mut scratch, &mut out)
+                .unwrap();
             let expected = exhaustive(&emb, &profile, 10, &[]);
             let want: Vec<usize> = expected.iter().map(|&(r, _)| r).collect();
             hits += out.iter().filter(|&&(r, _)| want.contains(&r)).count();
@@ -1661,13 +1569,14 @@ mod tests {
         let quant = IvfQuant::build(&emb, &idx).unwrap();
         let mut scratch = IvfScratch::new();
         let mut out = Vec::new();
+        idx.probe_cells(&[1.0, 0.0], idx.cells(), &mut scratch)
+            .unwrap();
         let stats = idx
-            .search_quantized_into(
+            .rerank_probed_quantized(
                 &quant,
                 &emb,
                 &[1.0, 0.0],
                 10,
-                idx.cells(),
                 2,
                 &[],
                 &mut scratch,
@@ -1769,8 +1678,8 @@ mod determinism_props {
                 .collect();
             let mut scratch = IvfScratch::new();
             let mut out = Vec::new();
-            idx.search_into(&emb, &profile, k, cells, &exclude, &mut scratch, &mut out)
-                .unwrap();
+            idx.probe_cells(&profile, cells, &mut scratch).unwrap();
+            idx.rerank_probed(&emb, &profile, k, &exclude, &mut scratch, &mut out);
             let mut scores = emb.matvec(&profile).unwrap();
             for &e in &exclude {
                 if e < scores.len() {
@@ -1810,8 +1719,9 @@ mod determinism_props {
                 .collect();
             let mut scratch = IvfScratch::new();
             let mut out = Vec::new();
-            idx.search_quantized_into(
-                &quant, &emb, &profile, k, cells, overfetch, &exclude, &mut scratch, &mut out,
+            idx.probe_cells(&profile, cells, &mut scratch).unwrap();
+            idx.rerank_probed_quantized(
+                &quant, &emb, &profile, k, overfetch, &exclude, &mut scratch, &mut out,
             ).unwrap();
             let mut scores = emb.matvec(&profile).unwrap();
             for &e in &exclude {
@@ -1842,8 +1752,10 @@ mod determinism_props {
             let profile: Vec<f64> = (0..dim).map(|i| 0.3 * (i as f64 + 1.0)).collect();
             let mut scratch = IvfScratch::new();
             let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-            a.search_into(&emb, &profile, 5, nprobe, &[], &mut scratch, &mut out_a).unwrap();
-            b.search_into(&emb, &profile, 5, nprobe, &[], &mut scratch, &mut out_b).unwrap();
+            a.probe_cells(&profile, nprobe, &mut scratch).unwrap();
+            a.rerank_probed(&emb, &profile, 5, &[], &mut scratch, &mut out_a);
+            b.probe_cells(&profile, nprobe, &mut scratch).unwrap();
+            b.rerank_probed(&emb, &profile, 5, &[], &mut scratch, &mut out_b);
             prop_assert_eq!(out_a, out_b);
         }
     }

@@ -142,12 +142,8 @@ impl ServerAdam {
         })
     }
 
-    /// Number of steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The internal optimiser state `(t, m, v)`, for checkpointing.
+    /// The internal optimiser state `(t, m, v)` — steps taken and the two
+    /// moment estimates — for checkpointing.
     pub fn state(&self) -> (u64, &ModelParams, &ModelParams) {
         (self.t, &self.m, &self.v)
     }
@@ -286,7 +282,7 @@ mod tests {
         let mut adam = ServerAdam::new(&p, 0.01).unwrap();
         let u = delta(2, 2, 0.5);
         adam.step_threaded(&mut p, &u, 1).unwrap();
-        assert_eq!(adam.steps(), 1);
+        assert_eq!(adam.state().0, 1);
         let x = p.embedding.get(0, 0);
         assert!((x - 0.01).abs() < 1e-6, "first step {x}");
     }
@@ -338,7 +334,7 @@ mod tests {
         adam.step_threaded(&mut p, &u, 1).unwrap();
         restored.step_threaded(&mut p2, &u, 1).unwrap();
         assert_eq!(p, p2, "restored optimizer must continue bit-identically");
-        assert_eq!(adam.steps(), restored.steps());
+        assert_eq!(adam.state().0, restored.state().0);
     }
 
     fn ragged_delta(vocab: usize, dim: usize) -> ModelParams {
@@ -416,7 +412,7 @@ mod tests {
         assert!(sgd.step_threaded(&mut p, &wrong, 4).is_err());
         let mut adam = ServerAdam::new(&p, 0.1).unwrap();
         assert!(adam.step_threaded(&mut p, &wrong, 4).is_err());
-        assert_eq!(adam.steps(), 0, "failed step must not be counted");
+        assert_eq!(adam.state().0, 0, "failed step must not be counted");
         let mut u = ModelParams::zeros(2, 2);
         u.bias[0] = f64::NAN;
         assert!(matches!(

@@ -274,17 +274,23 @@ impl Recommender {
         nprobe: usize,
         scratch: &mut RecommendScratch,
     ) -> Result<Vec<usize>, ModelError> {
+        // The exact re-rank reads rows by the index's ids unchecked.
+        if index.rows() != self.vocab_size() || index.dim() != self.dim() {
+            return Err(ModelError::ShapeMismatch {
+                what: "ivf index built over another embedding",
+            });
+        }
         scratch.profile.resize(self.dim(), 0.0);
         self.profile_into(recent, &mut scratch.profile)?;
-        index.search_into(
+        index.probe_cells(&scratch.profile, nprobe, &mut scratch.ivf)?;
+        index.rerank_probed(
             &self.embedding,
             &scratch.profile,
             k,
-            nprobe,
             exclude,
             &mut scratch.ivf,
             &mut scratch.ranked,
-        )?;
+        );
         Ok(scratch.ranked.iter().map(|&(i, _)| i).collect())
     }
 
@@ -323,12 +329,12 @@ impl Recommender {
     ) -> Result<(Vec<usize>, QuantRerankStats), ModelError> {
         scratch.profile.resize(self.dim(), 0.0);
         self.profile_into(recent, &mut scratch.profile)?;
-        let stats = index.search_quantized_into(
+        index.probe_cells(&scratch.profile, nprobe, &mut scratch.ivf)?;
+        let stats = index.rerank_probed_quantized(
             quant,
             &self.embedding,
             &scratch.profile,
             k,
-            nprobe,
             overfetch,
             exclude,
             &mut scratch.ivf,

@@ -714,9 +714,10 @@ impl BatchEngine {
                 let q = &queries[qi];
                 let seq = base + qi as u64;
                 let profile = &scratch.profiles[slot * dim..(slot + 1) * dim];
-                // The probe / re-rank split exists so the two IVF stages
-                // are separately attributable; together they are exactly
-                // `search_into` (or its quantized twin).
+                // The two IVF stages, timed apart: the probe, then the
+                // exact or int8 re-rank — the same composition as
+                // `Recommender::recommend_indexed_into` (or its quantized
+                // form), so both paths give the same answers.
                 let t_probe = phases
                     .start(phase::IVF_PROBE, in_search, seq)
                     .arg("nprobe", ann.nprobe as u64);

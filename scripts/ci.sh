@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
-# one-fan-out, four-binaries, no-deployed-copy and no-map-in-the-SGNS-loop
-# grep gates, build, the full test suite (and the vectorised kernels', the
+# one-fan-out, four-binaries, no-deployed-copy, no-map-in-the-SGNS-loop and
+# one-start grep gates, build, the full test suite (and the vectorised kernels', the
 # fan-out's, the server update's, the noise pass's, the batch-gradient
 # replay's, the rank-counting evaluator's, the streaming reduction's and the
 # serving engine's identity tests again in release mode, with the allocation
@@ -76,6 +76,17 @@ echo "== sparse-row gate (the SGNS loop holds no map) =="
 # map here means a second sparse-row type beside journal::DeltaRows is back.
 if git grep -nE 'BTreeMap|BTreeSet' -- crates/model/src/grad.rs crates/model/src/loss.rs crates/model/src/train.rs; then
   echo "crates/model/src/{grad,loss,train}.rs must not use BTreeMap or BTreeSet"
+  exit 1
+fi
+
+echo "== one-start gate (a run starts where its checkpoint is) =="
+# The trainer's checkpoint policy decides where a run starts and the loop
+# steps the very state a save encodes; a resume entry point, a caller-side
+# resume switch or a second state type means both are being forked again.
+# The IVF search twins compose the probe and re-rank stages callers already
+# make.
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, or probe_cells + rerank_probed*"
   exit 1
 fi
 

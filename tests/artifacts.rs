@@ -5,7 +5,8 @@
 //! `plp_data::frame`; here each damaged image goes through the loader its
 //! kind really uses, so the semantic checks behind the checksums are
 //! covered too. Also pins the serving bundle's bytes to the digest they
-//! had before the container was generalised.
+//! had before the container was generalised, and the checkpoints' bytes to
+//! the digests they had before the trainer's state types were merged.
 
 use std::sync::OnceLock;
 
@@ -14,16 +15,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dp_nextloc::core::checkpoint::{
-    config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, ServerState,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, Server,
     TrainingCheckpoint,
 };
-use dp_nextloc::core::plp::{resume_plp, TrainOptions};
+use dp_nextloc::core::plp::{train_plp_resumable, CheckpointPolicy, TrainOptions};
 use dp_nextloc::core::{CoreError, Hyperparameters, ServerOptimizer};
 use dp_nextloc::data::dataset::TokenizedDataset;
 use dp_nextloc::data::frame::{self, fnv1a64, Words};
 use dp_nextloc::data::{io, CheckIn, CheckInDataset, DataError, GeoPoint, LocationId, Poi};
 use dp_nextloc::linalg::Matrix;
-use dp_nextloc::model::optimizer::ServerAdam;
+use dp_nextloc::model::optimizer::{ServerAdam, ServerSgd};
 use dp_nextloc::model::plps::{self, PlpsSnapshot};
 use dp_nextloc::model::{ModelError, ModelParams, Recommender};
 use dp_nextloc::privacy::PrivacyLedger;
@@ -94,7 +95,7 @@ fn params() -> ModelParams {
     ModelParams::init(&mut rng, VOCAB, DIM).unwrap()
 }
 
-fn checkpoint(adam: bool) -> TrainingCheckpoint {
+fn checkpoint(adam: bool) -> (TrainingCheckpoint, PrivacyLedger) {
     let params = params();
     let server = if adam {
         let mut opt = ServerAdam::new(&params, 0.01).unwrap();
@@ -102,23 +103,28 @@ fn checkpoint(adam: bool) -> TrainingCheckpoint {
         direction.bias[1] = 0.125;
         opt.step_threaded(&mut params.clone(), &direction, 1)
             .unwrap();
-        ServerState::of_adam(&opt)
+        Server::Adam(Box::new(opt))
     } else {
-        ServerState::Sgd { learning_rate: 0.5 }
+        Server::Sgd(ServerSgd::new(0.5).unwrap())
     };
     let mut ledger = PrivacyLedger::new();
     for _ in 0..6 {
         ledger.track(0.06, 2.5).unwrap();
     }
     ledger.track(0.08, 2.5).unwrap();
-    TrainingCheckpoint {
+    let run = TrainingCheckpoint {
         fingerprint: 0xDEAD_BEEF_F00D_CAFE,
         run_seed: 42,
         step: 7,
         params,
         server,
-        ledger,
-    }
+    };
+    (run, ledger)
+}
+
+fn checkpoint_image(adam: bool) -> Vec<u8> {
+    let (run, ledger) = checkpoint(adam);
+    encode_checkpoint(&run, &ledger)
 }
 
 fn dataset() -> CheckInDataset {
@@ -158,16 +164,8 @@ fn kinds() -> &'static [Kind] {
         vec![
             ("bundle", bundle, open_bundle),
             ("params", full, open_params),
-            (
-                "checkpoint-sgd",
-                encode_checkpoint(&checkpoint(false)),
-                open_checkpoint,
-            ),
-            (
-                "checkpoint-adam",
-                encode_checkpoint(&checkpoint(true)),
-                open_checkpoint,
-            ),
+            ("checkpoint-sgd", checkpoint_image(false), open_checkpoint),
+            ("checkpoint-adam", checkpoint_image(true), open_checkpoint),
             ("dataset", io::encode_binary(&dataset()), open_dataset),
         ]
     })
@@ -369,6 +367,9 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
         assert_inconsistent(name, "unknown server state", |s| {
             words_of(s, KIND_META).pop();
         });
+        assert_inconsistent(name, "invalid server state", |s| {
+            words_of(s, KIND_META)[4] = f64::NAN.to_bits();
+        });
         assert_inconsistent(name, "absent", |s| {
             s.retain(|(kind, ..)| *kind != KIND_LEDGER);
         });
@@ -399,8 +400,9 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
 
     // A consistent claim of 2⁶⁰ steps decodes — nothing in the image
     // contradicts it — but resuming would replay the accountant one
-    // composition per step: the trainer must refuse it against the run's
-    // `max_steps`, at once and typed, under an otherwise matching config.
+    // composition per step: a run whose checkpoint policy names the file
+    // must refuse it against its `max_steps`, at once and typed, under an
+    // otherwise matching config and run seed.
     let hp = Hyperparameters {
         embedding_dim: DIM,
         server_optimizer: ServerOptimizer::Sgd { learning_rate: 0.5 },
@@ -413,13 +415,25 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
             words_of(s, KIND_META)[2] = steps;
             words_of(s, KIND_LEDGER)[2] = steps - 1;
         });
-        decode_checkpoint(image).unwrap()
+        assert!(decode_checkpoint(image.clone()).is_ok(), "{steps} steps");
+        image
     };
     let train = TokenizedDataset {
         users: Vec::new(),
         vocab_size: VOCAB,
     };
-    let resume = |ckpt| resume_plp(ckpt, &train, None, &hp, &TrainOptions::default());
+    let path = std::env::temp_dir().join(format!("plp_artifacts_{}_claim", std::process::id()));
+    let opts = TrainOptions {
+        checkpoint: Some(CheckpointPolicy {
+            path: path.clone(),
+            every: 0,
+        }),
+        ..TrainOptions::default()
+    };
+    let resume = |image: Vec<u8>| {
+        std::fs::write(&path, image).unwrap();
+        train_plp_resumable(42, &train, None, &hp, &opts)
+    };
     let started = std::time::Instant::now();
     let refused = resume(claim(1 << 60));
     assert!(
@@ -428,9 +442,12 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
         refused.map(|out| out.summary)
     );
     assert!(started.elapsed() < std::time::Duration::from_secs(1));
-    // The same image claiming the run's last step is an honest checkpoint.
+    // The same image claiming the run's last step is an honest, finished
+    // checkpoint: the run takes no further step.
     let resumed = resume(claim(hp.max_steps as u64)).unwrap();
     assert_eq!(resumed.summary.steps, hp.max_steps as u64);
+    assert!(resumed.telemetry.is_empty());
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -462,6 +479,21 @@ fn write_deployable_bytes_match_the_digest_taken_before_the_container_moved() {
     });
     assert_eq!(bytes.len(), 11_296);
     assert_eq!(fnv1a64(&bytes), 0x4cb0_3675_d79e_dbc2);
+}
+
+#[test]
+fn checkpoint_bytes_match_the_digests_taken_before_the_state_types_merged() {
+    // Computed at commit 3a8d990, where a save first copied the trainer's
+    // state into a second type: encoding the live state must not move a
+    // byte.
+    for (name, len, digest) in [
+        ("checkpoint-sgd", 20_528, 0x3bd6_92a9_20c9_3394),
+        ("checkpoint-adam", 45_104, 0xe1f8_6248_50f7_6aed),
+    ] {
+        let image = image_of(name);
+        assert_eq!(image.len(), len, "{name}");
+        assert_eq!(fnv1a64(&image), digest, "{name}");
+    }
 }
 
 #[test]
