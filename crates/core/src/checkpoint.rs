@@ -54,10 +54,15 @@ const SERVER_SGD: u64 = 0;
 const SERVER_ADAM: u64 = 1;
 
 /// Version of the noise-RNG scheme, folded into [`config_fingerprint`]:
-/// any future change to how per-step noise is derived (stream seeding,
-/// domains, bias chunking) must bump this so old checkpoints cannot
-/// silently resume onto a different noise trajectory.
-pub const RNG_SCHEME_VERSION: u64 = 2;
+/// any change to how per-step noise is derived (stream seeding, domains,
+/// bias chunking, the Gaussian kernel) must bump this so old checkpoints
+/// cannot silently resume onto a different noise trajectory. Scheme 1 drew
+/// all of a step's noise from one sequential sampler; scheme 2 is per-row
+/// SplitMix64 streams (`noise::step_noise_seed`, `stream_seed`,
+/// 64-element bias pseudo-rows) feeding Box–Muller with a cached spare;
+/// scheme 3 keeps the streams and feeds them to a 256-layer ziggurat, one
+/// `u64` per try. `noise::tests` pins each scheme's bits.
+pub const RNG_SCHEME_VERSION: u64 = 3;
 
 /// Version of the dense-kernel reduction scheme, folded into
 /// [`config_fingerprint`] exactly like [`RNG_SCHEME_VERSION`]: the unrolled
@@ -273,7 +278,7 @@ mod tests {
         // on purpose (a scheme bump or a new field).
         assert_eq!(
             config_fingerprint(&Hyperparameters::default(), 600),
-            0xfa52_14dc_3a4e_efda
+            0x4950_2aa4_4d64_081b
         );
     }
 

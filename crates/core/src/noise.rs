@@ -88,6 +88,9 @@ pub fn perturb_and_scale_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::RNG_SCHEME_VERSION;
+    use plp_data::frame::fnv1a64;
+    use plp_linalg::sample::{stream_seed, GaussianStream};
     use proptest::prelude::*;
 
     fn ragged(vocab: usize, dim: usize) -> ModelParams {
@@ -163,6 +166,51 @@ mod tests {
             perturb_and_scale_threaded(&mut got, &mechanism, seed, 0.125, threads);
             assert!(bits_equal(&got, &want), "threads={threads}");
         }
+    }
+
+    /// The noise bits of each RNG scheme, as `(RNG_SCHEME_VERSION,
+    /// noise_digest())`. Changing the bits means bumping the version and
+    /// adding its row; a row is never edited.
+    const NOISE_DIGESTS: [(u64, u64); 2] = [(2, 0xb239_2f79_f3a6_2553), (3, 0xdcb0_45b9_d497_4cd3)];
+
+    /// `fnv1a64` over the first 4 096 draws of four row streams of one step
+    /// and one threaded perturb-and-scale of zeros, every float as its LE
+    /// bits.
+    fn noise_digest() -> u64 {
+        let seed = step_noise_seed(0x5EED, 7);
+        let mut bytes = Vec::new();
+        let mut push = |xs: &[f64]| bytes.extend(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+        let mut draws = vec![0.0; 4096];
+        let rows = [
+            (DOMAIN_EMBEDDING, 0),
+            (DOMAIN_EMBEDDING, 22_000),
+            (DOMAIN_CONTEXT, 1),
+            (DOMAIN_BIAS, 3),
+        ];
+        for (domain, row) in rows {
+            GaussianStream::new(stream_seed(seed, domain, row)).fill(&mut draws);
+            push(&draws);
+        }
+        let mut p = ModelParams::zeros(137, 9);
+        let mechanism = GaussianMechanism::new(1.1, 0.75).unwrap();
+        perturb_and_scale_threaded(&mut p, &mechanism, seed, 0.125, 3);
+        push(p.embedding.as_slice());
+        push(p.context.as_slice());
+        push(&p.bias);
+        fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn noise_bits_are_pinned_to_the_rng_scheme() {
+        let pinned = NOISE_DIGESTS
+            .iter()
+            .find(|(scheme, _)| *scheme == RNG_SCHEME_VERSION)
+            .map(|(_, digest)| format!("{digest:#018x}"));
+        assert_eq!(
+            pinned,
+            Some(format!("{:#018x}", noise_digest())),
+            "the noise stream changed: bump RNG_SCHEME_VERSION and add its row"
+        );
     }
 
     #[test]

@@ -756,7 +756,7 @@ fn start(
             let refusal = [
                 (
                     run.fingerprint != fingerprint,
-                    "hyperparameters or vocabulary differ from the checkpointed run",
+                    "hyperparameters, vocabulary, RNG scheme or kernel scheme differ from the checkpointed run",
                 ),
                 (
                     run.params.vocab_size() != train.vocab_size
@@ -1610,6 +1610,49 @@ mod tests {
             );
             assert_eq!(std::fs::read(&path).unwrap(), saved, "{what}");
         }
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_rng_scheme() {
+        // The same run saved under RNG and kernel scheme 2: its remaining
+        // steps would replay under other noise, so it is refused by name
+        // and the file is left as it was.
+        use crate::checkpoint::{KERNEL_SCHEME_VERSION, RNG_SCHEME_VERSION};
+        let ds = tiny_dataset(20);
+        let hp = fast_hp();
+        let path = scratch_dir("scheme").join("run.plpc");
+        let opts = checkpointed(&path, 2);
+        let crash_opts = TrainOptions {
+            halt_after: Some(2),
+            ..opts.clone()
+        };
+        train_plp_resumable(5, &ds, None, &hp, &crash_opts).unwrap();
+        let (mut run, ledger) = load_checkpoint(&path).unwrap();
+        let fingerprint = |tail: [u64; 3]| {
+            let canonical = Hyperparameters {
+                threads: 1,
+                ..hp.clone()
+            };
+            let words = canonical.to_words().into_iter().chain(tail);
+            let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+            plp_data::frame::fnv1a64(&bytes)
+        };
+        let vocab = ds.vocab_size as u64;
+        assert_eq!(
+            fingerprint([vocab, RNG_SCHEME_VERSION, KERNEL_SCHEME_VERSION]),
+            run.fingerprint,
+            "the test fingerprints like the trainer"
+        );
+        run.fingerprint = fingerprint([vocab, 2, 2]);
+        let image = encode_checkpoint(&run, &ledger);
+        std::fs::write(&path, &image).unwrap();
+
+        let err = train_plp_resumable(5, &ds, None, &hp, &opts);
+        assert!(
+            matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("RNG scheme")),
+            "a scheme-2 checkpoint must be refused, got {err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), image);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`ivf`] — a deterministic IVF coarse-quantiser index for sublinear
 //!   top-k over the embedding rows (exact re-rank of probed cells),
 //! * [`par`] — the one scoped fan-out, with the caller as part 0,
-//! * [`sample`] — hand-written samplers (standard normal via Box–Muller,
-//!   bounded Zipf, Poisson subsampling) so that no distribution crate beyond
+//! * [`sample`] — hand-written samplers (standard normal via Box–Muller for
+//!   the generator and a counter-seeded ziggurat for the DP noise, bounded
+//!   Zipf, Poisson subsampling) so that no distribution crate beyond
 //!   `rand` is required,
 //! * [`stats`] — running moments, percentiles and the paired *t*-test used by
 //!   the paper's significance claim (§5.2).

@@ -5,10 +5,10 @@
 //!
 //! * [`NormalSampler`] — standard Gaussian via the Box–Muller transform
 //!   over a caller's RNG, used by the synthetic check-in generator,
-//! * [`GaussianStream`] — a deterministic *counter-based* Gaussian stream:
-//!   seeded per (step, domain, row), so noise for any row of a parameter
-//!   matrix can be generated independently on any worker thread and still
-//!   come out bit-identical to a sequential pass,
+//! * [`GaussianStream`] — a deterministic *counter-based* Gaussian stream
+//!   (a ziggurat over SplitMix64): seeded per (step, domain, row), so noise
+//!   for any row of a parameter matrix can be generated independently on any
+//!   worker thread and still come out bit-identical to a sequential pass,
 //! * [`Zipf`] — bounded Zipf via an inverse-CDF table, used by the synthetic
 //!   check-in generator (location popularity follows Zipf's law, paper §4.1),
 //! * [`poisson_subsample`] — independent Bernoulli(q) selection over an index
@@ -16,22 +16,24 @@
 //!
 //! # Stream contract
 //!
-//! Box–Muller produces Gaussians in pairs, so every sampler here carries a
-//! cached *spare* variate. That makes a sampler a **stream**: consecutive
-//! draws from one sampler are one coupled sequence, and the spare must never
-//! leak across logically independent streams (training phases, steps, rows,
-//! slices). Two ways to honour the contract:
+//! A sampler is a **stream**: consecutive draws from one sampler are one
+//! sequence, and nothing drawn for one logically independent stream
+//! (training phase, step, row, slice) may reach another.
 //!
-//! * call [`NormalSampler::reset`] at every stream boundary, or
-//! * use a fresh, independently seeded sampler per stream — which is exactly
-//!   what [`GaussianStream`] does for per-row noise.
-//!
-//! Discarding a spare at a stream boundary does not bias anything: every
-//! emitted variate is exactly N(0, 1) whether or not its pair twin is used.
+//! * [`GaussianStream`]'s whole state is its counter. It caches no variate,
+//!   so its `n`-th draw depends only on its seed and `n`, and a fresh stream
+//!   per row is the boundary.
+//! * [`NormalSampler`] produces Gaussians in Box–Muller pairs and caches the
+//!   *spare*: call [`NormalSampler::reset`] at every stream boundary so the
+//!   spare cannot leak into the next one. Discarding a spare does not bias
+//!   anything: every emitted variate is exactly N(0, 1) whether or not its
+//!   pair twin is used.
 
 use rand::{Rng, RngExt};
 
 use crate::ops;
+
+mod ziggurat;
 
 /// SplitMix64 finalizer: a cheap, high-quality bijective mixer used to
 /// derive independent seeds (per step, per stream, per row) from a base
@@ -109,25 +111,29 @@ impl NormalSampler {
 /// A self-contained, counter-seeded standard-normal stream.
 ///
 /// The generator is SplitMix64 (a 64-bit counter advanced by the golden-ratio
-/// increment and passed through [`mix64`]'s finalizer) feeding Box–Muller.
-/// Every stream owns its full state — counter *and* Box–Muller spare — so a
-/// stream's output depends only on its seed, never on which thread runs it or
-/// what other streams ran before it. Seeding one stream per parameter row via
+/// increment and passed through [`mix64`]'s finalizer) feeding a 256-layer
+/// Marsaglia–Tsang ziggurat. Each try takes one `u64`: its low 8 bits pick a
+/// layer, its high 53 bits a signed uniform `u`, and `x = u · X[layer]` is
+/// returned at once when it lies inside the next layer's width — ≈ 98.5 % of
+/// tries. Otherwise a wedge is tested against `exp(−x²/2)` with one more
+/// uniform, or, in the base strip, `x` is drawn from the tail beyond
+/// `R ≈ 3.654` by Marsaglia's method; a rejected try starts over. Every
+/// output is exactly N(0, 1) up to the tables' rounding (DESIGN §12.2).
+///
+/// The stream's whole state is the counter — no variate is cached — so its
+/// output depends only on its seed, never on which thread runs it or what
+/// other streams ran before it. Seeding one stream per parameter row via
 /// [`stream_seed`] therefore makes noise generation partition-invariant:
 /// any split of the rows across workers produces bit-identical output.
 #[derive(Debug, Clone)]
 pub struct GaussianStream {
     state: u64,
-    spare: Option<f64>,
 }
 
 impl GaussianStream {
     /// Creates a stream whose entire future output is determined by `seed`.
     pub fn new(seed: u64) -> Self {
-        GaussianStream {
-            state: seed,
-            spare: None,
-        }
+        GaussianStream { state: seed }
     }
 
     #[inline]
@@ -147,21 +153,44 @@ impl GaussianStream {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Draws one standard-normal variate (Box–Muller, cached spare).
+    /// Draws one standard-normal variate.
+    #[inline]
     pub fn sample(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
+        loop {
+            let bits = self.next_u64();
+            let layer = (bits & 0xff) as usize;
+            // The high 53 bits as an odd multiple of 2⁻⁵³ in (−1, 1): exact,
+            // symmetric about 0 and never 0.
+            let u = (((bits >> 10) | 1) as i64 - (1 << 53)) as f64 * (1.0 / (1u64 << 53) as f64);
+            let x = u * ziggurat::X[layer];
+            if x.abs() < ziggurat::X[layer + 1] {
+                return x;
+            }
+            if let Some(x) = self.edge(layer, x) {
+                return x;
+            }
         }
-        // u1 in (0, 1]: guard against ln(0), as in `NormalSampler`.
-        let mut u1 = self.next_f64();
-        while u1 <= f64::MIN_POSITIVE {
-            u1 = self.next_f64();
+    }
+
+    /// The ≈ 1.5 % of tries outside the next layer's width: the base
+    /// strip's tail, or a wedge accepted under `exp(−x²/2)`.
+    #[cold]
+    #[inline(never)]
+    fn edge(&mut self, layer: usize, x: f64) -> Option<f64> {
+        use ziggurat::{F, R};
+        if layer == 0 {
+            // Marsaglia's tail method; 1 − u lies in (0, 1], so ln never
+            // sees 0.
+            loop {
+                let t = -(1.0 - self.next_f64()).ln() / R;
+                let y = -(1.0 - self.next_f64()).ln();
+                if 2.0 * y >= t * t {
+                    return Some((R + t).copysign(x));
+                }
+            }
         }
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
+        let y = F[layer] + (F[layer + 1] - F[layer]) * self.next_f64();
+        (y < (-0.5 * x * x).exp()).then_some(x)
     }
 
     /// Fills `out` with independent N(0, 1) variates.
@@ -182,8 +211,8 @@ impl GaussianStream {
 /// split a matrix into arbitrary contiguous row ranges (passing each range's
 /// `first_row`) and process the ranges on any threads in any order, and the
 /// combined output is bit-identical to one sequential pass over the whole
-/// matrix. An odd `row_len` simply discards each row-stream's final spare,
-/// which leaves every emitted variate exactly N(0, 1).
+/// matrix. A row of any length takes the first `row.len()` draws of its
+/// stream, so a short final row is a prefix of the full row it would be.
 ///
 /// `scratch` must hold at least `row_len` elements (one row of standard
 /// normals); the noise is applied through the unrolled [`ops::axpy_unchecked`]

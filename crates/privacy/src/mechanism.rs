@@ -158,4 +158,89 @@ mod tests {
             "var {var} vs {expected}"
         );
     }
+
+    /// 1 010 000 unit-σ draws through the training path on zeros: 10 000
+    /// rows of 64 and 10 000 rows of 37, so 20 000 row streams and both
+    /// parities of `row_len` are pooled.
+    fn pooled_noise() -> Vec<f64> {
+        let m = GaussianMechanism::new(1.0, 1.0).unwrap();
+        let mut pooled = Vec::with_capacity(10_000 * (64 + 37));
+        let mut scratch = vec![0.0; 64];
+        for (domain, row_len) in [(0, 64), (1, 37)] {
+            let mut slab = vec![0.0; 10_000 * row_len];
+            m.perturb_rows(0xD157, domain, row_len, 0, &mut slab, &mut scratch);
+            pooled.extend(slab);
+        }
+        pooled
+    }
+
+    /// Φ by Abramowitz–Stegun 7.1.26 (|error| ≤ 1.5·10⁻⁷ on erf).
+    fn phi(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.327_591_1 * z);
+        let a = [
+            0.254_829_592,
+            -0.284_496_736,
+            1.421_413_741,
+            -1.453_152_027,
+            1.061_405_429,
+        ];
+        let poly = t * a.iter().rev().fold(0.0, |acc, c| c + t * acc);
+        let upper = 0.5 * poly * (-z * z).exp();
+        if x < 0.0 {
+            upper
+        } else {
+            1.0 - upper
+        }
+    }
+
+    #[test]
+    fn distribution_passes_kolmogorov_smirnov_against_phi() {
+        let mut xs = pooled_noise();
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len() as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (phi(x) - i as f64 / n).max((i + 1) as f64 / n - phi(x)))
+            .fold(0.0, f64::max);
+        // 1.95 / √n is the KS statistic's 0.1 % critical value.
+        assert!(d < 1.95 / n.sqrt(), "D = {d}");
+    }
+
+    #[test]
+    fn distribution_has_the_first_four_moments() {
+        let xs = pooled_noise();
+        let n = xs.len() as f64;
+        // E[x^k] under N(0, 1), and the variance of one draw's x^k.
+        let moments = [(1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)];
+        for (k, want, var) in moments {
+            let got = xs.iter().map(|x| x.powi(k)).sum::<f64>() / n;
+            let se = f64::sqrt(var / n);
+            assert!(
+                (got - want).abs() < 5.0 * se,
+                "E[x^{k}] = {got}, want {want} ± {se}"
+            );
+        }
+    }
+
+    #[test]
+    fn distribution_has_the_tail_mass_beyond_r_and_4_5() {
+        let xs = pooled_noise();
+        let n = xs.len() as f64;
+        // R is where the ziggurat's base strip hands over to its tail
+        // method; each side is counted, so a tail with one sign fails too.
+        for cut in [3.654_152_885_361_009, 4.5] {
+            let p = phi(-cut);
+            let sd = (n * p * (1.0 - p)).sqrt();
+            for side in [-1.0, 1.0] {
+                let count = xs.iter().filter(|&&x| side * x > cut).count() as f64;
+                assert!(
+                    (count - n * p).abs() < 5.0 * sd,
+                    "{side} · x > {cut}: {count} draws, want {} ± {sd}",
+                    n * p
+                );
+            }
+        }
+    }
 }

@@ -5,7 +5,8 @@
 # fan-out's, the server update's, the noise pass's, the batch-gradient
 # replay's, the rank-counting evaluator's, the streaming reduction's and the
 # serving engine's identity tests again in release mode, with the allocation
-# counts of a warm bucket and of an evaluation),
+# counts of a warm bucket and of an evaluation, and the noise's distribution
+# tests — KS against Φ, four moments, tail mass — through the mechanism),
 # every experiment of the `figures` table at bench scale, the
 # chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
 # and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
@@ -106,10 +107,13 @@ echo "== release-mode kernels against their references =="
 # replayed with, so their identity tests also run against the code the
 # optimiser actually produces — as do the fan-out's and the two θ-sized
 # passes it splits (the server update and the noise), against one part.
+# The noise's bits are pinned per RNG scheme in `-p plp-core noise`, and its
+# law is tested on 1.01 M optimised draws through GaussianMechanism.
 cargo test --release -q -p plp-linalg ivf
 cargo test --release -q -p plp-linalg par
 cargo test --release -q -p plp-model optimizer
 cargo test --release -q -p plp-core noise
+cargo test --release -q -p plp-privacy distribution
 cargo test --release -q -p plp-data crc32
 cargo test --release -q -p plp-model metrics
 cargo test --release -q -p plp-model grad
