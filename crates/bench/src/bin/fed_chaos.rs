@@ -210,7 +210,6 @@ fn main() -> ExitCode {
         let cfg = FedConfig {
             workers: 1,
             worker_program: std::path::PathBuf::from("/bin/true"),
-            worker_args: Vec::new(),
             retry: RetryPolicy {
                 deadline_ms: 500,
                 max_retries: 1,

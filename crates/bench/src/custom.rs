@@ -8,7 +8,6 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use plp_core::config::ServerOptimizer;
 use plp_core::dpsgd::train_dpsgd;
 use plp_core::experiment::{evaluate, hit_rate_at_10, PreparedData};
 use plp_core::nonprivate::{train_nonprivate, NonPrivateConfig, NonPrivateOutcome};
@@ -371,9 +370,7 @@ pub(crate) fn probe(opts: &Options) -> Result<(), CoreError> {
     hp.embedding_dim = DIM;
     hp.budget = budget(EPS);
     hp.noise_multiplier = SIGMA;
-    hp.server_optimizer = ServerOptimizer::Adam {
-        learning_rate: SERVER_LR,
-    };
+    hp.server_learning_rate = SERVER_LR;
     hp.max_steps = STEP_CAP;
 
     for lambda in [1usize, 2, 4, 5, 6] {

@@ -13,7 +13,6 @@
 use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
-use plp_model::negative::NegativeSampler;
 use plp_model::params::ModelParams;
 use plp_model::train::validation_loss;
 
@@ -55,13 +54,7 @@ pub fn per_user_losses<R: Rng + ?Sized>(
         if tokens.len() < 2 {
             continue;
         }
-        out.push(validation_loss(
-            rng,
-            params,
-            &tokens,
-            &local,
-            &NegativeSampler::Uniform,
-        )?);
+        out.push(validation_loss(rng, params, &tokens, &local)?);
     }
     Ok(out)
 }

@@ -29,14 +29,14 @@ use std::fs;
 use std::path::Path;
 
 use plp_data::frame::{self, fnv1a64, SnapshotError, Words};
-use plp_model::optimizer::{ServerAdam, ServerSgd};
+use plp_model::optimizer::ServerAdam;
 use plp_model::params::ModelParams;
 use plp_model::plps::{param_sections, PlpsSnapshot, KIND_EMBEDDING};
 use plp_model::ModelError;
 use plp_privacy::accountant::LedgerEntry;
 use plp_privacy::PrivacyLedger;
 
-use crate::config::{Hyperparameters, ServerOptimizer};
+use crate::config::Hyperparameters;
 use crate::error::CoreError;
 
 /// Base section kind of Adam's first-moment triple (θ sits at
@@ -45,13 +45,17 @@ const KIND_ADAM_M: u16 = 3;
 /// Base section kind of Adam's second-moment triple.
 const KIND_ADAM_V: u16 = 6;
 /// Section kind: `fingerprint · run_seed · step · server tag · learning
-/// rate`, then for Adam `β₁ · β₂ · ε · t` — one word each, floats as bits.
+/// rate · β₁ · β₂ · ε · t` — one word each, floats as bits. The tag is
+/// always [`SERVER_ADAM`] and β₁, β₂, ε are always [`ServerAdam`]'s
+/// constants; both stay in the layout, and are checked on decode.
 const KIND_META: u16 = 16;
 /// Section kind: one `q bits · σ bits · steps` row per ledger entry.
 const KIND_LEDGER: u16 = 17;
 
-const SERVER_SGD: u64 = 0;
+/// The server tag of a DP-Adam run.
 const SERVER_ADAM: u64 = 1;
+/// β₁, β₂ and ε, in the order the meta section stores them.
+const ADAM_CONSTANTS: [f64; 3] = [ServerAdam::BETA1, ServerAdam::BETA2, ServerAdam::EPS];
 
 /// Version of the noise-RNG scheme, folded into [`config_fingerprint`]:
 /// any change to how per-step noise is derived (stream seeding, domains,
@@ -73,44 +77,6 @@ pub const RNG_SCHEME_VERSION: u64 = 3;
 /// silently resume under a different reduction order.
 pub const KERNEL_SCHEME_VERSION: u64 = 2;
 
-/// The server optimiser of a run (Algorithm 1, line 10): the value the
-/// training loop steps and the checkpoint codec reads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Server {
-    /// Plain averaging server (stateless beyond its rate).
-    Sgd(ServerSgd),
-    /// DP-Adam with its full moment state.
-    Adam(Box<ServerAdam>),
-}
-
-impl Server {
-    /// The optimiser `opt` names, fresh, for parameters shaped like
-    /// `template`.
-    pub(crate) fn new(opt: ServerOptimizer, template: &ModelParams) -> Result<Self, ModelError> {
-        Ok(match opt {
-            ServerOptimizer::Sgd { learning_rate } => Server::Sgd(ServerSgd::new(learning_rate)?),
-            ServerOptimizer::Adam { learning_rate } => {
-                Server::Adam(Box::new(ServerAdam::new(template, learning_rate)?))
-            }
-        })
-    }
-
-    /// Applies the server update over `threads` workers; both optimisers
-    /// give the same bits for every thread count (the update is
-    /// element-wise).
-    pub(crate) fn step_threaded(
-        &mut self,
-        params: &mut ModelParams,
-        update: &ModelParams,
-        threads: usize,
-    ) -> Result<(), ModelError> {
-        match self {
-            Server::Sgd(s) => s.step_threaded(params, update, threads),
-            Server::Adam(a) => a.step_threaded(params, update, threads),
-        }
-    }
-}
-
 /// A private training run between two steps: everything Algorithm 1
 /// carries from one step to the next but the privacy ledger, which sits
 /// beside it — in the trainer's accountant while the run is live, in its
@@ -127,8 +93,8 @@ pub struct TrainingCheckpoint {
     pub step: u64,
     /// Model parameters after `step` steps.
     pub params: ModelParams,
-    /// The server optimiser after `step` steps.
-    pub server: Server,
+    /// The server's DP-Adam after `step` steps (Algorithm 1, line 10).
+    pub server: ServerAdam,
 }
 
 /// Fingerprints a training configuration: FNV-1a 64 over the little-endian
@@ -160,20 +126,23 @@ pub fn config_fingerprint(hp: &Hyperparameters, vocab_size: usize) -> u64 {
 /// Serializes a run and its privacy ledger to a checkpoint image, reading
 /// both where they lie.
 pub fn encode_checkpoint(run: &TrainingCheckpoint, ledger: &PrivacyLedger) -> Vec<u8> {
-    let mut meta = vec![run.fingerprint, run.run_seed, run.step];
+    let (t, m, v) = run.server.state();
+    let lr = run.server.learning_rate.to_bits();
+    let [b1, b2, eps] = ADAM_CONSTANTS.map(f64::to_bits);
+    let meta = [
+        run.fingerprint,
+        run.run_seed,
+        run.step,
+        SERVER_ADAM,
+        lr,
+        b1,
+        b2,
+        eps,
+        t,
+    ];
     let mut sections = param_sections(&run.params, KIND_EMBEDDING).to_vec();
-    match &run.server {
-        Server::Sgd(sgd) => meta.extend([SERVER_SGD, sgd.learning_rate.to_bits()]),
-        Server::Adam(adam) => {
-            let (t, m, v) = adam.state();
-            let scalars = [adam.learning_rate, adam.beta1, adam.beta2, adam.eps];
-            meta.push(SERVER_ADAM);
-            meta.extend(scalars.map(f64::to_bits));
-            meta.push(t);
-            sections.extend(param_sections(m, KIND_ADAM_M));
-            sections.extend(param_sections(v, KIND_ADAM_V));
-        }
-    }
+    sections.extend(param_sections(m, KIND_ADAM_M));
+    sections.extend(param_sections(v, KIND_ADAM_V));
     let ledger: Vec<u64> = ledger
         .entries()
         .iter()
@@ -213,23 +182,15 @@ fn decode(image: Vec<u8>) -> Result<(TrainingCheckpoint, PrivacyLedger), ModelEr
     };
     let params = tensors(KIND_EMBEDDING)?;
     let meta = snap.words(KIND_META, 1)?;
-    let float = |i: usize| f64::from_bits(meta[i]);
-    let invalid = |_| inconsistent("invalid server state");
-    let server = match meta.get(3) {
-        Some(&SERVER_SGD) if meta.len() == 5 => {
-            Server::Sgd(ServerSgd::new(float(4)).map_err(invalid)?)
-        }
-        Some(&SERVER_ADAM) if meta.len() == 9 => {
-            let (m, v) = (tensors(KIND_ADAM_M)?, tensors(KIND_ADAM_V)?);
-            if !params.same_shape(&m) || !params.same_shape(&v) {
-                return Err(inconsistent("Adam moment shapes differ from θ"));
-            }
-            let (lr, beta1, beta2, eps) = (float(4), float(5), float(6), float(7));
-            let adam = ServerAdam::from_state(lr, beta1, beta2, eps, meta[8], m, v);
-            Server::Adam(Box::new(adam.map_err(invalid)?))
-        }
-        _ => return Err(inconsistent("unknown server state")),
-    };
+    if meta.len() != 9 || meta[3] != SERVER_ADAM || meta[5..8] != ADAM_CONSTANTS.map(f64::to_bits) {
+        return Err(inconsistent("unknown server state"));
+    }
+    let (m, v) = (tensors(KIND_ADAM_M)?, tensors(KIND_ADAM_V)?);
+    if !params.same_shape(&m) || !params.same_shape(&v) {
+        return Err(inconsistent("Adam moment shapes differ from θ"));
+    }
+    let server = ServerAdam::from_state(f64::from_bits(meta[4]), meta[8], m, v)
+        .map_err(|_| inconsistent("invalid server state"))?;
     let entry = |w: &[u64]| LedgerEntry {
         q: f64::from_bits(w[0]),
         noise_multiplier: f64::from_bits(w[1]),
@@ -275,10 +236,10 @@ mod tests {
     fn fingerprint_is_pinned_at_the_paper_defaults() {
         // FNV-1a over the words, not over any text rendering: a change to
         // this value orphans every checkpoint on disk, so it must be made
-        // on purpose (a scheme bump or a new field).
+        // on purpose (a scheme bump, or a field added or removed).
         assert_eq!(
             config_fingerprint(&Hyperparameters::default(), 600),
-            0x4950_2aa4_4d64_081b
+            0xfb13_9d40_2882_600a
         );
     }
 
@@ -289,7 +250,7 @@ mod tests {
         assert_ne!(a, config_fingerprint(&base, 101), "vocab matters");
         // One mutation per word of `to_words`, threads last.
         type Mutator = fn(&mut Hyperparameters);
-        let fields: [(&str, Mutator); 19] = [
+        let fields: [(&str, Mutator); 17] = [
             ("embedding_dim", |h| h.embedding_dim += 1),
             ("context_window", |h| h.context_window += 1),
             ("batch_size", |h| h.batch_size += 1),
@@ -305,17 +266,7 @@ mod tests {
             }),
             ("epsilon", |h| h.budget.epsilon *= 2.0),
             ("delta", |h| h.budget.delta *= 2.0),
-            ("loss", |h| h.loss = plp_model::loss::Loss::Sgns),
-            ("server_optimizer", |h| {
-                h.server_optimizer = crate::config::ServerOptimizer::Sgd {
-                    learning_rate: 0.01,
-                }
-            }),
-            ("server learning rate", |h| {
-                h.server_optimizer = crate::config::ServerOptimizer::Adam {
-                    learning_rate: 0.02,
-                }
-            }),
+            ("server_learning_rate", |h| h.server_learning_rate *= 2.0),
             ("max_steps", |h| h.max_steps += 1),
             ("eval_every", |h| h.eval_every += 1),
             // Every trainer phase is bit-identical across thread counts, so

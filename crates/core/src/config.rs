@@ -3,42 +3,13 @@
 //! hashes and the federated setup frame carries.
 
 use plp_data::grouping::GroupingStrategy;
-use plp_model::loss::Loss;
 use plp_model::train::LocalSgdConfig;
 use plp_privacy::PrivacyBudget;
 
 use crate::error::CoreError;
 
 /// Words in [`Hyperparameters::to_words`].
-const HP_WORDS: usize = 19;
-
-/// Which optimiser the server applies to the noisy aggregated delta.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServerOptimizer {
-    /// `θ ← θ + lr · ĝ` (lr = 1 reproduces Algorithm 1, line 10 literally).
-    Sgd {
-        /// Server learning rate.
-        learning_rate: f64,
-    },
-    /// DP-Adam over the noisy delta (the paper's choice, §5.1).
-    Adam {
-        /// Adam step size.
-        learning_rate: f64,
-    },
-}
-
-impl Default for ServerOptimizer {
-    fn default() -> Self {
-        // The paper's η = 0.06 maps to the *local* SGD rate here; the
-        // server-side Adam step over the noisy aggregate uses a smaller
-        // rate (calibrated empirically — larger values let the DP noise
-        // random-walk the parameters out of the useful region, smaller
-        // values freeze learning; see EXPERIMENTS.md).
-        ServerOptimizer::Adam {
-            learning_rate: 0.01,
-        }
-    }
-}
+const HP_WORDS: usize = 17;
 
 /// All tunables of the system, named after Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,10 +39,9 @@ pub struct Hyperparameters {
     pub grouping_strategy: GroupingStrategy,
     /// Privacy budget (ε, δ); δ defaults to the paper's 2·10⁻⁴.
     pub budget: PrivacyBudget,
-    /// The training objective.
-    pub loss: Loss,
-    /// Server-side optimiser.
-    pub server_optimizer: ServerOptimizer,
+    /// Step size of the server's DP-Adam over the noisy aggregated delta
+    /// (the paper's optimiser, §5.1).
+    pub server_learning_rate: f64,
     /// Hard cap on private steps (safety net on top of the budget stop).
     pub max_steps: usize,
     /// Evaluate validation HR@10 every this many steps (0 = never).
@@ -108,8 +78,12 @@ impl Default for Hyperparameters {
                 epsilon: 2.0,
                 delta: 2e-4,
             },
-            loss: Loss::SampledSoftmax,
-            server_optimizer: ServerOptimizer::default(),
+            // The paper's η = 0.06 maps to the *local* SGD rate here; the
+            // server-side Adam step over the noisy aggregate uses a smaller
+            // rate (calibrated empirically — larger values let the DP noise
+            // random-walk the parameters out of the useful region, smaller
+            // values freeze learning; see EXPERIMENTS.md).
+            server_learning_rate: 0.01,
             max_steps: 10_000,
             eval_every: 0,
             threads: 1,
@@ -194,14 +168,9 @@ impl Hyperparameters {
         }
         // threads == 0 is legal: it selects the auto mode resolved by
         // `effective_threads`, so there is no invalid thread count.
-        let lr = match self.server_optimizer {
-            ServerOptimizer::Sgd { learning_rate } | ServerOptimizer::Adam { learning_rate } => {
-                learning_rate
-            }
-        };
-        if !(lr.is_finite() && lr > 0.0) {
+        if !(self.server_learning_rate.is_finite() && self.server_learning_rate > 0.0) {
             return Err(CoreError::BadConfig {
-                name: "server_optimizer.learning_rate",
+                name: "server_learning_rate",
                 expected: "finite and > 0",
             });
         }
@@ -233,25 +202,16 @@ impl Hyperparameters {
             batch_size: self.batch_size,
             window: self.context_window,
             negatives: self.negative_samples,
-            loss: self.loss,
         }
     }
 
     /// The configuration's one encoding: the fields in declaration order,
-    /// integers as themselves, floats as their bits, enums as tags — the
-    /// server optimiser as its tag, then its learning rate's bits.
+    /// integers as themselves, floats as their bits, the grouping strategy
+    /// as its tag.
     pub fn to_words(&self) -> [u64; HP_WORDS] {
         let grouping = match self.grouping_strategy {
             GroupingStrategy::Random => 0,
             GroupingStrategy::EqualFrequency => 1,
-        };
-        let loss = match self.loss {
-            Loss::SampledSoftmax => 0,
-            Loss::Sgns => 1,
-        };
-        let (server, server_lr) = match self.server_optimizer {
-            ServerOptimizer::Sgd { learning_rate } => (0, learning_rate),
-            ServerOptimizer::Adam { learning_rate } => (1, learning_rate),
         };
         [
             self.embedding_dim as u64,
@@ -267,9 +227,7 @@ impl Hyperparameters {
             grouping,
             self.budget.epsilon.to_bits(),
             self.budget.delta.to_bits(),
-            loss,
-            server,
-            server_lr.to_bits(),
+            self.server_learning_rate.to_bits(),
             self.max_steps as u64,
             self.eval_every as u64,
             self.threads as u64,
@@ -280,11 +238,10 @@ impl Hyperparameters {
     /// [`Hyperparameters::validate`]'s business, not the decoder's.
     ///
     /// # Errors
-    /// [`CoreError::BadConfig`] naming an enum whose tag is unknown, or a
-    /// count that does not fit this platform's `usize`.
+    /// [`CoreError::BadConfig`] naming the grouping strategy if its tag is
+    /// unknown, or a count that does not fit this platform's `usize`.
     pub fn from_words(w: &[u64; HP_WORDS]) -> Result<Self, CoreError> {
         let bad = |name, expected| CoreError::BadConfig { name, expected };
-        let unknown = |name| bad(name, "a known tag");
         let count = |i: usize| usize::try_from(w[i]).map_err(|_| bad("count", "within usize"));
         let float = |i: usize| f64::from_bits(w[i]);
         Ok(Hyperparameters {
@@ -301,25 +258,16 @@ impl Hyperparameters {
             grouping_strategy: match w[10] {
                 0 => GroupingStrategy::Random,
                 1 => GroupingStrategy::EqualFrequency,
-                _ => return Err(unknown("grouping_strategy")),
+                _ => return Err(bad("grouping_strategy", "a known tag")),
             },
             budget: PrivacyBudget {
                 epsilon: float(11),
                 delta: float(12),
             },
-            loss: match w[13] {
-                0 => Loss::SampledSoftmax,
-                1 => Loss::Sgns,
-                _ => return Err(unknown("loss")),
-            },
-            server_optimizer: match (w[14], float(15)) {
-                (0, learning_rate) => ServerOptimizer::Sgd { learning_rate },
-                (1, learning_rate) => ServerOptimizer::Adam { learning_rate },
-                _ => return Err(unknown("server_optimizer")),
-            },
-            max_steps: count(16)?,
-            eval_every: count(17)?,
-            threads: count(18)?,
+            server_learning_rate: float(13),
+            max_steps: count(14)?,
+            eval_every: count(15)?,
+            threads: count(16)?,
         })
     }
 }
@@ -368,7 +316,7 @@ mod tests {
             Box::new(|h| h.clip_norm = f64::NAN),
             Box::new(|h| h.split_factor = 0),
             Box::new(|h| h.max_steps = 0),
-            Box::new(|h| h.server_optimizer = ServerOptimizer::Adam { learning_rate: 0.0 }),
+            Box::new(|h| h.server_learning_rate = 0.0),
         ];
         for (i, mutate) in cases.iter().enumerate() {
             let mut h = base.clone();
@@ -434,16 +382,13 @@ mod tests {
 
     #[test]
     fn words_round_trip_bit_exactly_and_refuse_unknown_tags() {
-        // Every enum off its default, and no two floats or counts alike, so
-        // a float or count read from another field's word cannot go unnoticed.
+        // The enum off its default, and no two floats or counts alike, so a
+        // float or count read from another field's word cannot go unnoticed.
         let other = Hyperparameters {
             sampling_prob: 0.125,
             eval_every: 5,
             grouping_strategy: GroupingStrategy::EqualFrequency,
-            loss: Loss::Sgns,
-            server_optimizer: ServerOptimizer::Sgd {
-                learning_rate: 0.1 + 0.2,
-            },
+            server_learning_rate: 0.1 + 0.2,
             noise_multiplier: -0.0,
             threads: 0,
             ..Hyperparameters::default()
@@ -453,20 +398,14 @@ mod tests {
             assert_eq!(back, h);
             assert_eq!(back.to_words(), h.to_words(), "bits, -0.0 included");
         }
-        for (i, name) in [
-            (10, "grouping_strategy"),
-            (13, "loss"),
-            (14, "server_optimizer"),
-        ] {
-            let mut w = Hyperparameters::default().to_words();
-            w[i] = 2;
-            assert!(
-                matches!(
-                    Hyperparameters::from_words(&w),
-                    Err(CoreError::BadConfig { name: got, .. }) if got == name
-                ),
-                "word {i}"
-            );
-        }
+        let mut w = Hyperparameters::default().to_words();
+        w[10] = 2;
+        assert!(matches!(
+            Hyperparameters::from_words(&w),
+            Err(CoreError::BadConfig {
+                name: "grouping_strategy",
+                ..
+            })
+        ));
     }
 }

@@ -59,7 +59,7 @@ pub mod nonprivate;
 pub mod plp;
 pub mod telemetry;
 
-pub use config::{Hyperparameters, ServerOptimizer};
+pub use config::Hyperparameters;
 pub use error::CoreError;
 pub use plp::{
     train_plp, train_plp_resumable, train_plp_with_executor, BucketExecutor, BucketRunner,

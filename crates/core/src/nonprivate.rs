@@ -11,9 +11,8 @@ use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
 use plp_model::metrics::{evaluate_hit_rate_threaded, HitRate};
-use plp_model::negative::NegativeSampler;
 use plp_model::params::ModelParams;
-use plp_model::train::{train_on_tokens, validation_loss, TrainScratch};
+use plp_model::train::{train_on_tokens, TrainScratch};
 
 use crate::config::Hyperparameters;
 use crate::error::CoreError;
@@ -27,13 +26,6 @@ pub struct NonPrivateConfig {
     pub eval_every: usize,
     /// Cutoffs to evaluate (paper: 5, 10, 20).
     pub ks: Vec<usize>,
-    /// Negative sampler (uniform by default; unigram allowed here because
-    /// the non-private setting has no leakage constraint).
-    pub unigram_negatives: bool,
-    /// Linearly decay the learning rate to 10% of its initial value over
-    /// the configured epochs (word2vec-style; prevents the late-epoch
-    /// degradation a constant rate causes).
-    pub lr_decay: bool,
 }
 
 impl Default for NonPrivateConfig {
@@ -42,8 +34,6 @@ impl Default for NonPrivateConfig {
             epochs: 20,
             eval_every: 0,
             ks: vec![5, 10, 20],
-            unigram_negatives: false,
-            lr_decay: true,
         }
     }
 }
@@ -71,7 +61,10 @@ pub struct NonPrivateOutcome {
 /// Trains without privacy for `cfg.epochs` epochs.
 ///
 /// Uses the skip-gram hyper-parameters of `hp` (dim, window, batch, neg,
-/// learning rate); the privacy fields of `hp` are ignored.
+/// learning rate); the privacy fields of `hp` are ignored. The learning
+/// rate decays linearly to 10% of its initial value over the epochs
+/// (word2vec-style; a constant rate degrades the late epochs), and the
+/// negatives are uniform, as on the private path.
 ///
 /// # Errors
 /// Propagates configuration, data and model errors.
@@ -95,12 +88,6 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
             expected: ">= 2",
         });
     }
-    let sampler = if cfg.unigram_negatives {
-        let counts = plp_model::metrics::token_counts(train);
-        NegativeSampler::unigram(&counts, 0.75)?
-    } else {
-        NegativeSampler::Uniform
-    };
     let mut params = ModelParams::init(rng, train.vocab_size, hp.embedding_dim)?;
     let base_local = hp.local_sgd();
     let mut order: Vec<usize> = (0..train.num_users()).collect();
@@ -109,7 +96,7 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
 
     for epoch in 1..=cfg.epochs {
         let mut local = base_local;
-        if cfg.lr_decay && cfg.epochs > 1 {
+        if cfg.epochs > 1 {
             // Linear decay from 100% to 10% of the initial rate.
             let progress = (epoch - 1) as f64 / (cfg.epochs - 1) as f64;
             local.learning_rate = base_local.learning_rate * (1.0 - 0.9 * progress);
@@ -119,7 +106,7 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
         let mut pair_count = 0usize;
         for &u in &order {
             let tokens = train.users[u].flattened();
-            let stats = train_on_tokens(rng, &mut params, &tokens, &local, &sampler, &mut scratch)?;
+            let stats = train_on_tokens(rng, &mut params, &tokens, &local, &mut scratch)?;
             loss_sum += stats.mean_loss * stats.pairs as f64;
             pair_count += stats.pairs;
         }
@@ -150,31 +137,6 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
         });
     }
     Ok(NonPrivateOutcome { params, telemetry })
-}
-
-/// Mean validation loss of the model over held-out users (Figure 6's loss
-/// curve on the validation side).
-///
-/// # Errors
-/// Propagates model errors.
-pub fn heldout_loss<R: Rng + ?Sized>(
-    rng: &mut R,
-    params: &ModelParams,
-    data: &TokenizedDataset,
-    hp: &Hyperparameters,
-) -> Result<f64, CoreError> {
-    let local = hp.local_sgd();
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for u in &data.users {
-        let tokens = u.flattened();
-        if tokens.len() < 2 {
-            continue;
-        }
-        total += validation_loss(rng, params, &tokens, &local, &NegativeSampler::Uniform)?;
-        n += 1;
-    }
-    Ok(if n == 0 { 0.0 } else { total / n as f64 })
 }
 
 #[cfg(test)]
@@ -278,54 +240,6 @@ mod tests {
             evaluated,
             vec![2, 4, 5],
             "every 2 epochs plus the final one"
-        );
-    }
-
-    #[test]
-    fn unigram_negatives_also_learn() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let out = train_nonprivate(
-            &mut rng,
-            &dataset(16),
-            None,
-            &hp(),
-            &NonPrivateConfig {
-                epochs: 4,
-                unigram_negatives: true,
-                ..NonPrivateConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(out.params.all_finite());
-        let first = out.telemetry.first().unwrap().train_loss;
-        let last = out.telemetry.last().unwrap().train_loss;
-        assert!(last < first);
-    }
-
-    #[test]
-    fn heldout_loss_is_finite_and_positive() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let train = dataset(10);
-        let out = train_nonprivate(
-            &mut rng,
-            &train,
-            None,
-            &hp(),
-            &NonPrivateConfig {
-                epochs: 2,
-                ..NonPrivateConfig::default()
-            },
-        )
-        .unwrap();
-        let l = heldout_loss(&mut rng, &out.params, &dataset(3), &hp()).unwrap();
-        assert!(l.is_finite() && l > 0.0);
-        let empty = TokenizedDataset {
-            users: vec![],
-            vocab_size: 16,
-        };
-        assert_eq!(
-            heldout_loss(&mut rng, &out.params, &empty, &hp()).unwrap(),
-            0.0
         );
     }
 

@@ -56,7 +56,7 @@ use plp_linalg::sample::mix64;
 use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowDelta, RowJournal};
 use plp_model::metrics::evaluate_hit_rate_threaded;
-use plp_model::negative::NegativeSampler;
+use plp_model::optimizer::ServerAdam;
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens, TrainScratch};
 use plp_obs::trace::{derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
@@ -67,9 +67,9 @@ use plp_privacy::PrivacyLedger;
 use serde_json::json;
 
 use crate::checkpoint::{
-    config_fingerprint, decode_checkpoint, encode_checkpoint, Server, TrainingCheckpoint,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, TrainingCheckpoint,
 };
-use crate::config::{Hyperparameters, ServerOptimizer};
+use crate::config::Hyperparameters;
 use crate::error::CoreError;
 use crate::faults::FaultInjector;
 use crate::noise::{perturb_and_scale_threaded, step_noise_seed};
@@ -268,14 +268,7 @@ fn model_update_from_bucket(
     let sgd = phases.start(phase::BUCKET_SGD, ctx.trace, index as u64);
     let stats = {
         let mut phi = CowParams::new(theta, journal);
-        train_on_tokens(
-            &mut rng,
-            &mut phi,
-            &bucket.tokens,
-            &hp.local_sgd(),
-            &NegativeSampler::Uniform,
-            train,
-        )?
+        train_on_tokens(&mut rng, &mut phi, &bucket.tokens, &hp.local_sgd(), train)?
     };
     drop(sgd);
     ctx.pairs.add(stats.pairs as u64);
@@ -745,11 +738,6 @@ fn start(
     };
     match image.map(decode_checkpoint) {
         Some(Ok((run, ledger))) => {
-            let same_server = matches!(
-                (&run.server, hp.server_optimizer),
-                (Server::Sgd(_), ServerOptimizer::Sgd { .. })
-                    | (Server::Adam(_), ServerOptimizer::Adam { .. })
-            );
             // `max_steps` is inside the fingerprint, so no honest checkpoint
             // is past it — and the accountant replays one composition per
             // claimed step, so an absurd claim must stop before it.
@@ -771,7 +759,6 @@ fn start(
                     run.step > hp.max_steps as u64,
                     "checkpoint step exceeds max_steps",
                 ),
-                (!same_server, "server optimizer kind"),
             ];
             if let Some(&(_, what)) = refusal.iter().find(|(refused, _)| *refused) {
                 return Err(CoreError::CheckpointMismatch { what });
@@ -798,7 +785,7 @@ fn start(
         train.vocab_size,
         hp.embedding_dim,
     )?;
-    let server = Server::new(hp.server_optimizer, &params)?;
+    let server = ServerAdam::new(&params, hp.server_learning_rate)?;
     let run = TrainingCheckpoint {
         fingerprint,
         run_seed,
@@ -1651,6 +1638,37 @@ mod tests {
         assert!(
             matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("RNG scheme")),
             "a scheme-2 checkpoint must be refused, got {err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+    }
+
+    #[test]
+    fn a_checkpoint_under_the_nineteen_word_encoding_is_refused_untouched() {
+        // The default configuration's fingerprint while `to_words` still
+        // carried a loss tag and a server-optimiser tag. The checkpoint
+        // layout is the same, so such a file decodes — and is refused on its
+        // fingerprint rather than discarded as damaged.
+        let ds = TokenizedDataset {
+            vocab_size: 600,
+            ..tiny_dataset(20)
+        };
+        let hp = Hyperparameters::default();
+        let params = ModelParams::zeros(600, hp.embedding_dim);
+        let run = TrainingCheckpoint {
+            fingerprint: 0x4950_2aa4_4d64_081b,
+            run_seed: 9,
+            step: 0,
+            server: ServerAdam::new(&params, hp.server_learning_rate).unwrap(),
+            params,
+        };
+        let image = encode_checkpoint(&run, &PrivacyLedger::new());
+        let path = scratch_dir("nineteen").join("run.plpc");
+        std::fs::write(&path, &image).unwrap();
+
+        let err = train_plp_resumable(9, &ds, None, &hp, &checkpointed(&path, 2));
+        assert!(
+            matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("hyperparameters")),
+            "got {err:?}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), image);
     }

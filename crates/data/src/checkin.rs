@@ -24,19 +24,6 @@ pub struct GeoPoint {
     pub lon: f64,
 }
 
-impl GeoPoint {
-    /// Approximate great-circle distance in kilometres (haversine).
-    pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        const EARTH_RADIUS_KM: f64 = 6371.0;
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
-    }
-}
-
 /// An axis-aligned geographic bounding box.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
@@ -111,41 +98,14 @@ mod tests {
     }
 
     #[test]
-    fn haversine_known_distance() {
-        // Tokyo Station to Shinjuku Station: ~6.3 km.
-        let tokyo_sta = GeoPoint {
-            lat: 35.6812,
-            lon: 139.7671,
-        };
-        let shinjuku = GeoPoint {
-            lat: 35.6896,
-            lon: 139.7006,
-        };
-        let d = tokyo_sta.distance_km(&shinjuku);
-        assert!((5.9..6.8).contains(&d), "distance {d}");
-        assert_eq!(tokyo_sta.distance_km(&tokyo_sta), 0.0);
-    }
-
-    #[test]
     fn tokyo_bbox_dimensions_match_paper() {
-        // The paper describes the region as roughly 35 x 25 km².
+        // The paper describes the region as roughly 35 x 25 km². A degree
+        // of latitude is ≈ 111.2 km, a degree of longitude that times
+        // cos(latitude).
         let b = BoundingBox::tokyo();
-        let width = GeoPoint {
-            lat: (b.south + b.north) / 2.0,
-            lon: b.west,
-        }
-        .distance_km(&GeoPoint {
-            lat: (b.south + b.north) / 2.0,
-            lon: b.east,
-        });
-        let height = GeoPoint {
-            lat: b.south,
-            lon: b.west,
-        }
-        .distance_km(&GeoPoint {
-            lat: b.north,
-            lon: b.west,
-        });
+        let mid = ((b.south + b.north) / 2.0).to_radians();
+        let width = (b.east - b.west) * 111.2 * mid.cos();
+        let height = (b.north - b.south) * 111.2;
         assert!((33.0..40.0).contains(&width), "width {width}");
         assert!((20.0..26.0).contains(&height), "height {height}");
     }

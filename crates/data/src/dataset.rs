@@ -71,18 +71,6 @@ impl CheckInDataset {
         self.users.iter().map(|u| u.len()).sum()
     }
 
-    /// Number of *distinct* locations actually visited.
-    pub fn num_visited_locations(&self) -> usize {
-        let mut seen: Vec<u32> = self
-            .users
-            .iter()
-            .flat_map(|u| u.checkins.iter().map(|c| c.location.0))
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
-
     /// Checks structural invariants: histories sorted by user, check-ins
     /// time-sorted, every check-in owned by its history's user.
     ///
@@ -242,7 +230,6 @@ mod tests {
         assert_eq!(ds.users[1].checkins[0].location, LocationId(13));
         ds.validate().unwrap();
         assert_eq!(ds.num_checkins(), 4);
-        assert_eq!(ds.num_visited_locations(), 4);
     }
 
     #[test]

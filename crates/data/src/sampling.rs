@@ -29,11 +29,6 @@ pub fn sample_users<R: Rng + ?Sized>(
     Ok(poisson_subsample(rng, num_users, q))
 }
 
-/// The expected sample size `m = q · N`.
-pub fn expected_sample_size(num_users: usize, q: f64) -> f64 {
-    q * num_users as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,7 +46,7 @@ mod tests {
             total += sample_users(&mut rng, n, q).unwrap().len();
         }
         let mean = total as f64 / reps as f64;
-        let expected = expected_sample_size(n, q);
+        let expected = q * n as f64;
         assert!(
             (mean - expected).abs() < 0.05 * expected,
             "{mean} vs {expected}"

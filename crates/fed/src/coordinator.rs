@@ -61,12 +61,11 @@ use crate::worker::{TRACE_DIR_ENV, WORKER_ENV};
 pub struct FedConfig {
     /// Number of worker processes.
     pub workers: usize,
-    /// Worker executable. The coordinator sets [`WORKER_ENV`] when
-    /// spawning, so this may be the dedicated `plp_fed_worker` binary or
-    /// any binary that calls [`crate::worker::maybe_run_worker`] first.
+    /// Worker executable, run without arguments. The coordinator sets
+    /// [`WORKER_ENV`] when spawning, so this may be the dedicated
+    /// `plp_fed_worker` binary or any binary that calls
+    /// [`crate::worker::maybe_run_worker`] first.
     pub worker_program: PathBuf,
-    /// Extra arguments passed to the worker program.
-    pub worker_args: Vec<String>,
     /// Deadline/retry/backoff policy.
     pub retry: RetryPolicy,
 }
@@ -81,7 +80,6 @@ impl FedConfig {
         Ok(FedConfig {
             workers,
             worker_program: std::env::current_exe()?,
-            worker_args: Vec::new(),
             retry: RetryPolicy::default(),
         })
     }
@@ -209,7 +207,6 @@ impl FedExecutor {
         let incarnation = self.next_incarnation;
         let mut command = Command::new(&self.cfg.worker_program);
         command
-            .args(&self.cfg.worker_args)
             .env(WORKER_ENV, "1")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped());
@@ -742,7 +739,6 @@ mod tests {
         let cfg = FedConfig {
             workers: 0,
             worker_program: PathBuf::from("/does/not/matter"),
-            worker_args: vec![],
             retry: RetryPolicy::default(),
         };
         assert!(matches!(
@@ -761,7 +757,6 @@ mod tests {
         let cfg = FedConfig {
             workers: 2,
             worker_program: PathBuf::from("/nonexistent/worker/binary"),
-            worker_args: vec![],
             retry: RetryPolicy::default(),
         };
         let mut exec = FedExecutor::new(cfg).unwrap();

@@ -38,11 +38,12 @@ use crate::error::FedError;
 ///
 /// Version 2 added the optional trace-context frame header (the
 /// [`crate::frame::KIND_TRACED`] flag bit); version 3 made the Setup
-/// payload words instead of JSON. A worker handed a `protocol_version`
+/// payload words instead of JSON; version 4 dropped the loss and
+/// server-optimiser tags from its hyper-parameter words. A worker handed a `protocol_version`
 /// other than its own rejects the session *before* any round traffic,
 /// and an older worker cannot parse a newer Setup at all — old workers
 /// are refused cleanly either way.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Frame kind: coordinator → worker session setup (words payload).
 pub const MSG_SETUP: u8 = 1;
@@ -525,7 +526,7 @@ mod tests {
 
     #[test]
     fn setup_round_trips_as_words() {
-        for (plan, words) in [(None, 3 + 19 + 1), (Some(sample_plan()), 3 + 19 + 1 + 10)] {
+        for (plan, words) in [(None, 3 + 17 + 1), (Some(sample_plan()), 3 + 17 + 1 + 10)] {
             let setup = sample_setup(plan);
             let bytes = setup.encode();
             assert_eq!(bytes.len(), 8 * words);
@@ -678,9 +679,9 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         let is_decode = |r: Result<Setup, FedError>| matches!(r, Err(FedError::Decode { .. }));
-        // Setup: every truncation of a valid payload, an unknown tag in
-        // each hyper-parameter enum (payload words 13, 16 and 17), a plan
-        // flag (word 22) other than 0 or 1, and trailing bytes.
+        // Setup: every truncation of a valid payload, an unknown grouping
+        // strategy tag (payload word 13), a plan flag (word 20) other than
+        // 0 or 1, and trailing bytes.
         let setup = sample_setup(Some(sample_plan())).encode();
         let with_word = |i: usize, value: u64| {
             let mut bytes = setup.clone();
@@ -688,8 +689,8 @@ mod tests {
             bytes
         };
         let mut hostile: Vec<Vec<u8>> = (0..setup.len()).map(|n| setup[..n].to_vec()).collect();
-        hostile.extend([13, 16, 17, 22].map(|i| with_word(i, 2)));
-        hostile.push(with_word(22, 0));
+        hostile.extend([13, 20].map(|i| with_word(i, 2)));
+        hostile.push(with_word(20, 0));
         hostile.push([&setup[..], &[0]].concat());
         hostile.push([&sample_setup(None).encode()[..], &[0; 8]].concat());
         hostile.push(br#"{"protocol_version":2}"#.to_vec());

@@ -83,7 +83,6 @@ fn observer_from_env() -> Observer {
             let pid = std::process::id();
             obs.attach_tracer(TraceConfig {
                 process: format!("worker-{pid}"),
-                capacity: 4096,
                 dump_path: Some(PathBuf::from(dir).join(format!("trace_worker_{pid}.jsonl"))),
             });
             obs
@@ -471,8 +470,9 @@ mod tests {
 
     #[test]
     fn protocol_version_mismatch_is_rejected_cleanly() {
-        // The JSON-setup version 2 and any later version alike.
-        for version in [2, PROTOCOL_VERSION + 1] {
+        // The JSON-setup version 2, the 19-word version 3 and any later
+        // version alike.
+        for version in [2, 3, PROTOCOL_VERSION + 1] {
             let mut setup = tiny_setup(None);
             setup.protocol_version = version;
             let (code, output) = run_session(&[

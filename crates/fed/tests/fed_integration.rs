@@ -27,7 +27,6 @@ fn fed_config(workers: usize, retry: RetryPolicy) -> FedConfig {
     FedConfig {
         workers,
         worker_program: worker_exe(),
-        worker_args: Vec::new(),
         retry,
     }
 }

@@ -341,53 +341,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     max + s.ln()
 }
 
-/// Logistic sigmoid `1 / (1 + e^{-x})`, saturating cleanly at the tails.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        let z = (-x).exp();
-        1.0 / (1.0 + z)
-    } else {
-        let z = x.exp();
-        z / (1.0 + z)
-    }
-}
-
-/// Fused `(σ(x), log σ(x))` sharing one exponential.
-///
-/// Both quantities reduce to `z = e^{-|x|}`; computing them together halves
-/// the transcendental count of the SGNS positive-example step. The returned
-/// values are bit-identical to evaluating `sigmoid(x)` and the stable
-/// `log σ(x) = −log(1 + e^{−x})` separately, since the per-branch
-/// expressions are the same.
-#[inline]
-pub fn sigmoid_and_ln_sigmoid(x: f64) -> (f64, f64) {
-    if x >= 0.0 {
-        let z = (-x).exp();
-        (1.0 / (1.0 + z), -z.ln_1p())
-    } else {
-        let z = x.exp();
-        (z / (1.0 + z), x - z.ln_1p())
-    }
-}
-
-/// Fused `(σ(x), log σ(−x))` sharing one exponential.
-///
-/// The SGNS negative-example step needs the gradient coefficient `σ(x)` and
-/// the loss term `log σ(−x)`; both reduce to `z = e^{-|x|}`. Bit-identical
-/// to the unfused pair: at `x = 0` the `−x − ln_1p(z)` form evaluates to
-/// `−0.0 − ln 2 = −ln 2`, matching `−ln_1p(e^{0})` exactly.
-#[inline]
-pub fn sigmoid_and_ln_sigmoid_neg(x: f64) -> (f64, f64) {
-    if x >= 0.0 {
-        let z = (-x).exp();
-        (1.0 / (1.0 + z), -x - z.ln_1p())
-    } else {
-        let z = x.exp();
-        (z / (1.0 + z), -z.ln_1p())
-    }
-}
-
 /// Returns `true` iff every element of `v` is finite.
 pub fn all_finite(v: &[f64]) -> bool {
     v.iter().all(|x| x.is_finite())
@@ -494,41 +447,6 @@ mod tests {
         let naive: f64 = xs.iter().map(|x: &f64| x.exp()).sum::<f64>().ln();
         assert!((log_sum_exp(&xs) - naive).abs() < 1e-12);
         assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_saturation() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
-        assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-12);
-        assert!(sigmoid(800.0) <= 1.0 && sigmoid(800.0) > 0.999);
-        assert!(sigmoid(-800.0) >= 0.0 && sigmoid(-800.0) < 1e-3);
-    }
-
-    #[test]
-    fn fused_sigmoid_pairs_are_bit_identical_to_unfused() {
-        // Reference stable log-sigmoid, matching the historical unfused form.
-        fn ln_sig(x: f64) -> f64 {
-            if x >= 0.0 {
-                -(-x).exp().ln_1p()
-            } else {
-                x - x.exp().ln_1p()
-            }
-        }
-        let xs = [
-            0.0, -0.0, 1e-12, -1e-12, 0.3, -0.3, 1.0, -1.0, 7.5, -7.5, 40.0, -40.0, 800.0, -800.0,
-        ];
-        for &x in &xs {
-            let (s, l) = sigmoid_and_ln_sigmoid(x);
-            assert_eq!(s.to_bits(), sigmoid(x).to_bits(), "sigmoid at {x}");
-            assert_eq!(l.to_bits(), ln_sig(x).to_bits(), "ln_sigmoid at {x}");
-            let (sn, ln) = sigmoid_and_ln_sigmoid_neg(x);
-            assert_eq!(
-                sn.to_bits(),
-                sigmoid(x).to_bits(),
-                "neg-fused sigmoid at {x}"
-            );
-            assert_eq!(ln.to_bits(), ln_sig(-x).to_bits(), "ln_sigmoid(-x) at {x}");
-        }
     }
 
     #[test]

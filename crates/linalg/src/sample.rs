@@ -569,6 +569,23 @@ mod tests {
     }
 
     #[test]
+    fn distinct_excluding_is_uniform_over_the_rest() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let n = 20;
+        let mut counts = vec![0usize; n];
+        for _ in 0..20_000 {
+            for t in sample_distinct_excluding(&mut rng, n, 1, 0) {
+                counts[t] += 1;
+            }
+        }
+        // Values 1..20 each ~ 20000/19 ≈ 1052.
+        for (t, &c) in counts.iter().enumerate().skip(1) {
+            assert!((800..1300).contains(&c), "value {t}: {c}");
+        }
+        assert_eq!(counts[0], 0);
+    }
+
+    #[test]
     fn distinct_excluding_into_matches_wrapper() {
         let mut a = StdRng::seed_from_u64(23);
         let mut b = StdRng::seed_from_u64(23);

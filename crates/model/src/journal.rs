@@ -490,8 +490,6 @@ impl ParamsViewMut for CowParams<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::Loss;
-    use crate::negative::NegativeSampler;
     use crate::train::{train_on_tokens, LocalSgdConfig, TrainScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -619,15 +617,13 @@ mod tests {
             batch_size: 8,
             window: 2,
             negatives: 3,
-            loss: Loss::SampledSoftmax,
         };
 
         // Reference: the historical clone-and-diff path.
         let mut phi = base.clone();
         let mut rng = StdRng::seed_from_u64(77);
-        let sampler = NegativeSampler::Uniform;
         let mut scratch = TrainScratch::new();
-        train_on_tokens(&mut rng, &mut phi, &tokens, &cfg, &sampler, &mut scratch).unwrap();
+        train_on_tokens(&mut rng, &mut phi, &tokens, &cfg, &mut scratch).unwrap();
         let want = clone_and_diff(&base, &phi, 0..12, 0..12, 0..12);
 
         // Clone-free: same training through the overlay, same RNG seed —
@@ -636,7 +632,7 @@ mod tests {
         for _ in 0..2 {
             let mut cow = CowParams::new(&base, &mut journal);
             let mut rng = StdRng::seed_from_u64(77);
-            train_on_tokens(&mut rng, &mut cow, &tokens, &cfg, &sampler, &mut scratch).unwrap();
+            train_on_tokens(&mut rng, &mut cow, &tokens, &cfg, &mut scratch).unwrap();
             let got = journal.take_delta(&base);
             assert!(!got.is_empty());
             assert_same_bits(&got, &want);

@@ -8,10 +8,8 @@
 //!
 //! Modules:
 //! * [`params`] — the three tensors, initialisation, snapshots,
-//! * [`negative`] — uniform (private) and unigram (non-private ablation)
-//!   negative samplers,
-//! * [`loss`] — sampled-softmax and sigmoid-SGNS forward/backward with
-//!   hand-derived gradients (verified against finite differences),
+//! * [`loss`] — the sampled-softmax forward/backward with hand-derived
+//!   gradients (verified against finite differences),
 //! * [`grad`] — the per-batch gradient, a log of touches replayed row by row,
 //! * [`journal`] — the copy-on-write row journal behind the clone-free
 //!   bucket-delta path, and the flat row-sparse delta its arenas become,
@@ -19,7 +17,7 @@
 //!   `C/√|θ|`),
 //! * [`train`] — mini-batch local SGD over a token array (Algorithm 1,
 //!   lines 15–22, minus the clipping performed by the caller),
-//! * [`optimizer`] — server-side SGD and (DP-)Adam over noisy aggregates,
+//! * [`optimizer`] — the server-side DP-Adam over noisy aggregates,
 //! * [`recommender`] — the deployment path of §3.3: `F(ζ)` profiles and
 //!   cosine top-k recommendation,
 //! * [`metrics`] — leave-one-out Hit-Rate@k evaluation and baselines,
@@ -37,7 +35,6 @@ pub mod journal;
 pub mod loss;
 pub mod markov;
 pub mod metrics;
-pub mod negative;
 pub mod optimizer;
 pub mod params;
 pub mod plps;
@@ -45,7 +42,5 @@ pub mod recommender;
 pub mod train;
 
 pub use error::{ModelError, SnapshotError};
-pub use loss::Loss;
-pub use negative::NegativeSampler;
 pub use params::{ModelParams, ParamsView, ParamsViewMut};
 pub use recommender::Recommender;

@@ -1,12 +1,10 @@
-//! Sampled-softmax and sigmoid-SGNS losses with hand-derived gradients.
+//! The sampled-softmax loss with hand-derived gradients.
 //!
 //! For a (target `x`, context `y`) pair with negatives `n₁..n_neg`, let
 //! `u = W[x]` and candidates `c₀ = y, c₁..c_neg = negatives`, with logits
-//! `sⱼ = u · W′[cⱼ] + B′[cⱼ]`.
-//!
-//! **Sampled softmax** (the paper's loss; with a *uniform* proposal the
+//! `sⱼ = u · W′[cⱼ] + B′[cⱼ]`. With the paper's *uniform* proposal the
 //! log-correction term is a constant across candidates and cancels inside
-//! the softmax): `p = softmax(s)`, `J = −log p₀`, and
+//! the softmax: `p = softmax(s)`, `J = −log p₀`, and
 //!
 //! ```text
 //! ∂J/∂W′[cⱼ] = (pⱼ − [j = 0]) · u
@@ -14,29 +12,14 @@
 //! ∂J/∂W[x]   =  Σⱼ (pⱼ − [j = 0]) · W′[cⱼ]
 //! ```
 //!
-//! **Sigmoid SGNS** (the original word2vec objective; ablation variant):
-//! `J = −log σ(s₀) − Σⱼ≥1 log σ(−sⱼ)` with coefficients `σ(s₀) − 1` for the
-//! positive and `σ(sⱼ)` for negatives.
-//!
-//! Both sets of gradients are verified against central finite differences
-//! in the test module.
+//! The gradients are verified against central finite differences in the
+//! test module.
 
 use plp_linalg::ops;
 
 use crate::error::ModelError;
 use crate::grad::BatchGrad;
 use crate::params::ParamsView;
-
-/// Which training objective to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Loss {
-    /// Softmax cross-entropy over `{context} ∪ negatives` (the paper's
-    /// sampled softmax with uniform proposal).
-    #[default]
-    SampledSoftmax,
-    /// word2vec-style independent sigmoid objective.
-    Sgns,
-}
 
 pub(crate) fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
     if t >= vocab {
@@ -50,7 +33,7 @@ pub(crate) fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
 /// the negatives in order) and one touch of the target's embedding row.
 /// Returns the example loss.
 ///
-/// `negatives` must not contain `context` (the samplers guarantee this);
+/// `negatives` must not contain `context` (the sampler guarantees this);
 /// duplicates among negatives are tolerated mathematically but reduce the
 /// effective sample size.
 ///
@@ -62,7 +45,6 @@ pub(crate) fn check_token(t: usize, vocab: usize) -> Result<(), ModelError> {
 /// Tokens must be within the vocabulary.
 pub fn forward_backward<P: ParamsView + ?Sized>(
     params: &P,
-    loss: Loss,
     target: usize,
     context: usize,
     negatives: &[usize],
@@ -80,54 +62,27 @@ pub fn forward_backward<P: ParamsView + ?Sized>(
     let slot = grad.begin_example(target, scale, u);
     let k = negatives.len() + 1;
 
-    let loss_value = match loss {
-        Loss::SampledSoftmax => {
-            grad.logits.clear();
-            grad.logits.reserve(k);
-            grad.logits
-                .push(ops::dot_unchecked(u, params.context_row(context)) + params.bias_at(context));
-            for &n in negatives {
-                grad.logits
-                    .push(ops::dot_unchecked(u, params.context_row(n)) + params.bias_at(n));
-            }
-            grad.probs.resize(k, 0.0);
-            ops::softmax_into(&grad.logits, &mut grad.probs)?;
-            // -log p0, guarded against p0 underflow.
-            let l = -(grad.probs[0].max(f64::MIN_POSITIVE)).ln();
-            for j in 0..k {
-                let p = grad.probs[j];
-                let coef = if j == 0 { p - 1.0 } else { p };
-                let c = if j == 0 { context } else { negatives[j - 1] };
-                // ∂J/∂W′[c] += coef · u ; ∂J/∂B′[c] += coef.
-                grad.touch_context(c, scale * coef, slot);
-                // grad_u += coef · W′[c].
-                ops::axpy(coef, params.context_row(c), grad.grad_u_mut())?;
-            }
-            l
-        }
-        Loss::Sgns => {
-            // Single fused pass per candidate: one `context_row` lookup
-            // (reused for logit and `grad_u` update — the row is not
-            // mutated in between) and one shared exponential for σ/log σ
-            // (bit-identical to the unfused pair; pinned in plp-linalg).
-            let w0 = params.context_row(context);
-            let s0 = ops::dot_unchecked(u, w0) + params.bias_at(context);
-            let (sig0, ln_sig0) = ops::sigmoid_and_ln_sigmoid(s0);
-            let mut l = -ln_sig0;
-            let coef0 = sig0 - 1.0;
-            grad.touch_context(context, scale * coef0, slot);
-            ops::axpy(coef0, w0, grad.grad_u_mut())?;
-            for &n in negatives {
-                let wn = params.context_row(n);
-                let s = ops::dot_unchecked(u, wn) + params.bias_at(n);
-                let (coef, ln_sig_neg) = ops::sigmoid_and_ln_sigmoid_neg(s);
-                l -= ln_sig_neg;
-                grad.touch_context(n, scale * coef, slot);
-                ops::axpy(coef, wn, grad.grad_u_mut())?;
-            }
-            l
-        }
-    };
+    grad.logits.clear();
+    grad.logits.reserve(k);
+    grad.logits
+        .push(ops::dot_unchecked(u, params.context_row(context)) + params.bias_at(context));
+    for &n in negatives {
+        grad.logits
+            .push(ops::dot_unchecked(u, params.context_row(n)) + params.bias_at(n));
+    }
+    grad.probs.resize(k, 0.0);
+    ops::softmax_into(&grad.logits, &mut grad.probs)?;
+    // -log p0, guarded against p0 underflow.
+    let loss_value = -(grad.probs[0].max(f64::MIN_POSITIVE)).ln();
+    for j in 0..k {
+        let p = grad.probs[j];
+        let coef = if j == 0 { p - 1.0 } else { p };
+        let c = if j == 0 { context } else { negatives[j - 1] };
+        // ∂J/∂W′[c] += coef · u ; ∂J/∂B′[c] += coef.
+        grad.touch_context(c, scale * coef, slot);
+        // grad_u += coef · W′[c].
+        ops::axpy(coef, params.context_row(c), grad.grad_u_mut())?;
+    }
 
     if !loss_value.is_finite() {
         return Err(ModelError::NonFinite { at: "example loss" });
@@ -142,27 +97,13 @@ pub fn forward_backward<P: ParamsView + ?Sized>(
 /// Tokens must be within the vocabulary.
 pub fn example_loss<P: ParamsView + ?Sized>(
     params: &P,
-    loss: Loss,
     target: usize,
     context: usize,
     negatives: &[usize],
     scratch: &mut BatchGrad,
 ) -> Result<f64, ModelError> {
     scratch.clear();
-    forward_backward(params, loss, target, context, negatives, 0.0, scratch)
-}
-
-/// Numerically-stable `log σ(x) = −log(1 + e^{−x})`.
-///
-/// Reference form kept for tests; the training path uses the fused
-/// `ops::sigmoid_and_ln_sigmoid{,_neg}` helpers, which are bit-identical.
-#[cfg(test)]
-fn ln_sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        -(-x).exp().ln_1p()
-    } else {
-        x - x.exp().ln_1p()
-    }
+    forward_backward(params, target, context, negatives, 0.0, scratch)
 }
 
 #[cfg(test)]
@@ -189,27 +130,27 @@ mod tests {
     /// The gradient of one example, read by applying its record to zeros.
     fn gradient(
         params: &ModelParams,
-        loss: Loss,
         (target, context): (usize, usize),
         negs: &[usize],
     ) -> ModelParams {
         let mut log = BatchGrad::new();
-        forward_backward(params, loss, target, context, negs, 1.0, &mut log).unwrap();
+        forward_backward(params, target, context, negs, 1.0, &mut log).unwrap();
         let mut grad = ModelParams::zeros(params.vocab_size(), params.dim());
         log.apply_to(&mut grad, 1.0).unwrap();
         grad
     }
 
-    /// Central finite-difference check of every touched coordinate.
-    fn finite_difference_check(loss: Loss) {
+    #[test]
+    fn sampled_softmax_gradients_match_finite_differences() {
+        // Central finite differences of every touched coordinate.
         let (params, negs) = setup();
         let target = 1usize;
         let context = 5usize;
-        let grad = gradient(&params, loss, (target, context), &negs);
+        let grad = gradient(&params, (target, context), &negs);
 
         let eps = 1e-6;
         let f = |p: &ModelParams| {
-            example_loss(p, loss, target, context, &negs, &mut BatchGrad::new()).unwrap()
+            example_loss(p, target, context, &negs, &mut BatchGrad::new()).unwrap()
         };
         // Embedding row of the target.
         for d in 0..params.dim() {
@@ -246,35 +187,23 @@ mod tests {
     }
 
     #[test]
-    fn sampled_softmax_gradients_match_finite_differences() {
-        finite_difference_check(Loss::SampledSoftmax);
-    }
-
-    #[test]
-    fn sgns_gradients_match_finite_differences() {
-        finite_difference_check(Loss::Sgns);
-    }
-
-    #[test]
     fn loss_is_positive_and_decreases_after_a_step() {
         let (mut params, negs) = setup();
         let mut log = BatchGrad::new();
-        for loss in [Loss::SampledSoftmax, Loss::Sgns] {
-            let before = example_loss(&params, loss, 1, 5, &negs, &mut log).unwrap();
-            assert!(before > 0.0);
-            // One SGD step on this single example.
-            log.clear();
-            forward_backward(&params, loss, 1, 5, &negs, 1.0, &mut log).unwrap();
-            log.apply_to(&mut params, -0.5).unwrap();
-            let after = example_loss(&params, loss, 1, 5, &negs, &mut log).unwrap();
-            assert!(after < before, "{loss:?}: {after} !< {before}");
-        }
+        let before = example_loss(&params, 1, 5, &negs, &mut log).unwrap();
+        assert!(before > 0.0);
+        // One SGD step on this single example.
+        log.clear();
+        forward_backward(&params, 1, 5, &negs, 1.0, &mut log).unwrap();
+        log.apply_to(&mut params, -0.5).unwrap();
+        let after = example_loss(&params, 1, 5, &negs, &mut log).unwrap();
+        assert!(after < before, "{after} !< {before}");
     }
 
     #[test]
     fn only_candidate_rows_are_touched() {
         let (params, negs) = setup();
-        let grad = gradient(&params, Loss::SampledSoftmax, (1, 5), &negs);
+        let grad = gradient(&params, (1, 5), &negs);
         let zero = vec![0.0; params.dim()];
         for r in 0..params.vocab_size() {
             let candidate = r == 5 || negs.contains(&r);
@@ -288,7 +217,7 @@ mod tests {
     fn softmax_bias_gradients_sum_to_zero() {
         // Σⱼ (pⱼ − tⱼ) = 0: the bias gradients over candidates cancel.
         let (params, negs) = setup();
-        let grad = gradient(&params, Loss::SampledSoftmax, (2, 6), &negs);
+        let grad = gradient(&params, (2, 6), &negs);
         let total: f64 = grad.bias.iter().sum();
         assert!(total.abs() < 1e-12, "bias grads sum to {total}");
     }
@@ -297,21 +226,20 @@ mod tests {
     fn rejects_out_of_range_tokens() {
         let (params, _) = setup();
         let mut log = BatchGrad::new();
-        let r = forward_backward(&params, Loss::SampledSoftmax, 99, 5, &[1], 1.0, &mut log);
+        let r = forward_backward(&params, 99, 5, &[1], 1.0, &mut log);
         assert!(matches!(
             r,
             Err(ModelError::TokenOutOfRange { token: 99, .. })
         ));
-        let r = example_loss(&params, Loss::Sgns, 1, 99, &[1], &mut log);
-        assert!(r.is_err());
-        let r = example_loss(&params, Loss::Sgns, 1, 5, &[99], &mut log);
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn ln_sigmoid_is_stable() {
-        assert!((ln_sigmoid(0.0) - 0.5f64.ln()).abs() < 1e-12);
-        assert!(ln_sigmoid(1000.0).abs() < 1e-12);
-        assert!((ln_sigmoid(-1000.0) + 1000.0).abs() < 1e-9);
+        let r = example_loss(&params, 1, 99, &[1], &mut log);
+        assert!(matches!(
+            r,
+            Err(ModelError::TokenOutOfRange { token: 99, .. })
+        ));
+        let r = example_loss(&params, 1, 5, &[99], &mut log);
+        assert!(matches!(
+            r,
+            Err(ModelError::TokenOutOfRange { token: 99, .. })
+        ));
     }
 }

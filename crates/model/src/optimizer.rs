@@ -1,4 +1,4 @@
-//! Server-side optimisers applied to the (noisy) aggregated model delta.
+//! The server-side optimiser applied to the (noisy) aggregated model delta.
 //!
 //! Algorithm 1, line 10 updates the model with the noisy average of bucket
 //! deltas: `θ_{t+1} = θ_t + ĝ_t`. The paper trains with Adam "implemented
@@ -8,134 +8,45 @@
 //! private, any post-processing (including Adam's moment tracking) is
 //! privacy-free.
 
-use plp_linalg::ops;
 use plp_linalg::par::fan_out;
 
 use crate::error::ModelError;
 use crate::params::ModelParams;
 
-/// Plain averaging server update: `θ ← θ + lr · ĝ` (lr = 1 reproduces
-/// Algorithm 1 literally).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerSgd {
-    /// Server learning rate applied to the aggregated delta.
-    pub learning_rate: f64,
-}
-
-impl ServerSgd {
-    /// Creates a validated server-SGD updater.
-    ///
-    /// # Errors
-    /// `learning_rate` must be finite and positive.
-    pub fn new(learning_rate: f64) -> Result<Self, ModelError> {
-        if !(learning_rate.is_finite() && learning_rate > 0.0) {
-            return Err(ModelError::BadConfig {
-                name: "learning_rate",
-                expected: "finite and > 0",
-            });
-        }
-        Ok(ServerSgd { learning_rate })
-    }
-
-    /// Applies `params += lr · update`, one block of vocabulary rows per
-    /// part of `threads` ([`fan_out`]). The update is per-element, so the
-    /// result is bit-identical for every thread count.
-    ///
-    /// # Errors
-    /// Shapes must match and the result must stay finite.
-    pub fn step_threaded(
-        &self,
-        params: &mut ModelParams,
-        update: &ModelParams,
-        threads: usize,
-    ) -> Result<(), ModelError> {
-        if !params.same_shape(update) {
-            return Err(ModelError::ShapeMismatch {
-                what: "ServerSgd step",
-            });
-        }
-        let lr = self.learning_rate;
-        let rows = params.vocab_size().div_ceil(threads.max(1));
-        let blocks: Vec<_> = params
-            .row_blocks_mut(rows)
-            .zip(update.row_blocks(rows))
-            .collect();
-        fan_out(blocks, |(ys, xs)| {
-            for (y, x) in ys.into_iter().zip(xs) {
-                ops::axpy_unchecked(lr, x, y);
-            }
-        });
-        if !params.all_finite() {
-            return Err(ModelError::NonFinite {
-                at: "parameters after server sgd",
-            });
-        }
-        Ok(())
-    }
-}
-
 /// DP-Adam: Adam moments tracked over the noisy aggregated update.
 ///
 /// The update direction ĝ plays the role of the (negated) gradient, so the
-/// step is `θ += lr · m̂ / (√v̂ + ε)`.
+/// step is `θ += lr · m̂ / (√v̂ + ε)`, with Adam's standard β₁, β₂ and ε.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerAdam {
     /// Step size α.
     pub learning_rate: f64,
-    /// First-moment decay β₁.
-    pub beta1: f64,
-    /// Second-moment decay β₂.
-    pub beta2: f64,
-    /// Numerical-stability constant ε.
-    pub eps: f64,
     t: u64,
     m: ModelParams,
     v: ModelParams,
 }
 
 impl ServerAdam {
+    /// First-moment decay β₁.
+    pub const BETA1: f64 = 0.9;
+    /// Second-moment decay β₂.
+    pub const BETA2: f64 = 0.999;
+    /// Numerical-stability constant ε.
+    pub const EPS: f64 = 1e-8;
+
     /// Creates an Adam state matching the shape of `template`.
     ///
     /// # Errors
-    /// Standard Adam domain checks (`lr > 0`, betas in `[0, 1)`, `eps > 0`).
+    /// `learning_rate` must be finite and positive.
     pub fn new(template: &ModelParams, learning_rate: f64) -> Result<Self, ModelError> {
-        Self::with_betas(template, learning_rate, 0.9, 0.999, 1e-8)
-    }
-
-    /// Fully parameterised constructor.
-    ///
-    /// # Errors
-    /// Standard Adam domain checks.
-    pub fn with_betas(
-        template: &ModelParams,
-        learning_rate: f64,
-        beta1: f64,
-        beta2: f64,
-        eps: f64,
-    ) -> Result<Self, ModelError> {
         if !(learning_rate.is_finite() && learning_rate > 0.0) {
             return Err(ModelError::BadConfig {
                 name: "learning_rate",
                 expected: "finite and > 0",
             });
         }
-        if !(0.0..1.0).contains(&beta1) || !(0.0..1.0).contains(&beta2) {
-            return Err(ModelError::BadConfig {
-                name: "beta1/beta2",
-                expected: "in [0, 1)",
-            });
-        }
-        if !(eps.is_finite() && eps > 0.0) {
-            return Err(ModelError::BadConfig {
-                name: "eps",
-                expected: "finite and > 0",
-            });
-        }
         Ok(ServerAdam {
             learning_rate,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: ModelParams::zeros(template.vocab_size(), template.dim()),
             v: ModelParams::zeros(template.vocab_size(), template.dim()),
@@ -151,18 +62,15 @@ impl ServerAdam {
     /// Reconstructs an Adam state restored from a checkpoint.
     ///
     /// # Errors
-    /// Same domain checks as [`ServerAdam::with_betas`], plus `m` and `v`
-    /// must share one shape.
+    /// Same domain check as [`ServerAdam::new`], plus `m` and `v` must
+    /// share one shape and be finite.
     pub fn from_state(
         learning_rate: f64,
-        beta1: f64,
-        beta2: f64,
-        eps: f64,
         t: u64,
         m: ModelParams,
         v: ModelParams,
     ) -> Result<Self, ModelError> {
-        let mut adam = Self::with_betas(&m, learning_rate, beta1, beta2, eps)?;
+        let mut adam = Self::new(&m, learning_rate)?;
         if !m.same_shape(&v) {
             return Err(ModelError::ShapeMismatch {
                 what: "ServerAdam m/v state",
@@ -198,9 +106,9 @@ impl ServerAdam {
             });
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.eps);
+        let (lr, b1, b2, eps) = (self.learning_rate, Self::BETA1, Self::BETA2, Self::EPS);
+        let bc1 = 1.0 - b1.powi(self.t as i32);
+        let bc2 = 1.0 - b2.powi(self.t as i32);
         let rows = params.vocab_size().div_ceil(threads.max(1));
         let blocks: Vec<_> = params
             .row_blocks_mut(rows)
@@ -238,41 +146,6 @@ mod tests {
         d.embedding.fill(value);
         d.bias.fill(value);
         d
-    }
-
-    #[test]
-    fn sgd_applies_scaled_delta() {
-        let mut p = ModelParams::zeros(2, 2);
-        let u = delta(2, 2, 1.0);
-        ServerSgd::new(0.5)
-            .unwrap()
-            .step_threaded(&mut p, &u, 1)
-            .unwrap();
-        assert!(p.embedding.as_slice().iter().all(|&x| x == 0.5));
-        assert!(p.bias.iter().all(|&x| x == 0.5));
-    }
-
-    #[test]
-    fn sgd_rejects_bad_lr_and_shapes() {
-        assert!(ServerSgd::new(0.0).is_err());
-        assert!(ServerSgd::new(f64::NAN).is_err());
-        let mut p = ModelParams::zeros(2, 2);
-        let wrong = ModelParams::zeros(3, 2);
-        assert!(ServerSgd::new(1.0)
-            .unwrap()
-            .step_threaded(&mut p, &wrong, 1)
-            .is_err());
-    }
-
-    #[test]
-    fn sgd_detects_nan_poisoning() {
-        let mut p = ModelParams::zeros(1, 1);
-        let mut u = ModelParams::zeros(1, 1);
-        u.bias[0] = f64::NAN;
-        assert!(matches!(
-            ServerSgd::new(1.0).unwrap().step_threaded(&mut p, &u, 1),
-            Err(ModelError::NonFinite { .. })
-        ));
     }
 
     #[test]
@@ -320,16 +193,8 @@ mod tests {
             adam.step_threaded(&mut p, &u, 1).unwrap();
         }
         let (t, m, v) = adam.state();
-        let mut restored = ServerAdam::from_state(
-            adam.learning_rate,
-            adam.beta1,
-            adam.beta2,
-            adam.eps,
-            t,
-            m.clone(),
-            v.clone(),
-        )
-        .unwrap();
+        let mut restored =
+            ServerAdam::from_state(adam.learning_rate, t, m.clone(), v.clone()).unwrap();
         let mut p2 = p.clone();
         adam.step_threaded(&mut p, &u, 1).unwrap();
         restored.step_threaded(&mut p2, &u, 1).unwrap();
@@ -352,34 +217,25 @@ mod tests {
         d
     }
 
-    /// `steps` SGD and Adam steps over `threads` workers from a ragged
-    /// start: the parameters after each optimiser, and Adam's `(t, m, v)`.
-    fn run_both(
-        vocab: usize,
-        dim: usize,
-        threads: usize,
-        steps: usize,
-    ) -> (ModelParams, ModelParams, ServerAdam) {
+    /// `steps` Adam steps over `threads` workers from a ragged update: the
+    /// parameters, and Adam's `(t, m, v)`.
+    fn run(vocab: usize, dim: usize, threads: usize, steps: usize) -> (ModelParams, ServerAdam) {
         let u = ragged_delta(vocab, dim);
-        let sgd = ServerSgd::new(0.7).unwrap();
-        let mut by_sgd = ragged_delta(vocab, dim);
-        let mut by_adam = ModelParams::zeros(vocab, dim);
-        let mut adam = ServerAdam::new(&by_adam, 0.05).unwrap();
+        let mut params = ModelParams::zeros(vocab, dim);
+        let mut adam = ServerAdam::new(&params, 0.05).unwrap();
         for _ in 0..steps {
-            sgd.step_threaded(&mut by_sgd, &u, threads).unwrap();
-            adam.step_threaded(&mut by_adam, &u, threads).unwrap();
+            adam.step_threaded(&mut params, &u, threads).unwrap();
         }
-        (by_sgd, by_adam, adam)
+        (params, adam)
     }
 
     #[test]
     fn step_threaded_is_bit_identical_across_thread_counts() {
         // Multi-step: any drift in (t, m, v) state would compound.
-        let (want_sgd, want_adam, want) = run_both(13, 5, 1, 6);
+        let (want_params, want) = run(13, 5, 1, 6);
         for threads in [2usize, 4, 8] {
-            let (sgd, params, adam) = run_both(13, 5, threads, 6);
-            assert_eq!(sgd, want_sgd, "sgd params, threads={threads}");
-            assert_eq!(params, want_adam, "adam params, threads={threads}");
+            let (params, adam) = run(13, 5, threads, 6);
+            assert_eq!(params, want_params, "params, threads={threads}");
             assert_eq!(
                 adam.state(),
                 want.state(),
@@ -396,27 +252,24 @@ mod tests {
             dim in 1usize..12,
             threads in 2usize..9,
         ) {
-            let (want_sgd, want_adam, want) = run_both(vocab, dim, 1, 3);
-            let (sgd, params, adam) = run_both(vocab, dim, threads, 3);
-            prop_assert_eq!(sgd, want_sgd);
-            prop_assert_eq!(params, want_adam);
+            let (want_params, want) = run(vocab, dim, 1, 3);
+            let (params, adam) = run(vocab, dim, threads, 3);
+            prop_assert_eq!(params, want_params);
             prop_assert_eq!(adam.state(), want.state());
         }
     }
 
     #[test]
-    fn step_threaded_validates_like_sequential() {
+    fn step_threaded_rejects_bad_shapes_and_nan_poisoning() {
         let mut p = ModelParams::zeros(2, 2);
         let wrong = ModelParams::zeros(3, 2);
-        let sgd = ServerSgd::new(1.0).unwrap();
-        assert!(sgd.step_threaded(&mut p, &wrong, 4).is_err());
         let mut adam = ServerAdam::new(&p, 0.1).unwrap();
         assert!(adam.step_threaded(&mut p, &wrong, 4).is_err());
         assert_eq!(adam.state().0, 0, "failed step must not be counted");
         let mut u = ModelParams::zeros(2, 2);
         u.bias[0] = f64::NAN;
         assert!(matches!(
-            sgd.step_threaded(&mut p, &u, 4),
+            adam.step_threaded(&mut p, &u, 4),
             Err(ModelError::NonFinite { .. })
         ));
     }
@@ -425,19 +278,18 @@ mod tests {
     fn adam_from_state_rejects_bad_state() {
         let m = ModelParams::zeros(2, 2);
         let v = ModelParams::zeros(3, 2);
-        assert!(ServerAdam::from_state(0.1, 0.9, 0.999, 1e-8, 1, m.clone(), v).is_err());
+        assert!(ServerAdam::from_state(0.1, 1, m.clone(), v).is_err());
         let mut bad = ModelParams::zeros(2, 2);
         bad.bias[0] = f64::INFINITY;
-        assert!(ServerAdam::from_state(0.1, 0.9, 0.999, 1e-8, 1, m, bad).is_err());
+        assert!(ServerAdam::from_state(0.1, 1, m.clone(), bad).is_err());
+        assert!(ServerAdam::from_state(0.0, 1, m.clone(), m).is_err());
     }
 
     #[test]
     fn adam_validates_parameters() {
         let p = ModelParams::zeros(1, 1);
-        assert!(ServerAdam::with_betas(&p, 0.0, 0.9, 0.999, 1e-8).is_err());
-        assert!(ServerAdam::with_betas(&p, 0.1, 1.0, 0.999, 1e-8).is_err());
-        assert!(ServerAdam::with_betas(&p, 0.1, 0.9, -0.1, 1e-8).is_err());
-        assert!(ServerAdam::with_betas(&p, 0.1, 0.9, 0.999, 0.0).is_err());
+        assert!(ServerAdam::new(&p, 0.0).is_err());
+        assert!(ServerAdam::new(&p, f64::NAN).is_err());
         let mut adam = ServerAdam::new(&p, 0.1).unwrap();
         let mut p2 = ModelParams::zeros(2, 1);
         let u2 = ModelParams::zeros(2, 1);

@@ -9,11 +9,11 @@ use rand::{seq::SliceRandom, Rng};
 
 use crate::error::ModelError;
 use crate::grad::BatchGrad;
-use crate::loss::{example_loss, forward_backward, Loss};
-use crate::negative::NegativeSampler;
+use crate::loss::{example_loss, forward_backward};
 use crate::params::{ParamsView, ParamsViewMut};
 
 use plp_data::window::{pairs_from_sequence_into, Pair};
+use plp_linalg::sample::sample_distinct_excluding_into;
 
 /// Hyper-parameters of a local SGD pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,8 +26,6 @@ pub struct LocalSgdConfig {
     pub window: usize,
     /// Negatives per positive `neg` (paper default 16).
     pub negatives: usize,
-    /// The training objective.
-    pub loss: Loss,
 }
 
 impl LocalSgdConfig {
@@ -62,6 +60,20 @@ impl LocalSgdConfig {
         }
         Ok(())
     }
+}
+
+/// Negatives are drawn uniformly from the vocabulary without the context
+/// ("a sampled softmax function with a uniform sampling distribution",
+/// §3.2 — a frequency-weighted proposal would leak location popularity),
+/// so a pair needs at least one other token.
+fn check_negatives_exist(vocab: usize) -> Result<(), ModelError> {
+    if vocab < 2 {
+        return Err(ModelError::BadConfig {
+            name: "vocab",
+            expected: ">= 2",
+        });
+    }
+    Ok(())
 }
 
 /// Outcome of a local SGD pass.
@@ -113,7 +125,6 @@ pub fn train_on_tokens<R: Rng + ?Sized, P: ParamsViewMut + ?Sized>(
     params: &mut P,
     tokens: &[usize],
     config: &LocalSgdConfig,
-    sampler: &NegativeSampler,
     scratch: &mut TrainScratch,
 ) -> Result<TrainStats, ModelError> {
     config.validate()?;
@@ -128,15 +139,17 @@ pub fn train_on_tokens<R: Rng + ?Sized, P: ParamsViewMut + ?Sized>(
     // shuffle, then fixed-size chunks (`validate` guarantees batch_size ≥ 1).
     pairs_from_sequence_into(tokens, config.window, pairs);
     pairs.shuffle(rng);
+    if !pairs.is_empty() {
+        check_negatives_exist(vocab)?;
+    }
 
     let mut total_loss = 0.0;
     for batch in pairs.chunks(config.batch_size) {
         let scale = 1.0 / batch.len() as f64;
         grad.clear();
         for &(target, context) in batch {
-            sampler.sample_into(rng, vocab, config.negatives, context, negatives)?;
-            total_loss +=
-                forward_backward(params, config.loss, target, context, negatives, scale, grad)?;
+            sample_distinct_excluding_into(rng, vocab, config.negatives, context, negatives);
+            total_loss += forward_backward(params, target, context, negatives, scale, grad)?;
         }
         grad.apply_to(params, -config.learning_rate)?;
     }
@@ -162,7 +175,6 @@ pub fn validation_loss<R: Rng + ?Sized, P: ParamsView + ?Sized>(
     params: &P,
     tokens: &[usize],
     config: &LocalSgdConfig,
-    sampler: &NegativeSampler,
 ) -> Result<f64, ModelError> {
     config.validate()?;
     let vocab = params.vocab_size();
@@ -170,12 +182,13 @@ pub fn validation_loss<R: Rng + ?Sized, P: ParamsView + ?Sized>(
     if pairs.is_empty() {
         return Ok(0.0);
     }
+    check_negatives_exist(vocab)?;
     let mut negatives = Vec::new();
     let mut sink = BatchGrad::new();
     let mut total = 0.0;
     for &(target, context) in &pairs {
-        sampler.sample_into(rng, vocab, config.negatives, context, &mut negatives)?;
-        total += example_loss(params, config.loss, target, context, &negatives, &mut sink)?;
+        sample_distinct_excluding_into(rng, vocab, config.negatives, context, &mut negatives);
+        total += example_loss(params, target, context, &negatives, &mut sink)?;
     }
     Ok(total / pairs.len() as f64)
 }
@@ -193,7 +206,6 @@ mod tests {
             batch_size: 8,
             window: 2,
             negatives: 4,
-            loss: Loss::SampledSoftmax,
         }
     }
 
@@ -214,8 +226,7 @@ mod tests {
         tokens: &[usize],
         cfg: &LocalSgdConfig,
     ) -> Result<TrainStats, ModelError> {
-        let sampler = NegativeSampler::Uniform;
-        train_on_tokens(rng, params, tokens, cfg, &sampler, &mut TrainScratch::new())
+        train_on_tokens(rng, params, tokens, cfg, &mut TrainScratch::new())
     }
 
     #[test]
@@ -223,13 +234,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut params = ModelParams::init(&mut rng, 20, 8).unwrap();
         let cfg = config();
-        let sampler = NegativeSampler::Uniform;
         let tokens = corpus();
-        let before = validation_loss(&mut rng, &params, &tokens, &cfg, &sampler).unwrap();
+        let before = validation_loss(&mut rng, &params, &tokens, &cfg).unwrap();
         for _ in 0..5 {
             train(&mut rng, &mut params, &tokens, &cfg).unwrap();
         }
-        let after = validation_loss(&mut rng, &params, &tokens, &cfg, &sampler).unwrap();
+        let after = validation_loss(&mut rng, &params, &tokens, &cfg).unwrap();
         assert!(after < before, "loss {after} !< {before}");
         assert!(params.all_finite());
     }
@@ -262,9 +272,21 @@ mod tests {
         assert_eq!((stats.pairs, stats.batches), (0, 0));
         assert_eq!(stats.mean_loss, 0.0);
         assert_eq!(params, before);
-        let v =
-            validation_loss(&mut rng, &params, &[], &config(), &NegativeSampler::Uniform).unwrap();
+        let v = validation_loss(&mut rng, &params, &[], &config()).unwrap();
         assert_eq!(v, 0.0);
+    }
+
+    #[test]
+    fn a_vocabulary_without_negatives_is_refused() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut params = ModelParams::init(&mut rng, 1, 4).unwrap();
+        let vocab = |e: ModelError| matches!(e, ModelError::BadConfig { name: "vocab", .. });
+        let r = train(&mut rng, &mut params, &[0, 0, 0], &config());
+        assert!(vocab(r.unwrap_err()));
+        let r = validation_loss(&mut rng, &params, &[0, 0], &config());
+        assert!(vocab(r.unwrap_err()));
+        // No pair, no negative to draw.
+        assert!(train(&mut rng, &mut params, &[0], &config()).is_ok());
     }
 
     #[test]
@@ -297,15 +319,26 @@ mod tests {
 
     #[test]
     fn a_non_finite_batch_gradient_is_reported() {
-        // u = 0 keeps every logit and the loss finite while ∂J/∂u =
-        // −½w + ½w + ½w + ½w + ½w overflows at w = f64::MAX.
-        let mut params = ModelParams::zeros(20, 4);
-        params.context.map_inplace(|_| f64::MAX);
-        let cfg = LocalSgdConfig {
-            loss: Loss::Sgns,
-            ..config()
-        };
-        let r = train(&mut StdRng::seed_from_u64(5), &mut params, &corpus(), &cfg);
+        // u = 0 keeps every logit at 0 and the loss at ln 5, so p = 1/5 per
+        // candidate. A context row of −MAX then contributes (1 − p)·MAX to
+        // ∂J/∂u and every negative row of +MAX another p·MAX: a prefix with
+        // two more off-corpus negatives than corpus ones passes MAX.
+        let tokens = corpus();
+        let mut params = ModelParams::zeros(40, 4);
+        for r in 0..40 {
+            let w = if tokens.contains(&r) {
+                -f64::MAX
+            } else {
+                f64::MAX
+            };
+            params.context.row_mut(r).fill(w);
+        }
+        let r = train(
+            &mut StdRng::seed_from_u64(5),
+            &mut params,
+            &tokens,
+            &config(),
+        );
         assert!(matches!(
             r,
             Err(ModelError::NonFinite {
@@ -336,41 +369,39 @@ mod tests {
         // never their per-row order, so the trained parameters must agree
         // bit for bit.
         let tokens = corpus();
-        let sampler = NegativeSampler::Uniform;
-        for loss in [Loss::SampledSoftmax, Loss::Sgns] {
-            let cfg = LocalSgdConfig { loss, ..config() };
+        let cfg = config();
 
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut reference = ModelParams::init(&mut rng, 20, 8).unwrap();
-            let mut pairs = plp_data::window::pairs_from_sequence(&tokens, cfg.window);
-            pairs.shuffle(&mut rng);
-            let mut log = BatchGrad::new();
-            let mut negatives = Vec::new();
-            for batch in pairs.chunks(cfg.batch_size) {
-                let scale = 1.0 / batch.len() as f64;
-                log.clear();
-                for &(target, context) in batch {
-                    sampler
-                        .sample_into(&mut rng, 20, cfg.negatives, context, &mut negatives)
-                        .unwrap();
-                    forward_backward(
-                        &reference, cfg.loss, target, context, &negatives, scale, &mut log,
-                    )
-                    .unwrap();
-                }
-                let grad = crate::grad::tests::dense_reference(&log, 20);
-                let lr = -cfg.learning_rate;
-                reference.embedding.axpy(lr, &grad.embedding).unwrap();
-                reference.context.axpy(lr, &grad.context).unwrap();
-                plp_linalg::ops::axpy_unchecked(lr, &grad.bias, &mut reference.bias);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut reference = ModelParams::init(&mut rng, 20, 8).unwrap();
+        let mut pairs = plp_data::window::pairs_from_sequence(&tokens, cfg.window);
+        pairs.shuffle(&mut rng);
+        let mut log = BatchGrad::new();
+        let mut negatives = Vec::new();
+        for batch in pairs.chunks(cfg.batch_size) {
+            let scale = 1.0 / batch.len() as f64;
+            log.clear();
+            for &(target, context) in batch {
+                sample_distinct_excluding_into(
+                    &mut rng,
+                    20,
+                    cfg.negatives,
+                    context,
+                    &mut negatives,
+                );
+                forward_backward(&reference, target, context, &negatives, scale, &mut log).unwrap();
             }
-
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut replayed = ModelParams::init(&mut rng, 20, 8).unwrap();
-            train(&mut rng, &mut replayed, &tokens, &cfg).unwrap();
-
-            assert_eq!(replayed, reference, "{loss:?}: replayed != reference");
+            let grad = crate::grad::tests::dense_reference(&log, 20);
+            let lr = -cfg.learning_rate;
+            reference.embedding.axpy(lr, &grad.embedding).unwrap();
+            reference.context.axpy(lr, &grad.context).unwrap();
+            plp_linalg::ops::axpy_unchecked(lr, &grad.bias, &mut reference.bias);
         }
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut replayed = ModelParams::init(&mut rng, 20, 8).unwrap();
+        train(&mut rng, &mut replayed, &tokens, &cfg).unwrap();
+
+        assert_eq!(replayed, reference, "replayed != reference");
     }
 
     #[test]
@@ -380,8 +411,7 @@ mod tests {
         let run = |scratch: &mut TrainScratch| {
             let mut rng = StdRng::seed_from_u64(7);
             let mut p = ModelParams::init(&mut rng, 20, 4).unwrap();
-            let sampler = NegativeSampler::Uniform;
-            train_on_tokens(&mut rng, &mut p, &tokens, &cfg, &sampler, scratch).unwrap();
+            train_on_tokens(&mut rng, &mut p, &tokens, &cfg, scratch).unwrap();
             p
         };
         let mut scratch = TrainScratch::new();
@@ -394,8 +424,7 @@ mod tests {
         };
         let mut p = ModelParams::zeros(20, 6);
         let mut rng = StdRng::seed_from_u64(8);
-        let sampler = NegativeSampler::Uniform;
-        train_on_tokens(&mut rng, &mut p, &longer, &wider, &sampler, &mut scratch).unwrap();
+        train_on_tokens(&mut rng, &mut p, &longer, &wider, &mut scratch).unwrap();
         assert_eq!(
             cold,
             run(&mut scratch),

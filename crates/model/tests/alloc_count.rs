@@ -17,7 +17,7 @@ use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowJournal};
 use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::train::{train_on_tokens, LocalSgdConfig, TrainScratch};
-use plp_model::{Loss, ModelParams, NegativeSampler, ParamsViewMut, Recommender};
+use plp_model::{ModelParams, ParamsViewMut, Recommender};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
@@ -123,7 +123,6 @@ fn a_warm_worker_allocates_nothing() {
         batch_size: 32,
         window: 2,
         negatives: 16,
-        loss: Loss::SampledSoftmax,
     };
     let mut rng = StdRng::seed_from_u64(2);
     let tokens: Vec<usize> = (0..401).map(|_| rng.random_range(0..vocab)).collect();
@@ -137,7 +136,6 @@ fn a_warm_worker_allocates_nothing() {
             &mut CowParams::new(&theta, &mut journal),
             tokens,
             &cfg,
-            &NegativeSampler::Uniform,
             &mut scratch,
         )
         .unwrap();

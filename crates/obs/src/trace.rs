@@ -264,14 +264,15 @@ impl FlightRecorder {
     }
 }
 
+/// Completed records a [`Tracer`]'s flight recorder retains.
+const RECORDER_CAPACITY: usize = 4096;
+
 /// Configuration for a per-process [`Tracer`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Process label in dumps and the stitched trace ("coordinator",
     /// "worker", "serve", …).
     pub process: String,
-    /// Flight-recorder capacity (completed records retained).
-    pub capacity: usize,
     /// Where [`Tracer::dump_on_fault`] writes, if anywhere.
     pub dump_path: Option<PathBuf>,
 }
@@ -280,7 +281,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             process: "main".to_string(),
-            capacity: 4096,
             dump_path: None,
         }
     }
@@ -325,7 +325,7 @@ impl Tracer {
             process: cfg.process,
             pid: std::process::id(),
             epoch: Instant::now(),
-            recorder: FlightRecorder::new(cfg.capacity),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY),
             dump_path: cfg.dump_path,
             fault_dumps: AtomicU64::new(0),
         }

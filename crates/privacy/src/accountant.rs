@@ -10,7 +10,6 @@
 
 use serde::Serialize;
 
-use crate::budget::PrivacyBudget;
 use crate::error::PrivacyError;
 use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
 
@@ -320,30 +319,6 @@ impl MomentsAccountant {
         let (_, _, curve) = self.cached_step.as_ref().expect("cache just refreshed");
         self.total.epsilon_composed_with(curve, self.delta)
     }
-
-    /// Returns an error if the accumulated ε has reached `budget.epsilon`
-    /// (Algorithm 1, line 12). The budget's δ must match the accountant's.
-    ///
-    /// # Errors
-    /// [`PrivacyError::BudgetExhausted`] when spent ε ≥ budget, or
-    /// [`PrivacyError::InvalidParameter`] on a δ mismatch.
-    pub fn check_budget(&self, budget: PrivacyBudget) -> Result<(), PrivacyError> {
-        if budget.delta != self.delta {
-            return Err(PrivacyError::InvalidParameter {
-                name: "delta",
-                value: budget.delta,
-                expected: "equal to the accountant's delta",
-            });
-        }
-        let spent = self.epsilon()?;
-        if spent >= budget.epsilon {
-            return Err(PrivacyError::BudgetExhausted {
-                spent,
-                budget: budget.epsilon,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -446,30 +421,6 @@ mod tests {
             );
         }
         assert_eq!(acc.steps(), 500);
-    }
-
-    #[test]
-    fn check_budget_trips_when_exhausted() {
-        let mut acc = MomentsAccountant::new(2e-4).unwrap();
-        let budget = PrivacyBudget::new(0.8, 2e-4).unwrap();
-        let mut tripped = false;
-        for _ in 0..10_000 {
-            acc.step(0.10, 1.0).unwrap();
-            if acc.check_budget(budget).is_err() {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped, "a tiny budget must eventually be exhausted");
-        let err = acc.check_budget(budget).unwrap_err();
-        assert!(matches!(err, PrivacyError::BudgetExhausted { .. }));
-    }
-
-    #[test]
-    fn check_budget_rejects_delta_mismatch() {
-        let acc = MomentsAccountant::new(2e-4).unwrap();
-        let budget = PrivacyBudget::new(1.0, 1e-5).unwrap();
-        assert!(acc.check_budget(budget).is_err());
     }
 
     #[test]

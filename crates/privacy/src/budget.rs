@@ -43,12 +43,6 @@ impl PrivacyBudget {
     pub fn paper_delta() -> f64 {
         2e-4
     }
-
-    /// `true` iff `delta < 1/n` for a dataset of `n` individuals — the rule
-    /// of thumb of Dwork et al. quoted in the paper (§2.1).
-    pub fn delta_is_safe_for(&self, n: usize) -> bool {
-        n > 0 && self.delta < 1.0 / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -75,13 +69,5 @@ mod tests {
         assert!(PrivacyBudget::new(1.0, 0.0).is_err());
         assert!(PrivacyBudget::new(1.0, 1.0).is_err());
         assert!(PrivacyBudget::new(1.0, -0.1).is_err());
-    }
-
-    #[test]
-    fn paper_delta_is_safe_for_paper_population() {
-        let b = PrivacyBudget::new(2.0, PrivacyBudget::paper_delta()).unwrap();
-        assert!(b.delta_is_safe_for(4602));
-        assert!(!b.delta_is_safe_for(10_000));
-        assert!(!b.delta_is_safe_for(0));
     }
 }

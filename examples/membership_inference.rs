@@ -44,7 +44,6 @@ fn main() {
         &hp,
         &NonPrivateConfig {
             epochs: 15,
-            lr_decay: false,
             ..NonPrivateConfig::default()
         },
     )

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
 # one-fan-out, four-binaries, no-deployed-copy, no-map-in-the-SGNS-loop and
-# one-start grep gates, build, the full test suite (and the vectorised kernels', the
+# retired-names (one start, one objective, one proposal, one server
+# optimiser) grep gates, build, the full test suite (and the vectorised kernels', the
 # fan-out's, the server update's, the noise pass's, the batch-gradient
 # replay's, the rank-counting evaluator's, the streaming reduction's and the
 # serving engine's identity tests again in release mode, with the allocation
@@ -80,14 +81,17 @@ if git grep -nE 'BTreeMap|BTreeSet' -- crates/model/src/grad.rs crates/model/src
   exit 1
 fi
 
-echo "== one-start gate (a run starts where its checkpoint is) =="
+echo "== retired-names gate (one start, one objective, one proposal, one server optimiser) =="
 # The trainer's checkpoint policy decides where a run starts and the loop
 # steps the very state a save encodes; a resume entry point, a caller-side
 # resume switch or a second state type means both are being forked again.
 # The IVF search twins compose the probe and re-rank stages callers already
-# make.
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, or probe_cells + rerank_probed*"
+# make. The paper trains one configuration — a sampled softmax over uniform
+# negatives under DP-Adam — so a loss enum, a negative-sampler type, a
+# server-optimiser choice, Adam's β/ε knobs, the non-private trainer's
+# switches or the fed worker's argument list are alternatives coming back.
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, or the one objective, sampler and server optimiser"
   exit 1
 fi
 

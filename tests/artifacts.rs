@@ -1,6 +1,6 @@
 //! The one corruption suite of the artifact container, run over every
 //! kind of image the workspace writes: serving bundle, full-parameter
-//! model, checkpoint (SGD and Adam server) and dataset. The byte-level
+//! model, checkpoint and dataset. The byte-level
 //! cases that need no artifact live beside the codec in
 //! `plp_data::frame`; here each damaged image goes through the loader its
 //! kind really uses, so the semantic checks behind the checksums are
@@ -15,16 +15,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dp_nextloc::core::checkpoint::{
-    config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, Server,
-    TrainingCheckpoint,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, TrainingCheckpoint,
 };
 use dp_nextloc::core::plp::{train_plp_resumable, CheckpointPolicy, TrainOptions};
-use dp_nextloc::core::{CoreError, Hyperparameters, ServerOptimizer};
+use dp_nextloc::core::{CoreError, Hyperparameters};
 use dp_nextloc::data::dataset::TokenizedDataset;
 use dp_nextloc::data::frame::{self, fnv1a64, Words};
 use dp_nextloc::data::{io, CheckIn, CheckInDataset, DataError, GeoPoint, LocationId, Poi};
 use dp_nextloc::linalg::Matrix;
-use dp_nextloc::model::optimizer::{ServerAdam, ServerSgd};
+use dp_nextloc::model::optimizer::ServerAdam;
 use dp_nextloc::model::plps::{self, PlpsSnapshot};
 use dp_nextloc::model::{ModelError, ModelParams, Recommender};
 use dp_nextloc::privacy::PrivacyLedger;
@@ -95,18 +94,14 @@ fn params() -> ModelParams {
     ModelParams::init(&mut rng, VOCAB, DIM).unwrap()
 }
 
-fn checkpoint(adam: bool) -> (TrainingCheckpoint, PrivacyLedger) {
+fn checkpoint() -> (TrainingCheckpoint, PrivacyLedger) {
     let params = params();
-    let server = if adam {
-        let mut opt = ServerAdam::new(&params, 0.01).unwrap();
-        let mut direction = ModelParams::zeros(VOCAB, DIM);
-        direction.bias[1] = 0.125;
-        opt.step_threaded(&mut params.clone(), &direction, 1)
-            .unwrap();
-        Server::Adam(Box::new(opt))
-    } else {
-        Server::Sgd(ServerSgd::new(0.5).unwrap())
-    };
+    let mut server = ServerAdam::new(&params, 0.01).unwrap();
+    let mut direction = ModelParams::zeros(VOCAB, DIM);
+    direction.bias[1] = 0.125;
+    server
+        .step_threaded(&mut params.clone(), &direction, 1)
+        .unwrap();
     let mut ledger = PrivacyLedger::new();
     for _ in 0..6 {
         ledger.track(0.06, 2.5).unwrap();
@@ -122,8 +117,8 @@ fn checkpoint(adam: bool) -> (TrainingCheckpoint, PrivacyLedger) {
     (run, ledger)
 }
 
-fn checkpoint_image(adam: bool) -> Vec<u8> {
-    let (run, ledger) = checkpoint(adam);
+fn checkpoint_image() -> Vec<u8> {
+    let (run, ledger) = checkpoint();
     encode_checkpoint(&run, &ledger)
 }
 
@@ -164,8 +159,7 @@ fn kinds() -> &'static [Kind] {
         vec![
             ("bundle", bundle, open_bundle),
             ("params", full, open_params),
-            ("checkpoint-sgd", checkpoint_image(false), open_checkpoint),
-            ("checkpoint-adam", checkpoint_image(true), open_checkpoint),
+            ("checkpoint-adam", checkpoint_image(), open_checkpoint),
             ("dataset", io::encode_binary(&dataset()), open_dataset),
         ]
     })
@@ -225,9 +219,8 @@ fn pristine_images_round_trip_and_reseal_is_the_identity() {
         assert_eq!(open(image.clone()), Ok(()), "{name}");
         assert_eq!(&resealed(name, |_| {}), image, "{name}");
     }
-    for (name, adam) in [("checkpoint-sgd", false), ("checkpoint-adam", true)] {
-        assert_eq!(decode_checkpoint(image_of(name)).unwrap(), checkpoint(adam));
-    }
+    let decoded = decode_checkpoint(image_of("checkpoint-adam")).unwrap();
+    assert_eq!(decoded, checkpoint());
     assert_eq!(io::decode_binary(&image_of("dataset")).unwrap(), dataset());
     let absent = std::path::Path::new("/nonexistent/run.plpc");
     assert!(matches!(load_checkpoint(absent), Err(CoreError::Io { .. })));
@@ -299,7 +292,7 @@ proptest! {
 fn retired_formats_are_refused_as_legacy_by_every_loader() {
     // Hand-built openings of the three retired formats; what follows the
     // magic does not matter, so a whole image behind one reads the same.
-    let mut relabelled = image_of("checkpoint-sgd");
+    let mut relabelled = image_of("checkpoint-adam");
     relabelled[..4].copy_from_slice(b"PLPC");
     for (name, _, open) in kinds() {
         for (opening, magic, remedy) in [
@@ -348,41 +341,46 @@ fn resealed_model_damage_is_refused_by_the_semantic_checks() {
 
 #[test]
 fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
-    for name in ["checkpoint-sgd", "checkpoint-adam"] {
-        assert_inconsistent(name, "step count disagrees", |s| {
-            words_of(s, KIND_META)[2] += 1;
-        });
-        assert_inconsistent(name, "invalid ledger entry", |s| {
-            words_of(s, KIND_LEDGER)[2] = 0;
-        });
-        assert_inconsistent(name, "invalid ledger entry", |s| {
-            words_of(s, KIND_LEDGER)[0] = f64::NAN.to_bits();
-        });
-        assert_inconsistent(name, "non-finite tensor", |s| {
-            words_of(s, KIND_CONTEXT)[3] = f64::INFINITY.to_bits();
-        });
-        assert_inconsistent(name, "unknown server state", |s| {
-            words_of(s, KIND_META)[3] = 7;
-        });
-        assert_inconsistent(name, "unknown server state", |s| {
-            words_of(s, KIND_META).pop();
-        });
-        assert_inconsistent(name, "invalid server state", |s| {
-            words_of(s, KIND_META)[4] = f64::NAN.to_bits();
-        });
-        assert_inconsistent(name, "absent", |s| {
-            s.retain(|(kind, ..)| *kind != KIND_LEDGER);
-        });
-        assert_inconsistent(name, "section row width", |s| set_cols(s, KIND_LEDGER, 1));
-        // Two step counts of 2⁶³: their sum wraps to 0, which a claimed
-        // step of 0 would *match* if the sum were not checked.
-        assert_inconsistent(name, "invalid ledger entry", |s| {
-            words_of(s, KIND_LEDGER)[2] = 1 << 63;
-            words_of(s, KIND_LEDGER)[5] = 1 << 63;
-            words_of(s, KIND_META)[2] = 0;
+    let adam = "checkpoint-adam";
+    assert_inconsistent(adam, "step count disagrees", |s| {
+        words_of(s, KIND_META)[2] += 1;
+    });
+    assert_inconsistent(adam, "invalid ledger entry", |s| {
+        words_of(s, KIND_LEDGER)[2] = 0;
+    });
+    assert_inconsistent(adam, "invalid ledger entry", |s| {
+        words_of(s, KIND_LEDGER)[0] = f64::NAN.to_bits();
+    });
+    assert_inconsistent(adam, "non-finite tensor", |s| {
+        words_of(s, KIND_CONTEXT)[3] = f64::INFINITY.to_bits();
+    });
+    assert_inconsistent(adam, "unknown server state", |s| {
+        words_of(s, KIND_META)[3] = 7;
+    });
+    assert_inconsistent(adam, "unknown server state", |s| {
+        words_of(s, KIND_META).pop();
+    });
+    assert_inconsistent(adam, "invalid server state", |s| {
+        words_of(s, KIND_META)[4] = f64::NAN.to_bits();
+    });
+    // β₁, β₂ and ε are constants: a stored value other than theirs is
+    // another optimiser.
+    for word in 5..8 {
+        assert_inconsistent(adam, "unknown server state", |s| {
+            words_of(s, KIND_META)[word] ^= 1;
         });
     }
-    let adam = "checkpoint-adam";
+    assert_inconsistent(adam, "absent", |s| {
+        s.retain(|(kind, ..)| *kind != KIND_LEDGER);
+    });
+    assert_inconsistent(adam, "section row width", |s| set_cols(s, KIND_LEDGER, 1));
+    // Two step counts of 2⁶³: their sum wraps to 0, which a claimed
+    // step of 0 would *match* if the sum were not checked.
+    assert_inconsistent(adam, "invalid ledger entry", |s| {
+        words_of(s, KIND_LEDGER)[2] = 1 << 63;
+        words_of(s, KIND_LEDGER)[5] = 1 << 63;
+        words_of(s, KIND_META)[2] = 0;
+    });
     assert_inconsistent(adam, "non-finite tensor", |s| {
         words_of(s, KIND_ADAM_M)[0] = f64::NAN.to_bits();
     });
@@ -393,7 +391,8 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
             words.truncate(words.len() - row);
         }
     });
-    // An SGD tag over an image that still carries Adam's scalars.
+    // The retired server-SGD tag over an image that still carries Adam's
+    // scalars.
     assert_inconsistent(adam, "unknown server state", |s| {
         words_of(s, KIND_META)[3] = 0;
     });
@@ -405,12 +404,11 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
     // otherwise matching config and run seed.
     let hp = Hyperparameters {
         embedding_dim: DIM,
-        server_optimizer: ServerOptimizer::Sgd { learning_rate: 0.5 },
         ..Hyperparameters::default()
     };
     let fingerprint = config_fingerprint(&hp, VOCAB);
     let claim = |steps: u64| {
-        let image = resealed("checkpoint-sgd", |s| {
+        let image = resealed(adam, |s| {
             words_of(s, KIND_META)[0] = fingerprint;
             words_of(s, KIND_META)[2] = steps;
             words_of(s, KIND_LEDGER)[2] = steps - 1;
@@ -486,14 +484,9 @@ fn checkpoint_bytes_match_the_digests_taken_before_the_state_types_merged() {
     // Computed at commit 3a8d990, where a save first copied the trainer's
     // state into a second type: encoding the live state must not move a
     // byte.
-    for (name, len, digest) in [
-        ("checkpoint-sgd", 20_528, 0x3bd6_92a9_20c9_3394),
-        ("checkpoint-adam", 45_104, 0xe1f8_6248_50f7_6aed),
-    ] {
-        let image = image_of(name);
-        assert_eq!(image.len(), len, "{name}");
-        assert_eq!(fnv1a64(&image), digest, "{name}");
-    }
+    let image = image_of("checkpoint-adam");
+    assert_eq!(image.len(), 45_104);
+    assert_eq!(fnv1a64(&image), 0xe1f8_6248_50f7_6aed);
 }
 
 #[test]
