@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use plp_model::params::ModelParams;
 use plp_model::plps::PlpsSnapshot;
+use plp_model::recommender::RecommendScratch;
 use plp_model::Recommender;
 use plp_obs::Observer;
 use plp_serve::swap::{
@@ -75,15 +76,12 @@ fn queries(vocab: usize, n: usize, seed: u64) -> Vec<Query> {
 }
 
 fn sequential_reference(rec: &Recommender, queries: &[Query]) -> Vec<Vec<usize>> {
+    let mut scratch = RecommendScratch::new();
     queries
         .iter()
         .map(|q| {
-            if q.exclude.is_empty() {
-                rec.recommend(&q.recent, q.k).expect("recommend")
-            } else {
-                rec.recommend_excluding(&q.recent, q.k, &q.exclude)
-                    .expect("recommend_excluding")
-            }
+            rec.recommend_excluding_into(&q.recent, q.k, &q.exclude, &mut scratch)
+                .expect("recommend_excluding_into")
         })
         .collect()
 }

@@ -172,11 +172,6 @@ const KIND_FRAME: u64 = 7;
 const KIND_DUP: u64 = 8;
 
 impl FaultInjector {
-    /// The default injector: never injects anything.
-    pub fn inert() -> Self {
-        FaultInjector { plan: None }
-    }
-
     /// An injector following `plan`.
     ///
     /// # Panics
@@ -313,7 +308,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inert_by_default_and_when_rates_are_zero() {
+    fn quiet_by_default_and_when_rates_are_zero() {
         for quiet in [
             FaultInjector::default(),
             FaultInjector::with_plan(FaultPlan::quiet(5)),

@@ -1396,6 +1396,21 @@ mod tests {
         let out = train_plp(&mut rng, &ds, None, &hp).unwrap();
         assert!(out.params.all_finite());
         assert_eq!(out.summary.steps, 5);
+        // The noise std is σ·ωC over a sensitivity of ωC: the ledger tracks
+        // σ itself, and ε is an ω = 1 run's at the same (q, σ, steps).
+        assert_eq!(out.ledger.total_steps(), 5);
+        for e in out.ledger.entries() {
+            assert_eq!(e.q.to_bits(), hp.sampling_prob.to_bits());
+            assert_eq!(e.noise_multiplier.to_bits(), hp.noise_multiplier.to_bits());
+        }
+        hp.split_factor = 1;
+        let one = train_plp(&mut StdRng::seed_from_u64(7), &ds, None, &hp).unwrap();
+        assert_eq!(one.summary.steps, out.summary.steps);
+        assert_eq!(one.ledger, out.ledger);
+        assert_eq!(
+            one.summary.epsilon_spent.to_bits(),
+            out.summary.epsilon_spent.to_bits()
+        );
     }
 
     #[test]

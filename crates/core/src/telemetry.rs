@@ -1,5 +1,4 @@
-//! Training and serving telemetry: per-step observations, run summaries
-//! and the serving-layer counters reported by `plp-serve`.
+//! Training telemetry: per-step observations and run summaries.
 
 use serde::Serialize;
 
@@ -73,80 +72,9 @@ impl StopReason {
     }
 }
 
-/// What a batch-serving engine observed over its lifetime: load, latency
-/// percentiles and cache effectiveness (the serving counterpart of
-/// [`StepTelemetry`], reported by the `plp-serve` engine).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeTelemetry {
-    /// Recommendation queries answered (cache hits included).
-    pub queries: u64,
-    /// Scoring batches executed (cache hits never form a batch).
-    pub batches: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that had to be scored.
-    pub cache_misses: u64,
-    /// Queries per **second** of engine wall time
-    /// (`queries / (wall_ms / 1000)`); `0.0` before any traffic.
-    pub qps: f64,
-    /// Median per-query latency, in **milliseconds**. Derived from a
-    /// bounded log-linear histogram, so it carries that histogram's
-    /// ≤ one-bucket-width quantile error.
-    pub p50_ms: f64,
-    /// 95th-percentile per-query latency, in **milliseconds** (same
-    /// histogram-derived error bound as `p50_ms`).
-    pub p95_ms: f64,
-    /// 99th-percentile per-query latency, in **milliseconds** (same
-    /// histogram-derived error bound as `p50_ms`).
-    pub p99_ms: f64,
-    /// Total wall-clock time spent inside `serve` calls, in
-    /// **milliseconds**.
-    pub wall_ms: f64,
-}
-
-impl ServeTelemetry {
-    /// Fraction of queries answered from the cache; `0.0` before any
-    /// traffic.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_telemetry_hit_rate() {
-        let t = ServeTelemetry {
-            queries: 100,
-            batches: 4,
-            cache_hits: 25,
-            cache_misses: 75,
-            qps: 1_000.0,
-            p50_ms: 0.5,
-            p95_ms: 1.5,
-            p99_ms: 2.0,
-            wall_ms: 100.0,
-        };
-        assert!((t.cache_hit_rate() - 0.25).abs() < 1e-12);
-        let empty = ServeTelemetry {
-            queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            batches: 0,
-            qps: 0.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            wall_ms: 0.0,
-        };
-        assert_eq!(empty.cache_hit_rate(), 0.0);
-    }
 
     #[test]
     fn events_print_every_field_by_name() {

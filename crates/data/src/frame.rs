@@ -1,7 +1,7 @@
 //! The artifact container and the shared frame discipline.
 //!
 //! Everything the workspace persists or ships as a blob — the serving
-//! bundle and the full-parameter model (`plp-model::plps`), the training
+//! bundle, the one model file (`plp-model::plps`), the training
 //! checkpoint (`plp-core::checkpoint`), the θ-blob of a federated round
 //! (`plp-fed::protocol`) and the dataset ([`crate::io`]) — is one image
 //! layout, built by [`encode`] and read by [`parse`]:

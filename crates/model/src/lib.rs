@@ -24,9 +24,9 @@
 //! * [`markov`] — the (DP-)Markov-chain baselines of the related work (§6),
 //! * [`plps`] — model artifacts over the one PLPS container
 //!   (`plp_data::frame`): the mmap-able embedding-only deployment bundle of
-//!   §3.3 for zero-copy serving and hot-swap publishing, the
-//!   full-parameter model the CLI saves, and the tensor sections of
-//!   checkpoints and federated θ-blobs.
+//!   §3.3 for zero-copy serving and hot-swap publishing (also what the
+//!   CLI's `train --out` saves), and the tensor sections of checkpoints
+//!   and federated θ-blobs.
 
 pub mod clip;
 pub mod error;

@@ -1,5 +1,6 @@
-//! Model artifacts over the PLPS container: the serving bundle of §3.3,
-//! the full-parameter model, and the tensor sections of checkpoints and
+//! Model artifacts over the PLPS container: the serving bundle of §3.3
+//! (the one model file: what `dp-nextloc train --out` writes and a
+//! generation watcher loads), and the tensor sections of checkpoints and
 //! federated θ-blobs.
 //!
 //! The byte layout, its checksums and the atomic writer live in
@@ -144,8 +145,8 @@ impl PlpsSnapshot {
         Ok(self.header.verify(self.source.bytes())?)
     }
 
-    /// Full validation of an all-tensor image (bundle or full-parameter
-    /// model): body CRCs plus a finiteness sweep over every section. This
+    /// Full validation of an all-tensor image (bundle or θ-blob): body
+    /// CRCs plus a finiteness sweep over every section. This
     /// is what stands between an untrusted `gen-*.plps` file and live
     /// traffic.
     ///
@@ -219,7 +220,8 @@ impl PlpsSnapshot {
         })
     }
 
-    /// The model parameters θ of a [`write_params`] image.
+    /// The model parameters θ of an image whose sections are
+    /// [`param_sections`] at [`KIND_EMBEDDING`] (a federated θ-blob).
     ///
     /// # Errors
     /// As [`Self::params_at`].
@@ -267,13 +269,8 @@ pub fn param_sections(params: &ModelParams, base: u16) -> [(u16, usize, Words<'_
     ]
 }
 
-fn write(path: &Path, image: &[u8]) -> Result<(), ModelError> {
-    write_atomic(path, image).map_err(|e| ModelError::Io {
-        message: e.to_string(),
-    })
-}
-
-/// Writes a serving deployment bundle: the (already unit-normalised)
+/// Writes a serving deployment bundle — the one model file, which
+/// `dp-nextloc train --out` writes too: the (already unit-normalised)
 /// embedding only, flagged as normalised (header bit 0). Pass
 /// [`Recommender::embedding`] (or [`ModelParams::deployable_embedding`]) —
 /// the bytes are written verbatim, so a mapped reader serves bit-identical
@@ -291,17 +288,10 @@ pub fn write_deployable(
         embedding.cols(),
         Words::F64(embedding.as_slice()),
     );
-    write(path, &frame::encode(&[tensor], generation, FLAG_NORMALIZED))
-}
-
-/// Writes a full-parameter model (what `dp-nextloc train --out` saves; not
-/// flagged normalised).
-///
-/// # Errors
-/// [`ModelError::Io`] on filesystem failures.
-pub fn write_params(path: &Path, params: &ModelParams, generation: u64) -> Result<(), ModelError> {
-    let sections = param_sections(params, KIND_EMBEDDING);
-    write(path, &frame::encode(&sections, generation, 0))
+    let image = frame::encode(&[tensor], generation, FLAG_NORMALIZED);
+    write_atomic(path, &image).map_err(|e| ModelError::Io {
+        message: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -365,12 +355,11 @@ mod tests {
     #[test]
     fn full_params_round_trip() {
         let p = params(7, 4);
-        let path = tmp("full.plps");
-        write_params(&path, &p, 7).unwrap();
-        let snap = PlpsSnapshot::open(&path).unwrap();
+        let image = frame::encode(&param_sections(&p, KIND_EMBEDDING), 7, 0);
+        let snap = PlpsSnapshot::from_bytes(image).unwrap();
         snap.validate().unwrap();
         assert_eq!(snap.params().unwrap(), p);
-        // A full snapshot is not a deployment bundle.
+        // A θ image is not a deployment bundle.
         assert!(matches!(
             snap.recommender().unwrap_err(),
             ModelError::Snapshot(SnapshotError::Inconsistent { .. })

@@ -85,7 +85,7 @@ impl Recommender {
     /// degrade ranking quality but remain deterministic; non-finite values
     /// would drop rows from top-k, which is why untrusted bytes must go
     /// through [`Recommender::from_embedding`] or PLPS validation instead.
-    pub fn from_prenormalized(embedding: Matrix) -> Self {
+    pub(crate) fn from_prenormalized(embedding: Matrix) -> Self {
         Recommender {
             embedding: Arc::new(embedding),
         }
@@ -108,21 +108,10 @@ impl Recommender {
         &self.embedding
     }
 
-    /// The profile `F(ζ)`: the mean of the embedding rows of the recent
-    /// check-ins.
-    ///
-    /// # Errors
-    /// `recent` must be non-empty and all tokens in range.
-    pub fn profile(&self, recent: &[usize]) -> Result<Vec<f64>, ModelError> {
-        let mut acc = vec![0.0; self.dim()];
-        self.profile_into(recent, &mut acc)?;
-        Ok(acc)
-    }
-
-    /// [`Recommender::profile`] into a caller-provided buffer of length
+    /// The profile `F(ζ)` — the mean of the embedding rows of the recent
+    /// check-ins — into a caller-provided buffer of length
     /// [`Recommender::dim`], so serving workers can reuse scratch rows.
-    /// The accumulation order is identical to `profile`, making the two
-    /// bit-identical.
+    /// Every scoring path accumulates through it, in `recent`'s order.
     ///
     /// # Errors
     /// `recent` must be non-empty, all tokens in range, and `out` exactly
@@ -155,17 +144,7 @@ impl Recommender {
 
     /// Cosine-proportional scores of every location against `profile`
     /// (rows are unit-length, so the dot product ranks identically to
-    /// cosine).
-    pub fn scores(&self, profile: &[f64]) -> Result<Vec<f64>, ModelError> {
-        if profile.len() != self.dim() {
-            return Err(ModelError::ShapeMismatch {
-                what: "profile vs embedding dim",
-            });
-        }
-        Ok(self.embedding.matvec(profile)?)
-    }
-
-    /// [`Recommender::scores`] into a caller-provided buffer of length
+    /// cosine), into a caller-provided buffer of length
     /// [`Recommender::vocab_size`]. Runs the same blocked micro-kernel as
     /// `Matrix::matvec` (both route every inner product through the fixed
     /// eight-lane reduction), so the two paths are bit-identical.
@@ -187,42 +166,27 @@ impl Recommender {
         Ok(())
     }
 
-    /// Top-`k` recommended locations for the recent check-ins `ζ`.
+    /// Top-`k` recommended locations for the recent check-ins `ζ` — the
+    /// one allocating convenience; it is
+    /// [`Recommender::recommend_excluding_into`] with nothing excluded and
+    /// fresh scratch.
     ///
     /// # Errors
     /// Propagates profile errors.
     pub fn recommend(&self, recent: &[usize], k: usize) -> Result<Vec<usize>, ModelError> {
-        let mut scratch = RecommendScratch::new();
-        self.recommend_excluding_into(recent, k, &[], &mut scratch)
+        self.recommend_excluding_into(recent, k, &[], &mut RecommendScratch::new())
     }
 
     /// Top-`k` recommendations excluding the given locations (e.g. the ones
-    /// just visited).
+    /// just visited), with caller-owned scratch: profile, score and
+    /// selection buffers are reused across calls, so repeated queries stay
+    /// allocation-free in steady state.
     ///
     /// Excluded locations are marked `NaN` — the selection's explicit
     /// "unrankable" sentinel — not `-∞`: an infinite score is still a
     /// *score* (and ranks accordingly), whereas an excluded location must
     /// never appear no matter how large `k` is. Out-of-range exclusions
     /// are ignored.
-    ///
-    /// # Errors
-    /// Propagates profile errors.
-    pub fn recommend_excluding(
-        &self,
-        recent: &[usize],
-        k: usize,
-        exclude: &[usize],
-    ) -> Result<Vec<usize>, ModelError> {
-        let mut scratch = RecommendScratch::new();
-        self.recommend_excluding_into(recent, k, exclude, &mut scratch)
-    }
-
-    /// [`Recommender::recommend_excluding`] with caller-owned scratch:
-    /// profile, score and selection buffers are reused across calls, so
-    /// repeated queries (the leave-one-out evaluation loop, serving
-    /// workers) stay allocation-free in steady state. Results are
-    /// bit-identical to the allocating wrappers, which route through this
-    /// method.
     ///
     /// # Errors
     /// Propagates profile errors.
@@ -392,18 +356,24 @@ mod tests {
         m.set(0, 0, 1.0);
         m.set(1, 1, 1.0);
         let r = Recommender::from_embedding(m).unwrap();
-        let p = r.profile(&[0, 1]).unwrap();
+        let mut p = vec![7.0; 2];
+        r.profile_into(&[0, 1], &mut p).unwrap();
         assert_eq!(p, vec![0.5, 0.5]);
     }
 
     #[test]
     fn excluding_removes_visited() {
         let r = clustered();
-        let top = r.recommend_excluding(&[0, 1], 2, &[0, 1]).unwrap();
+        let mut scratch = RecommendScratch::new();
+        let top = r
+            .recommend_excluding_into(&[0, 1], 2, &[0, 1], &mut scratch)
+            .unwrap();
         assert!(!top.contains(&0) && !top.contains(&1));
         assert!(top.contains(&2));
         // Out-of-range exclusions are ignored.
-        let same = r.recommend_excluding(&[0, 1], 2, &[999]).unwrap();
+        let same = r
+            .recommend_excluding_into(&[0, 1], 2, &[999], &mut scratch)
+            .unwrap();
         assert_eq!(same, r.recommend(&[0, 1], 2).unwrap());
     }
 
@@ -412,18 +382,17 @@ mod tests {
         // Regression: exclusion must behave as removal, not as a -∞ score
         // that a large k could still dredge up.
         let r = clustered();
-        let top = r.recommend_excluding(&[0, 1], 6, &[0, 1]).unwrap();
+        let top = r
+            .recommend_excluding_into(&[0, 1], 6, &[0, 1], &mut RecommendScratch::new())
+            .unwrap();
         assert_eq!(top.len(), 4, "6 locations minus 2 excluded");
         assert!(!top.contains(&0) && !top.contains(&1), "{top:?}");
     }
 
     #[test]
-    fn profile_into_matches_profile_and_validates() {
+    fn profile_into_validates() {
         let r = clustered();
-        let p = r.profile(&[0, 3, 4]).unwrap();
         let mut buf = vec![7.0; r.dim()];
-        r.profile_into(&[0, 3, 4], &mut buf).unwrap();
-        assert_eq!(p, buf, "shared path must be bit-identical");
         let mut wrong = vec![0.0; r.dim() + 1];
         assert!(r.profile_into(&[0], &mut wrong).is_err());
         assert!(r.profile_into(&[], &mut buf).is_err());
@@ -442,9 +411,9 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let r = clustered();
-        assert!(r.profile(&[]).is_err());
-        assert!(r.profile(&[99]).is_err());
-        assert!(r.scores(&[1.0]).is_err());
+        let mut scores = vec![0.0; r.vocab_size()];
+        assert!(r.scores_into(&[1.0], &mut scores).is_err());
+        assert!(r.scores_into(&[1.0, 0.0], &mut scores[1..]).is_err());
         assert_eq!(r.vocab_size(), 6);
         assert_eq!(r.dim(), 2);
     }
@@ -637,7 +606,8 @@ mod tests {
         params.embedding.set(1, 0, 0.1);
         let r = Recommender::new(&params);
         // Both rows now unit length: scores against x-axis both 1.
-        let s = r.scores(&[1.0, 0.0]).unwrap();
+        let mut s = vec![0.0; 2];
+        r.scores_into(&[1.0, 0.0], &mut s).unwrap();
         assert!((s[0] - 1.0).abs() < 1e-12);
         assert!((s[1] - 1.0).abs() < 1e-12);
     }

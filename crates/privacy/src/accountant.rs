@@ -14,13 +14,14 @@ use crate::error::PrivacyError;
 use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
 
 /// One ledger record: `steps` executions of a subsampled Gaussian mechanism
-/// with sampling rate `q` and (effective) noise multiplier
-/// `noise_multiplier`.
+/// with sampling rate `q` and noise multiplier `noise_multiplier` — the
+/// noise std over the query's L2 sensitivity.
 ///
-/// When a user's data may be split across ω buckets, the *effective* noise
-/// multiplier for accounting is `σ/ω` (equivalently: sensitivity grows to
-/// ωC while the noise std stays σC — see paper §4.2 Case 2); callers encode
-/// that in `noise_multiplier` before tracking.
+/// When a user's data may be split across ω buckets, the sensitivity grows
+/// to ωC (paper §4.2, Case 2). The trainer scales the noise std with it, to
+/// σ·ωC, so the ratio — and the multiplier it tracks — stays σ for every ω:
+/// an ω-split run spends exactly the ε of an ω = 1 run at the same
+/// `(q, σ, steps)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LedgerEntry {
     /// Poisson sampling rate of the step(s).
@@ -175,7 +176,6 @@ pub struct MomentsAccountant {
     delta: f64,
     max_order: usize,
     total: RdpCurve,
-    steps: u64,
     cached_step: Option<(f64, f64, RdpCurve)>,
     ledger: PrivacyLedger,
 }
@@ -206,7 +206,6 @@ impl MomentsAccountant {
             delta,
             max_order,
             total: RdpCurve::zero(max_order)?,
-            steps: 0,
             cached_step: None,
             ledger: PrivacyLedger::new(),
         })
@@ -232,7 +231,6 @@ impl MomentsAccountant {
             for _ in 0..e.steps {
                 acc.total.compose(curve)?;
             }
-            acc.steps += e.steps;
         }
         acc.ledger = ledger;
         Ok(acc)
@@ -245,7 +243,7 @@ impl MomentsAccountant {
 
     /// Number of private steps accounted so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.ledger.total_steps()
     }
 
     /// The underlying auditable ledger.
@@ -277,7 +275,6 @@ impl MomentsAccountant {
         self.refresh_step_curve(q, sigma)?;
         let (_, _, curve) = self.cached_step.as_ref().expect("cache just refreshed");
         self.total.compose(curve)?;
-        self.steps += 1;
         self.ledger.track(q, sigma)?;
         Ok(())
     }
@@ -285,7 +282,7 @@ impl MomentsAccountant {
     /// The cumulative privacy cost ε at the accountant's δ; `0` before any
     /// step.
     pub fn epsilon(&self) -> Result<f64, PrivacyError> {
-        if self.steps == 0 {
+        if self.ledger.is_empty() {
             return Ok(0.0);
         }
         self.total.epsilon(self.delta)
@@ -505,8 +502,9 @@ mod tests {
 
     #[test]
     fn omega_two_accounting_costs_more() {
-        // Splitting a user across omega=2 buckets halves the effective noise
-        // multiplier; the resulting epsilon must be strictly larger.
+        // Were the noise held at σC while an ω = 2 split doubles the
+        // sensitivity, the multiplier would halve and ε must grow strictly;
+        // the trainer scales the noise to σ·ωC instead (see `LedgerEntry`).
         let mut one = MomentsAccountant::new(2e-4).unwrap();
         let mut two = MomentsAccountant::new(2e-4).unwrap();
         for _ in 0..100 {

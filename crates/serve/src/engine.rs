@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use plp_core::telemetry::ServeTelemetry;
 use plp_linalg::ivf::{IvfBuildParams, IvfIndex, IvfQuant, IvfScratch};
 use plp_linalg::matrix::matmul_block_into;
 use plp_linalg::par::fan_out;
@@ -203,6 +202,37 @@ struct EngineState {
     wall_ms: f64,
 }
 
+/// What a [`BatchEngine`] observed over its lifetime, from
+/// [`BatchEngine::telemetry`]: load, latency percentiles and cache
+/// effectiveness.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeTelemetry {
+    /// Recommendation queries answered (cache hits included).
+    pub queries: u64,
+    /// Scoring batches executed (cache hits never form a batch).
+    pub batches: u64,
+    /// Queries answered from the result cache.
+    pub cache_hits: u64,
+    /// Queries that had to be scored.
+    pub cache_misses: u64,
+    /// Queries per **second** of engine wall time
+    /// (`queries / (wall_ms / 1000)`); `0.0` before any traffic.
+    pub qps: f64,
+    /// Median per-query latency, in **milliseconds**. Derived from a
+    /// bounded log-linear histogram, so it carries that histogram's
+    /// ≤ one-bucket-width quantile error.
+    pub p50_ms: f64,
+    /// 95th-percentile per-query latency, in **milliseconds** (same
+    /// histogram-derived error bound as `p50_ms`).
+    pub p95_ms: f64,
+    /// 99th-percentile per-query latency, in **milliseconds** (same
+    /// histogram-derived error bound as `p50_ms`).
+    pub p99_ms: f64,
+    /// Total wall-clock time spent inside `serve` calls, in
+    /// **milliseconds**.
+    pub wall_ms: f64,
+}
+
 /// The engine's counters, resolved once at construction like the phases.
 struct Counters {
     queries: Counter,
@@ -264,10 +294,6 @@ pub struct BatchEngine {
     /// The packed int8 rows of the index's posting lists, built once at
     /// construction when [`AnnConfig::quantized`] is set.
     quant: Option<IvfQuant>,
-    /// Lifetime totals of the quantized coarse pass: probed candidates
-    /// seen and rows that survived into the exact re-rank.
-    quant_candidates: AtomicU64,
-    quant_shortlisted: AtomicU64,
     obs: Observer,
     /// `plp_serve_query_latency_ms`, the engine's own telemetry store.
     latency: HistogramHandle,
@@ -372,8 +398,6 @@ impl BatchEngine {
             cfg,
             index,
             quant,
-            quant_candidates: AtomicU64::new(0),
-            quant_shortlisted: AtomicU64::new(0),
             obs,
             latency,
             phases,
@@ -419,25 +443,14 @@ impl BatchEngine {
         self.quant.as_ref()
     }
 
-    /// Lifetime `(candidates, shortlisted)` totals of the quantized
-    /// coarse pass: how many probed rows the int8 scan looked at and how
-    /// many survived into the exact re-rank. `(0, 0)` until a quantized
-    /// query is served.
-    pub fn quant_totals(&self) -> (u64, u64) {
-        (
-            self.quant_candidates.load(Ordering::Relaxed),
-            self.quant_shortlisted.load(Ordering::Relaxed),
-        )
-    }
-
     /// The observer this engine records into (always enabled).
     pub fn observer(&self) -> &Observer {
         &self.obs
     }
 
     /// Answers every query, in order. Each result is the query's top-`k`
-    /// locations, identical to what `Recommender::recommend` /
-    /// `recommend_excluding` would return for it.
+    /// locations, identical to what
+    /// `Recommender::recommend_excluding_into` would return for it.
     ///
     /// # Errors
     /// `BadQuery` (with the offending position) when any query has an
@@ -548,15 +561,6 @@ impl BatchEngine {
             .collect())
     }
 
-    /// Convenience single-query entry point.
-    ///
-    /// # Errors
-    /// As [`BatchEngine::serve`].
-    pub fn serve_one(&self, query: &Query) -> Result<Vec<usize>, ServeError> {
-        let mut out = self.serve(std::slice::from_ref(query))?;
-        Ok(out.pop().expect("one query in, one result out"))
-    }
-
     /// A snapshot of lifetime serving telemetry. Latency percentiles come
     /// from the bounded log-linear histogram (≤ one-bucket-width error),
     /// so this is O(histogram buckets) in time and memory regardless of
@@ -664,7 +668,7 @@ impl BatchEngine {
     /// rows while the ANN path searches the IVF shortlist per query. The
     /// exhaustive path reuses the sequential path's kernels in the
     /// sequential path's order, keeping it bit-identical to
-    /// `Recommender::recommend_excluding`; the ANN path is exact over the
+    /// `Recommender::recommend_excluding_into`; the ANN path is exact over the
     /// probed cells and equals the exhaustive path when `nprobe = cells`.
     fn score_batch(
         &self,
@@ -709,7 +713,6 @@ impl BatchEngine {
                 .start(phase::IVF_SEARCH, ctx, first)
                 .arg("rows", rows as u64);
             let in_search = t_search.context();
-            let (mut batch_candidates, mut batch_shortlisted) = (0u64, 0u64);
             for (slot, &qi) in batch.iter().enumerate() {
                 let q = &queries[qi];
                 let seq = base + qi as u64;
@@ -728,7 +731,7 @@ impl BatchEngine {
                     .arg("k", q.k as u64)
                     .arg("quant", u64::from(self.quant.is_some()));
                 if let Some(quant) = &self.quant {
-                    let stats = index.rerank_probed_quantized(
+                    index.rerank_probed_quantized(
                         quant,
                         self.rec.embedding(),
                         profile,
@@ -738,8 +741,6 @@ impl BatchEngine {
                         &mut scratch.ivf,
                         &mut scratch.ranked,
                     )?;
-                    batch_candidates += stats.candidates as u64;
-                    batch_shortlisted += stats.shortlisted as u64;
                 } else {
                     index.rerank_probed(
                         self.rec.embedding(),
@@ -752,12 +753,6 @@ impl BatchEngine {
                 }
                 drop(t_rerank);
                 ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
-            }
-            if batch_candidates > 0 {
-                self.quant_candidates
-                    .fetch_add(batch_candidates, Ordering::Relaxed);
-                self.quant_shortlisted
-                    .fetch_add(batch_shortlisted, Ordering::Relaxed);
             }
         } else {
             let vocab = self.rec.vocab_size();
@@ -850,11 +845,14 @@ mod tests {
     }
 
     fn sequential(rec: &Recommender, q: &Query) -> Vec<usize> {
-        if q.exclude.is_empty() {
-            rec.recommend(&q.recent, q.k).unwrap()
-        } else {
-            rec.recommend_excluding(&q.recent, q.k, &q.exclude).unwrap()
-        }
+        let mut scratch = plp_model::recommender::RecommendScratch::new();
+        rec.recommend_excluding_into(&q.recent, q.k, &q.exclude, &mut scratch)
+            .unwrap()
+    }
+
+    /// `engine`'s answer to one query.
+    fn answer_one(engine: &BatchEngine, q: Query) -> Vec<usize> {
+        engine.serve(&[q]).unwrap().remove(0)
     }
 
     /// The sequential `Recommender` answers on the scoring path `engine`
@@ -1121,7 +1119,6 @@ mod tests {
         assert_eq!(t.queries, 20);
         assert_eq!(t.cache_hits, 10, "entire second pass served from cache");
         assert_eq!(t.cache_misses, 10);
-        assert!((t.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1130,8 +1127,8 @@ mod tests {
         let engine = BatchEngine::new(rec.clone(), ServeConfig::default()).unwrap();
         let plain = Query::new(vec![1, 2], 5);
         let excl = Query::with_exclusions(vec![1, 2], 5, vec![plain_first(&rec)]);
-        let a = engine.serve_one(&plain).unwrap();
-        let b = engine.serve_one(&excl).unwrap();
+        let a = answer_one(&engine, plain);
+        let b = answer_one(&engine, excl.clone());
         assert_ne!(a, b, "exclusion must not be served from the plain entry");
         assert_eq!(b, sequential(&rec, &excl));
     }
@@ -1168,11 +1165,8 @@ mod tests {
     fn k_zero_and_k_beyond_vocab() {
         let rec = random_recommender(6, 3, 7);
         let engine = BatchEngine::new(rec.clone(), ServeConfig::default()).unwrap();
-        assert!(engine
-            .serve_one(&Query::new(vec![0], 0))
-            .unwrap()
-            .is_empty());
-        let all = engine.serve_one(&Query::new(vec![0], 100)).unwrap();
+        assert!(answer_one(&engine, Query::new(vec![0], 0)).is_empty());
+        let all = answer_one(&engine, Query::new(vec![0], 100));
         assert_eq!(all.len(), 6);
         assert_eq!(all, rec.recommend(&[0], 100).unwrap());
     }
@@ -1354,7 +1348,7 @@ mod tests {
         let engine =
             BatchEngine::with_observer(rec, ServeConfig::default(), Observer::disabled()).unwrap();
         assert!(engine.observer().is_enabled());
-        engine.serve_one(&Query::new(vec![1], 3)).unwrap();
+        answer_one(&engine, Query::new(vec![1], 3));
         let t = engine.telemetry();
         assert_eq!(t.queries, 1);
         assert!(t.p99_ms >= 0.0);
@@ -1486,9 +1480,6 @@ mod tests {
                 got, expected,
                 "quantized nprobe = cells must reproduce the dense engine (workers={workers})"
             );
-            let (candidates, shortlisted) = engine.quant_totals();
-            assert!(candidates > 0, "coarse pass must have run");
-            assert!(shortlisted <= candidates);
         }
     }
 
@@ -1530,7 +1521,6 @@ mod tests {
         let quant = engine.ann_quant().expect("quantized config packs rows");
         assert_eq!(quant.dim(), 4);
         assert!(quant.payload_bytes() >= 20 * 4);
-        assert_eq!(engine.quant_totals(), (0, 0), "no queries served yet");
         let plain = BatchEngine::new(rec.clone(), ann_cfg(4, 2)).unwrap();
         assert!(plain.ann_quant().is_none());
         let mut bad = quant_cfg(4, 2);

@@ -29,8 +29,8 @@
 //!   and index-building each new generation off the query path before
 //!   swapping it under live traffic; cache keys carry the generation id,
 //!   so results never leak across a swap,
-//! * serving telemetry — QPS, p50/p95/p99 latency and cache hit rate —
-//!   reported as [`plp_core::telemetry::ServeTelemetry`], with per-query
+//! * serving telemetry — QPS, p50/p95/p99 latency, cache hits and misses
+//!   — reported as [`engine::ServeTelemetry`], with per-query
 //!   latencies held in a bounded `plp_obs` log-linear histogram
 //!   (O(buckets) memory, not O(queries)) and the phases of
 //!   [`engine::phase::TABLE`] timed once each — histograms exported in
@@ -51,7 +51,7 @@ pub mod query;
 pub mod swap;
 
 pub use cache::LruCache;
-pub use engine::{AnnConfig, BatchEngine, ServeConfig};
+pub use engine::{AnnConfig, BatchEngine, ServeConfig, ServeTelemetry};
 pub use error::ServeError;
 pub use query::{Query, QueryKey};
 pub use swap::{

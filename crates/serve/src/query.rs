@@ -10,7 +10,7 @@ pub struct Query {
     /// How many recommendations to return.
     pub k: usize,
     /// Locations to exclude from the result (out-of-range entries are
-    /// ignored, matching `Recommender::recommend_excluding`).
+    /// ignored, matching `Recommender::recommend_excluding_into`).
     pub exclude: Vec<usize>,
 }
 

@@ -147,15 +147,6 @@ impl ModelGeneration {
         })
     }
 
-    /// Wraps an already-built engine (tests / non-PLPS bootstrap).
-    pub fn from_engine(engine: BatchEngine) -> Self {
-        ModelGeneration {
-            engine,
-            mapped: false,
-            path: PathBuf::new(),
-        }
-    }
-
     /// The generation id (stamped from the bundle header).
     pub fn id(&self) -> u64 {
         self.engine.generation()
@@ -167,8 +158,7 @@ impl ModelGeneration {
         self.mapped
     }
 
-    /// The bundle file this generation was loaded from (empty for
-    /// [`Self::from_engine`]).
+    /// The bundle file this generation was loaded from.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -491,13 +481,20 @@ mod tests {
         assert_eq!(server.generation(), 6);
     }
 
+    /// A server on generation `id` of `rec`, loaded from its bundle in
+    /// `dir` — written, not published, so no `CURRENT` pointer names it.
+    fn serving(dir: &Path, rec: &Recommender, id: u64) -> Arc<HotSwapServer> {
+        let bundle = dir.join(generation_file_name(id));
+        plps::write_deployable(&bundle, rec.embedding(), id).unwrap();
+        Arc::new(HotSwapServer::new(
+            ModelGeneration::load(&bundle, cfg()).unwrap(),
+        ))
+    }
+
     #[test]
     fn missing_pointer_and_missing_target_are_safe() {
         let dir = tmp_dir("missing");
-        let rec = recommender(8, 3, 5);
-        let server = Arc::new(HotSwapServer::new(ModelGeneration::from_engine(
-            BatchEngine::new(rec, cfg()).unwrap(),
-        )));
+        let server = serving(&dir, &recommender(8, 3, 5), 0);
         let watcher =
             GenerationWatcher::new(&dir, cfg(), Arc::clone(&server), Observer::disabled());
         assert_eq!(watcher.poll_once(), SwapOutcome::NoPointer);
@@ -551,9 +548,7 @@ mod tests {
     fn truncated_candidate_is_rejected_typed() {
         let dir = tmp_dir("trunc");
         let rec = recommender(9, 4, 8);
-        let server = Arc::new(HotSwapServer::new(ModelGeneration::from_engine(
-            BatchEngine::new(recommender(9, 4, 9), cfg()).unwrap(),
-        )));
+        let server = serving(&dir, &recommender(9, 4, 9), 0);
         let watcher =
             GenerationWatcher::new(&dir, cfg(), Arc::clone(&server), Observer::disabled());
         let path = publish_generation(&dir, rec.embedding(), 3).unwrap();

@@ -16,6 +16,7 @@ use dp_nextloc::core::experiment::{ExperimentConfig, PreparedData};
 use dp_nextloc::core::nonprivate::{train_nonprivate, NonPrivateConfig};
 use dp_nextloc::data::generator::SyntheticGenerator;
 use dp_nextloc::model::metrics::{evaluate_hit_rate, leave_one_out_trials};
+use dp_nextloc::model::recommender::RecommendScratch;
 use dp_nextloc::model::Recommender;
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
 
     // Same query, but suppress places the user is standing in right now.
     let fresh = recommender
-        .recommend_excluding(input, 10, input)
+        .recommend_excluding_into(input, 10, input, &mut RecommendScratch::new())
         .expect("recommendation");
     println!("top-10 excluding already-visited: {fresh:?}");
 

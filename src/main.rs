@@ -4,9 +4,9 @@
 //!
 //! * `generate`  — synthesise a check-in dataset and write a binary snapshot,
 //! * `stats`     — print dataset statistics (§5.1 profile),
-//! * `train`     — train `plp` | `dpsgd` | `nonprivate` and save the model
-//!   (plus the auditable privacy ledger for the private methods),
-//! * `evaluate`  — leave-one-out HR@k of a saved model on held-out users,
+//! * `train`     — train `plp` | `dpsgd` | `nonprivate` and save its serving
+//!   bundle (plus the auditable privacy ledger for the private methods),
+//! * `evaluate`  — leave-one-out HR@k of a saved bundle on held-out users,
 //! * `recommend` — top-k next locations for a token sequence,
 //! * `budget`    — moments-accountant planning (steps afforded / ε of a plan),
 //! * `trace-stitch` — merge per-process flight-recorder dumps into one
@@ -30,8 +30,9 @@ use plp_data::frame::write_atomic;
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
 use plp_data::io as data_io;
 use plp_data::stats::dataset_stats;
+use plp_model::metrics::evaluate_hit_rate;
 use plp_model::plps::{self, PlpsSnapshot};
-use plp_model::{ModelParams, Recommender};
+use plp_model::Recommender;
 use plp_obs::trace::{load_dumps, stitch_chrome_trace};
 use plp_privacy::planner::{epsilon_for_steps, max_steps};
 use plp_privacy::PrivacyBudget;
@@ -82,13 +83,13 @@ const USAGE: &str = "dp-nextloc — differentially-private next-location predict
 USAGE:
   dp-nextloc generate  --out data.bin [--profile small|medium|paper] [--seed N] [--csv out.csv]
   dp-nextloc stats     --data data.bin
-  dp-nextloc train     --data data.bin --out model.plps [--method plp|dpsgd|nonprivate]
+  dp-nextloc train     --data data.bin --out bundle.plps [--method plp|dpsgd|nonprivate]
                        [--eps F] [--delta F] [--sigma F] [--q F] [--lambda N] [--clip F]
                        [--dim N] [--neg N] [--win N] [--batch N] [--lr F] [--max-steps N]
                        [--epochs N] [--seed N] [--holdout N] [--ledger ledger.json]
-  dp-nextloc evaluate  --data data.bin --model model.plps [--k 5,10,20] [--seed N]
+  dp-nextloc evaluate  --data data.bin --model bundle.plps [--k 5,10,20] [--seed N]
                        [--holdout N]
-  dp-nextloc recommend --model model.plps --recent 12,87,40 [--k 10]
+  dp-nextloc recommend --model bundle.plps --recent 12,87,40 [--k 10]
   dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]
   dp-nextloc trace-stitch --out stitched.json (TRACE_DIR | DUMP.jsonl...)
   dp-nextloc <subcommand> --help";
@@ -267,7 +268,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown method `{other}` (plp|dpsgd|nonprivate)")),
     };
 
-    plps::write_params(&out, &params, 0).map_err(|e| e.to_string())?;
+    plps::write_deployable(&out, &params.deployable_embedding(), 0).map_err(|e| e.to_string())?;
     println!("model saved to {}", out.display());
     if let (Some(ledger), Some(path)) = (&ledger, flags.get("ledger")) {
         let json = serde_json::to_string_pretty(ledger).map_err(|e| e.to_string())?;
@@ -282,21 +283,21 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads a `train --out` model, refusing it unless every checksum holds
-/// and every parameter is finite.
-fn load_model(flags: &HashMap<String, String>) -> Result<ModelParams, String> {
+/// Opens a `train --out` bundle as a server does: mapped where it can be,
+/// refused unless its checksums, finiteness and normalised flag all hold.
+fn load_model(flags: &HashMap<String, String>) -> Result<Recommender, String> {
     let path = Path::new(req(flags, "model")?);
     let read = || {
         let snapshot = PlpsSnapshot::open(path)?;
         snapshot.validate()?;
-        snapshot.params()
+        snapshot.recommender()
     };
     read().map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, "data model k seed holdout")?;
-    let params = load_model(&flags)?;
+    let rec = load_model(&flags)?;
     let prep = prepare(&flags)?;
     let ks: Vec<usize> = flags
         .get("k")
@@ -305,7 +306,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad k `{s}`")))
         .collect::<Result<_, _>>()?;
-    let hr = evaluate(&params, &prep.test, &ks).map_err(|e| e.to_string())?;
+    let hr = evaluate_hit_rate(&rec, &prep.test, &ks).map_err(|e| e.to_string())?;
     for h in &hr {
         println!("HR@{:<3} = {:.4}  ({}/{})", h.k, h.rate(), h.hits, h.trials);
     }
@@ -314,13 +315,12 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, "model recent k")?;
-    let params = load_model(&flags)?;
+    let rec = load_model(&flags)?;
     let recent: Vec<usize> = req(&flags, "recent")?
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad token `{s}`")))
         .collect::<Result<_, _>>()?;
     let k: usize = opt_parse(&flags, "k", 10)?;
-    let rec = Recommender::new(&params);
     let top = rec.recommend(&recent, k).map_err(|e| e.to_string())?;
     println!("recent: {recent:?}");
     println!("top-{k}: {top:?}");
@@ -513,6 +513,11 @@ mod tests {
         .unwrap();
         assert!(model.exists());
         assert!(ledger.exists());
+        // The model file is a serving bundle: it passes the checks
+        // `ModelGeneration::load` applies.
+        let bundle = PlpsSnapshot::open(&model).unwrap();
+        bundle.validate().unwrap();
+        assert!(bundle.recommender().unwrap().vocab_size() > 0);
         cmd_evaluate(&s(&[
             "--data",
             data.to_str().unwrap(),
@@ -555,6 +560,12 @@ mod tests {
             err.contains("bad_crc") && err.contains("model.plps"),
             "{err}"
         );
+        // A full-θ image is no serving bundle: refused, typed, not a panic.
+        let params = plp_model::ModelParams::zeros(4, 2);
+        let sections = plps::param_sections(&params, plps::KIND_EMBEDDING);
+        write_atomic(&model, &plp_data::frame::encode(&sections, 0, 0)).unwrap();
+        let err = cmd_recommend(&s(&recommend)).unwrap_err();
+        assert!(err.contains("not flagged normalised"), "{err}");
         flip_last_byte(&data);
         let err = cmd_stats(&s(&["--data", data.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("bad_crc"), "{err}");

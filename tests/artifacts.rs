@@ -1,6 +1,7 @@
 //! The one corruption suite of the artifact container, run over every
-//! kind of image the workspace writes: serving bundle, full-parameter
-//! model, checkpoint and dataset. The byte-level
+//! kind of image the workspace writes: serving bundle (also what
+//! `train --out` writes), the θ image a federated round carries,
+//! checkpoint and dataset. The byte-level
 //! cases that need no artifact live beside the codec in
 //! `plp_data::frame`; here each damaged image goes through the loader its
 //! kind really uses, so the semantic checks behind the checksums are
@@ -155,7 +156,8 @@ fn kinds() -> &'static [Kind] {
         let bundle = written("bundle", |p| {
             plps::write_deployable(p, Recommender::new(&theta).embedding(), 3).unwrap();
         });
-        let full = written("full", |p| plps::write_params(p, &theta, 0).unwrap());
+        // The in-memory θ image of a federated round.
+        let full = frame::encode(&plps::param_sections(&theta, KIND_EMBEDDING), 0, 0);
         vec![
             ("bundle", bundle, open_bundle),
             ("params", full, open_params),
