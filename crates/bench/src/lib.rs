@@ -6,7 +6,7 @@
 //! figure's series as aligned text plus machine-readable JSON.
 //!
 //! Two scales are supported everywhere:
-//! * `Scale::Bench` — small data, so the drills, the unit tests and
+//! * `Scale::Bench` — small data, so the unit tests and
 //!   `figures run --all --scale bench` terminate in seconds,
 //! * `Scale::Figure` — the medium profile behind the numbers recorded in
 //!   EXPERIMENTS.md.

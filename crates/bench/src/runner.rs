@@ -1,4 +1,4 @@
-//! Experiment runner shared by the `figures` binary and the drills.
+//! Experiment runner behind the `figures` binary.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,7 +13,7 @@ use plp_core::CoreError;
 /// Experiment scale: trade fidelity for wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny data + few steps: the drills, `smoke` and the unit tests.
+    /// Tiny data + few steps: `smoke`, `run --all --scale bench` and the unit tests.
     Bench,
     /// The medium synthetic profile behind the numbers in EXPERIMENTS.md.
     Figure,

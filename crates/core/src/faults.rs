@@ -1,4 +1,4 @@
-//! Deterministic fault injection for crash-safety and robustness drills.
+//! Deterministic fault injection for crash-safety and robustness tests.
 //!
 //! A [`FaultInjector`] is compiled into the trainer unconditionally and is
 //! inert by default — every decision method returns "no fault" until a
@@ -37,7 +37,7 @@ pub struct FaultPlan {
     /// Probability a federated worker stalls (sleeps) before answering a
     /// round, evaluated per `(step, worker incarnation)`.
     pub worker_stall_rate: f64,
-    /// How long a stalling worker sleeps, in milliseconds. Drills set this
+    /// How long a stalling worker sleeps, in milliseconds. Tests set this
     /// beyond the coordinator's round deadline so the straggler path fires
     /// deterministically.
     pub worker_stall_ms: u64,
@@ -114,7 +114,7 @@ impl FaultPlan {
     /// Validates that every rate is finite and in `[0, 1]`.
     ///
     /// A NaN rate would make every Bernoulli comparison false (silently
-    /// inert), and a rate above 1 or below 0 misrepresents what the drill
+    /// inert), and a rate above 1 or below 0 misrepresents what the plan
     /// exercises — both are configuration bugs, caught at install time.
     ///
     /// # Errors

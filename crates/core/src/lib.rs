@@ -35,7 +35,7 @@
 //! written atomically); a run given a [`plp::CheckpointPolicy`] starts from
 //! that file when it holds the same run and resumes bit-identically (ε
 //! recomputed from the restored ledger); and [`faults`] provides the
-//! deterministic fault injector used by the robustness drills.
+//! deterministic fault injector used by the robustness tests.
 //!
 //! Training is also observable: pass a `plp_obs::Observer` in
 //! [`plp::TrainOptions`] to get per-phase latency histograms

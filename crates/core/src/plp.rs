@@ -108,7 +108,7 @@ pub struct TrainOptions {
     pub checkpoint: Option<CheckpointPolicy>,
     /// Stop with [`StopReason::Interrupted`] after this many *total*
     /// completed steps — a deterministic stand-in for `kill -9` in crash
-    /// drills. No final checkpoint is written (a killed process would not
+    /// tests. No final checkpoint is written (a killed process would not
     /// have written one either); only periodic saves survive.
     pub halt_after: Option<u64>,
     /// Observability context: the phases of [`phase::TABLE`] (histograms,
@@ -1720,6 +1720,11 @@ mod tests {
         assert!(
             out.params.all_finite(),
             "poisoned deltas must never reach the model"
+        );
+        assert_eq!(
+            out.summary.stop_reason,
+            StopReason::MaxSteps,
+            "dropped buckets degrade a step, they do not end the run"
         );
         assert!(out.summary.epsilon_spent < hp.budget.epsilon);
         // Dropping buckets never skips accounting: every executed step is

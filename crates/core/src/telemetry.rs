@@ -53,7 +53,7 @@ pub enum StopReason {
     /// worker): training cannot make progress and stops after accounting
     /// the aborted step conservatively.
     Diverged,
-    /// The run was halted by its driver (e.g. a crash drill or scheduling
+    /// The run was halted by its driver (e.g. a crash test or scheduling
     /// preemption) before any other stop condition; it can be resumed from
     /// the latest checkpoint.
     Interrupted,

@@ -61,28 +61,11 @@ use crate::worker::{TRACE_DIR_ENV, WORKER_ENV};
 pub struct FedConfig {
     /// Number of worker processes.
     pub workers: usize,
-    /// Worker executable, run without arguments. The coordinator sets
-    /// [`WORKER_ENV`] when spawning, so this may be the dedicated
-    /// `plp_fed_worker` binary or any binary that calls
-    /// [`crate::worker::maybe_run_worker`] first.
+    /// Path of the `plp_fed_worker` binary, run without arguments and
+    /// with [`WORKER_ENV`] set.
     pub worker_program: PathBuf,
     /// Deadline/retry/backoff policy.
     pub retry: RetryPolicy,
-}
-
-impl FedConfig {
-    /// Config spawning `workers` copies of the *current executable* as
-    /// workers — the pattern for binaries that call `maybe_run_worker()`.
-    ///
-    /// # Errors
-    /// Propagates the failure to resolve the current executable path.
-    pub fn with_current_exe(workers: usize) -> std::io::Result<Self> {
-        Ok(FedConfig {
-            workers,
-            worker_program: std::env::current_exe()?,
-            retry: RetryPolicy::default(),
-        })
-    }
 }
 
 /// What a reader thread tells the coordinator about one worker's pipe.
@@ -170,7 +153,7 @@ pub struct FedExecutor {
     /// tracer; deliberately *not* part of the setup drift check, so
     /// toggling tracing never tears a fleet down.
     trace_dir: Option<PathBuf>,
-    /// Cumulative stats across all steps (drill assertions read these).
+    /// Cumulative stats across all steps (tests read these).
     pub total_stats: RoundStats,
 }
 

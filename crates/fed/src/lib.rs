@@ -27,8 +27,8 @@
 //!
 //! Worker-level fault injection (stalls, mid-round exits, corrupted and
 //! duplicated reply frames) lives in `plp_core::faults` and is hosted by
-//! [`worker`]; the `fed_chaos` drill binary in `plp-bench` proves the
-//! recovery paths end-to-end.
+//! [`worker`]; `tests/fed_integration.rs` runs the recovery paths
+//! end-to-end against the real `plp_fed_worker` binary.
 
 pub mod coordinator;
 pub mod error;
@@ -46,9 +46,7 @@ pub use frame::{
 };
 pub use protocol::PROTOCOL_VERSION;
 pub use retry::RetryPolicy;
-pub use worker::{
-    maybe_run_worker, worker_main, worker_main_with_observer, TRACE_DIR_ENV, WORKER_ENV,
-};
+pub use worker::{worker_main, worker_main_with_observer, TRACE_DIR_ENV, WORKER_ENV};
 
 #[cfg(test)]
 mod trace_determinism {

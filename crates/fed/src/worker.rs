@@ -13,7 +13,8 @@
 //! (die mid-round without replying), reply-frame corruption (flip a byte
 //! after the CRC was computed) and duplicate replies. All decisions are
 //! drawn from the plan shipped in the session setup, keyed exactly as the
-//! coordinator expects, so drills replay identically at any worker count.
+//! coordinator expects, so a faulty run replays identically at any worker
+//! count.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -30,10 +31,8 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 
-/// Environment variable that re-routes a binary into [`worker_main`].
-/// Coordinators set it when spawning, so any binary that calls
-/// [`maybe_run_worker`] first thing in `main` can serve as its own worker
-/// executable.
+/// Environment variable the coordinator sets to `1` when it spawns a
+/// worker; `plp_fed_worker` runs [`worker_main`] only under it.
 pub const WORKER_ENV: &str = "PLP_FED_WORKER";
 
 /// Environment variable naming the directory worker flight recorders
@@ -59,18 +58,6 @@ pub mod exit_code {
     pub const VERSION: i32 = 14;
     /// An injected mid-round exit fault fired.
     pub const INJECTED_EXIT: i32 = 17;
-}
-
-/// If [`WORKER_ENV`] is set to `1`, runs the worker loop on
-/// stdin/stdout and exits the process; otherwise returns immediately.
-/// Call this at the top of `main` in any binary used as a worker command.
-pub fn maybe_run_worker() {
-    if std::env::var(WORKER_ENV).as_deref() == Ok("1") {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let code = worker_main(&mut stdin.lock(), &mut stdout.lock());
-        std::process::exit(code);
-    }
 }
 
 /// The observer a spawned worker runs under: traced iff the coordinator
@@ -204,8 +191,8 @@ fn handle_round(
     // Injected mid-round death: disappear without a reply, like a real
     // OOM-kill. Keyed on (step, incarnation), so the respawned worker
     // draws a fresh decision and recovery converges. The flight recorder
-    // is dumped first — a chaos-drill kill is exactly the moment the
-    // trace is worth keeping.
+    // is dumped first — an injected kill is exactly the moment the trace
+    // is worth keeping.
     if st.faults.exit_worker(req.step, incarnation) {
         let at = [("step", req.step), ("incarnation", incarnation)];
         phases.instant("fed_injected_exit", ctx, at);
@@ -289,8 +276,8 @@ fn handle_round(
     Ok(())
 }
 
-/// Injected bucket panics are expected during drills; keep the default
-/// hook for everything else so real bugs still print a backtrace.
+/// Injected bucket panics are expected under a fault plan; keep the
+/// default hook for everything else so real bugs still print a backtrace.
 fn silence_injected_panics() {
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

@@ -10,7 +10,10 @@ use std::path::PathBuf;
 
 use plp_core::faults::{FaultInjector, FaultPlan};
 use plp_core::plp::CheckpointPolicy;
-use plp_core::{train_plp_resumable, train_plp_with_executor, Hyperparameters, TrainOptions};
+use plp_core::telemetry::StopReason;
+use plp_core::{
+    train_plp_resumable, train_plp_with_executor, CoreError, Hyperparameters, TrainOptions,
+};
 use plp_data::checkin::UserId;
 use plp_data::dataset::{TokenizedDataset, UserSequences};
 use plp_fed::phase::{FED_BUCKET, FED_ROUND, FED_SEND, FED_WORKER_ROUND};
@@ -133,7 +136,7 @@ fn fed_recovers_from_injected_worker_faults_bit_identically() {
     let stats = exec.total_stats;
     assert!(
         stats.stragglers + stats.respawns + stats.corrupt_frames + stats.duplicates > 0,
-        "the drill proved nothing: no injected fault fired ({stats:?})"
+        "the test proved nothing: no injected fault fired ({stats:?})"
     );
     assert_eq!(stats.dropped_buckets, 0, "recovery should never drop here");
     assert_eq!(fed.params, reference.params, "recovery changed the bits");
@@ -197,7 +200,39 @@ fn exhausted_retries_drop_buckets_with_dp_safe_semantics() {
     assert!(fed_skips.iter().sum::<usize>() > 0);
 }
 
-/// The acceptance drill for cross-process tracing: a traced 2-worker
+#[test]
+fn a_worker_that_speaks_no_protocol_fails_cleanly() {
+    // A worker program that exits at once without reading a frame: the
+    // coordinator must neither hang nor panic nor hand back a broken model.
+    // Which of the two clean ends it reaches depends on whether the setup
+    // write meets the closed pipe, so both are accepted.
+    let cfg = FedConfig {
+        workers: 1,
+        worker_program: PathBuf::from("/bin/true"),
+        retry: RetryPolicy {
+            deadline_ms: 500,
+            max_retries: 1,
+            backoff_ms: 1,
+        },
+    };
+    let mut exec = FedExecutor::new(cfg).unwrap();
+    let ds = tiny_dataset(30);
+    let opts = TrainOptions::default();
+    match train_plp_with_executor(46, &ds, None, &fast_hp(), &opts, &mut exec) {
+        // Every bucket of the first step is dropped, that step is still
+        // accounted, and the run stops on it.
+        Ok(out) => {
+            assert!(out.params.all_finite());
+            assert_eq!(out.summary.stop_reason, StopReason::Diverged);
+            assert_eq!(out.ledger.total_steps(), out.summary.steps);
+            let buckets: usize = out.telemetry.iter().map(|t| t.buckets).sum();
+            assert_eq!(exec.total_stats.dropped_buckets, buckets as u64);
+        }
+        Err(e) => assert!(matches!(e, CoreError::Io { .. }), "{e:?}"),
+    }
+}
+
+/// The acceptance test for cross-process tracing: a traced 2-worker
 /// federated run must stay bit-identical to the untraced single-process
 /// reference, and the coordinator + worker flight-recorder dumps must
 /// stitch into one Chrome/Perfetto trace in which worker round spans are

@@ -75,7 +75,7 @@ impl PlpsSnapshot {
     /// # Errors
     /// [`ModelError::Io`] if the file cannot be opened or mapped (including
     /// non-Unix hosts), [`ModelError::Snapshot`] on a malformed header.
-    pub fn open_mapped(path: &Path) -> Result<Self, ModelError> {
+    pub(crate) fn open_mapped(path: &Path) -> Result<Self, ModelError> {
         let map = Mmap::map(path).map_err(|e| ModelError::Io {
             message: format!("mmap {}: {e}", path.display()),
         })?;
@@ -91,7 +91,7 @@ impl PlpsSnapshot {
     /// # Errors
     /// [`ModelError::Io`] on read failure, [`ModelError::Snapshot`] on a
     /// malformed header.
-    pub fn open_owned(path: &Path) -> Result<Self, ModelError> {
+    pub(crate) fn open_owned(path: &Path) -> Result<Self, ModelError> {
         let bytes = fs::read(path).map_err(|e| ModelError::Io {
             message: format!("read {}: {e}", path.display()),
         })?;
@@ -110,13 +110,14 @@ impl PlpsSnapshot {
         })
     }
 
-    /// Opens a snapshot zero-copy where possible: tries [`Self::open_mapped`]
-    /// and falls back to [`Self::open_owned`] when mapping is unavailable.
-    /// A malformed file is rejected identically on both paths (same header
+    /// Opens a snapshot zero-copy where possible: maps the file, and reads
+    /// it into an owned buffer when mapping is unavailable. A malformed
+    /// file is rejected identically on both paths (same header
     /// validation), so the fallback never masks corruption.
     ///
     /// # Errors
-    /// As [`Self::open_owned`].
+    /// [`ModelError::Io`] on read failure, [`ModelError::Snapshot`] on a
+    /// malformed header.
     pub fn open(path: &Path) -> Result<Self, ModelError> {
         match Self::open_mapped(path) {
             Ok(s) => Ok(s),

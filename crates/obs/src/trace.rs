@@ -20,7 +20,7 @@
 //!   `Mutex::try_lock`; the only possible contention (a dump reading the
 //!   slot, or a writer a full lap ahead) drops the record and counts it
 //!   instead of waiting. On fault events — worker drop, straggler
-//!   deadline, `Diverged` stop, chaos-drill kill — the recorder dumps to
+//!   deadline, `Diverged` stop, injected worker exit — the recorder dumps to
 //!   JSONL so the seconds before the fault are reconstructable.
 //! * **Perfetto export.** [`stitch_chrome_trace`] merges the JSONL dumps
 //!   of the coordinator and its workers into a single Chrome-trace-event

@@ -10,14 +10,11 @@
 //!   et al. (2016), the accounting method the paper uses ([2, 37, 54]),
 //! * [`accountant`] — the privacy ledger of Algorithm 1 (lines 3, 11–12):
 //!   per-step `(q, σ)` records composed into a cumulative ε(δ),
-//! * [`composition`] — naive and advanced (ε, δ) composition theorems, used
-//!   to demonstrate how much tighter the moments accountant is,
 //! * [`planner`] — inverse queries: calibrate σ for a target budget, or the
 //!   number of steps a budget affords (used to set up Figures 7, 8 and 11).
 
 pub mod accountant;
 pub mod budget;
-pub mod composition;
 pub mod error;
 pub mod mechanism;
 pub mod planner;

@@ -398,9 +398,12 @@ impl WatcherHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AnnConfig;
+    use plp_model::recommender::RecommendScratch;
     use plp_model::{ModelParams, Recommender};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+    use std::sync::Barrier;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("plp_swap_test_{}_{name}", std::process::id()));
@@ -412,6 +415,154 @@ mod tests {
     fn recommender(vocab: usize, dim: usize, seed: u64) -> Recommender {
         let mut rng = StdRng::seed_from_u64(seed);
         Recommender::new(&ModelParams::init(&mut rng, vocab, dim).unwrap())
+    }
+
+    /// `n` queries of one to four recent tokens for the top 8; every
+    /// second one excludes its own history.
+    fn queries(vocab: usize, n: usize, seed: u64) -> Vec<Query> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let len = rng.random_range(1usize..=4);
+                let recent: Vec<usize> = (0..len).map(|_| rng.random_range(0..vocab)).collect();
+                let exclude = if i % 2 == 0 { vec![] } else { recent.clone() };
+                Query::with_exclusions(recent, 8, exclude)
+            })
+            .collect()
+    }
+
+    /// The recommender's own answers, one query at a time.
+    fn sequential_reference(rec: &Recommender, queries: &[Query]) -> Vec<Vec<usize>> {
+        let mut scratch = RecommendScratch::new();
+        queries
+            .iter()
+            .map(|q| {
+                rec.recommend_excluding_into(&q.recent, q.k, &q.exclude, &mut scratch)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_loaded_generation_serves_like_a_fresh_engine_on_every_path() {
+        // Dense, partial-probe IVF, full-probe IVF and int8 IVF: a
+        // generation served off the published bundle's mapping answers
+        // exactly as an engine built over the publisher's recommender.
+        let vocab = 400;
+        let rec = recommender(vocab, 12, 0x5AFE);
+        let dir = tmp_dir("identity");
+        let path = publish_generation(&dir, rec.embedding(), 1).unwrap();
+        let ivf = AnnConfig {
+            cells: 8,
+            nprobe: 3,
+            kmeans_iters: 4,
+            kmeans_sample: vocab,
+            seed: 0x5AFE ^ 0x1F,
+            build_threads: 2,
+            quantized: false,
+            overfetch: 4,
+        };
+        let full_probe = AnnConfig {
+            nprobe: ivf.cells,
+            ..ivf
+        };
+        let int8 = AnnConfig {
+            quantized: true,
+            ..ivf
+        };
+        let qs = queries(vocab, 96, 0xA);
+        for ann in [None, Some(ivf), Some(full_probe), Some(int8)] {
+            let cfg = ServeConfig {
+                max_batch: 16,
+                workers: 2,
+                cache_capacity: 128,
+                ann,
+            };
+            let loaded = ModelGeneration::load(&path, cfg).unwrap();
+            assert!(loaded.is_mapped(), "{ann:?}: a bundle on disk is mapped");
+            let fresh = BatchEngine::new(rec.clone(), cfg).unwrap();
+            assert_eq!(
+                loaded.engine().serve(&qs).unwrap(),
+                fresh.serve(&qs).unwrap(),
+                "{ann:?}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn swaps_under_concurrent_queries_answer_from_one_generation() {
+        // Ten generations published and swapped in while two threads keep
+        // querying: no wave errors, and every wave equals the sequential
+        // answers of the one generation that served it.
+        let (swaps, vocab) = (10u64, 300);
+        let dir = tmp_dir("hammer");
+        let cfg = ServeConfig {
+            max_batch: 16,
+            workers: 2,
+            cache_capacity: 256,
+            ann: None,
+        };
+        let qs = queries(vocab, 48, 7);
+        let recs: Vec<Recommender> = (1..=swaps + 1)
+            .map(|g| recommender(vocab, 8, 0x100 + g))
+            .collect();
+        let expected: Vec<_> = recs.iter().map(|r| sequential_reference(r, &qs)).collect();
+        publish_generation(&dir, recs[0].embedding(), 1).unwrap();
+        let server = Arc::new(HotSwapServer::new(
+            ModelGeneration::load(&dir.join(generation_file_name(1)), cfg).unwrap(),
+        ));
+        let watcher = GenerationWatcher::new(&dir, cfg, Arc::clone(&server), Observer::disabled());
+
+        // One wave as (errored, wrong) counts.
+        let wave = || match server.serve_pinned(&qs) {
+            Ok((gen, got)) => (0, usize::from(expected.get(gen as usize - 1) != Some(&got))),
+            Err(_) => (1, 0),
+        };
+        let started = Barrier::new(3);
+        let done = AtomicBool::new(false);
+        let (outcomes, waves) = std::thread::scope(|s| {
+            let hammers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        // Every thread has a wave in before the first swap.
+                        let mut tally = wave();
+                        started.wait();
+                        while !done.load(Ordering::Relaxed) {
+                            let (errored, wrong) = wave();
+                            tally = (tally.0 + errored, tally.1 + wrong);
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            started.wait();
+            // Nothing on this thread may panic before `done` is set, or
+            // the query threads would never stop.
+            let outcomes: Vec<_> = (2..=swaps + 1)
+                .map(|g| {
+                    publish_generation(&dir, recs[g as usize - 1].embedding(), g)
+                        .map(|_| watcher.poll_once())
+                })
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            let waves: Vec<_> = hammers.into_iter().map(|h| h.join().unwrap()).collect();
+            (outcomes, waves)
+        });
+
+        for (g, outcome) in (2..).zip(&outcomes) {
+            assert!(
+                matches!(outcome, Ok(SwapOutcome::Swapped { to, .. }) if *to == g),
+                "generation {g}: {outcome:?}"
+            );
+        }
+        assert_eq!(waves, [(0, 0), (0, 0)], "(errored, wrong) waves per thread");
+        let fresh = BatchEngine::new(recs[swaps as usize].clone(), cfg).unwrap();
+        assert_eq!(
+            server.serve_pinned(&qs).unwrap(),
+            (swaps + 1, fresh.serve(&qs).unwrap())
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     fn cfg() -> ServeConfig {
@@ -497,7 +648,13 @@ mod tests {
         let server = serving(&dir, &recommender(8, 3, 5), 0);
         let watcher =
             GenerationWatcher::new(&dir, cfg(), Arc::clone(&server), Observer::disabled());
+        // A publisher killed while writing the next bundle leaves a
+        // half-written tmp file beside it and the pointer untouched.
+        let stray = format!("{}.tmp", generation_file_name(1));
+        fs::write(dir.join(stray), [0u8; 999]).unwrap();
         assert_eq!(watcher.poll_once(), SwapOutcome::NoPointer);
+        fs::write(dir.join(CURRENT_POINTER), generation_file_name(0)).unwrap();
+        assert_eq!(watcher.poll_once(), SwapOutcome::Unchanged);
         // Pointer names a file that does not exist (torn publish).
         fs::write(dir.join(CURRENT_POINTER), "gen-nope.plps").unwrap();
         match watcher.poll_once() {
@@ -505,6 +662,7 @@ mod tests {
             other => panic!("expected reject, got {other:?}"),
         }
         assert_eq!(server.generation(), 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

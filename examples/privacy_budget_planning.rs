@@ -7,7 +7,6 @@
 //! Run with: `cargo run --release --example privacy_budget_planning`
 
 use dp_nextloc::privacy::accountant::MomentsAccountant;
-use dp_nextloc::privacy::composition::{advanced_composition, naive_composition};
 use dp_nextloc::privacy::planner::{calibrate_noise, epsilon_for_steps, max_steps};
 use dp_nextloc::privacy::PrivacyBudget;
 
@@ -46,8 +45,14 @@ fn main() {
     // Per-step classical Gaussian mechanism cost (Theorem 2.1 inverted),
     // amplified linearly by q for the naive estimate.
     let eps_step = (2.0 * (1.25f64 / delta).ln()).sqrt() / sigma * q;
-    let (eps_naive, _) = naive_composition(eps_step, 0.0, steps).unwrap();
-    let (eps_adv, _) = advanced_composition(eps_step, 0.0, steps, delta / 2.0).unwrap();
+    // k mechanisms that are each ε₀-DP compose to k·ε₀ (naive), or to
+    // ε₀·√(2k·ln(1/δ′)) + k·ε₀·(e^{ε₀} − 1) for a slack δ′ (advanced,
+    // Dwork–Rothblum–Vadhan); here δ′ = δ/2.
+    let k = steps as f64;
+    let eps_naive = k * eps_step;
+    let slack = delta / 2.0;
+    let eps_adv =
+        eps_step * (2.0 * k * (1.0 / slack).ln()).sqrt() + k * eps_step * eps_step.exp_m1();
     println!("\ncomposing {steps} subsampled-Gaussian steps (q={q}, sigma={sigma}):");
     println!("  naive composition:    eps ~ {eps_naive:.2}");
     println!("  advanced composition: eps ~ {eps_adv:.2}");

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
-# one-fan-out, four-binaries, no-deployed-copy, no-map-in-the-SGNS-loop and
-# retired-names (one start, one objective, one proposal, one server
-# optimiser, one model file, one serving entry point per operation) grep
-# gates, build, the full test suite in the dev profile and again in release mode
-# (with the allocation counts of a warm bucket and of an evaluation printed),
-# every experiment of the `figures` table at bench scale, the
-# chaos drills, a re-stitch of the fed_chaos trace dumps through the CLI
-# and a correctness smoke of the benchmark harness. This is the only CI definition — .github/workflows/ci.yml just
-# calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
+# one-fan-out, one-figures-binary, no-deployed-copy, no-map-in-the-SGNS-loop
+# and retired-names (one start, one objective, one proposal, one server
+# optimiser, one model file, one serving entry point per operation, one
+# worker program) grep gates, build, the full test suite in the dev profile
+# and again in release mode (with the allocation counts of a warm bucket and
+# of an evaluation printed), every experiment of the `figures` table at bench
+# scale and a correctness smoke of the benchmark harness. The crash-safety,
+# hot-swap and federated fault tests run inside the test suite. This is the
+# only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
 # dependencies are vendored in compat/). Nothing here judges a timing:
 # every step is gated on its exit code.
 set -euo pipefail
@@ -53,12 +53,13 @@ if [ -n "$scopes" ]; then
   exit 1
 fi
 
-echo "== experiment-binary gate (one figures binary, three drills) =="
-# An experiment is a row of plp_bench::figures::EXPERIMENTS, not a file: a
-# fifth binary means the per-figure forks are coming back.
-bins=$(ls crates/bench/src/bin | sort | tr '\n' ' ')
-if [ "$bins" != "chaos.rs fed_chaos.rs figures.rs swap_chaos.rs " ]; then
-  echo "crates/bench/src/bin must hold exactly chaos.rs fed_chaos.rs figures.rs swap_chaos.rs, found: $bins"
+echo "== experiment-binary gate (one figures binary) =="
+# An experiment is a row of plp_bench::figures::EXPERIMENTS and a fault
+# scenario is a test of the crate it exercises, not a file: a second
+# binary means the per-figure forks or the drills are coming back.
+bins=$(ls crates/bench/src/bin | tr '\n' ' ')
+if [ "$bins" != "figures.rs " ]; then
+  echo "crates/bench/src/bin must hold exactly figures.rs, found: $bins"
   exit 1
 fi
 
@@ -78,7 +79,7 @@ if git grep -nE 'BTreeMap|BTreeSet' -- crates/model/src/grad.rs crates/model/src
   exit 1
 fi
 
-echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file) =="
+echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one worker program) =="
 # The trainer's checkpoint policy decides where a run starts and the loop
 # steps the very state a save encodes; a resume entry point, a caller-side
 # resume switch or a second state type means both are being forked again.
@@ -90,8 +91,12 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # `train --out` writes the serving bundle, and the serving API keeps one
 # method per operation: a full-θ model file, an allocating twin, or a
 # single-query or test-only entry point is a second way back in.
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, or recommend_excluding_into / serve"
+# `plp_fed_worker` is the one worker program, and the example computes the
+# classical composition bounds it prints. (The bracketed last letters, as in
+# `ps | grep [n]ame`, keep a grep for these names over scripts/ from
+# finding this line.)
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, or the example's own composition bounds"
   exit 1
 fi
 
@@ -118,23 +123,6 @@ echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any
 # experiment reports a pipeline error.
 cargo run --release -p plp-bench --bin figures -- run --all --scale bench >/dev/null
-
-echo "== chaos drill (crash-safety smoke) =="
-cargo run --release -p plp-bench --bin chaos
-
-echo "== swap_chaos drill (hot-swap serving: torn writers, corrupt candidates, hammer) =="
-cargo run --release -p plp-bench --bin swap_chaos -- --smoke
-
-echo "== fed_chaos drill (multi-process federated smoke + traced round) =="
-cargo run --release -p plp-bench --bin fed_chaos -- --smoke \
-  --trace-out target/BENCH_fed_trace.json
-
-echo "== trace-stitch (the CLI over the fed_chaos dumps) =="
-# One loader, one stitcher: the same dumps in the same order must give
-# the file fed_chaos wrote, byte for byte.
-cargo run --release --bin dp-nextloc -- trace-stitch \
-  --out target/BENCH_fed_trace_cli.json target/fed_trace_dumps
-cmp target/BENCH_fed_trace.json target/BENCH_fed_trace_cli.json
 
 echo "== plp_benchmark unit tests =="
 cargo test --offline -q --manifest-path plp_benchmark/Cargo.toml
