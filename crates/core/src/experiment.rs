@@ -13,10 +13,8 @@ use serde::Serialize;
 
 use plp_data::dataset::{CheckInDataset, TokenizedDataset};
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
-use plp_data::preprocess::{filter_sparse, FilterConfig};
-use plp_data::session::SIX_HOURS_SECS;
-use plp_data::split::holdout_split;
-use plp_data::stats::{dataset_stats, DatasetStats};
+use plp_data::preprocess::{prepare, FilterConfig};
+use plp_data::stats::DatasetStats;
 use plp_data::vocab::Vocabulary;
 use plp_model::metrics::{evaluate_hit_rate, HitRate};
 use plp_model::params::ModelParams;
@@ -93,31 +91,23 @@ pub struct PreparedData {
 }
 
 impl PreparedData {
-    /// Prepares data from a raw check-in dataset (generated or loaded).
+    /// Prepares data from a raw check-in dataset (generated or loaded):
+    /// one pass of [`prepare`] over a flat table of its check-ins.
     ///
     /// # Errors
-    /// Propagates filtering/splitting/tokenisation errors.
+    /// A holdout of at least as many users as survive the filter.
     pub fn from_checkins(
         raw: &CheckInDataset,
         config: &ExperimentConfig,
     ) -> Result<Self, CoreError> {
-        let filtered = filter_sparse(raw, config.filter);
-        let stats = dataset_stats(&filtered);
-        let vocab = Vocabulary::build(&filtered);
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5EED));
-        let split = holdout_split(
-            &mut rng,
-            &filtered,
-            config.validation_users,
-            config.test_users,
-        )?;
-        let tokenize = |d: &CheckInDataset| -> Result<TokenizedDataset, CoreError> {
-            Ok(TokenizedDataset::from_dataset(d, &vocab, SIX_HOURS_SECS)?)
-        };
+        let holdouts = [config.validation_users, config.test_users];
+        let ([train, validation, test], vocab, stats) =
+            prepare(raw, config.filter, holdouts, &mut rng)?;
         Ok(PreparedData {
-            train: tokenize(&split.train)?,
-            validation: tokenize(&split.validation)?,
-            test: tokenize(&split.test)?,
+            train,
+            validation,
+            test,
             vocab,
             stats,
         })

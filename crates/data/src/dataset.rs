@@ -1,11 +1,7 @@
 //! Dataset containers: per-user check-in histories and their tokenised form.
 
-use std::collections::BTreeMap;
-
 use crate::checkin::{CheckIn, Poi, UserId};
 use crate::error::DataError;
-use crate::session::sessionize;
-use crate::vocab::Vocabulary;
 
 /// The historical record `U_u` of one user: check-ins sorted by timestamp.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,20 +38,22 @@ impl CheckInDataset {
     ///
     /// Users are ordered by id; each user's check-ins are sorted by
     /// timestamp (ties broken by location id for determinism).
-    pub fn from_checkins(pois: Vec<Poi>, checkins: Vec<CheckIn>) -> Self {
-        let mut by_user: BTreeMap<UserId, Vec<CheckIn>> = BTreeMap::new();
-        for c in checkins {
-            by_user.entry(c.user).or_default().push(c);
-        }
-        let users = by_user
-            .into_iter()
-            .map(|(user, mut cs)| {
-                cs.sort_by(|a, b| {
-                    a.timestamp
-                        .cmp(&b.timestamp)
-                        .then(a.location.cmp(&b.location))
-                });
-                UserHistory { user, checkins: cs }
+    pub fn from_checkins(pois: Vec<Poi>, mut checkins: Vec<CheckIn>) -> Self {
+        // Stable, so on input already grouped by user — what the generator,
+        // the binary snapshot and the CSV export all write — it is one
+        // linear pass.
+        checkins.sort_by_key(|c| c.user);
+        let users = checkins
+            .chunk_by(|a, b| a.user == b.user)
+            .map(|run| {
+                let mut checkins = run.to_vec();
+                // Within a user, equal keys are equal check-ins: an unstable
+                // sort cannot put them in an order that shows.
+                checkins.sort_unstable_by_key(|c| (c.timestamp, c.location));
+                UserHistory {
+                    user: run[0].user,
+                    checkins,
+                }
             })
             .collect();
         CheckInDataset { pois, users }
@@ -137,41 +135,6 @@ pub struct TokenizedDataset {
 }
 
 impl TokenizedDataset {
-    /// Tokenises `dataset` through `vocab`, splitting each history into
-    /// sessions of duration at most `max_session_secs` (the paper uses six
-    /// hours, following [10, 34]).
-    ///
-    /// # Errors
-    /// Returns [`DataError::UnknownLocation`] if a check-in's location is
-    /// missing from the vocabulary.
-    pub fn from_dataset(
-        dataset: &CheckInDataset,
-        vocab: &Vocabulary,
-        max_session_secs: i64,
-    ) -> Result<Self, DataError> {
-        let mut users = Vec::with_capacity(dataset.users.len());
-        for h in &dataset.users {
-            let mut sessions = Vec::new();
-            for session in sessionize(h, max_session_secs) {
-                let mut tokens = Vec::with_capacity(session.len());
-                for c in session {
-                    tokens.push(vocab.token(c.location).ok_or(DataError::UnknownLocation {
-                        location: c.location.0,
-                    })?);
-                }
-                sessions.push(tokens);
-            }
-            users.push(UserSequences {
-                user: h.user,
-                sessions,
-            });
-        }
-        Ok(TokenizedDataset {
-            users,
-            vocab_size: vocab.len(),
-        })
-    }
-
     /// Number of users.
     pub fn num_users(&self) -> usize {
         self.users.len()
@@ -254,49 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_respects_sessions_and_vocab() {
-        const HOUR: i64 = 3600;
-        let cs = vec![
-            CheckIn::new(1, 100, 0),
-            CheckIn::new(1, 200, HOUR),
-            // 10 hours later: a new session.
-            CheckIn::new(1, 100, 11 * HOUR),
-        ];
-        let ds = CheckInDataset::from_checkins(vec![], cs);
-        let vocab = Vocabulary::build(&ds);
-        let tok = TokenizedDataset::from_dataset(&ds, &vocab, 6 * HOUR).unwrap();
-        assert_eq!(tok.vocab_size, 2);
-        assert_eq!(tok.users[0].sessions.len(), 2);
-        assert_eq!(tok.users[0].sessions[0].len(), 2);
-        assert_eq!(tok.users[0].sessions[1].len(), 1);
-        assert_eq!(tok.total_tokens(), 3);
-        assert_eq!(tok.users[0].flattened().len(), 3);
-    }
-
-    #[test]
-    fn tokenize_rejects_unknown_location() {
-        let cs = vec![CheckIn::new(1, 100, 0)];
-        let ds = CheckInDataset::from_checkins(vec![], cs);
-        let empty = CheckInDataset::default();
-        let vocab = Vocabulary::build(&empty);
-        let r = TokenizedDataset::from_dataset(&ds, &vocab, 3600);
-        assert!(matches!(
-            r,
-            Err(DataError::UnknownLocation { location: 100 })
-        ));
-    }
-
-    #[test]
     fn density_counts_distinct_user_location_pairs() {
-        let cs = vec![
-            CheckIn::new(1, 100, 0),
-            CheckIn::new(1, 100, 10),
-            CheckIn::new(1, 200, 20),
-            CheckIn::new(2, 100, 0),
-        ];
-        let ds = CheckInDataset::from_checkins(vec![], cs);
-        let vocab = Vocabulary::build(&ds);
-        let tok = TokenizedDataset::from_dataset(&ds, &vocab, i64::MAX).unwrap();
+        let user = |id, sessions| UserSequences {
+            user: UserId(id),
+            sessions,
+        };
+        let tok = TokenizedDataset {
+            users: vec![user(1, vec![vec![0, 0], vec![1]]), user(2, vec![vec![0]])],
+            vocab_size: 2,
+        };
         // 3 distinct (user, loc) cells over 2 users x 2 locations.
         assert!((tok.density() - 0.75).abs() < 1e-12);
         let empty = TokenizedDataset {

@@ -7,11 +7,6 @@ use crate::frame::SnapshotError;
 /// Errors produced while loading, validating or transforming check-in data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataError {
-    /// A record referenced a location absent from the vocabulary.
-    UnknownLocation {
-        /// The raw location identifier.
-        location: u32,
-    },
     /// A record referenced a user absent from the dataset.
     UnknownUser {
         /// The raw user identifier.
@@ -48,7 +43,6 @@ pub enum DataError {
 impl fmt::Display for DataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DataError::UnknownLocation { location } => write!(f, "unknown location id {location}"),
             DataError::UnknownUser { user } => write!(f, "unknown user id {user}"),
             DataError::Invalid { what } => write!(f, "invalid data: {what}"),
             DataError::BadConfig { name, expected } => {
@@ -83,10 +77,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert_eq!(
-            DataError::UnknownLocation { location: 7 }.to_string(),
-            "unknown location id 7"
-        );
         assert_eq!(
             DataError::UnknownUser { user: 3 }.to_string(),
             "unknown user id 3"

@@ -12,18 +12,20 @@
 //!
 //! 1. [`checkin`] / [`dataset`] — raw `⟨user, location, time⟩` triples
 //!    grouped per user,
-//! 2. [`preprocess`] — iterated filtering (≥ 10 check-ins per user, ≥ 2
-//!    distinct visitors per location) and bounding-box restriction,
-//! 3. [`vocab`] — tokenisation of locations into `0..L` indices,
-//! 4. [`session`] — segmentation into trajectories of at most six hours,
-//! 5. [`split`] — held-out user selection (100 validation + 100 test users),
-//! 6. [`window`] — symmetric skip-gram (target, context) pair extraction and
+//! 2. [`preprocess::prepare`] — one pass over a flat table of dense location
+//!    indices: iterated filtering (≥ 10 check-ins per user, ≥ 2 distinct
+//!    visitors per location), tokenisation into the [`vocab`] `0..L` with
+//!    the [`stats`] of what survives, held-out user selection (100
+//!    validation + 100 test users) and segmentation into trajectories of at
+//!    most six hours,
+//! 3. [`window`] — symmetric skip-gram (target, context) pair extraction and
 //!    batch generation,
-//! 7. [`sampling`] — Poisson user sampling per training step (Algorithm 1,
+//! 4. [`sampling`] — Poisson user sampling per training step (Algorithm 1,
 //!    line 5),
-//! 8. [`grouping`] — the paper's data-grouping contribution: packing λ users
+//! 5. [`grouping`] — the paper's data-grouping contribution: packing λ users
 //!    into buckets, with the split factor ω of §4.2,
-//! 9. [`stats`] / [`io`] — dataset statistics and (de)serialisation.
+//! 6. [`io`] — (de)serialisation; [`preprocess`] also holds the
+//!    bounding-box restriction.
 
 pub mod checkin;
 pub mod dataset;
@@ -33,9 +35,9 @@ pub mod generator;
 pub mod grouping;
 pub mod io;
 pub mod preprocess;
+#[cfg(test)]
+mod reference;
 pub mod sampling;
-pub mod session;
-pub mod split;
 pub mod stats;
 pub mod vocab;
 pub mod window;

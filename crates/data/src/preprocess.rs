@@ -1,15 +1,39 @@
-//! Preprocessing filters of §5.1.
+//! Preprocessing of §5.1: one pass from grouped check-ins to sessions.
 //!
 //! "We filter out the users with fewer than ten check-ins, as well as the
 //! locations visited by fewer than two users (such filtering is commonly
 //! performed in the location recommendation literature)." Removing sparse
 //! locations can push users below the check-in threshold and vice versa, so
-//! the two filters are applied alternately until a fixpoint.
+//! the two filters are applied alternately until a fixpoint. The survivors'
+//! locations become the vocabulary (§3.2), 100 + 100 randomly chosen users
+//! are held out — "our testing and validation sets consist of location
+//! visits of users who are *not* part of the training set" — and every
+//! history is cut into trajectories that "do not exceed a total duration
+//! of six hours, following the work in [10, 34]".
+//!
+//! [`prepare`] does all of that over one flat table: each check-in gets a
+//! dense location index once, ranked in [`LocationId`] order, and the
+//! filter, the vocabulary, the statistics, the holdout and the sessions are
+//! all derived from that table. No check-in is copied until its token is
+//! written into a session.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::checkin::{BoundingBox, CheckIn, LocationId, UserId};
-use crate::dataset::{CheckInDataset, UserHistory};
+use rand::seq::SliceRandom;
+use rand::Rng;
+
+use crate::checkin::{BoundingBox, CheckIn, LocationId};
+use crate::dataset::{CheckInDataset, TokenizedDataset, UserSequences};
+use crate::error::DataError;
+use crate::stats::DatasetStats;
+use crate::vocab::Vocabulary;
+
+/// Six hours in seconds — the paper's trajectory duration cap.
+pub(crate) const SIX_HOURS_SECS: i64 = 6 * 3600;
+
+/// The token of a location the filter dropped.
+const DROPPED: u32 = u32::MAX;
 
 /// Filter thresholds; the defaults are the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,156 +79,265 @@ pub fn filter_bounding_box(dataset: &CheckInDataset, bbox: &BoundingBox) -> Chec
     CheckInDataset::from_checkins(pois, checkins)
 }
 
+/// What [`filter_sparse`] keeps of a dataset, over a flat table of its
+/// check-ins: every check-in as a dense location index, where dense index
+/// `l` is the `l`-th smallest location id the dataset visits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Survivors {
+    /// The dataset's distinct visited locations, ascending.
+    pub locations: Vec<LocationId>,
+    /// The dense location of every check-in, users one after another.
+    dense: Vec<u32>,
+    /// User `u`'s check-ins are `dense[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    /// Check-ins each user keeps; 0 for a user the filter drops.
+    pub checkins: Vec<usize>,
+    /// Distinct kept users at each location; 0 for a location it drops.
+    pub visitors: Vec<usize>,
+    /// Kept check-ins at each location.
+    pub visits: Vec<usize>,
+}
+
+impl Survivors {
+    /// The dense locations of user `u`'s check-ins, in history order.
+    pub fn dense_locations(&self, u: usize) -> &[u32] {
+        &self.dense[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// The indices of the users the filter keeps, in dataset order.
+    pub fn users(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.checkins.len()).filter(|&u| self.checkins[u] > 0)
+    }
+}
+
+/// A multiplicative hash for the map from location ids to dense indices:
+/// the keys are `u32`s, and SipHash per check-in would be most of what
+/// indexing costs.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(self.0 as u32 ^ u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Gives every check-in of `dataset` a dense location index ranked in id
+/// order: the distinct ids ascending, the index of each check-in, and where
+/// each user's check-ins start.
+fn index(dataset: &CheckInDataset) -> (Vec<LocationId>, Vec<u32>, Vec<usize>) {
+    let mut first_seen: HashMap<LocationId, u32, BuildHasherDefault<IdHasher>> =
+        HashMap::with_capacity_and_hasher(dataset.pois.len(), Default::default());
+    let mut dense = Vec::with_capacity(dataset.num_checkins());
+    let mut offsets = Vec::with_capacity(dataset.users.len() + 1);
+    offsets.push(0);
+    for u in &dataset.users {
+        for c in &u.checkins {
+            let next = first_seen.len() as u32;
+            dense.push(*first_seen.entry(c.location).or_insert(next));
+        }
+        offsets.push(dense.len());
+    }
+    let mut seen: Vec<(LocationId, u32)> = first_seen.into_iter().collect();
+    seen.sort_unstable();
+    let mut rank = vec![0; seen.len()];
+    for (r, &(_, first)) in seen.iter().enumerate() {
+        rank[first as usize] = r as u32;
+    }
+    for l in &mut dense {
+        *l = rank[*l as usize];
+    }
+    (seen.into_iter().map(|(id, _)| id).collect(), dense, offsets)
+}
+
 /// Applies the user/location sparsity filters until a fixpoint.
 ///
-/// Returns the filtered dataset (possibly empty). POI metadata is retained
-/// only for surviving locations. `dataset` is expected in the form
-/// [`CheckInDataset::from_checkins`] builds — one history per user, in
-/// user order — and the result is in that form again.
-pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> CheckInDataset {
-    // Dense location indices, resolved once per check-in, so the fixpoint
-    // runs over flat arrays instead of rebuilding maps every round.
-    let mut ids: Vec<LocationId> = dataset
-        .users
-        .iter()
-        .flat_map(|u| u.checkins.iter().map(|c| c.location))
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let locs: Vec<Vec<usize>> = dataset
-        .users
-        .iter()
-        .map(|u| {
-            let dense = |c: &CheckIn| ids.binary_search(&c.location).expect("collected above");
-            u.checkins.iter().map(dense).collect()
-        })
-        .collect();
-
-    let mut location_alive = vec![true; ids.len()];
+/// Answers which users and locations survive, and with how many check-ins
+/// and visitors; it copies no check-in. `dataset` is expected in the form
+/// [`CheckInDataset::from_checkins`] builds — one history per user.
+pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> Survivors {
+    let (locations, dense, offsets) = index(dataset);
+    let user = |u: usize| &dense[offsets[u]..offsets[u + 1]];
+    let mut alive = vec![true; locations.len()];
     // How many check-ins each user has left; `None` once the user is out.
-    let mut left: Vec<Option<usize>> = dataset.users.iter().map(|u| Some(u.len())).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // Distinct visitors per location. Users come one after the other,
-        // so a location only has to remember the last one it counted.
-        let mut visitors: Vec<(Option<UserId>, usize)> = vec![(None, 0); ids.len()];
-        let present = (dataset.users.iter().zip(&locs).zip(&left)).filter(|x| x.1.is_some());
-        for ((u, locs), _) in present {
-            for &l in locs.iter().filter(|&&l| location_alive[l]) {
-                if visitors[l].0 != Some(u.user) {
-                    visitors[l] = (Some(u.user), visitors[l].1 + 1);
+    let mut left: Vec<Option<usize>> = (0..dataset.users.len())
+        .map(|u| Some(user(u).len()))
+        .collect();
+    let mut visitors = vec![0; locations.len()];
+    let mut visits = vec![0; locations.len()];
+    // Users come one after the other, so a location only has to remember
+    // the last one it counted to count distinct visitors.
+    let mut last = vec![usize::MAX; locations.len()];
+    loop {
+        visitors.fill(0);
+        visits.fill(0);
+        last.fill(usize::MAX);
+        for u in (0..left.len()).filter(|&u| left[u].is_some()) {
+            for &l in user(u) {
+                let l = l as usize;
+                if alive[l] {
+                    visits[l] += 1;
+                    if last[l] != u {
+                        last[l] = u;
+                        visitors[l] += 1;
+                    }
                 }
             }
         }
-        for (alive, (_, n)) in location_alive.iter_mut().zip(&visitors) {
-            *alive &= *n >= config.min_users_per_location;
+        for (alive, &n) in alive.iter_mut().zip(&visitors) {
+            *alive &= n >= config.min_users_per_location;
         }
         // Losing locations can push a user below the threshold, and losing
         // that user can leave a location short of visitors: go round again
-        // whenever a check-in or a user went.
-        for (left, locs) in left.iter_mut().zip(&locs) {
+        // whenever a check-in or a user went. A round that changes nothing
+        // kills only locations no one counted, so its tallies are final.
+        let mut changed = false;
+        for (u, left) in left.iter_mut().enumerate() {
             let Some(before) = *left else { continue };
-            let kept = locs.iter().filter(|&&l| location_alive[l]).count();
+            let kept = user(u).iter().filter(|&&l| alive[l as usize]).count();
             *left = (kept >= config.min_checkins_per_user).then_some(kept);
             changed |= kept < before || (left.is_none() && before > 0);
         }
-    }
-
-    let mut visited = vec![false; ids.len()];
-    let mut users = Vec::new();
-    for ((u, locs), left) in dataset.users.iter().zip(&locs).zip(&left) {
-        let Some(n) = left.filter(|&n| n > 0) else {
-            continue;
-        };
-        let mut checkins = Vec::with_capacity(n);
-        for (c, &l) in u.checkins.iter().zip(locs) {
-            if location_alive[l] {
-                visited[l] = true;
-                checkins.push(*c);
-            }
+        if !changed {
+            break;
         }
-        users.push(UserHistory {
-            user: u.user,
-            checkins,
+    }
+    Survivors {
+        locations,
+        dense,
+        offsets,
+        checkins: left.into_iter().map(|n| n.unwrap_or(0)).collect(),
+        visitors,
+        visits,
+    }
+}
+
+/// The whole of §5.1's preparation after grouping: filters `raw`, builds
+/// the vocabulary and the statistics of what survives, holds out
+/// `holdouts = [validation, test]` users drawn with `rng`, and cuts every
+/// history into six-hour sessions of tokens. Returns `[train, validation,
+/// test]`, each in dataset order, with the vocabulary and the statistics.
+///
+/// # Errors
+/// [`DataError::BadConfig`] unless more users survive the filter than the
+/// two holdouts take together.
+pub fn prepare<R: Rng + ?Sized>(
+    raw: &CheckInDataset,
+    filter: FilterConfig,
+    holdouts: [usize; 2],
+    rng: &mut R,
+) -> Result<([TokenizedDataset; 3], Vocabulary, DatasetStats), DataError> {
+    let mut kept = filter_sparse(raw, filter);
+
+    // The vocabulary is the surviving locations in id order, which is
+    // dense order, so each token is a running count.
+    let mut token_of = vec![DROPPED; kept.locations.len()];
+    let mut locations = Vec::new();
+    for (l, _) in kept.visitors.iter().enumerate().filter(|v| *v.1 > 0) {
+        token_of[l] = locations.len() as u32;
+        locations.push(kept.locations[l]);
+    }
+    let vocab = Vocabulary::from_locations(locations);
+    let users: Vec<usize> = kept.users().collect();
+    let per_user = users.iter().map(|&u| kept.checkins[u]).collect();
+    let cells = kept.visitors.iter().sum();
+    let stats = DatasetStats::from_counts(per_user, std::mem::take(&mut kept.visits), cells);
+
+    let [num_validation, num_test] = holdouts;
+    if num_validation + num_test >= users.len() {
+        return Err(DataError::BadConfig {
+            name: "num_validation + num_test",
+            expected: "strictly less than the number of users",
         });
     }
-    let pois = dataset
-        .pois
+    let mut order: Vec<usize> = (0..users.len()).collect();
+    order.shuffle(rng);
+    let (validation, rest) = order.split_at_mut(num_validation);
+    let (test, train) = rest.split_at_mut(num_test);
+
+    let longest = users.iter().map(|&u| kept.checkins[u]).max().unwrap_or(0);
+    let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
+    let mut tokenize = |picked: &mut [usize]| {
+        picked.sort_unstable();
+        let sequences = picked.iter().map(|&i| {
+            let u = users[i];
+            let history = &raw.users[u];
+            let (checkins, dense) = (&history.checkins, kept.dense_locations(u));
+            let sessions = sessions(checkins, dense, &token_of, &mut tokens, &mut starts);
+            UserSequences {
+                user: history.user,
+                sessions,
+            }
+        });
+        TokenizedDataset {
+            users: sequences.collect(),
+            vocab_size: vocab.len(),
+        }
+    };
+    let splits = [tokenize(train), tokenize(validation), tokenize(test)];
+    Ok((splits, vocab, stats))
+}
+
+/// Cuts one user's time-ordered check-ins into sessions whose first-to-last
+/// span is at most six hours, as tokens, skipping check-ins at locations
+/// the filter dropped. `tokens` and `starts` are scratch; each session is
+/// allocated once, at its final length.
+fn sessions(
+    checkins: &[CheckIn],
+    dense: &[u32],
+    token_of: &[u32],
+    tokens: &mut Vec<usize>,
+    starts: &mut Vec<usize>,
+) -> Vec<Vec<usize>> {
+    tokens.clear();
+    starts.clear();
+    let mut first = None;
+    for (c, &l) in checkins.iter().zip(dense) {
+        let token = token_of[l as usize];
+        if token == DROPPED {
+            continue;
+        }
+        if first.is_none_or(|t| c.timestamp - t > SIX_HOURS_SECS) {
+            starts.push(tokens.len());
+            first = Some(c.timestamp);
+        }
+        tokens.push(token as usize);
+    }
+    let ends = starts.iter().skip(1).copied().chain([tokens.len()]);
+    starts
         .iter()
-        .filter(|p| ids.binary_search(&p.id).is_ok_and(|l| visited[l]))
-        .copied()
-        .collect();
-    CheckInDataset { pois, users }
+        .zip(ends)
+        .map(|(&a, b)| tokens[a..b].to_vec())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkin::{GeoPoint, Poi};
-
-    /// The map-per-round implementation [`filter_sparse`] replaced, kept as
-    /// the definition it is tested against.
-    fn filter_sparse_reference(dataset: &CheckInDataset, config: FilterConfig) -> CheckInDataset {
-        let mut current = dataset.clone();
-        loop {
-            // Count distinct visitors per location.
-            let mut visitors: HashMap<LocationId, Vec<u32>> = HashMap::new();
-            for u in &current.users {
-                for c in &u.checkins {
-                    let v = visitors.entry(c.location).or_default();
-                    if !v.contains(&c.user.0) {
-                        v.push(c.user.0);
-                    }
-                }
-            }
-            let keep_location: HashMap<LocationId, bool> = visitors
-                .iter()
-                .map(|(&l, v)| (l, v.len() >= config.min_users_per_location))
-                .collect();
-
-            let mut changed = false;
-            let mut checkins = Vec::new();
-            for u in &current.users {
-                let kept: Vec<_> = u
-                    .checkins
-                    .iter()
-                    .filter(|c| keep_location.get(&c.location).copied().unwrap_or(false))
-                    .copied()
-                    .collect();
-                if kept.len() < u.checkins.len() {
-                    changed = true;
-                }
-                if kept.len() >= config.min_checkins_per_user {
-                    checkins.extend(kept);
-                } else if !kept.is_empty() || !u.checkins.is_empty() {
-                    changed = true;
-                }
-            }
-
-            let surviving: HashMap<LocationId, bool> = checkins
-                .iter()
-                .map(|c: &crate::checkin::CheckIn| (c.location, true))
-                .collect();
-            let pois = current
-                .pois
-                .iter()
-                .filter(|p| surviving.get(&p.id).copied().unwrap_or(false))
-                .copied()
-                .collect();
-            let next = CheckInDataset::from_checkins(pois, checkins);
-            if !changed {
-                return next;
-            }
-            current = next;
-        }
-    }
+    use crate::checkin::{GeoPoint, Poi, UserId};
+    use crate::reference::{filter_sparse_reference, surviving_dataset};
 
     fn poi(id: u32, lat: f64, lon: f64) -> Poi {
         Poi {
             id: LocationId(id),
             point: GeoPoint { lat, lon },
         }
+    }
+
+    /// Ids of the users `filter_sparse` keeps.
+    fn survivors(ds: &CheckInDataset, config: FilterConfig) -> Vec<u32> {
+        let kept = filter_sparse(ds, config);
+        kept.users().map(|u| ds.users[u].user.0).collect()
     }
 
     #[test]
@@ -219,15 +352,12 @@ mod tests {
             CheckIn::new(3, 11, 1),
         ];
         let ds = CheckInDataset::from_checkins(vec![], cs);
-        let f = filter_sparse(
-            &ds,
-            FilterConfig {
-                min_checkins_per_user: 2,
-                min_users_per_location: 2,
-            },
-        );
-        assert_eq!(f.num_users(), 2, "users 1 and 3 survive");
-        assert!(f.users.iter().all(|u| u.len() >= 2));
+        let config = FilterConfig {
+            min_checkins_per_user: 2,
+            min_users_per_location: 2,
+        };
+        assert_eq!(survivors(&ds, config), [1, 3]);
+        assert_eq!(filter_sparse(&ds, config).checkins, [3, 0, 2]);
     }
 
     #[test]
@@ -247,13 +377,10 @@ mod tests {
                 min_users_per_location: 2,
             },
         );
-        let locs: Vec<u32> = f
-            .users
-            .iter()
-            .flat_map(|u| u.checkins.iter().map(|c| c.location.0))
-            .collect();
-        assert!(!locs.contains(&99));
-        assert!(locs.contains(&10));
+        assert_eq!(f.locations, [LocationId(10), LocationId(99)]);
+        assert_eq!(f.visitors, [2, 0]);
+        assert_eq!(f.visits, [3, 0]);
+        assert_eq!(f.checkins, [1, 2]);
     }
 
     #[test]
@@ -276,32 +403,25 @@ mod tests {
                 min_users_per_location: 2,
             },
         );
-        assert_eq!(f.num_users(), 0);
-        assert_eq!(f.num_checkins(), 0);
+        assert_eq!(f.users().count(), 0);
+        assert_eq!(f.visits.iter().sum::<usize>(), 0);
     }
 
     #[test]
-    fn surviving_pois_keep_metadata() {
+    fn dense_locations_rank_ids_in_order() {
         let cs = vec![
-            CheckIn::new(1, 10, 0),
+            CheckIn::new(1, 30, 0),
             CheckIn::new(1, 10, 1),
-            CheckIn::new(2, 10, 0),
-            CheckIn::new(2, 10, 1),
+            CheckIn::new(2, 20, 0),
+            CheckIn::new(2, 30, 1),
         ];
-        let pois = vec![poi(10, 35.6, 139.7), poi(11, 35.6, 139.7)];
-        let ds = CheckInDataset::from_checkins(pois, cs);
+        let ds = CheckInDataset::from_checkins(vec![], cs);
         let f = filter_sparse(&ds, FilterConfig::default());
+        assert_eq!(f.locations, [10, 20, 30].map(LocationId));
+        assert_eq!(f.dense_locations(0), [2, 0]);
+        assert_eq!(f.dense_locations(1), [1, 2]);
         // Threshold 10 per user kills everything here.
-        assert_eq!(f.num_users(), 0);
-        let f2 = filter_sparse(
-            &ds,
-            FilterConfig {
-                min_checkins_per_user: 2,
-                min_users_per_location: 2,
-            },
-        );
-        assert_eq!(f2.pois.len(), 1);
-        assert_eq!(f2.pois[0].id, LocationId(10));
+        assert_eq!(f.users().count(), 0);
     }
 
     #[test]
@@ -319,10 +439,11 @@ mod tests {
             .chain(visits(3, 8, 10))
             .chain(visits(4, 8, 10))
             .collect();
-        let survivors = |checkins: Vec<CheckIn>| -> Vec<u32> {
-            let ds = CheckInDataset::from_checkins(vec![], checkins);
-            let f = filter_sparse(&ds, FilterConfig::default());
-            f.users.iter().map(|u| u.user.0).collect()
+        let survivors = |checkins: Vec<CheckIn>| {
+            survivors(
+                &CheckInDataset::from_checkins(vec![], checkins),
+                FilterConfig::default(),
+            )
         };
         assert_eq!(survivors(raw.clone()), [1, 2, 3, 4]);
         let without_user_1 = raw.into_iter().filter(|c| c.user != UserId(1)).collect();
@@ -362,7 +483,8 @@ mod tests {
                 let pois = (0..num_locations + 3).filter(|l| l % 3 != 1).map(|l| poi(l, 0.0, 0.0));
                 let ds = CheckInDataset::from_checkins(pois.collect(), checkins);
                 let config = FilterConfig { min_checkins_per_user, min_users_per_location };
-                prop_assert_eq!(filter_sparse(&ds, config), filter_sparse_reference(&ds, config));
+                let kept = filter_sparse(&ds, config);
+                prop_assert_eq!(surviving_dataset(&ds, &kept), filter_sparse_reference(&ds, config));
             }
 
             #[test]
@@ -393,7 +515,7 @@ mod tests {
                     min_checkins_per_user: 2 * visits,
                     min_users_per_location: 2,
                 };
-                let filtered = filter_sparse(&ds, config);
+                let filtered = surviving_dataset(&ds, &filter_sparse(&ds, config));
                 prop_assert_eq!(&filtered, &filter_sparse_reference(&ds, config));
                 prop_assert_eq!(filtered.num_users(), if extra >= 2 { extra as usize } else { 0 });
             }

@@ -8,6 +8,7 @@
 use serde::Serialize;
 
 use crate::dataset::CheckInDataset;
+use crate::preprocess::{filter_sparse, FilterConfig};
 
 /// Aggregate statistics of a check-in dataset.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -34,74 +35,76 @@ pub struct DatasetStats {
     pub top1pct_location_share: f64,
 }
 
-/// Computes [`DatasetStats`] over `dataset`.
-pub fn dataset_stats(dataset: &CheckInDataset) -> DatasetStats {
-    use std::collections::HashMap;
-
-    let num_users = dataset.num_users();
-    let num_checkins = dataset.num_checkins();
-
-    let mut per_user: Vec<usize> = dataset.users.iter().map(|u| u.len()).collect();
-    per_user.sort_unstable();
-    let median = if per_user.is_empty() {
-        0.0
-    } else if per_user.len() % 2 == 1 {
-        per_user[per_user.len() / 2] as f64
-    } else {
-        (per_user[per_user.len() / 2 - 1] + per_user[per_user.len() / 2]) as f64 / 2.0
-    };
-
-    let mut loc_counts: HashMap<u32, usize> = HashMap::new();
-    let mut nnz_cells = 0usize;
-    for u in &dataset.users {
-        let mut locs: Vec<u32> = u.checkins.iter().map(|c| c.location.0).collect();
-        for &l in &locs {
-            *loc_counts.entry(l).or_insert(0) += 1;
-        }
-        locs.sort_unstable();
-        locs.dedup();
-        nnz_cells += locs.len();
-    }
-    let num_locations = loc_counts.len();
-    let density = if num_users == 0 || num_locations == 0 {
-        0.0
-    } else {
-        nnz_cells as f64 / (num_users as f64 * num_locations as f64)
-    };
-
-    let mut counts: Vec<usize> = loc_counts.values().copied().collect();
-    counts.sort_unstable();
-    let location_gini = gini(&counts);
-    let top1 = ((num_locations as f64 * 0.01).ceil() as usize)
-        .max(1)
-        .min(counts.len());
-    let top_share = if num_checkins == 0 {
-        0.0
-    } else {
-        counts.iter().rev().take(top1).sum::<usize>() as f64 / num_checkins as f64
-    };
-
-    DatasetStats {
-        num_users,
-        num_locations,
-        num_checkins,
-        mean_checkins_per_user: if num_users == 0 {
+impl DatasetStats {
+    /// The one formula behind every [`DatasetStats`]: from each user's
+    /// check-in count, each location's visit count (locations with none are
+    /// not counted) and the number of distinct (user, location) cells.
+    pub(crate) fn from_counts(
+        mut per_user: Vec<usize>,
+        mut per_location: Vec<usize>,
+        cells: usize,
+    ) -> Self {
+        per_user.sort_unstable();
+        per_location.retain(|&n| n > 0);
+        per_location.sort_unstable();
+        let num_users = per_user.len();
+        let num_locations = per_location.len();
+        let num_checkins: usize = per_user.iter().sum();
+        let median = if per_user.is_empty() {
+            0.0
+        } else if per_user.len() % 2 == 1 {
+            per_user[per_user.len() / 2] as f64
+        } else {
+            (per_user[per_user.len() / 2 - 1] + per_user[per_user.len() / 2]) as f64 / 2.0
+        };
+        let density = if num_users == 0 || num_locations == 0 {
             0.0
         } else {
-            num_checkins as f64 / num_users as f64
-        },
-        median_checkins_per_user: median,
-        max_checkins_per_user: per_user.last().copied().unwrap_or(0),
-        min_checkins_per_user: per_user.first().copied().unwrap_or(0),
-        density,
-        location_gini,
-        top1pct_location_share: top_share,
+            cells as f64 / (num_users as f64 * num_locations as f64)
+        };
+        let top1 = ((num_locations as f64 * 0.01).ceil() as usize)
+            .max(1)
+            .min(num_locations);
+        let top_share = if num_checkins == 0 {
+            0.0
+        } else {
+            per_location.iter().rev().take(top1).sum::<usize>() as f64 / num_checkins as f64
+        };
+        DatasetStats {
+            num_users,
+            num_locations,
+            num_checkins,
+            mean_checkins_per_user: if num_users == 0 {
+                0.0
+            } else {
+                num_checkins as f64 / num_users as f64
+            },
+            median_checkins_per_user: median,
+            max_checkins_per_user: per_user.last().copied().unwrap_or(0),
+            min_checkins_per_user: per_user.first().copied().unwrap_or(0),
+            density,
+            location_gini: gini(&per_location),
+            top1pct_location_share: top_share,
+        }
     }
+}
+
+/// Computes [`DatasetStats`] over `dataset`.
+pub fn dataset_stats(dataset: &CheckInDataset) -> DatasetStats {
+    // Thresholds of zero keep everything, so the filter's tallies are the
+    // whole dataset's.
+    let none = FilterConfig {
+        min_checkins_per_user: 0,
+        min_users_per_location: 0,
+    };
+    let all = filter_sparse(dataset, none);
+    let per_user = dataset.users.iter().map(|u| u.len()).collect();
+    DatasetStats::from_counts(per_user, all.visits, all.visitors.iter().sum())
 }
 
 /// Gini coefficient of a sorted-ascending count vector; `0.0` when empty or
 /// all-zero.
-pub fn gini(sorted_counts: &[usize]) -> f64 {
+pub(crate) fn gini(sorted_counts: &[usize]) -> f64 {
     let n = sorted_counts.len();
     if n == 0 {
         return 0.0;

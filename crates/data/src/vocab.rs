@@ -1,42 +1,26 @@
 //! Location vocabulary: the tokenisation step of §3.2 ("every location in P
 //! is tokenized to a word in a vocabulary of size L = |P|").
 
-use std::collections::HashMap;
-
 use crate::checkin::LocationId;
-use crate::dataset::CheckInDataset;
 
 /// A bijection between [`LocationId`]s and dense token indices `0..L`.
 ///
 /// Token order is the sorted order of location ids, so a vocabulary built
 /// from the same set of locations is always identical — important for
-/// reproducibility and for sharing models between processes.
+/// reproducibility and for sharing models between processes. The sorted
+/// list is the whole bijection: a token is a position in it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     locations: Vec<LocationId>,
-    index: HashMap<LocationId, usize>,
 }
 
 impl Vocabulary {
-    /// Builds a vocabulary from every location visited in `dataset`.
-    pub fn build(dataset: &CheckInDataset) -> Self {
-        let mut locations: Vec<LocationId> = dataset
-            .users
-            .iter()
-            .flat_map(|u| u.checkins.iter().map(|c| c.location))
-            .collect();
-        locations.sort_unstable();
-        locations.dedup();
-        Self::from_locations(locations)
-    }
-
     /// Builds a vocabulary from an explicit, possibly unsorted location list
     /// (duplicates are removed).
     pub fn from_locations(mut locations: Vec<LocationId>) -> Self {
         locations.sort_unstable();
         locations.dedup();
-        let index = locations.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        Vocabulary { locations, index }
+        Vocabulary { locations }
     }
 
     /// Vocabulary size `L`.
@@ -51,7 +35,7 @@ impl Vocabulary {
 
     /// The token index of `location`, if present.
     pub fn token(&self, location: LocationId) -> Option<usize> {
-        self.index.get(&location).copied()
+        self.locations.binary_search(&location).ok()
     }
 
     /// The location behind token `t`, if in range.
@@ -68,18 +52,11 @@ impl Vocabulary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkin::CheckIn;
 
     #[test]
-    fn build_is_sorted_and_deduped() {
-        let cs = vec![
-            CheckIn::new(1, 30, 0),
-            CheckIn::new(1, 10, 1),
-            CheckIn::new(2, 30, 2),
-            CheckIn::new(2, 20, 3),
-        ];
-        let ds = CheckInDataset::from_checkins(vec![], cs);
-        let v = Vocabulary::build(&ds);
+    fn tokens_follow_sorted_deduplicated_ids() {
+        let ids = [30, 10, 30, 20].map(LocationId);
+        let v = Vocabulary::from_locations(ids.to_vec());
         assert_eq!(v.len(), 3);
         assert_eq!(v.token(LocationId(10)), Some(0));
         assert_eq!(v.token(LocationId(20)), Some(1));

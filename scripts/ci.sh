@@ -4,8 +4,8 @@
 # and retired-names (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
 # worker program) grep gates, build, the full test suite in the dev profile
-# and again in release mode (with the allocation counts of a warm bucket and
-# of an evaluation printed), every experiment of the `figures` table at bench
+# and again in release mode (with the allocation counts of a warm bucket, of
+# an evaluation and of data preparation printed), every experiment of the `figures` table at bench
 # scale and a correctness smoke of the benchmark harness. The crash-safety,
 # hot-swap and federated fault tests run inside the test suite. This is the
 # only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
@@ -92,11 +92,14 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # method per operation: a full-θ model file, an allocating twin, or a
 # single-query or test-only entry point is a second way back in.
 # `plp_fed_worker` is the one worker program, and the example computes the
-# classical composition bounds it prints. (The bracketed last letters, as in
+# classical composition bounds it prints. Data preparation is one pass over
+# a flat table, `preprocess::prepare`: a session cutter, a tokeniser over a
+# copied dataset or a split of cloned datasets is a second path back in.
+# (The bracketed last letters, as in
 # `ps | grep [n]ame`, keep a grep for these names over scripts/ from
 # finding this line.)
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, or the example's own composition bounds"
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, the example's own composition bounds, or preprocess::prepare (the one pass from check-ins to sessions)"
   exit 1
 fi
 
@@ -115,9 +118,11 @@ echo "== cargo test --release --workspace =="
 # auto-vectorised kernels, the threaded passes and the ordered reductions
 # that race real threads.
 cargo test --release --workspace -q
-# How often a warm bucket or an evaluation allocates is a property of the
-# optimised code; the test prints the figures DESIGN.md §11.2 and §11.3 quote.
+# How often a warm bucket, an evaluation or data preparation allocates is a
+# property of the optimised code; the tests print the figures DESIGN.md
+# §11.2, §11.3 and §5.5 quote.
 cargo test --release -q -p plp-model --test alloc_count -- --nocapture
+cargo test --release -q -p plp-core --test alloc_count -- --nocapture
 
 echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any

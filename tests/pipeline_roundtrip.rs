@@ -2,10 +2,12 @@
 //! consistency across splits, and generator/filter statistics.
 
 use dp_nextloc::core::experiment::{ExperimentConfig, PreparedData};
+use dp_nextloc::data::frame::fnv1a64;
 use dp_nextloc::data::generator::SyntheticGenerator;
 use dp_nextloc::data::io;
-use dp_nextloc::data::preprocess::{filter_sparse, FilterConfig};
+use dp_nextloc::data::preprocess::{filter_sparse, FilterConfig, Survivors};
 use dp_nextloc::data::stats::dataset_stats;
+use dp_nextloc::data::CheckInDataset;
 
 fn tiny() -> ExperimentConfig {
     let mut c = ExperimentConfig::small(101);
@@ -40,7 +42,7 @@ fn csv_export_reimports_to_the_same_histories() {
     let raw = SyntheticGenerator::generate_with_seed(cfg.generator.clone(), cfg.seed).unwrap();
     let csv = io::checkins_to_csv(&raw);
     let back = io::checkins_from_csv(&csv).unwrap();
-    let rebuilt = dp_nextloc::data::CheckInDataset::from_checkins(raw.pois.clone(), back);
+    let rebuilt = CheckInDataset::from_checkins(raw.pois.clone(), back);
     assert_eq!(raw.users, rebuilt.users);
 }
 
@@ -65,10 +67,94 @@ fn filtering_is_idempotent() {
     let cfg = tiny();
     let raw = SyntheticGenerator::generate_with_seed(cfg.generator.clone(), cfg.seed).unwrap();
     let once = filter_sparse(&raw, FilterConfig::default());
-    let twice = filter_sparse(&once, FilterConfig::default());
-    assert_eq!(once, twice, "a fixpoint must be stable");
-    let s = dataset_stats(&once);
+    // The survivors' check-ins at surviving locations, filtered again.
+    let kept = once.users().flat_map(|u| {
+        let checkins = raw.users[u].checkins.iter().zip(once.dense_locations(u));
+        checkins
+            .filter(|(_, &l)| once.visitors[l as usize] > 0)
+            .map(|(c, _)| *c)
+    });
+    let survivors = CheckInDataset::from_checkins(vec![], kept.collect());
+    let twice = filter_sparse(&survivors, FilterConfig::default());
+    let kept_counts = |s: &Survivors| s.users().map(|u| s.checkins[u]).collect::<Vec<_>>();
+    let visited = |s: &Survivors| {
+        let locations = s.locations.iter().zip(&s.visitors).zip(&s.visits);
+        locations
+            .filter(|x| *x.0 .1 > 0)
+            .map(|((&l, &v), &n)| (l, v, n))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        kept_counts(&twice),
+        kept_counts(&once),
+        "a fixpoint must be stable"
+    );
+    assert_eq!(twice.users().count(), survivors.num_users());
+    assert_eq!(visited(&twice), visited(&once));
+    let s = dataset_stats(&survivors);
     assert!(s.min_checkins_per_user >= 10 || s.num_users == 0);
+}
+
+/// fnv1a64 over everything preparation hands a trainer: per split the user
+/// ids, session lengths and tokens, then the vocabulary ids and every
+/// [`DatasetStats`](dp_nextloc::data::stats::DatasetStats) field (f64s as
+/// bits), each as a little-endian u64.
+fn prepared_digest(prep: &PreparedData) -> u64 {
+    let mut words = Vec::new();
+    for split in [&prep.train, &prep.validation, &prep.test] {
+        words.push(split.users.len() as u64);
+        for u in &split.users {
+            words.extend([u64::from(u.user.0), u.sessions.len() as u64]);
+            for s in &u.sessions {
+                words.push(s.len() as u64);
+                words.extend(s.iter().map(|&t| t as u64));
+            }
+        }
+    }
+    words.extend(prep.vocab.locations().iter().map(|l| u64::from(l.0)));
+    let s = &prep.stats;
+    words.extend([
+        s.num_users as u64,
+        s.num_locations as u64,
+        s.num_checkins as u64,
+        s.mean_checkins_per_user.to_bits(),
+        s.median_checkins_per_user.to_bits(),
+        s.max_checkins_per_user as u64,
+        s.min_checkins_per_user as u64,
+        s.density.to_bits(),
+        s.location_gini.to_bits(),
+        s.top1pct_location_share.to_bits(),
+    ]);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn prepared_data_matches_the_digests_taken_before_the_single_pass() {
+    // Computed by this same digest at commit 4d743ba, where preparation
+    // still ran as five stages over copied datasets (filter, statistics,
+    // vocabulary, holdout, sessions): the one pass must hand the trainer
+    // the same users, sessions, tokens, vocabulary and statistics. Every
+    // user of the first two shapes survives the filter; the third drops 26
+    // of 300, so which users the holdout draws from shows too.
+    let medium = ExperimentConfig::medium(42);
+    let mut wide = ExperimentConfig::medium(42);
+    wide.generator.num_locations = 30_000;
+    wide.generator.num_users = 1_500;
+    wide.generator.target_checkins = 400_000;
+    let mut dropping = ExperimentConfig::small(42);
+    dropping.generator.min_checkins_per_user = 2;
+    let digests =
+        [medium, wide, dropping].map(|c| prepared_digest(&PreparedData::generate(&c).unwrap()));
+    println!("medium(42), train_wide shape, dropping: {digests:#018x?}");
+    assert_eq!(
+        digests,
+        [
+            0xf986_fb3c_a6eb_118a,
+            0x88cd_bec0_89eb_0770,
+            0x6fc0_154b_62a4_a42a
+        ]
+    );
 }
 
 #[test]
