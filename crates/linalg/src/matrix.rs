@@ -396,10 +396,14 @@ pub(crate) const TILE_COLS: usize = 8;
 /// right vector `j` — so the accumulators run *across* right-hand vectors:
 /// eight 4-wide f32 registers, one broadcast load per left vector shared by
 /// all eight columns, no horizontal reduction. Nothing is promised about
-/// the reduction order or the bits of the result; the only caller
-/// (`ivf`'s assignment filter) uses the scores to choose what the
-/// fixed-order f64 kernel re-scores, never as scores.
-#[inline]
+/// the reduction order or the bits of the result; its callers, `ivf`'s
+/// assignment filter and centroid Gram matrix, use the scores to choose
+/// what the fixed-order f64 kernel re-scores, never as scores.
+///
+/// Always inlined: with two callers the compiler otherwise emits a call
+/// that returns the tile through memory, which costs the filter's hot
+/// loop about 5 %.
+#[inline(always)]
 pub(crate) fn dot_tile_f32(rows: &[f32], panel: &[f32]) -> [[f32; TILE_COLS]; TILE_ROWS] {
     let mut acc = [[0.0_f32; TILE_COLS]; TILE_ROWS];
     for (x, p) in rows

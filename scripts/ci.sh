@@ -95,11 +95,14 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # classical composition bounds it prints. Data preparation is one pass over
 # a flat table, `preprocess::prepare`: a session cutter, a tokeniser over a
 # copied dataset or a split of cloned datasets is a second path back in.
+# The IVF build's test oracle is `build_reference`, its own Lloyd loop over
+# the exact scan: a seam that drives the real build with another
+# assignment pass shares the very loop the oracle should check.
 # (The bracketed last letters, as in
 # `ps | grep [n]ame`, keep a grep for these names over scripts/ from
 # finding this line.)
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, the example's own composition bounds, or preprocess::prepare (the one pass from check-ins to sessions)"
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), or IvfIndex::build_reference (the IVF build's exact oracle)"
   exit 1
 fi
 
