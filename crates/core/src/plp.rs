@@ -54,7 +54,7 @@ use plp_data::sampling::sample_users;
 use plp_data::DataError;
 use plp_linalg::sample::mix64;
 use plp_model::clip::clip_per_layer;
-use plp_model::journal::{CowParams, RowDelta, RowJournal};
+use plp_model::journal::{CowParams, RowDelta, RowJournal, RowSum};
 use plp_model::metrics::evaluate_hit_rate_threaded;
 use plp_model::optimizer::ServerAdam;
 use plp_model::params::ModelParams;
@@ -72,7 +72,7 @@ use crate::checkpoint::{
 use crate::config::Hyperparameters;
 use crate::error::CoreError;
 use crate::faults::FaultInjector;
-use crate::noise::{perturb_and_scale_threaded, step_noise_seed};
+use crate::noise::{perturb_scale_and_step, step_noise_seed};
 use crate::telemetry::{RunSummary, StepTelemetry, StopReason};
 
 /// Result of a private training run.
@@ -141,9 +141,8 @@ pub mod phase {
         BUCKET_SGD = timed "bucket_sgd";
         /// Line 22 for one bucket: per-layer clipping of its delta.
         CLIP = timed "clip";
-        /// Line 9: Gaussian sum, perturbation and the fixed-denominator scale.
-        NOISE = timed "noise";
-        /// Line 10: the server optimiser step.
+        /// Lines 9–10 after the sum: the noise, the fixed-denominator scale
+        /// and the server optimiser step, as one pass over θ.
         SERVER_UPDATE = timed "server_update";
         /// Line 11: the moments accountant's step.
         ACCOUNTANT = timed "accountant";
@@ -931,9 +930,9 @@ pub fn train_plp_with_executor(
     let mut telemetry = Vec::new();
     let run_start = std::time::Instant::now();
     let mut stop_reason = StopReason::MaxSteps;
-    // The Gaussian sum's accumulator (θ-shaped) and the executor's
-    // buffers: one of each for the whole run.
-    let mut aggregate = ModelParams::zeros(state.params.vocab_size(), state.params.dim());
+    // The Gaussian sum's rows (only those a bucket touched) and the
+    // executor's buffers: one of each for the whole run.
+    let mut sum = RowSum::new(state.params.vocab_size(), state.params.dim());
     let mut scratch = StepScratch::default();
 
     // Observability: resolve every handle once, outside the step loop.
@@ -1038,9 +1037,7 @@ pub fn train_plp_with_executor(
             .start(phase::LOCAL_SGD, in_step, step)
             .arg("buckets", buckets.len() as u64);
         obs.set_trace_scope(t_local.context());
-        aggregate.embedding.fill(0.0);
-        aggregate.context.fill(0.0);
-        aggregate.bias.fill(0.0);
+        sum.clear();
         let (mut survivors, mut clipped, mut loss_sum) = (0usize, 0usize, 0.0f64);
         let skipped = executor.execute_step_into(
             &state.params,
@@ -1052,7 +1049,7 @@ pub fn train_plp_with_executor(
             obs,
             &mut scratch,
             &mut |update| {
-                update.grad.accumulate_into(&mut aggregate)?;
+                sum.add(&update.grad)?;
                 survivors += 1;
                 clipped += usize::from(update.clipped);
                 loss_sum += update.mean_loss;
@@ -1069,28 +1066,23 @@ pub fn train_plp_with_executor(
         // under-reports ε); then the run stops.
         let diverged = !buckets.is_empty() && survivors == 0 && skipped > 0;
         if !diverged {
-            // Line 9: perturb the sum over the *whole* parameter vector.
-            // Counter-based per-row noise streams (see `crate::noise`): seeded
-            // from `(run_seed, step)` and fanned over `hp.threads` workers,
-            // bit-identical for every thread count. The fixed-denominator
-            // average by the expected bucket count q·W/λ — never the realised
-            // (sample-dependent) |H_t| — rides the same row pass.
-            let t_noise = phases.start(phase::NOISE, in_step, step);
-            let noise_seed = step_noise_seed(state.run_seed, step);
-            perturb_and_scale_threaded(
-                &mut aggregate,
+            // Lines 9–10: perturb the sum over the *whole* parameter vector,
+            // average it and step the model, one row at a time in one pass
+            // over θ. Counter-based per-row noise streams (see
+            // `crate::noise`): seeded from `(run_seed, step)` and fanned over
+            // `hp.threads` workers, bit-identical for every thread count. The
+            // average divides by the expected bucket count q·W/λ — never the
+            // realised (sample-dependent) |H_t|.
+            let t_server = phases.start(phase::SERVER_UPDATE, in_step, step);
+            perturb_scale_and_step(
+                &mut state.server,
+                &mut state.params,
+                &sum,
                 &mechanism,
-                noise_seed,
+                step_noise_seed(state.run_seed, step),
                 1.0 / denom,
                 hp.effective_threads(),
-            );
-            drop(t_noise);
-
-            // Line 10: model update, fanned over the same worker count.
-            let t_server = phases.start(phase::SERVER_UPDATE, in_step, step);
-            state
-                .server
-                .step_threaded(&mut state.params, &aggregate, hp.effective_threads())?;
+            )?;
             drop(t_server);
         }
 
@@ -2266,6 +2258,73 @@ mod tests {
         assert!(dropped > 0, "these plans must drop some buckets");
     }
 
+    /// An executor whose every step replies with one bucket holding
+    /// `delta`, whatever it was asked: what a fed worker on the far side
+    /// of a pipe could send.
+    struct Replies(RowDelta);
+
+    impl BucketExecutor for Replies {
+        fn execute_step(
+            &mut self,
+            _theta: &ModelParams,
+            _buckets: &[Bucket],
+            _hp: &Hyperparameters,
+            _step_seed: u64,
+            _step: u64,
+            _faults: &FaultInjector,
+            _obs: &Observer,
+        ) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
+            let update = BucketUpdate {
+                grad: self.0.clone(),
+                ..BucketUpdate::default()
+            };
+            Ok((vec![update], 0))
+        }
+    }
+
+    #[test]
+    fn a_reply_that_does_not_fit_the_model_ends_the_run_typed() {
+        use plp_model::ModelError;
+        let data = tiny_dataset(8);
+        let hp = fast_hp();
+        let (vocab, dim) = (data.vocab_size, hp.embedding_dim);
+        // Each holds a row that fits before the one that does not, so a
+        // sum that wrote before it checked would have something to show.
+        let mut past_vocab = RowDelta::default();
+        past_vocab.embedding.push_row(1, &vec![0.5; dim]).unwrap();
+        past_vocab
+            .embedding
+            .push_row(vocab, &vec![0.5; dim])
+            .unwrap();
+        let mut too_wide = RowDelta::default();
+        too_wide.embedding.push_row(1, &vec![0.5; dim]).unwrap();
+        too_wide.context.push_row(2, &vec![0.5; dim + 1]).unwrap();
+        let run = |delta: RowDelta| {
+            train_plp_with_executor(
+                7,
+                &data,
+                None,
+                &hp,
+                &TrainOptions::default(),
+                &mut Replies(delta),
+            )
+        };
+        let err = run(past_vocab).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Model(ModelError::TokenOutOfRange { token, vocab: v })
+                    if token == vocab && v == vocab
+            ),
+            "{err:?}"
+        );
+        let err = run(too_wide).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Model(ModelError::ShapeMismatch { .. })),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn streaming_a_fully_poisoned_step_never_reaches_the_sink() {
         let (theta, buckets) = step_inputs(8);
@@ -2278,7 +2337,7 @@ mod tests {
             for threads in [1, 2, 3, 7] {
                 let (seen, skipped) =
                     stream_step(&mut LocalExecutor, &theta, &buckets, threads, &faults);
-                assert!(seen.is_empty(), "nothing may be added to the aggregate");
+                assert!(seen.is_empty(), "nothing may be added to the sum");
                 assert_eq!(skipped, 8);
             }
         }

@@ -1,6 +1,6 @@
 //! The one scoped fan-out every threaded pass of the workspace goes through:
-//! the noise pass, the server update, HR@k, k-means assignment and the
-//! serving engine's stripes.
+//! the private step's fused noise and server update, HR@k, k-means
+//! assignment and the serving engine's stripes.
 //!
 //! The caller is a worker, not a bystander: part 0 runs on the calling
 //! thread and only parts `1..` get a thread, so a pass split into `n` parts

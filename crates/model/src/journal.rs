@@ -12,11 +12,15 @@
 //! place and hands the arena out as the [`RowDelta`] — no dense clone, no
 //! dense subtraction, no per-row buffer, and (when spent deltas are
 //! [`RowJournal::recycle`]d) no allocation in steady state.
+//!
+//! A step sums its buckets' deltas into a [`RowSum`]: the same overlay —
+//! slot table plus arena — holding only the rows some bucket touched, so
+//! the sum is never θ-shaped.
 
 use plp_linalg::ops;
 
 use crate::error::ModelError;
-use crate::params::{ModelParams, ParamsView, ParamsViewMut};
+use crate::params::{ModelParams, ParamsView, ParamsViewMut, Row, BIAS_CHUNK};
 
 /// The touched rows of one tensor of a [`RowDelta`]: a flat arena of
 /// `dim`-wide rows plus an index of `(row, slot)` pairs in strictly
@@ -82,14 +86,27 @@ impl DeltaRows {
     /// Copies `values` into the next free slot and indexes it under `row`.
     /// Unchecked: the journal appends in touch order and sorts on sealing.
     fn append(&mut self, row: u32, values: &[f64]) -> usize {
+        let slot = self.next_slot(row, values.len());
+        self.values.extend_from_slice(values);
+        slot
+    }
+
+    /// [`DeltaRows::append`] of a `width`-wide row of zeros.
+    fn append_zeros(&mut self, row: u32, width: usize) -> usize {
+        let slot = self.next_slot(row, width);
+        self.values.resize(self.values.len() + width, 0.0);
+        slot
+    }
+
+    /// Indexes the slot the next `width`-wide row will fill under `row`.
+    fn next_slot(&mut self, row: u32, width: usize) -> usize {
         if self.values.is_empty() {
-            self.dim = values.len();
+            self.dim = width;
         }
-        debug_assert_eq!(values.len(), self.dim, "row width vs arena dim");
+        debug_assert_eq!(width, self.dim, "row width vs arena dim");
         let slot = self.values.len() / self.dim.max(1);
         let s = u32::try_from(slot).expect("< 2^32 rows in a delta");
         self.index.push((row, s));
-        self.values.extend_from_slice(values);
         slot
     }
 
@@ -222,11 +239,7 @@ impl RowDelta {
     /// parameter shape, [`ModelError::ShapeMismatch`] on a row-width
     /// mismatch; `dense` is untouched in both cases.
     pub fn accumulate_into(&self, dense: &mut ModelParams) -> Result<(), ModelError> {
-        let (vocab, dim) = (dense.vocab_size(), dense.dim());
-        self.embedding
-            .check_fits(vocab, dim, "embedding row width")?;
-        self.context.check_fits(vocab, dim, "context row width")?;
-        self.bias.check_fits(vocab, 1, "bias entry width")?;
+        self.check_fits(dense.vocab_size(), dense.dim())?;
         for (r, v) in self.embedding.rows() {
             ops::axpy_unchecked(1.0, v, dense.embedding.row_mut(r));
         }
@@ -237,6 +250,15 @@ impl RowDelta {
             dense.bias[r] += v[0];
         }
         Ok(())
+    }
+
+    /// Refuses a delta that does not fit a `vocab`-row model of width
+    /// `dim`.
+    fn check_fits(&self, vocab: usize, dim: usize) -> Result<(), ModelError> {
+        self.embedding
+            .check_fits(vocab, dim, "embedding row width")?;
+        self.context.check_fits(vocab, dim, "context row width")?;
+        self.bias.check_fits(vocab, 1, "bias entry width")
     }
 
     fn clear(&mut self) {
@@ -285,6 +307,22 @@ impl RowOverlay {
             s => (s - 1) as usize,
         };
         self.arena.slot_mut(slot)
+    }
+
+    /// `row r += v`. A first-touched row is zero-filled and then added to,
+    /// so it holds the bits of a zeroed dense accumulator (`0.0 + x`, which
+    /// turns `−0.0` into `0.0`).
+    fn add(&mut self, r: usize, v: &[f64]) {
+        let slot = match self.slots[r] {
+            0 => {
+                let row = u32::try_from(r).expect("row < 2^32");
+                let slot = self.arena.append_zeros(row, v.len());
+                self.slots[r] = slot as u32 + 1;
+                slot
+            }
+            s => (s - 1) as usize,
+        };
+        ops::axpy_unchecked(1.0, v, self.arena.slot_mut(slot));
     }
 
     /// Forgets every touched row, keeping the buffers.
@@ -398,6 +436,106 @@ impl RowJournal {
             self.context.arena = spent.context;
             self.bias.arena = spent.bias;
         }
+    }
+}
+
+/// The sum of one step's bucket deltas (Algorithm 1, line 9, before the
+/// noise), row-sparse: the rows no bucket touched are not stored and read
+/// as zeros. Three [`RowOverlay`]s, like the journal's, whose slot tables
+/// and arenas are reserved once to the vocabulary — a step's sum never
+/// grows by doubling, and the arena pages a step does not reach are never
+/// made resident.
+///
+/// Every stored row holds the bits a zeroed θ-shaped accumulator would:
+/// deltas are added in the order [`RowSum::add`] is called — the bucket
+/// order of the step — one [`ops::axpy_unchecked`]`(1.0, …)` per row, into
+/// a slot zero-filled at its first touch.
+#[derive(Debug)]
+pub struct RowSum {
+    dim: usize,
+    embedding: RowOverlay,
+    context: RowOverlay,
+    bias: RowOverlay,
+}
+
+impl RowSum {
+    /// An empty sum for a `vocab`-row model of width `dim`.
+    pub fn new(vocab: usize, dim: usize) -> Self {
+        let overlay = |width: usize| RowOverlay {
+            slots: vec![0; vocab],
+            arena: DeltaRows {
+                dim: width,
+                values: Vec::with_capacity(vocab * width),
+                index: Vec::with_capacity(vocab),
+            },
+        };
+        RowSum {
+            dim,
+            embedding: overlay(dim),
+            context: overlay(dim),
+            bias: overlay(1),
+        }
+    }
+
+    /// Vocabulary size of the model the sum is for.
+    pub fn vocab_size(&self) -> usize {
+        self.bias.slots.len()
+    }
+
+    /// Row width of the model the sum is for.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of rows/entries stored across all three tensors.
+    pub fn touched_rows(&self) -> usize {
+        self.embedding.arena.len() + self.context.arena.len() + self.bias.arena.len()
+    }
+
+    /// `sum += delta`, one row at a time in ascending row order.
+    ///
+    /// # Errors
+    /// The same refusals as [`RowDelta::accumulate_into`]:
+    /// [`ModelError::TokenOutOfRange`] if a stored row lies past the
+    /// vocabulary, [`ModelError::ShapeMismatch`] on a row-width mismatch.
+    /// Both are raised before anything is added, so the sum is untouched.
+    pub fn add(&mut self, delta: &RowDelta) -> Result<(), ModelError> {
+        delta.check_fits(self.vocab_size(), self.dim)?;
+        for (overlay, rows) in [
+            (&mut self.embedding, &delta.embedding),
+            (&mut self.context, &delta.context),
+            (&mut self.bias, &delta.bias),
+        ] {
+            for (r, v) in rows.rows() {
+                overlay.add(r, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes row `row` of the sum into `out` (as wide as the row), zeros
+    /// where no delta touched it.
+    pub fn copy_row(&self, row: Row, out: &mut [f64]) {
+        let copy = |overlay: &RowOverlay, r: usize, out: &mut [f64]| match overlay.get(r) {
+            Some(v) => out.copy_from_slice(v),
+            None => out.fill(0.0),
+        };
+        match row {
+            Row::Embedding(r) => copy(&self.embedding, r, out),
+            Row::Context(r) => copy(&self.context, r, out),
+            Row::Bias(c) => {
+                for (j, x) in out.iter_mut().enumerate() {
+                    copy(&self.bias, c * BIAS_CHUNK + j, std::slice::from_mut(x));
+                }
+            }
+        }
+    }
+
+    /// Forgets every stored row in O(touched), keeping the buffers.
+    pub fn clear(&mut self) {
+        self.embedding.reset();
+        self.context.reset();
+        self.bias.reset();
     }
 }
 
@@ -699,6 +837,52 @@ mod tests {
         let rows: Vec<usize> = g.bias.rows().map(|(r, _)| r).collect();
         assert_eq!(rows, [0, 1]);
         assert_eq!(g.bias.rows().nth(1), Some((1, &[-0.75][..])));
+    }
+
+    /// Every row of the sum, read out as bits.
+    fn read_all(sum: &RowSum) -> Vec<Vec<u64>> {
+        let (vocab, dim) = (sum.vocab_size(), sum.dim());
+        let rows = (0..vocab).flat_map(|r| [(Row::Embedding(r), dim), (Row::Context(r), dim)]);
+        let chunks = (0..vocab.div_ceil(BIAS_CHUNK))
+            .map(|c| (Row::Bias(c), (vocab - c * BIAS_CHUNK).min(BIAS_CHUNK)));
+        rows.chain(chunks)
+            .map(|(row, width)| {
+                let mut out = vec![f64::NAN; width];
+                sum.copy_row(row, &mut out);
+                out.iter().map(|x| x.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_sum_refuses_what_does_not_fit_before_it_writes() {
+        let mut sum = RowSum::new(4, 2);
+        let mut fine = RowDelta::default();
+        fine.context.push_row(1, &[1.0, 2.0]).unwrap();
+        sum.add(&fine).unwrap();
+        let before = read_all(&sum);
+
+        // Rows that fit come first, so a refusal after any write would show.
+        let mut past = RowDelta::default();
+        past.embedding.push_row(0, &[5.0, 5.0]).unwrap();
+        past.embedding.push_row(4, &[5.0, 5.0]).unwrap();
+        let mut wide = RowDelta::default();
+        wide.embedding.push_row(0, &[5.0, 5.0]).unwrap();
+        wide.context.push_row(2, &[5.0, 5.0, 5.0]).unwrap();
+        let mut wide_bias = RowDelta::default();
+        wide_bias.bias.push_row(0, &[5.0, 5.0]).unwrap();
+        assert!(matches!(
+            sum.add(&past),
+            Err(ModelError::TokenOutOfRange { token: 4, vocab: 4 })
+        ));
+        for bad in [&wide, &wide_bias] {
+            assert!(matches!(
+                sum.add(bad),
+                Err(ModelError::ShapeMismatch { .. })
+            ));
+        }
+        assert_eq!(read_all(&sum), before);
+        assert_eq!(sum.touched_rows(), 1);
     }
 
     #[test]

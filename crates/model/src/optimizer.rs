@@ -7,11 +7,20 @@
 //! (Gylberth et al. 2017, §5.1) — since ĝ_t is already differentially
 //! private, any post-processing (including Adam's moment tracking) is
 //! privacy-free.
+//!
+//! The recurrence is fed one row at a time ([`ServerAdam::step_rows`]): a
+//! fill writes each row's update into a one-row buffer and the recurrence
+//! runs over it at once, so the private step's noisy average never exists
+//! as a θ-shaped value — its noise is drawn row by row where Adam consumes
+//! it (`plp_core::noise::perturb_scale_and_step`), one pass over θ, `m`
+//! and `v`. [`ServerAdam::step_threaded`], which takes a θ-shaped update,
+//! is the case whose fill copies a row.
 
+use plp_linalg::ops;
 use plp_linalg::par::fan_out;
 
 use crate::error::ModelError;
-use crate::params::ModelParams;
+use crate::params::{ModelParams, Row, BIAS_CHUNK};
 
 /// DP-Adam: Adam moments tracked over the noisy aggregated update.
 ///
@@ -87,10 +96,9 @@ impl ServerAdam {
         Ok(adam)
     }
 
-    /// Applies one Adam step with `update` as the (noisy) direction, one
-    /// block of vocabulary rows per part of `threads` ([`fan_out`]). The
-    /// recurrence is per-element, so parameters and moments are
-    /// bit-identical for every thread count.
+    /// Applies one Adam step with `update` as the (noisy) direction: the
+    /// copy-fill case of [`ServerAdam::step_rows`], each row of the update
+    /// copied out of `update`.
     ///
     /// # Errors
     /// Shapes must match; the result must stay finite.
@@ -100,7 +108,35 @@ impl ServerAdam {
         update: &ModelParams,
         threads: usize,
     ) -> Result<(), ModelError> {
-        if !params.same_shape(update) || !params.same_shape(&self.m) {
+        if !params.same_shape(update) {
+            return Err(ModelError::ShapeMismatch {
+                what: "ServerAdam step",
+            });
+        }
+        self.step_rows(params, threads, || {
+            |row, u: &mut [f64]| u.copy_from_slice(update.row(row))
+        })
+    }
+
+    /// Applies one Adam step whose update direction is written one row at
+    /// a time: every part of [`ModelParams::row_parts_mut`]`(threads)`
+    /// ([`fan_out`]) makes its own filler with `fill`, which writes each
+    /// [`Row`]'s update into a buffer of one row, and the recurrence runs
+    /// over that row at once. No θ-shaped update ever exists, and θ, `m`
+    /// and `v` are each walked once. The recurrence is per-element, so
+    /// parameters and moments are bit-identical for every thread count as
+    /// long as what `fill` writes for a row does not depend on the part.
+    ///
+    /// # Errors
+    /// `params` must have the moments' shape; the result must stay finite.
+    /// A failed shape check leaves everything untouched.
+    pub fn step_rows<F: FnMut(Row, &mut [f64])>(
+        &mut self,
+        params: &mut ModelParams,
+        threads: usize,
+        fill: impl Fn() -> F + Sync,
+    ) -> Result<(), ModelError> {
+        if !params.same_shape(&self.m) {
             return Err(ModelError::ShapeMismatch {
                 what: "ServerAdam step",
             });
@@ -109,15 +145,19 @@ impl ServerAdam {
         let (lr, b1, b2, eps) = (self.learning_rate, Self::BETA1, Self::BETA2, Self::EPS);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        let rows = params.vocab_size().div_ceil(threads.max(1));
-        let blocks: Vec<_> = params
-            .row_blocks_mut(rows)
-            .zip(self.m.row_blocks_mut(rows))
-            .zip(self.v.row_blocks_mut(rows))
-            .zip(update.row_blocks(rows))
+        let width = params.dim().max(BIAS_CHUNK);
+        let parts: Vec<_> = params
+            .row_parts_mut(threads)
+            .zip(self.m.row_parts_mut(threads))
+            .zip(self.v.row_parts_mut(threads))
             .collect();
-        fan_out(blocks, |(((ps, ms), vs), us)| {
-            for (((p, m), v), u) in ps.into_iter().zip(ms).zip(vs).zip(us) {
+        let finite = fan_out(parts, |((ps, ms), vs)| {
+            let mut fill = fill();
+            let mut update = vec![0.0; width];
+            let mut finite = true;
+            for (((row, p), (_, m)), (_, v)) in ps.zip(ms).zip(vs) {
+                let u = &mut update[..p.len()];
+                fill(row, u);
                 for i in 0..p.len() {
                     m[i] = b1 * m[i] + (1.0 - b1) * u[i];
                     v[i] = b2 * v[i] + (1.0 - b2) * u[i] * u[i];
@@ -125,9 +165,11 @@ impl ServerAdam {
                     let vhat = v[i] / bc2;
                     p[i] += lr * mhat / (vhat.sqrt() + eps);
                 }
+                finite &= ops::all_finite(p);
             }
+            finite
         });
-        if !params.all_finite() {
+        if !finite.into_iter().all(|f| f) {
             return Err(ModelError::NonFinite {
                 at: "parameters after adam step",
             });

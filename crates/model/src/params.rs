@@ -11,6 +11,25 @@ use crate::error::ModelError;
 /// the ℓ2-norm of each tensor to C/√3").
 pub const NUM_TENSORS: usize = 3;
 
+/// The bias vector is cut into pseudo-rows of this many entries, so that
+/// the row-wise passes over θ walk it like the matrices. Part of the noise
+/// trajectory: each pseudo-row draws from its own stream, so changing this
+/// changes which stream each bias entry draws from (covered by the
+/// checkpoint RNG-scheme version).
+pub const BIAS_CHUNK: usize = 64;
+
+/// One row of θ, as the row-wise passes address it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Row {
+    /// Row `r` of the embedding matrix `W`.
+    Embedding(usize),
+    /// Row `r` of the context matrix `W′`.
+    Context(usize),
+    /// Bias pseudo-row `c`: entries `c·BIAS_CHUNK` up to the next multiple
+    /// of [`BIAS_CHUNK`] or the end of the vocabulary, whichever is first.
+    Bias(usize),
+}
+
 /// Skip-gram parameters: embedding matrix `W` (`L × dim`), context matrix
 /// `W′` (`L × dim`, stored row-major by location like `W`), and the output
 /// bias vector `B′` (`L`).
@@ -109,17 +128,43 @@ impl ModelParams {
         self.embedding.all_finite() && self.context.all_finite() && ops::all_finite(&self.bias)
     }
 
-    /// θ cut at vocabulary rows into blocks of `rows` rows (the last
-    /// shorter): block `b` is `[W, W′, B′]` restricted to rows
-    /// `b·rows .. (b+1)·rows`. The unit the element-wise θ-sized passes —
-    /// noise and server update — fan out over: block `b` of one θ-shaped
-    /// value lines up with block `b` of any other.
+    /// Row `row` of θ: a `dim`-wide row of `W` or `W′`, or a bias
+    /// pseudo-row of at most [`BIAS_CHUNK`] entries.
+    ///
+    /// # Panics
+    /// If the row lies outside the vocabulary.
+    pub fn row(&self, row: Row) -> &[f64] {
+        match row {
+            Row::Embedding(r) => self.embedding.row(r),
+            Row::Context(r) => self.context.row(r),
+            Row::Bias(c) => {
+                let start = c * BIAS_CHUNK;
+                &self.bias[start..(start + BIAS_CHUNK).min(self.bias.len())]
+            }
+        }
+    }
+
+    /// θ cut at vocabulary rows into at most `parts` blocks, each walked
+    /// as its rows: `W`'s, then `W′`'s, then `B′`'s pseudo-rows, every one
+    /// with its [`Row`]. The unit the row-wise θ-sized passes — the noise
+    /// and the server update — fan out over. A block's length is a
+    /// multiple of [`BIAS_CHUNK`], so a bias pseudo-row never straddles two
+    /// blocks, and block `b` of one θ-shaped value holds the same rows as
+    /// block `b` of any other.
     ///
     /// # Panics
     /// `dim` must be ≥ 1 (as [`ModelParams::init`] guarantees).
-    pub fn row_blocks_mut(&mut self, rows: usize) -> impl Iterator<Item = [&mut [f64]; 3]> {
-        let (rows, dim) = (rows.max(1), self.dim());
-        assert!(dim >= 1, "row blocks need dim >= 1");
+    pub fn row_parts_mut(
+        &mut self,
+        parts: usize,
+    ) -> impl Iterator<Item = impl Iterator<Item = (Row, &mut [f64])>> {
+        let dim = self.dim();
+        assert!(dim >= 1, "row parts need dim >= 1");
+        let rows = self
+            .vocab_size()
+            .div_ceil(parts.max(1))
+            .max(1)
+            .next_multiple_of(BIAS_CHUNK);
         let ModelParams {
             embedding,
             context,
@@ -130,22 +175,13 @@ impl ModelParams {
             .chunks_mut(rows * dim)
             .zip(context.as_mut_slice().chunks_mut(rows * dim))
             .zip(bias.chunks_mut(rows))
-            .map(|((w, c), b)| [w, c, b])
-    }
-
-    /// [`ModelParams::row_blocks_mut`], read-only.
-    ///
-    /// # Panics
-    /// `dim` must be ≥ 1.
-    pub fn row_blocks(&self, rows: usize) -> impl Iterator<Item = [&[f64]; 3]> {
-        let (rows, dim) = (rows.max(1), self.dim());
-        assert!(dim >= 1, "row blocks need dim >= 1");
-        self.embedding
-            .as_slice()
-            .chunks(rows * dim)
-            .zip(self.context.as_slice().chunks(rows * dim))
-            .zip(self.bias.chunks(rows))
-            .map(|((w, c), b)| [w, c, b])
+            .enumerate()
+            .map(move |(b, ((w, c), bias))| {
+                let first = b * rows;
+                tensor_rows(w, dim, Row::Embedding, first)
+                    .chain(tensor_rows(c, dim, Row::Context, first))
+                    .chain(tensor_rows(bias, BIAS_CHUNK, Row::Bias, first / BIAS_CHUNK))
+            })
     }
 
     /// A copy of the embedding matrix with rows normalised to unit length —
@@ -155,6 +191,18 @@ impl ModelParams {
     pub fn deployable_embedding(&self) -> Matrix {
         self.embedding.normalized_rows()
     }
+}
+
+/// `data` cut into rows of `width`, the first of which is row `first`.
+fn tensor_rows(
+    data: &mut [f64],
+    width: usize,
+    row: fn(usize) -> Row,
+    first: usize,
+) -> impl Iterator<Item = (Row, &mut [f64])> {
+    data.chunks_mut(width)
+        .enumerate()
+        .map(move |(k, values)| (row(first + k), values))
 }
 
 /// Read access to the three model tensors by row, abstracting over *where*
@@ -265,29 +313,42 @@ mod tests {
     }
 
     #[test]
-    fn row_blocks_cut_every_tensor_at_the_same_rows() {
-        let mut p = ModelParams::zeros(5, 3);
-        for (b, [w, c, bias]) in p.row_blocks_mut(2).enumerate() {
-            let rows = if b < 2 { 2 } else { 1 };
-            assert_eq!((w.len(), c.len(), bias.len()), (rows * 3, rows * 3, rows));
-            w.fill(b as f64);
-            c.fill(b as f64);
-            bias.fill(b as f64);
+    fn row_parts_cut_every_tensor_at_the_same_rows() {
+        // 130 rows over 2 parts: blocks of 128 and 2 rows, bias
+        // pseudo-rows 0, 1 and then 2, the short last one.
+        let (vocab, dim) = (130, 3);
+        let mut p = ModelParams::zeros(vocab, dim);
+        let mut seen = Vec::new();
+        for (b, rows) in p.row_parts_mut(2).enumerate() {
+            for (row, values) in rows {
+                let width = match row {
+                    Row::Bias(c) => (vocab - c * BIAS_CHUNK).min(BIAS_CHUNK),
+                    _ => dim,
+                };
+                assert_eq!(values.len(), width, "{row:?}");
+                values.fill(b as f64 + 1.0);
+                seen.push(row);
+            }
         }
-        for r in 0..5 {
-            let b = (r / 2) as f64;
-            assert!(p
-                .embedding
-                .row(r)
-                .iter()
-                .chain(p.context.row(r))
-                .all(|&x| x == b));
+        // Each block walks its own W rows, then W′ rows, then B′ chunks.
+        let block = |rows: std::ops::Range<usize>, chunks: std::ops::Range<usize>| {
+            (rows.clone().map(Row::Embedding))
+                .chain(rows.map(Row::Context))
+                .chain(chunks.map(Row::Bias))
+        };
+        let want: Vec<Row> = block(0..128, 0..2).chain(block(128..130, 2..3)).collect();
+        assert_eq!(seen, want);
+        for r in 0..vocab {
+            let b = if r < 128 { 1.0 } else { 2.0 };
+            for row in [Row::Embedding(r), Row::Context(r)] {
+                assert!(p.row(row).iter().all(|&x| x == b), "{row:?}");
+            }
             assert_eq!(p.bias[r], b);
         }
-        let read: Vec<[&[f64]; 3]> = p.row_blocks(2).collect();
-        assert_eq!(read.len(), 3);
-        assert_eq!(read[2], [&[2.0; 3][..], &[2.0; 3][..], &[2.0][..]]);
-        assert_eq!(p.row_blocks(0).count(), 5, "zero rows per block means one");
+        assert_eq!(p.row(Row::Bias(2)), &[2.0, 2.0]);
+        assert_eq!(p.row_parts_mut(0).count(), 1, "zero parts means one");
+        assert_eq!(p.row_parts_mut(7).count(), 3, "blocks of 64 rows, not 19");
+        assert_eq!(ModelParams::zeros(0, 2).row_parts_mut(4).count(), 0);
     }
 
     #[test]

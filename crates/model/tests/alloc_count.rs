@@ -14,8 +14,9 @@ use plp_data::checkin::UserId;
 use plp_data::dataset::{TokenizedDataset, UserSequences};
 use plp_mmap::CountingAllocator;
 use plp_model::clip::clip_per_layer;
-use plp_model::journal::{CowParams, RowJournal};
+use plp_model::journal::{CowParams, RowDelta, RowJournal, RowSum};
 use plp_model::metrics::evaluate_hit_rate_threaded;
+use plp_model::params::{Row, BIAS_CHUNK};
 use plp_model::train::{train_on_tokens, LocalSgdConfig, TrainScratch};
 use plp_model::{ModelParams, ParamsViewMut, Recommender};
 
@@ -31,6 +32,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn hot_paths_allocate_by_shape_and_never_by_volume() {
     a_warm_worker_allocates_nothing();
+    a_warm_row_sum_allocates_nothing();
     an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta();
 }
 
@@ -85,14 +87,69 @@ fn an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta() {
     }
 }
 
+/// A step's sum at vocab 20 000 × dim 50: six deltas of a wide bucket
+/// added, every row of the model read back, the sum cleared. Its arenas
+/// are reserved to the vocabulary when the sum is made, so no step — the
+/// first one included — grows them, however many rows it touches.
+fn a_warm_row_sum_allocates_nothing() {
+    let (vocab, dim) = (20_000, 50);
+    let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut journal = RowJournal::new();
+    let deltas: Vec<RowDelta> = (0..6)
+        .map(|_| {
+            let mut phi = CowParams::new(&theta, &mut journal);
+            for _ in 0..8_000 {
+                let r = rng.random_range(0..vocab);
+                phi.embedding_row_mut(r)[0] += 1.0;
+                phi.context_row_mut(rng.random_range(0..vocab))[1] -= 1.0;
+                *phi.bias_at_mut(r) += 0.5;
+            }
+            journal.take_delta(&theta)
+        })
+        .collect();
+    let rows: Vec<(Row, usize)> = (0..vocab)
+        .flat_map(|r| [(Row::Embedding(r), dim), (Row::Context(r), dim)])
+        .chain(
+            (0..vocab.div_ceil(BIAS_CHUNK))
+                .map(|c| (Row::Bias(c), (vocab - c * BIAS_CHUNK).min(BIAS_CHUNK))),
+        )
+        .collect();
+    let mut row = vec![0.0; dim.max(BIAS_CHUNK)];
+    let mut sum = RowSum::new(vocab, dim);
+    let mut step = |deltas: &[RowDelta]| {
+        for delta in deltas {
+            sum.add(delta).unwrap();
+        }
+        let touched = sum.touched_rows();
+        let mut total = 0.0;
+        for &(r, width) in &rows {
+            sum.copy_row(r, &mut row[..width]);
+            total += row[0];
+        }
+        sum.clear();
+        std::hint::black_box(total);
+        touched
+    };
+    let (few_rows, few) = counted(|| step(&deltas[..1]));
+    let (many_rows, many) = counted(|| step(&deltas));
+    println!(
+        "row sum: {few} allocations for one delta ({few_rows} rows), {many} for six \
+         ({many_rows} rows)"
+    );
+    assert!(many_rows > 2 * few_rows, "six deltas must reach more rows");
+    assert_eq!(few, many, "allocations must not depend on rows touched");
+    assert_eq!(many, 0, "a warm sum has nothing left to allocate");
+}
+
 fn a_warm_worker_allocates_nothing() {
     let (vocab, dim) = (20_000, 50);
     let theta = ModelParams::init(&mut StdRng::seed_from_u64(1), vocab, dim).unwrap();
-    let mut aggregate = ModelParams::zeros(vocab, dim);
+    let mut sum = RowSum::new(vocab, dim);
     let mut journal = RowJournal::new();
 
     // The delta path on its own: first touches → take_delta → clip →
-    // accumulate → buffers returned.
+    // sum → buffers returned.
     let mut delta_path = |rows: usize| {
         let mut phi = CowParams::new(&theta, &mut journal);
         for i in 0..rows {
@@ -104,7 +161,7 @@ fn a_warm_worker_allocates_nothing() {
         let mut delta = journal.take_delta(&theta);
         assert_eq!(delta.touched_rows(), 3 * rows);
         clip_per_layer(&mut delta, 0.5).unwrap();
-        delta.accumulate_into(&mut aggregate).unwrap();
+        sum.add(&delta).unwrap();
         journal.recycle(delta);
     };
     delta_path(10_000);
@@ -142,7 +199,7 @@ fn a_warm_worker_allocates_nothing() {
         let mut delta = journal.take_delta(&theta);
         let rows = delta.touched_rows();
         clip_per_layer(&mut delta, 0.5).unwrap();
-        delta.accumulate_into(&mut aggregate).unwrap();
+        sum.add(&delta).unwrap();
         journal.recycle(delta);
         (stats.batches, rows)
     };

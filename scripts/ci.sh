@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
-# one-fan-out, one-figures-binary, no-deployed-copy, no-map-in-the-SGNS-loop
-# and retired-names (one start, one objective, one proposal, one server
+# one-fan-out, one-figures-binary, no-deployed-copy, one-pass private step,
+# no-map-in-the-SGNS-loop and retired-names (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
 # worker program) grep gates, build, the full test suite in the dev profile
 # and again in release mode (with the allocation counts of a warm bucket, of
@@ -33,8 +33,9 @@ if [ "$writers" -ne 1 ] || [ -n "$stray" ] || [ "$(grep -c 'b"PLPS"' <<<"$magics
 fi
 
 echo "== threading gate (one fan-out, std threads only) =="
-# Every fan-out (serving stripes, the noise pass, the server update, the
-# threaded evaluator, k-means assignment) is `plp_linalg::par::fan_out`;
+# Every fan-out (serving stripes, the private step's fused noise and server
+# update, the threaded evaluator, k-means assignment) is
+# `plp_linalg::par::fan_out`;
 # outside test modules only it and the training step's run-ahead reduction,
 # whose caller is the reducer rather than a worker, open a
 # `std::thread::scope`. Only the Cargo.toml edges the harness's lock file
@@ -68,6 +69,19 @@ echo "== validation gate (the trainers evaluate θ where it lies) =="
 # that validates through one pays a θ-sized allocation per evaluation.
 if git grep -n 'Recommender::new' -- crates/core/src/plp.rs crates/core/src/nonprivate.rs; then
   echo "crates/core/src/plp.rs and nonprivate.rs must evaluate ModelParams directly, not a Recommender::new copy"
+  exit 1
+fi
+
+echo "== one-pass gate (the private step holds no θ-shaped buffer) =="
+# A step sums its bucket deltas into a row-sparse `journal::RowSum`, and
+# `noise::perturb_scale_and_step` noises, scales and applies it in one pass
+# over θ. A zeroed parameter-shaped buffer, a dense accumulate or the
+# separate noise pass in the training loop means the θ-shaped aggregate is
+# back.
+dense=$(awk '/^mod tests/ { exit } /ModelParams::zeros|accumulate_into|perturb_and_scale_threaded/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/plp.rs)
+if [ -n "$dense" ]; then
+  echo "crates/core/src/plp.rs must sum into a RowSum and step with perturb_scale_and_step:"
+  echo "$dense"
   exit 1
 fi
 
