@@ -68,14 +68,16 @@ const ADAM_CONSTANTS: [f64; 3] = [ServerAdam::BETA1, ServerAdam::BETA2, ServerAd
 /// `u64` per try. `noise::tests` pins each scheme's bits.
 pub const RNG_SCHEME_VERSION: u64 = 3;
 
-/// Version of the dense-kernel reduction scheme, folded into
-/// [`config_fingerprint`] exactly like [`RNG_SCHEME_VERSION`]: the unrolled
-/// lane count of `plp_linalg::ops` fixes the floating-point reduction order
-/// of every dot product and norm, so changing it (scheme 1 = four lanes,
-/// scheme 2 = eight lanes) forks the bit stream of every trained model.
-/// Any future kernel-order change must bump this so old checkpoints cannot
-/// silently resume under a different reduction order.
-pub const KERNEL_SCHEME_VERSION: u64 = 2;
+/// Version of the local-SGD kernel scheme, folded into
+/// [`config_fingerprint`] exactly like [`RNG_SCHEME_VERSION`]: anything
+/// that forks the bit stream of every trained model from the same seeds
+/// bumps it, so old checkpoints cannot silently resume onto another
+/// trajectory. Scheme 1 = four-lane `plp_linalg::ops` reductions; scheme
+/// 2 = eight lanes, which fixes the floating-point reduction order of
+/// every dot product and norm; scheme 3: one negative set per batch — each
+/// batch of local SGD draws one uniform set S shared by its pairs instead
+/// of one per pair, so the RNG draws and the rows touched both change.
+pub const KERNEL_SCHEME_VERSION: u64 = 3;
 
 /// A private training run between two steps: everything Algorithm 1
 /// carries from one step to the next but the privacy ledger, which sits
@@ -239,7 +241,7 @@ mod tests {
         // on purpose (a scheme bump, or a field added or removed).
         assert_eq!(
             config_fingerprint(&Hyperparameters::default(), 600),
-            0xfb13_9d40_2882_600a
+            0x1a0e_6449_3371_aa2b
         );
     }
 

@@ -20,7 +20,8 @@ pub struct Hyperparameters {
     pub context_window: usize,
     /// Batch size `b`/β (paper: 32).
     pub batch_size: usize,
-    /// Negative samples `neg` (paper: 16).
+    /// Negative samples `neg` (paper: 16), drawn once per batch and shared
+    /// by its pairs.
     pub negative_samples: usize,
     /// Local SGD learning rate η (paper: 0.06).
     pub learning_rate: f64,

@@ -258,12 +258,15 @@ fn model_update_from_bucket(
     // A previous bucket on this worker may have panicked mid-update and
     // left stale Φ rows in the overlay; the next bucket must start clean.
     journal.reset();
-    // Every token is the target of at most 2·window pairs, and a pair
-    // touches its target's embedding row and at most neg + 1 context rows.
+    // Every token is the target of at most 2·window pairs. A pair touches
+    // its target's embedding row and its context's row, and each batch
+    // adds its neg shared negatives: W′ rows ≤ distinct contexts +
+    // batches·neg.
     let vocab = theta.vocab_size();
     let tokens = bucket.tokens.len();
-    let touches = tokens * 2 * hp.context_window * (hp.negative_samples + 1);
-    journal.reserve(vocab.min(tokens), vocab.min(touches), theta.dim());
+    let batches = (tokens * 2 * hp.context_window).div_ceil(hp.batch_size.max(1));
+    let context_rows = tokens + batches * hp.negative_samples;
+    journal.reserve(vocab.min(tokens), vocab.min(context_rows), theta.dim());
     let sgd = phases.start(phase::BUCKET_SGD, ctx.trace, index as u64);
     let stats = {
         let mut phi = CowParams::new(theta, journal);
@@ -1608,9 +1611,10 @@ mod tests {
 
     #[test]
     fn resume_refuses_a_checkpoint_of_another_rng_scheme() {
-        // The same run saved under RNG and kernel scheme 2: its remaining
-        // steps would replay under other noise, so it is refused by name
-        // and the file is left as it was.
+        // The same run saved under RNG and kernel scheme 2, then under
+        // kernel scheme 2 alone: its remaining steps would replay under
+        // other noise or other negatives, so it is refused by name and the
+        // file is left as it was.
         use crate::checkpoint::{KERNEL_SCHEME_VERSION, RNG_SCHEME_VERSION};
         let ds = tiny_dataset(20);
         let hp = fast_hp();
@@ -1637,14 +1641,62 @@ mod tests {
             run.fingerprint,
             "the test fingerprints like the trainer"
         );
-        run.fingerprint = fingerprint([vocab, 2, 2]);
+        for (tail, scheme) in [
+            ([vocab, 2, 2], "RNG scheme"),
+            ([vocab, 3, 2], "kernel scheme"),
+        ] {
+            run.fingerprint = fingerprint(tail);
+            let image = encode_checkpoint(&run, &ledger);
+            std::fs::write(&path, &image).unwrap();
+
+            let err = train_plp_resumable(5, &ds, None, &hp, &opts);
+            assert!(
+                matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains(scheme)),
+                "a checkpoint of another {scheme} must be refused, got {err:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), image, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_of_kernel_scheme_two_is_refused_untouched() {
+        // The paper defaults' fingerprint under kernel scheme 2, when every
+        // pair drew its own negatives. The layout is the same, so such a
+        // file decodes — and is refused on its fingerprint rather than
+        // resumed onto the shared-negative trajectory.
+        let ds = TokenizedDataset {
+            vocab_size: 600,
+            ..tiny_dataset(20)
+        };
+        let hp = Hyperparameters::default();
+        let canonical = Hyperparameters {
+            threads: 1,
+            ..hp.clone()
+        };
+        let tail = [600, crate::checkpoint::RNG_SCHEME_VERSION, 2];
+        let words = canonical.to_words().into_iter().chain(tail);
+        let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+        assert_eq!(plp_data::frame::fnv1a64(&bytes), 0xfb13_9d40_2882_600a);
+        let params = ModelParams::zeros(600, hp.embedding_dim);
+        let run = TrainingCheckpoint {
+            fingerprint: 0xfb13_9d40_2882_600a,
+            run_seed: 9,
+            step: 3,
+            server: ServerAdam::new(&params, hp.server_learning_rate).unwrap(),
+            params,
+        };
+        let mut ledger = PrivacyLedger::new();
+        for _ in 0..3 {
+            ledger.track(hp.sampling_prob, hp.noise_multiplier).unwrap();
+        }
         let image = encode_checkpoint(&run, &ledger);
+        let path = scratch_dir("kernel2").join("run.plpc");
         std::fs::write(&path, &image).unwrap();
 
-        let err = train_plp_resumable(5, &ds, None, &hp, &opts);
+        let err = train_plp_resumable(9, &ds, None, &hp, &checkpointed(&path, 2));
         assert!(
-            matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("RNG scheme")),
-            "a scheme-2 checkpoint must be refused, got {err:?}"
+            matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("kernel scheme")),
+            "got {err:?}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), image);
     }

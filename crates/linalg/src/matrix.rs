@@ -299,6 +299,13 @@ impl Matrix {
     }
 }
 
+impl Default for Matrix {
+    /// The empty `0 × 0` matrix; it owns no allocation.
+    fn default() -> Self {
+        Matrix::zeros(0, 0)
+    }
+}
+
 impl std::fmt::Debug for Matrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Matrix")

@@ -3,18 +3,20 @@
 //! Negative sampling guarantees that each training example touches only
 //! `neg + 1` rows of `W′`/`B′` and one row of `W` (§3.2: "during
 //! back-propagation, only neg + 1 vectors in W or W′ are updated instead of
-//! entire matrices"), so a batch gradient is sparse in rows. It is never
-//! stored as rows: the loss records what each example touches, and
-//! [`BatchGrad::apply_to`] replays the records into the parameters one
-//! distinct row at a time. (A bucket's delta `g_h = Φ − θ_t` is sparse the
-//! same way and *is* stored: the row journal's arena,
-//! [`crate::journal::RowDelta`].)
+//! entire matrices"). A batch shares one negative set, so its gradient
+//! lands in at most `neg + batch` rows of `W′`/`B′` and `batch` rows of
+//! `W`. It is never stored as rows: the loss records what each example
+//! touches, and [`BatchGrad::apply_to`] replays the records into the
+//! parameters one distinct row at a time. (A bucket's delta
+//! `g_h = Φ − θ_t` is sparse the same way and *is* stored: the row
+//! journal's arena, [`crate::journal::RowDelta`].)
 
+use plp_linalg::matrix::{matmul_block_into, Matrix};
 use plp_linalg::ops;
 
 use crate::error::ModelError;
 use crate::loss::check_token;
-use crate::params::ParamsViewMut;
+use crate::params::{ParamsView, ParamsViewMut};
 
 /// One recorded touch: `tensor[row] += coef · slots[slot]`.
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +79,11 @@ pub struct BatchGrad {
     grad_u: Vec<f64>,
     /// The one row `apply_to` sums a distinct row's touches into.
     sum: Vec<f64>,
+    /// The `W′` rows of the batch's shared negatives, gathered once.
+    shared: Matrix,
+    /// `u · W′[s]` for every example and shared negative `s`, row-major
+    /// by example.
+    pub(crate) scores: Vec<f64>,
     /// Candidate logits of the example in flight.
     pub(crate) logits: Vec<f64>,
     /// Candidate probabilities of the example in flight.
@@ -117,10 +124,43 @@ impl BatchGrad {
         push_touch(&mut self.context, row, coef, slot);
     }
 
-    /// `∂J/∂u` of the example opened last.
-    pub(crate) fn grad_u_mut(&mut self) -> &mut [f64] {
-        let start = self.grad_u.len() - self.dim;
-        &mut self.grad_u[start..]
+    /// Number of examples opened since the last [`BatchGrad::clear`]; the
+    /// next example gets this slot.
+    pub(crate) fn examples(&self) -> u32 {
+        self.embedding.len() as u32
+    }
+
+    /// `∂J/∂u` of the example in `slot`.
+    pub(crate) fn grad_u_mut(&mut self, slot: u32) -> &mut [f64] {
+        &mut self.grad_u[slot as usize * self.dim..][..self.dim]
+    }
+
+    /// Fills [`BatchGrad::scores`] with `u · W′[s]` for every example from
+    /// slot `first` on and every `s` in `negatives`: the negatives' rows are
+    /// gathered once and the whole block is one
+    /// [`matmul_block_into`] product, whose elements are
+    /// [`ops::dot_unchecked`]'s bits.
+    pub(crate) fn score_shared<P: ParamsView + ?Sized>(
+        &mut self,
+        params: &P,
+        first: u32,
+        negatives: &[usize],
+    ) -> Result<(), ModelError> {
+        let (dim, k) = (self.dim, negatives.len());
+        if self.shared.rows() != k || self.shared.cols() != dim {
+            self.shared = Matrix::zeros(k, dim);
+        }
+        for (j, &n) in negatives.iter().enumerate() {
+            self.shared
+                .row_mut(j)
+                .copy_from_slice(params.context_row(n));
+        }
+        let first = first as usize;
+        let examples = self.embedding.len() - first;
+        self.scores.resize(examples * k, 0.0);
+        let u = &self.u[first * dim..];
+        matmul_block_into(u, examples, dim, &self.shared, &mut self.scores)?;
+        Ok(())
     }
 
     /// Applies `params += alpha · gradient` to any parameter view — a dense
@@ -253,7 +293,7 @@ pub(crate) mod tests {
         let mut log = BatchGrad::new();
         for (s, (target, coef, u, grad_u)) in examples.iter().enumerate() {
             let slot = log.begin_example(*target, *coef, u);
-            log.grad_u_mut().copy_from_slice(grad_u);
+            log.grad_u_mut(slot).copy_from_slice(grad_u);
             for &(_, row, coef) in touches.iter().filter(|t| t.0 == s) {
                 log.touch_context(row, coef, slot);
             }
@@ -281,7 +321,7 @@ pub(crate) mod tests {
         let mut p = ModelParams::zeros(4, 2);
         let mut g = BatchGrad::new();
         let slot = g.begin_example(1, 1.0, &[-1.0, 0.5]);
-        g.grad_u_mut().copy_from_slice(&[1.0, 2.0]);
+        g.grad_u_mut(slot).copy_from_slice(&[1.0, 2.0]);
         g.touch_context(3, 7.0, slot);
         g.apply_to(&mut p, 2.0).unwrap();
         assert_eq!(p.embedding.row(1), &[2.0, 4.0]);

@@ -4,7 +4,8 @@
 //! `Φ − θ_t`, where Φ starts from the current global parameters θ_t and is
 //! trained locally. A naive implementation clones all of θ_t — O(L·dim)
 //! per bucket — even though negative sampling guarantees local SGD touches
-//! only `neg + 1` rows per example (§3.2). [`RowJournal`] + [`CowParams`]
+//! only `neg + 1` rows per example (§3.2), and a batch whose pairs share
+//! one negative set at most `neg + batch`. [`RowJournal`] + [`CowParams`]
 //! replace the clone with an overlay: reads fall through to the immutable
 //! base θ_t, and the *first mutable touch* of a row copies it to the end of
 //! a per-tensor arena. After training, the arena holds exactly the touched

@@ -4,16 +4,21 @@
 //! The caller clones θ_t into a working copy Φ, runs one pass of batched
 //! SGD over the bucket's token array, and turns `Φ − θ_t` into a sparse
 //! delta (clipping is the caller's job; this module only trains).
+//!
+//! Each batch draws one uniform negative set S and every pair of the batch
+//! scores against it, as TensorFlow's `sampled_softmax_loss` samples its
+//! classes per batch ([`crate::loss`]). A batch's gradient therefore lands
+//! in at most `neg + batch` rows of `W′`, and a bucket's in at most its
+//! distinct contexts plus `batches · neg`.
 
 use rand::{seq::SliceRandom, Rng};
 
 use crate::error::ModelError;
 use crate::grad::BatchGrad;
-use crate::loss::{example_loss, forward_backward};
+use crate::loss::forward_backward;
 use crate::params::{ParamsView, ParamsViewMut};
 
 use plp_data::window::{pairs_from_sequence_into, Pair};
-use plp_linalg::sample::sample_distinct_excluding_into;
 
 /// Hyper-parameters of a local SGD pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +29,8 @@ pub struct LocalSgdConfig {
     pub batch_size: usize,
     /// Symmetric context window `win` (paper default 2).
     pub window: usize,
-    /// Negatives per positive `neg` (paper default 16).
+    /// Negatives per batch `neg`, shared by the batch's pairs (paper
+    /// default 16).
     pub negatives: usize,
 }
 
@@ -62,10 +68,11 @@ impl LocalSgdConfig {
     }
 }
 
-/// Negatives are drawn uniformly from the vocabulary without the context
-/// ("a sampled softmax function with a uniform sampling distribution",
-/// §3.2 — a frequency-weighted proposal would leak location popularity),
-/// so a pair needs at least one other token.
+/// Negatives are drawn uniformly from the vocabulary ("a sampled softmax
+/// function with a uniform sampling distribution", §3.2 — a
+/// frequency-weighted proposal would leak location popularity) and a
+/// pair's own context is masked out of them, so a pair needs at least one
+/// other token.
 fn check_negatives_exist(vocab: usize) -> Result<(), ModelError> {
     if vocab < 2 {
         return Err(ModelError::BadConfig {
@@ -87,8 +94,8 @@ pub struct TrainStats {
     pub batches: usize,
 }
 
-/// Reusable buffers for [`train_on_tokens`]: the pair list, the
-/// negative-sample candidates and the per-batch gradient log. Every buffer
+/// Reusable buffers for [`train_on_tokens`]: the pair list, the batch's
+/// shared negative set and the per-batch gradient log. Every buffer
 /// is cleared at its point of use and retains capacity, so a worker that
 /// reuses one `TrainScratch` across buckets stops allocating once each has
 /// grown to its bucket-working-set size (counted in
@@ -99,7 +106,7 @@ pub struct TrainStats {
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     pairs: Vec<Pair>,
-    negatives: Vec<usize>,
+    shared: Vec<usize>,
     batch: BatchGrad,
 }
 
@@ -131,7 +138,7 @@ pub fn train_on_tokens<R: Rng + ?Sized, P: ParamsViewMut + ?Sized>(
     let vocab = params.vocab_size();
     let TrainScratch {
         pairs,
-        negatives,
+        shared,
         batch: grad,
     } = scratch;
 
@@ -147,10 +154,7 @@ pub fn train_on_tokens<R: Rng + ?Sized, P: ParamsViewMut + ?Sized>(
     for batch in pairs.chunks(config.batch_size) {
         let scale = 1.0 / batch.len() as f64;
         grad.clear();
-        for &(target, context) in batch {
-            sample_distinct_excluding_into(rng, vocab, config.negatives, context, negatives);
-            total_loss += forward_backward(params, target, context, negatives, scale, grad)?;
-        }
+        total_loss += sampled_softmax(rng, &*params, batch, config, scale, shared, grad)?;
         grad.apply_to(params, -config.learning_rate)?;
     }
 
@@ -165,8 +169,34 @@ pub fn train_on_tokens<R: Rng + ?Sized, P: ParamsViewMut + ?Sized>(
     })
 }
 
+/// Draws a batch's one negative set S — `neg` distinct tokens, uniform over
+/// the whole vocabulary, nothing forbidden (all of it when `neg ≥ vocab`) —
+/// into `shared` and records the sampled softmax of every pair in `batch`
+/// against it, each pair's gradient scaled by `scale`. Returns the summed
+/// loss. This is the one place negatives are drawn.
+fn sampled_softmax<R: Rng + ?Sized, P: ParamsView + ?Sized>(
+    rng: &mut R,
+    params: &P,
+    batch: &[Pair],
+    config: &LocalSgdConfig,
+    scale: f64,
+    shared: &mut Vec<usize>,
+    grad: &mut BatchGrad,
+) -> Result<f64, ModelError> {
+    plp_linalg::sample::sample_distinct_excluding_into(
+        rng,
+        params.vocab_size(),
+        config.negatives,
+        usize::MAX,
+        shared,
+    );
+    forward_backward(params, batch, shared, scale, grad)
+}
+
 /// Mean validation loss of `(target, context)` pairs drawn from `tokens`
-/// under the model, using fresh negatives (no parameter updates).
+/// under the model, the pairs taken `batch_size` at a time in window
+/// order, each batch against a fresh shared negative set — the objective
+/// [`train_on_tokens`] descends (no parameter updates).
 ///
 /// # Errors
 /// Propagates token-range errors.
@@ -183,12 +213,12 @@ pub fn validation_loss<R: Rng + ?Sized, P: ParamsView + ?Sized>(
         return Ok(0.0);
     }
     check_negatives_exist(vocab)?;
-    let mut negatives = Vec::new();
+    let mut shared = Vec::new();
     let mut sink = BatchGrad::new();
     let mut total = 0.0;
-    for &(target, context) in &pairs {
-        sample_distinct_excluding_into(rng, vocab, config.negatives, context, &mut negatives);
-        total += example_loss(params, target, context, &negatives, &mut sink)?;
+    for batch in pairs.chunks(config.batch_size) {
+        sink.clear();
+        total += sampled_softmax(rng, params, batch, config, 0.0, &mut shared, &mut sink)?;
     }
     Ok(total / pairs.len() as f64)
 }
@@ -197,6 +227,7 @@ pub fn validation_loss<R: Rng + ?Sized, P: ParamsView + ?Sized>(
 mod tests {
     use super::*;
     use crate::params::ModelParams;
+    use plp_linalg::sample::sample_distinct_excluding_into;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -380,16 +411,8 @@ mod tests {
         for batch in pairs.chunks(cfg.batch_size) {
             let scale = 1.0 / batch.len() as f64;
             log.clear();
-            for &(target, context) in batch {
-                sample_distinct_excluding_into(
-                    &mut rng,
-                    20,
-                    cfg.negatives,
-                    context,
-                    &mut negatives,
-                );
-                forward_backward(&reference, target, context, &negatives, scale, &mut log).unwrap();
-            }
+            sample_distinct_excluding_into(&mut rng, 20, cfg.negatives, usize::MAX, &mut negatives);
+            forward_backward(&reference, batch, &negatives, scale, &mut log).unwrap();
             let grad = crate::grad::tests::dense_reference(&log, 20);
             let lr = -cfg.learning_rate;
             reference.embedding.axpy(lr, &grad.embedding).unwrap();

@@ -172,9 +172,9 @@ fn a_warm_worker_allocates_nothing() {
     assert_eq!(many, 0, "a warm delta path has nothing left to allocate");
 
     // A whole bucket at the paper's settings: 401 tokens are 1 598 pairs,
-    // 50 batches of 32, each pair with 16 negatives out of 20 000 rows —
-    // nearly every touch is a first touch. Half the tokens are half the
-    // batches.
+    // 50 batches of 32, each batch sharing 16 negatives out of 20 000 rows.
+    // Its W′ rows are at most its distinct contexts plus 50 · 16 negatives.
+    // Half the tokens are half the batches.
     let cfg = LocalSgdConfig {
         learning_rate: 0.06,
         batch_size: 32,
@@ -183,11 +183,14 @@ fn a_warm_worker_allocates_nothing() {
     };
     let mut rng = StdRng::seed_from_u64(2);
     let tokens: Vec<usize> = (0..401).map(|_| rng.random_range(0..vocab)).collect();
+    let mut contexts = tokens.clone();
+    contexts.sort_unstable();
+    contexts.dedup();
     let mut scratch = TrainScratch::new();
     let mut bucket = |seed: u64, tokens: &[usize]| {
-        let touches = tokens.len() * 2 * cfg.window * (cfg.negatives + 1);
+        let batches = (tokens.len() * 2 * cfg.window).div_ceil(cfg.batch_size);
         journal.reset();
-        journal.reserve(tokens.len(), vocab.min(touches), dim);
+        journal.reserve(tokens.len(), tokens.len() + batches * cfg.negatives, dim);
         let stats = train_on_tokens(
             &mut StdRng::seed_from_u64(seed),
             &mut CowParams::new(&theta, &mut journal),
@@ -197,7 +200,7 @@ fn a_warm_worker_allocates_nothing() {
         )
         .unwrap();
         let mut delta = journal.take_delta(&theta);
-        let rows = delta.touched_rows();
+        let rows = delta.context.len();
         clip_per_layer(&mut delta, 0.5).unwrap();
         sum.add(&delta).unwrap();
         journal.recycle(delta);
@@ -207,12 +210,16 @@ fn a_warm_worker_allocates_nothing() {
     bucket(4, &tokens);
     let ((batches_half, _), half) = counted(|| bucket(5, &tokens[..201]));
     let ((batches, rows), whole) = counted(|| bucket(5, &tokens));
+    let bound = contexts.len() + batches * cfg.negatives;
     println!(
         "whole bucket, warm: {half} allocations over {batches_half} batches, {whole} over \
-         {batches} batches and {rows} delta rows"
+         {batches} batches and {rows} W′ delta rows (bound {bound})"
     );
     assert_eq!((batches_half, batches), (25, 50));
-    assert!(rows > 20_000, "the bucket must be wide: {rows} rows");
+    assert!(
+        rows <= bound,
+        "W′ rows {rows} > distinct contexts + batches·neg = {bound}"
+    );
     assert_eq!(half, whole, "allocations must not depend on batches run");
     assert_eq!(whole, 0, "a warm bucket has nothing left to allocate");
 }

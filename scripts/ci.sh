@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
 # one-fan-out, one-figures-binary, no-deployed-copy, one-pass private step,
-# no-map-in-the-SGNS-loop and retired-names (one start, one objective, one proposal, one server
+# no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
+# (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
 # worker program) grep gates, build, the full test suite in the dev profile
 # and again in release mode (with the allocation counts of a warm bucket, of
@@ -90,6 +91,16 @@ echo "== sparse-row gate (the SGNS loop holds no map) =="
 # map here means a second sparse-row type beside journal::DeltaRows is back.
 if git grep -nE 'BTreeMap|BTreeSet' -- crates/model/src/grad.rs crates/model/src/loss.rs crates/model/src/train.rs; then
   echo "crates/model/src/{grad,loss,train}.rs must not use BTreeMap or BTreeSet"
+  exit 1
+fi
+
+echo "== one-draw gate (one negative set per batch) =="
+# Local SGD draws one uniform negative set per batch, shared by its pairs,
+# in one helper that training and validation both call. A second call site
+# of the sampler in train.rs means the per-pair draw is back.
+draws=$(awk '/^mod tests/ { exit } /sample_distinct_excluding_into/ { n++ } END { print n + 0 }' crates/model/src/train.rs)
+if [ "$draws" -ne 1 ]; then
+  echo "crates/model/src/train.rs must name sample_distinct_excluding_into exactly once outside mod tests (found $draws)"
   exit 1
 fi
 

@@ -163,7 +163,7 @@ proptest! {
         let negatives: Vec<usize> =
             (0..5).map(|i| (context + i + 1) % 30).filter(|&n| n != context).collect();
         let mut log = BatchGrad::new();
-        let l = forward_backward(&params, target, context, &negatives, 1.0, &mut log).unwrap();
+        let l = forward_backward(&params, &[(target, context)], &negatives, 1.0, &mut log).unwrap();
         prop_assert!(l.is_finite() && l >= 0.0);
         // Read the gradient by applying the record to zeros.
         let mut grad = ModelParams::zeros(30, 6);
