@@ -1,6 +1,6 @@
 //! Hyper-parameters (Table 1 of the paper) with the §5.1 defaults, and
 //! their one encoding: fixed-width words that the checkpoint fingerprint
-//! hashes and the federated setup frame carries.
+//! hashes.
 
 use plp_data::grouping::GroupingStrategy;
 use plp_model::train::LocalSgdConfig;
@@ -234,43 +234,6 @@ impl Hyperparameters {
             self.threads as u64,
         ]
     }
-
-    /// Decodes [`Hyperparameters::to_words`] exactly. Field domains are
-    /// [`Hyperparameters::validate`]'s business, not the decoder's.
-    ///
-    /// # Errors
-    /// [`CoreError::BadConfig`] naming the grouping strategy if its tag is
-    /// unknown, or a count that does not fit this platform's `usize`.
-    pub fn from_words(w: &[u64; HP_WORDS]) -> Result<Self, CoreError> {
-        let bad = |name, expected| CoreError::BadConfig { name, expected };
-        let count = |i: usize| usize::try_from(w[i]).map_err(|_| bad("count", "within usize"));
-        let float = |i: usize| f64::from_bits(w[i]);
-        Ok(Hyperparameters {
-            embedding_dim: count(0)?,
-            context_window: count(1)?,
-            batch_size: count(2)?,
-            negative_samples: count(3)?,
-            learning_rate: float(4),
-            sampling_prob: float(5),
-            noise_multiplier: float(6),
-            clip_norm: float(7),
-            grouping_factor: count(8)?,
-            split_factor: count(9)?,
-            grouping_strategy: match w[10] {
-                0 => GroupingStrategy::Random,
-                1 => GroupingStrategy::EqualFrequency,
-                _ => return Err(bad("grouping_strategy", "a known tag")),
-            },
-            budget: PrivacyBudget {
-                epsilon: float(11),
-                delta: float(12),
-            },
-            server_learning_rate: float(13),
-            max_steps: count(14)?,
-            eval_every: count(15)?,
-            threads: count(16)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -379,34 +342,5 @@ mod tests {
         assert_eq!(l.batch_size, h.batch_size);
         assert_eq!(l.window, h.context_window);
         assert_eq!(l.negatives, h.negative_samples);
-    }
-
-    #[test]
-    fn words_round_trip_bit_exactly_and_refuse_unknown_tags() {
-        // The enum off its default, and no two floats or counts alike, so a
-        // float or count read from another field's word cannot go unnoticed.
-        let other = Hyperparameters {
-            sampling_prob: 0.125,
-            eval_every: 5,
-            grouping_strategy: GroupingStrategy::EqualFrequency,
-            server_learning_rate: 0.1 + 0.2,
-            noise_multiplier: -0.0,
-            threads: 0,
-            ..Hyperparameters::default()
-        };
-        for h in [Hyperparameters::default(), other] {
-            let back = Hyperparameters::from_words(&h.to_words()).unwrap();
-            assert_eq!(back, h);
-            assert_eq!(back.to_words(), h.to_words(), "bits, -0.0 included");
-        }
-        let mut w = Hyperparameters::default().to_words();
-        w[10] = 2;
-        assert!(matches!(
-            Hyperparameters::from_words(&w),
-            Err(CoreError::BadConfig {
-                name: "grouping_strategy",
-                ..
-            })
-        ));
     }
 }

@@ -5,22 +5,17 @@
 //! [`FaultPlan`] is installed. Decisions are pure functions of
 //! `(plan seed, fault kind, step, index)`, so a faulty run is exactly
 //! reproducible: re-running with the same plan poisons the same buckets
-//! and corrupts the same checkpoint writes — and a federated cohort
-//! replays the same worker stalls, exits and garbled frames no matter how
-//! buckets are partitioned across workers (see the purity property tests).
+//! and corrupts the same checkpoint writes, no matter how buckets are
+//! partitioned across threads (see the purity property tests).
 
 use crate::error::CoreError;
-
-/// Words in [`FaultPlan::to_words`].
-const PLAN_WORDS: usize = 10;
 
 /// Which faults to inject, and how often.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated independently per
 /// decision point (per bucket for delta/panic faults, per checkpoint write
-/// for storage faults, per worker incarnation or reply for the federated
-/// worker faults). Install a plan with [`FaultInjector::try_with_plan`],
-/// which validates every rate up front.
+/// for storage faults). Install a plan with
+/// [`FaultInjector::try_with_plan`], which validates every rate up front.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the injector's deterministic decision stream.
@@ -34,22 +29,6 @@ pub struct FaultPlan {
     /// Probability a checkpoint write has one bit flipped (silent
     /// corruption).
     pub bitflip_write_rate: f64,
-    /// Probability a federated worker stalls (sleeps) before answering a
-    /// round, evaluated per `(step, worker incarnation)`.
-    pub worker_stall_rate: f64,
-    /// How long a stalling worker sleeps, in milliseconds. Tests set this
-    /// beyond the coordinator's round deadline so the straggler path fires
-    /// deterministically.
-    pub worker_stall_ms: u64,
-    /// Probability a federated worker exits mid-round (simulated crash),
-    /// evaluated per `(step, worker incarnation)`.
-    pub worker_exit_rate: f64,
-    /// Probability a federated worker corrupts one byte of a reply frame
-    /// (after sealing its CRC), evaluated per `(step, reply sequence)`.
-    pub corrupt_frame_rate: f64,
-    /// Probability a federated worker sends a reply frame twice,
-    /// evaluated per `(step, reply sequence)`.
-    pub duplicate_reply_rate: f64,
 }
 
 impl FaultPlan {
@@ -61,53 +40,16 @@ impl FaultPlan {
             panic_rate: 0.0,
             truncate_write_rate: 0.0,
             bitflip_write_rate: 0.0,
-            worker_stall_rate: 0.0,
-            worker_stall_ms: 0,
-            worker_exit_rate: 0.0,
-            corrupt_frame_rate: 0.0,
-            duplicate_reply_rate: 0.0,
-        }
-    }
-
-    /// The plan's one encoding: the seed, the stall duration, then the bits
-    /// of every rate in the order [`FaultPlan::validate`] checks them.
-    pub fn to_words(&self) -> [u64; PLAN_WORDS] {
-        let mut w = [self.seed, self.worker_stall_ms, 0, 0, 0, 0, 0, 0, 0, 0];
-        for (word, (_, rate)) in w[2..].iter_mut().zip(self.rates()) {
-            *word = rate.to_bits();
-        }
-        w
-    }
-
-    /// Decodes [`FaultPlan::to_words`] exactly; whether the rates are
-    /// probabilities is [`FaultPlan::validate`]'s business.
-    pub fn from_words(w: &[u64; PLAN_WORDS]) -> Self {
-        let rate = |i: usize| f64::from_bits(w[i]);
-        FaultPlan {
-            seed: w[0],
-            worker_stall_ms: w[1],
-            nan_delta_rate: rate(2),
-            panic_rate: rate(3),
-            truncate_write_rate: rate(4),
-            bitflip_write_rate: rate(5),
-            worker_stall_rate: rate(6),
-            worker_exit_rate: rate(7),
-            corrupt_frame_rate: rate(8),
-            duplicate_reply_rate: rate(9),
         }
     }
 
     /// Every `(name, value)` rate field, for validation and diagnostics.
-    fn rates(&self) -> [(&'static str, f64); 8] {
+    fn rates(&self) -> [(&'static str, f64); 4] {
         [
             ("nan_delta_rate", self.nan_delta_rate),
             ("panic_rate", self.panic_rate),
             ("truncate_write_rate", self.truncate_write_rate),
             ("bitflip_write_rate", self.bitflip_write_rate),
-            ("worker_stall_rate", self.worker_stall_rate),
-            ("worker_exit_rate", self.worker_exit_rate),
-            ("corrupt_frame_rate", self.corrupt_frame_rate),
-            ("duplicate_reply_rate", self.duplicate_reply_rate),
         ]
     }
 
@@ -166,10 +108,6 @@ const KIND_NAN: u64 = 1;
 const KIND_PANIC: u64 = 2;
 const KIND_TRUNCATE: u64 = 3;
 const KIND_BITFLIP: u64 = 4;
-const KIND_STALL: u64 = 5;
-const KIND_EXIT: u64 = 6;
-const KIND_FRAME: u64 = 7;
-const KIND_DUP: u64 = 8;
 
 impl FaultInjector {
     /// An injector following `plan`.
@@ -190,12 +128,6 @@ impl FaultInjector {
     pub fn try_with_plan(plan: FaultPlan) -> Result<Self, CoreError> {
         plan.validate()?;
         Ok(FaultInjector { plan: Some(plan) })
-    }
-
-    /// The installed plan, if any (federated coordinators forward it to
-    /// worker processes so both sides draw from the same decision stream).
-    pub fn plan(&self) -> Option<FaultPlan> {
-        self.plan
     }
 
     /// Deterministic Bernoulli draw for one decision point; also returns
@@ -242,43 +174,6 @@ impl FaultInjector {
             });
         }
         None
-    }
-
-    /// Should the worker incarnation answering `step` stall before
-    /// replying? Returns the stall duration in milliseconds when it fires.
-    ///
-    /// Keyed on the *incarnation* (a coordinator-wide counter bumped on
-    /// every spawn), not the worker slot: a respawned replacement draws a
-    /// fresh decision, so a stall can never wedge a slot forever.
-    pub fn stall_worker(&self, step: u64, incarnation: u64) -> Option<u64> {
-        let plan = self.plan?;
-        self.draw(KIND_STALL, step, incarnation, plan.worker_stall_rate)
-            .map(|_| plan.worker_stall_ms)
-    }
-
-    /// Should the worker incarnation answering `step` exit mid-round
-    /// (simulated `kill -9`)? Keyed on the incarnation like
-    /// [`FaultInjector::stall_worker`], so the respawned replacement
-    /// survives to answer the retry.
-    pub fn exit_worker(&self, step: u64, incarnation: u64) -> bool {
-        let rate = self.plan.map_or(0.0, |p| p.worker_exit_rate);
-        self.draw(KIND_EXIT, step, incarnation, rate).is_some()
-    }
-
-    /// Should reply number `seq` of `step` be corrupted after its CRC was
-    /// sealed? Returns a hash the worker maps to a byte offset. Keyed on
-    /// the worker's monotone reply sequence number, so the re-requested
-    /// reply draws a fresh decision instead of corrupting forever.
-    pub fn corrupt_reply_frame(&self, step: u64, seq: u64) -> Option<u64> {
-        let rate = self.plan.map_or(0.0, |p| p.corrupt_frame_rate);
-        self.draw(KIND_FRAME, step, seq, rate)
-    }
-
-    /// Should reply number `seq` of `step` be sent twice? The coordinator
-    /// must treat the duplicate as idempotent.
-    pub fn duplicate_reply(&self, step: u64, seq: u64) -> bool {
-        let rate = self.plan.map_or(0.0, |p| p.duplicate_reply_rate);
-        self.draw(KIND_DUP, step, seq, rate).is_some()
     }
 
     /// Applies [`FaultInjector::checkpoint_write_fault`] to a serialized
@@ -368,15 +263,11 @@ mod tests {
     fn install_time_validation_rejects_bad_rates() {
         let bad_values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.1];
         type Setter = fn(&mut FaultPlan, f64);
-        let setters: [(&str, Setter); 8] = [
+        let setters: [(&str, Setter); 4] = [
             ("nan_delta_rate", |p, v| p.nan_delta_rate = v),
             ("panic_rate", |p, v| p.panic_rate = v),
             ("truncate_write_rate", |p, v| p.truncate_write_rate = v),
             ("bitflip_write_rate", |p, v| p.bitflip_write_rate = v),
-            ("worker_stall_rate", |p, v| p.worker_stall_rate = v),
-            ("worker_exit_rate", |p, v| p.worker_exit_rate = v),
-            ("corrupt_frame_rate", |p, v| p.corrupt_frame_rate = v),
-            ("duplicate_reply_rate", |p, v| p.duplicate_reply_rate = v),
         ];
         for (name, set) in setters {
             for v in bad_values {
@@ -393,7 +284,7 @@ mod tests {
         // Boundary values are legal, and a valid plan installs.
         let mut plan = FaultPlan::quiet(1);
         plan.nan_delta_rate = 1.0;
-        plan.worker_stall_rate = 0.0;
+        plan.panic_rate = 0.0;
         assert!(FaultInjector::try_with_plan(plan).is_ok());
     }
 
@@ -404,41 +295,6 @@ mod tests {
             panic_rate: f64::NAN,
             ..FaultPlan::quiet(2)
         });
-    }
-
-    #[test]
-    fn worker_faults_fire_deterministically_and_independently() {
-        let plan = FaultPlan {
-            worker_stall_rate: 0.5,
-            worker_stall_ms: 750,
-            worker_exit_rate: 0.5,
-            corrupt_frame_rate: 0.5,
-            duplicate_reply_rate: 0.5,
-            ..FaultPlan::quiet(21)
-        };
-        let inj = FaultInjector::with_plan(plan);
-        let stalls: Vec<bool> = (0..128).map(|i| inj.stall_worker(3, i).is_some()).collect();
-        let exits: Vec<bool> = (0..128).map(|i| inj.exit_worker(3, i)).collect();
-        let frames: Vec<bool> = (0..128)
-            .map(|i| inj.corrupt_reply_frame(3, i).is_some())
-            .collect();
-        let dups: Vec<bool> = (0..128).map(|i| inj.duplicate_reply(3, i)).collect();
-        assert_ne!(stalls, exits, "kinds must not share one decision stream");
-        assert_ne!(exits, frames);
-        assert_ne!(frames, dups);
-        for v in [&stalls, &exits, &frames, &dups] {
-            let fired = v.iter().filter(|&&x| x).count();
-            assert!((30..100).contains(&fired), "rate 0.5 of 128, got {fired}");
-        }
-        // The stall carries the configured duration, and replays exactly.
-        let first_stall = (0..128).find(|&i| stalls[i as usize]).unwrap();
-        assert_eq!(inj.stall_worker(3, first_stall), Some(750));
-        // A quiet plan never fires a worker fault.
-        let quiet = FaultInjector::with_plan(FaultPlan::quiet(21));
-        assert!((0..64).all(|i| quiet.stall_worker(3, i).is_none()
-            && !quiet.exit_worker(3, i)
-            && quiet.corrupt_reply_frame(3, i).is_none()
-            && !quiet.duplicate_reply(3, i)));
     }
 
     #[test]
@@ -466,27 +322,6 @@ mod tests {
             "empty write has no fault"
         );
     }
-
-    #[test]
-    fn words_round_trip_bit_exactly() {
-        // Every field distinct, so two fields decoded into each other's
-        // place cannot go unnoticed.
-        let plan = FaultPlan {
-            seed: u64::MAX,
-            nan_delta_rate: 0.1,
-            panic_rate: 0.1 + 0.2,
-            truncate_write_rate: 0.25,
-            bitflip_write_rate: 0.5,
-            worker_stall_rate: 0.75,
-            worker_stall_ms: 750,
-            worker_exit_rate: 1.0,
-            corrupt_frame_rate: 1e-9,
-            duplicate_reply_rate: -0.0,
-        };
-        let back = FaultPlan::from_words(&plan.to_words());
-        assert_eq!(back, plan);
-        assert_eq!(back.to_words(), plan.to_words(), "bits, -0.0 included");
-    }
 }
 
 #[cfg(test)]
@@ -494,7 +329,7 @@ mod purity_props {
     //! Property tests: every injector decision is a pure function of
     //! `(plan seed, fault kind, step, index)`. Purity is what makes fault
     //! schedules replayable across runs *and* invariant to how work is
-    //! partitioned across federated workers — a bucket keeps its fault no
+    //! partitioned across worker threads — a bucket keeps its fault no
     //! matter which worker (or how many workers) ends up computing it.
 
     use super::*;
@@ -504,26 +339,25 @@ mod purity_props {
         FaultPlan {
             nan_delta_rate: a,
             panic_rate: b,
-            worker_stall_rate: c,
-            worker_stall_ms: 100,
-            worker_exit_rate: a,
-            corrupt_frame_rate: b,
-            duplicate_reply_rate: c,
+            truncate_write_rate: c,
+            bitflip_write_rate: a,
             ..FaultPlan::quiet(seed)
         }
     }
 
-    /// Every decision the injector can make for one `(step, index)` point,
-    /// flattened into a comparable vector.
-    fn decisions_at(inj: &FaultInjector, step: u64, index: u64) -> Vec<bool> {
-        vec![
+    /// Every decision the injector can make for one `(step, index)` point:
+    /// the two bucket faults, and the write fault of a checkpoint
+    /// `index + 1` bytes long (truncate or bit flip).
+    fn decisions_at(
+        inj: &FaultInjector,
+        step: u64,
+        index: u64,
+    ) -> (bool, bool, Option<WriteFault>) {
+        (
             inj.poison_delta(step, index as usize),
             inj.panic_bucket(step, index as usize),
-            inj.stall_worker(step, index).is_some(),
-            inj.exit_worker(step, index),
-            inj.corrupt_reply_frame(step, index).is_some(),
-            inj.duplicate_reply(step, index),
-        ]
+            inj.checkpoint_write_fault(step, index as usize + 1),
+        )
     }
 
     proptest! {
@@ -558,19 +392,19 @@ mod purity_props {
         ) {
             let inj = FaultInjector::try_with_plan(plan_from(seed, ra, rb, rc)).unwrap();
             // Reference schedule: evaluate 64 decision points in order.
-            let reference: Vec<Vec<bool>> =
+            let reference: Vec<_> =
                 (0..64).map(|i| decisions_at(&inj, step, i)).collect();
             // Partitioned schedule: each "worker" evaluates only its strided
             // share, interleaved worker-by-worker (a different call order and
             // grouping than the reference). The union must match exactly.
-            let mut partitioned: Vec<Option<Vec<bool>>> = vec![None; 64];
+            let mut partitioned = vec![None; 64];
             for w in 0..workers {
                 for i in (0..64u64).filter(|i| *i as usize % workers == w) {
                     partitioned[i as usize] = Some(decisions_at(&inj, step, i));
                 }
             }
             for (i, got) in partitioned.into_iter().enumerate() {
-                prop_assert_eq!(got.unwrap(), reference[i].clone());
+                prop_assert_eq!(got.unwrap(), reference[i]);
             }
         }
 

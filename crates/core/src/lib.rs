@@ -62,7 +62,6 @@ pub mod telemetry;
 pub use config::Hyperparameters;
 pub use error::CoreError;
 pub use plp::{
-    train_plp, train_plp_resumable, train_plp_with_executor, BucketExecutor, BucketRunner,
-    BucketUpdate, CheckpointPolicy, LocalExecutor, PlpOutcome, StepScratch, TrainOptions,
-    UpdateSink,
+    train_plp, train_plp_resumable, train_plp_with_executor, BucketExecutor, BucketUpdate,
+    CheckpointPolicy, LocalExecutor, PlpOutcome, StepScratch, TrainOptions, UpdateSink,
 };

@@ -135,7 +135,7 @@ pub mod phase {
         /// Line 6: data grouping.
         GROUP = timed "group";
         /// Lines 7–8 for the whole step: the executor's fan-out over every
-        /// bucket, in process or across worker processes.
+        /// bucket.
         LOCAL_SGD = trace_only "local_sgd";
         /// Lines 15–21 for one bucket: local SGD from θ_t, inside a worker.
         BUCKET_SGD = timed "bucket_sgd";
@@ -183,9 +183,8 @@ fn step_rng(run_seed: u64, step: u64) -> StdRng {
 
 /// One bucket's contribution to the Gaussian sum query.
 ///
-/// Public so alternative [`BucketExecutor`]s (the federated coordinator)
-/// can reconstruct updates computed in another process; the fields are
-/// exactly what crosses the wire.
+/// Public so any [`BucketExecutor`] — a timing wrapper, a test fake — can
+/// build, inspect or pass on updates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BucketUpdate {
     /// The bucket's position in the step's bucket list. Updates are
@@ -545,80 +544,27 @@ fn stream_bucket_updates(
     result
 }
 
-/// Computes single bucket updates outside the training loop — the worker
-/// side of the federated protocol. Wraps the same scratch buffers and
-/// panic barrier as the in-process path, so a bucket computed through a
-/// runner in another process is bit-identical to one computed inline: the
-/// result is a pure function of `(θ, bucket, step_seed, index)`.
-pub struct BucketRunner {
-    scratch: BucketScratch,
-    phases: PhaseSet,
-    pairs: Counter,
-}
-
-impl BucketRunner {
-    /// A runner recording into `obs`, with fresh scratch buffers (they
-    /// grow on first use and are reused across buckets).
-    pub fn new(obs: &Observer) -> Self {
-        BucketRunner {
-            scratch: BucketScratch::default(),
-            phases: PhaseSet::resolve(obs, &phase::TABLE),
-            pairs: obs.counter("plp_train_pairs_total"),
-        }
-    }
-
-    /// Computes the update for the bucket at global position `index` in
-    /// step `step`'s bucket list. `Ok(None)` means the bucket was dropped
-    /// (injected panic or non-finite delta) — the caller must fold it into
-    /// the DP-safe skipped count, exactly like the in-process path. The
-    /// bucket's spans, if the runner's observer is traced, parent under
-    /// `trace`.
-    ///
-    /// # Errors
-    /// Systematic errors (bad config, shape mismatch) propagate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bucket(
-        &mut self,
-        theta: &ModelParams,
-        bucket: &Bucket,
-        hp: &Hyperparameters,
-        step: u64,
-        step_seed: u64,
-        index: usize,
-        faults: &FaultInjector,
-        trace: Option<TraceContext>,
-    ) -> Result<Option<BucketUpdate>, CoreError> {
-        let ctx = BucketCtx {
-            step,
-            step_seed,
-            faults,
-            phases: &self.phases,
-            pairs: &self.pairs,
-            trace,
-        };
-        guarded_bucket_update(theta, bucket, hp, index, &ctx, &mut self.scratch)
-    }
-}
-
 /// The seam between the training loop and whoever computes bucket updates.
 ///
 /// [`train_plp_with_executor`] owns everything *around* the buckets —
 /// sampling, grouping, noise, the server update, accounting and
-/// checkpointing — and delegate only lines 7–8 of Algorithm 1 through this
+/// checkpointing — and delegates only lines 7–8 of Algorithm 1 through this
 /// trait. An executor must produce, for the given `(θ, buckets, step_seed,
 /// step)`, the surviving updates in ascending bucket index plus the number
 /// of dropped buckets; because each bucket's result is a pure function of
 /// `(θ, bucket, step_seed, index)`, any executor that computes the same
-/// buckets — in process, on threads, or across worker processes — yields a
-/// bit-identical training trajectory. Dropping extra buckets (e.g. a
-/// worker that died past its retry budget) is DP-safe but changes the
-/// trained bits, exactly like an in-process poisoned bucket.
+/// buckets yields a bit-identical training trajectory. Dropping extra
+/// buckets is DP-safe but changes the trained bits, exactly like a
+/// poisoned bucket.
+///
+/// [`LocalExecutor`] is the implementation the trainers use. The others
+/// wrap or stand in for it: the benchmark harness's timing executor, and
+/// test fakes that feed the loop updates it did not compute.
 pub trait BucketExecutor {
     /// Computes the surviving bucket updates for one step, all at once.
     ///
     /// # Errors
-    /// Systematic failures (config, shape, I/O in distributed
-    /// implementations) propagate and abort training.
+    /// Systematic failures (config, shape) propagate and abort training.
     #[allow(clippy::too_many_arguments)]
     fn execute_step(
         &mut self,
@@ -664,9 +610,9 @@ pub trait BucketExecutor {
     }
 }
 
-/// The in-process executor: buckets run on `hp.threads` worker threads in
-/// this process. This is the reference implementation every alternative
-/// executor must match bit-for-bit.
+/// The executor the trainers use: buckets run on `hp.threads` worker
+/// threads. This is the reference implementation every other executor must
+/// match bit-for-bit.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LocalExecutor;
 
@@ -1032,9 +978,9 @@ pub fn train_plp_with_executor(
         // and the survivors are summed in bucket order as they arrive, so
         // a delta lives only until it has been added.
         // The local_sgd span is published as the trace *scope* so the
-        // executor — in process or a coordinator — can parent its spans
-        // under it: the step_seed is drawn after sampling, so an executor
-        // could not re-derive this step's trace id on its own.
+        // executor can parent its bucket spans under it: the step_seed is
+        // drawn after sampling, so an executor could not re-derive this
+        // step's trace id on its own.
         let step_seed: u64 = rng.random();
         let t_local = phases
             .start(phase::LOCAL_SGD, in_step, step)
@@ -2311,8 +2257,8 @@ mod tests {
     }
 
     /// An executor whose every step replies with one bucket holding
-    /// `delta`, whatever it was asked: what a fed worker on the far side
-    /// of a pipe could send.
+    /// `delta`, whatever it was asked: an update the loop did not compute
+    /// and must not trust.
     struct Replies(RowDelta);
 
     impl BucketExecutor for Replies {
@@ -2336,21 +2282,31 @@ mod tests {
 
     #[test]
     fn a_reply_that_does_not_fit_the_model_ends_the_run_typed() {
+        use plp_model::params::ParamsViewMut;
         use plp_model::ModelError;
         let data = tiny_dataset(8);
         let hp = fast_hp();
         let (vocab, dim) = (data.vocab_size, hp.embedding_dim);
+        // The delta of a `vocab × dim` model whose listed rows moved by 0.5.
+        let delta = |vocab: usize, dim: usize, embedding: &[usize], context: &[usize]| {
+            let base = ModelParams::zeros(vocab, dim);
+            let mut journal = RowJournal::new();
+            let mut phi = CowParams::new(&base, &mut journal);
+            for &r in embedding {
+                phi.embedding_row_mut(r).fill(0.5);
+            }
+            for &r in context {
+                phi.context_row_mut(r).fill(0.5);
+            }
+            journal.take_delta(&base)
+        };
         // Each holds a row that fits before the one that does not, so a
         // sum that wrote before it checked would have something to show.
-        let mut past_vocab = RowDelta::default();
-        past_vocab.embedding.push_row(1, &vec![0.5; dim]).unwrap();
-        past_vocab
-            .embedding
-            .push_row(vocab, &vec![0.5; dim])
-            .unwrap();
-        let mut too_wide = RowDelta::default();
-        too_wide.embedding.push_row(1, &vec![0.5; dim]).unwrap();
-        too_wide.context.push_row(2, &vec![0.5; dim + 1]).unwrap();
+        let past_vocab = delta(vocab + 1, dim, &[1, vocab], &[]);
+        let too_wide = RowDelta {
+            context: delta(vocab, dim + 1, &[], &[2]).context,
+            ..delta(vocab, dim, &[1], &[])
+        };
         let run = |delta: RowDelta| {
             train_plp_with_executor(
                 7,

@@ -2,9 +2,8 @@
 //!
 //! Everything the workspace persists or ships as a blob — the serving
 //! bundle, the one model file (`plp-model::plps`), the training
-//! checkpoint (`plp-core::checkpoint`), the θ-blob of a federated round
-//! (`plp-fed::protocol`) and the dataset ([`crate::io`]) — is one image
-//! layout, built by [`encode`] and read by [`parse`]:
+//! checkpoint (`plp-core::checkpoint`) and the dataset ([`crate::io`]) —
+//! is one image layout, built by [`encode`] and read by [`parse`]:
 //!
 //! ```text
 //! offset   size  field
@@ -28,13 +27,12 @@
 //! so a mapped bundle opens in microseconds; whoever is about to trust the
 //! bodies runs [`Header::verify`] first.
 //!
-//! Two rules hold for every length read from untrusted bytes, here and in
-//! the federated pipe frames:
+//! Two rules hold for every length read from untrusted bytes:
 //!
 //! 1. **No unbounded allocation from a length prefix.** A garbled length
 //!    fails with an explicit oversize error *before* any allocation;
 //!    [`MAX_FRAME_BYTES`] is the single shared ceiling.
-//! 2. **Integrity before trust.** Bytes that cross a process boundary are
+//! 2. **Integrity before trust.** Bytes read back from storage are
 //!    covered by a [`crc32`] checked before any field is decoded.
 
 use std::fmt;
@@ -55,19 +53,19 @@ pub const MAX_FRAME_BYTES: usize = 1 << 30;
 /// Returns the length as `usize` when acceptable; `None` when the claim
 /// exceeds the ceiling (or does not fit in `usize`). Callers convert
 /// `None` into their own typed error naming the decoder.
-pub fn checked_frame_len(claimed: u64) -> Option<usize> {
+fn checked_frame_len(claimed: u64) -> Option<usize> {
     let len = usize::try_from(claimed).ok()?;
     (len <= MAX_FRAME_BYTES).then_some(len)
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `data`.
 ///
-/// The one CRC of the workspace: artifact headers and section bodies and
-/// the federated IPC frames share this exact polynomial.
+/// The one CRC of the workspace: artifact headers and section bodies share
+/// this exact polynomial.
 ///
 /// Slice-by-8: eight bytes per step through eight 256-entry tables, where
 /// `CRC_TABLES[k][b]` is the register after byte `b` and `k` zero bytes.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     let mut words = data.chunks_exact(8);
     for w in &mut words {

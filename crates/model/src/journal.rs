@@ -28,8 +28,8 @@ use crate::params::{ModelParams, ParamsView, ParamsViewMut, Row, BIAS_CHUNK};
 /// ascending row order. Slot `s` lives at `values[s·dim .. (s+1)·dim]`;
 /// a slot the index does not name (a journalled row whose delta came out
 /// all-zero) is dead and holds zeros. Everything that consumes a delta —
-/// norms, the Gaussian sum, the federated codec — walks the index, so the
-/// row order a consumer sees never depends on the order rows were touched.
+/// clipping's norms, the Gaussian sum — walks the index, so the row order
+/// a consumer sees never depends on the order rows were touched.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaRows {
     dim: usize,
@@ -55,14 +55,14 @@ impl DeltaRows {
             .map(|&(r, s)| (r as usize, self.slot(s as usize)))
     }
 
-    /// Appends a row. This is how a delta is rebuilt from outside the
-    /// journal (the federated decoder), so it refuses anything that would
-    /// break the index instead of trusting its caller.
+    /// Appends a row: how the tests build a delta by hand. It refuses
+    /// anything that would break the index instead of trusting its caller.
     ///
     /// # Errors
     /// [`ModelError::ShapeMismatch`] unless `row` is above every stored row
     /// and `values` is non-empty and as wide as the arena's rows;
     /// [`ModelError::TokenOutOfRange`] if `row` does not fit the index.
+    #[cfg(test)]
     pub fn push_row(&mut self, row: usize, values: &[f64]) -> Result<(), ModelError> {
         let Ok(r) = u32::try_from(row) else {
             return Err(ModelError::TokenOutOfRange {
@@ -163,8 +163,8 @@ impl PartialEq for DeltaRows {
 /// One bucket's model delta `Φ − θ_t`, row-sparse, with the same logical
 /// shape as [`ModelParams`] (the bias vector is a tensor of 1-wide rows).
 ///
-/// Produced by [`RowJournal::take_delta`] — the journal's own arenas,
-/// handed out — or rebuilt row by row with [`DeltaRows::push_row`].
+/// Produced by [`RowJournal::take_delta`]: the journal's own arenas,
+/// handed out.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowDelta {
     /// Touched rows of the embedding matrix `W`.

@@ -25,8 +25,7 @@
 //! * [`plps`] — model artifacts over the one PLPS container
 //!   (`plp_data::frame`): the mmap-able embedding-only deployment bundle of
 //!   §3.3 for zero-copy serving and hot-swap publishing (also what the
-//!   CLI's `train --out` saves), and the tensor sections of checkpoints
-//!   and federated θ-blobs.
+//!   CLI's `train --out` saves), and the tensor sections of checkpoints.
 
 pub mod clip;
 pub mod error;

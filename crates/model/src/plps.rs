@@ -1,7 +1,6 @@
 //! Model artifacts over the PLPS container: the serving bundle of §3.3
 //! (the one model file: what `dp-nextloc train --out` writes and a
-//! generation watcher loads), and the tensor sections of checkpoints and
-//! federated θ-blobs.
+//! generation watcher loads), and the tensor sections of checkpoints.
 //!
 //! The byte layout, its checksums and the atomic writer live in
 //! [`plp_data::frame`]; this module adds what is particular to tensors. A
@@ -98,8 +97,7 @@ impl PlpsSnapshot {
         Self::from_bytes(bytes)
     }
 
-    /// Opens an in-memory image (a federated θ-blob, a checkpoint read for
-    /// resume).
+    /// Opens an in-memory image (a checkpoint read for resume).
     ///
     /// # Errors
     /// [`ModelError::Snapshot`] on a malformed header.
@@ -146,7 +144,7 @@ impl PlpsSnapshot {
         Ok(self.header.verify(self.source.bytes())?)
     }
 
-    /// Full validation of an all-tensor image (bundle or θ-blob): body
+    /// Full validation of an all-tensor image (bundle or parameter triple): body
     /// CRCs plus a finiteness sweep over every section. This
     /// is what stands between an untrusted `gen-*.plps` file and live
     /// traffic.
@@ -219,15 +217,6 @@ impl PlpsSnapshot {
             context,
             bias: bias.as_slice().to_vec(),
         })
-    }
-
-    /// The model parameters θ of an image whose sections are
-    /// [`param_sections`] at [`KIND_EMBEDDING`] (a federated θ-blob).
-    ///
-    /// # Errors
-    /// As [`Self::params_at`].
-    pub fn params(&self) -> Result<ModelParams, ModelError> {
-        self.params_at(KIND_EMBEDDING)
     }
 
     /// The body of a non-tensor section as `u64` words, `cols` to a row.
@@ -359,7 +348,7 @@ mod tests {
         let image = frame::encode(&param_sections(&p, KIND_EMBEDDING), 7, 0);
         let snap = PlpsSnapshot::from_bytes(image).unwrap();
         snap.validate().unwrap();
-        assert_eq!(snap.params().unwrap(), p);
+        assert_eq!(snap.params_at(KIND_EMBEDDING).unwrap(), p);
         // A θ image is not a deployment bundle.
         assert!(matches!(
             snap.recommender().unwrap_err(),

@@ -54,8 +54,8 @@ struct ObserverCore {
     /// Attached post-construction by [`Observer::attach_tracer`]; shared
     /// by every clone, like the registry.
     tracer: Mutex<Option<Arc<Tracer>>>,
-    /// The trace context the *current* unit of work (train step, fed
-    /// round) runs under — set by the driving loop, read by executors so
+    /// The trace context the *current* unit of work (a train step) runs
+    /// under — set by the driving loop, read by executors so
     /// their spans parent correctly without threading context through
     /// every call signature.
     trace_scope: Mutex<Option<TraceContext>>,
@@ -123,7 +123,7 @@ impl Observer {
     ///
     /// Instrumented code picks the tracer up when it resolves its
     /// [`PhaseSet`] — a training run at its start, a serving engine at
-    /// construction, a federated executor each round — so a tracer
+    /// construction — so a tracer
     /// attached (or replaced) later takes effect at the next resolution,
     /// never in the middle of one.
     pub fn attach_tracer(&self, cfg: TraceConfig) -> Option<Arc<Tracer>> {
@@ -141,8 +141,8 @@ impl Observer {
             .and_then(|c| c.tracer.lock().ok().and_then(|t| t.clone()))
     }
 
-    /// Publishes the trace context the current unit of work (train
-    /// step, fed round) runs under; executors read it with
+    /// Publishes the trace context the current unit of work (a train
+    /// step) runs under; executors read it with
     /// [`Observer::trace_scope`] to parent their spans without context
     /// threading through every call signature. No-op when disabled.
     pub fn set_trace_scope(&self, ctx: Option<TraceContext>) {

@@ -1,7 +1,6 @@
 //! The one phase timer.
 //!
-//! Training, serving and federated rounds are fixed pipelines of named
-//! phases. A phase is timed **once**: a [`PhaseGuard`] reads the clock
+//! Training and serving are fixed pipelines of named phases. A phase is timed **once**: a [`PhaseGuard`] reads the clock
 //! when it is opened and when it is dropped, and that single interval
 //! feeds both stores — milliseconds into the phase's histogram series
 //! (`family{phase="name"}`, if the phase declares one) and a span named
@@ -194,9 +193,8 @@ impl PhaseGuard<'_> {
         self
     }
 
-    /// The context children of this phase open their guards under, and
-    /// what crosses a process boundary: this span's trace id with this
-    /// span as parent. `None` when no span is being recorded, so children
+    /// The context children of this phase open their guards under: this
+    /// span's trace id with this span as parent. `None` when no span is being recorded, so children
     /// record none either.
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {

@@ -1,11 +1,10 @@
-//! Deterministic cross-process tracing and the flight recorder.
+//! Deterministic tracing and the flight recorder.
 //!
-//! The coordinator/worker substrate (plp-fed) and the batched ANN
-//! serving pipeline both span several processes and several pipeline
-//! stages; flat per-process counters cannot follow one federated round
-//! across the pipe or attribute a slow query to its probe/re-rank
-//! stage. This module adds spans without giving up the workspace's
-//! bit-identity contract:
+//! Training and the batched ANN serving pipeline are fixed pipelines of
+//! named stages; flat counters cannot follow one training step through its
+//! buckets or attribute a slow query to its probe/re-rank stage. This
+//! module adds spans without giving up the workspace's bit-identity
+//! contract:
 //!
 //! * **Deterministic IDs.** Trace and span ids are pure functions of
 //!   quantities the run already determines — `(run_seed, step)` for
@@ -19,14 +18,13 @@
 //!   block: a slot is claimed with an atomic ticket and written through
 //!   `Mutex::try_lock`; the only possible contention (a dump reading the
 //!   slot, or a writer a full lap ahead) drops the record and counts it
-//!   instead of waiting. On fault events — worker drop, straggler
-//!   deadline, `Diverged` stop, injected worker exit — the recorder dumps to
-//!   JSONL so the seconds before the fault are reconstructable.
-//! * **Perfetto export.** [`stitch_chrome_trace`] merges the JSONL dumps
-//!   of the coordinator and its workers into a single Chrome-trace-event
-//!   JSON (loadable in Perfetto / `chrome://tracing`), re-parenting
-//!   worker spans under the coordinator spans whose deterministic ids
-//!   they carry and aligning each worker's clock to its parent span.
+//!   instead of waiting. On a fault event — a `Diverged` stop — the
+//!   recorder dumps to JSONL so the seconds before the fault are
+//!   reconstructable.
+//! * **Perfetto export.** [`stitch_chrome_trace`] merges one or more
+//!   JSONL dumps into a single Chrome-trace-event JSON (loadable in
+//!   Perfetto / `chrome://tracing`), each dump's clock aligned to the
+//!   first's on their minimum timestamps.
 //!
 //! Timestamps are microseconds since the per-process [`Tracer`] epoch;
 //! they are *display* data only and never feed back into training or
@@ -43,15 +41,13 @@ use serde_json::Value;
 
 /// Domain constant separating per-step training traces.
 pub const DOMAIN_TRAIN_STEP: u64 = 0x706c_705f_7374_6570; // "plp_step"
-/// Domain constant separating federated-round traces (standalone
-/// executor use; under the trainer the step trace id is inherited).
-pub const DOMAIN_FED_ROUND: u64 = 0x706c_705f_726f_756e; // "plp_roun"
 /// Domain constant separating per-query serving traces.
 pub const DOMAIN_SERVE_QUERY: u64 = 0x706c_705f_7175_6572; // "plp_quer"
 
 /// SplitMix64 finalizer — the same mixing function as
 /// `plp_linalg::sample::mix64` (duplicated here so `plp-obs` stays
-/// dependency-light; pinned equal by a cross-crate test in `plp-fed`).
+/// dependency-light; pinned equal by `tests/artifacts.rs` at the
+/// workspace root).
 #[must_use]
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -113,42 +109,14 @@ pub fn parse_hex_id(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
-/// The parent/child context propagated across the fed process boundary
-/// (16 little-endian bytes in the frame header: trace id then parent
-/// span id).
+/// The context a span's children open their spans under: the trace they
+/// all belong to and the span they parent under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
-    /// The trace every span on both sides of the pipe belongs to.
+    /// The trace every span of the unit of work belongs to.
     pub trace_id: u64,
-    /// The sender-side span the receiver parents its spans under.
+    /// The span the children parent under.
     pub parent_span: u64,
-}
-
-impl TraceContext {
-    /// Wire size of an encoded context.
-    pub const WIRE_BYTES: usize = 16;
-
-    /// Encodes as 16 little-endian bytes.
-    #[must_use]
-    pub fn to_bytes(self) -> [u8; Self::WIRE_BYTES] {
-        let mut out = [0u8; Self::WIRE_BYTES];
-        out[..8].copy_from_slice(&self.trace_id.to_le_bytes());
-        out[8..].copy_from_slice(&self.parent_span.to_le_bytes());
-        out
-    }
-
-    /// Decodes from the 16-byte wire form.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8; Self::WIRE_BYTES]) -> Self {
-        let mut a = [0u8; 8];
-        let mut b = [0u8; 8];
-        a.copy_from_slice(&bytes[..8]);
-        b.copy_from_slice(&bytes[8..]);
-        TraceContext {
-            trace_id: u64::from_le_bytes(a),
-            parent_span: u64::from_le_bytes(b),
-        }
-    }
 }
 
 /// What a [`SpanRecord`] represents.
@@ -178,9 +146,9 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id; 0 = root.
     pub parent_id: u64,
-    /// Span name (static: "fed_round", "local_sgd", …).
+    /// Span name (static: "step", "local_sgd", …).
     pub name: &'static str,
-    /// Category ("train", "fed", "serve") — becomes the Chrome `cat`.
+    /// Category ("train", "serve") — becomes the Chrome `cat`.
     pub cat: &'static str,
     /// Span vs instant.
     pub kind: RecordKind,
@@ -270,8 +238,8 @@ const RECORDER_CAPACITY: usize = 4096;
 /// Configuration for a per-process [`Tracer`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Process label in dumps and the stitched trace ("coordinator",
-    /// "worker", "serve", …).
+    /// Process label in dumps and the stitched trace ("train", "serve",
+    /// …).
     pub process: String,
     /// Where [`Tracer::dump_on_fault`] writes, if anywhere.
     pub dump_path: Option<PathBuf>,
@@ -362,12 +330,6 @@ impl Tracer {
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         self.recorder.snapshot()
-    }
-
-    /// The configured fault-dump path.
-    #[must_use]
-    pub fn dump_path(&self) -> Option<&Path> {
-        self.dump_path.as_deref()
     }
 
     /// Fault dumps attempted so far.
@@ -478,7 +440,8 @@ pub struct TraceDump {
     /// Records in recording order.
     pub records: Vec<DumpRecord>,
     /// Lines skipped because they did not parse (a torn final line from
-    /// a killed process is expected and tolerated).
+    /// a killed process is expected and tolerated) or held a record whose
+    /// end, `ts_us + dur_us`, does not fit in `i64`.
     pub skipped_lines: usize,
 }
 
@@ -508,7 +471,9 @@ fn get_id(obj: &serde::Map, key: &str) -> Option<u64> {
 ///
 /// Unparseable or incomplete lines are skipped and counted
 /// ([`TraceDump::skipped_lines`]) — the dump may have been written by a
-/// process killed mid-write.
+/// process killed mid-write — and so is a record whose end,
+/// `ts_us + dur_us`, does not fit in `i64`: a dump is a file from outside
+/// the program, and no clock this process keeps gets that far.
 ///
 /// # Errors
 /// If the first line is not a valid `"record":"meta"` header (the dump
@@ -555,6 +520,10 @@ fn parse_record(value: &Value) -> Option<DumpRecord> {
         "instant" => RecordKind::Instant,
         _ => return None,
     };
+    let ts_us = get_u64(obj, "ts_us")?;
+    let dur_us = get_u64(obj, "dur_us")?;
+    // The record must end within `i64` (see `parse_dump_jsonl`).
+    i64::try_from(ts_us.checked_add(dur_us)?).ok()?;
     let mut args = Vec::new();
     if let Some(Value::Object(map)) = obj.get("args") {
         for (k, v) in map.iter() {
@@ -572,43 +541,21 @@ fn parse_record(value: &Value) -> Option<DumpRecord> {
         trace_id: get_id(obj, "trace_id")?,
         span_id: get_id(obj, "span_id")?,
         parent_id: get_id(obj, "parent_id")?,
-        ts_us: get_u64(obj, "ts_us")?,
-        dur_us: get_u64(obj, "dur_us")?,
+        ts_us,
+        dur_us,
         args,
     })
 }
 
-/// Loads the dumps a stitch takes, anchor first. A single directory
-/// expands to its `trace_coordinator.jsonl` followed by every
-/// `trace_worker_*.jsonl` in file-name order (the order a directory
-/// listing comes back in is the filesystem's business); any other input
-/// is a list of dump files, the first being the anchor.
+/// Loads the dumps a stitch takes, in the order given; the first is the
+/// clock anchor.
 ///
 /// # Errors
-/// A message naming the path when a file cannot be read, a dump has no
-/// usable meta line, or a directory holds no dump at all.
-pub fn load_dumps<P: AsRef<Path>>(inputs: &[P]) -> Result<Vec<TraceDump>, String> {
-    let files: Vec<PathBuf> = match inputs {
-        [dir] if dir.as_ref().is_dir() => {
-            let dir = dir.as_ref();
-            let listing = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-            let mut names: Vec<String> = listing
-                .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-                .filter(|n| {
-                    n == "trace_coordinator.jsonl"
-                        || (n.starts_with("trace_worker_") && n.ends_with(".jsonl"))
-                })
-                .collect();
-            if names.is_empty() {
-                return Err(format!("{}: no trace_*.jsonl dumps found", dir.display()));
-            }
-            // `trace_coordinator` sorts before every `trace_worker_*`.
-            names.sort();
-            names.into_iter().map(|n| dir.join(n)).collect()
-        }
-        files => files.iter().map(|f| f.as_ref().to_path_buf()).collect(),
-    };
-    let load = |path: &PathBuf| {
+/// A message naming the path when a file cannot be read or a dump has no
+/// usable meta line.
+pub fn load_dumps<P: AsRef<Path>>(files: &[P]) -> Result<Vec<TraceDump>, String> {
+    let load = |path: &P| {
+        let path = path.as_ref();
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         parse_dump_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -620,51 +567,17 @@ pub fn load_dumps<P: AsRef<Path>>(inputs: &[P]) -> Result<Vec<TraceDump>, String
 /// JSON string (an object with a `traceEvents` array — loadable in
 /// Perfetto and `chrome://tracing`).
 ///
-/// `dumps[0]` is the clock anchor (by convention the coordinator). Every
-/// other process's timestamps are offset so that its earliest span whose
-/// `parent_id` lives in the anchor process starts where that parent
-/// starts; processes with no cross-process parent are aligned on minimum
-/// timestamps. Cross-process parent/child edges additionally get Chrome
-/// flow events (`ph: "s"` / `"f"`) keyed by the deterministic span id,
-/// so Perfetto draws the arrow across the pipe.
+/// `dumps[0]` is the clock anchor: every dump's timestamps are shifted so
+/// that its earliest record starts where the anchor's earliest does, and
+/// the gaps within a dump are kept. A parsed record ends within `i64`
+/// ([`parse_dump_jsonl`]), so a shifted start never exceeds `u64`.
 #[must_use]
 pub fn stitch_chrome_trace(dumps: &[TraceDump]) -> String {
-    // Span ids owned by the anchor process, with their start times.
-    let anchor_spans: std::collections::BTreeMap<u64, u64> = dumps
-        .first()
-        .map(|d| {
-            d.records
-                .iter()
-                .filter(|r| r.span_id != 0)
-                .map(|r| (r.span_id, r.ts_us))
-                .collect()
-        })
-        .unwrap_or_default();
-    let anchor_min = dumps
-        .first()
-        .and_then(|d| d.records.iter().map(|r| r.ts_us).min())
-        .unwrap_or(0);
+    let min_ts = |d: &TraceDump| d.records.iter().map(|r| r.ts_us).min().unwrap_or(0);
+    let anchor_min = dumps.first().map_or(0, min_ts);
 
     let mut events: Vec<Value> = Vec::new();
-    let mut offsets: Vec<i64> = Vec::with_capacity(dumps.len());
     for (i, dump) in dumps.iter().enumerate() {
-        let offset = if i == 0 {
-            0
-        } else {
-            let linked = dump
-                .records
-                .iter()
-                .filter_map(|r| anchor_spans.get(&r.parent_id).map(|p| (*p, r.ts_us)))
-                .min_by_key(|(_, child_ts)| *child_ts);
-            match linked {
-                Some((parent_ts, child_ts)) => parent_ts as i64 - child_ts as i64,
-                None => {
-                    let child_min = dump.records.iter().map(|r| r.ts_us).min().unwrap_or(0);
-                    anchor_min as i64 - child_min as i64
-                }
-            }
-        };
-        offsets.push(offset);
         events.push(serde_json::json!({
             "ph": "M",
             "name": "process_name",
@@ -681,9 +594,10 @@ pub fn stitch_chrome_trace(dumps: &[TraceDump]) -> String {
         }));
     }
 
-    for (dump, offset) in dumps.iter().zip(&offsets) {
+    for dump in dumps {
+        let dump_min = min_ts(dump);
         for rec in &dump.records {
-            let ts = (rec.ts_us as i64 + offset).max(0) as u64;
+            let ts = anchor_min + (rec.ts_us - dump_min);
             let mut args = serde::Map::new();
             args.insert("trace_id".to_string(), Value::Str(hex_id(rec.trace_id)));
             args.insert("span_id".to_string(), Value::Str(hex_id(rec.span_id)));
@@ -712,32 +626,6 @@ pub fn stitch_chrome_trace(dumps: &[TraceDump]) -> String {
                     "ts": ts,
                     "args": Value::Object(args),
                 })),
-            }
-            // Cross-process parent edge → flow arrow from the anchor's
-            // parent span to this record's start.
-            if dump.pid != dumps[0].pid {
-                if let Some(parent_ts) = anchor_spans.get(&rec.parent_id) {
-                    let id = hex_id(rec.parent_id);
-                    events.push(serde_json::json!({
-                        "ph": "s",
-                        "id": id,
-                        "name": "fed_pipe",
-                        "cat": "flow",
-                        "pid": dumps[0].pid,
-                        "tid": 1,
-                        "ts": *parent_ts,
-                    }));
-                    events.push(serde_json::json!({
-                        "ph": "f",
-                        "bp": "e",
-                        "id": hex_id(rec.parent_id),
-                        "name": "fed_pipe",
-                        "cat": "flow",
-                        "pid": dump.pid,
-                        "tid": 1,
-                        "ts": ts,
-                    }));
-                }
             }
         }
     }
@@ -777,15 +665,6 @@ mod tests {
         }
         assert_eq!(parse_hex_id("xyz"), None);
         assert_eq!(parse_hex_id("123"), None, "ids are fixed-width");
-    }
-
-    #[test]
-    fn trace_context_round_trips_through_wire_bytes() {
-        let ctx = TraceContext {
-            trace_id: 0x0123_4567_89ab_cdef,
-            parent_span: u64::MAX,
-        };
-        assert_eq!(TraceContext::from_bytes(&ctx.to_bytes()), ctx);
     }
 
     fn rec(name: &'static str, ts: u64) -> SpanRecord {
@@ -843,17 +722,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump_roundtrip.jsonl");
 
-        let tracer = Tracer::new(TraceConfig::named("coordinator").dump_to(path.clone()));
-        let tid = derive_trace_id(9, DOMAIN_FED_ROUND, 1);
+        let tracer = Tracer::new(TraceConfig::named("train").dump_to(path.clone()));
+        let tid = derive_trace_id(9, DOMAIN_TRAIN_STEP, 1);
         tracer.recorder.record(SpanRecord {
             trace_id: tid,
-            span_id: derive_span_id(tid, "fed_round", 1),
-            name: "fed_round",
-            cat: "fed",
+            span_id: derive_span_id(tid, "step", 1),
+            name: "step",
+            cat: "train",
             args: [("step", 1), ("", 0)],
             ..rec("", 10)
         });
-        tracer.instant("fed_straggler", "fed", tid, 0, [("slot", 2), ("", 0)]);
+        tracer.instant("skipped", "train", tid, 0, [("bucket", 2), ("", 0)]);
         tracer.dump_on_fault("test_fault");
         assert_eq!(tracer.fault_dumps(), 1);
 
@@ -869,131 +748,101 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let dump = parse_dump_jsonl(&text).unwrap();
-        assert_eq!(dump.process, "coordinator");
+        assert_eq!(dump.process, "train");
         assert_eq!(dump.reason, "test_fault");
         assert_eq!(dump.skipped_lines, 1, "torn line skipped, not fatal");
         assert_eq!(dump.records.len(), 2);
-        assert_eq!(dump.records[0].name, "fed_round");
+        assert_eq!(dump.records[0].name, "step");
         assert_eq!(dump.records[0].args, vec![("step".to_string(), 1)]);
         assert_eq!(dump.records[0].trace_id, tid);
         assert_eq!(dump.records[1].kind, RecordKind::Instant);
-        assert_eq!(dump.records[1].name, "fed_straggler");
+        assert_eq!(dump.records[1].name, "skipped");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn stitch_aligns_worker_clock_and_emits_flow_edges() {
-        let tid = derive_trace_id(5, DOMAIN_FED_ROUND, 2);
-        let parent = derive_span_id(tid, "fed_send", 0);
-        let coord = TraceDump {
-            process: "coordinator".into(),
-            pid: 100,
-            reason: "drill".into(),
-            records: vec![DumpRecord {
-                kind: RecordKind::Span,
-                name: "fed_send".into(),
-                cat: "fed".into(),
-                trace_id: tid,
-                span_id: parent,
-                parent_id: 0,
-                ts_us: 1000,
-                dur_us: 50,
-                args: vec![],
-            }],
-            skipped_lines: 0,
-        };
-        let worker = TraceDump {
-            process: "worker".into(),
-            pid: 200,
-            reason: "exit".into(),
-            records: vec![DumpRecord {
-                kind: RecordKind::Span,
-                name: "fed_worker_round".into(),
-                cat: "fed".into(),
-                trace_id: tid,
-                span_id: derive_span_id(tid, "fed_worker_round", 0),
-                parent_id: parent,
-                ts_us: 77, // worker epoch differs wildly from coordinator's
-                dur_us: 30,
-                args: vec![("step".into(), 2)],
-            }],
-            skipped_lines: 0,
-        };
-        let stitched = stitch_chrome_trace(&[coord, worker]);
-        let value: Value = serde_json::from_str(&stitched).unwrap();
-        let obj = value.as_object().unwrap();
-        let Some(Value::Array(events)) = obj.get("traceEvents") else {
+    /// The JSONL text of a dump of `process` holding one span per
+    /// `(ts_us, dur_us)`.
+    fn dump_text(process: &str, spans: &[(u64, u64)]) -> String {
+        let meta = serde_json::json!({
+            "record": "meta",
+            "process": process,
+            "pid": 1,
+            "reason": "test",
+        });
+        let mut text = format!("{meta}\n");
+        for (i, &(ts_us, dur_us)) in spans.iter().enumerate() {
+            let span = SpanRecord {
+                span_id: 100 + i as u64,
+                ts_us,
+                dur_us,
+                ..rec("s", 0)
+            };
+            text.push_str(&format!("{}\n", record_json(1, process, &span)));
+        }
+        text
+    }
+
+    /// The `(pid, ts)` of every event of a stitched trace but the metas, in
+    /// order.
+    fn span_starts(stitched: &str) -> Vec<(u64, u64)> {
+        let value: Value = serde_json::from_str(stitched).unwrap();
+        let Some(Value::Array(events)) = value.as_object().unwrap().get("traceEvents") else {
             panic!("traceEvents missing: {stitched}");
         };
-        // Two process_name + two sort_index metas, two X spans, one s/f
-        // flow pair.
-        assert_eq!(events.len(), 8, "{stitched}");
-        let mut saw_flow_start = false;
-        let mut saw_flow_finish = false;
-        for ev in events {
-            let ev = ev.as_object().unwrap();
-            match ev.get("ph") {
-                Some(Value::Str(ph))
-                    if ph == "X" && get_str(ev, "name").as_deref() == Some("fed_worker_round") =>
-                {
-                    // Worker clock aligned to the parent span start.
-                    assert_eq!(get_u64(ev, "ts"), Some(1000), "{stitched}");
-                    assert_eq!(get_u64(ev, "pid"), Some(200));
-                }
-                Some(Value::Str(ph)) if ph == "s" => saw_flow_start = true,
-                Some(Value::Str(ph)) if ph == "f" => saw_flow_finish = true,
-                _ => {}
-            }
-        }
-        assert!(saw_flow_start && saw_flow_finish, "{stitched}");
+        events
+            .iter()
+            .map(|ev| ev.as_object().unwrap())
+            .filter(|ev| get_str(ev, "ph").as_deref() != Some("M"))
+            .map(|ev| (get_u64(ev, "pid").unwrap(), get_u64(ev, "ts").unwrap()))
+            .collect()
     }
 
     #[test]
-    fn stitch_without_cross_links_aligns_minimums() {
-        let mk = |process: &str, pid: u64, ts: u64| TraceDump {
-            process: process.into(),
+    fn stitch_aligns_every_dump_on_its_minimum() {
+        let dump = |process: &str, pid: u64, spans: &[(u64, u64)]| TraceDump {
             pid,
-            reason: String::new(),
-            records: vec![DumpRecord {
-                kind: RecordKind::Span,
-                name: "solo".into(),
-                cat: "t".into(),
-                trace_id: 1,
-                span_id: 2,
-                parent_id: 0,
-                ts_us: ts,
-                dur_us: 1,
-                args: vec![],
-            }],
-            skipped_lines: 0,
+            ..parse_dump_jsonl(&dump_text(process, spans)).unwrap()
         };
-        let stitched = stitch_chrome_trace(&[mk("a", 1, 500), mk("b", 2, 9000)]);
-        let value: Value = serde_json::from_str(&stitched).unwrap();
-        let Some(Value::Array(events)) = value.as_object().unwrap().get("traceEvents") else {
-            panic!();
-        };
-        for ev in events {
-            let ev = ev.as_object().unwrap();
-            if let Some(Value::Str(ph)) = ev.get("ph") {
-                if ph == "X" {
-                    assert_eq!(get_u64(ev, "ts"), Some(500), "min-aligned");
-                }
-            }
-        }
+        let stitched = stitch_chrome_trace(&[
+            dump("a", 1, &[(500, 1), (520, 1)]),
+            dump("b", 2, &[(9000, 1), (9003, 1)]),
+            dump("c", 3, &[(40, 1)]),
+        ]);
+        // The anchor keeps its clock; every other dump starts where it
+        // does and keeps its own gaps. Besides the metas there are the five
+        // spans and nothing else.
+        assert_eq!(
+            span_starts(&stitched),
+            [(1, 500), (1, 520), (2, 500), (2, 503), (3, 500)]
+        );
     }
 
     #[test]
-    fn load_dumps_puts_the_coordinator_first_and_sorts_the_workers() {
+    fn a_record_that_ends_past_i64_is_skipped_and_the_stitch_cannot_overflow() {
+        let top = i64::MAX as u64;
+        let parse = |spans: &[(u64, u64)]| parse_dump_jsonl(&dump_text("d", spans)).unwrap();
+        let late = parse(&[(top, 0), (top - 5, 5), (top, 1)]);
+        assert_eq!(late.skipped_lines, 1, "2^63 − 1 + 1 is past i64");
+        assert_eq!(late.records.len(), 2);
+        let past = parse(&[(top + 1, 0), (u64::MAX, 1)]);
+        assert_eq!(past.skipped_lines, 2);
+        assert!(past.records.is_empty());
+        let early = parse(&[(0, 3), (top, 0)]);
+        assert_eq!(early.skipped_lines, 0);
+        // Minima 2^63 − 6 and 0: the widest shifts either way.
+        let stitched = stitch_chrome_trace(&[late.clone(), past, early.clone()]);
+        let want = [(1, top), (1, top - 5), (1, top - 5), (1, 2 * top - 5)];
+        assert_eq!(span_starts(&stitched), want);
+        let stitched = stitch_chrome_trace(&[early, late]);
+        assert_eq!(span_starts(&stitched), [(1, 0), (1, top), (1, 5), (1, 0)]);
+    }
+
+    #[test]
+    fn load_dumps_keeps_the_order_given_and_names_what_it_cannot_use() {
         let dir = std::env::temp_dir().join(format!("plp_trace_load_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(load_dumps(&[&dir]).unwrap_err().contains("no trace_"));
-        for (file, process) in [
-            ("trace_worker_9.jsonl", "w9"),
-            ("trace_coordinator.jsonl", "coordinator"),
-            ("trace_worker_10.jsonl", "w10"),
-            ("unrelated.jsonl", "other"),
-        ] {
+        for (file, process) in [("b.jsonl", "b"), ("a.jsonl", "a")] {
             Tracer::new(TraceConfig::named(process))
                 .dump_to(&dir.join(file), "test")
                 .unwrap();
@@ -1001,20 +850,16 @@ mod tests {
         let order = |dumps: Vec<TraceDump>| -> Vec<String> {
             dumps.into_iter().map(|d| d.process).collect()
         };
-        // File-name order, whatever order the directory lists them in.
-        let from_dir = load_dumps(&[&dir]).unwrap();
-        assert_eq!(order(from_dir), ["coordinator", "w10", "w9"]);
-        // Explicit files keep the order given; the first is the anchor.
-        let files = [
-            dir.join("unrelated.jsonl"),
-            dir.join("trace_worker_9.jsonl"),
-        ];
-        assert_eq!(order(load_dumps(&files).unwrap()), ["other", "w9"]);
+        let files = [dir.join("b.jsonl"), dir.join("a.jsonl")];
+        assert_eq!(order(load_dumps(&files).unwrap()), ["b", "a"]);
 
-        std::fs::write(dir.join("trace_worker_11.jsonl"), "not a dump\n").unwrap();
-        let err = load_dumps(&[&dir]).unwrap_err();
-        assert!(err.contains("trace_worker_11.jsonl"), "{err}");
+        std::fs::write(dir.join("junk.jsonl"), "not a dump\n").unwrap();
+        let err = load_dumps(&[dir.join("a.jsonl"), dir.join("junk.jsonl")]).unwrap_err();
+        assert!(err.contains("junk.jsonl"), "{err}");
         let err = load_dumps(&[dir.join("absent.jsonl")]).unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
+        // A directory is not a dump.
+        let err = load_dumps(&[&dir]).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

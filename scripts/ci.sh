@@ -4,11 +4,11 @@
 # no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
 # (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
-# worker program) grep gates, build, the full test suite in the dev profile
+# training process) grep gates, build, the full test suite in the dev profile
 # and again in release mode (with the allocation counts of a warm bucket, of
 # an evaluation and of data preparation printed), every experiment of the `figures` table at bench
-# scale and a correctness smoke of the benchmark harness. The crash-safety,
-# hot-swap and federated fault tests run inside the test suite. This is the
+# scale and a correctness smoke of the benchmark harness. The crash-safety
+# and hot-swap fault tests run inside the test suite. This is the
 # only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
 # dependencies are vendored in compat/). Nothing here judges a timing:
 # every step is gated on its exit code.
@@ -40,8 +40,7 @@ echo "== threading gate (one fan-out, std threads only) =="
 # outside test modules only it and the training step's run-ahead reduction,
 # whose caller is the reducer rather than a worker, open a
 # `std::thread::scope`. Only the Cargo.toml edges the harness's lock file
-# pins may still name crossbeam or bytes (the fed wire is `Vec<u8>` and
-# slices).
+# pins may still name crossbeam or bytes.
 if git grep -nE 'crossbeam|\bbytes::' -- crates src ':!*Cargo.toml'; then
   echo "no source file under crates/ or src/ may name crossbeam or the bytes crate"
   exit 1
@@ -104,7 +103,7 @@ if [ "$draws" -ne 1 ]; then
   exit 1
 fi
 
-echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one worker program) =="
+echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one training process) =="
 # The trainer's checkpoint policy decides where a run starts and the loop
 # steps the very state a save encodes; a resume entry point, a caller-side
 # resume switch or a second state type means both are being forked again.
@@ -112,11 +111,14 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # make. The paper trains one configuration — a sampled softmax over uniform
 # negatives under DP-Adam — so a loss enum, a negative-sampler type, a
 # server-optimiser choice, Adam's β/ε knobs, the non-private trainer's
-# switches or the fed worker's argument list are alternatives coming back.
+# switches or a worker's argument list are alternatives coming back.
 # `train --out` writes the serving bundle, and the serving API keeps one
 # method per operation: a full-θ model file, an allocating twin, or a
 # single-query or test-only entry point is a second way back in.
-# `plp_fed_worker` is the one worker program, and the example computes the
+# Training runs in one process behind the trainer's executor seam: a
+# federated executor or its configuration, a bucket runner for another
+# process, a worker stall, exit or garbled-reply fault, or a trace domain
+# for rounds is the process fleet coming back. The example computes the
 # classical composition bounds it prints. Data preparation is one pass over
 # a flat table, `preprocess::prepare`: a session cutter, a tokeniser over a
 # copied dataset or a split of cloned datasets is a second path back in.
@@ -126,8 +128,8 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # (The bracketed last letters, as in
 # `ps | grep [n]ame`, keep a grep for these names over scripts/ from
 # finding this line.)
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the plp_fed_worker binary, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), or IvfIndex::build_reference (the IVF build's exact oracle)"
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]|FedExecuto[r]|FedConfi[g]|BucketRunne[r]|stall_worke[r]|exit_worke[r]|corrupt_reply_fram[e]|DOMAIN_FED_ROUN[D]' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the trainer's LocalExecutor in one process, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), or IvfIndex::build_reference (the IVF build's exact oracle)"
   exit 1
 fi
 

@@ -9,8 +9,8 @@
 //! * `evaluate`  — leave-one-out HR@k of a saved bundle on held-out users,
 //! * `recommend` — top-k next locations for a token sequence,
 //! * `budget`    — moments-accountant planning (steps afforded / ε of a plan),
-//! * `trace-stitch` — merge per-process flight-recorder dumps into one
-//!   Chrome/Perfetto trace.
+//! * `trace-stitch` — merge flight-recorder dumps into one Chrome/Perfetto
+//!   trace.
 //!
 //! Run `dp-nextloc <subcommand> --help` for flags.
 
@@ -91,7 +91,7 @@ USAGE:
                        [--holdout N]
   dp-nextloc recommend --model bundle.plps --recent 12,87,40 [--k 10]
   dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]
-  dp-nextloc trace-stitch --out stitched.json (TRACE_DIR | DUMP.jsonl...)
+  dp-nextloc trace-stitch --out stitched.json DUMP.jsonl...
   dp-nextloc <subcommand> --help";
 
 /// Minimal `--flag value` parser; every flag takes exactly one value and
@@ -353,11 +353,10 @@ fn cmd_budget(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `trace-stitch --out FILE (DIR | DUMP…)`: stitches flight-recorder dumps
-/// (`plp_obs::trace`) into one Chrome-trace JSON, the first dump anchoring
-/// the clock. A directory means its `trace_coordinator.jsonl`, then its
-/// `trace_worker_*.jsonl` in name order. Returns the exit code: 0
-/// stitched, 1 an unusable dump or an unwritable output, 2 misuse.
+/// `trace-stitch --out FILE DUMP…`: stitches flight-recorder dumps
+/// (`plp_obs::trace`) into one Chrome-trace JSON, each aligned to the
+/// first on their minimum timestamps. Returns the exit code: 0 stitched,
+/// 1 an unusable dump or an unwritable output, 2 misuse.
 fn trace_stitch(args: &[String]) -> u8 {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
@@ -579,31 +578,34 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
         let out = dir.join("stitched.json");
-        let (out_arg, dir_arg) = (out.to_str().unwrap(), dir.to_str().unwrap());
-
-        // Misuse: exit 2, nothing written.
-        assert_eq!(trace_stitch(&s(&[])), 2);
-        assert_eq!(trace_stitch(&s(&["--out", out_arg])), 2);
-        assert_eq!(trace_stitch(&s(&["--in", out_arg, dir_arg])), 2);
-        assert_eq!(trace_stitch(&s(&["--help"])), 0);
-        // No usable dump: exit 1.
-        assert_eq!(trace_stitch(&s(&["--out", out_arg, dir_arg])), 1);
-        let junk = dir.join("junk.jsonl");
-        std::fs::write(&junk, "not a dump\n").unwrap();
-        let junk_args = ["--out", out_arg, junk.to_str().unwrap()];
-        assert_eq!(trace_stitch(&s(&junk_args)), 1);
-        assert!(!out.exists());
-
-        // A directory of dumps: exit 0 and the library stitcher's bytes.
-        let coordinator = dir.join("trace_coordinator.jsonl");
-        let worker = dir.join("trace_worker_7.jsonl");
-        for (path, process) in [(&coordinator, "coordinator"), (&worker, "worker-7")] {
+        let (train, serve) = (dir.join("train.jsonl"), dir.join("serve.jsonl"));
+        for (path, process) in [(&train, "train"), (&serve, "serve")] {
             let tracer = Tracer::new(TraceConfig::named(process));
             tracer.instant("mark", "test", 1, 0, [("n", 1), ("", 0)]);
             tracer.dump_to(path, "test").unwrap();
         }
-        assert_eq!(trace_stitch(&s(&["--out", out_arg, dir_arg])), 0);
-        let dumps = load_dumps(&[&coordinator, &worker]).unwrap();
+        let [out_arg, train_arg, serve_arg, dir_arg] =
+            [&out, &train, &serve, &dir].map(|p| p.to_str().unwrap());
+
+        // Misuse: exit 2, nothing written.
+        assert_eq!(trace_stitch(&s(&[])), 2);
+        assert_eq!(trace_stitch(&s(&["--out", out_arg])), 2);
+        assert_eq!(trace_stitch(&s(&["--in", out_arg, train_arg])), 2);
+        assert_eq!(trace_stitch(&s(&["--help"])), 0);
+        // No usable dump: exit 1. A directory is not a dump.
+        assert_eq!(trace_stitch(&s(&["--out", out_arg, dir_arg])), 1);
+        let junk = dir.join("junk.jsonl");
+        std::fs::write(&junk, "not a dump\n").unwrap();
+        let junk_args = ["--out", out_arg, train_arg, junk.to_str().unwrap()];
+        assert_eq!(trace_stitch(&s(&junk_args)), 1);
+        assert!(!out.exists());
+
+        // Dump files: exit 0 and the library stitcher's bytes.
+        assert_eq!(
+            trace_stitch(&s(&["--out", out_arg, train_arg, serve_arg])),
+            0
+        );
+        let dumps = load_dumps(&[&train, &serve]).unwrap();
         let stitched = std::fs::read_to_string(&out).unwrap();
         assert_eq!(stitched, stitch_chrome_trace(&dumps));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,7 +1,7 @@
 //! The one corruption suite of the artifact container, run over every
 //! kind of image the workspace writes: serving bundle (also what
-//! `train --out` writes), the θ image a federated round carries,
-//! checkpoint and dataset. The byte-level
+//! `train --out` writes), the bare parameter triple a checkpoint's θ
+//! sections hold, checkpoint and dataset. The byte-level
 //! cases that need no artifact live beside the codec in
 //! `plp_data::frame`; here each damaged image goes through the loader its
 //! kind really uses, so the semantic checks behind the checksums are
@@ -71,7 +71,10 @@ fn open_bundle(image: Vec<u8>) -> Verdict {
 fn open_params(image: Vec<u8>) -> Verdict {
     let snapshot = PlpsSnapshot::from_bytes(image).map_err(model_refusal)?;
     snapshot.validate().map_err(model_refusal)?;
-    snapshot.params().map(drop).map_err(model_refusal)
+    snapshot
+        .params_at(KIND_EMBEDDING)
+        .map(drop)
+        .map_err(model_refusal)
 }
 
 fn open_checkpoint(image: Vec<u8>) -> Verdict {
@@ -156,7 +159,7 @@ fn kinds() -> &'static [Kind] {
         let bundle = written("bundle", |p| {
             plps::write_deployable(p, Recommender::new(&theta).embedding(), 3).unwrap();
         });
-        // The in-memory θ image of a federated round.
+        // θ's three tensor sections alone, as a checkpoint holds them.
         let full = frame::encode(&plps::param_sections(&theta, KIND_EMBEDDING), 0, 0);
         vec![
             ("bundle", bundle, open_bundle),
@@ -497,5 +500,17 @@ fn the_content_digest_and_the_span_domain_hash_are_one_fnv1a() {
     // the same function.
     for s in ["", "a", "foobar", "fed_round", "PLP λ=6"] {
         assert_eq!(fnv1a64(s.as_bytes()), plp_obs::trace::fnv1a64(s), "{s:?}");
+    }
+}
+
+#[test]
+fn obs_mix64_matches_linalg_mix64() {
+    // The same for the span ids' finalizer: trace ids follow the run's
+    // counter discipline only while it is the noise streams' `mix64`.
+    for x in [0u64, 1, 42, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+        assert_eq!(
+            plp_obs::trace::mix64(x),
+            dp_nextloc::linalg::sample::mix64(x)
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! The docs may cite performance only as `workload:metric` names that
 //! `BENCHMARK.json` declares, may not mention the retired bench reports
-//! and tools, the retired model / checkpoint formats or the per-figure
-//! binaries and their knobs, and DESIGN.md numbers its sections without a
-//! hole. Reads files only.
+//! and tools, the retired model / checkpoint formats, the per-figure
+//! binaries and their knobs or the retired federated crate and its worker
+//! binary, and DESIGN.md numbers its sections without a hole. Reads files only.
 
 use std::fs;
 use std::path::Path;
@@ -10,7 +10,7 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 14] = [
+const RETIRED: [&str; 16] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
@@ -26,6 +26,10 @@ const RETIRED: [&str; 14] = [
     "--bin fig1",
     "TTEST_EPS",
     "geoind",
+    "plp-fed",
+    // In two pieces, so that a search of the sources for the retired
+    // crate's name finds none.
+    concat!("plp_", "fed_worker"),
 ];
 
 /// The `name` strings of the objects in `manifest[key]`.

@@ -12,9 +12,9 @@ use dp_nextloc::data::grouping::{
 use dp_nextloc::linalg::ops;
 use dp_nextloc::model::clip::clip_per_layer;
 use dp_nextloc::model::grad::BatchGrad;
-use dp_nextloc::model::journal::RowDelta;
+use dp_nextloc::model::journal::{CowParams, RowJournal};
 use dp_nextloc::model::loss::forward_backward;
-use dp_nextloc::model::params::ModelParams;
+use dp_nextloc::model::params::{ModelParams, ParamsViewMut};
 use dp_nextloc::privacy::planner::epsilon_for_steps;
 use dp_nextloc::privacy::rdp::RdpCurve;
 
@@ -94,14 +94,19 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sampler = dp_nextloc::linalg::sample::NormalSampler::new();
-        let mut g = RowDelta::default();
+        // The delta of a zero model whose every row is set: the rows
+        // themselves.
+        let base = ModelParams::zeros(rows, 8);
+        let mut journal = RowJournal::new();
+        let mut phi = CowParams::new(&base, &mut journal);
         for r in 0..rows {
             let mut v: Vec<f64> = (0..8).map(|_| sampler.sample_scaled(&mut rng, scale)).collect();
-            g.embedding.push_row(r, &v).unwrap();
+            phi.embedding_row_mut(r).copy_from_slice(&v);
             v.iter_mut().for_each(|x| *x *= 0.5);
-            g.context.push_row(r, &v).unwrap();
-            g.bias.push_row(r, &[scale]).unwrap();
+            phi.context_row_mut(r).copy_from_slice(&v);
+            *phi.bias_at_mut(r) = scale;
         }
+        let mut g = journal.take_delta(&base);
         let before = g.tensor_norms();
         clip_per_layer(&mut g, clip).unwrap();
         let after = g.tensor_norms();
