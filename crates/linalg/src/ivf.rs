@@ -97,17 +97,27 @@
 //! row window nearly everything; k-means centroids are unit vectors, so
 //! theirs needs no scaling.
 //!
-//! # Lloyd passes after the first: the cone certificate
+//! # Candidates and the cone certificate
 //!
-//! From the second Lloyd pass on, a training row has a *candidate*: its
-//! cell `a` from the pass before, which is usually its cell again. One
-//! exact `S_a = dot_unchecked(row, c_a)` and the centroid Gram matrix then
-//! name every cell that could still score `≥ S_a`. Only those cells — the
-//! *cone*, `a` among them — are re-scored, with `S_a` reused for `a`, and
-//! the highest score wins, the lowest cell among equal scores: the full
-//! scan's rule, in whatever order the cone is walked. The final pass does
-//! the same for the training rows; the rows outside the training sample
-//! have no candidate and are filtered.
+//! Most rows come to an assignment pass with a *candidate* cell `a`, which
+//! is usually their cell. One exact `S_a = dot_unchecked(row, c_a)` and the
+//! centroid Gram matrix then name every cell that could still score
+//! `≥ S_a`. Only those cells — the *cone*, `a` among them — are re-scored,
+//! with `S_a` reused for `a`, and the highest score wins, the lowest cell
+//! among equal scores: the full scan's rule, in whatever order the cone is
+//! walked. The proof below holds for any `a`, so where a candidate comes
+//! from decides only how often the cone certifies, never a cell. There are
+//! two sources:
+//!
+//! * **hints** — from the second Lloyd pass on, a training row's cell from
+//!   the pass before; the final pass hands the training rows theirs;
+//! * **the descent** — every other row (all of the first pass's, and the
+//!   final pass's rows outside the training sample), from
+//!   [`DESCENT_MIN_CELLS`] cells on: the best of `cells/10` evenly strided
+//!   *pivot* cells, then the best of that pivot's `cells/10` largest Gram
+//!   entries, both by f32 dot products in free order. It costs about a
+//!   seventh of the filter, and with it the cone certifies 94 in 100 of a
+//!   clustered build's final-pass rows.
 //!
 //! **Why the cone holds the answer.** Write `x` for the row, `θ_j` for
 //! `∠(x, c_j)`, `θ_aj` for `∠(c_a, c_j)`, `C⁺ ≥ max_j‖c_j‖₂`, `X⁺ ≥ ‖x‖₂`,
@@ -156,15 +166,28 @@
 //! re-scoring it costs about what the filter does. Each cell keeps only the
 //! `limit + 1` largest entries of its Gram row, largest first, so the cone
 //! is a prefix of that list and entry `limit` alone says whether it is too
-//! wide — before any exact dot product beyond `S_a`. A build
-//! stops handing rows their candidates once a pass certified fewer than
-//! one hinted row in four — an unclustered embedding's cones span the cell
-//! set — so such a build pays for the attempt in one pass. Neither rule
-//! can change a cell: every row's answer is the full scan's either way.
-//! Both thresholds are set by measured cost (`CONE_MAX_SHARE`,
-//! `CONE_MIN_YIELD`). Each thread's contiguous chunk certifies what it
-//! can and filters the rest together, a block of rows at a time, so a
-//! pass is still one fan-out.
+//! wide — before any exact dot product beyond `S_a`. A build stops using
+//! a source of candidates — the hints, the descent — once a pass certified
+//! fewer than one of its candidates in four: an unclustered embedding's
+//! cones span the cell set, so such a build pays for each source's attempt
+//! in one pass. The two are judged apart because a first pass, whose
+//! centroids are sample rows, has wide cones even on clustered rows (on
+//! 10 000 city-shaped rows over 128 cells it certified 2 471 descents of
+//! 10 000, while every later pass's hints certified most rows). None of
+//! these rules can change a cell: every row's answer is the
+//! full scan's either way. The thresholds are set by measured cost
+//! (`CONE_MAX_SHARE`, `CONE_MIN_YIELD`, `DESCENT_MIN_CELLS`,
+//! `DESCENT_SHARE`). Each thread's contiguous chunk certifies what it can
+//! and filters the rest together, a block of rows at a time, so a pass is
+//! still one fan-out.
+//!
+//! # Threads
+//!
+//! Every fan-out of a build — the assignment passes, the Gram matrix, the
+//! centroid update (split by cells, so each sum keeps its row order) and
+//! [`IvfQuant::build`] (split by packed slot) — cuts its work with one
+//! helper into parts of at least 256 rows, so no thread count, however
+//! large, starts a thread per row, and no part costs less than its thread.
 
 use crate::error::LinalgError;
 use crate::matrix::{dot_tile_f32, Matrix, TILE_COLS, TILE_ROWS};
@@ -186,8 +209,10 @@ pub struct IvfBuildParams {
     pub sample: usize,
     /// Seed for the initial centroid choice (mixed through [`mix64`]).
     pub seed: u64,
-    /// Threads for the assignment passes. Any value produces the same
-    /// index bit-for-bit; this only changes build latency.
+    /// Threads for the assignment passes, the Gram matrix, the centroid
+    /// updates and the [`IvfQuant`] built over the index, each split into
+    /// parts of at least 256 rows. Any value produces the same index
+    /// bit-for-bit; this only changes build latency.
     pub threads: usize,
 }
 
@@ -233,8 +258,9 @@ impl IvfScratch {
 /// centroids plus, per cell, the ascending list of member row ids. The
 /// index does not own the embedding — searches take it as an argument and
 /// validate its shape, so one frozen matrix can back both the exhaustive
-/// and the indexed path.
-#[derive(Debug, Clone, PartialEq)]
+/// and the indexed path. Two indexes are equal when their centroids and
+/// lists are: the thread count a build ran on is not part of the index.
+#[derive(Debug, Clone)]
 pub struct IvfIndex {
     /// `cells × dim` unit-normalised centroids.
     centroids: Matrix,
@@ -242,6 +268,15 @@ pub struct IvfIndex {
     lists: Vec<Vec<u32>>,
     /// Row count of the matrix the index was built over.
     rows: usize,
+    /// [`IvfBuildParams::threads`] of the build, which [`IvfQuant::build`]
+    /// splits its rows across too.
+    threads: usize,
+}
+
+impl PartialEq for IvfIndex {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.centroids, &self.lists, self.rows) == (&other.centroids, &other.lists, other.rows)
+    }
 }
 
 impl IvfIndex {
@@ -270,25 +305,34 @@ impl IvfIndex {
         let mut centroids = initial_centroids(embedding, &train, params);
 
         // Lloyd iterations: threaded assignment (each row independent),
-        // sequential centroid update in ascending row order. From the
-        // second pass on, each row's cell from the pass before is its
-        // candidate for the cone certificate — until a pass in which the
-        // cone certified too few rows to pay for itself.
+        // centroid sums in ascending row order. From the second pass on,
+        // each row's cell from the pass before is its candidate for the
+        // cone certificate, and the rows without one take the descent's —
+        // each source until a pass in which the cone certified too few of
+        // its candidates to pay for them.
         let mut work = Vec::with_capacity(params.iters + 1);
         let mut cell_of = vec![NO_HINT; train.len()];
-        let mut hints = true;
+        let (mut hints, mut descend) = (true, true);
         for _ in 0..params.iters {
             if !hints {
                 cell_of.fill(NO_HINT);
             }
-            let pass = assign_rows(embedding, &centroids, &train, &mut cell_of, params.threads);
-            hints &= pass.cone_pays();
+            let pass = assign_rows(
+                embedding,
+                &centroids,
+                &train,
+                &mut cell_of,
+                descend,
+                params.threads,
+            );
+            hints &= pass.hints_pay();
+            descend &= pass.descent_pays();
             work.push(pass);
-            update_centroids(embedding, &train, &cell_of, &mut centroids);
+            update_centroids(embedding, &train, &cell_of, &mut centroids, params.threads);
         }
 
         // Final assignment covers every row; the training rows start from
-        // their last Lloyd cell, the rest from nothing.
+        // their last Lloyd cell, the rest from the descent.
         let all: Vec<usize> = (0..embedding.rows()).collect();
         let mut final_assign = vec![NO_HINT; all.len()];
         if hints {
@@ -301,9 +345,13 @@ impl IvfIndex {
             &centroids,
             &all,
             &mut final_assign,
+            descend,
             params.threads,
         ));
-        Ok((Self::from_assignment(centroids, &final_assign), work))
+        Ok((
+            Self::from_assignment(centroids, &final_assign, params.threads),
+            work,
+        ))
     }
 
     /// The test oracle: the same Lloyd loop with every row assigned by the
@@ -321,17 +369,17 @@ impl IvfIndex {
             for (slot, &row_id) in cell_of.iter_mut().zip(&train) {
                 *slot = exact(&centroids, row_id);
             }
-            update_centroids(embedding, &train, &cell_of, &mut centroids);
+            update_centroids(embedding, &train, &cell_of, &mut centroids, 1);
         }
         let final_assign: Vec<u32> = (0..embedding.rows())
             .map(|row_id| exact(&centroids, row_id))
             .collect();
-        Ok(Self::from_assignment(centroids, &final_assign))
+        Ok(Self::from_assignment(centroids, &final_assign, 1))
     }
 
     /// The index of a final assignment: lists stay ascending because rows
     /// are appended in index order.
-    fn from_assignment(centroids: Matrix, cell_of: &[u32]) -> Self {
+    fn from_assignment(centroids: Matrix, cell_of: &[u32], threads: usize) -> Self {
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); centroids.rows()];
         for (row_id, &c) in cell_of.iter().enumerate() {
             lists[c as usize].push(row_id as u32);
@@ -340,6 +388,7 @@ impl IvfIndex {
             centroids,
             lists,
             rows: cell_of.len(),
+            threads,
         }
     }
 
@@ -679,20 +728,16 @@ impl IvfQuant {
                 right: index.rows(),
             });
         }
-        if !embedding.all_finite() {
-            return Err(LinalgError::NonFinite { op: "ivf quantize" });
-        }
         // Each row's packed slot is its cell's block start plus its rank in
-        // the cell's list; rows are then quantized in row order, so the
-        // embedding is read front to back and only the writes scatter.
+        // the cell's list.
         let dim = index.dim();
         let mut offsets = Vec::with_capacity(index.cells() + 1);
-        let mut slot_of = vec![0usize; index.rows()];
+        let mut slot_of = vec![0u32; index.rows()];
         let mut members = 0;
-        for c in 0..index.cells() {
+        for list in &index.lists {
             offsets.push(members);
-            for &row_id in index.list(c) {
-                slot_of[row_id as usize] = members;
+            for &row_id in list {
+                slot_of[row_id as usize] = members as u32;
                 members += 1;
             }
         }
@@ -705,21 +750,51 @@ impl IvfQuant {
             offsets,
             dim,
         };
-        for (row_id, &at) in slot_of.iter().enumerate() {
-            let row = embedding.row(row_id);
-            let qrow = &mut q.qdata[at * dim..][..dim];
-            let scale = quantize_row(row, qrow);
-            let mut deq_sq = 0.0_f64;
-            let mut resid_sq = 0.0_f64;
-            for (&x, &v) in row.iter().zip(qrow.iter()) {
-                let deq = f64::from(v) * scale;
-                deq_sq += deq * deq;
-                let e = x - deq;
-                resid_sq += e * e;
+        // Each part owns a run of slots and quantizes the rows packed there
+        // in row order, so the embedding is read front to back and only the
+        // writes scatter; it reports whether every row it read was finite.
+        let per_part = part_len(members, index.threads);
+        let parts: Vec<_> = q
+            .qdata
+            .chunks_mut((per_part * dim).max(1))
+            .zip(q.scales.chunks_mut(per_part))
+            .zip(
+                q.row_l2
+                    .chunks_mut(per_part)
+                    .zip(q.resid_l2.chunks_mut(per_part)),
+            )
+            .enumerate()
+            .collect();
+        let finite = par::fan_out(parts, |(part, ((qdata, scales), (row_l2, resid_l2)))| {
+            let first = part * per_part;
+            let mut finite = true;
+            for (row_id, &slot) in slot_of.iter().enumerate() {
+                let Some(at) = (slot as usize).checked_sub(first) else {
+                    continue;
+                };
+                if at >= scales.len() {
+                    continue;
+                }
+                let row = embedding.row(row_id);
+                let qrow = &mut qdata[at * dim..][..dim];
+                let scale = quantize_row(row, qrow);
+                let mut deq_sq = 0.0_f64;
+                let mut resid_sq = 0.0_f64;
+                for (&x, &v) in row.iter().zip(qrow.iter()) {
+                    finite &= x.is_finite();
+                    let deq = f64::from(v) * scale;
+                    deq_sq += deq * deq;
+                    let e = x - deq;
+                    resid_sq += e * e;
+                }
+                scales[at] = scale;
+                row_l2[at] = deq_sq.sqrt() * (1.0 + 1e-12);
+                resid_l2[at] = resid_sq.sqrt() * (1.0 + 1e-12);
             }
-            q.scales[at] = scale;
-            q.row_l2[at] = deq_sq.sqrt() * (1.0 + 1e-12);
-            q.resid_l2[at] = resid_sq.sqrt() * (1.0 + 1e-12);
+            finite
+        });
+        if finite.contains(&false) {
+            return Err(LinalgError::NonFinite { op: "ivf quantize" });
         }
         Ok(q)
     }
@@ -745,9 +820,24 @@ fn quantize_row(x: &[f64], out: &mut [i8]) -> f64 {
     let scale = ops::linf_norm(x) / 127.0;
     let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
     for (slot, &v) in out.iter_mut().zip(x) {
-        *slot = (v * inv).round().clamp(-127.0, 127.0) as i8;
+        *slot = round_half_away(v * inv).clamp(-127.0, 127.0) as i8;
     }
     scale
+}
+
+/// [`f64::round`] — nearest integer, halves away from zero — for every
+/// `|y| < 2⁵²`, `±∞` and NaN, without its library call, so the quantiser's
+/// loop stays branch-free. Adding and subtracting 2⁵² rounds `|y|` to the
+/// nearest integer with ties to even (the sum's ulp is 1); `|y| − t` is
+/// then exact, and equals ½ only for a tie that went down, which is put
+/// up. [`quantize_row`] only rounds values of magnitude at most
+/// 127·(1 + 2⁻⁵⁰), or `±∞`/NaN when the scale underflows.
+fn round_half_away(y: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = y.abs();
+    let t = (a + TWO_52) - TWO_52;
+    let t = t + if a - t == 0.5 { 1.0 } else { 0.0 };
+    t.copysign(y)
 }
 
 /// i32-accumulated integer dot product of two `dim`-length i8 rows. With
@@ -842,21 +932,45 @@ fn initial_centroids(embedding: &Matrix, train: &[usize], params: &IvfBuildParam
 /// One Lloyd update: each cell's centroid becomes the normalised sum of its
 /// members, accumulated in ascending row order. Empty cells keep their
 /// previous centroid rather than collapsing to zero and swallowing every
-/// later tie.
-fn update_centroids(embedding: &Matrix, train: &[usize], cell_of: &[u32], centroids: &mut Matrix) {
-    let mut sums = Matrix::zeros(centroids.rows(), centroids.cols());
-    let mut counts = vec![0u64; centroids.rows()];
-    for (&row_id, &c) in train.iter().zip(cell_of) {
-        let c = c as usize;
-        ops::axpy_unchecked(1.0, embedding.row(row_id), sums.row_mut(c));
-        counts[c] += 1;
-    }
-    for (c, &count) in counts.iter().enumerate() {
-        if count > 0 {
-            centroids.row_mut(c).copy_from_slice(sums.row(c));
-            ops::normalize(centroids.row_mut(c));
+/// later tie. The cells are split across `threads`, each part summing the
+/// members of its own cells, so every sum keeps its order.
+fn update_centroids(
+    embedding: &Matrix,
+    train: &[usize],
+    cell_of: &[u32],
+    centroids: &mut Matrix,
+    threads: usize,
+) {
+    let (cells, dim) = (centroids.rows(), centroids.cols());
+    let chunk = part_len(cells, threads);
+    let parts: Vec<_> = centroids
+        .as_mut_slice()
+        .chunks_mut((chunk * dim).max(1))
+        .enumerate()
+        .collect();
+    par::fan_out(parts, |(part, rows)| {
+        let first = part * chunk;
+        let mut sums = vec![0.0; rows.len()];
+        let mut counts = vec![0u64; chunk];
+        for (&row_id, &c) in train.iter().zip(cell_of) {
+            // Another part's cell: below `first` the subtraction wraps.
+            let c = (c as usize).wrapping_sub(first);
+            if c < chunk {
+                ops::axpy_unchecked(1.0, embedding.row(row_id), &mut sums[c * dim..][..dim]);
+                counts[c] += 1;
+            }
         }
-    }
+        for ((centroid, sum), &count) in rows
+            .chunks_mut(dim.max(1))
+            .zip(sums.chunks(dim.max(1)))
+            .zip(&counts)
+        {
+            if count > 0 {
+                centroid.copy_from_slice(sum);
+                ops::normalize(centroid);
+            }
+        }
+    });
 }
 
 /// A row's entry in [`assign_rows`]'s `out` when it has no cell from an
@@ -870,6 +984,10 @@ struct PassWork {
     rows: u64,
     /// Rows that came with a cell from an earlier pass.
     hinted: u64,
+    /// Rows without one that the descent handed a candidate.
+    descended: u64,
+    /// Descended rows the cone certified.
+    descents_certified: u64,
     /// Rows that scanned every cell — the filter, or outside its window
     /// the exact scan — rather than being certified by the cone.
     scanned: u64,
@@ -878,16 +996,30 @@ struct PassWork {
 }
 
 impl PassWork {
-    /// Whether later passes should keep handing rows their cells from
-    /// the pass before: yes after a pass without candidates, and after one
-    /// in which the cone certified at least one hinted row in
-    /// [`CONE_MIN_YIELD`]; once no, no for the rest of the build. An
-    /// unclustered embedding, whose cones are as wide as the cell set,
-    /// pays for the cone's attempt in one pass only.
-    fn cone_pays(&self) -> bool {
-        let certified = self.rows - self.scanned;
-        self.hinted == 0 || certified * CONE_MIN_YIELD >= self.hinted
+    /// Whether later passes should keep handing rows their cells from the
+    /// pass before: yes after a pass without hints, and after one in which
+    /// the cone certified at least one hinted row in [`CONE_MIN_YIELD`];
+    /// once no, no for the rest of the build. An unclustered embedding,
+    /// whose cones are as wide as the cell set, pays for the attempt in
+    /// one pass only.
+    fn hints_pay(&self) -> bool {
+        let certified = self.rows - self.scanned - self.descents_certified;
+        yield_pays(self.hinted, certified)
     }
+
+    /// [`PassWork::hints_pay`] for the descent's candidates. The two are
+    /// judged apart: a first pass starts from sample rows as centroids,
+    /// whose cones are wide even on a clustered embedding, so its descents
+    /// say little about the hints of the passes after it.
+    fn descent_pays(&self) -> bool {
+        yield_pays(self.descended, self.descents_certified)
+    }
+}
+
+/// Whether `certified` of `attempts` candidates is at least one in
+/// [`CONE_MIN_YIELD`] (or there were none).
+fn yield_pays(attempts: u64, certified: u64) -> bool {
+    attempts == 0 || certified * CONE_MIN_YIELD >= attempts
 }
 
 impl std::ops::Add for PassWork {
@@ -896,21 +1028,41 @@ impl std::ops::Add for PassWork {
         PassWork {
             rows: self.rows + other.rows,
             hinted: self.hinted + other.hinted,
+            descended: self.descended + other.descended,
+            descents_certified: self.descents_certified + other.descents_certified,
             scanned: self.scanned + other.scanned,
             exact: self.exact + other.exact,
         }
     }
 }
 
+/// Fewest rows (or Gram rows, or quantised rows) a part of a threaded
+/// build pass is given. A part's thread costs tens of microseconds to
+/// start, and 256 rows are 15–250 µs of work at the passes' per-row costs,
+/// so no part runs for less than its thread costs, and no thread count —
+/// however large — asks for more than `rows / 256` threads. The tests'
+/// small inputs split at 8 so that they still run several parts.
+const MIN_PART_ROWS: usize = if cfg!(test) { 8 } else { 256 };
+
+/// Rows per part when `len` rows are split across `threads` threads into
+/// parts of at least [`MIN_PART_ROWS`] rows (one part when `len` is
+/// smaller): every fan-out of the build sizes its parts here.
+fn part_len(len: usize, threads: usize) -> usize {
+    let parts = threads.min(len / MIN_PART_ROWS).max(1);
+    len.div_ceil(parts).max(1)
+}
+
 /// Writes each row's nearest-centroid cell (maximal [`ops::dot_unchecked`]
 /// score, ties to the lower cell id) into `out`, split across `threads`
 /// contiguous chunks, and returns what the pass did. On entry `out[i]` is
 /// row `ids[i]`'s cell from an earlier pass, or [`NO_HINT`]: a hinted row
-/// tries the cone certificate first, every other row is filtered and
+/// tries the cone certificate first, and so — when `descend` is set and the
+/// cell count is [`DESCENT_MIN_CELLS`] or more — does every other row, from
+/// the descent's candidate; the rows the cone refuses are filtered and
 /// verified (module docs).
 ///
 /// Every row's answer is the one a full scan of the cells with the
-/// fixed-order f64 kernel picks, whatever its hint, so it is a pure
+/// fixed-order f64 kernel picks, whatever its candidate, so it is a pure
 /// function of `(row, centroids)`: the partition cannot change any
 /// assignment and `threads` affects latency only.
 ///
@@ -920,17 +1072,23 @@ fn assign_rows(
     centroids: &Matrix,
     ids: &[usize],
     out: &mut [u32],
+    descend: bool,
     threads: usize,
 ) -> PassWork {
     debug_assert_eq!(ids.len(), out.len());
     let panels = CentroidPanels::new(centroids);
+    let descend = descend && centroids.rows() >= DESCENT_MIN_CELLS && out.contains(&NO_HINT);
     let cone = match &panels {
-        Some(panels) if out.iter().any(|&hint| hint != NO_HINT) => {
-            Some(Cone::new(centroids, panels))
+        Some(panels) if descend || out.iter().any(|&hint| hint != NO_HINT) => {
+            Some(Cone::new(centroids, panels, threads))
         }
         _ => None,
     };
-    let chunk = ids.len().div_ceil(threads.max(1)).max(1);
+    let descent = match &cone {
+        Some(cone) if descend => Some(Descent::new(centroids, cone)),
+        _ => None,
+    };
+    let chunk = part_len(ids.len(), threads);
     let parts: Vec<_> = ids.chunks(chunk).zip(out.chunks_mut(chunk)).collect();
     par::fan_out(parts, |(ids, out)| {
         assign_chunk(
@@ -938,6 +1096,7 @@ fn assign_rows(
             centroids,
             panels.as_ref(),
             cone.as_ref(),
+            descent.as_ref(),
             ids,
             out,
         )
@@ -1027,19 +1186,20 @@ const CONE_NORM_SQ: std::ops::RangeInclusive<f64> =
 /// about half what the filter does.
 const CONE_MAX_SHARE: usize = 8;
 
-/// A build keeps handing rows their candidates while the cone certifies
-/// at least one hinted row in `CONE_MIN_YIELD`. On Gaussian rows (64 and
-/// 256 cells, same guest) a failed attempt plus the pass's share of the
-/// Gram matrix cost 95–110 ns per row, and a certified row saves
-/// 0.7–0.95 µs, so the cone breaks even at one row in eight to eleven;
-/// one in four keeps it only where it clearly pays. Without this rule an
-/// unclustered embedding pays the attempt in every pass, about a tenth
-/// of its build.
+/// A build keeps using each source of candidates — the hints, the
+/// descent — while the cone certifies at least one of its candidates in
+/// `CONE_MIN_YIELD`. On Gaussian
+/// rows (64 and 256 cells, same guest) a failed attempt plus the pass's
+/// share of the Gram matrix cost 95–110 ns per row, and a certified row
+/// saves 0.7–0.95 µs, so the cone breaks even at one row in eight to
+/// eleven; one in four keeps it only where it clearly pays. Without this
+/// rule an unclustered embedding pays the attempt in every pass, about a
+/// tenth of its build.
 const CONE_MIN_YIELD: u64 = 4;
 
 /// The centroid Gram matrix and the constants of the cone certificate
-/// (module docs, "Lloyd passes after the first"), built once per pass that
-/// has candidates and shared by its threads.
+/// (module docs, "Candidates and the cone certificate"), built once per
+/// pass that has candidates and shared by its threads.
 struct Cone {
     /// Per cell `a`, the `width` largest `(G̃_aj, j)` of row `a` of the
     /// f32 Gram matrix, largest first, at `a · width`.
@@ -1060,8 +1220,9 @@ struct Cone {
 
 impl Cone {
     /// The Gram matrix of `centroids`, four rows at a time against the
-    /// filter's panels, each row cut to its largest entries.
-    fn new(centroids: &Matrix, panels: &CentroidPanels) -> Self {
+    /// filter's panels, each row cut to its largest entries; its rows are
+    /// split across `threads`.
+    fn new(centroids: &Matrix, panels: &CentroidPanels, threads: usize) -> Self {
         let (cells, dim) = (centroids.rows(), centroids.cols());
         let limit = (cells / CONE_MAX_SHARE).max(4);
         let width = (limit + 1).min(cells);
@@ -1071,41 +1232,48 @@ impl Cone {
         let in_window: Vec<bool> = (0..cells)
             .map(|c| (ops::l2_norm_sq(centroids.row(c)) - 1.0).abs() <= CONE_UNIT_TOLERANCE)
             .collect();
-        let largest_first = |x: &(f32, u32), y: &(f32, u32)| y.0.total_cmp(&x.0);
-        let stride = cells.next_multiple_of(TILE_COLS);
-        let mut block = vec![0.0_f32; TILE_ROWS * stride];
-        let mut tile = vec![0.0_f32; dim * TILE_ROWS];
-        let mut entries = Vec::with_capacity(cells);
-        let mut top = Vec::with_capacity(cells * width);
-        for first in (0..cells).step_by(TILE_ROWS) {
-            for r in 0..TILE_ROWS {
-                let centroid = centroids.row((first + r).min(cells - 1));
-                for (slot, &x) in tile[r..].iter_mut().step_by(TILE_ROWS).zip(centroid) {
-                    *slot = x as f32;
+        let chunk = part_len(cells, threads);
+        let parts: Vec<usize> = (0..cells).step_by(chunk).collect();
+        let top = par::fan_out(parts, |start| {
+            let end = cells.min(start + chunk);
+            let largest_first = |x: &(f32, u32), y: &(f32, u32)| y.0.total_cmp(&x.0);
+            let stride = cells.next_multiple_of(TILE_COLS);
+            let mut block = vec![0.0_f32; TILE_ROWS * stride];
+            let mut tile = vec![0.0_f32; dim * TILE_ROWS];
+            let mut entries = Vec::with_capacity(cells);
+            let mut top = Vec::with_capacity((end - start) * width);
+            for first in (start..end).step_by(TILE_ROWS) {
+                for r in 0..TILE_ROWS {
+                    let centroid = centroids.row((first + r).min(end - 1));
+                    for (slot, &x) in tile[r..].iter_mut().step_by(TILE_ROWS).zip(centroid) {
+                        *slot = x as f32;
+                    }
+                }
+                for (b, panel) in panels.data.chunks_exact(dim * TILE_COLS).enumerate() {
+                    for (r, lane) in dot_tile_f32(&tile, panel).iter().enumerate() {
+                        block[r * stride + b * TILE_COLS..][..TILE_COLS].copy_from_slice(lane);
+                    }
+                }
+                for (a, gram) in (first..end.min(first + TILE_ROWS)).zip(block.chunks(stride)) {
+                    entries.clear();
+                    entries.extend((0..cells).map(|j| {
+                        let g = if in_window[a] && in_window[j] {
+                            gram[j]
+                        } else {
+                            f32::INFINITY
+                        };
+                        (g, j as u32)
+                    }));
+                    if width < cells {
+                        entries.select_nth_unstable_by(width - 1, largest_first);
+                    }
+                    entries[..width].sort_unstable_by(largest_first);
+                    top.extend_from_slice(&entries[..width]);
                 }
             }
-            for (b, panel) in panels.data.chunks_exact(dim * TILE_COLS).enumerate() {
-                for (r, lane) in dot_tile_f32(&tile, panel).iter().enumerate() {
-                    block[r * stride + b * TILE_COLS..][..TILE_COLS].copy_from_slice(lane);
-                }
-            }
-            for (a, gram) in (first..cells.min(first + TILE_ROWS)).zip(block.chunks(stride)) {
-                entries.clear();
-                entries.extend((0..cells).map(|j| {
-                    let g = if in_window[a] && in_window[j] {
-                        gram[j]
-                    } else {
-                        f32::INFINITY
-                    };
-                    (g, j as u32)
-                }));
-                if width < cells {
-                    entries.select_nth_unstable_by(width - 1, largest_first);
-                }
-                entries[..width].sort_unstable_by(largest_first);
-                top.extend_from_slice(&entries[..width]);
-            }
-        }
+            top
+        })
+        .concat();
         let unit = f64::EPSILON / 2.0;
         Cone {
             top,
@@ -1169,6 +1337,130 @@ impl Cone {
     }
 }
 
+/// Fewest cells at which a pass hands the rows without a candidate one from
+/// the descent. Below it a Gram row keeps fewer than [`DESCENT_LANES`]
+/// entries (`cells/8 + 1`), too few for one neighbourhood panel. At 128
+/// cells (10 000 city-shaped rows in 32 dimensions, two threads of a
+/// 2-vCPU AMD EPYC guest) the descent already pays: the first Lloyd pass
+/// took 1.25 ms with it and 1.45 ms filtering every row.
+const DESCENT_MIN_CELLS: usize = 128;
+// Every Gram row the descent reads holds at least one neighbourhood panel.
+const _: () = assert!(DESCENT_MIN_CELLS / CONE_MAX_SHARE + 1 >= DESCENT_LANES);
+
+/// Cells per descent panel: a row's sixteen scores against one panel run
+/// in four independent f32x4 accumulators.
+const DESCENT_LANES: usize = 16;
+
+/// Cells per descent stage — pivots, then neighbours — for every
+/// `DESCENT_SHARE` cells. At 512 cells and 32 dimensions (same guest) a
+/// descent over 48 + 48 cells costs about 0.14 µs per row and a filtered
+/// row about 1 µs, so one more cell of descent pays only if it spares
+/// about one row in 700 the filter. On 100 000 city-shaped rows the final
+/// pass took 12.0 ms with 48 + 48 cells (5.6 % of rows filtered), 12.3
+/// with 64 + 48 (4.8 %) and 17.6 with 32 + 32 (22 %); at 128 cells
+/// 16 + 16 beat 32 + 16.
+const DESCENT_SHARE: usize = 10;
+
+/// `(pivots, neighbours)` of the descent over `cells` cells: `cells /
+/// DESCENT_SHARE` each, as a multiple of [`DESCENT_LANES`]; the neighbours
+/// come from the cone's Gram rows, so at most `width` of them.
+fn descent_sizes(cells: usize, width: usize) -> (usize, usize) {
+    let lanes = |n: usize| (n + DESCENT_LANES / 2) / DESCENT_LANES * DESCENT_LANES;
+    let stage = lanes(cells / DESCENT_SHARE).max(DESCENT_LANES);
+    (stage, stage.min(width / DESCENT_LANES * DESCENT_LANES))
+}
+
+/// The candidate of a row that has none: the best of a few pivot cells,
+/// then the best cell of that pivot's Gram neighbourhood, both by f32 dot
+/// products in free order. Nothing about the candidate is trusted: the
+/// cone certifies the exact scan's answer from any cell, or refuses it.
+struct Descent {
+    /// The pivots' coordinates: one panel per [`DESCENT_LANES`] pivots
+    /// (see [`descent_panels`]).
+    pivots: Vec<f32>,
+    /// Per pivot, the panels of its `near_len` largest Gram entries.
+    near: Vec<f32>,
+    /// Per pivot, the cell of each lane of its neighbourhood.
+    near_cells: Vec<u32>,
+    /// Lanes per neighbourhood.
+    near_len: usize,
+}
+
+impl Descent {
+    /// Evenly strided pivots — k-means cells are numbered in no spatial
+    /// order — and each pivot's neighbourhood from the cone's sorted Gram
+    /// rows (the pivot itself first, unless an unnormalised centroid sorts
+    /// ahead of it).
+    fn new(centroids: &Matrix, cone: &Cone) -> Self {
+        let cells = centroids.rows();
+        let (pivots, near_len) = descent_sizes(cells, cone.width);
+        let pivot_cells: Vec<u32> = (0..pivots).map(|k| (k * cells / pivots) as u32).collect();
+        let near_cells: Vec<u32> = pivot_cells
+            .iter()
+            .flat_map(|&p| cone.top[p as usize * cone.width..][..near_len].iter())
+            .map(|&(_, c)| c)
+            .collect();
+        Descent {
+            pivots: descent_panels(centroids, &pivot_cells),
+            near: descent_panels(centroids, &near_cells),
+            near_cells,
+            near_len,
+        }
+    }
+
+    /// The row's candidate cell; `row32` is the caller's `dim`-long
+    /// scratch for the row in f32.
+    fn candidate(&self, row: &[f64], row32: &mut [f32]) -> usize {
+        for (slot, &x) in row32.iter_mut().zip(row) {
+            *slot = x as f32;
+        }
+        let span = self.near_len * row.len();
+        let pivot = best_lane(row32, &self.pivots);
+        let lane = best_lane(row32, &self.near[pivot * span..][..span]);
+        self.near_cells[pivot * self.near_len + lane] as usize
+    }
+}
+
+/// The coordinates of `cells` (a multiple of [`DESCENT_LANES`] of them) in
+/// f32, one panel per [`DESCENT_LANES`] cells, interleaved `[d][lane]`.
+fn descent_panels(centroids: &Matrix, cells: &[u32]) -> Vec<f32> {
+    let dim = centroids.cols();
+    let mut data = vec![0.0_f32; cells.len() * dim];
+    for (panel, group) in data
+        .chunks_exact_mut(dim * DESCENT_LANES)
+        .zip(cells.chunks(DESCENT_LANES))
+    {
+        for (lane, &c) in group.iter().enumerate() {
+            let coords = panel[lane..].iter_mut().step_by(DESCENT_LANES);
+            for (slot, &x) in coords.zip(centroids.row(c as usize)) {
+                *slot = x as f32;
+            }
+        }
+    }
+    data
+}
+
+/// The lane of `panels` (from [`descent_panels`]) whose f32 dot product
+/// with `row` is largest, the first among equals; lane 0 when every score
+/// is NaN.
+fn best_lane(row: &[f32], panels: &[f32]) -> usize {
+    let mut best = (f32::NEG_INFINITY, 0);
+    for (p, panel) in panels.chunks_exact(row.len() * DESCENT_LANES).enumerate() {
+        let mut acc = [0.0_f32; DESCENT_LANES];
+        for (&x, coords) in row.iter().zip(panel.chunks_exact(DESCENT_LANES)) {
+            for (a, &c) in acc.iter_mut().zip(coords) {
+                *a += x * c;
+            }
+        }
+        for (j, &s) in acc.iter().enumerate() {
+            if s > best.0 {
+                best = (s, p * DESCENT_LANES + j);
+            }
+        }
+    }
+    best.1
+}
+
 /// Scales `row` by the power of two that puts its largest `|coordinate|`
 /// in `[1, 2)`, writes it as f32 into lane `r` of the interleaved `tile`
 /// and returns the ℓ2 norm of the scaled row — or `None`, writing nothing,
@@ -1188,14 +1480,15 @@ fn load_scaled(row: &[f64], tile: &mut [f32], r: usize) -> Option<f64> {
     Some(norm_sq.sqrt())
 }
 
-/// One thread's share of [`assign_rows`]: each hinted row tries the cone;
-/// the rest are filtered against every centroid panel and verified
-/// exactly.
+/// One thread's share of [`assign_rows`]: each row with a candidate — its
+/// hint, or the descent's — tries the cone; the rest are filtered against
+/// every centroid panel and verified exactly.
 fn assign_chunk(
     embedding: &Matrix,
     centroids: &Matrix,
     panels: Option<&CentroidPanels>,
     cone: Option<&Cone>,
+    descent: Option<&Descent>,
     ids: &[usize],
     out: &mut [u32],
 ) -> PassWork {
@@ -1220,15 +1513,21 @@ fn assign_chunk(
     // The rows the cone does not certify are filtered together, a block
     // at a time, then written back to their places.
     let (mut rest, mut rest_ids, mut rest_out) = (Vec::new(), Vec::new(), Vec::new());
+    let mut row32 = vec![0.0_f32; centroids.cols()];
     for (ids, out) in ids.chunks(REST_BLOCK).zip(out.chunks_mut(REST_BLOCK)) {
         rest.clear();
         rest_ids.clear();
         for (at, (slot, &row_id)) in out.iter_mut().zip(ids).enumerate() {
-            let certified = match *slot {
-                NO_HINT => None,
-                a => cone.certify(embedding.row(row_id), a as usize, centroids, &mut work),
+            let row = embedding.row(row_id);
+            let (candidate, descended) = match (*slot, descent) {
+                (NO_HINT, None) => (None, false),
+                (NO_HINT, Some(descent)) => (Some(descent.candidate(row, &mut row32)), true),
+                (a, _) => (Some(a as usize), false),
             };
-            match certified {
+            let cell = candidate.and_then(|a| cone.certify(row, a, centroids, &mut work));
+            work.descended += u64::from(descended);
+            work.descents_certified += u64::from(descended && cell.is_some());
+            match cell {
                 Some(cell) => *slot = cell,
                 None => {
                     rest.push(at);
@@ -1445,7 +1744,7 @@ mod tests {
             };
             for threads in [1, 2, 3, 7] {
                 let mut got = hints.clone();
-                let work = assign_rows(embedding, centroids, &ids, &mut got, threads);
+                let work = assign_rows(embedding, centroids, &ids, &mut got, true, threads);
                 assert_eq!(got, want, "threads={threads} shift={shift:?}");
                 if shift.is_none() {
                     per_row = work.exact as f64 / ids.len() as f64;
@@ -1474,7 +1773,14 @@ mod tests {
         // cone holds all three and must re-score them in id order.
         for hint in [NO_HINT, 4, 9] {
             let mut out = vec![hint; 37];
-            let work = assign_rows(&emb, &centroids, &(0..37).collect::<Vec<_>>(), &mut out, 1);
+            let work = assign_rows(
+                &emb,
+                &centroids,
+                &(0..37).collect::<Vec<_>>(),
+                &mut out,
+                true,
+                1,
+            );
             assert!(out.iter().step_by(3).all(|&c| c == 1), "{out:?}");
             if hint != NO_HINT {
                 assert!(work.scanned < 37, "the cone certified no row");
@@ -1524,7 +1830,7 @@ mod tests {
         // zeroed, only 2ε_k holds ρ under 1/√2 against the rounding of
         // ‖x‖ and the division, and so keeps cell 0 in the cone.
         let centroids = Matrix::from_fn(2, 4, |c, d| f64::from(u8::from(c == d)));
-        let mut cone = Cone::new(&centroids, &CentroidPanels::new(&centroids).unwrap());
+        let mut cone = Cone::new(&centroids, &CentroidPanels::new(&centroids).unwrap(), 1);
         cone.margin = 0.0;
         cone.norm_plus = 1.0;
         let mut work = PassWork::default();
@@ -1660,6 +1966,94 @@ mod tests {
         emb
     }
 
+    /// `rows` unit rows in 32 dimensions around 400 Gaussian directions,
+    /// each row its direction plus 0.25 of a Gaussian jitter, the cluster
+    /// of a row scattered over the ids: the serving workloads' city shape.
+    fn city_fixture(rows: usize) -> Matrix {
+        const DIM: usize = 32;
+        let mut dirs = vec![0.0; 400 * DIM];
+        crate::sample::GaussianStream::new(40).fill(&mut dirs);
+        let mut jitter = crate::sample::GaussianStream::new(41);
+        let mut emb = Matrix::zeros(rows, DIM);
+        for r in 0..rows {
+            let c = (mix64(r as u64) % 400) as usize;
+            let row = emb.row_mut(r);
+            jitter.fill(row);
+            ops::scale(0.25, row);
+            ops::axpy_unchecked(1.0, &dirs[c * DIM..][..DIM], row);
+        }
+        emb.normalize_rows();
+        emb
+    }
+
+    /// `rows` unit rows in 32 dimensions, every coordinate Gaussian: no
+    /// cluster structure at all.
+    fn gaussian_fixture(rows: usize) -> Matrix {
+        let mut values = vec![0.0; rows * 32];
+        crate::sample::GaussianStream::new(29).fill(&mut values);
+        let mut emb = Matrix::from_vec(rows, 32, values).unwrap();
+        emb.normalize_rows();
+        emb
+    }
+
+    /// FNV-1a of the index (every centroid bit, then each cell's list
+    /// length and members) and of its int8 mirror (`qdata`, `scales`,
+    /// `row_l2`, `resid_l2`).
+    fn digests(idx: &IvfIndex, quant: &IvfQuant) -> (u64, u64) {
+        use plp_data::frame::fnv1a64;
+        let mut index = Vec::new();
+        for x in idx.centroids.as_slice() {
+            index.extend(x.to_bits().to_le_bytes());
+        }
+        for list in &idx.lists {
+            index.extend((list.len() as u32).to_le_bytes());
+            index.extend(list.iter().flat_map(|r| r.to_le_bytes()));
+        }
+        let mut mirror: Vec<u8> = quant.qdata.iter().map(|&q| q as u8).collect();
+        for v in [&quant.scales, &quant.row_l2, &quant.resid_l2] {
+            mirror.extend(v.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+        }
+        (fnv1a64(&index), fnv1a64(&mirror))
+    }
+
+    #[test]
+    fn index_and_mirror_match_the_golden_digests() {
+        // Taken before the descent, the threaded Gram matrix and the
+        // threaded quantiser: a build that moves one bit of the index or
+        // of its int8 mirror fails here.
+        let cases = [
+            (
+                "city",
+                city_fixture(20_000),
+                IvfBuildParams {
+                    cells: 512,
+                    iters: 4,
+                    sample: 5_000,
+                    ..Default::default()
+                },
+                (0x8126_7eb3_9669_613d, 0xde22_a977_8d81_4f5c),
+            ),
+            (
+                "gaussian",
+                gaussian_fixture(3_000),
+                IvfBuildParams {
+                    cells: 64,
+                    iters: 3,
+                    ..Default::default()
+                },
+                (0xb4ce_4c5d_706c_5bf9, 0xd4d9_a01d_ec38_dd10),
+            ),
+        ];
+        for (name, emb, params, want) in cases {
+            for threads in [1, 2] {
+                let idx = IvfIndex::build(&emb, &IvfBuildParams { threads, ..params }).unwrap();
+                let quant = IvfQuant::build(&emb, &idx).unwrap();
+                let got = digests(&idx, &quant);
+                assert_eq!(got, want, "{name} at {threads} threads: {got:#018x?}");
+            }
+        }
+    }
+
     #[test]
     fn the_filter_leaves_about_one_cell_per_row_to_verify() {
         // The guard that the filter stays a filter: on a clustered
@@ -1681,7 +2075,7 @@ mod tests {
         .unwrap();
         let ids: Vec<usize> = (0..emb.rows()).collect();
         let mut cell_of = vec![NO_HINT; ids.len()];
-        let work = assign_rows(&emb, &idx.centroids, &ids, &mut cell_of, 2);
+        let work = assign_rows(&emb, &idx.centroids, &ids, &mut cell_of, false, 2);
         for (row_id, &c) in cell_of.iter().enumerate() {
             assert!(idx.list(c as usize).binary_search(&(row_id as u32)).is_ok());
         }
@@ -1690,58 +2084,212 @@ mod tests {
         assert!((1.0..=1.05).contains(&per_row), "{per_row} cells per row");
     }
 
+    /// `(hinted, descended, scanned)` of every pass of `work`.
+    fn candidates_and_fallbacks(work: &[PassWork]) -> Vec<(u64, u64, u64)> {
+        work.iter()
+            .map(|w| (w.hinted, w.descended, w.scanned))
+            .collect()
+    }
+
     #[test]
     fn the_cone_spares_most_hinted_rows_the_filter() {
-        // The guard that the cone stays a certificate worth its Gram
-        // matrix: on the clustered fixture, under a fifth of the rows
-        // that carry their last cell fall back to the full filter, in
-        // every Lloyd pass after the first and in the final pass. The
-        // rows outside the sample have no candidate and are all filtered.
-        let emb = clustered_fixture();
+        // The guard that the cone, fed by the hints and the descent,
+        // stays a certificate worth its Gram matrix. On the city fixture
+        // the first pass descends for every sampled row, the Lloyd passes
+        // after it hand each row its last cell, and the final pass does
+        // both; each pass's filtered rows are pinned, and the final pass
+        // filters at most a tenth of its rows.
+        let emb = city_fixture(20_000);
         let params = IvfBuildParams {
-            cells: 128,
+            cells: 512,
             iters: 4,
-            sample: 4_000,
+            sample: 5_000,
             threads: 2,
             ..Default::default()
         };
         let (idx, work) = IvfIndex::build_counted(&emb, &params).unwrap();
         assert_eq!(idx, IvfIndex::build_reference(&emb, &params).unwrap());
-        assert_eq!(work.len(), 5);
-        assert_eq!((work[0].hinted, work[0].scanned), (0, 4_000));
-        for (pass, w) in work.iter().enumerate().skip(1) {
-            assert_eq!(w.hinted, 4_000, "pass {pass}");
-            let fallbacks = w.scanned - (w.rows - w.hinted);
-            assert!(
-                (fallbacks as f64) < 0.2 * w.hinted as f64,
-                "pass {pass}: {fallbacks} of {} hinted rows filtered",
-                w.hinted
-            );
-        }
+        assert_eq!(
+            candidates_and_fallbacks(&work),
+            [
+                (0, 5_000, 1_395),
+                (5_000, 0, 696),
+                (5_000, 0, 169),
+                (5_000, 0, 100),
+                (5_000, 15_000, 1_534),
+            ],
+            "{work:?}"
+        );
+        let last = work.last().unwrap();
+        assert!(last.scanned * 10 <= last.rows, "{last:?}");
 
-        // Unclustered rows: the second pass tries the cone on every row and
-        // it certifies almost none, so no later pass — the final one
+        // Unclustered rows: the first pass's descents and the second
+        // pass's hints each get almost no row certified, so each source
+        // is tried in one pass only, no later pass — the final one
         // included — hands out candidates, and the build is still the
         // reference build.
-        let mut rows = vec![0.0; 3_000 * 32];
-        crate::sample::GaussianStream::new(29).fill(&mut rows);
-        let mut gaussian = Matrix::from_vec(3_000, 32, rows).unwrap();
-        gaussian.normalize_rows();
+        let gaussian = gaussian_fixture(3_000);
         let params = IvfBuildParams {
-            cells: 64,
+            cells: DESCENT_MIN_CELLS,
             iters: 3,
             threads: 2,
             ..Default::default()
         };
         let (idx, work) = IvfIndex::build_counted(&gaussian, &params).unwrap();
         assert_eq!(idx, IvfIndex::build_reference(&gaussian, &params).unwrap());
-        let hinted: Vec<u64> = work.iter().map(|w| w.hinted).collect();
-        assert_eq!(hinted, [0, 3_000, 0, 0], "{work:?}");
-        assert!(!work[1].cone_pays(), "{work:?}");
-        assert!(
-            work.iter().all(|w| w.scanned * 20 > w.rows * 19),
+        assert_eq!(
+            candidates_and_fallbacks(&work),
+            [
+                (0, 3_000, 2_893),
+                (3_000, 0, 2_872),
+                (0, 0, 3_000),
+                (0, 0, 3_000)
+            ],
             "{work:?}"
         );
+        assert!(!work[0].descent_pays() && !work[1].hints_pay(), "{work:?}");
+    }
+
+    #[test]
+    fn work_counters_at_the_serve_city_shape() {
+        // What every pass of a build of the serving workload's shape does
+        // — 100 000 rows in 32 dimensions, 512 cells, a 25 000-row sample —
+        // counted exactly, so that "did less work" is a fact of the code
+        // and not of a timing. Run with `--nocapture` to see the table.
+        let emb = city_fixture(100_000);
+        let params = IvfBuildParams {
+            cells: 512,
+            iters: 4,
+            sample: 25_000,
+            threads: 2,
+            ..Default::default()
+        };
+        let (_, work) = IvfIndex::build_counted(&emb, &params).unwrap();
+        println!("pass        rows   hinted  descended   filtered      exact");
+        for (pass, w) in work.iter().enumerate() {
+            let name = if pass < params.iters {
+                format!("lloyd {}", pass + 1)
+            } else {
+                "final".to_string()
+            };
+            println!(
+                "{name:<8} {:>7} {:>8} {:>10} {:>10} {:>10}",
+                w.rows, w.hinted, w.descended, w.scanned, w.exact
+            );
+        }
+        let counts: Vec<[u64; 5]> = work
+            .iter()
+            .map(|w| [w.rows, w.hinted, w.descended, w.scanned, w.exact])
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                [25_000, 0, 25_000, 8_120, 47_244],
+                [25_000, 25_000, 0, 4_579, 88_726],
+                [25_000, 25_000, 0, 1_038, 67_520],
+                [25_000, 25_000, 0, 566, 63_658],
+                [100_000, 25_000, 75_000, 5_636, 244_244],
+            ]
+        );
+        let last = work.last().unwrap();
+        assert!(last.scanned * 10 <= last.rows, "{last:?}");
+    }
+
+    #[test]
+    fn a_useless_descent_leaves_the_exact_scan_to_the_filter() {
+        // Half the cells are one vector and half its antipode, so every
+        // pivot and every Gram neighbourhood is one of two directions and
+        // every cone holds at least 64 duplicates: the descent's candidate
+        // is an arbitrary duplicate and the cone refuses it.
+        let v = random_embedding(1, 8, 50);
+        let centroids = Matrix::from_fn(DESCENT_MIN_CELLS, 8, |c, d| {
+            v.get(0, d) * if c % 2 == 0 { 1.0 } else { -1.0 }
+        });
+        let emb = random_embedding(300, 8, 51);
+        assert_assignment_is_the_exact_scan(&emb, &centroids);
+
+        // A whole build over three directions, each row repeated many
+        // times, so the initial centroids repeat too.
+        let mut rows = random_embedding(2, 8, 52);
+        rows.row_mut(1).copy_from_slice(v.row(0));
+        let emb = Matrix::from_fn(600, 8, |r, d| match r % 3 {
+            0 => v.get(0, d),
+            1 => -v.get(0, d),
+            _ => rows.get(0, d),
+        });
+        let params = IvfBuildParams {
+            cells: DESCENT_MIN_CELLS,
+            iters: 3,
+            ..Default::default()
+        };
+        let reference = IvfIndex::build_reference(&emb, &params).unwrap();
+        for threads in [1, 2, 3, 7] {
+            let (idx, work) =
+                IvfIndex::build_counted(&emb, &IvfBuildParams { threads, ..params }).unwrap();
+            assert_eq!(idx, reference, "threads={threads}");
+            assert_eq!(work[0].descended, 600, "{work:?}");
+        }
+    }
+
+    #[test]
+    fn parts_keep_the_minimum_row_count_at_any_thread_count() {
+        // A fan-out asks for at most `len / MIN_PART_ROWS` threads, however
+        // many it is allowed, and for all of them once every part can have
+        // its minimum.
+        let min = MIN_PART_ROWS;
+        for len in [0, 1, min - 1, min, 2 * min - 1, 2 * min, 1_000 * min + 3] {
+            for threads in [1, 2, 3, 7, 1_000_000, usize::MAX] {
+                let chunk = part_len(len, threads);
+                let parts = len.div_ceil(chunk);
+                assert!(chunk >= 1, "len={len} threads={threads}");
+                assert!(parts <= threads, "len={len} threads={threads}");
+                assert!(parts <= (len / min).max(1), "len={len} threads={threads}");
+                if len >= threads.saturating_mul(min) {
+                    assert_eq!(parts, threads, "len={len} threads={threads}");
+                }
+            }
+        }
+        assert_eq!(part_len(100_000, 2), 50_000);
+        assert_eq!(part_len(0, 7), 1);
+    }
+
+    #[test]
+    fn the_branch_free_round_is_f64_round_after_the_i8_cast() {
+        let check = |y: f64| {
+            let (got, want) = (round_half_away(y), y.round());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{y:e}: {got:e} != {want:e}"
+            );
+            let as_i8 = |x: f64| x.clamp(-127.0, 127.0) as i8;
+            assert_eq!(as_i8(got), as_i8(want), "{y:e}");
+        };
+        // Every tie k/2 the quantiser can meet and beyond, and its
+        // neighbours one ulp either side.
+        for k in -300..=300 {
+            let tie = f64::from(k) / 2.0;
+            for y in [tie, tie.next_up(), tie.next_down()] {
+                check(y);
+            }
+        }
+        for y in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            check(y);
+        }
+        for y in [
+            0.49999999999999994,
+            2f64.powi(51) + 0.5,
+            2f64.powi(52) - 0.5,
+        ] {
+            check(y);
+            check(-y);
+        }
+        // A seeded corpus on the quantiser's range and far past it.
+        let mut rng = StdRng::seed_from_u64(53);
+        for _ in 0..200_000 {
+            let y = (rng.random::<f64>() - 0.5) * 300.0;
+            check(y);
+            check(y * 2f64.powi(rng.random_range(-60..40)));
+        }
     }
 
     #[test]
@@ -2262,9 +2810,17 @@ mod determinism_props {
                 threads: 1,
             };
             let reference = IvfIndex::build_reference(&emb, &params).unwrap();
+            // From `DESCENT_MIN_CELLS` cells on (about a third of the
+            // cases), the first pass hands every row the descent's
+            // candidate whenever the initial centroids admit the filter.
+            let train = training_rows(rows, &params);
+            let descends = cells >= DESCENT_MIN_CELLS
+                && CentroidPanels::new(&initial_centroids(&emb, &train, &params)).is_some();
             for threads in [1, 2, 3, 7] {
-                let built = IvfIndex::build(&emb, &IvfBuildParams { threads, ..params }).unwrap();
+                let (built, work) =
+                    IvfIndex::build_counted(&emb, &IvfBuildParams { threads, ..params }).unwrap();
                 prop_assert_eq!(&built, &reference);
+                prop_assert_eq!(work[0].descended, if descends { work[0].rows } else { 0 });
             }
         }
     }

@@ -230,10 +230,24 @@ pub fn l2_norm(v: &[f64]) -> f64 {
     l2_norm_sq(v).sqrt()
 }
 
-/// ℓ∞ norm (maximum absolute value); `0.0` for the empty slice.
+/// ℓ∞ norm (maximum absolute value); `0.0` for the empty slice. NaN
+/// entries are skipped ([`f64::max`]). A maximum does not depend on the
+/// order it is taken in, so the [`LANES`] independent running maxima give
+/// the bits of one fold without its serial chain.
 #[inline]
 pub fn linf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
+    let mut lanes = [0.0_f64; LANES];
+    let chunks = v.chunks_exact(LANES);
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0_f64, |m, x| m.max(x.abs()));
+    for c in chunks {
+        for (m, x) in lanes.iter_mut().zip(c) {
+            *m = m.max(x.abs());
+        }
+    }
+    lanes.iter().fold(tail, |m, &x| m.max(x))
 }
 
 /// Scales `v` in place to unit ℓ2 length.

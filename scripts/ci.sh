@@ -6,7 +6,8 @@
 # optimiser, one model file, one serving entry point per operation, one
 # training process) grep gates, build, the full test suite in the dev profile
 # and again in release mode (with the allocation counts of a warm bucket, of
-# an evaluation and of data preparation printed), every experiment of the `figures` table at bench
+# an evaluation and of data preparation, and the work counters of an IVF
+# build, printed), every experiment of the `figures` table at bench
 # scale and a correctness smoke of the benchmark harness. The crash-safety
 # and hot-swap fault tests run inside the test suite. This is the
 # only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
@@ -153,6 +154,10 @@ cargo test --release --workspace -q
 # §11.2, §11.3 and §5.5 quote.
 cargo test --release -q -p plp-model --test alloc_count -- --nocapture
 cargo test --release -q -p plp-core --test alloc_count -- --nocapture
+# What each pass of an IVF build at the serve_city shape does — rows
+# filtered, exact dots, descent attempts — pinned exactly and printed
+# (DESIGN.md §14.2): less work is shown by a count, not a timing.
+cargo test --release -q -p plp-linalg --lib work_counters_at_the_serve_city_shape -- --nocapture
 
 echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any
