@@ -231,4 +231,34 @@ mod tests {
         let hr10 = hit_rate_at_10(&params, &prep.test).unwrap();
         assert!((0.0..=1.0).contains(&hr10));
     }
+
+    #[test]
+    fn records_print_every_field_by_name() {
+        // A row of the `figures` JSON line, byte for byte.
+        let r = EvalRecord {
+            method: "PLP λ=6 \"a\"".into(),
+            x: 2.0,
+            hit_rates: vec![
+                HitRate {
+                    k: 5,
+                    hits: 3,
+                    trials: 40,
+                },
+                HitRate {
+                    k: 10,
+                    hits: 7,
+                    trials: 40,
+                },
+            ],
+            epsilon_spent: 1.9871,
+            steps: 12,
+            wall_ms: f64::NAN,
+        };
+        assert_eq!(
+            serde_json::to_string(&serde_json::json!(r)).unwrap(),
+            "{\"epsilon_spent\":1.9871,\"hit_rates\":[{\"hits\":3,\"k\":5,\"trials\":40},\
+             {\"hits\":7,\"k\":10,\"trials\":40}],\"method\":\"PLP λ=6 \\\"a\\\"\",\
+             \"steps\":12,\"wall_ms\":null,\"x\":2.0}"
+        );
+    }
 }

@@ -90,7 +90,7 @@ mod tests {
             validation_hr10: None,
         };
         assert_eq!(
-            serde_json::to_string(&t).unwrap(),
+            serde_json::to_string(&serde_json::json!(t)).unwrap(),
             "{\"buckets\":3,\"clip_fraction\":1.0,\"epsilon_spent\":0.4,\
              \"mean_local_loss\":2.5,\"sampled_users\":12,\"skipped_buckets\":1,\
              \"step\":3,\"validation_hr10\":null,\"wall_ms\":12.5}"
@@ -103,9 +103,31 @@ mod tests {
             stop_reason: StopReason::BudgetExhausted,
         };
         assert_eq!(
-            serde_json::to_string(&r).unwrap(),
+            serde_json::to_string(&serde_json::json!(r)).unwrap(),
             "{\"delta\":0.0002,\"epsilon_spent\":1.99,\"steps\":100,\
              \"stop_reason\":\"BudgetExhausted\",\"total_wall_ms\":1234.0}"
+        );
+    }
+
+    #[test]
+    fn stop_reasons_print_as_their_variant_names() {
+        let printed: Vec<String> = [
+            StopReason::BudgetExhausted,
+            StopReason::MaxSteps,
+            StopReason::Diverged,
+            StopReason::Interrupted,
+        ]
+        .iter()
+        .map(|r| serde_json::to_string(&serde_json::json!(r)).unwrap())
+        .collect();
+        assert_eq!(
+            printed,
+            [
+                "\"BudgetExhausted\"",
+                "\"MaxSteps\"",
+                "\"Diverged\"",
+                "\"Interrupted\""
+            ]
         );
     }
 }

@@ -184,4 +184,29 @@ mod tests {
         let s = dataset_stats(&ds);
         assert!(s.location_gini > 0.7, "gini {}", s.location_gini);
     }
+
+    #[test]
+    fn stats_print_every_field_by_name() {
+        // The `dp-nextloc stats` output, byte for byte.
+        let s = DatasetStats {
+            num_users: 4,
+            num_locations: 3,
+            num_checkins: 10,
+            mean_checkins_per_user: 2.5,
+            median_checkins_per_user: 2.0,
+            max_checkins_per_user: 5,
+            min_checkins_per_user: 1,
+            density: 0.5833333333333334,
+            location_gini: 0.2,
+            top1pct_location_share: 0.6,
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&serde_json::json!(s)).unwrap(),
+            "{\n  \"density\": 0.5833333333333334,\n  \"location_gini\": 0.2,\n  \
+             \"max_checkins_per_user\": 5,\n  \"mean_checkins_per_user\": 2.5,\n  \
+             \"median_checkins_per_user\": 2.0,\n  \"min_checkins_per_user\": 1,\n  \
+             \"num_checkins\": 10,\n  \"num_locations\": 3,\n  \"num_users\": 4,\n  \
+             \"top1pct_location_share\": 0.6\n}"
+        );
+    }
 }

@@ -434,8 +434,24 @@ mod tests {
         l.track(0.06, 2.5).unwrap();
         l.track(0.06, 2.5).unwrap();
         assert_eq!(
-            serde_json::to_string(&l).unwrap(),
+            serde_json::to_string(&serde_json::json!(l)).unwrap(),
             "{\"entries\":[{\"noise_multiplier\":2.5,\"q\":0.06,\"steps\":2}]}"
+        );
+    }
+
+    #[test]
+    fn ledger_file_prints_two_rows() {
+        // `train --ledger FILE`, byte for byte: the released privacy
+        // statement.
+        let mut l = PrivacyLedger::new();
+        l.track(0.06, 2.5).unwrap();
+        l.track(0.06, 2.5).unwrap();
+        l.track(0.1, 1.0).unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(&serde_json::json!(l)).unwrap(),
+            "{\n  \"entries\": [\n    {\n      \"noise_multiplier\": 2.5,\n      \
+             \"q\": 0.06,\n      \"steps\": 2\n    },\n    {\n      \
+             \"noise_multiplier\": 1.0,\n      \"q\": 0.1,\n      \"steps\": 1\n    }\n  ]\n}"
         );
     }
 
