@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 
 use plp_data::dataset::{CheckInDataset, TokenizedDataset};
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
@@ -130,7 +130,7 @@ impl PreparedData {
 
 /// A serialisable record of one evaluated configuration — the rows the
 /// figure harnesses print.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRecord {
     /// Label of the method (e.g. "PLP λ=6" or "DP-SGD").
     pub method: String,
@@ -144,6 +144,19 @@ pub struct EvalRecord {
     pub steps: u64,
     /// Wall-clock milliseconds of the training loop.
     pub wall_ms: f64,
+}
+
+impl ToJson for EvalRecord {
+    fn to_json(&self) -> Value {
+        json!({
+            "method": self.method,
+            "x": self.x,
+            "hit_rates": self.hit_rates,
+            "epsilon_spent": self.epsilon_spent,
+            "steps": self.steps,
+            "wall_ms": self.wall_ms,
+        })
+    }
 }
 
 /// Evaluates trained parameters on the test users at the given cutoffs.

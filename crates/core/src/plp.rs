@@ -1089,7 +1089,7 @@ pub fn train_plp_with_executor(
             );
         }
         if let Some(t) = telemetry.last() {
-            obs.emit("step", serde_json::to_value_of(t));
+            obs.emit("step", json!(t));
         }
         if diverged {
             stop_reason = StopReason::Diverged;
@@ -1141,7 +1141,7 @@ pub fn train_plp_with_executor(
     obs.counter_with("plp_train_stop_total", "reason", stop_reason.name())
         .inc();
     g_eps_spent.set(summary.epsilon_spent);
-    obs.emit("run_end", serde_json::to_value_of(&summary));
+    obs.emit("run_end", json!(summary));
     Ok(PlpOutcome {
         params: state.params,
         telemetry,

@@ -1,9 +1,9 @@
 //! Training telemetry: per-step observations and run summaries.
 
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 
 /// What one private step observed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTelemetry {
     /// 1-based step index.
     pub step: u64,
@@ -27,8 +27,24 @@ pub struct StepTelemetry {
     pub validation_hr10: Option<f64>,
 }
 
+impl ToJson for StepTelemetry {
+    fn to_json(&self) -> Value {
+        json!({
+            "step": self.step,
+            "sampled_users": self.sampled_users,
+            "buckets": self.buckets,
+            "skipped_buckets": self.skipped_buckets,
+            "mean_local_loss": self.mean_local_loss,
+            "clip_fraction": self.clip_fraction,
+            "epsilon_spent": self.epsilon_spent,
+            "wall_ms": self.wall_ms,
+            "validation_hr10": self.validation_hr10,
+        })
+    }
+}
+
 /// Summary of a finished private training run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Private steps actually executed.
     pub steps: u64,
@@ -42,8 +58,20 @@ pub struct RunSummary {
     pub stop_reason: StopReason,
 }
 
+impl ToJson for RunSummary {
+    fn to_json(&self) -> Value {
+        json!({
+            "steps": self.steps,
+            "epsilon_spent": self.epsilon_spent,
+            "delta": self.delta,
+            "total_wall_ms": self.total_wall_ms,
+            "stop_reason": self.stop_reason,
+        })
+    }
+}
+
 /// Why a private training loop terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The moments accountant hit the ε budget (Algorithm 1, line 12).
     BudgetExhausted,
@@ -69,6 +97,13 @@ impl StopReason {
             StopReason::Diverged => "diverged",
             StopReason::Interrupted => "interrupted",
         }
+    }
+}
+
+impl ToJson for StopReason {
+    /// The variant's name, e.g. `"BudgetExhausted"`.
+    fn to_json(&self) -> Value {
+        json!(format!("{self:?}"))
     }
 }
 

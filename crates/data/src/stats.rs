@@ -5,13 +5,13 @@
 //! locations), and (b) to quantify the skew/sparsity properties (Zipf
 //! popularity, §4.1; ~0.1% density, §1) that motivate data grouping.
 
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 
 use crate::dataset::CheckInDataset;
 use crate::preprocess::{filter_sparse, FilterConfig};
 
 /// Aggregate statistics of a check-in dataset.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of users `N`.
     pub num_users: usize,
@@ -86,6 +86,23 @@ impl DatasetStats {
             location_gini: gini(&per_location),
             top1pct_location_share: top_share,
         }
+    }
+}
+
+impl ToJson for DatasetStats {
+    fn to_json(&self) -> Value {
+        json!({
+            "num_users": self.num_users,
+            "num_locations": self.num_locations,
+            "num_checkins": self.num_checkins,
+            "mean_checkins_per_user": self.mean_checkins_per_user,
+            "median_checkins_per_user": self.median_checkins_per_user,
+            "max_checkins_per_user": self.max_checkins_per_user,
+            "min_checkins_per_user": self.min_checkins_per_user,
+            "density": self.density,
+            "location_gini": self.location_gini,
+            "top1pct_location_share": self.top1pct_location_share,
+        })
     }
 }
 

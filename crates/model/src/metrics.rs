@@ -16,7 +16,7 @@
 //! the target is in the top k iff fewer than k rows beat it, so they count
 //! and never rank.
 
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 
 use plp_data::dataset::TokenizedDataset;
 use plp_linalg::matrix::matmul_block_into;
@@ -27,7 +27,7 @@ use crate::error::ModelError;
 use crate::markov::RankLocations;
 
 /// Hit-rate at one cutoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HitRate {
     /// The cutoff k.
     pub k: usize,
@@ -45,6 +45,12 @@ impl HitRate {
         } else {
             self.hits as f64 / self.trials as f64
         }
+    }
+}
+
+impl ToJson for HitRate {
+    fn to_json(&self) -> Value {
+        json!({"k": self.k, "hits": self.hits, "trials": self.trials})
     }
 }
 

@@ -102,7 +102,7 @@ pub fn replay_jsonl(path: &Path) -> io::Result<(Vec<serde_json::Value>, usize)> 
     let mut events = Vec::new();
     let mut skipped = 0usize;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match serde_json::from_str::<serde_json::Value>(line) {
+        match serde_json::from_str(line) {
             Ok(v) if v.as_object().is_some() => events.push(v),
             _ => skipped += 1,
         }

@@ -380,7 +380,7 @@ impl Tracer {
 }
 
 fn record_json(pid: u32, process: &str, rec: &SpanRecord) -> Value {
-    let mut args = serde::Map::new();
+    let mut args = serde_json::Map::new();
     for (name, value) in rec.args {
         if !name.is_empty() {
             args.insert(name.to_string(), Value::UInt(value));
@@ -445,14 +445,14 @@ pub struct TraceDump {
     pub skipped_lines: usize,
 }
 
-fn get_str(obj: &serde::Map, key: &str) -> Option<String> {
+fn get_str(obj: &serde_json::Map, key: &str) -> Option<String> {
     match obj.get(key) {
         Some(Value::Str(s)) => Some(s.clone()),
         _ => None,
     }
 }
 
-fn get_u64(obj: &serde::Map, key: &str) -> Option<u64> {
+fn get_u64(obj: &serde_json::Map, key: &str) -> Option<u64> {
     match obj.get(key) {
         Some(Value::UInt(v)) => Some(*v),
         Some(Value::Int(v)) if *v >= 0 => Some(*v as u64),
@@ -460,7 +460,7 @@ fn get_u64(obj: &serde::Map, key: &str) -> Option<u64> {
     }
 }
 
-fn get_id(obj: &serde::Map, key: &str) -> Option<u64> {
+fn get_id(obj: &serde_json::Map, key: &str) -> Option<u64> {
     match obj.get(key) {
         Some(Value::Str(s)) => parse_hex_id(s),
         _ => None,
@@ -494,7 +494,7 @@ pub fn parse_dump_jsonl(text: &str) -> Result<TraceDump, String> {
     let mut records = Vec::new();
     let mut skipped = 0usize;
     for line in lines {
-        let Ok(value) = serde_json::from_str::<Value>(line) else {
+        let Ok(value) = serde_json::from_str(line) else {
             skipped += 1;
             continue;
         };
@@ -598,7 +598,7 @@ pub fn stitch_chrome_trace(dumps: &[TraceDump]) -> String {
         let dump_min = min_ts(dump);
         for rec in &dump.records {
             let ts = anchor_min + (rec.ts_us - dump_min);
-            let mut args = serde::Map::new();
+            let mut args = serde_json::Map::new();
             args.insert("trace_id".to_string(), Value::Str(hex_id(rec.trace_id)));
             args.insert("span_id".to_string(), Value::Str(hex_id(rec.span_id)));
             args.insert("parent_id".to_string(), Value::Str(hex_id(rec.parent_id)));

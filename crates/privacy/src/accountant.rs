@@ -8,7 +8,7 @@
 //! [`MomentsAccountant`] folds them into an [`RdpCurve`] to answer ε(δ)
 //! queries at any point in training.
 
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 
 use crate::error::PrivacyError;
 use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
@@ -22,7 +22,7 @@ use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
 /// σ·ωC, so the ratio — and the multiplier it tracks — stays σ for every ω:
 /// an ω-split run spends exactly the ε of an ω = 1 run at the same
 /// `(q, σ, steps)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedgerEntry {
     /// Poisson sampling rate of the step(s).
     pub q: f64,
@@ -36,9 +36,21 @@ pub struct LedgerEntry {
 ///
 /// The ledger is the auditable artifact: serialising it alongside a released
 /// model lets anyone recompute the (ε, δ) guarantee.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrivacyLedger {
     entries: Vec<LedgerEntry>,
+}
+
+impl ToJson for LedgerEntry {
+    fn to_json(&self) -> Value {
+        json!({"q": self.q, "noise_multiplier": self.noise_multiplier, "steps": self.steps})
+    }
+}
+
+impl ToJson for PrivacyLedger {
+    fn to_json(&self) -> Value {
+        json!({"entries": self.entries})
+    }
 }
 
 impl PrivacyLedger {

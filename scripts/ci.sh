@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the one-container, no-crossbeam-or-bytes /
+# Offline CI gate: formatting, lints, the one-container, no-crossbeam-bytes-or-serde /
 # one-fan-out, one-figures-binary, no-deployed-copy, one-pass private step,
 # no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
 # (one start, one objective, one proposal, one server
@@ -40,10 +40,11 @@ echo "== threading gate (one fan-out, std threads only) =="
 # `plp_linalg::par::fan_out`;
 # outside test modules only it and the training step's run-ahead reduction,
 # whose caller is the reducer rather than a worker, open a
-# `std::thread::scope`. Only the Cargo.toml edges the harness's lock file
-# pins may still name crossbeam or bytes.
-if git grep -nE 'crossbeam|\bbytes::' -- crates src ':!*Cargo.toml'; then
-  echo "no source file under crates/ or src/ may name crossbeam or the bytes crate"
+# `std::thread::scope`. No file under crates/ or src/, manifests included,
+# names crossbeam, the bytes crate, serde_derive or a `serde::` path: JSON is
+# the one serde_json crate, and its `ToJson` impls are written by hand.
+if git grep -nE 'crossbeam|\bbytes::|serde_derive|\bserde::' -- crates src; then
+  echo "no file under crates/ or src/ may name crossbeam, the bytes crate, serde_derive or serde::"
   exit 1
 fi
 scopes=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | while read -r f; do

@@ -177,7 +177,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let s = dataset_stats(&ds);
     println!(
         "{}",
-        serde_json::to_string_pretty(&s).map_err(|e| e.to_string())?
+        serde_json::to_string_pretty(&serde_json::json!(s)).map_err(|e| e.to_string())?
     );
     Ok(())
 }
@@ -271,7 +271,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     plps::write_deployable(&out, &params.deployable_embedding(), 0).map_err(|e| e.to_string())?;
     println!("model saved to {}", out.display());
     if let (Some(ledger), Some(path)) = (&ledger, flags.get("ledger")) {
-        let json = serde_json::to_string_pretty(ledger).map_err(|e| e.to_string())?;
+        let json =
+            serde_json::to_string_pretty(&serde_json::json!(ledger)).map_err(|e| e.to_string())?;
         write_atomic(Path::new(path), json.as_bytes()).map_err(|e| e.to_string())?;
         println!("privacy ledger written to {path}");
     }
@@ -608,6 +609,19 @@ mod tests {
         let dumps = load_dumps(&[&train, &serve]).unwrap();
         let stitched = std::fs::read_to_string(&out).unwrap();
         assert_eq!(stitched, stitch_chrome_trace(&dumps));
+
+        // A line nested a million deep is refused by the parser's depth
+        // limit and skipped like a torn line; the stack is never at risk.
+        let deep = dir.join("deep.jsonl");
+        let mut text = std::fs::read_to_string(&serve).unwrap();
+        text.push_str(&"[".repeat(1_000_000));
+        text.push_str(&"]".repeat(1_000_000));
+        text.push('\n');
+        std::fs::write(&deep, text).unwrap();
+        let deep_args = ["--out", out_arg, train_arg, deep.to_str().unwrap()];
+        assert_eq!(trace_stitch(&s(&deep_args)), 0);
+        assert_eq!(load_dumps(&[&deep]).unwrap()[0].skipped_lines, 1);
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), stitched);
         std::fs::remove_dir_all(&dir).ok();
     }
 

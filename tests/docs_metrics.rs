@@ -10,7 +10,7 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 16] = [
+const RETIRED: [&str; 17] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
@@ -27,6 +27,7 @@ const RETIRED: [&str; 16] = [
     "TTEST_EPS",
     "geoind",
     "plp-fed",
+    "serde_derive",
     // In two pieces, so that a search of the sources for the retired
     // crate's name finds none.
     concat!("plp_", "fed_worker"),
