@@ -667,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn accepts_exactly_rfc_8259_numbers_and_strings() {
+    fn reads_every_rfc_8259_number_and_escape() {
         let accepted = [
             ("-9223372036854775808", Value::Int(i64::MIN)),
             ("18446744073709551615", Value::UInt(u64::MAX)),
@@ -683,6 +683,10 @@ mod tests {
         for (text, want) in accepted {
             assert_eq!(from_str(text), Ok(want), "{text}");
         }
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
         let refused = [
             "{",
             "[1,]",
