@@ -481,8 +481,7 @@ fn get_id(obj: &serde_json::Map, key: &str) -> Option<u64> {
 pub fn parse_dump_jsonl(text: &str) -> Result<TraceDump, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let meta_line = lines.next().ok_or_else(|| "empty dump".to_string())?;
-    let meta: Value =
-        serde_json::from_str(meta_line).map_err(|e| format!("bad meta line: {e:?}"))?;
+    let meta: Value = serde_json::from_str(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
     let meta = meta.as_object().ok_or("meta line is not an object")?;
     if get_str(meta, "record").as_deref() != Some("meta") {
         return Err("first line is not a meta record".to_string());
