@@ -122,10 +122,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     row("fig11_vary_sigma", "HR@10 vs noise scale sigma (lambda=4)", 1, Sweep(&[("fig11", 0, fig11)])),
     row("fig12_vary_clip", "HR@10 vs clipping norm C (eps=2, sigma=2.5)", 1, Sweep(&[("fig12", 0, fig12)])),
     row("fig13_vary_neg", "HR@10 vs negative samples neg (eps=2, sigma=2.5)", 1, Sweep(&[("fig13", 0, fig13)])),
-    row("ablation_omega", "HR@10 with split factor omega in {1, 2} (noise scaled by omega)", 1,
-        Sweep(&[("ablation_omega", 0, ablation_omega)])),
-    row("ablation_grouping_strategy", "HR@10: random vs equal-frequency bucketing (eps=2)", 1,
-        Sweep(&[("ablation_grouping_strategy", 0, ablation_grouping)])),
     row("baseline_markov", "popularity, Markov, DP-Markov and skip-gram under one harness", 1, Custom(custom::baseline_markov)),
     row("ttest_plp_vs_dpsgd", "paired t-test, PLP (lambda=4) vs DP-SGD at eps=2", 5, Custom(custom::ttest)),
     row("ttest_plp_vs_dpsgd_eps3", "the same test at eps=3 under a 700-step cap", 3, Custom(custom::ttest_eps3)),
@@ -278,31 +274,6 @@ pub fn fig13(scale: Scale) -> Vec<SweepPoint> {
     points
 }
 
-/// §4.2 ablation: split factor ω ∈ {1, 2} with correctly scaled noise,
-/// at ε = 2, σ = 2.5, λ = 1 (mirroring the paper's experiment, which split
-/// "a user's data to exactly two random buckets").
-pub fn ablation_omega(scale: Scale) -> Vec<SweepPoint> {
-    let at = |omega: usize| {
-        point(scale, format!("ω={omega}"), omega as f64, 2.0, |hp| {
-            hp.split_factor = omega;
-            hp.grouping_factor = 1;
-        })
-    };
-    vec![at(1), at(2)]
-}
-
-/// §4.1 ablation: random vs equal-frequency grouping at the default
-/// configuration (the paper found no significant difference).
-pub fn ablation_grouping(scale: Scale) -> Vec<SweepPoint> {
-    use plp_data::grouping::GroupingStrategy::{EqualFrequency, Random};
-    let at = |label: &str, strategy| {
-        point(scale, label.to_string(), 0.0, 2.0, |hp| {
-            hp.grouping_strategy = strategy
-        })
-    };
-    vec![at("random", Random), at("equal-frequency", EqualFrequency)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,15 +369,5 @@ mod tests {
         for p in &pts {
             assert_eq!(p.hp.negative_samples as f64, p.x);
         }
-    }
-
-    #[test]
-    fn ablations_are_well_formed() {
-        let o = ablation_omega(Scale::Bench);
-        assert_eq!(o.len(), 2);
-        assert_eq!(o[1].hp.split_factor, 2);
-        let g = ablation_grouping(Scale::Bench);
-        assert_eq!(g.len(), 2);
-        assert!(g.iter().all(|p| p.hp.validate().is_ok()));
     }
 }

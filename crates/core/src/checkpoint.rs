@@ -241,7 +241,7 @@ mod tests {
         // on purpose (a scheme bump, or a field added or removed).
         assert_eq!(
             config_fingerprint(&Hyperparameters::default(), 600),
-            0x1a0e_6449_3371_aa2b
+            0xa780_530e_996f_b186
         );
     }
 
@@ -252,7 +252,7 @@ mod tests {
         assert_ne!(a, config_fingerprint(&base, 101), "vocab matters");
         // One mutation per word of `to_words`, threads last.
         type Mutator = fn(&mut Hyperparameters);
-        let fields: [(&str, Mutator); 17] = [
+        let fields: [(&str, Mutator); 15] = [
             ("embedding_dim", |h| h.embedding_dim += 1),
             ("context_window", |h| h.context_window += 1),
             ("batch_size", |h| h.batch_size += 1),
@@ -262,10 +262,6 @@ mod tests {
             ("noise_multiplier", |h| h.noise_multiplier += 0.1),
             ("clip_norm", |h| h.clip_norm *= 2.0),
             ("grouping_factor", |h| h.grouping_factor += 1),
-            ("split_factor", |h| h.split_factor += 1),
-            ("grouping_strategy", |h| {
-                h.grouping_strategy = plp_data::grouping::GroupingStrategy::EqualFrequency
-            }),
             ("epsilon", |h| h.budget.epsilon *= 2.0),
             ("delta", |h| h.budget.delta *= 2.0),
             ("server_learning_rate", |h| h.server_learning_rate *= 2.0),

@@ -2,14 +2,13 @@
 //! their one encoding: fixed-width words that the checkpoint fingerprint
 //! hashes.
 
-use plp_data::grouping::GroupingStrategy;
 use plp_model::train::LocalSgdConfig;
 use plp_privacy::PrivacyBudget;
 
 use crate::error::CoreError;
 
 /// Words in [`Hyperparameters::to_words`].
-const HP_WORDS: usize = 17;
+const HP_WORDS: usize = 15;
 
 /// All tunables of the system, named after Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,12 +31,9 @@ pub struct Hyperparameters {
     /// Overall clipping magnitude `C`; each tensor is clipped to `C/√3`
     /// (paper default: 0.5).
     pub clip_norm: f64,
-    /// Grouping factor λ (paper default: 4).
+    /// Grouping factor λ (paper default: 4): users per bucket, each
+    /// sampled user in exactly one bucket.
     pub grouping_factor: usize,
-    /// Data split factor ω (§4.2; the paper sets ω = 1).
-    pub split_factor: usize,
-    /// How users are packed into buckets.
-    pub grouping_strategy: GroupingStrategy,
     /// Privacy budget (ε, δ); δ defaults to the paper's 2·10⁻⁴.
     pub budget: PrivacyBudget,
     /// Step size of the server's DP-Adam over the noisy aggregated delta
@@ -73,8 +69,6 @@ impl Default for Hyperparameters {
             noise_multiplier: 2.5,
             clip_norm: 0.5,
             grouping_factor: 4,
-            split_factor: 1,
-            grouping_strategy: GroupingStrategy::Random,
             budget: PrivacyBudget {
                 epsilon: 2.0,
                 delta: 2e-4,
@@ -155,12 +149,6 @@ impl Hyperparameters {
                 expected: ">= 1",
             });
         }
-        if self.split_factor == 0 {
-            return Err(CoreError::BadConfig {
-                name: "split_factor",
-                expected: ">= 1",
-            });
-        }
         if self.max_steps == 0 {
             return Err(CoreError::BadConfig {
                 name: "max_steps",
@@ -207,13 +195,8 @@ impl Hyperparameters {
     }
 
     /// The configuration's one encoding: the fields in declaration order,
-    /// integers as themselves, floats as their bits, the grouping strategy
-    /// as its tag.
+    /// integers as themselves, floats as their bits.
     pub fn to_words(&self) -> [u64; HP_WORDS] {
-        let grouping = match self.grouping_strategy {
-            GroupingStrategy::Random => 0,
-            GroupingStrategy::EqualFrequency => 1,
-        };
         [
             self.embedding_dim as u64,
             self.context_window as u64,
@@ -224,8 +207,6 @@ impl Hyperparameters {
             self.noise_multiplier.to_bits(),
             self.clip_norm.to_bits(),
             self.grouping_factor as u64,
-            self.split_factor as u64,
-            grouping,
             self.budget.epsilon.to_bits(),
             self.budget.delta.to_bits(),
             self.server_learning_rate.to_bits(),
@@ -252,7 +233,6 @@ mod tests {
         assert_eq!(h.noise_multiplier, 2.5);
         assert_eq!(h.clip_norm, 0.5);
         assert_eq!(h.grouping_factor, 4);
-        assert_eq!(h.split_factor, 1);
         assert_eq!(h.budget.delta, 2e-4);
         assert!(h.validate().is_ok());
     }
@@ -278,7 +258,6 @@ mod tests {
             Box::new(|h| h.noise_multiplier = f64::INFINITY),
             Box::new(|h| h.clip_norm = 0.0),
             Box::new(|h| h.clip_norm = f64::NAN),
-            Box::new(|h| h.split_factor = 0),
             Box::new(|h| h.max_steps = 0),
             Box::new(|h| h.server_learning_rate = 0.0),
         ];

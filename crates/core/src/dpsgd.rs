@@ -13,28 +13,24 @@
 use rand::Rng;
 
 use plp_data::dataset::TokenizedDataset;
-use plp_data::grouping::GroupingStrategy;
 
 use crate::config::Hyperparameters;
 use crate::error::CoreError;
 use crate::plp::{train_plp, PlpOutcome};
 
 /// The λ = 1 configuration [`train_dpsgd`] actually runs: `hp` with the
-/// grouping knobs forced to one user per bucket. Exposed so resumable
+/// grouping factor forced to one user per bucket. Exposed so resumable
 /// drivers can checkpoint the baseline through the same code path.
 pub fn baseline_hyperparameters(hp: &Hyperparameters) -> Hyperparameters {
     let mut baseline = hp.clone();
     baseline.grouping_factor = 1;
-    baseline.split_factor = 1;
-    baseline.grouping_strategy = GroupingStrategy::Random;
     baseline
 }
 
 /// Trains the user-level DP-SGD baseline: Algorithm 1 with λ = 1
 /// (one clipped, noised delta per sampled user).
 ///
-/// The `grouping_factor` and `grouping_strategy` fields of `hp` are
-/// ignored and forced to `1` / `Random`.
+/// The `grouping_factor` field of `hp` is ignored and forced to `1`.
 ///
 /// # Errors
 /// Same contract as [`train_plp`].

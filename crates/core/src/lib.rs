@@ -8,7 +8,7 @@
 //! 3. compute one local-SGD model delta per bucket
 //!    ([`plp_model::train`]), clipped per layer to total norm `C`
 //!    ([`plp_model::clip`]),
-//! 4. sum the clipped deltas and add Gaussian noise `N(0, σ²ω²C²I)` over
+//! 4. sum the clipped deltas and add Gaussian noise `N(0, σ²C²I)` over
 //!    the *entire* flattened parameter vector,
 //! 5. average by the fixed denominator `q·W/λ` (the expected bucket
 //!    count; see [`plp::fixed_denominator`]) and apply a server-side

@@ -1,7 +1,7 @@
 //! Counter-based, thread-invariant noise for Algorithm 1's Gaussian sum
 //! query (line 9).
 //!
-//! The sequential trainer drew the whole `N(0, σ²C²ω²I)` perturbation from
+//! The sequential trainer drew the whole `N(0, σ²C²I)` perturbation from
 //! one RNG stream, which forced the noise phase onto a single thread: the
 //! k-th variate depended on the k−1 draws before it. Here the noise is
 //! *counter-based* instead: each step derives a 64-bit noise seed from
@@ -13,7 +13,7 @@
 //! stays on the same trajectory.
 //!
 //! Per-row seeding does not change the mechanism: every coordinate still
-//! receives an independent N(0, σ²C²ω²) draw (streams are independent
+//! receives an independent N(0, σ²C²) draw (streams are independent
 //! across rows and i.i.d. within a row), so the sensitivity analysis and
 //! the moments accounting are exactly those of the sequential sampler.
 //!

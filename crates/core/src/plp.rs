@@ -3,7 +3,7 @@
 //!
 //! Each step: Poisson-sample users (line 5), group into buckets of λ
 //! (line 6), compute a clipped local-SGD delta per bucket (lines 7–8 /
-//! 15–22), sum and perturb with `N(0, σ²ω²C²I)` (line 9), average by the
+//! 15–22), sum and perturb with `N(0, σ²C²I)` (line 9), average by the
 //! fixed denominator `q·W/λ` — the *expected* bucket count, see
 //! [`fixed_denominator`] — and update the model (line 10), then track the
 //! step in the privacy ledger (line 11) and stop once the moments
@@ -32,7 +32,7 @@
 //!
 //! Buckets whose delta comes back non-finite, or whose worker panics, are
 //! dropped from the Gaussian sum *before* noising. Each clipped bucket
-//! contributes at most `ωC` to the sum, so dropping one (contributing 0
+//! contributes at most `C` to the sum, so dropping one (contributing 0
 //! instead) never increases the query's sensitivity — the step's DP
 //! accounting is unchanged, and the denominator stays the fixed `q·W/λ`
 //! regardless. A step in which every bucket is poisoned stops
@@ -49,9 +49,8 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use plp_data::dataset::TokenizedDataset;
 use plp_data::frame::write_atomic;
-use plp_data::grouping::{group_data, group_data_split, realized_split_factor, Bucket};
+use plp_data::grouping::{group_data, Bucket, GroupingStrategy::Random};
 use plp_data::sampling::sample_users;
-use plp_data::DataError;
 use plp_linalg::sample::mix64;
 use plp_model::clip::clip_per_layer;
 use plp_model::journal::{CowParams, RowDelta, RowJournal, RowSum};
@@ -288,7 +287,7 @@ fn model_update_from_bucket(
 /// Computes one bucket update behind a panic barrier. Returns `Ok(None)`
 /// when the bucket must be dropped from the Gaussian sum: its worker
 /// panicked or its clipped delta is non-finite. Dropping is DP-safe (the
-/// bucket contributes 0 ≤ ωC instead of its delta), so training proceeds.
+/// bucket contributes 0 ≤ C instead of its delta), so training proceeds.
 /// Systematic errors (bad config, shape mismatches) still propagate.
 fn guarded_bucket_update(
     theta: &ModelParams,
@@ -868,10 +867,8 @@ pub fn train_plp_with_executor(
     // ledger: what a save encodes, read where they lie.
     let (mut state, mut accountant) = start(run_seed, train, hp, opts)?;
     let num_users = train.num_users();
-    let omega = hp.split_factor;
-    // The Gaussian sum query's mechanism: noise std σ·(Cω) — sensitivity
-    // grows to ωC when a user's data may span ω buckets (§4.2, Case 2).
-    let mechanism = GaussianMechanism::new(hp.noise_multiplier, hp.clip_norm * omega as f64)?;
+    // The Gaussian sum query's mechanism: noise std σ·C.
+    let mechanism = GaussianMechanism::new(hp.noise_multiplier, hp.clip_norm)?;
     // Fixed-denominator estimator scale: constant for the whole run, paid
     // even by steps whose Poisson draw comes back empty.
     let denom = fixed_denominator(hp.sampling_prob, num_users, hp.grouping_factor);
@@ -910,7 +907,6 @@ pub fn train_plp_with_executor(
             "epsilon_budget": hp.budget.epsilon,
             "delta": hp.budget.delta,
             "num_users": num_users,
-            "split_factor": omega,
         }),
     );
 
@@ -945,33 +941,8 @@ pub fn train_plp_with_executor(
         drop(t_sample);
         // Line 6: data grouping.
         let t_group = phases.start(phase::GROUP, in_step, step);
-        let buckets = if omega == 1 {
-            group_data(
-                &mut rng,
-                &sampled,
-                train,
-                hp.grouping_factor,
-                hp.grouping_strategy,
-            )?
-        } else {
-            match group_data_split(&mut rng, &sampled, train, hp.grouping_factor, omega) {
-                Ok(b) => b,
-                // Too few sampled users to split across omega buckets this
-                // step (depends only on the public sample size): fall back
-                // to unsplit grouping. Noise stays scaled to omega, which
-                // over-protects and is therefore safe.
-                Err(DataError::BadConfig { name: "omega", .. }) => group_data(
-                    &mut rng,
-                    &sampled,
-                    train,
-                    hp.grouping_factor,
-                    hp.grouping_strategy,
-                )?,
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let buckets = group_data(&mut rng, &sampled, train, hp.grouping_factor, Random)?;
         drop(t_group);
-        debug_assert!(realized_split_factor(&buckets) <= omega);
 
         // Lines 7-9, 15-22: per-bucket clipped deltas, each behind a panic
         // barrier; poisoned buckets are dropped (DP-safe, see module docs)
@@ -1035,8 +1006,7 @@ pub fn train_plp_with_executor(
             drop(t_server);
         }
 
-        // Line 11: ledger tracking. The effective noise multiplier stays σ
-        // for any ω: noise std σCω over sensitivity ωC.
+        // Line 11: ledger tracking at the step's (q, σ).
         let t_acct = phases.start(phase::ACCOUNTANT, in_step, step);
         accountant.step(hp.sampling_prob, hp.noise_multiplier)?;
         drop(t_acct);
@@ -1154,6 +1124,7 @@ pub fn train_plp_with_executor(
 mod tests {
     use super::*;
     use crate::checkpoint::load_checkpoint;
+    use crate::experiment::{ExperimentConfig, PreparedData};
     use crate::faults::FaultPlan;
     use plp_data::checkin::UserId;
     use plp_data::dataset::UserSequences;
@@ -1325,33 +1296,6 @@ mod tests {
         for w in out.telemetry.windows(2) {
             assert!(w[1].epsilon_spent > w[0].epsilon_spent);
         }
-    }
-
-    #[test]
-    fn omega_two_runs_with_scaled_noise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let ds = tiny_dataset(30);
-        let mut hp = fast_hp();
-        hp.split_factor = 2;
-        hp.grouping_factor = 1;
-        let out = train_plp(&mut rng, &ds, None, &hp).unwrap();
-        assert!(out.params.all_finite());
-        assert_eq!(out.summary.steps, 5);
-        // The noise std is σ·ωC over a sensitivity of ωC: the ledger tracks
-        // σ itself, and ε is an ω = 1 run's at the same (q, σ, steps).
-        assert_eq!(out.ledger.total_steps(), 5);
-        for e in out.ledger.entries() {
-            assert_eq!(e.q.to_bits(), hp.sampling_prob.to_bits());
-            assert_eq!(e.noise_multiplier.to_bits(), hp.noise_multiplier.to_bits());
-        }
-        hp.split_factor = 1;
-        let one = train_plp(&mut StdRng::seed_from_u64(7), &ds, None, &hp).unwrap();
-        assert_eq!(one.summary.steps, out.summary.steps);
-        assert_eq!(one.ledger, out.ledger);
-        assert_eq!(
-            one.summary.epsilon_spent.to_bits(),
-            out.summary.epsilon_spent.to_bits()
-        );
     }
 
     #[test]
@@ -1619,9 +1563,12 @@ mod tests {
             threads: 1,
             ..hp.clone()
         };
-        let tail = [600, crate::checkpoint::RNG_SCHEME_VERSION, 2];
-        let words = canonical.to_words().into_iter().chain(tail);
-        let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+        // Such files were written while `to_words` still carried ω = 1 and
+        // the `Random` grouping tag after λ: seventeen words.
+        let mut words = canonical.to_words().to_vec();
+        words.splice(9..9, [1, 0]);
+        words.extend([600, crate::checkpoint::RNG_SCHEME_VERSION, 2]);
+        let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
         assert_eq!(plp_data::frame::fnv1a64(&bytes), 0xfb13_9d40_2882_600a);
         let params = ModelParams::zeros(600, hp.embedding_dim);
         let run = TrainingCheckpoint {
@@ -1648,34 +1595,40 @@ mod tests {
     }
 
     #[test]
-    fn a_checkpoint_under_the_nineteen_word_encoding_is_refused_untouched() {
+    fn a_checkpoint_under_a_retired_word_encoding_is_refused_untouched() {
         // The default configuration's fingerprint while `to_words` still
-        // carried a loss tag and a server-optimiser tag. The checkpoint
-        // layout is the same, so such a file decodes — and is refused on its
-        // fingerprint rather than discarded as damaged.
+        // carried a loss tag and a server-optimiser tag (nineteen words),
+        // and then the split factor and the grouping tag (seventeen). The
+        // checkpoint layout is the same, so such a file decodes — and is
+        // refused on its fingerprint rather than discarded as damaged.
         let ds = TokenizedDataset {
             vocab_size: 600,
             ..tiny_dataset(20)
         };
         let hp = Hyperparameters::default();
-        let params = ModelParams::zeros(600, hp.embedding_dim);
-        let run = TrainingCheckpoint {
-            fingerprint: 0x4950_2aa4_4d64_081b,
-            run_seed: 9,
-            step: 0,
-            server: ServerAdam::new(&params, hp.server_learning_rate).unwrap(),
-            params,
-        };
-        let image = encode_checkpoint(&run, &PrivacyLedger::new());
-        let path = scratch_dir("nineteen").join("run.plpc");
-        std::fs::write(&path, &image).unwrap();
+        for (fingerprint, words) in [
+            (0x4950_2aa4_4d64_081b, "nineteen"),
+            (0x1a0e_6449_3371_aa2b, "seventeen"),
+        ] {
+            let params = ModelParams::zeros(600, hp.embedding_dim);
+            let run = TrainingCheckpoint {
+                fingerprint,
+                run_seed: 9,
+                step: 0,
+                server: ServerAdam::new(&params, hp.server_learning_rate).unwrap(),
+                params,
+            };
+            let image = encode_checkpoint(&run, &PrivacyLedger::new());
+            let path = scratch_dir(words).join("run.plpc");
+            std::fs::write(&path, &image).unwrap();
 
-        let err = train_plp_resumable(9, &ds, None, &hp, &checkpointed(&path, 2));
-        assert!(
-            matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("hyperparameters")),
-            "got {err:?}"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), image);
+            let err = train_plp_resumable(9, &ds, None, &hp, &checkpointed(&path, 2));
+            assert!(
+                matches!(err, Err(CoreError::CheckpointMismatch { what }) if what.contains("hyperparameters")),
+                "{words} words: got {err:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), image, "{words} words");
+        }
     }
 
     #[test]
@@ -2541,5 +2494,146 @@ mod tests {
                 "one step span per executed step"
             );
         }
+    }
+
+    #[test]
+    fn one_member_moves_a_clipped_bucket_by_at_most_c_alone_and_2c_grouped() {
+        // Removing user u from bucket b moves the Gaussian sum by
+        // clip(Δ_b) − clip(Δ_{b∖u}). At λ = 1, b∖u is empty and adds
+        // nothing, so the move is ‖clip(Δ_u)‖ ≤ C. At λ ≥ 2 both terms
+        // stay, and the triangle inequality bounds the move by 2C, not by
+        // the C of §4.2 Case 1 (ROADMAP item 19). Both sides use the same
+        // step seed and bucket index, as a step would, and the buckets are
+        // the trainer's own grouping of every user; C is small enough that
+        // every bucket clips.
+        let prep = PreparedData::generate(&ExperimentConfig::small(19)).unwrap();
+        let hp = Hyperparameters {
+            clip_norm: 0.005,
+            ..Hyperparameters::default()
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        let theta = ModelParams::init(&mut rng, prep.vocab_size(), hp.embedding_dim).unwrap();
+        let obs = Observer::disabled();
+        let ctx = BucketCtx {
+            step: 1,
+            step_seed: 0x19A,
+            faults: &FaultInjector::default(),
+            phases: &PhaseSet::resolve(&obs, &phase::TABLE),
+            pairs: &obs.counter("plp_train_pairs_total"),
+            trace: None,
+        };
+        let mut scratch = BucketScratch::default();
+        let mut clipped_delta = |members: Vec<usize>, index: usize| {
+            let tokens: Vec<usize> = members
+                .iter()
+                .flat_map(|&m| prep.train.users[m].flattened())
+                .collect();
+            if tokens.is_empty() {
+                return RowDelta::default();
+            }
+            let bucket = Bucket {
+                user_indices: members,
+                tokens,
+            };
+            model_update_from_bucket(&theta, &bucket, &hp, index, &ctx, &mut scratch)
+                .unwrap()
+                .grad
+        };
+        let everyone: Vec<usize> = (0..prep.train.num_users()).collect();
+        for lambda in [1, 2, 4] {
+            let bound = if lambda == 1 { 1.0 } else { 2.0 } * hp.clip_norm;
+            let mut largest = 0.0f64;
+            let mut rng = StdRng::seed_from_u64(2);
+            let buckets = group_data(&mut rng, &everyone, &prep.train, lambda, Random).unwrap();
+            for (index, bucket) in buckets.into_iter().enumerate().take(20) {
+                let with_u = clipped_delta(bucket.user_indices.clone(), index);
+                for &u in &bucket.user_indices {
+                    let rest = bucket.user_indices.iter().copied().filter(|&m| m != u);
+                    let mut without_u = clipped_delta(rest.collect(), index);
+                    without_u.scale_per_tensor(-1.0, -1.0, -1.0);
+                    let mut moved = ModelParams::zeros(theta.vocab_size(), theta.dim());
+                    with_u.accumulate_into(&mut moved).unwrap();
+                    without_u.accumulate_into(&mut moved).unwrap();
+                    let distance = moved.global_norm();
+                    assert!(
+                        distance <= bound + 1e-12,
+                        "λ = {lambda}, bucket {index}, user {u}: moved {distance} > {bound}"
+                    );
+                    largest = largest.max(distance / hp.clip_norm);
+                }
+            }
+            println!("λ = {lambda}: largest ‖clip(Δ_b) − clip(Δ_b∖u)‖ = {largest:.3} C");
+        }
+    }
+
+    /// The local executor, plus the tokens of the buckets a step handed it
+    /// and a [`RowSum`] of the updates it returned: the very updates the
+    /// loop sums, in the same order.
+    struct Counting {
+        tokens: usize,
+        sum: RowSum,
+    }
+
+    impl BucketExecutor for Counting {
+        fn execute_step(
+            &mut self,
+            theta: &ModelParams,
+            buckets: &[Bucket],
+            hp: &Hyperparameters,
+            step_seed: u64,
+            step: u64,
+            faults: &FaultInjector,
+            obs: &Observer,
+        ) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
+            self.tokens += buckets.iter().map(Bucket::len).sum::<usize>();
+            let (updates, skipped) =
+                LocalExecutor.execute_step(theta, buckets, hp, step_seed, step, faults, obs)?;
+            for update in &updates {
+                self.sum.add(&update.grad)?;
+            }
+            Ok((updates, skipped))
+        }
+    }
+
+    #[test]
+    fn work_counters_at_the_train_grouped_shape() {
+        // One private step of `ExperimentConfig::medium(42)` at the paper's
+        // hyper-parameters (q = 0.06, λ = 4): the users it sampled, the
+        // buckets and tokens it grouped them into, the SGNS pairs it trained
+        // on and the W, W′ and B′ rows its Gaussian sum holds, pinned
+        // exactly. Each is a pure function of the seed, so less work shows
+        // as a count where a timing would not resolve.
+        let prep = PreparedData::generate(&ExperimentConfig::medium(42)).unwrap();
+        let hp = Hyperparameters {
+            max_steps: 1,
+            ..Hyperparameters::default()
+        };
+        assert_eq!((hp.sampling_prob, hp.grouping_factor), (0.06, 4));
+        let opts = TrainOptions {
+            observer: Observer::new("counters"),
+            ..TrainOptions::default()
+        };
+        let mut counting = Counting {
+            tokens: 0,
+            sum: RowSum::new(prep.vocab_size(), hp.embedding_dim),
+        };
+        let out =
+            train_plp_with_executor(42, &prep.train, None, &hp, &opts, &mut counting).unwrap();
+        let step = &out.telemetry[0];
+        let (w, w_prime, b_prime) = counting.sum.tensor_rows();
+        let got = [
+            step.sampled_users,
+            step.buckets,
+            counting.tokens,
+            opts.observer.counter("plp_train_pairs_total").get() as usize,
+            w,
+            w_prime,
+            b_prime,
+        ];
+        println!(
+            "train_grouped, one step (sampled users, buckets, bucket tokens, SGNS pairs, \
+             RowSum rows W, W', B'): {got:?}"
+        );
+        assert_eq!(got, [69, 18, 7_126, 28_396, 580, 600, 600]);
     }
 }

@@ -4,16 +4,11 @@
 //! buckets H. Given a grouping factor λ, users (and their entire data) are
 //! randomly assigned to buckets such that each bucket contains λ users."
 //!
-//! Two strategies are implemented, mirroring the paper:
-//! * [`GroupingStrategy::Random`] — the default (the paper found no
-//!   statistically significant benefit from the alternative),
-//! * [`GroupingStrategy::EqualFrequency`] — buckets balanced by record
-//!   count, "while ensuring that the data records of each user are not split
-//!   into multiple buckets".
-//!
-//! [`group_data_split`] implements the ω > 1 ablation of §4.2 (Case 2),
-//! where a user's data is divided across ω buckets and the Gaussian noise
-//! must be scaled by ω.
+//! λ is the one grouping knob: every sampled user lands in exactly one
+//! bucket (ω = 1). The paper's two ablations — a user split across ω > 1
+//! buckets (§4.2 Case 2) and equal-frequency packing — found no benefit,
+//! and neither has a sensitivity argument the ledger could charge, so
+//! neither is implemented.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -22,15 +17,15 @@ use crate::dataset::TokenizedDataset;
 use crate::error::DataError;
 
 /// How sampled users are packed into buckets.
+///
+/// The enum has a single variant only because the benchmark harness calls
+/// [`group_data`] with `GroupingStrategy::Random` by name and must build
+/// unchanged. It goes with the harness seam of ROADMAP item 1(vi).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupingStrategy {
     /// Shuffle users and cut into consecutive groups of λ.
     #[default]
     Random,
-    /// Greedy balanced packing by record count (longest-processing-time):
-    /// users sorted by activity descending, each placed into the currently
-    /// lightest bucket. Users are never split.
-    EqualFrequency,
 }
 
 /// One training bucket `d_h`: the users it holds and their concatenated
@@ -60,7 +55,8 @@ impl Bucket {
 /// Poisson sample size is not a multiple of λ.
 ///
 /// Every user's data lands in exactly one bucket (ω = 1), which is the
-/// precondition for the sensitivity bound `S_GSQ ≤ C` of §4.2 Case 1.
+/// precondition of §4.2 Case 1's sensitivity argument. Each bucket's
+/// tokens are its members' sessions, concatenated in member order.
 ///
 /// # Errors
 /// `lambda` must be ≥ 1 and every sampled index must be in range.
@@ -82,149 +78,20 @@ pub fn group_data<R: Rng + ?Sized>(
             return Err(DataError::UnknownUser { user: u as u32 });
         }
     }
-    if sampled.is_empty() {
-        return Ok(Vec::new());
-    }
-    let assignments: Vec<Vec<usize>> = match strategy {
-        GroupingStrategy::Random => {
-            let mut order = sampled.to_vec();
-            order.shuffle(rng);
-            order.chunks(lambda).map(|c| c.to_vec()).collect()
-        }
-        GroupingStrategy::EqualFrequency => {
-            let num_buckets = sampled.len().div_ceil(lambda);
-            let mut by_size: Vec<usize> = sampled.to_vec();
-            by_size.sort_by_key(|&u| std::cmp::Reverse(dataset.users[u].num_tokens()));
-            let mut buckets: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); num_buckets];
-            for u in by_size {
-                // Lightest bucket that still has room; fall back to the
-                // lightest overall if all are nominally full.
-                let target = buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, members))| members.len() < lambda)
-                    .min_by_key(|(_, (load, _))| *load)
-                    .map(|(i, _)| i)
-                    .unwrap_or_else(|| {
-                        buckets
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, (load, _))| *load)
-                            .map(|(i, _)| i)
-                            .expect("num_buckets >= 1")
-                    });
-                buckets[target].0 += dataset.users[u].num_tokens();
-                buckets[target].1.push(u);
-            }
-            buckets
-                .into_iter()
-                .map(|(_, members)| members)
-                .filter(|m| !m.is_empty())
-                .collect()
-        }
-    };
-    Ok(assignments
-        .into_iter()
-        .map(|user_indices| {
-            let tokens = user_indices
+    let GroupingStrategy::Random = strategy;
+    let mut order = sampled.to_vec();
+    order.shuffle(rng);
+    Ok(order
+        .chunks(lambda)
+        .map(|members| Bucket {
+            user_indices: members.to_vec(),
+            tokens: members
                 .iter()
-                .flat_map(|&u| dataset.users[u].flattened())
-                .collect();
-            Bucket {
-                user_indices,
-                tokens,
-            }
+                .flat_map(|&u| dataset.users[u].sessions.iter().flatten())
+                .copied()
+                .collect(),
         })
         .collect())
-}
-
-/// The ω > 1 variant of §4.2 Case 2: each sampled user's token array is cut
-/// into `omega` contiguous chunks assigned to `omega` *distinct* buckets.
-/// The number of buckets is `ceil(|sampled| / lambda)` as in the ω = 1 case,
-/// so each bucket holds about λ user-equivalents of data.
-///
-/// The caller is responsible for scaling the Gaussian noise variance by ω²
-/// (the sensitivity of the sum query grows to ωC).
-///
-/// # Errors
-/// `lambda` and `omega` must be ≥ 1, and there must be at least ω buckets
-/// so a user's chunks can land in distinct buckets.
-pub fn group_data_split<R: Rng + ?Sized>(
-    rng: &mut R,
-    sampled: &[usize],
-    dataset: &TokenizedDataset,
-    lambda: usize,
-    omega: usize,
-) -> Result<Vec<Bucket>, DataError> {
-    if lambda == 0 {
-        return Err(DataError::BadConfig {
-            name: "lambda",
-            expected: ">= 1",
-        });
-    }
-    if omega == 0 {
-        return Err(DataError::BadConfig {
-            name: "omega",
-            expected: ">= 1",
-        });
-    }
-    if omega == 1 {
-        return group_data(rng, sampled, dataset, lambda, GroupingStrategy::Random);
-    }
-    for &u in sampled {
-        if u >= dataset.num_users() {
-            return Err(DataError::UnknownUser { user: u as u32 });
-        }
-    }
-    if sampled.is_empty() {
-        return Ok(Vec::new());
-    }
-    let num_buckets = sampled.len().div_ceil(lambda).max(1);
-    if num_buckets < omega {
-        return Err(DataError::BadConfig {
-            name: "omega",
-            expected: "<= number of buckets (sampled users / lambda)",
-        });
-    }
-    let mut buckets: Vec<Bucket> = (0..num_buckets)
-        .map(|_| Bucket {
-            user_indices: Vec::new(),
-            tokens: Vec::new(),
-        })
-        .collect();
-    let mut bucket_ids: Vec<usize> = (0..num_buckets).collect();
-    for &u in sampled {
-        let tokens = dataset.users[u].flattened();
-        let chunk = tokens.len().div_ceil(omega).max(1);
-        // Pick omega distinct buckets for this user's chunks.
-        bucket_ids.shuffle(rng);
-        for (piece, &b) in tokens.chunks(chunk).zip(bucket_ids.iter()).take(omega) {
-            buckets[b].user_indices.push(u);
-            buckets[b].tokens.extend_from_slice(piece);
-        }
-    }
-    Ok(buckets
-        .into_iter()
-        .filter(|b| !b.user_indices.is_empty())
-        .collect())
-}
-
-/// The realised split factor of a bucket assignment: the maximum number of
-/// buckets any single user's data appears in. This is the ω of the privacy
-/// analysis; noise must scale with the value *realised*, not the one
-/// intended.
-pub fn realized_split_factor(buckets: &[Bucket]) -> usize {
-    use std::collections::HashMap;
-    let mut count: HashMap<usize, usize> = HashMap::new();
-    for b in buckets {
-        let mut seen: Vec<usize> = b.user_indices.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        for u in seen {
-            *count.entry(u).or_insert(0) += 1;
-        }
-    }
-    count.values().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -239,9 +106,15 @@ mod tests {
         let users = sizes
             .iter()
             .enumerate()
-            .map(|(i, &n)| UserSequences {
-                user: UserId(i as u32),
-                sessions: vec![(0..n).map(|t| (i * 100 + t) % 50).collect()],
+            .map(|(i, &n)| {
+                // Two sessions per user, so a bucket's tokens cross session
+                // boundaries as well as user boundaries.
+                let tokens: Vec<usize> = (0..n).map(|t| (i * 100 + t) % 50).collect();
+                let (first, second) = tokens.split_at(n / 2);
+                UserSequences {
+                    user: UserId(i as u32),
+                    sessions: vec![first.to_vec(), second.to_vec()],
+                }
             })
             .collect();
         TokenizedDataset {
@@ -263,53 +136,15 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, sampled, "every user in exactly one bucket");
-        assert_eq!(realized_split_factor(&buckets), 1);
         // Bucket token arrays are the concatenation of member data.
         for b in &buckets {
-            let expected: usize = b
+            let expected: Vec<usize> = b
                 .user_indices
                 .iter()
-                .map(|&u| ds.users[u].num_tokens())
-                .sum();
-            assert_eq!(b.len(), expected);
+                .flat_map(|&u| ds.users[u].flattened())
+                .collect();
+            assert_eq!(b.tokens, expected);
         }
-    }
-
-    #[test]
-    fn lambda_one_is_per_user_buckets() {
-        let ds = dataset(&[3, 4, 5]);
-        let mut rng = StdRng::seed_from_u64(2);
-        let buckets = group_data(&mut rng, &[0, 1, 2], &ds, 1, GroupingStrategy::Random).unwrap();
-        assert_eq!(buckets.len(), 3);
-        assert!(buckets.iter().all(|b| b.user_indices.len() == 1));
-    }
-
-    #[test]
-    fn equal_frequency_balances_load() {
-        // One heavy user and several light ones.
-        let ds = dataset(&[100, 10, 10, 10, 10, 10]);
-        let mut rng = StdRng::seed_from_u64(3);
-        let buckets = group_data(
-            &mut rng,
-            &[0, 1, 2, 3, 4, 5],
-            &ds,
-            3,
-            GroupingStrategy::EqualFrequency,
-        )
-        .unwrap();
-        assert_eq!(buckets.len(), 2);
-        let loads: Vec<usize> = buckets.iter().map(|b| b.len()).collect();
-        // LPT puts the heavy user alone-ish: loads {100+10, 10*4} or better.
-        let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-        assert!(spread <= 100, "loads {loads:?}");
-        // Users still never split.
-        assert_eq!(realized_split_factor(&buckets), 1);
-        let mut all: Vec<usize> = buckets
-            .iter()
-            .flat_map(|b| b.user_indices.iter().copied())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -323,98 +158,10 @@ mod tests {
             .is_empty());
     }
 
-    #[test]
-    fn split_factor_two_spreads_users() {
-        let ds = dataset(&[8, 8, 8, 8]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let buckets = group_data_split(&mut rng, &[0, 1, 2, 3], &ds, 1, 2).unwrap();
-        assert_eq!(realized_split_factor(&buckets), 2);
-        // All tokens preserved.
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 32);
-        // No bucket contains the same user twice.
-        for b in &buckets {
-            let mut v = b.user_indices.clone();
-            v.sort_unstable();
-            v.dedup();
-            assert_eq!(v.len(), b.user_indices.len());
-        }
-    }
-
-    #[test]
-    fn split_omega_one_delegates_to_plain_grouping() {
-        let ds = dataset(&[4, 4]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let buckets = group_data_split(&mut rng, &[0, 1], &ds, 2, 1).unwrap();
-        assert_eq!(realized_split_factor(&buckets), 1);
-    }
-
-    #[test]
-    fn split_requires_enough_buckets() {
-        let ds = dataset(&[4, 4]);
-        let mut rng = StdRng::seed_from_u64(7);
-        // 2 users / lambda 2 => 1 bucket < omega 2.
-        assert!(group_data_split(&mut rng, &[0, 1], &ds, 2, 2).is_err());
-        assert!(group_data_split(&mut rng, &[0, 1], &ds, 0, 2).is_err());
-        assert!(group_data_split(&mut rng, &[0, 1], &ds, 1, 0).is_err());
-    }
-
-    #[test]
-    fn realized_split_factor_empty() {
-        assert_eq!(realized_split_factor(&[]), 0);
-    }
-
-    #[test]
-    fn fewer_sampled_users_than_lambda_forms_one_bucket() {
-        // A thin Poisson draw (|sample| < λ) must still group cleanly:
-        // everyone lands in the single, under-full bucket.
-        let ds = dataset(&[4, 6, 2, 3, 5, 7, 8, 9]);
-        for strategy in [GroupingStrategy::Random, GroupingStrategy::EqualFrequency] {
-            let mut rng = StdRng::seed_from_u64(8);
-            let buckets = group_data(&mut rng, &[2, 5, 6], &ds, 10, strategy).unwrap();
-            assert_eq!(buckets.len(), 1, "{strategy:?}");
-            let mut members = buckets[0].user_indices.clone();
-            members.sort_unstable();
-            assert_eq!(members, vec![2, 5, 6]);
-            assert_eq!(
-                buckets[0].len(),
-                ds.users[2].num_tokens() + ds.users[5].num_tokens() + ds.users[6].num_tokens()
-            );
-            assert_eq!(realized_split_factor(&buckets), 1);
-        }
-    }
-
-    #[test]
-    fn lambda_one_equal_frequency_is_per_user_buckets() {
-        let ds = dataset(&[3, 9, 1, 4]);
-        let mut rng = StdRng::seed_from_u64(9);
-        let buckets = group_data(
-            &mut rng,
-            &[0, 1, 2, 3],
-            &ds,
-            1,
-            GroupingStrategy::EqualFrequency,
-        )
-        .unwrap();
-        assert_eq!(buckets.len(), 4);
-        assert!(buckets.iter().all(|b| b.user_indices.len() == 1));
-        assert_eq!(realized_split_factor(&buckets), 1);
-    }
-
-    #[test]
-    fn split_lambda_one_delegates_cleanly() {
-        // λ = 1 with ω = 1 through the split entry point: per-user buckets.
-        let ds = dataset(&[2, 2, 2]);
-        let mut rng = StdRng::seed_from_u64(10);
-        let buckets = group_data_split(&mut rng, &[0, 1, 2], &ds, 1, 1).unwrap();
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(realized_split_factor(&buckets), 1);
-    }
-
     mod sensitivity_props {
-        //! Property tests for the §4.2 Case 1 invariant: with ω = 1, every
-        //! sampled user's data lands in exactly one bucket — the
-        //! precondition for the sum query's sensitivity bound S_GSQ ≤ C.
+        //! Property tests for the §4.2 Case 1 invariant: every sampled
+        //! user's data lands in exactly one bucket — the precondition of the
+        //! sum query's sensitivity argument.
 
         use super::*;
         use proptest::prelude::*;
@@ -427,20 +174,15 @@ mod tests {
                 seed in 0u64..1000,
                 num_users in 1usize..24,
                 lambda in 1usize..9,
-                strategy_pick in 0usize..2,
             ) {
                 let sizes: Vec<usize> = (0..num_users).map(|i| 1 + (i * 7) % 12).collect();
                 let ds = dataset(&sizes);
                 // A deterministic strict subset exercises partial samples.
                 let sampled: Vec<usize> =
                     (0..num_users).filter(|i| !(i + seed as usize).is_multiple_of(3)).collect();
-                let strategy = if strategy_pick == 1 {
-                    GroupingStrategy::EqualFrequency
-                } else {
-                    GroupingStrategy::Random
-                };
                 let mut rng = StdRng::seed_from_u64(seed);
-                let buckets = group_data(&mut rng, &sampled, &ds, lambda, strategy).unwrap();
+                let buckets =
+                    group_data(&mut rng, &sampled, &ds, lambda, GroupingStrategy::Random).unwrap();
                 // Exactly ω = 1: each sampled user appears once across all
                 // buckets, unsampled users never.
                 let mut appearances: Vec<usize> = buckets
@@ -451,8 +193,9 @@ mod tests {
                 let mut expected = sampled.clone();
                 expected.sort_unstable();
                 prop_assert_eq!(appearances, expected);
-                prop_assert!(realized_split_factor(&buckets) <= 1);
-                // No bucket over λ members, and no empty buckets emitted.
+                // ⌈|S|/λ⌉ buckets (one, under-full, when |S| < λ; one user
+                // each at λ = 1), none over λ members and none empty.
+                prop_assert_eq!(buckets.len(), sampled.len().div_ceil(lambda));
                 prop_assert!(buckets.iter().all(|b| !b.user_indices.is_empty()));
                 prop_assert!(buckets.iter().all(|b| b.user_indices.len() <= lambda));
             }

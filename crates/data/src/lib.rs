@@ -22,8 +22,8 @@
 //!    batch generation,
 //! 4. [`sampling`] — Poisson user sampling per training step (Algorithm 1,
 //!    line 5),
-//! 5. [`grouping`] — the paper's data-grouping contribution: packing λ users
-//!    into buckets, with the split factor ω of §4.2,
+//! 5. [`grouping`] — the paper's data-grouping contribution: packing λ
+//!    random users into each bucket, every user in exactly one,
 //! 6. [`io`] — (de)serialisation; [`preprocess`] also holds the
 //!    bounding-box restriction.
 

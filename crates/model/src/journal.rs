@@ -490,7 +490,17 @@ impl RowSum {
 
     /// Number of rows/entries stored across all three tensors.
     pub fn touched_rows(&self) -> usize {
-        self.embedding.arena.len() + self.context.arena.len() + self.bias.arena.len()
+        let (w, c, b) = self.tensor_rows();
+        w + c + b
+    }
+
+    /// Rows stored per tensor: `(W rows, W′ rows, B′ entries)`.
+    pub fn tensor_rows(&self) -> (usize, usize, usize) {
+        (
+            self.embedding.arena.len(),
+            self.context.arena.len(),
+            self.bias.arena.len(),
+        )
     }
 
     /// `sum += delta`, one row at a time in ascending row order.

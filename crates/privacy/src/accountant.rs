@@ -17,11 +17,10 @@ use crate::rdp::{RdpCurve, DEFAULT_MAX_MOMENT_ORDER};
 /// with sampling rate `q` and noise multiplier `noise_multiplier` — the
 /// noise std over the query's L2 sensitivity.
 ///
-/// When a user's data may be split across ω buckets, the sensitivity grows
-/// to ωC (paper §4.2, Case 2). The trainer scales the noise std with it, to
-/// σ·ωC, so the ratio — and the multiplier it tracks — stays σ for every ω:
-/// an ω-split run spends exactly the ε of an ω = 1 run at the same
-/// `(q, σ, steps)`.
+/// The trainer adds noise of std σ·C and records σ, the multiplier of a
+/// sum whose sensitivity is C. ROADMAP item 19 shows that a grouped bucket
+/// (λ ≥ 2) moves the sum by up to 2C when one member leaves it; charging
+/// that sensitivity at the same noise std records a multiplier of σ/2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedgerEntry {
     /// Poisson sampling rate of the step(s).
@@ -529,10 +528,10 @@ mod tests {
     }
 
     #[test]
-    fn omega_two_accounting_costs_more() {
-        // Were the noise held at σC while an ω = 2 split doubles the
-        // sensitivity, the multiplier would halve and ε must grow strictly;
-        // the trainer scales the noise to σ·ωC instead (see `LedgerEntry`).
+    fn a_halved_multiplier_costs_more() {
+        // A grouped bucket's sensitivity of 2C at a noise std of σC is a
+        // multiplier of σ/2, the case ROADMAP item 19(c) will charge (see
+        // `LedgerEntry`): at the same (q, steps), ε must grow strictly.
         let mut one = MomentsAccountant::new(2e-4).unwrap();
         let mut two = MomentsAccountant::new(2e-4).unwrap();
         for _ in 0..100 {

@@ -2,8 +2,7 @@
 //!
 //! [`GaussianMechanism`] is the noise source of Algorithm 1 (line 9): the
 //! clipped bucket gradients are summed and perturbed with
-//! `N(0, σ²C²I)` — or `N(0, σ²ω²C²I)` when a user's data may be split across
-//! ω > 1 buckets (§4.2, Case 2).
+//! `N(0, σ²C²I)`.
 
 use plp_linalg::sample;
 

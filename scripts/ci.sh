@@ -4,10 +4,11 @@
 # no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
 # (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
-# training process) grep gates, build, the full test suite in the dev profile
-# and again in release mode (with the allocation counts of a warm bucket, of
-# an evaluation and of data preparation, and the work counters of an IVF
-# build, printed), every experiment of the `figures` table at bench
+# training process, one way to form a bucket) grep gates, build, the full
+# test suite in the dev profile and again in release mode (with the
+# allocation counts of a warm bucket, of an evaluation and of data
+# preparation, and the work counters of an IVF build and of a private
+# step, printed), every experiment of the `figures` table at bench
 # scale and a correctness smoke of the benchmark harness. The crash-safety
 # and hot-swap fault tests run inside the test suite. This is the
 # only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
@@ -105,7 +106,7 @@ if [ "$draws" -ne 1 ]; then
   exit 1
 fi
 
-echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one training process) =="
+echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one training process, one way to form a bucket) =="
 # The trainer's checkpoint policy decides where a run starts and the loop
 # steps the very state a save encodes; a resume entry point, a caller-side
 # resume switch or a second state type means both are being forked again.
@@ -127,11 +128,14 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # The IVF build's test oracle is `build_reference`, its own Lloyd loop over
 # the exact scan: a seam that drives the real build with another
 # assignment pass shares the very loop the oracle should check.
+# λ is the one grouping knob: a split factor ω, its grouping and its
+# check, equal-frequency packing or their ablation rows are a second way
+# to form a bucket, one whose sensitivity the ledger does not charge.
 # (The bracketed last letters, as in
 # `ps | grep [n]ame`, keep a grep for these names over scripts/ from
 # finding this line.)
-if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]|FedExecuto[r]|FedConfi[g]|BucketRunne[r]|stall_worke[r]|exit_worke[r]|corrupt_reply_fram[e]|DOMAIN_FED_ROUN[D]' -- crates src tests examples; then
-  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the trainer's LocalExecutor in one process, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), or IvfIndex::build_reference (the IVF build's exact oracle)"
+if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]|FedExecuto[r]|FedConfi[g]|BucketRunne[r]|stall_worke[r]|exit_worke[r]|corrupt_reply_fram[e]|DOMAIN_FED_ROUN[D]|split_facto[r]|group_data_spli[t]|realized_split_facto[r]|EqualFrequenc[y]|ablation_omeg[a]|ablation_grouping_strateg[y]' -- crates src tests examples; then
+  echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the trainer's LocalExecutor in one process, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), IvfIndex::build_reference (the IVF build's exact oracle) or group_data's λ random users per bucket"
   exit 1
 fi
 
@@ -159,6 +163,9 @@ cargo test --release -q -p plp-core --test alloc_count -- --nocapture
 # filtered, exact dots, descent attempts — pinned exactly and printed
 # (DESIGN.md §14.2): less work is shown by a count, not a timing.
 cargo test --release -q -p plp-linalg --lib work_counters_at_the_serve_city_shape -- --nocapture
+# The same for one private step at the train_grouped shape: users sampled,
+# buckets, bucket tokens, SGNS pairs and the row sum's W, W′ and B′ rows.
+cargo test --release -q -p plp-core --lib work_counters_at_the_train_grouped_shape -- --nocapture
 
 echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any

@@ -1,8 +1,9 @@
 //! The docs may cite performance only as `workload:metric` names that
 //! `BENCHMARK.json` declares, may not mention the retired bench reports
 //! and tools, the retired model / checkpoint formats, the per-figure
-//! binaries and their knobs or the retired federated crate and its worker
-//! binary, and DESIGN.md numbers its sections without a hole. Reads files only.
+//! binaries and their knobs, the retired federated crate and its worker
+//! binary or the retired grouping axes (the ω split and equal-frequency
+//! packing), and DESIGN.md numbers its sections without a hole. Reads files only.
 
 use std::fs;
 use std::path::Path;
@@ -10,7 +11,7 @@ use std::path::Path;
 use serde_json::Value;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
-const RETIRED: [&str; 17] = [
+const RETIRED: [&str; 23] = [
     "BENCH_train.json",
     "BENCH_serve.json",
     "BENCH_obs.json",
@@ -29,8 +30,14 @@ const RETIRED: [&str; 17] = [
     "plp-fed",
     "serde_derive",
     // In two pieces, so that a search of the sources for the retired
-    // crate's name finds none.
+    // crate's name, or for the retired grouping axes' names, finds none.
     concat!("plp_", "fed_worker"),
+    concat!("split", "_factor"),
+    concat!("group_data", "_split"),
+    concat!("realized_split", "_factor"),
+    concat!("Equal", "Frequency"),
+    concat!("ablation", "_omega"),
+    concat!("ablation", "_grouping_strategy"),
 ];
 
 /// The `name` strings of the objects in `manifest[key]`.

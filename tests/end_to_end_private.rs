@@ -120,15 +120,3 @@ fn privacy_accounting_is_independent_of_grouping() {
     assert!((eps[0] - eps[1]).abs() < 1e-12);
     assert!((eps[1] - eps[2]).abs() < 1e-12);
 }
-
-#[test]
-fn omega_two_trains_and_documents_higher_noise() {
-    let prep = PreparedData::generate(&tiny()).unwrap();
-    let mut hp = fast_hp();
-    hp.grouping_factor = 1;
-    hp.split_factor = 2;
-    let mut rng = StdRng::seed_from_u64(29);
-    let out = train_plp(&mut rng, &prep.train, None, &hp).unwrap();
-    assert!(out.params.all_finite());
-    assert_eq!(out.summary.steps, hp.max_steps as u64);
-}

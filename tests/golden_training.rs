@@ -1,7 +1,7 @@
 //! Golden trained bits: the FNV-1a digest of the trained θ (every float
 //! as its little-endian bits — embedding, then context, then bias) and of
-//! ε's bits, for three private configurations of `end_to_end_private.rs`'s
-//! shape at one and two threads.
+//! ε's bits, for two private configurations of `end_to_end_private.rs`'s
+//! shape — PLP at λ = 4 and DP-SGD — at one and two threads.
 //!
 //! The θ digests were re-pinned once, with `KERNEL_SCHEME_VERSION` 3:
 //! local SGD now draws one negative set per batch instead of one per pair,
@@ -70,9 +70,6 @@ const EPS: u64 = 0x1c8b_5faf_9b5e_2b27;
 fn trained_theta_and_epsilon_match_the_pinned_digests() {
     let prep = PreparedData::generate(&tiny()).unwrap();
     let plp = fast_hp();
-    let mut omega = fast_hp();
-    omega.grouping_factor = 1;
-    omega.split_factor = 2;
     // (name, seed, hyper-parameters, DP-SGD?, θ digest)
     let cases = [
         (
@@ -83,7 +80,6 @@ fn trained_theta_and_epsilon_match_the_pinned_digests() {
             0xd324_d6c8_3d5d_c980_u64,
         ),
         ("dp-sgd lambda 1", 13, plp, true, 0x5849_2cb4_bafc_16e7),
-        ("omega 2", 29, omega, false, 0x5044_a76d_83fb_ef4a),
     ];
     let mut got = Vec::new();
     let mut want = Vec::new();

@@ -6,9 +6,7 @@ use rand::SeedableRng;
 
 use dp_nextloc::data::checkin::UserId;
 use dp_nextloc::data::dataset::{TokenizedDataset, UserSequences};
-use dp_nextloc::data::grouping::{
-    group_data, group_data_split, realized_split_factor, GroupingStrategy,
-};
+use dp_nextloc::data::grouping::{group_data, GroupingStrategy};
 use dp_nextloc::linalg::ops;
 use dp_nextloc::model::clip::clip_per_layer;
 use dp_nextloc::model::grad::BatchGrad;
@@ -40,47 +38,20 @@ proptest! {
         num_users in 1usize..40,
         lambda in 1usize..8,
         seed in 0u64..1000,
-        strategy in prop_oneof![
-            Just(GroupingStrategy::Random),
-            Just(GroupingStrategy::EqualFrequency)
-        ],
     ) {
         let ds = dataset(num_users, 5, 20);
         let sampled: Vec<usize> = (0..num_users).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let buckets = group_data(&mut rng, &sampled, &ds, lambda, strategy).unwrap();
+        let buckets = group_data(&mut rng, &sampled, &ds, lambda, GroupingStrategy::Random).unwrap();
         let mut all: Vec<usize> =
             buckets.iter().flat_map(|b| b.user_indices.iter().copied()).collect();
         all.sort_unstable();
         prop_assert_eq!(all, sampled);
-        prop_assert_eq!(realized_split_factor(&buckets), 1);
         // No bucket exceeds lambda members.
         prop_assert!(buckets.iter().all(|b| b.user_indices.len() <= lambda));
         // Token conservation.
         let total: usize = buckets.iter().map(|b| b.len()).sum();
         prop_assert_eq!(total, num_users * 5);
-    }
-
-    /// Splitting with ω never exceeds the declared split factor and
-    /// conserves every token.
-    #[test]
-    fn split_grouping_respects_omega(
-        num_users in 4usize..30,
-        omega in 1usize..4,
-        seed in 0u64..500,
-    ) {
-        let ds = dataset(num_users, 8, 20);
-        let sampled: Vec<usize> = (0..num_users).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // lambda = 1 guarantees enough buckets for any omega <= 4.
-        match group_data_split(&mut rng, &sampled, &ds, 1, omega) {
-            Ok(buckets) => {
-                prop_assert!(realized_split_factor(&buckets) <= omega);
-                let total: usize = buckets.iter().map(|b| b.len()).sum();
-                prop_assert_eq!(total, num_users * 8);
-            }
-            Err(_) => prop_assert!(omega > num_users, "only fails with too few buckets"),
-        }
     }
 
     /// Per-layer clipping always bounds the global norm by C and never
