@@ -7,9 +7,12 @@
 //! with the auditable privacy ledger beside it — everything a run needs to
 //! resume bit-identically after a crash. On disk it is a PLPS container
 //! image (`plp_data::frame`): θ and Adam's `m`, `v` as tensor sections, the
-//! scalars and the ledger rows as word sections. The container supplies the
-//! checksums over every byte, the typed rejection reasons and the atomic
-//! writer; this module adds what only a checkpoint knows:
+//! scalars and the ledger rows as word sections. The moments are f32 in
+//! memory and are written widened to f64 words, which is exact, so the
+//! container keeps one word size; a moment word that does not narrow back
+//! to f32 exactly is refused. The container supplies the checksums over
+//! every byte, the typed rejection reasons and the atomic writer; this
+//! module adds what only a checkpoint knows:
 //!
 //! * **Config-fingerprinted**: the image carries a fingerprint of the
 //!   hyper-parameters (and vocabulary size) that produced it; a resumed
@@ -18,8 +21,10 @@
 //!   privacy accounting.
 //! * **Self-consistent**: the ledger entries must be valid, their step
 //!   total must equal the stored step, Adam's moments must have θ's shape
-//!   and every tensor must be finite — damage re-sealed under valid
-//!   checksums is still refused.
+//!   and be f32 values, and every tensor must be finite — damage re-sealed
+//!   under valid checksums is still refused. A checkpoint of kernel scheme
+//!   3, whose moments were f64, does not decode; the trainer refuses it by
+//!   its fingerprint before trying (`sealed_fingerprint`).
 //!
 //! The privacy ledger inside the checkpoint is the source of truth for ε:
 //! resuming rebuilds the moments accountant from the ledger entries
@@ -29,7 +34,7 @@ use std::fs;
 use std::path::Path;
 
 use plp_data::frame::{self, fnv1a64, SnapshotError, Words};
-use plp_model::optimizer::ServerAdam;
+use plp_model::optimizer::{Moments, ServerAdam};
 use plp_model::params::ModelParams;
 use plp_model::plps::{param_sections, PlpsSnapshot, KIND_EMBEDDING};
 use plp_model::ModelError;
@@ -76,8 +81,11 @@ pub const RNG_SCHEME_VERSION: u64 = 3;
 /// 2 = eight lanes, which fixes the floating-point reduction order of
 /// every dot product and norm; scheme 3: one negative set per batch — each
 /// batch of local SGD draws one uniform set S shared by its pairs instead
-/// of one per pair, so the RNG draws and the rows touched both change.
-pub const KERNEL_SCHEME_VERSION: u64 = 3;
+/// of one per pair, so the RNG draws and the rows touched both change;
+/// scheme 4: Adam's moments are stored in f32
+/// (`plp_model::optimizer::Moments`), so every step after the first reads
+/// rounded moments.
+pub const KERNEL_SCHEME_VERSION: u64 = 4;
 
 /// A private training run between two steps: everything Algorithm 1
 /// carries from one step to the next but the privacy ledger, which sits
@@ -128,7 +136,7 @@ pub fn config_fingerprint(hp: &Hyperparameters, vocab_size: usize) -> u64 {
 /// Serializes a run and its privacy ledger to a checkpoint image, reading
 /// both where they lie.
 pub fn encode_checkpoint(run: &TrainingCheckpoint, ledger: &PrivacyLedger) -> Vec<u8> {
-    let (t, m, v) = run.server.state();
+    let (t, moments) = run.server.state();
     let lr = run.server.learning_rate.to_bits();
     let [b1, b2, eps] = ADAM_CONSTANTS.map(f64::to_bits);
     let meta = [
@@ -143,8 +151,11 @@ pub fn encode_checkpoint(run: &TrainingCheckpoint, ledger: &PrivacyLedger) -> Ve
         t,
     ];
     let mut sections = param_sections(&run.params, KIND_EMBEDDING).to_vec();
-    sections.extend(param_sections(m, KIND_ADAM_M));
-    sections.extend(param_sections(v, KIND_ADAM_V));
+    let dim = run.params.dim();
+    let kinds = (KIND_ADAM_M..KIND_ADAM_V + 3).zip([dim, dim, 1, dim, dim, 1]);
+    for ((kind, cols), tensor) in kinds.zip(moments.tensors()) {
+        sections.push((kind, cols, Words::F32(tensor)));
+    }
     let ledger: Vec<u64> = ledger
         .entries()
         .iter()
@@ -187,11 +198,27 @@ fn decode(image: Vec<u8>) -> Result<(TrainingCheckpoint, PrivacyLedger), ModelEr
     if meta.len() != 9 || meta[3] != SERVER_ADAM || meta[5..8] != ADAM_CONSTANTS.map(f64::to_bits) {
         return Err(inconsistent("unknown server state"));
     }
-    let (m, v) = (tensors(KIND_ADAM_M)?, tensors(KIND_ADAM_V)?);
-    if !params.same_shape(&m) || !params.same_shape(&v) {
-        return Err(inconsistent("Adam moment shapes differ from θ"));
-    }
-    let server = ServerAdam::from_state(f64::from_bits(meta[4]), meta[8], m, v)
+    let moment = |base: u16| {
+        let wide = tensors(base)?;
+        if !params.same_shape(&wide) {
+            return Err(inconsistent("Adam moment shapes differ from θ"));
+        }
+        let values = [
+            wide.embedding.as_slice(),
+            wide.context.as_slice(),
+            &wide.bias,
+        ];
+        let narrow = |&x: &f64| {
+            let n = x as f32;
+            (f64::from(n).to_bits() == x.to_bits()).then_some(n)
+        };
+        let arena: Option<Vec<f32>> = values.into_iter().flatten().map(narrow).collect();
+        arena.ok_or_else(|| inconsistent("Adam moment not an f32 value"))
+    };
+    let (m, v) = (moment(KIND_ADAM_M)?, moment(KIND_ADAM_V)?);
+    let moments = Moments::from_arenas(params.vocab_size(), params.dim(), m, v)
+        .map_err(|_| inconsistent("Adam moment shapes differ from θ"))?;
+    let server = ServerAdam::from_state(f64::from_bits(meta[4]), meta[8], moments)
         .map_err(|_| inconsistent("invalid server state"))?;
     let entry = |w: &[u64]| LedgerEntry {
         q: f64::from_bits(w[0]),
@@ -218,6 +245,18 @@ fn decode(image: Vec<u8>) -> Result<(TrainingCheckpoint, PrivacyLedger), ModelEr
     Ok((run, ledger))
 }
 
+/// The fingerprint a sealed checkpoint image carries — every checksum
+/// holds and the meta section is there — whether or not this build can
+/// decode the rest; `None` for a damaged image. The trainer compares it
+/// first, so a sealed checkpoint of another configuration or scheme is
+/// refused and left as it is, even one this build cannot decode (a scheme-3
+/// image, whose f64 moments do not narrow to f32).
+pub(crate) fn sealed_fingerprint(image: &[u8]) -> Option<u64> {
+    let header = frame::parse(image).ok()?;
+    header.verify(image).ok()?;
+    header.words(image, KIND_META, 1).ok()?.first().copied()
+}
+
 /// Reads and integrity-checks a checkpoint from `path`.
 ///
 /// # Errors
@@ -241,7 +280,7 @@ mod tests {
         // on purpose (a scheme bump, or a field added or removed).
         assert_eq!(
             config_fingerprint(&Hyperparameters::default(), 600),
-            0xa780_530e_996f_b186
+            0x0c9a_6fe1_62c3_3ee1
         );
     }
 

@@ -66,7 +66,8 @@ use plp_privacy::PrivacyLedger;
 use serde_json::json;
 
 use crate::checkpoint::{
-    config_fingerprint, decode_checkpoint, encode_checkpoint, TrainingCheckpoint,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, sealed_fingerprint,
+    TrainingCheckpoint,
 };
 use crate::config::Hyperparameters;
 use crate::error::CoreError;
@@ -683,16 +684,23 @@ fn start(
         }
         _ => None,
     };
+    // Judged before the content, which another scheme may lay out
+    // differently: another run's file is refused, never discarded.
+    if image
+        .as_deref()
+        .and_then(sealed_fingerprint)
+        .is_some_and(|f| f != fingerprint)
+    {
+        return Err(CoreError::CheckpointMismatch {
+            what: "hyperparameters, vocabulary, RNG scheme or kernel scheme differ from the checkpointed run",
+        });
+    }
     match image.map(decode_checkpoint) {
         Some(Ok((run, ledger))) => {
             // `max_steps` is inside the fingerprint, so no honest checkpoint
             // is past it — and the accountant replays one composition per
             // claimed step, so an absurd claim must stop before it.
             let refusal = [
-                (
-                    run.fingerprint != fingerprint,
-                    "hyperparameters, vocabulary, RNG scheme or kernel scheme differ from the checkpointed run",
-                ),
                 (
                     run.params.vocab_size() != train.vocab_size
                         || run.params.dim() != hp.embedding_dim,
@@ -836,6 +844,9 @@ fn emit_privacy_burn(
 ///   and emits `checkpoint_resumed`; telemetry covers only the steps run
 ///   after it, so a finished run's checkpoint trains none and returns the
 ///   same outcome;
+/// * a sealed file of another fingerprint is refused before its content is
+///   decoded (below), so a checkpoint of an older scheme is never taken
+///   for a damaged one;
 /// * a damaged file is discarded: the run starts at step 0, emits
 ///   `checkpoint_discarded` with the container's `kind()` tag, and
 ///   overwrites the file at its first save — bit-identical too, as every
@@ -2635,5 +2646,55 @@ mod tests {
              RowSum rows W, W', B'): {got:?}"
         );
         assert_eq!(got, [69, 18, 7_126, 28_396, 580, 600, 600]);
+    }
+
+    #[test]
+    fn work_counters_at_the_train_wide_shape() {
+        // The same counts for one step at `train_wide`'s shape: 30 000
+        // locations asked for, 1 500 users, 400 000 check-ins, q = 0.008,
+        // λ = 2, dim 50. At this vocabulary a step's W′ rows — the
+        // buckets' distinct contexts plus one shared negative set per
+        // batch — are a small share of the rows, so a change to how many
+        // negatives a batch draws moves W′ where at `train_grouped`'s 600
+        // locations it saturates.
+        let mut config = ExperimentConfig::medium(42);
+        config.generator.num_locations = 30_000;
+        config.generator.num_users = 1_500;
+        config.generator.target_checkins = 400_000;
+        let prep = PreparedData::generate(&config).unwrap();
+        let hp = Hyperparameters {
+            embedding_dim: 50,
+            sampling_prob: 0.008,
+            grouping_factor: 2,
+            max_steps: 1,
+            ..Hyperparameters::default()
+        };
+        let opts = TrainOptions {
+            observer: Observer::new("counters"),
+            ..TrainOptions::default()
+        };
+        let mut counting = Counting {
+            tokens: 0,
+            sum: RowSum::new(prep.vocab_size(), hp.embedding_dim),
+        };
+        let out =
+            train_plp_with_executor(42, &prep.train, None, &hp, &opts, &mut counting).unwrap();
+        let step = &out.telemetry[0];
+        let (w, w_prime, b_prime) = counting.sum.tensor_rows();
+        let got = [
+            prep.vocab_size(),
+            step.sampled_users,
+            step.buckets,
+            counting.tokens,
+            opts.observer.counter("plp_train_pairs_total").get() as usize,
+            w,
+            w_prime,
+            b_prime,
+        ];
+        println!(
+            "train_wide, one step (vocabulary, sampled users, buckets, bucket tokens, SGNS \
+             pairs, RowSum rows W, W', B'): {got:?}"
+        );
+        assert_eq!(got, [22_840, 12, 6, 3_839, 15_320, 1_809, 7_852, 7_852]);
     }
 }

@@ -237,6 +237,9 @@ pub(crate) fn inconsistent(what: &'static str) -> SnapshotError {
 pub enum Words<'a> {
     /// Little-endian `f64` words (a tensor).
     F64(&'a [f64]),
+    /// `f32` values, each written as the `f64` word it widens to exactly
+    /// (a tensor kept in f32, stored without a second layout).
+    F32(&'a [f32]),
     /// Little-endian `u64` words (ids, counters, bit patterns).
     U64(&'a [u64]),
 }
@@ -245,6 +248,7 @@ impl Words<'_> {
     fn len(&self) -> usize {
         match self {
             Words::F64(w) => w.len(),
+            Words::F32(w) => w.len(),
             Words::U64(w) => w.len(),
         }
     }
@@ -255,6 +259,9 @@ impl Words<'_> {
             Words::F64(w) => chunks
                 .zip(*w)
                 .for_each(|(c, x)| c.copy_from_slice(&x.to_le_bytes())),
+            Words::F32(w) => chunks
+                .zip(*w)
+                .for_each(|(c, &x)| c.copy_from_slice(&f64::from(x).to_le_bytes())),
             Words::U64(w) => chunks
                 .zip(*w)
                 .for_each(|(c, x)| c.copy_from_slice(&x.to_le_bytes())),
@@ -585,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn layout_is_page_aligned_and_round_trips_both_word_types() {
+    fn layout_is_page_aligned_and_round_trips_every_word_type() {
         let raw = image(5);
         let header = open(&raw).unwrap();
         assert_eq!((header.generation, header.flags), (5, 1));
@@ -603,6 +610,13 @@ mod tests {
         assert_eq!(
             encode(&[(9, 3, Words::F64(&floats))], 0, 0),
             encode(&[(9, 3, Words::U64(&bits))], 0, 0)
+        );
+        // f32 values are written as the f64 words they widen to.
+        let narrow = [0.5f32, -0.0, f32::MAX];
+        let wide = narrow.map(f64::from);
+        assert_eq!(
+            encode(&[(9, 3, Words::F32(&narrow))], 0, 0),
+            encode(&[(9, 3, Words::F64(&wide))], 0, 0)
         );
         assert_eq!(encode(&[], 3, 0).len(), PAGE_ALIGN);
         assert!(open(&encode(&[], 3, 0)).unwrap().sections.is_empty());

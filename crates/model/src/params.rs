@@ -159,29 +159,16 @@ impl ModelParams {
         parts: usize,
     ) -> impl Iterator<Item = impl Iterator<Item = (Row, &mut [f64])>> {
         let dim = self.dim();
-        assert!(dim >= 1, "row parts need dim >= 1");
-        let rows = self
-            .vocab_size()
-            .div_ceil(parts.max(1))
-            .max(1)
-            .next_multiple_of(BIAS_CHUNK);
         let ModelParams {
             embedding,
             context,
             bias,
         } = self;
-        embedding
-            .as_mut_slice()
-            .chunks_mut(rows * dim)
-            .zip(context.as_mut_slice().chunks_mut(rows * dim))
-            .zip(bias.chunks_mut(rows))
-            .enumerate()
-            .map(move |(b, ((w, c), bias))| {
-                let first = b * rows;
-                tensor_rows(w, dim, Row::Embedding, first)
-                    .chain(tensor_rows(c, dim, Row::Context, first))
-                    .chain(tensor_rows(bias, BIAS_CHUNK, Row::Bias, first / BIAS_CHUNK))
-            })
+        row_blocks(
+            [embedding.as_mut_slice(), context.as_mut_slice(), bias],
+            dim,
+            parts,
+        )
     }
 
     /// A copy of the embedding matrix with rows normalised to unit length —
@@ -193,13 +180,44 @@ impl ModelParams {
     }
 }
 
+/// The cut behind [`ModelParams::row_parts_mut`], over any three tensors
+/// laid out like θ's — `W` and `W′` of `dim`-wide rows, then `B′` of one
+/// entry per row — so every θ-shaped value of any element type (Adam's f32
+/// moments too) is cut at the same vocabulary rows.
+///
+/// # Panics
+/// `dim` must be ≥ 1.
+pub(crate) fn row_blocks<T>(
+    [embedding, context, bias]: [&mut [T]; 3],
+    dim: usize,
+    parts: usize,
+) -> impl Iterator<Item = impl Iterator<Item = (Row, &mut [T])>> {
+    assert!(dim >= 1, "row parts need dim >= 1");
+    let rows = bias
+        .len()
+        .div_ceil(parts.max(1))
+        .max(1)
+        .next_multiple_of(BIAS_CHUNK);
+    embedding
+        .chunks_mut(rows * dim)
+        .zip(context.chunks_mut(rows * dim))
+        .zip(bias.chunks_mut(rows))
+        .enumerate()
+        .map(move |(b, ((w, c), bias))| {
+            let first = b * rows;
+            tensor_rows(w, dim, Row::Embedding, first)
+                .chain(tensor_rows(c, dim, Row::Context, first))
+                .chain(tensor_rows(bias, BIAS_CHUNK, Row::Bias, first / BIAS_CHUNK))
+        })
+}
+
 /// `data` cut into rows of `width`, the first of which is row `first`.
-fn tensor_rows(
-    data: &mut [f64],
+fn tensor_rows<T>(
+    data: &mut [T],
     width: usize,
     row: fn(usize) -> Row,
     first: usize,
-) -> impl Iterator<Item = (Row, &mut [f64])> {
+) -> impl Iterator<Item = (Row, &mut [T])> {
     data.chunks_mut(width)
         .enumerate()
         .map(move |(k, values)| (row(first + k), values))

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the one-container, no-crossbeam-bytes-or-serde /
 # one-fan-out, one-figures-binary, no-deployed-copy, one-pass private step,
-# no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
+# f32-Adam-moments, no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
 # (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
 # training process, one way to form a bucket) grep gates, build, the full
@@ -88,6 +88,17 @@ if [ -n "$dense" ]; then
   exit 1
 fi
 
+echo "== f32-moment gate (Adam's moments stay two f32 per θ element) =="
+# `optimizer::Moments` keeps m and v as f32 arenas cut like θ. A
+# `ModelParams::zeros` or a `ModelParams` field in the optimiser outside its
+# tests means an f64 moment — twice the bytes — is back.
+wide=$(awk '/^mod tests/ { exit } /ModelParams::zeros|^ *(pub )?[a-z_]+: ModelParams,/ { print FILENAME ":" FNR ": " $0 }' crates/model/src/optimizer.rs)
+if [ -n "$wide" ]; then
+  echo "crates/model/src/optimizer.rs must keep Adam's moments in optimizer::Moments (f32):"
+  echo "$wide"
+  exit 1
+fi
+
 echo "== sparse-row gate (the SGNS loop holds no map) =="
 # The per-batch gradient is a touch log replayed into the parameters; a
 # map here means a second sparse-row type beside journal::DeltaRows is back.
@@ -166,6 +177,9 @@ cargo test --release -q -p plp-linalg --lib work_counters_at_the_serve_city_shap
 # The same for one private step at the train_grouped shape: users sampled,
 # buckets, bucket tokens, SGNS pairs and the row sum's W, W′ and B′ rows.
 cargo test --release -q -p plp-core --lib work_counters_at_the_train_grouped_shape -- --nocapture
+# And at the train_wide shape, whose W′ rows do not saturate the vocabulary,
+# so a change to the negatives a batch draws shows in the pin.
+cargo test --release -q -p plp-core --lib work_counters_at_the_train_wide_shape -- --nocapture
 
 echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any

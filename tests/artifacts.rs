@@ -17,6 +17,7 @@ use rand::SeedableRng;
 
 use dp_nextloc::core::checkpoint::{
     config_fingerprint, decode_checkpoint, encode_checkpoint, load_checkpoint, TrainingCheckpoint,
+    RNG_SCHEME_VERSION,
 };
 use dp_nextloc::core::plp::{train_plp_resumable, CheckpointPolicy, TrainOptions};
 use dp_nextloc::core::{CoreError, Hyperparameters};
@@ -34,6 +35,7 @@ const KIND_EMBEDDING: u16 = 0;
 const KIND_CONTEXT: u16 = 1;
 const KIND_BIAS: u16 = 2;
 const KIND_ADAM_M: u16 = 3;
+const KIND_ADAM_V: u16 = 6;
 const KIND_META: u16 = 16;
 const KIND_LEDGER: u16 = 17;
 const KIND_POIS: u16 = 32;
@@ -453,6 +455,78 @@ fn resealed_checkpoint_damage_is_refused_by_the_semantic_checks() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The checkpoint image with bias row 1's moments as a scheme-3 save
+/// wrote them: the f64 values 0.0125 and 1.5625e-5, which no f32 equals.
+fn with_f64_moments(s: &mut Sections) {
+    words_of(s, KIND_ADAM_M + 2)[1] = 0.0125f64.to_bits();
+    words_of(s, KIND_ADAM_V + 2)[1] = 1.5625e-5f64.to_bits();
+}
+
+#[test]
+fn a_moment_word_that_is_not_an_f32_is_refused() {
+    // Each moment is stored as its f32 widened to an f64 word; a word
+    // that does not narrow back exactly was not written by this encoder.
+    let adam = "checkpoint-adam";
+    for kind in [KIND_ADAM_M, KIND_ADAM_V + 1] {
+        assert_inconsistent(adam, "not an f32", |s| {
+            words_of(s, kind)[2] = 0.1f64.to_bits();
+        });
+    }
+    assert_inconsistent(adam, "not an f32", with_f64_moments);
+    // An f32 value at the edge of its range narrows exactly and decodes.
+    let edge = resealed(adam, |s| {
+        words_of(s, KIND_ADAM_M)[0] = f64::from(f32::MIN_POSITIVE / 8.0).to_bits();
+        words_of(s, KIND_ADAM_V + 1)[0] = f64::from(f32::MAX).to_bits();
+    });
+    assert_eq!(open_checkpoint(edge), Ok(()));
+}
+
+#[test]
+fn a_checkpoint_of_kernel_scheme_three_is_refused_untouched() {
+    // A sealed scheme-3 save of this configuration: its fingerprint folds
+    // in kernel scheme 3 and its moments are f64. This build cannot decode
+    // it, yet the trainer refuses it as another run's, by its fingerprint,
+    // and leaves the file as it was instead of discarding it as damaged.
+    let hp = Hyperparameters {
+        embedding_dim: DIM,
+        ..Hyperparameters::default()
+    };
+    let canonical = Hyperparameters {
+        threads: 1,
+        ..hp.clone()
+    };
+    let tail = [VOCAB as u64, RNG_SCHEME_VERSION, 3];
+    let words = canonical.to_words().into_iter().chain(tail);
+    let scheme3 = fnv1a64(&words.flat_map(u64::to_le_bytes).collect::<Vec<u8>>());
+    assert_ne!(scheme3, config_fingerprint(&hp, VOCAB));
+    let image = resealed("checkpoint-adam", |s| {
+        words_of(s, KIND_META)[0] = scheme3;
+        with_f64_moments(s);
+    });
+    assert_refused(open_checkpoint(image.clone()), "inconsistent", "not an f32");
+    let train = TokenizedDataset {
+        users: Vec::new(),
+        vocab_size: VOCAB,
+    };
+    let path = std::env::temp_dir().join(format!("plp_artifacts_{}_scheme3", std::process::id()));
+    std::fs::write(&path, &image).unwrap();
+    let opts = TrainOptions {
+        checkpoint: Some(CheckpointPolicy {
+            path: path.clone(),
+            every: 0,
+        }),
+        ..TrainOptions::default()
+    };
+    let refused = train_plp_resumable(42, &train, None, &hp, &opts);
+    assert!(
+        matches!(refused, Err(CoreError::CheckpointMismatch { what }) if what.contains("kernel scheme")),
+        "{:?}",
+        refused.map(|out| out.summary)
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), image);
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn resealed_dataset_damage_is_refused_by_the_semantic_checks() {
     assert_inconsistent("dataset", "absent", |s| {
@@ -486,12 +560,15 @@ fn write_deployable_bytes_match_the_digest_taken_before_the_container_moved() {
 
 #[test]
 fn checkpoint_bytes_match_the_digests_taken_before_the_state_types_merged() {
-    // Computed at commit 3a8d990, where a save first copied the trainer's
-    // state into a second type: encoding the live state must not move a
-    // byte.
+    // First computed at commit 3a8d990, where a save first copied the
+    // trainer's state into a second type: encoding the live state must not
+    // move a byte. Re-pinned once when Adam's moments became f32: this
+    // image's moments, 0.0125 and 1.5625e-5, are not f32 values, so their
+    // stored words are now the nearest f32s widened. The length did not
+    // move: a widened moment takes the word it took before.
     let image = image_of("checkpoint-adam");
     assert_eq!(image.len(), 45_104);
-    assert_eq!(fnv1a64(&image), 0xe1f8_6248_50f7_6aed);
+    assert_eq!(fnv1a64(&image), 0xa642_d65e_9f1d_fbf2);
 }
 
 #[test]
