@@ -3,11 +3,13 @@
 
 use dp_nextloc::core::experiment::{ExperimentConfig, PreparedData};
 use dp_nextloc::data::frame::fnv1a64;
-use dp_nextloc::data::generator::SyntheticGenerator;
+use dp_nextloc::data::generator::{GeneratorConfig, SyntheticGenerator};
 use dp_nextloc::data::io;
 use dp_nextloc::data::preprocess::{filter_sparse, FilterConfig, Survivors};
 use dp_nextloc::data::stats::dataset_stats;
-use dp_nextloc::data::CheckInDataset;
+use dp_nextloc::data::{CheckInDataset, Poi};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn tiny() -> ExperimentConfig {
     let mut c = ExperimentConfig::small(101);
@@ -137,15 +139,7 @@ fn prepared_data_matches_the_digests_taken_before_the_single_pass() {
     // the same users, sessions, tokens, vocabulary and statistics. Every
     // user of the first two shapes survives the filter; the third drops 26
     // of 300, so which users the holdout draws from shows too.
-    let medium = ExperimentConfig::medium(42);
-    let mut wide = ExperimentConfig::medium(42);
-    wide.generator.num_locations = 30_000;
-    wide.generator.num_users = 1_500;
-    wide.generator.target_checkins = 400_000;
-    let mut dropping = ExperimentConfig::small(42);
-    dropping.generator.min_checkins_per_user = 2;
-    let digests =
-        [medium, wide, dropping].map(|c| prepared_digest(&PreparedData::generate(&c).unwrap()));
+    let digests = pinned_shapes().map(|c| prepared_digest(&PreparedData::generate(&c).unwrap()));
     println!("medium(42), train_wide shape, dropping: {digests:#018x?}");
     assert_eq!(
         digests,
@@ -153,6 +147,87 @@ fn prepared_data_matches_the_digests_taken_before_the_single_pass() {
             0xf986_fb3c_a6eb_118a,
             0x88cd_bec0_89eb_0770,
             0x6fc0_154b_62a4_a42a
+        ]
+    );
+}
+
+/// The three shapes the prepared-data pins cover: `ExperimentConfig::medium(42)`,
+/// the `train_wide` shape and a small shape whose filter drops users.
+fn pinned_shapes() -> [ExperimentConfig; 3] {
+    let medium = ExperimentConfig::medium(42);
+    let mut wide = ExperimentConfig::medium(42);
+    wide.generator.num_locations = 30_000;
+    wide.generator.num_users = 1_500;
+    wide.generator.target_checkins = 400_000;
+    let mut dropping = ExperimentConfig::small(42);
+    dropping.generator.min_checkins_per_user = 2;
+    [medium, wide, dropping]
+}
+
+/// fnv1a64 over POIs — id, latitude bits, longitude bits — then over
+/// `extra` words, each as a little-endian u64.
+fn poi_digest(pois: &[Poi], extra: impl IntoIterator<Item = u64>) -> u64 {
+    let mut words = Vec::new();
+    for p in pois {
+        words.extend([
+            u64::from(p.id.0),
+            p.point.lat.to_bits(),
+            p.point.lon.to_bits(),
+        ]);
+    }
+    words.extend(extra);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn generated_data_matches_the_digests_taken_before_the_parallel_pass() {
+    // Computed by these same digests at commit 1b2eb33, where the generator
+    // drew and mapped every check-in on one thread into a flat vector and
+    // regrouped it by user. A raw dataset is its POIs and every history's
+    // (user, location, timestamp) words; a world is its POIs and the
+    // cluster of each, which `Zipf` draws too.
+    let datasets = pinned_shapes().map(|c| {
+        let raw = SyntheticGenerator::generate_with_seed(c.generator, c.seed).unwrap();
+        let checkins = raw.users.iter().flat_map(|h| {
+            let owner = u64::from(h.user.0);
+            let words = h.checkins.iter().map(|c| {
+                [
+                    u64::from(c.user.0),
+                    u64::from(c.location.0),
+                    c.timestamp as u64,
+                ]
+            });
+            std::iter::once([owner, h.checkins.len() as u64, 0]).chain(words)
+        });
+        poi_digest(&raw.pois, checkins.flatten())
+    });
+    let swap = GeneratorConfig {
+        num_locations: 10_000,
+        num_clusters: 100,
+        ..GeneratorConfig::city()
+    };
+    let worlds = [GeneratorConfig::default(), GeneratorConfig::city(), swap].map(|c| {
+        let world = SyntheticGenerator::new(&mut StdRng::seed_from_u64(42), c).unwrap();
+        let clusters = (0..world.pois().len()).map(|p| world.cluster_of(p).unwrap() as u64);
+        poi_digest(world.pois(), clusters)
+    });
+    println!("datasets (medium(42), train_wide shape, dropping): {datasets:#018x?}");
+    println!("worlds (default, city, swap city) at seed 42: {worlds:#018x?}");
+    assert_eq!(
+        datasets,
+        [
+            0x3db4_50c0_bfdd_b831,
+            0xe8d0_b003_ec90_2d5c,
+            0xaf97_8812_1b41_9201
+        ]
+    );
+    assert_eq!(
+        worlds,
+        [
+            0xbaa3_437f_2eed_9fb2,
+            0x4582_d95a_37e4_5732,
+            0x562f_058a_42e2_d921
         ]
     );
 }
