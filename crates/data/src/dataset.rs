@@ -39,9 +39,8 @@ impl CheckInDataset {
     /// Users are ordered by id; each user's check-ins are sorted by
     /// timestamp (ties broken by location id for determinism).
     pub fn from_checkins(pois: Vec<Poi>, mut checkins: Vec<CheckIn>) -> Self {
-        // Stable, so on input already grouped by user — what the generator,
-        // the binary snapshot and the CSV export all write — it is one
-        // linear pass.
+        // Stable, so on input already grouped by user — what the binary
+        // snapshot and the CSV export write — it is one linear pass.
         checkins.sort_by_key(|c| c.user);
         let users = checkins
             .chunk_by(|a, b| a.user == b.user)

@@ -20,14 +20,22 @@
 //!   six-hour trajectory cap used in evaluation.
 //!
 //! Everything is driven by one seeded RNG: the same seed yields the same
-//! dataset byte-for-byte.
+//! dataset byte-for-byte. [`SyntheticGenerator::generate`] makes every draw
+//! on the calling thread, in one fixed order, and only then maps each
+//! visit's uniform to its POI and time-sorts each history, per block of
+//! users on [`plp_linalg::par::fan_out`]: that pass draws nothing, so the
+//! number of blocks cannot show in the dataset.
+
+use std::sync::OnceLock;
 
 use rand::{Rng, RngExt};
 
+use plp_linalg::par::fan_out;
 use plp_linalg::sample::{NormalSampler, Zipf};
 
-use crate::checkin::{BoundingBox, CheckIn, GeoPoint, LocationId, Poi};
-use crate::dataset::CheckInDataset;
+use crate::blocks;
+use crate::checkin::{BoundingBox, CheckIn, GeoPoint, LocationId, Poi, UserId};
+use crate::dataset::{CheckInDataset, UserHistory};
 use crate::error::DataError;
 
 /// Configuration of the synthetic generator. Defaults reproduce the paper's
@@ -147,16 +155,18 @@ impl GeneratorConfig {
     /// # Errors
     /// Returns [`DataError::BadConfig`] naming the first bad field.
     pub fn validate(&self) -> Result<(), DataError> {
-        if self.num_users == 0 {
+        // Users and POIs are numbered by u32 ids: a larger count would
+        // wrap, and two users would share one history.
+        if self.num_users == 0 || u32::try_from(self.num_users).is_err() {
             return Err(DataError::BadConfig {
                 name: "num_users",
-                expected: ">= 1",
+                expected: "in [1, u32::MAX]",
             });
         }
-        if self.num_locations == 0 {
+        if self.num_locations == 0 || u32::try_from(self.num_locations).is_err() {
             return Err(DataError::BadConfig {
                 name: "num_locations",
-                expected: ">= 1",
+                expected: "in [1, u32::MAX]",
             });
         }
         if self.num_clusters == 0 || self.num_clusters > self.num_locations {
@@ -191,6 +201,12 @@ impl GeneratorConfig {
                 expected: "1 <= min <= max",
             });
         }
+        if !self.zipf_exponent.is_finite() || self.zipf_exponent < 0.0 {
+            return Err(DataError::BadConfig {
+                name: "zipf_exponent",
+                expected: ">= 0",
+            });
+        }
         if self.duration_secs <= 0 {
             return Err(DataError::BadConfig {
                 name: "duration_secs",
@@ -199,6 +215,14 @@ impl GeneratorConfig {
         }
         Ok(())
     }
+}
+
+/// Buffers one user's draws reuse from the last user's.
+#[derive(Default)]
+struct Scratch {
+    favorites: Vec<usize>,
+    sizes: Vec<usize>,
+    starts: Vec<i64>,
 }
 
 /// The generator: holds the world model (clusters, POIs, distributions)
@@ -210,12 +234,11 @@ pub struct SyntheticGenerator {
     poi_cluster: Vec<usize>,
     /// POIs of each cluster, ordered by within-cluster popularity rank.
     cluster_pois: Vec<Vec<usize>>,
-    /// Within-cluster POI popularity distribution, one per cluster,
-    /// precomputed so sampling a check-in is O(log cluster) instead of
-    /// rebuilding the O(cluster) Zipf CDF per visit. Construction draws
-    /// nothing from the RNG, so datasets are byte-identical to the
-    /// rebuild-per-call behaviour.
-    cluster_poi_dist: Vec<Zipf>,
+    /// Within-cluster POI popularity distribution, one per cluster, so
+    /// mapping a visit's uniform to a POI is one [`Zipf::rank_of`]. Built
+    /// by the first `generate`: construction draws nothing from the RNG,
+    /// and a world that only places POIs never needs it.
+    cluster_poi_dist: OnceLock<Vec<Zipf>>,
     /// POI coordinates.
     pois: Vec<Poi>,
     /// Cluster attractiveness distribution.
@@ -276,22 +299,11 @@ impl SyntheticGenerator {
             });
         }
 
-        let cluster_poi_dist = cluster_pois
-            .iter()
-            .map(|members| {
-                debug_assert!(!members.is_empty(), "every cluster owns at least one POI");
-                Zipf::new(members.len(), config.zipf_exponent).ok_or(DataError::BadConfig {
-                    name: "zipf_exponent",
-                    expected: ">= 0",
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
         Ok(SyntheticGenerator {
             config,
             poi_cluster,
             cluster_pois,
-            cluster_poi_dist,
+            cluster_poi_dist: OnceLock::new(),
             pois,
             cluster_dist,
         })
@@ -309,6 +321,16 @@ impl SyntheticGenerator {
 
     /// Generates the full dataset.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> CheckInDataset {
+        self.generate_in_blocks(rng, blocks::count(self.config.target_checkins))
+    }
+
+    /// [`SyntheticGenerator::generate`] with the POI mapping cut into
+    /// `blocks` user blocks; the dataset is the same for every count.
+    pub(crate) fn generate_in_blocks<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        blocks: usize,
+    ) -> CheckInDataset {
         let cfg = &self.config;
         let mut normal = NormalSampler::new();
         // Log-normal per-user activity calibrated so the mean hits
@@ -318,20 +340,78 @@ impl SyntheticGenerator {
         let s = 0.9_f64;
         let mu = mean_target.ln() - 0.5 * s * s;
 
-        let mut checkins = Vec::with_capacity(cfg.target_checkins + cfg.target_checkins / 8);
+        // Every draw, in order, on this thread. A history holds each
+        // visit's cluster in its location field until the mapping below
+        // replaces it; `uniforms` holds the uniform that picks the POI.
+        let mut users = Vec::with_capacity(cfg.num_users);
+        let mut uniforms = Vec::with_capacity(cfg.target_checkins + cfg.target_checkins / 8);
+        let mut offsets = Vec::with_capacity(cfg.num_users + 1);
+        offsets.push(0);
+        let mut scratch = Scratch::default();
         for user in 0..cfg.num_users {
             let raw = (mu + s * normal.sample(rng)).exp();
             let count =
                 (raw.round() as usize).clamp(cfg.min_checkins_per_user, cfg.max_checkins_per_user);
-            let favorites = self.pick_favorites(rng);
-            self.generate_user(rng, user as u32, count, &favorites, &mut checkins);
+            self.pick_favorites(rng, &mut scratch.favorites);
+            let mut checkins = Vec::with_capacity(count);
+            self.draw_user(
+                rng,
+                user as u32,
+                count,
+                &mut scratch,
+                &mut checkins,
+                &mut uniforms,
+            );
+            users.push(UserHistory {
+                user: UserId(user as u32),
+                checkins,
+            });
+            offsets.push(uniforms.len());
         }
-        CheckInDataset::from_checkins(self.pois.clone(), checkins)
+
+        let dists = self.cluster_poi_dist.get_or_init(|| {
+            let exponent = self.config.zipf_exponent;
+            let dist = |members: &Vec<usize>| Zipf::new(members.len(), exponent);
+            let dists = self.cluster_pois.iter().map(dist);
+            dists
+                .collect::<Option<_>>()
+                .expect("validated exponent, no empty cluster")
+        });
+        let bounds = blocks::bounds(&offsets, blocks);
+        let parts = blocks::split_mut(&mut users, &bounds);
+        let parts = parts
+            .into_iter()
+            .zip(bounds.windows(2))
+            .map(|(histories, w)| (histories, &uniforms[offsets[w[0]]..offsets[w[1]]]));
+        fan_out(parts.collect(), |(histories, uniforms)| {
+            let mut uniforms = uniforms.iter();
+            for history in histories {
+                for (c, &u) in history.checkins.iter_mut().zip(&mut uniforms) {
+                    let cluster = c.location.0 as usize;
+                    let rank = dists[cluster].rank_of(u);
+                    c.location = LocationId(self.cluster_pois[cluster][rank] as u32);
+                }
+                // Sessions are time-ordered runs with sorted starts: most
+                // histories are in order already, and the rest are long runs
+                // the run-merging stable sort joins. Within a user, equal
+                // keys are equal check-ins, so no sort can put them in an
+                // order that shows.
+                let key = |c: &CheckIn| (c.timestamp, c.location);
+                if !history.checkins.is_sorted_by_key(key) {
+                    history.checkins.sort_by_key(key);
+                }
+            }
+        });
+        CheckInDataset {
+            pois: self.pois.clone(),
+            users,
+        }
     }
 
-    fn pick_favorites<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
+    /// Fills `favorites` with the user's favourite clusters.
+    fn pick_favorites<R: Rng + ?Sized>(&self, rng: &mut R, favorites: &mut Vec<usize>) {
         let want = self.config.favorites_per_user.min(self.config.num_clusters);
-        let mut favorites = Vec::with_capacity(want);
+        favorites.clear();
         // Rejection-sample distinct clusters from the attractiveness
         // distribution; favourites are shared across users because they are
         // drawn from the same skewed global distribution.
@@ -352,35 +432,42 @@ impl SyntheticGenerator {
                 }
             }
         }
-        favorites
     }
 
-    fn generate_user<R: Rng + ?Sized>(
+    /// Draws one user's `count` visits: each one's cluster (in the location
+    /// field) and time into `out`, in session order, and the uniform that
+    /// will pick its POI into `uniforms`.
+    fn draw_user<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         user: u32,
         count: usize,
-        favorites: &[usize],
+        scratch: &mut Scratch,
         out: &mut Vec<CheckIn>,
+        uniforms: &mut Vec<f64>,
     ) {
         let cfg = &self.config;
+        let Scratch {
+            favorites,
+            sizes,
+            starts,
+        } = scratch;
         let mut remaining = count;
         // Sessions of 2..=8 visits; starts uniform over the window, sorted.
-        let mut session_sizes = Vec::new();
+        sizes.clear();
         while remaining > 0 {
             let size = rng.random_range(2..=8).min(remaining);
-            session_sizes.push(size);
+            sizes.push(size);
             remaining -= size;
         }
-        let mut starts: Vec<i64> = (0..session_sizes.len())
-            .map(|_| {
-                cfg.start_timestamp
-                    + (rng.random::<f64>() * (cfg.duration_secs - 6 * 3600).max(1) as f64) as i64
-            })
-            .collect();
+        starts.clear();
+        starts.extend(sizes.iter().map(|_| {
+            cfg.start_timestamp
+                + (rng.random::<f64>() * (cfg.duration_secs - 6 * 3600).max(1) as f64) as i64
+        }));
         starts.sort_unstable();
 
-        for (size, start) in session_sizes.into_iter().zip(starts) {
+        for (&size, &start) in sizes.iter().zip(starts.iter()) {
             let mut t = start;
             // Each session starts from a favourite neighbourhood.
             let mut cluster = favorites[rng.random_range(0..favorites.len())];
@@ -396,16 +483,12 @@ impl SyntheticGenerator {
                     // six-hour trajectory cap for up to 8 visits.
                     t += rng.random_range(600..=5400);
                 }
-                let poi = self.sample_poi_in_cluster(rng, cluster);
-                out.push(CheckIn::new(user, poi as u32, t));
+                // The POI within the cluster is Zipf by rank over this one
+                // uniform; the mapping waits for the parallel pass.
+                uniforms.push(rng.random());
+                out.push(CheckIn::new(user, cluster as u32, t));
             }
         }
-    }
-
-    fn sample_poi_in_cluster<R: Rng + ?Sized>(&self, rng: &mut R, cluster: usize) -> usize {
-        // Zipf over the cluster's POIs by rank, from the table built at
-        // construction (same distribution, same RNG draw sequence).
-        self.cluster_pois[cluster][self.cluster_poi_dist[cluster].sample(rng)]
     }
 
     /// Convenience: build the world and generate in one call from a seed.
@@ -549,6 +632,38 @@ mod tests {
     }
 
     #[test]
+    fn more_users_than_u32_ids_are_refused() {
+        // User u is UserId(u as u32): past u32::MAX two users would share
+        // an id and merge into one history.
+        let mut c = GeneratorConfig::small();
+        c.num_users = u32::MAX as usize + 1;
+        assert!(matches!(
+            c.validate(),
+            Err(DataError::BadConfig {
+                name: "num_users",
+                ..
+            })
+        ));
+        c.num_users = u32::MAX as usize;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn more_locations_than_u32_ids_are_refused() {
+        let mut c = GeneratorConfig::small();
+        c.num_locations = u32::MAX as usize + 1;
+        assert!(matches!(
+            c.validate(),
+            Err(DataError::BadConfig {
+                name: "num_locations",
+                ..
+            })
+        ));
+        c.num_locations = u32::MAX as usize;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
     fn config_validation_rejects_bad_fields() {
         let ok = GeneratorConfig::small();
         assert!(ok.validate().is_ok());
@@ -570,6 +685,9 @@ mod tests {
         let mut c = ok.clone();
         c.max_checkins_per_user = 1;
         c.min_checkins_per_user = 10;
+        assert!(c.validate().is_err());
+        let mut c = ok.clone();
+        c.zipf_exponent = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = ok;
         c.duration_secs = 0;

@@ -27,6 +27,7 @@
 //! 6. [`io`] — (de)serialisation; [`preprocess`] also holds the
 //!    bounding-box restriction.
 
+mod blocks;
 pub mod checkin;
 pub mod dataset;
 pub mod error;

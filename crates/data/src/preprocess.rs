@@ -16,15 +16,23 @@
 //! filter, the vocabulary, the statistics, the holdout and the sessions are
 //! all derived from that table. No check-in is copied until its token is
 //! written into a session.
+//!
+//! The per-check-in work — indexing, each filter round's counts, cutting
+//! sessions — runs per block of users on [`fan_out`]. Each block's
+//! results merge exactly: dense indices are ranks in the sorted union of
+//! the blocks' ids, the counts are integer sums over users that each lie
+//! in one block, and the sessions come back in user order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use plp_linalg::par::fan_out;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::blocks;
 use crate::checkin::{BoundingBox, CheckIn, LocationId};
-use crate::dataset::{CheckInDataset, TokenizedDataset, UserSequences};
+use crate::dataset::{CheckInDataset, TokenizedDataset, UserHistory, UserSequences};
 use crate::error::DataError;
 use crate::stats::DatasetStats;
 use crate::vocab::Vocabulary;
@@ -133,31 +141,105 @@ impl Hasher for IdHasher {
 }
 
 /// Gives every check-in of `dataset` a dense location index ranked in id
-/// order: the distinct ids ascending, the index of each check-in, and where
-/// each user's check-ins start.
-fn index(dataset: &CheckInDataset) -> (Vec<LocationId>, Vec<u32>, Vec<usize>) {
-    let mut first_seen: HashMap<LocationId, u32, BuildHasherDefault<IdHasher>> =
-        HashMap::with_capacity_and_hasher(dataset.pois.len(), Default::default());
-    let mut dense = Vec::with_capacity(dataset.num_checkins());
-    let mut offsets = Vec::with_capacity(dataset.users.len() + 1);
-    offsets.push(0);
-    for u in &dataset.users {
-        for c in &u.checkins {
-            let next = first_seen.len() as u32;
-            dense.push(*first_seen.entry(c.location).or_insert(next));
+/// order: the distinct ids ascending, and the index of each check-in, users
+/// one after another from `offsets`, per block of `bounds`.
+///
+/// Ids no larger than a few per check-in — the generator's, and any
+/// dataset's whose ids count its POIs — are ranked through a table indexed
+/// by id: each block marks the ids it sees, and the ids any block marked
+/// are the ranking. Sparser ids go through a hash map per block that
+/// numbers them in first-seen order, and the union of the blocks' sorted
+/// ids is the ranking. Either way no block's view shows in the ranks.
+fn index(
+    dataset: &CheckInDataset,
+    offsets: &[usize],
+    bounds: &[usize],
+) -> (Vec<LocationId>, Vec<u32>) {
+    let total = offsets[offsets.len() - 1];
+    let mut dense = vec![0; total];
+    let cuts: Vec<usize> = bounds.iter().map(|&u| offsets[u]).collect();
+    let blocks = || bounds.windows(2).map(|w| &dataset.users[w[0]..w[1]]);
+    let max = checkins(&dataset.users)
+        .map(|c| c.location.0 as usize)
+        .max();
+    if let Some(max) = max.filter(|&max| max < 4 * total + 1024) {
+        let seen = fan_out(blocks().collect(), |users| {
+            let mut seen = vec![false; max + 1];
+            for c in checkins(users) {
+                seen[c.location.0 as usize] = true;
+            }
+            seen
+        });
+        let mut rank = vec![0; max + 1];
+        let mut locations = Vec::new();
+        for id in (0..=max).filter(|&id| seen.iter().any(|s| s[id])) {
+            rank[id] = locations.len() as u32;
+            locations.push(LocationId(id as u32));
         }
-        offsets.push(dense.len());
+        let parts = blocks().zip(blocks::split_mut(&mut dense, &cuts));
+        fan_out(parts.collect(), |(users, dense)| {
+            for (c, l) in checkins(users).zip(dense) {
+                *l = rank[c.location.0 as usize];
+            }
+        });
+        return (locations, dense);
     }
-    let mut seen: Vec<(LocationId, u32)> = first_seen.into_iter().collect();
-    seen.sort_unstable();
-    let mut rank = vec![0; seen.len()];
-    for (r, &(_, first)) in seen.iter().enumerate() {
-        rank[first as usize] = r as u32;
-    }
-    for l in &mut dense {
-        *l = rank[*l as usize];
-    }
-    (seen.into_iter().map(|(id, _)| id).collect(), dense, offsets)
+    let parts = blocks().zip(blocks::split_mut(&mut dense, &cuts));
+    let seen = fan_out(parts.collect(), |(users, dense)| {
+        let mut first_seen: HashMap<LocationId, u32, BuildHasherDefault<IdHasher>> =
+            HashMap::with_capacity_and_hasher(dataset.pois.len(), Default::default());
+        for (c, l) in checkins(users).zip(dense) {
+            let next = first_seen.len() as u32;
+            *l = *first_seen.entry(c.location).or_insert(next);
+        }
+        let mut seen: Vec<(LocationId, u32)> = first_seen.into_iter().collect();
+        seen.sort_unstable();
+        seen
+    });
+    // The blocks' id lists are sorted runs, which the stable sort merges.
+    let mut locations: Vec<LocationId> = seen.iter().flatten().map(|&(id, _)| id).collect();
+    locations.sort();
+    locations.dedup();
+    let parts = seen.iter().zip(blocks::split_mut(&mut dense, &cuts));
+    fan_out(parts.collect(), |(seen, dense)| {
+        let mut rank = vec![0; seen.len()];
+        let mut r = 0;
+        for &(id, first) in seen {
+            while locations[r] < id {
+                r += 1;
+            }
+            rank[first as usize] = r as u32;
+        }
+        for l in dense {
+            *l = rank[*l as usize];
+        }
+    });
+    (locations, dense)
+}
+
+/// The check-ins of `users`, one history after another.
+fn checkins(users: &[UserHistory]) -> impl Iterator<Item = &CheckIn> {
+    users.iter().flat_map(|u| &u.checkins)
+}
+
+/// One location's tally over one block of users in a filter round.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// Kept check-ins there.
+    visits: usize,
+    /// Distinct kept users there.
+    visitors: usize,
+    /// The last user counted there: users come one after the other, so
+    /// that is all distinct visitors need.
+    last: usize,
+}
+
+impl Tally {
+    const ZERO: Tally = Tally {
+        visits: 0,
+        visitors: 0,
+        last: usize::MAX,
+    };
 }
 
 /// Applies the user/location sparsity filters until a fixpoint.
@@ -166,7 +248,19 @@ fn index(dataset: &CheckInDataset) -> (Vec<LocationId>, Vec<u32>, Vec<usize>) {
 /// and visitors; it copies no check-in. `dataset` is expected in the form
 /// [`CheckInDataset::from_checkins`] builds — one history per user.
 pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> Survivors {
-    let (locations, dense, offsets) = index(dataset);
+    filter_in_blocks(dataset, config, blocks::count(dataset.num_checkins()))
+}
+
+/// [`filter_sparse`] over `blocks` user blocks; the survivors are the same
+/// for every count.
+fn filter_in_blocks(dataset: &CheckInDataset, config: FilterConfig, blocks: usize) -> Survivors {
+    let mut offsets = Vec::with_capacity(dataset.users.len() + 1);
+    offsets.push(0);
+    for u in &dataset.users {
+        offsets.push(offsets[offsets.len() - 1] + u.len());
+    }
+    let bounds = blocks::bounds(&offsets, blocks);
+    let (locations, dense) = index(dataset, &offsets, &bounds);
     let user = |u: usize| &dense[offsets[u]..offsets[u + 1]];
     let mut alive = vec![true; locations.len()];
     // How many check-ins each user has left; `None` once the user is out.
@@ -175,23 +269,29 @@ pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> Survivor
         .collect();
     let mut visitors = vec![0; locations.len()];
     let mut visits = vec![0; locations.len()];
-    // Users come one after the other, so a location only has to remember
-    // the last one it counted to count distinct visitors.
-    let mut last = vec![usize::MAX; locations.len()];
+    let mut tallies = vec![vec![Tally::ZERO; locations.len()]; bounds.len() - 1];
     loop {
-        visitors.fill(0);
-        visits.fill(0);
-        last.fill(usize::MAX);
-        for u in (0..left.len()).filter(|&u| left[u].is_some()) {
-            for &l in user(u) {
-                let l = l as usize;
-                if alive[l] {
-                    visits[l] += 1;
-                    if last[l] != u {
-                        last[l] = u;
-                        visitors[l] += 1;
+        let (alive_now, left_now) = (&alive, &left);
+        let parts = tallies.iter_mut().zip(bounds.windows(2));
+        fan_out(parts.collect(), |(tally, w)| {
+            tally.fill(Tally::ZERO);
+            for u in (w[0]..w[1]).filter(|&u| left_now[u].is_some()) {
+                for &l in user(u).iter().filter(|&&l| alive_now[l as usize]) {
+                    let t = &mut tally[l as usize];
+                    t.visits += 1;
+                    if t.last != u {
+                        t.last = u;
+                        t.visitors += 1;
                     }
                 }
+            }
+        });
+        visitors.fill(0);
+        visits.fill(0);
+        for tally in &tallies {
+            for ((visitors, visits), t) in visitors.iter_mut().zip(&mut visits).zip(tally) {
+                *visitors += t.visitors;
+                *visits += t.visits;
             }
         }
         for (alive, &n) in alive.iter_mut().zip(&visitors) {
@@ -201,14 +301,21 @@ pub fn filter_sparse(dataset: &CheckInDataset, config: FilterConfig) -> Survivor
         // that user can leave a location short of visitors: go round again
         // whenever a check-in or a user went. A round that changes nothing
         // kills only locations no one counted, so its tallies are final.
-        let mut changed = false;
-        for (u, left) in left.iter_mut().enumerate() {
-            let Some(before) = *left else { continue };
-            let kept = user(u).iter().filter(|&&l| alive[l as usize]).count();
-            *left = (kept >= config.min_checkins_per_user).then_some(kept);
-            changed |= kept < before || (left.is_none() && before > 0);
-        }
-        if !changed {
+        let alive_now = &alive;
+        let parts = blocks::split_mut(&mut left, &bounds)
+            .into_iter()
+            .zip(&bounds);
+        let changed = fan_out(parts.collect(), |(left, &first)| {
+            let mut changed = false;
+            for (u, left) in (first..).zip(left) {
+                let Some(before) = *left else { continue };
+                let kept = user(u).iter().filter(|&&l| alive_now[l as usize]).count();
+                *left = (kept >= config.min_checkins_per_user).then_some(kept);
+                changed |= kept < before || (left.is_none() && before > 0);
+            }
+            changed
+        });
+        if !changed.contains(&true) {
             break;
         }
     }
@@ -237,7 +344,25 @@ pub fn prepare<R: Rng + ?Sized>(
     holdouts: [usize; 2],
     rng: &mut R,
 ) -> Result<([TokenizedDataset; 3], Vocabulary, DatasetStats), DataError> {
-    let mut kept = filter_sparse(raw, filter);
+    prepare_in_blocks(
+        raw,
+        filter,
+        holdouts,
+        rng,
+        blocks::count(raw.num_checkins()),
+    )
+}
+
+/// [`prepare`] over `blocks` user blocks; the output is the same for every
+/// count.
+pub(crate) fn prepare_in_blocks<R: Rng + ?Sized>(
+    raw: &CheckInDataset,
+    filter: FilterConfig,
+    holdouts: [usize; 2],
+    rng: &mut R,
+    blocks: usize,
+) -> Result<([TokenizedDataset; 3], Vocabulary, DatasetStats), DataError> {
+    let mut kept = filter_in_blocks(raw, filter, blocks);
 
     // The vocabulary is the surviving locations in id order, which is
     // dense order, so each token is a running count.
@@ -262,29 +387,47 @@ pub fn prepare<R: Rng + ?Sized>(
     }
     let mut order: Vec<usize> = (0..users.len()).collect();
     order.shuffle(rng);
-    let (validation, rest) = order.split_at_mut(num_validation);
-    let (test, train) = rest.split_at_mut(num_test);
+    // The split of each surviving user: 0 train, 1 validation, 2 test.
+    let mut split_of = vec![0u8; users.len()];
+    for (rank, &i) in order.iter().enumerate().take(num_validation + num_test) {
+        split_of[i] = if rank < num_validation { 1 } else { 2 };
+    }
+    let mut splits = [
+        users.len() - num_validation - num_test,
+        num_validation,
+        num_test,
+    ]
+    .map(|n| TokenizedDataset {
+        users: Vec::with_capacity(n),
+        vocab_size: vocab.len(),
+    });
 
+    // Every survivor's sessions, cut per block of the survivor list and
+    // dealt to the splits in user order.
     let longest = users.iter().map(|&u| kept.checkins[u]).max().unwrap_or(0);
-    let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
-    let mut tokenize = |picked: &mut [usize]| {
-        picked.sort_unstable();
-        let sequences = picked.iter().map(|&i| {
-            let u = users[i];
+    let mut offsets = Vec::with_capacity(users.len() + 1);
+    offsets.push(0);
+    for &u in &users {
+        offsets.push(offsets[offsets.len() - 1] + kept.checkins[u]);
+    }
+    let bounds = blocks::bounds(&offsets, blocks);
+    let kept = &kept;
+    let parts = bounds.windows(2).map(|w| &users[w[0]..w[1]]);
+    let cut = fan_out(parts.collect(), |users| {
+        let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
+        let sequences = users.iter().map(|&u| {
             let history = &raw.users[u];
             let (checkins, dense) = (&history.checkins, kept.dense_locations(u));
-            let sessions = sessions(checkins, dense, &token_of, &mut tokens, &mut starts);
             UserSequences {
                 user: history.user,
-                sessions,
+                sessions: sessions(checkins, dense, &token_of, &mut tokens, &mut starts),
             }
         });
-        TokenizedDataset {
-            users: sequences.collect(),
-            vocab_size: vocab.len(),
-        }
-    };
-    let splits = [tokenize(train), tokenize(validation), tokenize(test)];
+        sequences.collect::<Vec<_>>()
+    });
+    for (sequences, &split) in cut.into_iter().flatten().zip(&split_of) {
+        splits[usize::from(split)].users.push(sequences);
+    }
     Ok((splits, vocab, stats))
 }
 

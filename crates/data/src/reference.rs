@@ -11,10 +11,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::checkin::{CheckIn, LocationId, Poi, UserId};
+use crate::checkin::{BoundingBox, CheckIn, LocationId, Poi, UserId};
 use crate::dataset::{CheckInDataset, TokenizedDataset, UserHistory, UserSequences};
 use crate::error::DataError;
-use crate::preprocess::{prepare, FilterConfig, Survivors, SIX_HOURS_SECS};
+use crate::generator::{GeneratorConfig, SyntheticGenerator};
+use crate::preprocess::{prepare, prepare_in_blocks, FilterConfig, Survivors, SIX_HOURS_SECS};
 use crate::stats::{gini, DatasetStats};
 use crate::vocab::Vocabulary;
 
@@ -322,5 +323,62 @@ proptest! {
             CheckInDataset::from_checkins(vec![], checkins.clone()),
             grouped_reference(vec![], checkins)
         );
+    }
+
+    #[test]
+    fn blocks_do_not_show_in_generated_or_prepared_data(
+        seed in 0u64..1_000_000,
+        num_users in 1usize..12,
+        num_locations in 1usize..60,
+        clusters in 1usize..7,
+        target_checkins in 0usize..800,
+        min_checkins in 1usize..6,
+        tail in 0usize..300,
+        min_checkins_per_user in 0usize..16,
+        min_users_per_location in 0usize..4,
+        num_validation in 0usize..4,
+        num_test in 0usize..4,
+    ) {
+        // Small worlds, often with fewer users than blocks, a log-normal
+        // tail up to 300 check-ins above the floor, filters that drop users
+        // and locations, and holdouts that are empty or take every survivor.
+        let config = GeneratorConfig {
+            num_users,
+            num_locations,
+            target_checkins,
+            num_clusters: clusters.min(num_locations),
+            min_checkins_per_user: min_checkins,
+            max_checkins_per_user: min_checkins + tail,
+            bbox: BoundingBox::tokyo(),
+            ..GeneratorConfig::default()
+        };
+        let generate = |blocks| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let world = SyntheticGenerator::new(&mut rng, config.clone()).unwrap();
+            world.generate_in_blocks(&mut rng, blocks)
+        };
+        let raw = generate(1);
+        // The same histories under ids spread over the whole u32 range,
+        // too sparse to index by table, so the hash-map numbering runs
+        // too; an odd multiplier and an offset keep distinct ids distinct.
+        let mut sparse = raw.clone();
+        for c in sparse.users.iter_mut().flat_map(|u| &mut u.checkins) {
+            c.location = LocationId(c.location.0.wrapping_mul(0x9E37_79B1).wrapping_add(1 << 31));
+        }
+        let filter = FilterConfig { min_checkins_per_user, min_users_per_location };
+        let holdouts = [num_validation, num_test];
+        let prepare = |raw: &CheckInDataset, blocks| {
+            prepare_in_blocks(raw, filter, holdouts, &mut StdRng::seed_from_u64(seed), blocks)
+        };
+        let (one, sparse_one) = (prepare(&raw, 1), prepare(&sparse, 1));
+        prop_assert_eq!(
+            &sparse_one,
+            &prepare_reference(&sparse, filter, holdouts, &mut StdRng::seed_from_u64(seed))
+        );
+        for blocks in [2, 3, 7] {
+            prop_assert_eq!(&generate(blocks), &raw);
+            prop_assert_eq!(&prepare(&raw, blocks), &one);
+            prop_assert_eq!(&prepare(&sparse, blocks), &sparse_one);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The one scoped fan-out every threaded pass of the workspace goes through:
 //! the private step's fused noise and server update, HR@k, k-means
-//! assignment and the serving engine's stripes.
+//! assignment, the serving engine's stripes, and the user blocks of data
+//! generation and preparation.
 //!
 //! The caller is a worker, not a bystander: part 0 runs on the calling
 //! thread and only parts `1..` get a thread, so a pass split into `n` parts

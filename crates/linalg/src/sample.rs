@@ -242,19 +242,28 @@ pub fn perturb_rows(
 /// Bounded Zipf distribution over ranks `0..n` with exponent `s`:
 /// `P(rank = k) ∝ 1 / (k + 1)^s`.
 ///
-/// Sampling is O(log n) via binary search over a precomputed CDF table,
-/// which is exact (up to floating-point rounding) and fast enough for the
-/// generator's ~10⁶ draws.
+/// Sampling inverts a precomputed CDF table through a guide table: `u` in
+/// `[0, 1)` falls in one of `m` equal buckets (`m` the power of two at or
+/// above `4n`, at most 4096), and the bucket's two guide entries bound the
+/// ranks `u` can map to, so only that stretch of the CDF is searched. The
+/// answer is exactly the first rank whose CDF value is `>= u`; a head rank
+/// covers whole buckets and is found in one step, and only the thin tail
+/// searches more than a few entries.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]` is the first rank whose CDF value is `>= b / m`, for
+    /// `b < m`; `guide[m]` is `n`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Builds the distribution over `n` ranks with exponent `s`.
     ///
-    /// Returns `None` if `n == 0` or `s` is not finite and non-negative.
+    /// Returns `None` if `n == 0`, `n > u32::MAX` or `s` is not finite and
+    /// non-negative.
     pub fn new(n: usize, s: f64) -> Option<Self> {
+        let ranks = u32::try_from(n).ok()?;
         if n == 0 || !s.is_finite() || s < 0.0 {
             return None;
         }
@@ -268,8 +277,23 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Some(Zipf { cdf })
+        let m = (4 * n.min(Self::MAX_GUIDE))
+            .next_power_of_two()
+            .min(Self::MAX_GUIDE);
+        let mut guide = Vec::with_capacity(m + 1);
+        for (rank, &c) in (0..ranks).zip(&cdf) {
+            // Bucket b starts at the first rank with b / m <= c, that is
+            // b <= c · m, which is exact: m is a power of two.
+            let upto = ((c * m as f64) as usize + 1).min(m);
+            guide.resize(upto.max(guide.len()), rank);
+        }
+        guide.resize(m + 1, ranks);
+        Some(Zipf { cdf, guide })
     }
+
+    /// The most buckets a guide table holds: a 200 000-rank distribution
+    /// keeps a 16 KiB table beside its 1.6 MB CDF.
+    const MAX_GUIDE: usize = 1 << 12;
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
@@ -293,11 +317,25 @@ impl Zipf {
         }
     }
 
-    /// Draws a rank in `0..n`.
+    /// Draws a rank in `0..n`: [`Zipf::rank_of`] one uniform.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        // partition_point returns the first index whose CDF value >= u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.random())
+    }
+
+    /// The rank a uniform `u` maps to: the first rank whose CDF value is
+    /// `>= u`, or the last rank when none is. Any `f64` is accepted; one in
+    /// `[0, 1)` is what [`Zipf::sample`] passes.
+    #[inline]
+    pub fn rank_of(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        // u · m and b / m are exact (m is a power of two), so the bucket's
+        // lower edge is <= u and, below the last bucket, its upper edge is
+        // > u: the answer lies in guide[b]..=guide[b + 1]. A negative u or
+        // a NaN saturates to bucket 0, whose lower entry is rank 0.
+        let b = ((u * m as f64) as usize).min(m - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let within = self.cdf[lo..hi].partition_point(|&c| c < u);
+        (lo + within).min(self.cdf.len() - 1)
     }
 }
 
@@ -526,6 +564,7 @@ mod tests {
         assert!(Zipf::new(0, 1.0).is_none());
         assert!(Zipf::new(10, -1.0).is_none());
         assert!(Zipf::new(10, f64::NAN).is_none());
+        assert!(Zipf::new(u32::MAX as usize + 1, 1.0).is_none());
     }
 
     #[test]
@@ -533,6 +572,78 @@ mod tests {
         let z = Zipf::new(4, 0.0).unwrap();
         for k in 0..4 {
             assert!((z.pmf(k) - 0.25).abs() < 1e-12);
+        }
+    }
+
+    mod zipf_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What `rank_of` must return: the first rank whose CDF value is
+        /// `>= u`, by a binary search over the whole table.
+        fn by_bisection(z: &Zipf, u: f64) -> usize {
+            z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn rank_of_is_the_bisection_rank_at_every_cdf_edge(
+                n in prop_oneof![1usize..64, 1usize..5_000, 1usize..=200_000],
+                s in 0.0f64..=3.0,
+                seed in 0u64..u64::MAX,
+            ) {
+                let z = Zipf::new(n, s).unwrap();
+                // Every edge of a small table; of a large one the head, the
+                // tail and 4096 random edges.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let edges: Vec<usize> = if n <= 8_192 {
+                    (0..n).collect()
+                } else {
+                    (0..64)
+                        .chain(n - 64..n)
+                        .chain((0..4_096).map(|_| rng.random_range(0..n)))
+                        .collect()
+                };
+                for i in edges {
+                    let c = z.cdf[i];
+                    for u in [c, c.next_down(), c.next_up()] {
+                        let (got, want) = (z.rank_of(u), by_bisection(&z, u));
+                        prop_assert!(got == want, "n {n} s {s} u {u:e}: {got} != {want}");
+                    }
+                }
+                for _ in 0..1_000 {
+                    let u: f64 = rng.random();
+                    prop_assert_eq!(z.rank_of(u), by_bisection(&z, u));
+                }
+                let odd = [0.0, -0.0, -1.0, 1.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+                for u in odd {
+                    let (got, want) = (z.rank_of(u), by_bisection(&z, u));
+                    prop_assert!(got == want, "u {u}: {got} != {want}");
+                }
+            }
+        }
+
+        #[test]
+        fn sample_draws_one_uniform_and_ranks_it() {
+            let z = Zipf::new(3_000, 1.0).unwrap();
+            let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for _ in 0..10_000 {
+                let u: f64 = b.random();
+                assert_eq!(z.sample(&mut a), by_bisection(&z, u));
+            }
+        }
+
+        #[test]
+        fn the_guide_table_is_capped() {
+            assert_eq!(Zipf::new(1, 1.0).unwrap().guide, [0, 0, 0, 0, 1]);
+            assert_eq!(Zipf::new(60, 1.0).unwrap().guide.len(), 257);
+            assert_eq!(Zipf::new(3_000, 1.0).unwrap().guide.len(), 4_097);
+            assert_eq!(
+                Zipf::new(200_000, 1.0).unwrap().guide.len(),
+                Zipf::MAX_GUIDE + 1
+            );
         }
     }
 

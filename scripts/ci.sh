@@ -7,8 +7,8 @@
 # training process, one way to form a bucket) grep gates, build, the full
 # test suite in the dev profile and again in release mode (with the
 # allocation counts of a warm bucket, of an evaluation and of data
-# preparation, and the work counters of an IVF build and of a private
-# step, printed), every experiment of the `figures` table at bench
+# preparation, the work counters of an IVF build and of a private step, the
+# generated-data digests and the user-block partition test, printed), every experiment of the `figures` table at bench
 # scale and a correctness smoke of the benchmark harness. The crash-safety
 # and hot-swap fault tests run inside the test suite. This is the
 # only CI definition — .github/workflows/ci.yml just calls it. It needs cargo, git, coreutils and awk — no Python, no network (all
@@ -37,7 +37,8 @@ fi
 
 echo "== threading gate (one fan-out, std threads only) =="
 # Every fan-out (serving stripes, the private step's fused noise and server
-# update, the threaded evaluator, k-means assignment) is
+# update, the threaded evaluator, k-means assignment, the generator's POI
+# mapping and data preparation's user blocks) is
 # `plp_linalg::par::fan_out`;
 # outside test modules only it and the training step's run-ahead reduction,
 # whose caller is the reducer rather than a worker, open a
@@ -136,6 +137,9 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # classical composition bounds it prints. Data preparation is one pass over
 # a flat table, `preprocess::prepare`: a session cutter, a tokeniser over a
 # copied dataset or a split of cloned datasets is a second path back in.
+# The generator writes each user's history in place and regroups nothing:
+# `from_checkins` in generator.rs is the flat check-in vector and its regroup
+# coming back (the CSV and snapshot loaders keep them).
 # The IVF build's test oracle is `build_reference`, its own Lloyd loop over
 # the exact scan: a seam that drives the real build with another
 # assignment pass shares the very loop the oracle should check.
@@ -147,6 +151,11 @@ echo "== retired-names gate (one start, one objective, one proposal, one server 
 # finding this line.)
 if git grep -nwE 'resume_plp|resume_plp_with_executor|RunControl|ServerState|TrainerState|search_into|search_quantized_into|NegativeSampler|ServerSgd|ServerOptimizer|Sgns|with_betas|unigram_negatives|lr_decay|sigmoid_and_ln_sigmoid(_neg)?|worker_args|write_params|serve_one|quant_totals|from_engine|cache_hit_rate|recommend_excluding|with_current_ex[e]|maybe_run_worke[r]|privacy::compositio[n]|sessioniz[e]|from_datase[t]|holdout_spli[t]|build_wit[h]|FedExecuto[r]|FedConfi[g]|BucketRunne[r]|stall_worke[r]|exit_worke[r]|corrupt_reply_fram[e]|DOMAIN_FED_ROUN[D]|split_facto[r]|group_data_spli[t]|realized_split_facto[r]|EqualFrequenc[y]|ablation_omeg[a]|ablation_grouping_strateg[y]' -- crates src tests examples; then
   echo "these names are gone: call the trainer again with the same CheckpointPolicy, probe_cells + rerank_probed*, the one objective, sampler and server optimiser, plps::write_deployable, recommend_excluding_into / serve, the trainer's LocalExecutor in one process, the example's own composition bounds, preprocess::prepare (the one pass from check-ins to sessions), IvfIndex::build_reference (the IVF build's exact oracle) or group_data's λ random users per bucket"
+  exit 1
+fi
+
+if git grep -n 'from_checkins' -- crates/data/src/generator.rs; then
+  echo "crates/data/src/generator.rs must write histories in place, not regroup a flat vector with from_checkins"
   exit 1
 fi
 
@@ -180,6 +189,10 @@ cargo test --release -q -p plp-core --lib work_counters_at_the_train_grouped_sha
 # And at the train_wide shape, whose W′ rows do not saturate the vocabulary,
 # so a change to the negatives a batch draws shows in the pin.
 cargo test --release -q -p plp-core --lib work_counters_at_the_train_wide_shape -- --nocapture
+# The raw generated datasets and worlds, pinned by digest, and the user-block
+# cut of generation and preparation, which must not show in a byte of either.
+cargo test --release -q --test pipeline_roundtrip generated_data_matches -- --nocapture
+cargo test --release -q -p plp-data --lib blocks_do_not_show -- --nocapture
 
 echo "== figures (every experiment of the table, bench scale) =="
 # Seconds each; gated on the exit code, which is non-zero when any
