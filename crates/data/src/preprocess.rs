@@ -17,11 +17,12 @@
 //! all derived from that table. No check-in is copied until its token is
 //! written into a session.
 //!
-//! The per-check-in work — indexing, each filter round's counts, cutting
-//! sessions — runs per block of users on [`fan_out`]. Each block's
-//! results merge exactly: dense indices are ranks in the sorted union of
-//! the blocks' ids, the counts are integer sums over users that each lie
-//! in one block, and the sessions come back in user order.
+//! Indexing and each filter round's counts run per block of users on
+//! [`fan_out`], and each block's results merge exactly: dense indices are
+//! ranks in the sorted union of the blocks' ids, and the counts are integer
+//! sums over users that each lie in one block. Sessions are cut on the
+//! calling thread: they outlive the call, and one allocator arena holds
+//! them all.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -144,47 +145,19 @@ impl Hasher for IdHasher {
 /// order: the distinct ids ascending, and the index of each check-in, users
 /// one after another from `offsets`, per block of `bounds`.
 ///
-/// Ids no larger than a few per check-in — the generator's, and any
-/// dataset's whose ids count its POIs — are ranked through a table indexed
-/// by id: each block marks the ids it sees, and the ids any block marked
-/// are the ranking. Sparser ids go through a hash map per block that
-/// numbers them in first-seen order, and the union of the blocks' sorted
-/// ids is the ranking. Either way no block's view shows in the ranks.
+/// Each block numbers the ids it sees in first-seen order through its own
+/// hash map; the union of the blocks' sorted ids is the ranking, and each
+/// block renumbers its check-ins by it, so no block's view shows in the
+/// ranks.
 fn index(
     dataset: &CheckInDataset,
     offsets: &[usize],
     bounds: &[usize],
 ) -> (Vec<LocationId>, Vec<u32>) {
-    let total = offsets[offsets.len() - 1];
-    let mut dense = vec![0; total];
+    let mut dense = vec![0; offsets[offsets.len() - 1]];
     let cuts: Vec<usize> = bounds.iter().map(|&u| offsets[u]).collect();
-    let blocks = || bounds.windows(2).map(|w| &dataset.users[w[0]..w[1]]);
-    let max = checkins(&dataset.users)
-        .map(|c| c.location.0 as usize)
-        .max();
-    if let Some(max) = max.filter(|&max| max < 4 * total + 1024) {
-        let seen = fan_out(blocks().collect(), |users| {
-            let mut seen = vec![false; max + 1];
-            for c in checkins(users) {
-                seen[c.location.0 as usize] = true;
-            }
-            seen
-        });
-        let mut rank = vec![0; max + 1];
-        let mut locations = Vec::new();
-        for id in (0..=max).filter(|&id| seen.iter().any(|s| s[id])) {
-            rank[id] = locations.len() as u32;
-            locations.push(LocationId(id as u32));
-        }
-        let parts = blocks().zip(blocks::split_mut(&mut dense, &cuts));
-        fan_out(parts.collect(), |(users, dense)| {
-            for (c, l) in checkins(users).zip(dense) {
-                *l = rank[c.location.0 as usize];
-            }
-        });
-        return (locations, dense);
-    }
-    let parts = blocks().zip(blocks::split_mut(&mut dense, &cuts));
+    let blocks = bounds.windows(2).map(|w| &dataset.users[w[0]..w[1]]);
+    let parts = blocks.zip(blocks::split_mut(&mut dense, &cuts));
     let seen = fan_out(parts.collect(), |(users, dense)| {
         let mut first_seen: HashMap<LocationId, u32, BuildHasherDefault<IdHasher>> =
             HashMap::with_capacity_and_hasher(dataset.pois.len(), Default::default());
@@ -402,31 +375,18 @@ pub(crate) fn prepare_in_blocks<R: Rng + ?Sized>(
         vocab_size: vocab.len(),
     });
 
-    // Every survivor's sessions, cut per block of the survivor list and
-    // dealt to the splits in user order.
+    // Every survivor's sessions, cut on the calling thread, which keeps
+    // them in its own allocator arena, and dealt to the splits in user
+    // order.
     let longest = users.iter().map(|&u| kept.checkins[u]).max().unwrap_or(0);
-    let mut offsets = Vec::with_capacity(users.len() + 1);
-    offsets.push(0);
-    for &u in &users {
-        offsets.push(offsets[offsets.len() - 1] + kept.checkins[u]);
-    }
-    let bounds = blocks::bounds(&offsets, blocks);
-    let kept = &kept;
-    let parts = bounds.windows(2).map(|w| &users[w[0]..w[1]]);
-    let cut = fan_out(parts.collect(), |users| {
-        let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
-        let sequences = users.iter().map(|&u| {
-            let history = &raw.users[u];
-            let (checkins, dense) = (&history.checkins, kept.dense_locations(u));
-            UserSequences {
-                user: history.user,
-                sessions: sessions(checkins, dense, &token_of, &mut tokens, &mut starts),
-            }
+    let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
+    for (&u, &split) in users.iter().zip(&split_of) {
+        let history = &raw.users[u];
+        let (checkins, dense) = (&history.checkins, kept.dense_locations(u));
+        splits[usize::from(split)].users.push(UserSequences {
+            user: history.user,
+            sessions: sessions(checkins, dense, &token_of, &mut tokens, &mut starts),
         });
-        sequences.collect::<Vec<_>>()
-    });
-    for (sequences, &split) in cut.into_iter().flatten().zip(&split_of) {
-        splits[usize::from(split)].users.push(sequences);
     }
     Ok((splits, vocab, stats))
 }

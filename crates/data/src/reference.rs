@@ -358,9 +358,10 @@ proptest! {
             world.generate_in_blocks(&mut rng, blocks)
         };
         let raw = generate(1);
-        // The same histories under ids spread over the whole u32 range,
-        // too sparse to index by table, so the hash-map numbering runs
-        // too; an odd multiplier and an offset keep distinct ids distinct.
+        // The same histories under ids spread over the whole u32 range in
+        // another order, so the blocks' sorted id lists interleave when
+        // they merge; an odd multiplier and an offset keep distinct ids
+        // distinct.
         let mut sparse = raw.clone();
         for c in sparse.users.iter_mut().flat_map(|u| &mut u.checkins) {
             c.location = LocationId(c.location.0.wrapping_mul(0x9E37_79B1).wrapping_add(1 << 31));
