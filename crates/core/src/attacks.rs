@@ -49,11 +49,11 @@ pub fn per_user_losses<R: Rng + ?Sized>(
 ) -> Result<Vec<f64>, CoreError> {
     let local = hp.local_sgd();
     let mut out = Vec::with_capacity(data.num_users());
-    for u in &data.users {
-        let tokens = u.flattened();
-        if tokens.len() < 2 {
-            continue;
-        }
+    // Each user's history widened into one reused buffer.
+    let mut tokens = Vec::new();
+    for u in data.users.iter().filter(|u| u.num_tokens() >= 2) {
+        tokens.clear();
+        tokens.extend(u.tokens().iter().map(|&t| t as usize));
         out.push(validation_loss(rng, params, &tokens, &local)?);
     }
     Ok(out)
@@ -142,9 +142,11 @@ mod tests {
     fn attack_runs_end_to_end_on_untrained_model() {
         let make = |base: usize, n: usize| TokenizedDataset {
             users: (0..n)
-                .map(|i| UserSequences {
-                    user: UserId(i as u32),
-                    sessions: vec![(0..10).map(|t| (base + t + i) % 12).collect()],
+                .map(|i| {
+                    UserSequences::new(
+                        UserId(i as u32),
+                        vec![(0..10).map(|t| (base + t + i) % 12).collect()],
+                    )
                 })
                 .collect(),
             vocab_size: 12,
@@ -170,10 +172,7 @@ mod tests {
     #[test]
     fn short_histories_are_skipped() {
         let ds = TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions: vec![vec![1]],
-            }],
+            users: vec![UserSequences::new(UserId(0), vec![vec![1]])],
             vocab_size: 4,
         };
         let mut rng = StdRng::seed_from_u64(5);

@@ -54,9 +54,11 @@ mod tests {
 
     fn dataset(num_users: usize) -> TokenizedDataset {
         let users = (0..num_users)
-            .map(|i| UserSequences {
-                user: UserId(i as u32),
-                sessions: vec![(0..10).map(|t| (t + i) % 8).collect()],
+            .map(|i| {
+                UserSequences::new(
+                    UserId(i as u32),
+                    vec![(0..10).map(|t| (t + i) % 8).collect()],
+                )
             })
             .collect();
         TokenizedDataset {

@@ -93,6 +93,8 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
     let mut order: Vec<usize> = (0..train.num_users()).collect();
     let mut telemetry = Vec::with_capacity(cfg.epochs);
     let mut scratch = TrainScratch::new();
+    // Each user's history widened into one reused buffer.
+    let mut tokens = Vec::new();
 
     for epoch in 1..=cfg.epochs {
         let mut local = base_local;
@@ -105,7 +107,8 @@ pub fn train_nonprivate<R: Rng + ?Sized>(
         let mut loss_sum = 0.0;
         let mut pair_count = 0usize;
         for &u in &order {
-            let tokens = train.users[u].flattened();
+            tokens.clear();
+            tokens.extend(train.users[u].tokens().iter().map(|&t| t as usize));
             let stats = train_on_tokens(rng, &mut params, &tokens, &local, &mut scratch)?;
             loss_sum += stats.mean_loss * stats.pairs as f64;
             pair_count += stats.pairs;
@@ -152,10 +155,10 @@ mod tests {
         let users = (0..num_users)
             .map(|i| {
                 let base = if i % 2 == 0 { 0 } else { 8 };
-                UserSequences {
-                    user: UserId(i as u32),
-                    sessions: vec![(0..20).map(|t| base + (t + i) % 6).collect()],
-                }
+                UserSequences::new(
+                    UserId(i as u32),
+                    vec![(0..20).map(|t| base + (t + i) % 6).collect()],
+                )
             })
             .collect();
         TokenizedDataset {

@@ -1146,10 +1146,10 @@ mod tests {
         let users = (0..num_users)
             .map(|i| {
                 let base = if i % 2 == 0 { 0 } else { 8 };
-                UserSequences {
-                    user: UserId(i as u32),
-                    sessions: vec![(0..12).map(|t| base + (t + i) % 6).collect()],
-                }
+                UserSequences::new(
+                    UserId(i as u32),
+                    vec![(0..12).map(|t| base + (t + i) % 6).collect()],
+                )
             })
             .collect();
         TokenizedDataset {
@@ -2537,7 +2537,8 @@ mod tests {
         let mut clipped_delta = |members: Vec<usize>, index: usize| {
             let tokens: Vec<usize> = members
                 .iter()
-                .flat_map(|&m| prep.train.users[m].flattened())
+                .flat_map(|&m| prep.train.users[m].tokens())
+                .map(|&t| t as usize)
                 .collect();
             if tokens.is_empty() {
                 return RowDelta::default();

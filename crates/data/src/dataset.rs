@@ -101,26 +101,68 @@ impl CheckInDataset {
     }
 }
 
-/// One user's data after tokenisation: sessions of location tokens.
+/// One user's data after tokenisation: every kept check-in as a location
+/// token in `0..vocab_size`, in time order, in one array, and the cut of
+/// that array into sessions (trajectories of at most the configured
+/// duration) as each session's exclusive end. Session `i` is
+/// `tokens[ends[i - 1]..ends[i]]`, with `ends[-1] = 0`; an empty session is
+/// two equal ends. This is the per-user form of §4.1's layout ("grouped
+/// data in each bucket is organized as a single array"): a user costs two
+/// buffers however many sessions it has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserSequences {
     /// The owner.
     pub user: UserId,
-    /// Sessions (trajectories of at most the configured duration), each a
-    /// time-ordered list of location tokens in `0..vocab_size`.
-    pub sessions: Vec<Vec<usize>>,
+    /// Every session's tokens, one session after another.
+    tokens: Vec<u32>,
+    /// The exclusive end of each session in `tokens`, non-decreasing.
+    ends: Vec<u32>,
 }
 
 impl UserSequences {
-    /// Total number of tokens across sessions.
-    pub fn num_tokens(&self) -> usize {
-        self.sessions.iter().map(|s| s.len()).sum()
+    /// The user's data from its sessions, each a time-ordered list of
+    /// tokens.
+    ///
+    /// # Panics
+    /// If a token or the total token count does not fit in `u32`.
+    pub fn new(user: UserId, sessions: impl IntoIterator<Item = Vec<usize>>) -> Self {
+        let wide = |n: usize| u32::try_from(n).expect("token and token count fit in u32");
+        let (mut tokens, mut ends) = (Vec::new(), Vec::new());
+        for s in sessions {
+            tokens.extend(s.into_iter().map(wide));
+            ends.push(wide(tokens.len()));
+        }
+        UserSequences { user, tokens, ends }
     }
 
-    /// Concatenates all sessions into one array — the per-bucket layout of
-    /// §4.1 ("grouped data in each bucket is organized as a single array").
-    pub fn flattened(&self) -> Vec<usize> {
-        self.sessions.iter().flatten().copied().collect()
+    /// The user's data from its parts as [`UserSequences`] lays them out.
+    pub(crate) fn from_parts(user: UserId, tokens: Vec<u32>, ends: Vec<u32>) -> Self {
+        debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(ends.last().map_or(0, |&e| e as usize), tokens.len());
+        UserSequences { user, tokens, ends }
+    }
+
+    /// The sessions in time order, each a slice of [`Self::tokens`].
+    pub fn sessions(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.tokens[start as usize..self.ends[i] as usize]
+        })
+    }
+
+    /// Number of sessions.
+    pub fn num_sessions(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Every token, one session after another.
+    pub fn tokens(&self) -> &[u32] {
+        &self.tokens
+    }
+
+    /// Total number of tokens across sessions.
+    pub fn num_tokens(&self) -> usize {
+        self.tokens.len()
     }
 }
 
@@ -151,12 +193,21 @@ impl TokenizedDataset {
         if self.users.is_empty() || self.vocab_size == 0 {
             return 0.0;
         }
+        // `last[l]` is the last user seen at location `l`: users come one
+        // after the other, so that is all distinct cells need.
+        let mut last = vec![usize::MAX; self.vocab_size];
         let mut nonzero = 0usize;
-        for u in &self.users {
-            let mut locs: Vec<usize> = u.sessions.iter().flatten().copied().collect();
-            locs.sort_unstable();
-            locs.dedup();
-            nonzero += locs.len();
+        for (i, u) in self.users.iter().enumerate() {
+            for &t in u.tokens() {
+                let t = t as usize;
+                if t >= last.len() {
+                    last.resize(t + 1, usize::MAX);
+                }
+                if last[t] != i {
+                    last[t] = i;
+                    nonzero += 1;
+                }
+            }
         }
         nonzero as f64 / (self.users.len() as f64 * self.vocab_size as f64)
     }
@@ -217,10 +268,7 @@ mod tests {
 
     #[test]
     fn density_counts_distinct_user_location_pairs() {
-        let user = |id, sessions| UserSequences {
-            user: UserId(id),
-            sessions,
-        };
+        let user = |id, sessions| UserSequences::new(UserId(id), sessions);
         let tok = TokenizedDataset {
             users: vec![user(1, vec![vec![0, 0], vec![1]]), user(2, vec![vec![0]])],
             vocab_size: 2,
@@ -232,5 +280,35 @@ mod tests {
             vocab_size: 0,
         };
         assert_eq!(empty.density(), 0.0);
+    }
+
+    mod layout_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Users with no sessions and empty sessions come up often:
+            /// one case in eight has no session, one session in six is empty.
+            #[test]
+            fn sessions_read_back_from_one_array(
+                id in 0u32..1000,
+                sessions in prop::collection::vec(prop::collection::vec(0usize..100, 0..6), 0..8),
+            ) {
+                let u = UserSequences::new(UserId(id), sessions.clone());
+                let back: Vec<Vec<_>> = u
+                    .sessions()
+                    .map(|s| s.iter().map(|&t| t as usize).collect())
+                    .collect();
+                prop_assert_eq!(&back, &sessions);
+                let flat: Vec<u32> = sessions.iter().flatten().map(|&t| t as u32).collect();
+                prop_assert_eq!(u.tokens(), &flat[..]);
+                prop_assert_eq!(u.num_sessions(), sessions.len());
+                prop_assert_eq!(u.sessions().len(), sessions.len());
+                prop_assert_eq!(u.num_tokens(), flat.len());
+                prop_assert_eq!(u.user, UserId(id));
+            }
+        }
     }
 }

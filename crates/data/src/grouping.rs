@@ -56,7 +56,7 @@ impl Bucket {
 ///
 /// Every user's data lands in exactly one bucket (ω = 1), which is the
 /// precondition of §4.2 Case 1's sensitivity argument. Each bucket's
-/// tokens are its members' sessions, concatenated in member order.
+/// tokens are its members' token arrays, concatenated in member order.
 ///
 /// # Errors
 /// `lambda` must be ≥ 1 and every sampled index must be in range.
@@ -83,13 +83,16 @@ pub fn group_data<R: Rng + ?Sized>(
     order.shuffle(rng);
     Ok(order
         .chunks(lambda)
-        .map(|members| Bucket {
-            user_indices: members.to_vec(),
-            tokens: members
-                .iter()
-                .flat_map(|&u| dataset.users[u].sessions.iter().flatten())
-                .copied()
-                .collect(),
+        .map(|members| {
+            let users = members.iter().map(|&u| &dataset.users[u]);
+            let mut tokens = Vec::with_capacity(users.clone().map(|u| u.num_tokens()).sum());
+            for u in users {
+                tokens.extend(u.tokens().iter().map(|&t| t as usize));
+            }
+            Bucket {
+                user_indices: members.to_vec(),
+                tokens,
+            }
         })
         .collect())
 }
@@ -111,10 +114,7 @@ mod tests {
                 // boundaries as well as user boundaries.
                 let tokens: Vec<usize> = (0..n).map(|t| (i * 100 + t) % 50).collect();
                 let (first, second) = tokens.split_at(n / 2);
-                UserSequences {
-                    user: UserId(i as u32),
-                    sessions: vec![first.to_vec(), second.to_vec()],
-                }
+                UserSequences::new(UserId(i as u32), vec![first.to_vec(), second.to_vec()])
             })
             .collect();
         TokenizedDataset {
@@ -141,7 +141,8 @@ mod tests {
             let expected: Vec<usize> = b
                 .user_indices
                 .iter()
-                .flat_map(|&u| ds.users[u].flattened())
+                .flat_map(|&u| ds.users[u].tokens())
+                .map(|&t| t as usize)
                 .collect();
             assert_eq!(b.tokens, expected);
         }

@@ -15,7 +15,7 @@
 //! dense location index once, ranked in [`LocationId`] order, and the
 //! filter, the vocabulary, the statistics, the holdout and the sessions are
 //! all derived from that table. No check-in is copied until its token is
-//! written into a session.
+//! written into its user's one token array.
 //!
 //! Indexing and each filter round's counts run per block of users on
 //! [`fan_out`], and each block's results merge exactly: dense indices are
@@ -310,7 +310,8 @@ fn filter_in_blocks(dataset: &CheckInDataset, config: FilterConfig, blocks: usiz
 ///
 /// # Errors
 /// [`DataError::BadConfig`] unless more users survive the filter than the
-/// two holdouts take together.
+/// two holdouts take together; [`DataError::Invalid`] if a user keeps more
+/// check-ins than a `u32` counts.
 pub fn prepare<R: Rng + ?Sized>(
     raw: &CheckInDataset,
     filter: FilterConfig,
@@ -379,49 +380,57 @@ pub(crate) fn prepare_in_blocks<R: Rng + ?Sized>(
     // them in its own allocator arena, and dealt to the splits in user
     // order.
     let longest = users.iter().map(|&u| kept.checkins[u]).max().unwrap_or(0);
-    let (mut tokens, mut starts) = (Vec::with_capacity(longest), Vec::with_capacity(longest));
+    if u32::try_from(longest).is_err() {
+        return Err(DataError::Invalid {
+            what: format!("a user keeps {longest} check-ins, more than a u32 counts"),
+        });
+    }
+    let mut ends = Vec::with_capacity(longest);
     for (&u, &split) in users.iter().zip(&split_of) {
         let history = &raw.users[u];
         let (checkins, dense) = (&history.checkins, kept.dense_locations(u));
-        splits[usize::from(split)].users.push(UserSequences {
-            user: history.user,
-            sessions: sessions(checkins, dense, &token_of, &mut tokens, &mut starts),
-        });
+        let tokens = sessions(checkins, dense, &token_of, kept.checkins[u], &mut ends);
+        let sequences = UserSequences::from_parts(history.user, tokens, ends.to_vec());
+        splits[usize::from(split)].users.push(sequences);
     }
     Ok((splits, vocab, stats))
 }
 
 /// Cuts one user's time-ordered check-ins into sessions whose first-to-last
-/// span is at most six hours, as tokens, skipping check-ins at locations
-/// the filter dropped. `tokens` and `starts` are scratch; each session is
-/// allocated once, at its final length.
+/// span is at most six hours, skipping check-ins at locations the filter
+/// dropped: returns their tokens, allocated once at the user's `kept`
+/// check-in count (at most `u32::MAX`), and leaves each session's
+/// exclusive end in the scratch `ends`.
 fn sessions(
     checkins: &[CheckIn],
     dense: &[u32],
     token_of: &[u32],
-    tokens: &mut Vec<usize>,
-    starts: &mut Vec<usize>,
-) -> Vec<Vec<usize>> {
-    tokens.clear();
-    starts.clear();
+    kept: usize,
+    ends: &mut Vec<u32>,
+) -> Vec<u32> {
+    let mut tokens = Vec::with_capacity(kept);
+    ends.clear();
     let mut first = None;
     for (c, &l) in checkins.iter().zip(dense) {
         let token = token_of[l as usize];
         if token == DROPPED {
             continue;
         }
-        if first.is_none_or(|t| c.timestamp - t > SIX_HOURS_SECS) {
-            starts.push(tokens.len());
+        // Saturating: check-ins further apart than an `i64` holds still
+        // part, and wherever the difference fits it is exact.
+        if first.is_none_or(|t: i64| c.timestamp.saturating_sub(t) > SIX_HOURS_SECS) {
+            if !tokens.is_empty() {
+                ends.push(tokens.len() as u32);
+            }
             first = Some(c.timestamp);
         }
-        tokens.push(token as usize);
+        tokens.push(token);
     }
-    let ends = starts.iter().skip(1).copied().chain([tokens.len()]);
-    starts
-        .iter()
-        .zip(ends)
-        .map(|(&a, b)| tokens[a..b].to_vec())
-        .collect()
+    if !tokens.is_empty() {
+        ends.push(tokens.len() as u32);
+    }
+    debug_assert_eq!(tokens.len(), kept);
+    tokens
 }
 
 #[cfg(test)]

@@ -222,7 +222,9 @@ fn sessionize_reference(history: &UserHistory) -> Vec<Vec<CheckIn>> {
     let mut current: Vec<CheckIn> = Vec::new();
     for &c in &history.checkins {
         match current.first() {
-            Some(first) if c.timestamp - first.timestamp <= SIX_HOURS_SECS => current.push(c),
+            Some(first) if c.timestamp.saturating_sub(first.timestamp) <= SIX_HOURS_SECS => {
+                current.push(c)
+            }
             Some(_) => {
                 sessions.push(std::mem::take(&mut current));
                 current.push(c);
@@ -239,11 +241,10 @@ fn sessionize_reference(history: &UserHistory) -> Vec<Vec<CheckIn>> {
 /// Every session of every user, each check-in looked up in `vocab`.
 fn tokenize_reference(dataset: &CheckInDataset, vocab: &Vocabulary) -> TokenizedDataset {
     let users = (dataset.users.iter())
-        .map(|h| UserSequences {
-            user: h.user,
-            sessions: (sessionize_reference(h).iter())
-                .map(|s| s.iter().map(|c| vocab.token(c.location).unwrap()).collect())
-                .collect(),
+        .map(|h| {
+            let sessions = (sessionize_reference(h).into_iter())
+                .map(|s| s.iter().map(|c| vocab.token(c.location).unwrap()).collect());
+            UserSequences::new(h.user, sessions)
         })
         .collect();
     TokenizedDataset {
@@ -265,6 +266,32 @@ fn prepare_reference<R: Rng + ?Sized>(
     let vocab = Vocabulary::from_locations(visited.map(|c| c.location).collect());
     let split = holdout_split_reference(rng, &filtered, num_validation, num_test)?;
     Ok((split.map(|d| tokenize_reference(&d, &vocab)), vocab, stats))
+}
+
+#[test]
+fn check_ins_further_apart_than_i64_spans_are_two_sessions() {
+    // User 1's check-ins are 2^64 − 1 s apart: their `i64` difference
+    // overflows, which a debug build panics on and a release build wraps to
+    // −1, one session.
+    let csv = format!(
+        "user,location,timestamp\n1,10,{}\n1,10,{}\n2,10,0\n3,10,0\n",
+        i64::MIN,
+        i64::MAX
+    );
+    let raw = CheckInDataset::from_checkins(vec![], crate::io::checkins_from_csv(&csv).unwrap());
+    let filter = FilterConfig {
+        min_checkins_per_user: 1,
+        min_users_per_location: 1,
+    };
+    let fast = prepare(&raw, filter, [1, 1], &mut StdRng::seed_from_u64(5));
+    let slow = prepare_reference(&raw, filter, [1, 1], &mut StdRng::seed_from_u64(5));
+    for (splits, _, _) in [fast.unwrap(), slow.unwrap()] {
+        let user = (splits.iter().flat_map(|s| &s.users))
+            .find(|u| u.user == UserId(1))
+            .unwrap();
+        let sessions: Vec<&[u32]> = user.sessions().collect();
+        assert_eq!(sessions, [&[0][..], &[0]]);
+    }
 }
 
 /// Random check-ins from a multiplicative generator: few users, locations

@@ -52,17 +52,22 @@ pub trait RankLocations {
     /// The first failing trial's error, in trial order.
     fn hit_counts(
         &self,
-        trials: &[(&[usize], usize)],
+        trials: &[(&[u32], u32)],
         ks: &[usize],
         offset: usize,
         stride: usize,
     ) -> Result<Vec<usize>, ModelError> {
         let max_k = ks.iter().copied().max().unwrap_or(0);
         let mut hits = vec![0usize; ks.len()];
-        for (input, target) in trials.iter().skip(offset).step_by(stride.max(1)) {
-            let top = self.top_k(input, max_k)?;
+        // `top_k` takes `usize` tokens: each input is widened into one
+        // buffer that every trial reuses.
+        let mut recent = Vec::new();
+        for &(input, target) in trials.iter().skip(offset).step_by(stride.max(1)) {
+            recent.clear();
+            recent.extend(input.iter().map(|&t| t as usize));
+            let top = self.top_k(&recent, max_k)?;
             for (h, &k) in hits.iter_mut().zip(ks) {
-                if top.iter().take(k).any(|t| t == target) {
+                if top.iter().take(k).any(|&t| t == target as usize) {
                     *h += 1;
                 }
             }
@@ -80,7 +85,7 @@ impl RankLocations for crate::recommender::Recommender {
     /// loading one is a copy.
     fn hit_counts(
         &self,
-        trials: &[(&[usize], usize)],
+        trials: &[(&[u32], u32)],
         ks: &[usize],
         offset: usize,
         stride: usize,
@@ -104,7 +109,7 @@ impl RankLocations for ModelParams {
     /// left in a deployed copy.
     fn hit_counts(
         &self,
-        trials: &[(&[usize], usize)],
+        trials: &[(&[u32], u32)],
         ks: &[usize],
         offset: usize,
         stride: usize,
@@ -143,16 +148,15 @@ impl MarkovRecommender {
         let mut counts = vec![vec![0.0; vocab]; vocab];
         let mut popularity = vec![0.0; vocab];
         for u in &data.users {
-            for s in &u.sessions {
-                for &t in s {
-                    if t >= vocab {
-                        return Err(ModelError::TokenOutOfRange { token: t, vocab });
-                    }
-                    popularity[t] += 1.0;
+            for &t in u.tokens() {
+                let t = t as usize;
+                if t >= vocab {
+                    return Err(ModelError::TokenOutOfRange { token: t, vocab });
                 }
-                for w in s.windows(2) {
-                    counts[w[0]][w[1]] += 1.0;
-                }
+                popularity[t] += 1.0;
+            }
+            for w in u.sessions().flat_map(|s| s.windows(2)) {
+                counts[w[0] as usize][w[1] as usize] += 1.0;
             }
         }
         Ok(MarkovRecommender {
@@ -250,21 +254,20 @@ impl DpMarkovRecommender {
         for u in &data.users {
             let mut trans_left = per_user_cap;
             let mut pop_left = per_user_cap;
-            for s in &u.sessions {
-                for &t in s {
-                    if t >= vocab {
-                        return Err(ModelError::TokenOutOfRange { token: t, vocab });
-                    }
-                    if pop_left > 0 {
-                        popularity[t] += 1.0;
-                        pop_left -= 1;
-                    }
+            for &t in u.tokens() {
+                let t = t as usize;
+                if t >= vocab {
+                    return Err(ModelError::TokenOutOfRange { token: t, vocab });
                 }
-                for w in s.windows(2) {
-                    if trans_left > 0 {
-                        counts[w[0]][w[1]] += 1.0;
-                        trans_left -= 1;
-                    }
+                if pop_left > 0 {
+                    popularity[t] += 1.0;
+                    pop_left -= 1;
+                }
+            }
+            for w in u.sessions().flat_map(|s| s.windows(2)) {
+                if trans_left > 0 {
+                    counts[w[0] as usize][w[1] as usize] += 1.0;
+                    trans_left -= 1;
                 }
             }
         }
@@ -340,16 +343,18 @@ mod tests {
     /// Deterministic cycles: 0 -> 1 -> 2 -> 0 and 5 -> 6 -> 5.
     fn data() -> TokenizedDataset {
         let users = (0..10)
-            .map(|i| UserSequences {
-                user: UserId(i as u32),
-                sessions: vec![
-                    vec![0, 1, 2, 0, 1, 2, 0],
-                    if i % 2 == 0 {
-                        vec![5, 6, 5, 6]
-                    } else {
-                        vec![5, 6]
-                    },
-                ],
+            .map(|i| {
+                UserSequences::new(
+                    UserId(i as u32),
+                    vec![
+                        vec![0, 1, 2, 0, 1, 2, 0],
+                        if i % 2 == 0 {
+                            vec![5, 6, 5, 6]
+                        } else {
+                            vec![5, 6]
+                        },
+                    ],
+                )
             })
             .collect();
         TokenizedDataset {
@@ -395,10 +400,7 @@ mod tests {
         };
         assert!(MarkovRecommender::fit(&empty).is_err());
         let bad = TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions: vec![vec![9]],
-            }],
+            users: vec![UserSequences::new(UserId(0), vec![vec![9]])],
             vocab_size: 4,
         };
         assert!(MarkovRecommender::fit(&bad).is_err());
@@ -407,10 +409,7 @@ mod tests {
     #[test]
     fn transitions_do_not_cross_session_boundaries() {
         let ds = TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions: vec![vec![0, 1], vec![2, 3]],
-            }],
+            users: vec![UserSequences::new(UserId(0), vec![vec![0, 1], vec![2, 3]])],
             vocab_size: 4,
         };
         let m = MarkovRecommender::fit(&ds).unwrap();
@@ -454,10 +453,10 @@ mod tests {
     #[test]
     fn per_user_cap_bounds_contribution() {
         // One hyperactive user cannot push a transition above the cap.
-        let users = vec![UserSequences {
-            user: UserId(0),
-            sessions: vec![(0..100).map(|i| i % 2).collect()],
-        }];
+        let users = vec![UserSequences::new(
+            UserId(0),
+            vec![(0..100).map(|i| i % 2).collect()],
+        )];
         let ds = TokenizedDataset {
             users,
             vocab_size: 2,

@@ -60,11 +60,11 @@ impl ToJson for HitRate {
 /// Inputs borrow directly from the dataset's sessions — no per-trial copy —
 /// and the list is sized before it is filled, so it is one allocation
 /// however many trials there are.
-pub fn leave_one_out_trials(test: &TokenizedDataset) -> Vec<(&[usize], usize)> {
+pub fn leave_one_out_trials(test: &TokenizedDataset) -> Vec<(&[u32], u32)> {
     let sessions = || {
         test.users
             .iter()
-            .flat_map(|u| &u.sessions)
+            .flat_map(|u| u.sessions())
             .filter(|s| s.len() >= 2)
     };
     let mut trials = Vec::with_capacity(sessions().count());
@@ -132,7 +132,7 @@ impl RankScratch {
 fn unit_profile_into(
     embedding: &Matrix,
     load_unit: &impl Fn(&[f64], &mut [f64]),
-    recent: &[usize],
+    recent: &[u32],
     unit: &mut [f64],
     out: &mut [f64],
 ) -> Result<(), ModelError> {
@@ -144,6 +144,7 @@ fn unit_profile_into(
     }
     out.fill(0.0);
     for &t in recent {
+        let t = t as usize;
         if t >= embedding.rows() {
             return Err(ModelError::TokenOutOfRange {
                 token: t,
@@ -182,7 +183,7 @@ fn unit_profile_into(
 pub(crate) fn rank_count_hits(
     embedding: &Matrix,
     load_unit: impl Fn(&[f64], &mut [f64]),
-    trials: &[(&[usize], usize)],
+    trials: &[(&[u32], u32)],
     ks: &[usize],
     offset: usize,
     stride: usize,
@@ -201,6 +202,7 @@ pub(crate) fn rank_count_hits(
             let slot = s.live.len();
             let profile = &mut s.profiles[slot * dim..(slot + 1) * dim];
             unit_profile_into(embedding, &load_unit, input, &mut s.unit, profile)?;
+            let target = target as usize;
             if target < vocab {
                 load_unit(embedding.row(target), &mut s.unit);
                 let score = ops::dot_unchecked(profile, &s.unit);
@@ -333,7 +335,7 @@ pub fn popularity_hit_rate(
     let mut hits = vec![0usize; ks.len()];
     for (_, target) in &trials {
         for (i, &k) in ks.iter().enumerate() {
-            if top.iter().take(k).any(|&t| t == *target) {
+            if top.iter().take(k).any(|&t| t == *target as usize) {
                 hits[i] += 1;
             }
         }
@@ -354,13 +356,9 @@ pub fn random_baseline(k: usize, vocab_size: usize) -> f64 {
 /// non-private baseline would use).
 pub fn token_counts(data: &TokenizedDataset) -> Vec<usize> {
     let mut counts = vec![0usize; data.vocab_size];
-    for u in &data.users {
-        for s in &u.sessions {
-            for &t in s {
-                if t < counts.len() {
-                    counts[t] += 1;
-                }
-            }
+    for &t in data.users.iter().flat_map(|u| u.tokens()) {
+        if let Some(c) = counts.get_mut(t as usize) {
+            *c += 1;
         }
     }
     counts
@@ -380,10 +378,7 @@ mod tests {
 
     fn test_set(sessions: Vec<Vec<usize>>) -> TokenizedDataset {
         TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions,
-            }],
+            users: vec![UserSequences::new(UserId(0), sessions)],
             vocab_size: 6,
         }
     }
@@ -485,10 +480,10 @@ mod tests {
         // Token 9 is out of range for the dim-6 recommender: every worker
         // partition contains failing trials and the error must surface.
         let ds = TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions: vec![vec![9, 1], vec![9, 2], vec![9, 3]],
-            }],
+            users: vec![UserSequences::new(
+                UserId(0),
+                vec![vec![9, 1], vec![9, 2], vec![9, 3]],
+            )],
             vocab_size: 10,
         };
         let r = perfect_recommender();
@@ -538,7 +533,7 @@ mod tests {
     /// One session per user, inputs in range; one target in ten is not a
     /// row of the vocabulary.
     fn random_trials(rng: &mut StdRng, vocab: usize, trials: usize) -> TokenizedDataset {
-        let sessions = (0..trials)
+        let sessions: Vec<_> = (0..trials)
             .map(|_| {
                 let mut s: Vec<usize> = (0..rng.random_range(1..5))
                     .map(|_| rng.random_range(0..vocab))
@@ -552,10 +547,7 @@ mod tests {
             })
             .collect();
         TokenizedDataset {
-            users: vec![UserSequences {
-                user: UserId(0),
-                sessions,
-            }],
+            users: vec![UserSequences::new(UserId(0), sessions)],
             vocab_size: vocab,
         }
     }

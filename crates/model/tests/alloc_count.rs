@@ -46,9 +46,11 @@ fn an_evaluation_allocates_per_worker_and_never_per_trial_or_per_theta() {
     let mut rng = StdRng::seed_from_u64(6);
     let mut held_out = |trials: usize| TokenizedDataset {
         users: (0..trials)
-            .map(|u| UserSequences {
-                user: UserId(u as u32),
-                sessions: vec![(0..5).map(|_| rng.random_range(0..vocab)).collect()],
+            .map(|u| {
+                UserSequences::new(
+                    UserId(u as u32),
+                    vec![(0..5).map(|_| rng.random_range(0..vocab)).collect()],
+                )
             })
             .collect(),
         vocab_size: vocab,

@@ -51,17 +51,23 @@ fn main() {
     let (input, target) = leave_one_out_trials(&prep.test)
         .into_iter()
         .find(|(i, _)| i.len() >= 3)
+        .map(|(i, t)| {
+            (
+                i.iter().map(|&t| t as usize).collect::<Vec<_>>(),
+                t as usize,
+            )
+        })
         .expect("a test trajectory with >= 3 visits");
     println!("\nrecent check-ins zeta (tokens): {input:?}");
     println!("ground-truth next location: token {target}");
 
-    let top = recommender.recommend(input, 10).expect("recommendation");
+    let top = recommender.recommend(&input, 10).expect("recommendation");
     println!("top-10 recommendations: {top:?}");
     println!("hit: {}", top.contains(&target));
 
     // Same query, but suppress places the user is standing in right now.
     let fresh = recommender
-        .recommend_excluding_into(input, 10, input, &mut RecommendScratch::new())
+        .recommend_excluding_into(&input, 10, &input, &mut RecommendScratch::new())
         .expect("recommendation");
     println!("top-10 excluding already-visited: {fresh:?}");
 

@@ -59,9 +59,15 @@ fn main() {
 
     // 5. Deploy: only the (normalised) embedding matrix ships to devices.
     let recommender = Recommender::new(&outcome.params);
-    let recent = &prep.test.users[0].sessions[0];
-    let input = &recent[..recent.len().saturating_sub(1).max(1)];
-    let top = recommender.recommend(input, 5).expect("recommendation");
+    let recent = prep.test.users[0]
+        .sessions()
+        .next()
+        .expect("a test session");
+    let input: Vec<usize> = recent[..recent.len().saturating_sub(1).max(1)]
+        .iter()
+        .map(|&t| t as usize)
+        .collect();
+    let top = recommender.recommend(&input, 5).expect("recommendation");
     println!("recent check-ins (tokens): {input:?}");
     println!("top-5 next-location suggestions (tokens): {top:?}");
 

@@ -4,7 +4,8 @@
 # f32-Adam-moments, no-map-in-the-SGNS-loop, one-negative-draw-per-batch and retired-names
 # (one start, one objective, one proposal, one server
 # optimiser, one model file, one serving entry point per operation, one
-# training process, one way to form a bucket) grep gates, build, the full
+# training process, one way to form a bucket, one token array per user)
+# grep gates, build, the full
 # test suite in the dev profile and again in release mode (with the
 # allocation counts of a warm bucket, of an evaluation and of data
 # preparation, the work counters of an IVF build and of a private step, the
@@ -118,7 +119,7 @@ if [ "$draws" -ne 1 ]; then
   exit 1
 fi
 
-echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one training process, one way to form a bucket) =="
+echo "== retired-names gate (one start, one objective, one proposal, one server optimiser, one model file, one training process, one way to form a bucket, one token array per user) =="
 # The trainer's checkpoint policy decides where a run starts and the loop
 # steps the very state a save encodes; a resume entry point, a caller-side
 # resume switch or a second state type means both are being forked again.
@@ -156,6 +157,14 @@ fi
 
 if git grep -n 'from_checkins' -- crates/data/src/generator.rs; then
   echo "crates/data/src/generator.rs must write histories in place, not regroup a flat vector with from_checkins"
+  exit 1
+fi
+
+# A user's sessions are one token array and its session ends
+# (`dataset::UserSequences`); a vector per session in the type or in
+# preparation is the allocation per session coming back.
+if git grep -nF 'Vec<Vec<usize>>' -- crates/data/src/dataset.rs crates/data/src/preprocess.rs; then
+  echo "crates/data/src/{dataset,preprocess}.rs must keep sessions as one token array per user, not Vec<Vec<usize>>"
   exit 1
 fi
 

@@ -8,6 +8,7 @@ use dp_nextloc::data::io;
 use dp_nextloc::data::preprocess::{filter_sparse, FilterConfig, Survivors};
 use dp_nextloc::data::stats::dataset_stats;
 use dp_nextloc::data::{CheckInDataset, Poi};
+use dp_nextloc::model::metrics::leave_one_out_trials;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,8 +58,8 @@ fn splits_share_one_vocabulary_and_tokens_are_in_range() {
     assert_eq!(prep.test.vocab_size, l);
     for split in [&prep.train, &prep.validation, &prep.test] {
         for u in &split.users {
-            for s in &u.sessions {
-                assert!(s.iter().all(|&t| t < l));
+            for s in u.sessions() {
+                assert!(s.iter().all(|&t| (t as usize) < l));
             }
         }
     }
@@ -106,8 +107,8 @@ fn prepared_digest(prep: &PreparedData) -> u64 {
     for split in [&prep.train, &prep.validation, &prep.test] {
         words.push(split.users.len() as u64);
         for u in &split.users {
-            words.extend([u64::from(u.user.0), u.sessions.len() as u64]);
-            for s in &u.sessions {
+            words.extend([u64::from(u.user.0), u.num_sessions() as u64]);
+            for s in u.sessions() {
                 words.push(s.len() as u64);
                 words.extend(s.iter().map(|&t| t as u64));
             }
@@ -149,6 +150,29 @@ fn prepared_data_matches_the_digests_taken_before_the_single_pass() {
             0x6fc0_154b_62a4_a42a
         ]
     );
+}
+
+#[test]
+fn trials_slice_the_same_inputs_and_targets_as_nested_sessions() {
+    // Each held-out session of `medium(42)` as its own vector, and the
+    // leave-one-out trials derived from those: every session of two or
+    // more visits, all but its last as the input and its last as the target.
+    let prep = PreparedData::generate(&ExperimentConfig::medium(42)).unwrap();
+    let nested: Vec<Vec<usize>> = (prep.test.users.iter())
+        .flat_map(|u| u.sessions())
+        .map(|s| s.iter().map(|&t| t as usize).collect())
+        .collect();
+    let want: Vec<(&[usize], usize)> = (nested.iter())
+        .filter(|s| s.len() >= 2)
+        .map(|s| (&s[..s.len() - 1], s[s.len() - 1]))
+        .collect();
+    let got = leave_one_out_trials(&prep.test);
+    assert!(got.len() > 100, "{} trials", got.len());
+    assert_eq!(got.len(), want.len());
+    for ((input, target), (want_input, want_target)) in got.iter().zip(&want) {
+        let input: Vec<usize> = input.iter().map(|&t| t as usize).collect();
+        assert_eq!((&input[..], *target as usize), (*want_input, *want_target));
+    }
 }
 
 /// The three shapes the prepared-data pins cover: `ExperimentConfig::medium(42)`,

@@ -18,9 +18,11 @@ use dp_nextloc::privacy::rdp::RdpCurve;
 
 fn dataset(num_users: usize, tokens_per_user: usize, vocab: usize) -> TokenizedDataset {
     let users = (0..num_users)
-        .map(|i| UserSequences {
-            user: UserId(i as u32),
-            sessions: vec![(0..tokens_per_user).map(|t| (t * 7 + i) % vocab).collect()],
+        .map(|i| {
+            UserSequences::new(
+                UserId(i as u32),
+                vec![(0..tokens_per_user).map(|t| (t * 7 + i) % vocab).collect()],
+            )
         })
         .collect();
     TokenizedDataset {
